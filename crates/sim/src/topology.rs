@@ -6,16 +6,17 @@
 //! its home position (paper §IV-A.2 — the range enters the Range-Distance
 //! Cost; §VI — mobility is "within 30 meters ranges").
 //!
-//! The topology maintains hop counts and next-hop routing tables (BFS) so
-//! the transport layer can forward store-and-forward messages. Two
-//! interchangeable representations sit behind the same API:
+//! The topology maintains BFS hop-count rows so the transport layer can
+//! forward store-and-forward messages; a route is read off the
+//! *destination's* row (see [`Topology::path`]), so nothing stores next
+//! hops. Two interchangeable representations sit behind the same API:
 //!
-//! * **Dense** (default): eager all-pairs tables plus a precomputed n×n
+//! * **Dense** (default): eager all-pairs hop rows plus a precomputed n×n
 //!   RDC matrix — the bit-exact reference, fine up to a few thousand
 //!   nodes.
 //! * **Sparse** ([`TopologyConfig::sparse_routes`]): adjacency is built
 //!   with a grid-bucket spatial hash (cell = radio range) and per-source
-//!   routing/RDC rows are materialized lazily on first query, so memory
+//!   hop/RDC rows are materialized lazily on first query, so memory
 //!   is O(n·degree + touched sources·n) instead of Θ(n²). Every query
 //!   runs the identical BFS and Eq. 2 arithmetic, so results are
 //!   bit-identical to the dense tables.
@@ -91,33 +92,19 @@ impl Default for TopologyConfig {
     }
 }
 
-/// Sentinel in [`RouteRow::next`] for "no next hop".
-const NO_HOP: u32 = u32::MAX;
-
-/// One source's lazily materialized routing row.
-#[derive(Debug, Clone)]
-struct RouteRow {
-    /// BFS hop count to every destination ([`UNREACHABLE`] when cut off).
-    hops: Vec<u32>,
-    /// First hop toward each destination; [`NO_HOP`] when none.
-    next: Vec<u32>,
-}
-
-/// Routing/RDC storage: eager all-pairs tables or lazy per-source rows.
+/// Hop/RDC storage: eager all-pairs tables or lazy per-source rows.
 #[derive(Debug, Clone)]
 enum Routes {
     /// The bit-exact reference: Θ(n²) tables rebuilt eagerly.
     Dense {
         /// `hops[i][j]` — BFS hop count, [`UNREACHABLE`] when partitioned.
         hops: Vec<Vec<u32>>,
-        /// `next_hop[i][j]` — first hop on a shortest path from `i` to `j`.
-        next_hop: Vec<Vec<Option<NodeId>>>,
         /// Dense Range-Distance Cost matrix (`n × n`, row-major).
         rdc: Vec<f64>,
     },
     /// Per-source rows materialized on first query; cleared on rebuild.
     Sparse {
-        rows: Vec<OnceLock<RouteRow>>,
+        rows: Vec<OnceLock<Vec<u32>>>,
         rdc_rows: Vec<OnceLock<Vec<f64>>>,
     },
 }
@@ -184,8 +171,12 @@ impl Topology {
                     )
                 })
                 .collect();
-            let topo = Self::from_positions_with_config(home, config.clone());
-            if topo.is_connected() {
+            // One BFS over the adjacency decides; only the accepted
+            // placement pays for route state.
+            let mut topo = Self::unrouted(home, config.clone());
+            topo.rebuild_adjacency();
+            if !bfs_hops(&topo.adjacency, &topo.active, 0).contains(&UNREACHABLE) {
+                topo.rebuild_tables();
                 return Ok(topo);
             }
         }
@@ -210,25 +201,28 @@ impl Topology {
             !positions.is_empty(),
             "topology must have at least one node"
         );
+        let mut topo = Self::unrouted(positions, config);
+        topo.rebuild_routes();
+        topo
+    }
+
+    /// Every node up at its home position, no links or routes yet.
+    fn unrouted(positions: Vec<Point>, config: TopologyConfig) -> Self {
         let n = positions.len();
-        let mobility = vec![config.mobility_range; n];
-        let mut topo = Topology {
+        Topology {
+            mobility: vec![config.mobility_range; n],
             config,
             home: positions.clone(),
             position: positions,
-            mobility,
             active: vec![true; n],
             partition: None,
             adjacency: Vec::new(),
             routes: Routes::Dense {
                 hops: Vec::new(),
-                next_hop: Vec::new(),
                 rdc: Vec::new(),
             },
             epoch: 0,
-        };
-        topo.rebuild_routes();
-        topo
+        }
     }
 
     /// Number of nodes.
@@ -290,10 +284,9 @@ impl Topology {
                     let Some(rdc_row) = lock.get_mut() else {
                         continue;
                     };
-                    let hops_row = &rows[s]
+                    let hops_row = rows[s]
                         .get()
-                        .expect("materialized rdc row implies materialized route row")
-                        .hops;
+                        .expect("materialized rdc row implies materialized hop row");
                     if s == i {
                         for j in 0..n {
                             rdc_row[j] = rdc_formula(s, j, hops_row[j], mobility, norm, penalty);
@@ -366,10 +359,7 @@ impl Topology {
     /// Hop count between two nodes ([`UNREACHABLE`] when partitioned,
     /// `0` for `a == b`).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        match &self.routes {
-            Routes::Dense { hops, .. } => hops[a.0][b.0],
-            Routes::Sparse { .. } => self.sparse_row(a.0).hops[b.0],
-        }
+        self.hop_row(a.0)[b.0]
     }
 
     /// Whether `b` is currently reachable from `a`.
@@ -385,37 +375,37 @@ impl Topology {
         self.active_nodes().all(|v| self.reachable(origin, v))
     }
 
-    /// First hop on a shortest path from `cur` toward `dst`, read from
-    /// `cur`'s own BFS tree (both representations agree bit-for-bit).
-    fn next_hop_of(&self, cur: usize, dst: usize) -> Option<NodeId> {
-        match &self.routes {
-            Routes::Dense { next_hop, .. } => next_hop[cur][dst],
-            Routes::Sparse { .. } => match self.sparse_row(cur).next[dst] {
-                NO_HOP => None,
-                v => Some(NodeId(v as usize)),
-            },
+    /// The nodes after `a` on the shortest path to `b` (ending with `b`;
+    /// empty for `a == b`), or `None` when unreachable. Each step takes
+    /// the lowest-id neighbour one hop closer to `b` — the first hop of
+    /// the current node's own BFS tree toward `b`, because BFS scans
+    /// sorted adjacency lists from a FIFO queue. Links are symmetric, so
+    /// "closer to `b`" is read from `b`'s hop row: one row per route.
+    pub(crate) fn route(
+        &self,
+        a: NodeId,
+        b: NodeId,
+    ) -> Option<impl ExactSizeIterator<Item = NodeId> + '_> {
+        let to_b = self.hop_row(b.0);
+        // A crashed node's row does not even reach itself.
+        let left = if a == b { 0 } else { to_b[a.0] };
+        if left == UNREACHABLE {
+            return None;
         }
+        let mut cur = a;
+        Some((0..left).rev().map(move |d| {
+            cur = *self.adjacency[cur.0]
+                .iter()
+                .find(|v| to_b[v.0] == d)
+                .expect("a node d + 1 hops out has a neighbour d hops out");
+            cur
+        }))
     }
 
     /// Shortest path from `a` to `b` (inclusive of both endpoints), or
     /// `None` when unreachable. `a == b` yields a single-element path.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        if a == b {
-            return Some(vec![a]);
-        }
-        if !self.reachable(a, b) {
-            return None;
-        }
-        let mut path = vec![a];
-        let mut cur = a;
-        while cur != b {
-            let next = self
-                .next_hop_of(cur.0, b.0)
-                .expect("reachable pair must have a next hop");
-            path.push(next);
-            cur = next;
-        }
-        Some(path)
+        Some(std::iter::once(a).chain(self.route(a, b)?).collect())
     }
 
     /// Moves every node to a fresh uniform point inside its mobility disc
@@ -444,8 +434,14 @@ impl Topology {
     /// the worker pool); sparse mode only rebuilds adjacency and clears
     /// the lazy rows.
     pub fn rebuild_routes(&mut self) {
-        let n = self.len();
         self.rebuild_adjacency();
+        self.rebuild_tables();
+    }
+
+    /// The hop/RDC half of [`Topology::rebuild_routes`], over the current
+    /// adjacency.
+    fn rebuild_tables(&mut self) {
+        let n = self.len();
         if self.config.sparse_routes {
             self.routes = Routes::Sparse {
                 rows: (0..n).map(|_| OnceLock::new()).collect(),
@@ -454,7 +450,7 @@ impl Topology {
             self.epoch += 1;
             return;
         }
-        // Per-source BFS trees are independent; fan them out over the
+        // Per-source BFS rows are independent; fan them out over the
         // worker pool on larger topologies. The pool returns rows in
         // source order, so the tables are identical to a serial build.
         let adjacency = &self.adjacency;
@@ -464,19 +460,8 @@ impl Topology {
         } else {
             1
         };
-        let bfs = crate::pool::parallel_map_range(n, workers, |src| {
-            if active[src] {
-                bfs_rows(adjacency, n, src)
-            } else {
-                (vec![UNREACHABLE; n], vec![None; n])
-            }
-        });
-        let mut hops = Vec::with_capacity(n);
-        let mut next_hop = Vec::with_capacity(n);
-        for (hops_row, next_row) in bfs {
-            hops.push(hops_row);
-            next_hop.push(next_row);
-        }
+        let hops =
+            crate::pool::parallel_map_range(n, workers, |src| bfs_hops(adjacency, active, src));
         // Dense RDC matrix from the fresh hop tables.
         let norm = self.config.comm_range;
         let penalty = n as f64;
@@ -487,11 +472,7 @@ impl Topology {
                 rdc[i * n + j] = rdc_formula(i, j, hops[i][j], mobility, norm, penalty);
             }
         }
-        self.routes = Routes::Dense {
-            hops,
-            next_hop,
-            rdc,
-        };
+        self.routes = Routes::Dense { hops, rdc };
         self.epoch += 1;
     }
 
@@ -525,26 +506,14 @@ impl Topology {
         self.adjacency = adjacency;
     }
 
-    /// The lazily materialized routing row for `src` (sparse mode only).
-    fn sparse_row(&self, src: usize) -> &RouteRow {
-        let Routes::Sparse { rows, .. } = &self.routes else {
-            unreachable!("sparse_row called on a dense topology");
-        };
-        rows[src].get_or_init(|| {
-            let n = self.len();
-            let (hops, next) = if self.active[src] {
-                bfs_rows(&self.adjacency, n, src)
-            } else {
-                (vec![UNREACHABLE; n], vec![None; n])
-            };
-            RouteRow {
-                hops,
-                next: next
-                    .into_iter()
-                    .map(|o| o.map_or(NO_HOP, |v| v.0 as u32))
-                    .collect(),
+    /// `src`'s hop row; sparse mode materializes it on first use.
+    fn hop_row(&self, src: usize) -> &[u32] {
+        match &self.routes {
+            Routes::Dense { hops, .. } => &hops[src],
+            Routes::Sparse { rows, .. } => {
+                rows[src].get_or_init(|| bfs_hops(&self.adjacency, &self.active, src))
             }
-        })
+        }
     }
 
     /// Whether the imposed partition cut severs the `i`–`j` link.
@@ -568,7 +537,7 @@ impl Topology {
     pub fn rdc(&self, i: NodeId, j: NodeId) -> f64 {
         match &self.routes {
             Routes::Dense { rdc, .. } => rdc[i.0 * self.len() + j.0],
-            Routes::Sparse { .. } => self.rdc_from_hops(i, j, self.sparse_row(i.0).hops[j.0]),
+            Routes::Sparse { .. } => self.rdc_from_hops(i, j, self.hops(i, j)),
         }
     }
 
@@ -599,7 +568,7 @@ impl Topology {
         match &self.routes {
             Routes::Dense { rdc, .. } => &rdc[i.0 * n..(i.0 + 1) * n],
             Routes::Sparse { rdc_rows, .. } => rdc_rows[i.0].get_or_init(|| {
-                let hops = &self.sparse_row(i.0).hops;
+                let hops = self.hop_row(i.0);
                 (0..n)
                     .map(|j| self.rdc_from_hops(i, NodeId(j), hops[j]))
                     .collect()
@@ -663,77 +632,61 @@ impl Topology {
             .map(|v| vec_hdr + v.capacity() * size_of::<NodeId>())
             .sum();
         let routes = match &self.routes {
-            Routes::Dense {
-                hops,
-                next_hop,
-                rdc,
-            } => {
+            Routes::Dense { hops, rdc } => {
                 let h: usize = hops
                     .iter()
                     .map(|r| vec_hdr + r.capacity() * size_of::<u32>())
                     .sum();
-                let nh: usize = next_hop
-                    .iter()
-                    .map(|r| vec_hdr + r.capacity() * size_of::<Option<NodeId>>())
-                    .sum();
-                h + nh + rdc.capacity() * size_of::<f64>()
+                h + rdc.capacity() * size_of::<f64>()
             }
-            Routes::Sparse { rows, rdc_rows } => {
-                let r: usize = rows
-                    .iter()
-                    .filter_map(|l| l.get())
-                    .map(|row| 2 * vec_hdr + (row.hops.capacity() + row.next.capacity()) * 4)
-                    .sum();
-                let rr: usize = rdc_rows
-                    .iter()
-                    .filter_map(|l| l.get())
-                    .map(|row| vec_hdr + row.capacity() * size_of::<f64>())
-                    .sum();
-                r + rr + (rows.len() + rdc_rows.len()) * size_of::<OnceLock<RouteRow>>()
-            }
+            Routes::Sparse { rows, rdc_rows } => lazy_rows_bytes(rows) + lazy_rows_bytes(rdc_rows),
         };
         adj + routes
     }
+
+    /// Hop rows held this epoch: every source when dense, the sources
+    /// queried since the last rebuild when sparse.
+    pub fn materialized_rows(&self) -> usize {
+        match &self.routes {
+            Routes::Dense { hops, .. } => hops.len(),
+            Routes::Sparse { rows, .. } => rows.iter().filter(|l| l.get().is_some()).count(),
+        }
+    }
 }
 
-/// One source's BFS outputs: the hop-count row and the next-hop row.
-/// A free function over the borrowed adjacency list (rather than a
-/// `&mut self` method) so the per-source fan-out can run on pool workers.
-fn bfs_rows(adjacency: &[Vec<NodeId>], n: usize, src: usize) -> (Vec<u32>, Vec<Option<NodeId>>) {
-    let mut hops = vec![UNREACHABLE; n];
-    let mut next_hop: Vec<Option<NodeId>> = vec![None; n];
+/// Bytes held by one vector of lazy rows: a lock slot per source (the
+/// row's `Vec` header sits inline in it) plus each materialized row's heap.
+fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
+    let heap: usize = rows
+        .iter()
+        .filter_map(|l| l.get())
+        .map(|row| row.capacity() * std::mem::size_of::<T>())
+        .sum();
+    std::mem::size_of_val(rows) + heap
+}
+
+/// One source's BFS hop-count row; a crashed source reaches nothing, not
+/// even itself. A free function over the borrowed adjacency list (rather
+/// than a `&mut self` method) so the per-source fan-out can run on pool
+/// workers.
+fn bfs_hops(adjacency: &[Vec<NodeId>], active: &[bool], src: usize) -> Vec<u32> {
+    let mut hops = vec![UNREACHABLE; adjacency.len()];
+    if !active[src] {
+        return hops;
+    }
     hops[src] = 0;
     let mut queue = VecDeque::new();
     queue.push_back(NodeId(src));
-    // parent[v] = predecessor of v on the BFS tree rooted at src.
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
     while let Some(u) = queue.pop_front() {
         let du = hops[u.0];
         for &v in &adjacency[u.0] {
             if hops[v.0] == UNREACHABLE {
                 hops[v.0] = du + 1;
-                parent[v.0] = Some(u);
                 queue.push_back(v);
             }
         }
     }
-    // next_hop[dst]: walk the parent chain from dst back to src.
-    for dst in 0..n {
-        if dst == src || hops[dst] == UNREACHABLE {
-            continue;
-        }
-        let mut cur = NodeId(dst);
-        let mut prev = cur;
-        while let Some(p) = parent[cur.0] {
-            prev = cur;
-            cur = p;
-            if cur.0 == src {
-                break;
-            }
-        }
-        next_hop[dst] = Some(prev);
-    }
-    (hops, next_hop)
+    hops
 }
 
 /// Errors from topology generation.
@@ -991,12 +944,210 @@ mod tests {
         let n = 96;
         let t = Topology::random_connected(n, TopologyConfig::default(), &mut rng).unwrap();
         for src in 0..n {
-            let (hops_row, next_row) = super::bfs_rows(&t.adjacency, n, src);
-            for dst in 0..n {
-                assert_eq!(t.hops(NodeId(src), NodeId(dst)), hops_row[dst]);
-                assert_eq!(t.next_hop_of(src, dst), next_row[dst]);
+            let hops_row = super::bfs_hops(&t.adjacency, &t.active, src);
+            for (dst, &hops) in hops_row.iter().enumerate() {
+                assert_eq!(t.hops(NodeId(src), NodeId(dst)), hops);
             }
         }
+    }
+
+    /// The router this module had before routes were read off the
+    /// destination's hop row, kept as the oracle: `src`'s BFS tree, then
+    /// each destination's parent chain walked back to the source to find
+    /// the first hop toward it.
+    fn bfs_tree_next_hop(adjacency: &[Vec<NodeId>], src: usize) -> Vec<Option<NodeId>> {
+        let n = adjacency.len();
+        let mut seen = vec![false; n];
+        seen[src] = true;
+        let mut queue = VecDeque::new();
+        queue.push_back(NodeId(src));
+        // parent[v] = predecessor of v on the BFS tree rooted at src.
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        while let Some(u) = queue.pop_front() {
+            for &v in &adjacency[u.0] {
+                if !seen[v.0] {
+                    seen[v.0] = true;
+                    parent[v.0] = Some(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        (0..n)
+            .map(|dst| {
+                let mut cur = NodeId(dst);
+                let mut first = None;
+                while let Some(p) = parent[cur.0] {
+                    if p.0 == src {
+                        first = Some(cur);
+                    }
+                    cur = p;
+                }
+                first
+            })
+            .collect()
+    }
+
+    /// Asserts `path` equals the old walk — every intermediate node
+    /// consulting its *own* BFS tree — for every ordered pair.
+    fn assert_paths_match_bfs_trees(t: &Topology, step: &str) {
+        let n = t.len();
+        let next_hop: Vec<_> = (0..n)
+            .map(|src| bfs_tree_next_hop(&t.adjacency, src))
+            .collect();
+        for a in t.nodes() {
+            for b in t.nodes() {
+                let mut expect = Some(vec![a]);
+                let mut cur = a;
+                while cur != b {
+                    match (next_hop[cur.0][b.0], expect.as_mut()) {
+                        (Some(next), Some(path)) => {
+                            path.push(next);
+                            cur = next;
+                        }
+                        _ => {
+                            expect = None;
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(t.path(a, b), expect, "{step}: {a}->{b} (n={n})");
+            }
+        }
+    }
+
+    /// The lemma behind [`Topology::route`]: the lowest-id neighbour one
+    /// hop closer to the destination *is* the first hop of the current
+    /// node's BFS tree, on connected and disconnected placements, dense
+    /// and sparse, through every kind of mutation.
+    #[test]
+    fn routes_match_per_source_bfs_trees() {
+        for (seed, n) in [(1u64, 20usize), (2, 45), (3, 80), (4, 140), (5, 140)] {
+            // ~10 neighbours per node, so placements mix long multi-hop
+            // routes, many equal-length alternatives and cut-off islands.
+            let side = 300.0 * (n as f64 / 60.0).sqrt();
+            for sparse_routes in [false, true] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let positions = (0..n)
+                    .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
+                    .collect();
+                let config = TopologyConfig {
+                    field: Field::new(side, side),
+                    sparse_routes,
+                    ..TopologyConfig::default()
+                };
+                let mut t = Topology::from_positions_with_config(positions, config);
+                assert_paths_match_bfs_trees(&t, "fresh");
+                t.set_active(NodeId(n / 2), false);
+                t.set_active(NodeId(1), false);
+                assert_paths_match_bfs_trees(&t, "crash");
+                t.set_active(NodeId(1), true);
+                assert_paths_match_bfs_trees(&t, "restart");
+                let cut: Vec<NodeId> = (0..n).step_by(3).map(NodeId).collect();
+                t.set_partition(Some(&cut));
+                assert_paths_match_bfs_trees(&t, "partition");
+                t.mobility_step(&mut rng);
+                assert_paths_match_bfs_trees(&t, "mobility under partition");
+                t.set_partition(None);
+                assert_paths_match_bfs_trees(&t, "heal");
+                t.set_mobility_range(NodeId(2), 55.0);
+                assert_paths_match_bfs_trees(&t, "range override");
+                t.mobility_step(&mut rng);
+                assert_paths_match_bfs_trees(&t, "mobility");
+            }
+        }
+    }
+
+    /// `random_connected` tests each placement with one BFS and builds
+    /// route state only for the one it accepts; it must still consume the
+    /// RNG and pick the placement exactly as the build-everything loop did.
+    #[test]
+    fn random_connected_accepts_the_first_connected_placement() {
+        for sparse_routes in [false, true] {
+            let config = TopologyConfig {
+                sparse_routes,
+                ..TopologyConfig::default()
+            };
+            let mut rng = StdRng::seed_from_u64(53);
+            let mut twin = rng.clone();
+            // n = 12 on the default field rejects most placements.
+            let t = Topology::random_connected(12, config.clone(), &mut rng).unwrap();
+            let (expect, rejected) = {
+                let mut rejected = 0;
+                loop {
+                    let home = (0..12)
+                        .map(|_| Point::new(twin.gen::<f64>() * 300.0, twin.gen::<f64>() * 300.0))
+                        .collect();
+                    let full = Topology::from_positions_with_config(home, config.clone());
+                    if full.is_connected() {
+                        break (full, rejected);
+                    }
+                    rejected += 1;
+                }
+            };
+            assert!(rejected > 0, "seed must exercise the rejection path");
+            assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "same RNG draws");
+            assert_eq!(t.epoch(), expect.epoch());
+            for a in t.nodes() {
+                assert_eq!(t.home(a), expect.home(a));
+                assert_eq!(t.neighbors(a), expect.neighbors(a));
+                for b in t.nodes() {
+                    assert_eq!(t.hops(a, b), expect.hops(a, b));
+                    assert_eq!(t.rdc(a, b).to_bits(), expect.rdc(a, b).to_bits());
+                }
+            }
+        }
+    }
+
+    fn sparse_connected(n: usize, field: Field, seed: u64) -> Topology {
+        let config = TopologyConfig {
+            field,
+            sparse_routes: true,
+            ..TopologyConfig::default()
+        };
+        Topology::random_connected(n, config, &mut StdRng::seed_from_u64(seed)).unwrap()
+    }
+
+    /// The node farthest from `src` and its hop count, without touching
+    /// the route rows.
+    fn farthest_from(t: &Topology, src: NodeId) -> (NodeId, u32) {
+        *t.bfs_bounded(src, u32::MAX, None).last().unwrap()
+    }
+
+    /// The regression guard for routing cost: a unicast materializes the
+    /// destination's hop row and nothing else, however many hops it
+    /// crosses, and a fetch (sort candidates by distance, request, reply)
+    /// costs two rows the first time and none the second.
+    #[test]
+    fn unicast_materializes_one_row_and_a_fetch_two() {
+        use crate::event::SimTime;
+        use crate::transport::Transport;
+        // The scale ladder's density (400 nodes per 300 m × 300 m) on a
+        // strip, so routes run long.
+        let fresh = sparse_connected(400, Field::new(150.0, 600.0), 59);
+        assert_eq!(fresh.materialized_rows(), 0);
+        let (a, _) = farthest_from(&fresh, NodeId(0));
+        let (b, hops) = farthest_from(&fresh, a);
+        assert!(hops >= 8, "want a long route, got {hops} hops");
+
+        let t = fresh.clone();
+        let mut tr = Transport::default();
+        let sent = tr.unicast(&t, a, b, 1_000, SimTime::ZERO).unwrap();
+        assert_eq!(sent.hops, hops);
+        assert_eq!(t.materialized_rows(), 1);
+
+        let (t, requester, holder) = (&fresh, a, b);
+        let fetch = |tr: &mut Transport| {
+            let mut holders = [NodeId(7), holder, NodeId(11)];
+            holders.sort_by_key(|&h| t.hops(requester, h));
+            tr.unicast(t, requester, holder, 100, SimTime::ZERO)
+                .unwrap();
+            tr.unicast(t, holder, requester, 1_000_000, SimTime::ZERO)
+                .unwrap();
+        };
+        fetch(&mut tr);
+        assert_eq!(t.materialized_rows(), 2);
+        fetch(&mut tr);
+        assert_eq!(t.materialized_rows(), 2);
     }
 
     /// Runs the same mutation workload on a dense and a sparse topology
@@ -1131,6 +1282,34 @@ mod tests {
         gap[2] = true;
         let rows = t.bfs_bounded(NodeId(0), 10, Some(&gap));
         assert_eq!(rows.len(), 1, "node 2 is not adjacent to node 0");
+    }
+
+    /// Sparse accounting: one lock slot per source in each row vector,
+    /// sized by its own element type, plus the heap of materialized rows.
+    #[test]
+    fn sparse_memory_counts_slots_and_materialized_rows() {
+        use std::mem::size_of;
+        let t = sparse_connected(100, Field::paper_default(), 61);
+        let n = t.len();
+        let empty = t.memory_bytes();
+        let adjacency: usize = t
+            .adjacency
+            .iter()
+            .map(|v| size_of::<Vec<NodeId>>() + v.capacity() * size_of::<NodeId>())
+            .sum();
+        let slots = size_of::<OnceLock<Vec<u32>>>() + size_of::<OnceLock<Vec<f64>>>();
+        assert_eq!(empty, adjacency + n * slots);
+        let _ = t.hops(NodeId(3), NodeId(4));
+        assert_eq!(t.materialized_rows(), 1);
+        assert_eq!(t.memory_bytes(), empty + n * size_of::<u32>());
+        let _ = t.rdc_row(NodeId(3));
+        assert_eq!(t.materialized_rows(), 1);
+        assert_eq!(
+            t.memory_bytes(),
+            empty + n * (size_of::<u32>() + size_of::<f64>())
+        );
+        let dense = Topology::from_positions((0..5).map(|i| Point::new(i as f64, 0.0)).collect());
+        assert_eq!(dense.materialized_rows(), 5);
     }
 
     /// The sparse representation must hold an order of magnitude less

@@ -418,9 +418,10 @@ impl Transport {
                 hops: 0,
             });
         }
-        let path = topo
-            .path(src, dst)
+        let route = topo
+            .route(src, dst)
             .ok_or(TransportError::Unreachable { src, dst })?;
+        let hops = route.len() as u32;
         let tx = self.tx_time(bytes);
         if self.message_lost() {
             // The source transmitted a doomed frame: charge its airtime and
@@ -442,8 +443,8 @@ impl Transport {
         }
         let hop_delay = self.hop_delay();
         let mut t = now;
-        for pair in path.windows(2) {
-            let (u, v) = (pair[0], pair[1]);
+        let mut u = src;
+        for v in route {
             let depart = t.max(self.busy_until[u.0]);
             let done = depart + tx;
             self.busy_until[u.0] = done;
@@ -451,10 +452,11 @@ impl Transport {
             self.stats.sent[u.0] += bytes;
             self.stats.received[v.0] += bytes;
             self.stats.messages += 1;
+            u = v;
         }
         telemetry::counter_add("transport.sends", 1);
         if telemetry::is_enabled() {
-            telemetry::record("transport.hops", (path.len() - 1) as f64);
+            telemetry::record("transport.hops", hops as f64);
             telemetry::record(
                 "transport.unicast_ms",
                 t.saturating_since(now).as_millis() as f64,
@@ -466,13 +468,10 @@ impl Transport {
             src = src.0,
             dst = dst.0,
             bytes = bytes,
-            hops = path.len() - 1,
+            hops = hops,
             dur_ms = t.saturating_since(now).as_millis()
         );
-        Ok(Delivery {
-            arrival: t,
-            hops: (path.len() - 1) as u32,
-        })
+        Ok(Delivery { arrival: t, hops })
     }
 
     /// Floods `bytes` from `src` to every reachable node (classic flooding:

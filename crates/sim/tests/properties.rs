@@ -65,6 +65,49 @@ proptest! {
         }
     }
 
+    /// Routes are read off the destination's hop row: each step is the
+    /// lowest-id neighbour strictly closer to the destination.
+    #[test]
+    fn path_steps_to_lowest_id_closer_neighbor(points in arb_points(24)) {
+        let topo = Topology::from_positions(points);
+        for a in topo.nodes() {
+            for b in topo.nodes() {
+                for w in topo.path(a, b).unwrap_or_default().windows(2) {
+                    let closer = topo
+                        .neighbors(w[0])
+                        .iter()
+                        .find(|&&v| topo.hops(v, b) < topo.hops(w[0], b));
+                    prop_assert_eq!(closer, Some(&w[1]));
+                }
+            }
+        }
+    }
+
+    /// Links stay symmetric through crashes and partition cuts — what lets
+    /// a route be read off the destination's row instead of the source's.
+    #[test]
+    fn neighbors_stay_symmetric_under_faults(
+        points in arb_points(24),
+        crashed in prop::collection::vec(0usize..24, 0..4),
+        cut in prop::collection::vec(0usize..24, 0..12),
+    ) {
+        let mut topo = Topology::from_positions(points);
+        let n = topo.len();
+        let cut: Vec<NodeId> = cut.into_iter().map(|v| NodeId(v % n)).collect();
+        topo.set_partition(Some(&cut));
+        for v in crashed {
+            topo.set_active(NodeId(v % n), false);
+        }
+        for a in topo.nodes() {
+            for &b in topo.neighbors(a) {
+                prop_assert!(topo.neighbors(b).contains(&a), "{} -> {} only", a, b);
+            }
+            for b in topo.nodes() {
+                prop_assert_eq!(topo.hops(a, b), topo.hops(b, a));
+            }
+        }
+    }
+
     #[test]
     fn rdc_is_symmetric_and_nonnegative(points in arb_points(12)) {
         let topo = Topology::from_positions(points);
