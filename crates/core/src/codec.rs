@@ -690,6 +690,25 @@ mod tests {
     }
 
     #[test]
+    fn hostile_validity_period_never_overflows() {
+        // `valid_minutes` is wire-controlled: `u64::MAX` used to overflow
+        // `is_valid_at` (panic in debug, wrap to "already expired" in
+        // release) while the expiry schedule saturated.
+        let mut item = sample_item(7);
+        item.valid_minutes = u64::MAX;
+        let dec = decode_metadata(&encode_metadata(&item)).unwrap();
+        assert_eq!(dec.valid_minutes, u64::MAX);
+        assert_eq!(dec.expires_at_secs(), u64::MAX);
+        assert!(dec.is_valid_at(0));
+        assert!(dec.is_valid_at(u64::MAX - 1));
+        let mut late = dec;
+        late.valid_minutes = 1;
+        late.produced_at_secs = u64::MAX - 10;
+        assert_eq!(late.expires_at_secs(), u64::MAX);
+        assert!(late.is_valid_at(u64::MAX - 1));
+    }
+
+    #[test]
     fn bad_utf8_rejected() {
         let item = sample_item(8);
         let enc = encode_metadata(&item);

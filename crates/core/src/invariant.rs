@@ -234,7 +234,8 @@ impl InvariantChecker {
 }
 
 /// Convenience: builds the `items` vector for [`InvariantView`] from a
-/// registry iterator, keeping only items valid at `now`.
+/// registry iterator, keeping only items valid at `now`, in the
+/// iterator's order (the checker only counts, so any order will do).
 pub fn valid_items<'a, I>(
     registry: I,
     now_secs: u64,
@@ -243,12 +244,10 @@ pub fn valid_items<'a, I>(
 where
     I: Iterator<Item = &'a (MetadataItem, u64)>,
 {
-    let mut items: Vec<(MetadataItem, Option<NodeId>)> = registry
+    registry
         .filter(|(m, _)| m.is_valid_at(now_secs))
         .map(|(m, _)| (m.clone(), producer_of(m)))
-        .collect();
-    items.sort_by_key(|(m, _)| m.data_id);
-    items
+        .collect()
 }
 
 #[cfg(test)]

@@ -50,6 +50,7 @@ pub mod account;
 pub mod alloc;
 pub mod block;
 pub mod byzantine;
+mod catalogue;
 pub mod chain;
 pub mod codec;
 pub mod invariant;

@@ -153,9 +153,17 @@ impl MetadataItem {
         self.producer_key.verify(&payload, &self.signature)
     }
 
+    /// First second at which the item is no longer valid. Saturating: a
+    /// decoded item may carry any `valid_minutes`, and one that overflows
+    /// simply never expires.
+    pub fn expires_at_secs(&self) -> u64 {
+        self.produced_at_secs
+            .saturating_add(self.valid_minutes.saturating_mul(60))
+    }
+
     /// Whether the data item is still valid at `now_secs`.
     pub fn is_valid_at(&self, now_secs: u64) -> bool {
-        now_secs < self.produced_at_secs + self.valid_minutes * 60
+        now_secs < self.expires_at_secs()
     }
 
     /// Canonical bytes used for Merkle leaves and size accounting.

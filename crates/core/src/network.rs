@@ -31,6 +31,7 @@ use crate::account::{AccountId, Identity, Ledger};
 use crate::alloc::{select_storers_scaled, AllocationContext, Placement, RegionParams};
 use crate::block::Block;
 use crate::byzantine::{ByzantineEngine, ByzantineOutcome, OrphanVerdict, WithheldFork};
+use crate::catalogue::Catalogue;
 use crate::chain::{Blockchain, CheckpointPolicy, Snapshot};
 use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
@@ -340,6 +341,17 @@ enum Event {
     WorkloadFetch,
 }
 
+/// How a fetch picks among the items its requester can see.
+#[derive(Debug, Clone, Copy)]
+enum Popularity {
+    /// The requester loop: every visible item equally likely (master
+    /// stream).
+    Uniform,
+    /// The open workload: Zipf over recency, rank 0 = newest (workload
+    /// stream).
+    ZipfByRecency,
+}
+
 /// A "general information" record replicated through raft when
 /// [`NetworkConfig::raft_consensus`] is on — the paper's example payloads
 /// are membership and mobility updates.
@@ -615,8 +627,8 @@ pub struct EdgeNetwork {
     node_known: Vec<BTreeSet<u64>>,
 
     pending_metadata: Vec<MetadataItem>,
-    /// `data_id → (metadata, index of the packing block)`.
-    data_registry: HashMap<DataId, (MetadataItem, u64)>,
+    /// Every packed, not yet swept item with its packing block.
+    catalogue: Catalogue,
     next_data_id: u64,
     requesters: Vec<NodeId>,
     malicious: Vec<bool>,
@@ -668,10 +680,6 @@ pub struct EdgeNetwork {
     block_timestamps: Vec<u64>,
 
     // chain lifecycle
-    /// Expiry-ordered queue over the live registry: `(expiry_secs, id)`
-    /// min-heap so the sweep pops only what is actually due instead of
-    /// scanning every live item.
-    expiry_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, DataId)>>,
     /// Ids that have been swept. A swept id reappearing in a later block
     /// is a finalized-then-resurrected violation. Entries older than
     /// [`NetworkConfig::tracking_retention_secs`] are garbage-collected
@@ -867,7 +875,7 @@ impl EdgeNetwork {
             node_height: vec![0; config.nodes],
             node_known: vec![BTreeSet::from([0u64]); config.nodes],
             pending_metadata: Vec::new(),
-            data_registry: HashMap::new(),
+            catalogue: Catalogue::default(),
             next_data_id: 0,
             requesters,
             malicious,
@@ -910,7 +918,6 @@ impl EdgeNetwork {
             replica_total: 0,
             replica_items: 0,
             block_timestamps: vec![0],
-            expiry_heap: std::collections::BinaryHeap::new(),
             expired_ids: std::collections::HashSet::new(),
             expired_log: std::collections::VecDeque::new(),
             peak_tracking_entries: 0,
@@ -1134,9 +1141,9 @@ impl EdgeNetwork {
         if telemetry::spans_enabled() {
             self.spans = Some(SpanTracker::default());
         }
-        // Invariants are only metered when faults are in play: the checker
-        // walks every data item per event, which a long fault-free sweep
-        // shouldn't pay for.
+        // Invariants are only metered when faults are in play: each
+        // observation walks every live data item and every node, which a
+        // long fault-free sweep shouldn't pay for.
         let fault_run = !self.config.fault_plan.is_empty();
         while let Some(t) = self.queue.peek_time() {
             if t > horizon {
@@ -1209,10 +1216,9 @@ impl EdgeNetwork {
 
     /// Feeds the current network state to the [`InvariantChecker`].
     fn observe_invariants(&mut self, now: SimTime) {
-        let items =
-            crate::invariant::valid_items(self.data_registry.values(), now.as_secs(), |m| {
-                self.node_of_account.get(&m.producer).copied()
-            });
+        let items = crate::invariant::valid_items(self.catalogue.iter(), now.as_secs(), |m| {
+            self.node_of_account.get(&m.producer).copied()
+        });
         let node_max_known: Vec<u64> = self
             .node_known
             .iter()
@@ -1653,7 +1659,7 @@ impl EdgeNetwork {
             // the UFL allocation from scratch (the PR 1 repair sweep then
             // re-replicates data onto the fresh storers).
             for mut item in displaced_items {
-                self.data_registry.remove(&item.data_id);
+                self.catalogue.remove(item.data_id);
                 // Expired (or already-swept) content stays dead: re-packing
                 // it would resurrect a finalized eviction.
                 if !item.is_valid_at(now.as_secs()) || self.expired_ids.contains(&item.data_id) {
@@ -1710,13 +1716,13 @@ impl EdgeNetwork {
     fn on_generate_data(&mut self, now: SimTime) {
         // Only running nodes sense and publish data. With everyone up the
         // draw below is bit-identical to indexing `0..nodes` directly.
-        let live: Vec<NodeId> = self.topo.active_nodes().collect();
-        if live.is_empty() {
+        let live = self.topo.active_len();
+        if live == 0 {
             let next = self.sample_generation_gap();
             self.queue.schedule(next, Event::GenerateData);
             return;
         }
-        let producer = live[self.rng.gen_range(0..live.len())];
+        let producer = self.topo.nth_active(self.rng.gen_range(0..live));
         // Admission control sits between "the world offered an item" and
         // "the network accepted it". All gates are inert by default, so a
         // default config admits everything and the counters are the only
@@ -2481,13 +2487,7 @@ impl EdgeNetwork {
                 // A swept id must never re-enter the live registry.
                 self.resurrected_pending += 1;
             }
-            self.expiry_heap.push(std::cmp::Reverse((
-                item.produced_at_secs
-                    .saturating_add(item.valid_minutes.saturating_mul(60)),
-                item.data_id,
-            )));
-            self.data_registry
-                .insert(item.data_id, (item.clone(), block_index));
+            self.catalogue.insert(item.clone(), block_index);
         }
 
         // A withheld private fork is released once the public chain is
@@ -2503,6 +2503,9 @@ impl EdgeNetwork {
             self.repair_replicas(now);
         }
 
+        // Growth of either with sim time is what makes later events dearer.
+        telemetry::gauge_set("catalogue.live_items", self.catalogue.len() as f64);
+        telemetry::gauge_set("queue.depth", self.queue.len() as f64);
         let used_now: u64 = self.storage.iter().map(NodeStorage::used_slots).sum();
         self.peak_storage_slots = self.peak_storage_slots.max(used_now);
         let tracking_now = (self.expired_ids.len()
@@ -2710,12 +2713,11 @@ impl EdgeNetwork {
         {
             return;
         }
-        let mut ids: Vec<DataId> = self.data_registry.keys().copied().collect();
-        ids.sort_unstable();
+        let ids: Vec<DataId> = self.catalogue.ids().collect();
         let mut sweep_repaired = 0u64;
         let mut sweep_copies = 0u64;
         for id in ids {
-            let Some((item, _)) = self.data_registry.get(&id) else {
+            let Some(item) = self.catalogue.get(id) else {
                 continue;
             };
             if !item.is_valid_at(now.as_secs()) {
@@ -2811,9 +2813,7 @@ impl EdgeNetwork {
                     .map(NodeId)
                     .filter(|&v| self.storage[v.0].has_data(id))
                     .collect();
-                if let Some((item, _)) = self.data_registry.get_mut(&id) {
-                    item.storing_nodes = holders;
-                }
+                self.catalogue.set_storers(id, holders);
             }
         }
         if sweep_repaired > 0 {
@@ -2983,9 +2983,7 @@ impl EdgeNetwork {
             else {
                 continue;
             };
-            let mut registry: Vec<(MetadataItem, u64)> =
-                self.data_registry.values().cloned().collect();
-            registry.sort_by_key(|(m, _)| m.data_id);
+            let registry: Vec<(MetadataItem, u64)> = self.catalogue.iter().cloned().collect();
             let snapshot = Snapshot::seal(
                 anchor.clone(),
                 self.chain.as_slice().to_vec(),
@@ -3103,23 +3101,7 @@ impl EdgeNetwork {
             self.queue.schedule(next, Event::IssueRequest { requester });
             return;
         }
-        // Pick a random data item whose metadata this node has seen (i.e.
-        // whose block is within its view) and which is still valid.
-        let mut known: Vec<&MetadataItem> = self
-            .data_registry
-            .values()
-            .filter(|(m, _)| m.is_valid_at(now.as_secs()))
-            // The requester knows the item if it has the packing block, or
-            // if the block is finalized below the pruned base (its metadata
-            // rode along with the anchor/snapshot distribution).
-            .filter(|(_, idx)| {
-                *idx < self.chain.base_index() || self.node_known[requester.0].contains(idx)
-            })
-            .map(|(m, _)| m)
-            .collect();
-        known.sort_by_key(|m| m.data_id);
-        if !known.is_empty() {
-            let pick = known[self.rng.gen_range(0..known.len())].clone();
+        if let Some(pick) = self.pick_visible(requester, now, Popularity::Uniform) {
             if self.admit_fetch(requester, now, false) {
                 self.fetch_data(requester, &pick, now, 0);
             }
@@ -3154,29 +3136,55 @@ impl EdgeNetwork {
         // Re-arm first: an empty catalogue or a shed fetch must not
         // silence the arrival stream.
         self.schedule_workload_fetch();
-        let live: Vec<NodeId> = self.topo.active_nodes().collect();
-        if live.is_empty() {
+        let live = self.topo.active_len();
+        if live == 0 {
             return;
         }
-        let requester = live[self.workload_rng.gen_range(0..live.len())];
-        let mut known: Vec<&MetadataItem> = self
-            .data_registry
-            .values()
-            .filter(|(m, _)| m.is_valid_at(now.as_secs()))
-            .filter(|(_, idx)| {
-                *idx < self.chain.base_index() || self.node_known[requester.0].contains(idx)
-            })
-            .map(|(m, _)| m)
-            .collect();
-        if known.is_empty() {
+        let requester = self.topo.nth_active(self.workload_rng.gen_range(0..live));
+        // The pick comes before admission: the Zipf draw advances the
+        // workload stream whether or not the fetch is then shed.
+        let Some(pick) = self.pick_visible(requester, now, Popularity::ZipfByRecency) else {
             return;
-        }
-        known.sort_by_key(|m| std::cmp::Reverse(m.data_id));
-        let rank = self.zipf.sample(known.len(), &mut self.workload_rng);
-        let pick = known[rank.min(known.len() - 1)].clone();
+        };
         if self.admit_fetch(requester, now, true) {
             self.fetch_data(requester, &pick, now, 0);
         }
+    }
+
+    /// Draws one item from what `requester` can see at `now`: every valid
+    /// item whose packing block it holds, or whose block is finalized
+    /// below the pruned base (that metadata rode along with the
+    /// anchor/snapshot distribution). `None`, and no draw, when it sees
+    /// nothing.
+    fn pick_visible(
+        &mut self,
+        requester: NodeId,
+        now: SimTime,
+        popularity: Popularity,
+    ) -> Option<MetadataItem> {
+        let known = &self.node_known[requester.0];
+        // Every block up to the contiguous height is held, so only the
+        // blocks past it can hide an item.
+        let base = self.chain.base_index();
+        let height = self.node_height[requester.0];
+        debug_assert!((base..=height).all(|i| known.contains(&i)));
+        let visible = self
+            .catalogue
+            .visible(base.max(height + 1), known, now.as_secs());
+        if telemetry::is_enabled() {
+            telemetry::record("catalogue.hidden_items", visible.hidden() as f64);
+        }
+        if visible.len() == 0 {
+            return None;
+        }
+        let pick = match popularity {
+            Popularity::Uniform => visible.nth(self.rng.gen_range(0..visible.len())),
+            Popularity::ZipfByRecency => {
+                let rank = self.zipf.sample(visible.len(), &mut self.workload_rng);
+                visible.nth_newest(rank.min(visible.len() - 1))
+            }
+        };
+        pick.cloned()
     }
 
     fn on_retry_fetch(&mut self, requester: NodeId, data_id: DataId, attempt: u32, now: SimTime) {
@@ -3188,7 +3196,7 @@ impl EdgeNetwork {
             self.close_fetch_span(requester, data_id, now.as_millis(), "requester_down");
             return;
         }
-        let Some((item, _)) = self.data_registry.get(&data_id) else {
+        let Some(item) = self.catalogue.get(data_id) else {
             // expired or superseded while backing off
             self.close_fetch_span(requester, data_id, now.as_millis(), "item_gone");
             return;
@@ -3409,38 +3417,19 @@ impl EdgeNetwork {
         }
     }
 
-    /// Evicts expired data items from every store and from the registry,
+    /// Evicts expired data items from every store and from the catalogue,
     /// freeing slots for fresh content (§VII: "data items may become
-    /// obsolete"). The sweep pops an expiry-ordered min-heap instead of
-    /// scanning the whole registry, so its cost tracks the number of items
-    /// actually due. Heap entries are lazy: an id evicted elsewhere is
-    /// skipped, and an entry whose item is still valid (clock keys are
-    /// conservative) is re-queued at its recomputed expiry.
+    /// obsolete"). The catalogue hands over exactly the items that are
+    /// due, in expiry order, so the sweep's cost tracks their number.
     fn on_expire_sweep(&mut self, now: SimTime) {
         let now_secs = now.as_secs();
         let mut swept_any = false;
-        while let Some(std::cmp::Reverse((expiry, id))) = self.expiry_heap.peek().copied() {
-            if expiry > now_secs {
-                break;
-            }
-            self.expiry_heap.pop();
-            let Some((m, _)) = self.data_registry.get(&id) else {
-                continue;
-            };
-            if m.is_valid_at(now_secs) {
-                self.expiry_heap.push(std::cmp::Reverse((
-                    m.produced_at_secs
-                        .saturating_add(m.valid_minutes.saturating_mul(60)),
-                    id,
-                )));
-                continue;
-            }
+        while let Some(id) = self.catalogue.pop_expired(now_secs) {
             for s in &mut self.storage {
                 if s.evict_data(id) {
                     self.data_expired += 1;
                 }
             }
-            self.data_registry.remove(&id);
             if self.expired_ids.insert(id) {
                 self.expired_log.push_back((now_secs, id));
             }
@@ -3458,9 +3447,8 @@ impl EdgeNetwork {
             self.expired_ids.remove(&id);
         }
         if swept_any && !self.invalid_storers.is_empty() {
-            let registry = &self.data_registry;
-            self.invalid_storers
-                .retain(|(d, _)| registry.contains_key(d));
+            let catalogue = &self.catalogue;
+            self.invalid_storers.retain(|(d, _)| catalogue.contains(*d));
         }
         self.queue.schedule(
             now + SimTime::from_secs(self.config.expiration_sweep_secs),
@@ -3539,13 +3527,9 @@ impl EdgeNetwork {
     /// storage problem is not necessary if the change over the network is
     /// small"). Replica copies ride the transport and count as overhead.
     fn on_migrate(&mut self, now: SimTime) {
-        let ids: Vec<DataId> = {
-            let mut v: Vec<DataId> = self.data_registry.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let ids: Vec<DataId> = self.catalogue.ids().collect();
         for id in ids {
-            let Some((item, _)) = self.data_registry.get(&id) else {
+            let Some(item) = self.catalogue.get(id) else {
                 continue;
             };
             // Crashed holders are invisible to migration: their copies can
@@ -3595,9 +3579,7 @@ impl EdgeNetwork {
                 );
                 new_holders.sort_unstable();
                 new_holders.dedup();
-                if let Some((item, _)) = self.data_registry.get_mut(&id) {
-                    item.storing_nodes = new_holders;
-                }
+                self.catalogue.set_storers(id, new_holders);
             }
         }
         if let Some(every) = self.config.migration_interval_secs {
@@ -4304,7 +4286,7 @@ mod tests {
                 1_000,
             );
             item.storing_nodes = vec![NodeId(1)];
-            net.data_registry.insert(item.data_id, (item, 0));
+            net.catalogue.insert(item, 0);
             net.run()
         };
         let sparse = run_with_plant(NetworkConfig {

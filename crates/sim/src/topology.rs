@@ -333,6 +333,18 @@ impl Topology {
         self.active.iter().filter(|&&a| a).count()
     }
 
+    /// The `k`-th node currently up, in id order: `active_nodes().nth(k)`
+    /// for callers that index one uniform draw and want no `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k >= active_len()`.
+    pub fn nth_active(&self, k: usize) -> NodeId {
+        self.active_nodes()
+            .nth(k)
+            .expect("k indexes the active nodes")
+    }
+
     /// Imposes (or, with `None`, lifts) a network partition: links between
     /// nodes inside `cut` and nodes outside it are severed. Rebuilds routes.
     pub fn set_partition(&mut self, cut: Option<&[NodeId]>) {
@@ -826,6 +838,8 @@ mod tests {
         t.set_active(NodeId(1), false);
         assert!(!t.is_active(NodeId(1)));
         assert_eq!(t.active_len(), 2);
+        assert_eq!(t.nth_active(0), NodeId(0));
+        assert_eq!(t.nth_active(1), NodeId(2), "the crashed node is skipped");
         assert!(!t.reachable(NodeId(0), NodeId(2)), "relay must be gone");
         assert!(!t.reachable(NodeId(0), NodeId(1)));
         assert!(t.neighbors(NodeId(1)).is_empty());

@@ -9,7 +9,8 @@
 //! baseline — the whole engine rides behind inert defaults.
 
 use edgechain::core::{
-    ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, WorkloadConfig,
+    ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, RunReport,
+    WorkloadConfig,
 };
 use edgechain::sim::{FaultEvent, FaultPlan, SimTime};
 use proptest::prelude::*;
@@ -126,6 +127,63 @@ fn flash_crowd_is_bit_identical_per_seed() {
     .run();
     assert_ne!(a, c, "different seeds must differ");
     assert_eq!(c.invariant_violations, 0);
+}
+
+/// The counts a different item pick would move: which item a fetch asks
+/// for decides its holders, its hops, its bytes and its retries, and from
+/// there every later admission decision.
+fn trajectory(r: &RunReport) -> String {
+    let o = &r.overload;
+    format!(
+        "blocks {} items {} fetches {}+{} retries {} recoveries {} | \
+         offered {}i {}f shed {}i {}f deferred {}+{} | sent {:.6} MB",
+        r.blocks_mined,
+        r.data_generated,
+        r.completed_requests,
+        r.failed_requests,
+        r.retries,
+        r.recoveries,
+        o.offered_items,
+        o.offered_fetches,
+        o.shed_items,
+        o.shed_fetches,
+        o.deferred_replications,
+        o.deferred_repairs,
+        r.total_sent_mb,
+    )
+}
+
+#[test]
+fn flash_crowd_trajectory_is_pinned() {
+    // Read off the scan-and-sort pick (every valid item of every held
+    // block, sorted by id, indexed by the draw) before the indexed
+    // catalogue replaced it. The pick must stay *that* function of the
+    // draws: a change that reorders or re-ranks the visible items moves
+    // these lines even when every health bar above still holds. Two
+    // horizons, the first a prefix of the second, so a drift that only
+    // shows once the catalogue has grown is caught too.
+    let pinned = [
+        (
+            40,
+            "blocks 45 items 614 fetches 658+66 retries 1061 recoveries 218 | \
+             offered 973i 2436f shed 359i 1712f deferred 287+9 | sent 3452.590808 MB",
+        ),
+        (
+            80,
+            "blocks 82 items 1064 fetches 1695+88 retries 2429 recoveries 453 | \
+             offered 1445i 3711f shed 381i 1928f deferred 287+14 | sent 7304.949711 MB",
+        ),
+    ];
+    for (minutes, want) in pinned {
+        let report = EdgeNetwork::new(NetworkConfig {
+            sim_minutes: minutes,
+            ..flash_crowd_config()
+        })
+        .unwrap()
+        .run();
+        assert_eq!(report.invariant_violations, 0, "{report}");
+        assert_eq!(trajectory(&report), want, "{minutes} sim-min");
+    }
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn soak_plan(horizon_secs: u64) -> FaultPlan {
 }
 
 /// A 6-second block target packs ≥ 10⁴ blocks into `minutes` ≥ 1000;
-/// short-lived data keeps the registry (and the expiry heap) churning.
+/// short-lived data keeps the catalogue (and its expiry order) churning.
 fn soak_config(minutes: u64) -> NetworkConfig {
     NetworkConfig {
         nodes: NODES,
