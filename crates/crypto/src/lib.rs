@@ -11,7 +11,8 @@
 //! * [`KeyPair`] / [`PublicKey`] / [`Signature`] — Schnorr-style signatures
 //!   identifying data producers (paper §III-B.2).
 //!
-//! [`U256`] provides the 256-bit arithmetic behind the signature scheme.
+//! [`U256`] provides the generic 256-bit integers behind the signature
+//! scheme and [`field`] its group arithmetic modulo the secp256k1 prime.
 //!
 //! # Security
 //!
@@ -42,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod field;
 pub mod hmac;
 pub mod merkle;
 pub mod sha256;

@@ -35,31 +35,19 @@
 //! assert!(!kp.public_key().verify(b"tampered", &sig));
 //! ```
 
+use crate::field;
 use crate::hmac::hmac_sha256;
 use crate::sha256::{Digest, Sha256};
 use crate::u256::U256;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::OnceLock;
-
-/// The secp256k1 field prime `p = 2^256 − 2^32 − 977`.
-fn prime_p() -> &'static U256 {
-    static P: OnceLock<U256> = OnceLock::new();
-    P.get_or_init(|| {
-        U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-            .expect("constant prime parses")
-    })
-}
 
 /// The exponent modulus `p − 1`.
-fn order_q() -> &'static U256 {
-    static Q: OnceLock<U256> = OnceLock::new();
-    Q.get_or_init(|| prime_p().wrapping_sub(&U256::ONE))
-}
-
-/// Group generator (a small element of `Z_p^*`).
-const GENERATOR: U256 = U256::from_u64(7);
+const ORDER_Q: U256 = {
+    let [p0, p1, p2, p3] = field::P.limbs();
+    U256::from_limbs([p0 - 1, p1, p2, p3])
+};
 
 /// A private signing key (a secret exponent).
 #[derive(Clone, PartialEq, Eq)]
@@ -106,25 +94,36 @@ impl PublicKey {
     /// the group modulus.
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<Self, InvalidKeyError> {
         let y = U256::from_be_bytes(bytes);
-        if y.is_zero() || &y >= prime_p() {
+        let key = PublicKey { y };
+        if !key.is_group_element() {
             return Err(InvalidKeyError { _priv: () });
         }
-        Ok(PublicKey { y })
+        Ok(key)
     }
 
-    /// Verifies `signature` over `message`.
+    /// `0 < y < p`. [`from_bytes`](Self::from_bytes) enforces it, but a key
+    /// can also arrive through `Deserialize`, which does not.
+    fn is_group_element(&self) -> bool {
+        !self.y.is_zero() && self.y < field::P
+    }
+
+    /// Verifies `signature` over `message`. Total: a key outside the group
+    /// or a signature component outside `[0, p − 1)` is rejected, never
+    /// reduced.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        let p = prime_p();
-        let q = order_q();
+        if !self.is_group_element() {
+            return false;
+        }
         if signature.e.is_zero() && signature.s.is_zero() {
             return false;
         }
-        if &signature.e >= q || &signature.s >= q {
+        if signature.e >= ORDER_Q || signature.s >= ORDER_Q {
             return false;
         }
-        let r = GENERATOR
-            .pow_mod(&signature.s, p)
-            .mul_mod(&self.y.pow_mod(&signature.e, p), p);
+        let r = field::mul(
+            &field::pow_g(&signature.s),
+            &field::pow(&self.y, &signature.e),
+        );
         challenge(&r, message) == signature.e
     }
 
@@ -200,12 +199,11 @@ impl KeyPair {
     }
 
     fn from_secret_scalar(raw: U256) -> Self {
-        let q = order_q();
-        let mut x = raw.rem(q);
+        let mut x = raw.rem(&ORDER_Q);
         if x.is_zero() {
             x = U256::ONE;
         }
-        let y = GENERATOR.pow_mod(&x, prime_p());
+        let y = field::pow_g(&x);
         KeyPair {
             secret: SecretKey { x },
             public: PublicKey { y },
@@ -224,8 +222,7 @@ impl KeyPair {
 
     /// Signs `message` with a deterministic (RFC 6979-style) nonce.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let p = prime_p();
-        let q = order_q();
+        let q = &ORDER_Q;
         // Deterministic nonce: HMAC over the message keyed by the secret.
         let mut nonce_key = self.secret.x.to_be_bytes().to_vec();
         nonce_key.extend_from_slice(b"edgechain-nonce");
@@ -233,7 +230,7 @@ impl KeyPair {
         if k.is_zero() {
             k = U256::ONE;
         }
-        let r = GENERATOR.pow_mod(&k, p);
+        let r = field::pow_g(&k);
         let e = challenge(&r, message);
         let xe = self.secret.x.mul_mod(&e, q);
         let s = k.sub_mod(&xe, q);
@@ -246,7 +243,7 @@ fn challenge(r: &U256, message: &[u8]) -> U256 {
     let mut h = Sha256::new();
     h.update(r.to_be_bytes());
     h.update(message);
-    U256::from_be_bytes(h.finalize().as_bytes()).rem(order_q())
+    U256::from_be_bytes(h.finalize().as_bytes()).rem(&ORDER_Q)
 }
 
 fn sha256_seed(seed: u64) -> Digest {
@@ -348,6 +345,37 @@ mod tests {
             s: U256::ZERO,
         };
         assert!(!kp.public_key().verify(b"m", &zero));
+    }
+
+    #[test]
+    fn out_of_range_keys_and_signatures_are_rejected() {
+        let kp = KeyPair::from_seed(9);
+        let good = kp.sign(b"m");
+        assert_eq!(ORDER_Q, field::P.wrapping_sub(&U256::ONE));
+        // A key that skipped `from_bytes` (e.g. through `Deserialize`).
+        for y in [U256::ZERO, field::P, U256::MAX] {
+            assert!(!PublicKey { y }.verify(b"m", &good), "y = {y}");
+        }
+        let out_of_range = [ORDER_Q, field::P, U256::MAX];
+        for bad in out_of_range {
+            for (e, s) in [(bad, good.s), (good.e, bad), (bad, bad)] {
+                assert!(!kp.public_key().verify(b"m", &Signature { e, s }));
+            }
+            for y in [U256::ZERO, field::P, U256::MAX] {
+                assert!(!PublicKey { y }.verify(b"m", &Signature { e: bad, s: bad }));
+            }
+        }
+        assert!(kp.public_key().verify(b"m", &good));
+        // y = g is small enough that y + p still fits: the same group
+        // element unreduced, which a reducing `verify` would accept.
+        let small = KeyPair::from_secret_scalar(U256::ONE);
+        let sig = small.sign(b"m");
+        assert!(small.public_key().verify(b"m", &sig));
+        let unreduced = PublicKey {
+            y: field::G.wrapping_add(&field::P),
+        };
+        assert!(unreduced.y > field::P);
+        assert!(!unreduced.verify(b"m", &sig));
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Fixed-width 256-bit unsigned integer arithmetic.
 //!
-//! [`U256`] backs the signature scheme in [`crate::sig`] and the wide
-//! arithmetic needed by the Proof-of-Stake target computations. It is a
-//! little-endian array of four `u64` limbs with schoolbook multiplication
-//! and Knuth Algorithm D division. All operations are constant-size but
-//! **not** constant-time; see the crate-level security note.
+//! [`U256`] is the integer type of the signature scheme in [`crate::sig`],
+//! its only user: scalars of the exponent ring mod `p − 1` use the generic
+//! [`rem`](U256::rem) / [`mul_mod`](U256::mul_mod) here, group elements the
+//! dedicated kernel in [`crate::field`]. It is a little-endian array of
+//! four `u64` limbs with schoolbook multiplication and Knuth Algorithm D
+//! division for any modulus, both on the stack. All operations are
+//! constant-size but **not** constant-time; see the crate-level security
+//! note.
 //!
 //! # Examples
 //!
@@ -264,15 +267,8 @@ impl U256 {
     /// Panics if `divisor` is zero.
     pub fn div_rem(&self, divisor: &U256) -> (U256, U256) {
         assert!(!divisor.is_zero(), "division by zero");
-        let (q, r) = div_rem_slices(&self.limbs, &divisor.limbs);
-        (
-            U256 {
-                limbs: q[0..4].try_into().unwrap(),
-            },
-            U256 {
-                limbs: r[0..4].try_into().unwrap(),
-            },
-        )
+        let (q, r) = div_rem_limbs(&self.limbs, &divisor.limbs);
+        (U256 { limbs: q }, U256 { limbs: r })
     }
 
     /// `self mod m`.
@@ -328,13 +324,13 @@ impl U256 {
             hi.limbs[2],
             hi.limbs[3],
         ];
-        let (_, r) = div_rem_slices(&wide, &m.limbs);
-        U256 {
-            limbs: r[0..4].try_into().unwrap(),
-        }
+        let (_, r) = div_rem_limbs(&wide, &m.limbs);
+        U256 { limbs: r }
     }
 
-    /// Modular exponentiation `self^exp mod m` by square-and-multiply.
+    /// Modular exponentiation `self^exp mod m` by square-and-multiply over
+    /// [`mul_mod`](Self::mul_mod), for any modulus. Nothing in the crate
+    /// calls it: it is the oracle the tests hold [`crate::field`] against.
     ///
     /// # Panics
     ///
@@ -452,17 +448,18 @@ impl fmt::Display for ParseU256Error {
 
 impl std::error::Error for ParseU256Error {}
 
-/// Multi-precision division (Knuth TAOCP vol. 2, Algorithm D) on
-/// little-endian `u64` limb slices. Returns `(quotient, remainder)`, each
-/// with the same length as `u`.
-fn div_rem_slices(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
+/// Multi-precision division (Knuth TAOCP vol. 2, Algorithm D) of an
+/// `N`-limb dividend (`N` is 4 or 8) by a four-limb divisor, little-endian
+/// `u64` limbs, entirely on the stack. Returns `(quotient, remainder)`.
+fn div_rem_limbs<const N: usize>(u: &[u64; N], v: &[u64; 4]) -> ([u64; N], [u64; 4]) {
     let n = significant_len(v);
     assert!(n > 0, "division by zero");
     let m = significant_len(u);
-    let mut q = vec![0u64; u.len()];
-    let mut r = vec![0u64; u.len()];
+    let mut q = [0u64; N];
+    let mut r = [0u64; 4];
     if m < n || (m == n && cmp_slices(&u[..m], &v[..n]) == Ordering::Less) {
-        r[..u.len()].copy_from_slice(u);
+        // The dividend is below the divisor, so it fits the remainder.
+        r[..m].copy_from_slice(&u[..m]);
         return (q, r);
     }
     if n == 1 {
@@ -478,9 +475,10 @@ fn div_rem_slices(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
         return (q, r);
     }
 
-    // Normalize so the divisor's top bit is set.
+    // Normalize so the divisor's top bit is set; the shifted dividend takes
+    // one limb more than the widest (eight-limb) operand.
     let shift = v[n - 1].leading_zeros();
-    let mut vn = vec![0u64; n];
+    let mut vn = [0u64; 4];
     for i in (0..n).rev() {
         let mut x = v[i] << shift;
         if shift > 0 && i > 0 {
@@ -488,7 +486,7 @@ fn div_rem_slices(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
         }
         vn[i] = x;
     }
-    let mut un = vec![0u64; m + 1];
+    let mut un = [0u64; 9];
     un[m] = if shift > 0 {
         u[m - 1] >> (64 - shift)
     } else {
@@ -544,7 +542,7 @@ fn div_rem_slices(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
     // Denormalize the remainder.
     for i in 0..n {
         let mut x = un[i] >> shift;
-        if shift > 0 && i + 1 < n + 1 {
+        if shift > 0 {
             x |= un[i + 1] << (64 - shift);
         }
         r[i] = x;

@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use edgechain_crypto::{
-    leaf_hash, sha256, sha256_fixed64, sha256_many, sha256_pair64, KeyPair, MerkleTree, Sha256,
-    SharedPrefix32, U256,
+    field, leaf_hash, sha256, sha256_fixed64, sha256_many, sha256_pair64, KeyPair, MerkleTree,
+    Sha256, SharedPrefix32, Signature, U256,
 };
 use proptest::prelude::*;
 
@@ -74,6 +74,23 @@ proptest! {
         let got = U256::from_u64(a).mul_mod(&U256::from_u64(b), &U256::from_u64(m));
         let expect = ((a as u128 * b as u128) % m as u128) as u64;
         prop_assert_eq!(got, U256::from_u64(expect));
+    }
+
+    #[test]
+    fn mul_mod_is_invariant_under_factor_reduction(a in arb_u256(), b in arb_u256(), m in arb_nonzero_u256()) {
+        // The 512-bit dividend path: reducing the factors first changes nothing.
+        let r = a.mul_mod(&b, &m);
+        prop_assert!(r < m);
+        prop_assert_eq!(a.rem(&m).mul_mod(&b.rem(&m), &m), r);
+        prop_assert_eq!(b.mul_mod(&a, &m), r);
+    }
+
+    #[test]
+    fn field_mul_matches_knuth_oracle(a in arb_u256(), b in arb_u256()) {
+        // Any operands, reduced or not, come out reduced.
+        prop_assert_eq!(field::mul(&a, &b), a.mul_mod(&b, &field::P));
+        let (a, b) = (a.rem(&field::P), b.rem(&field::P));
+        prop_assert_eq!(field::mul(&a, &b), a.mul_mod(&b, &field::P));
     }
 
     #[test]
@@ -173,16 +190,111 @@ proptest! {
 }
 
 proptest! {
-    // Signing does modular exponentiation; keep the case count small.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    // The oracle is square-and-multiply over Knuth division, ~100 µs a power.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn signatures_verify_and_bind(seed in any::<u64>(), msg in prop::collection::vec(any::<u8>(), 0..64)) {
+    fn field_pow_matches_knuth_oracle(base in arb_u256(), exp in arb_u256()) {
+        prop_assert_eq!(field::pow(&base, &exp), base.pow_mod(&exp, &field::P));
+    }
+
+    #[test]
+    fn fixed_base_pow_matches_knuth_oracle(exp in arb_u256()) {
+        let expect = field::G.pow_mod(&exp, &field::P);
+        prop_assert_eq!(field::pow_g(&exp), expect);
+        prop_assert_eq!(field::pow(&field::G, &exp), expect);
+    }
+
+    #[test]
+    fn sparse_exponents_match_knuth_oracle(base in arb_u256(), bit in 0u32..256, low in any::<u64>()) {
+        // Mostly-zero digits: the table and the window skip them.
+        let exp = U256::ONE.shl(bit).wrapping_add(&U256::from_u64(low & 0xf0f));
+        prop_assert_eq!(field::pow(&base, &exp), base.pow_mod(&exp, &field::P));
+        prop_assert_eq!(field::pow_g(&exp), field::G.pow_mod(&exp, &field::P));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn signatures_verify_and_bind(seed in any::<u64>(), msg in prop::collection::vec(any::<u8>(), 0..64), flip in any::<prop::sample::Index>()) {
         let kp = KeyPair::from_seed(seed);
         let sig = kp.sign(&msg);
         prop_assert!(kp.public_key().verify(&msg, &sig));
         let mut other = msg.clone();
         other.push(1);
         prop_assert!(!kp.public_key().verify(&other, &sig));
+        // One flipped signature bit, and another seed's key, are rejected.
+        let mut bytes = sig.to_bytes();
+        let at = flip.index(bytes.len() * 8);
+        bytes[at / 8] ^= 1 << (at % 8);
+        prop_assert!(!kp.public_key().verify(&msg, &Signature::from_bytes(&bytes)));
+        let stranger = KeyPair::from_seed(seed.wrapping_add(1)).public_key();
+        prop_assert!(!stranger.verify(&msg, &sig));
     }
+}
+
+/// The operands the reduction has to get right at its edges: `0`, `1`,
+/// `p − 1`, the unreduced `p` and `2^256 − 1`, and values with all-ones high
+/// limbs, whose products drive the second fold to carry out of `2^256`
+/// (`field.rs`'s own tests observe the carry, also for a reduced pair).
+fn edge_operands() -> Vec<U256> {
+    let p_minus_1 = field::P.wrapping_sub(&U256::ONE);
+    vec![
+        U256::ZERO,
+        U256::ONE,
+        U256::from_u64(2),
+        field::G,
+        p_minus_1,
+        field::P,
+        U256::MAX,
+        U256::ONE.shl(255),
+        U256::from_limbs([0, u64::MAX, u64::MAX, u64::MAX]),
+        U256::from_limbs([1, 0, u64::MAX, u64::MAX]),
+        U256::from_limbs([u64::MAX, 0, 0, u64::MAX]),
+    ]
+}
+
+#[test]
+fn field_mul_edge_operands() {
+    let ops = edge_operands();
+    for a in &ops {
+        for b in &ops {
+            assert_eq!(field::mul(a, b), a.mul_mod(b, &field::P), "{a} · {b}");
+        }
+    }
+    let p_minus_1 = field::P.wrapping_sub(&U256::ONE);
+    assert_eq!(field::mul(&p_minus_1, &p_minus_1), U256::ONE);
+    assert_eq!(field::mul(&field::P, &U256::MAX), U256::ZERO);
+}
+
+#[test]
+fn field_pow_edge_operands() {
+    let p_minus_1 = field::P.wrapping_sub(&U256::ONE);
+    let exps = [
+        U256::ZERO,
+        U256::ONE,
+        field::P.wrapping_sub(&U256::from_u64(2)),
+        p_minus_1,
+        U256::MAX,
+    ];
+    for exp in &exps {
+        for base in &edge_operands() {
+            assert_eq!(
+                field::pow(base, exp),
+                base.pow_mod(exp, &field::P),
+                "{base} ^ {exp}"
+            );
+        }
+        assert_eq!(field::pow_g(exp), field::G.pow_mod(exp, &field::P));
+    }
+    // Fermat through the table and through the window; p − 2 inverts.
+    assert_eq!(field::pow_g(&p_minus_1), U256::ONE);
+    assert_eq!(field::pow(&U256::from_u64(2), &p_minus_1), U256::ONE);
+    assert_eq!(field::pow_g(&U256::ZERO), U256::ONE);
+    assert_eq!(field::pow_g(&U256::ONE), field::G);
+    assert_eq!(field::mul(&field::pow_g(&exps[2]), &field::G), U256::ONE);
+    assert_eq!(field::pow(&U256::ZERO, &U256::ZERO), U256::ONE);
+    assert_eq!(field::pow(&U256::ZERO, &p_minus_1), U256::ZERO);
 }
