@@ -13,7 +13,8 @@ use edgechain_core::storage::NodeStorage;
 use edgechain_core::Identity;
 use edgechain_crypto::{sha256, KeyPair, MerkleTree};
 use edgechain_facility::{solve, solve_greedy, UflInstance};
-use edgechain_sim::{gini, Topology, TopologyConfig};
+use edgechain_sim::{Topology, TopologyConfig};
+use edgechain_telemetry::gini;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,40 +1,24 @@
-//! Fast-path benchmark: the cached allocation, PoS, and block-encoding
-//! routes vs their one-shot reference paths.
+//! Scale sweep: the sparse scale path against the dense reference.
 //!
-//! For each node count the same seeded simulation is run twice — once with
-//! every cache on (`allocation_cache`, `pos_hit_cache`,
-//! `block_seal_cache`: the defaults) and once with all of them off — and
-//! the run reports are compared field-for-field: the fast paths must be
-//! observationally identical, only cheaper. Per-run wall time, the summed
-//! `ufl.*_ns` solver profile, and the consensus/propagation profile
-//! (`pos.round_ns`, `block.assemble_ns`, `block.verify_ns`,
-//! `codec.encode_ns`, `codec.block_encodes`) go to `BENCH_perf.json`.
+//! For n ∈ {400, 1000, 4000, 10000} a 10-sim-minute constant-density run
+//! (field side grows as `300·sqrt(n/400)`, holding average degree at the
+//! n = 400 level) in *sparse* mode (`sparse_routes` + `region_alloc`)
+//! against the *dense* reference (capped at n = 1000, above which the n²
+//! tables stop being worth building). Each point records wall time,
+//! blocks, availability, peak tracking entries, the topology's
+//! allocated-bytes estimate, and the process RSS high-water mark; the
+//! table lands in `BENCH_perf.json` as `scale_points`.
 //!
-//! The parameter points run serially — the whole sweep costs seconds,
-//! and concurrent simulations would contend for cores and contaminate
-//! each other's wall-clock phase timings — each under its own telemetry
-//! session, merged in order afterwards.
+//! The points run serially, cheapest first — concurrent simulations would
+//! contend for cores and contaminate each other's wall-clock timings, and
+//! the RSS high-water mark is monotone across the process.
 //!
-//! A second sweep measures the ISSUE 9 scale path: for n ∈ {400, 1000,
-//! 4000, 10000} a 10-sim-minute constant-density run (field side grows as
-//! `300·sqrt(n/400)`, holding average degree at the n = 400 level) in
-//! *sparse* mode (`sparse_routes` + `region_alloc`) against the *dense*
-//! reference (capped at n = 1000, above which the n² tables stop being
-//! worth building). Each scale point records wall time, blocks,
-//! availability, peak tracking entries, the topology's allocated-bytes
-//! estimate, and the process RSS high-water mark; the table lands in
-//! `BENCH_perf.json` as `scale_points`.
-//!
-//! `cargo run --release -p edgechain-bench --bin perf` (default: n ∈
-//! {50, 100, 200, 400} at 30 simulated minutes; `--small` keeps only the
-//! first point for CI smoke runs; `--scale-smoke` runs only the n =
-//! 10,000 sparse point plus the n = 400 pair and asserts its health;
-//! `--minutes N` / `--seeds N` as usual).
+//! `cargo run --release -p edgechain-bench --bin perf`; `--scale-smoke`
+//! runs only the n = 10,000 sparse point plus the n = 400 pair and asserts
+//! its health.
 
-use edgechain_bench::{parse_options, print_table, FigureOptions};
 use edgechain_core::network::{EdgeNetwork, NetworkConfig, RunReport};
 use edgechain_sim::{Field, TopologyConfig};
-use edgechain_telemetry as telemetry;
 use std::time::Instant;
 
 /// Node count at and below which the dense reference column is measured
@@ -44,87 +28,6 @@ const DENSE_EQUIVALENCE_THRESHOLD: usize = 1000;
 /// Simulated minutes per scale point (the acceptance bar is a completed
 /// ≥ 10-minute n = 10,000 run).
 const SCALE_MINUTES: u64 = 10;
-
-/// One (node count, cache mode) measurement.
-struct PointResult {
-    nodes: usize,
-    cached: bool,
-    wall_secs: f64,
-    blocks: u64,
-    /// Summed `ufl.*_ns` wall time across the run's solver activity.
-    ufl_ns: f64,
-    /// Summed `pos.round_ns` across every PoS round.
-    pos_ns: f64,
-    /// Summed `block.assemble_ns` (sealing, incl. Merkle leaf hashing).
-    assemble_ns: f64,
-    /// Summed `block.verify_ns` (tip validation at push time).
-    verify_ns: f64,
-    /// Summed `codec.encode_ns` across every block serialization.
-    encode_ns: f64,
-    /// Number of `encode_block` invocations.
-    encodes: u64,
-    report: RunReport,
-    registry: telemetry::Registry,
-}
-
-impl PointResult {
-    /// Consensus + propagation work per mined block: PoS rounds, block
-    /// assembly, tip verification, and every block serialization.
-    fn consensus_ns_per_block(&self) -> f64 {
-        (self.pos_ns + self.assemble_ns + self.verify_ns + self.encode_ns)
-            / self.blocks.max(1) as f64
-    }
-}
-
-fn run_point(nodes: usize, cached: bool, opts: &FigureOptions, seed_index: u64) -> PointResult {
-    telemetry::enable();
-    let cfg = NetworkConfig {
-        nodes,
-        data_items_per_min: 3.0,
-        sim_minutes: opts.minutes,
-        allocation_cache: cached,
-        pos_hit_cache: cached,
-        block_seal_cache: cached,
-        seed: 0x9EBF_0000 + seed_index * 1000 + nodes as u64,
-        ..NetworkConfig::default()
-    };
-    let start = Instant::now();
-    let report = EdgeNetwork::new(cfg).expect("connected topology").run();
-    let wall_secs = start.elapsed().as_secs_f64();
-    let mut session = telemetry::finish().unwrap_or_default();
-    let sum_ns = |session: &telemetry::Session, which: &str| -> f64 {
-        session
-            .registry
-            .wall_ns_entries()
-            .filter(|(name, _)| name.starts_with(which))
-            .map(|(_, stats)| stats.sum())
-            .sum()
-    };
-    let ufl_ns = sum_ns(&session, "ufl.");
-    let pos_ns = sum_ns(&session, "pos.round_ns");
-    let assemble_ns = sum_ns(&session, "block.assemble_ns");
-    let verify_ns = sum_ns(&session, "block.verify_ns");
-    let encode_ns = sum_ns(&session, "codec.encode_ns");
-    let encodes = session
-        .registry
-        .snapshot()
-        .counter("codec.block_encodes")
-        .unwrap_or(0);
-    PointResult {
-        nodes,
-        cached,
-        wall_secs,
-        blocks: report.blocks_mined,
-        ufl_ns,
-        pos_ns,
-        assemble_ns,
-        verify_ns,
-        encode_ns,
-        encodes,
-        report,
-        registry: session.registry,
-    }
-}
 
 /// One row of the scale sweep.
 struct ScalePoint {
@@ -221,103 +124,22 @@ fn assert_scale_health(p: &ScalePoint) {
 }
 
 fn main() {
-    let mut opts = parse_options(30, 1);
-    let small = std::env::args().any(|a| a == "--small");
-    let scale_smoke = std::env::args().any(|a| a == "--scale-smoke");
-    let node_counts: &[usize] = if small || scale_smoke {
-        &[50]
-    } else {
-        &[50, 100, 200, 400]
-    };
-    if small || scale_smoke {
-        opts.minutes = opts.minutes.min(10);
+    let mut scale_smoke = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--scale-smoke" => scale_smoke = true,
+            other => {
+                eprintln!("error: unknown argument {other:?}\nusage: perf [--scale-smoke]");
+                std::process::exit(2);
+            }
+        }
     }
-    println!(
-        "Fast-path benchmark — {} min simulated, n ∈ {node_counts:?}",
-        opts.minutes
-    );
-
-    // The points run serially on purpose: the whole sweep costs seconds,
-    // and concurrent simulations would contend for cores and contaminate
-    // each other's wall-clock phase timings.
-    let work: Vec<(usize, bool)> = node_counts
-        .iter()
-        .flat_map(|&n| [(n, true), (n, false)])
-        .collect();
-    let results: Vec<PointResult> = work
-        .iter()
-        .map(|&(n, cached)| run_point(n, cached, &opts, 0))
-        .collect();
-
-    let mut registry = telemetry::Registry::new();
-    for r in &results {
-        registry.merge(&r.registry);
-    }
-
-    let mut rows = Vec::new();
-    let mut ufl_speedups = Vec::new();
-    let mut consensus_speedups = Vec::new();
-    for pair in results.chunks(2) {
-        let [fast, base] = pair else { unreachable!() };
-        assert!(fast.cached && !base.cached, "work list order");
-        // The telemetry snapshots legitimately differ (the fast paths count
-        // cache hits instead of repeated hashing/encoding); every simulation
-        // outcome must match exactly.
-        let mut fast_report = fast.report.clone();
-        let mut base_report = base.report.clone();
-        fast_report.telemetry = None;
-        base_report.telemetry = None;
-        assert_eq!(
-            fast_report, base_report,
-            "n={}: cached run diverged from the reference path",
-            fast.nodes
-        );
-        println!("n={}: reports identical across cache modes", fast.nodes);
-        let ufl_per_block = |r: &PointResult| r.ufl_ns / r.blocks.max(1) as f64;
-        let ufl_speedup = ufl_per_block(base) / ufl_per_block(fast).max(1.0);
-        let cons_speedup = base.consensus_ns_per_block() / fast.consensus_ns_per_block().max(1.0);
-        ufl_speedups.push((fast.nodes, ufl_speedup));
-        consensus_speedups.push((fast.nodes, cons_speedup));
-        rows.push(vec![
-            fast.blocks as f64,
-            ufl_speedup,
-            fast.pos_ns / fast.blocks.max(1) as f64 / 1e3,
-            base.pos_ns / base.blocks.max(1) as f64 / 1e3,
-            fast.consensus_ns_per_block() / 1e3,
-            base.consensus_ns_per_block() / 1e3,
-            cons_speedup,
-        ]);
-    }
-
-    print_table(
-        "Fast paths (per node count; reports verified identical)",
-        "nodes",
-        node_counts,
-        &[
-            "blocks",
-            "ufl speedup",
-            "pos µs/blk fast",
-            "pos µs/blk base",
-            "cons µs/blk fast",
-            "cons µs/blk base",
-            "cons speedup",
-        ],
-        &rows,
-        2,
-    );
-
-    // Scale sweep (ISSUE 9): sparse scale path vs dense reference,
-    // cheapest first so the RSS high-water column stays meaningful.
-    let scale_counts: &[usize] = if small {
-        &[400]
-    } else if scale_smoke {
+    let scale_counts: &[usize] = if scale_smoke {
         &[400, 10_000]
     } else {
         &[400, 1000, 4000, 10_000]
     };
-    println!(
-        "\nScale sweep — {SCALE_MINUTES} min simulated, constant density, n ∈ {scale_counts:?}"
-    );
+    println!("Scale sweep — {SCALE_MINUTES} min simulated, constant density, n ∈ {scale_counts:?}");
     let mut scale_points = Vec::new();
     for &n in scale_counts {
         if n <= DENSE_EQUIVALENCE_THRESHOLD {
@@ -337,76 +159,12 @@ fn main() {
             big.nodes, big.report.blocks_mined, big.report.availability
         );
     }
-
-    write_perf_json(
-        &opts,
-        node_counts,
-        &results,
-        &ufl_speedups,
-        &consensus_speedups,
-        &scale_points,
-        &mut registry,
-    );
-
-    for (&(n, ufl), &(_, cons)) in ufl_speedups.iter().zip(&consensus_speedups) {
-        println!(
-            "n={n}: ufl {ufl:.2}× faster, consensus+propagation {cons:.2}× faster with caches on"
-        );
-    }
+    write_perf_json(&scale_points);
 }
 
-/// `BENCH_perf.json`: per-point wall/solver/consensus timings for both
-/// modes plus the merged registry dump.
-#[allow(clippy::too_many_arguments)]
-fn write_perf_json(
-    opts: &FigureOptions,
-    node_counts: &[usize],
-    results: &[PointResult],
-    ufl_speedups: &[(usize, f64)],
-    consensus_speedups: &[(usize, f64)],
-    scale_points: &[ScalePoint],
-    registry: &mut telemetry::Registry,
-) {
+/// `BENCH_perf.json`: one record per scale point.
+fn write_perf_json(scale_points: &[ScalePoint]) {
     let mut out = String::from("{\n  \"bench\": \"perf\",\n");
-    out.push_str(&format!("  \"minutes\": {},\n", opts.minutes));
-    out.push_str(&format!("  \"node_counts\": {node_counts:?},\n"));
-    out.push_str("  \"points\": [");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"nodes\": {}, \"cached\": {}, \"wall_secs\": {:.6}, \"blocks\": {}, \"blocks_per_sec\": {:.3}, \"ufl_ns\": {:.0}, \"ufl_ns_per_block\": {:.0}, \"pos_round_ns\": {:.0}, \"block_assemble_ns\": {:.0}, \"block_verify_ns\": {:.0}, \"codec_encode_ns\": {:.0}, \"block_encodes\": {}, \"consensus_ns_per_block\": {:.0}}}",
-            r.nodes,
-            r.cached,
-            r.wall_secs,
-            r.blocks,
-            r.blocks as f64 / r.wall_secs.max(1e-9),
-            r.ufl_ns,
-            r.ufl_ns / r.blocks.max(1) as f64,
-            r.pos_ns,
-            r.assemble_ns,
-            r.verify_ns,
-            r.encode_ns,
-            r.encodes,
-            r.consensus_ns_per_block(),
-        ));
-    }
-    out.push_str("\n  ],\n  \"speedup_per_block\": {");
-    for (i, (n, s)) in ufl_speedups.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{n}\": {s:.3}"));
-    }
-    out.push_str("},\n  \"consensus_speedup_per_block\": {");
-    for (i, (n, s)) in consensus_speedups.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{n}\": {s:.3}"));
-    }
-    out.push_str("},\n");
     out.push_str(&format!(
         "  \"scale_minutes\": {SCALE_MINUTES},\n  \"dense_equivalence_threshold\": {DENSE_EQUIVALENCE_THRESHOLD},\n"
     ));
@@ -428,16 +186,7 @@ fn write_perf_json(
             p.rss_peak_kb,
         ));
     }
-    out.push_str("\n  ],\n");
-    let registry_json = registry.to_json();
-    out.push_str("  \"registry\": ");
-    for (i, line) in registry_json.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str("\n}\n");
+    out.push_str("\n  ]\n}\n");
     let path = "BENCH_perf.json";
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("warning: could not write {path}: {e}");

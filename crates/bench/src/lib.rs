@@ -9,7 +9,7 @@
 //! | `fig5` | Fig. 5(a)(b) | delivery / overhead vs node count × placement strategy |
 //! | `fig6` | Fig. 6 | remaining battery vs blocks mined, PoW vs PoS |
 //! | `ablation` | design-choice ablations | FDC weight `A`, solver variants, recent-cache, PoS `Q` term |
-//! | `perf` | allocation fast-path benchmark | cached vs one-shot solver, speedup per block |
+//! | `perf` | scale sweep | sparse scale path vs dense reference, n up to 10,000 |
 //!
 //! Binaries accept `--full` for the paper-scale 500-minute runs and
 //! default to shorter, shape-preserving runs (see each binary's header).
@@ -30,45 +30,55 @@ pub struct FigureOptions {
     pub csv_dir: Option<String>,
 }
 
-/// Parses command-line options: `--full` selects the paper-scale 500-minute
-/// runs; `--minutes N` and `--seeds N` override individually.
+/// Parses the process's command-line options: `--full` selects the
+/// paper-scale 500-minute runs; `--minutes N` and `--seeds N` override
+/// individually. A value [`parse_from`] rejects prints the reason plus
+/// usage and exits with status 2.
 pub fn parse_options(default_minutes: u64, default_seeds: u64) -> FigureOptions {
-    let args: Vec<String> = std::env::args().collect();
+    parse_from(std::env::args().skip(1), default_minutes, default_seeds).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: [--full] [--minutes N] [--seeds N] [--csv DIR]");
+        std::process::exit(2)
+    })
+}
+
+/// Parses `args` (program name already stripped). Flags this crate does
+/// not define are left to the binary that owns them.
+///
+/// # Errors
+///
+/// Returns a message naming the flag when its value is missing, is not a
+/// number, or is zero (a zero-minute or zero-seed run prints tables of
+/// means over empty samples).
+pub fn parse_from(
+    args: impl IntoIterator<Item = String>,
+    default_minutes: u64,
+    default_seeds: u64,
+) -> Result<FigureOptions, String> {
     let mut opts = FigureOptions {
         minutes: default_minutes,
         seeds: default_seeds,
         csv_dir: None,
     };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag}: missing value"));
+        let positive = |text: String| match text.parse::<u64>() {
+            Ok(0) => Err(format!("{flag}: must be at least 1")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("{flag}: cannot read {text:?} as a number")),
+        };
+        match flag.as_str() {
             "--full" => {
                 opts.minutes = 500;
                 opts.seeds = default_seeds.max(2);
             }
-            "--minutes" => {
-                i += 1;
-                opts.minutes = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.minutes);
-            }
-            "--seeds" => {
-                i += 1;
-                opts.seeds = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.seeds);
-            }
-            "--csv" => {
-                i += 1;
-                opts.csv_dir = args.get(i).cloned();
-            }
+            "--minutes" => opts.minutes = positive(value()?)?,
+            "--seeds" => opts.seeds = positive(value()?)?,
+            "--csv" => opts.csv_dir = Some(value()?),
             _ => {}
         }
-        i += 1;
     }
-    opts
+    Ok(opts)
 }
 
 /// Prints a table: one row per `row_labels` entry, one column per
@@ -182,12 +192,38 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 
+    fn parse(args: &[&str]) -> Result<FigureOptions, String> {
+        parse_from(args.iter().map(|a| a.to_string()), 100, 2)
+    }
+
     #[test]
     fn default_options() {
-        let opts = parse_options(100, 2);
+        let opts = parse(&[]).unwrap();
         assert_eq!(opts.minutes, 100);
         assert_eq!(opts.seeds, 2);
         assert_eq!(opts.csv_dir, None);
+    }
+
+    #[test]
+    fn flags_override_defaults_and_foreign_flags_pass_through() {
+        let opts = parse(&["--small", "--minutes", "7", "--seeds", "3", "--csv", "out"]).unwrap();
+        assert_eq!((opts.minutes, opts.seeds), (7, 3));
+        assert_eq!(opts.csv_dir.as_deref(), Some("out"));
+        assert_eq!(parse(&["--full"]).unwrap().minutes, 500);
+    }
+
+    #[test]
+    fn bad_values_are_rejected() {
+        for (args, flag) in [
+            (&["--minutes", "x"][..], "--minutes"),
+            (&["--seeds", "x"][..], "--seeds"),
+            (&["--seeds"][..], "--seeds"),
+            (&["--minutes", "0"][..], "--minutes"),
+            (&["--seeds", "0"][..], "--seeds"),
+        ] {
+            let err = parse(args).expect_err("must be rejected");
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 
 use crate::storage::NodeStorage;
 use edgechain_facility::{
-    serving_ids, solve, solve_warm, stitch_close_pass, SolveError, StitchFacility, UflInstance,
-    UflSolution,
+    serving_ids, solve, stitch_close_pass, SolveError, StitchFacility, UflInstance, UflSolution,
 };
 use edgechain_sim::{NodeId, Topology, UNREACHABLE};
 use edgechain_telemetry as telemetry;
@@ -238,9 +237,9 @@ fn storers_from_solution<R: Rng + ?Sized>(
 /// When only FDC costs drifted (items stored between calls), the cached
 /// instance is patched in place via [`UflInstance::set_open_cost`] — the
 /// `O(n²)` connect matrix is untouched — and only the solve is redone,
-/// optionally warm-started from the previous solution (off by default; the
-/// warm trajectory is a different heuristic and breaks bit-equivalence
-/// with the cold path).
+/// cold, so the output stays bit-identical to the one-shot
+/// [`select_storers_scaled`] (pinned by
+/// `context_matches_one_shot_path_through_mutations`).
 ///
 /// Telemetry: counts `ufl.cache_hit` (solution reused), `ufl.cache_miss`
 /// (full instance rebuild), and `ufl.incremental_updates` (facility costs
@@ -248,7 +247,6 @@ fn storers_from_solution<R: Rng + ?Sized>(
 #[derive(Debug, Clone)]
 pub struct AllocationContext {
     fdc_scale: f64,
-    warm_start: bool,
     /// Region-decomposed allocation state (ISSUE 9 tentpole), present when
     /// the scale path is enabled via [`AllocationContext::with_regions`].
     regions: Option<RegionEngine>,
@@ -263,8 +261,6 @@ pub struct AllocationContext {
     /// any instance change. Errors are cached too (a full network stays
     /// full until state changes).
     solution: Option<Result<UflSolution, SolveError>>,
-    /// Last successful solution, kept across invalidations as a warm seed.
-    warm_seed: Option<UflSolution>,
 }
 
 impl Default for AllocationContext {
@@ -278,25 +274,13 @@ impl AllocationContext {
     pub fn new(fdc_scale: f64) -> Self {
         AllocationContext {
             fdc_scale,
-            warm_start: false,
             regions: None,
             topo_epoch: None,
             live: Vec::new(),
             last_used: Vec::new(),
             instance: None,
             solution: None,
-            warm_seed: None,
         }
-    }
-
-    /// Enables warm-started re-solves after incremental cost patches.
-    ///
-    /// Faster on long item sequences but follows a different local-search
-    /// trajectory than the cold solver, so output is no longer guaranteed
-    /// bit-identical to the uncached path. Off by default.
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
     }
 
     /// Enables the region-decomposed allocation path with the given
@@ -312,7 +296,6 @@ impl AllocationContext {
         self.topo_epoch = None;
         self.instance = None;
         self.solution = None;
-        self.warm_seed = None;
         if let Some(engine) = &mut self.regions {
             engine.topo_epoch = None;
             engine.regions.clear();
@@ -346,16 +329,7 @@ impl AllocationContext {
             telemetry::counter_add("ufl.cache_hit", 1);
         } else {
             let instance = self.instance.as_ref().expect("refresh built an instance");
-            let result = match &self.warm_seed {
-                Some(seed) if self.warm_start && seed.open.len() == instance.facilities() => {
-                    solve_warm(instance, seed)
-                }
-                _ => solve(instance),
-            };
-            if let Ok(sol) = &result {
-                self.warm_seed = Some(sol.clone());
-            }
-            self.solution = Some(result);
+            self.solution = Some(solve(instance));
         }
         match self.solution.as_ref().expect("just populated") {
             Ok(sol) => storers_from_solution(placement, sol, &self.live, storage, rng),
@@ -1012,24 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_context_stays_feasible() {
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let topo = Topology::random_connected(12, TopologyConfig::default(), &mut rng).unwrap();
-        let mut storage = vec![NodeStorage::new(30); 12];
-        let mut ctx = AllocationContext::default().with_warm_start(true);
-        for step in 0..30usize {
-            let nodes = ctx
-                .select_storers(Placement::Optimal, &topo, &storage, &mut rng)
-                .unwrap();
-            assert!(!nodes.is_empty());
-            for n in &nodes {
-                assert!(!storage[n.0].is_full(), "warm path picked full node");
-                storage[n.0].store_data(DataId(step as u64));
-            }
-        }
-    }
-
-    #[test]
     fn invalidate_forces_rebuild() {
         let topo = line_topology(4);
         let storage = vec![NodeStorage::paper_default(); 4];
@@ -1058,7 +1014,7 @@ mod tests {
             regions.len() >= 3,
             "expected several regions on a long line"
         );
-        let mut seen = vec![0usize; 12];
+        let mut seen = [0usize; 12];
         for (r, region) in regions.iter().enumerate() {
             assert!(region.members.windows(2).all(|w| w[0] < w[1]));
             for &m in &region.members {

@@ -28,22 +28,24 @@
 //!   loses the longest-chain race).
 
 use crate::account::{AccountId, Identity, Ledger};
-use crate::alloc::{select_storers_scaled, AllocationContext, Placement, RegionParams};
+use crate::alloc::{AllocationContext, Placement, RegionParams};
 use crate::block::Block;
 use crate::byzantine::{ByzantineEngine, ByzantineOutcome, OrphanVerdict, WithheldFork};
 use crate::catalogue::Catalogue;
 use crate::chain::{Blockchain, CheckpointPolicy, Snapshot};
 use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
-use crate::pos::{run_round, run_round_cached, Candidate, HitTable};
+use crate::pos::{run_round_cached, Candidate, HitTable};
 use crate::slo::{LatencySummary, OverloadReport, SloMonitor, SloReport, SloThresholds};
 use crate::storage::NodeStorage;
 use edgechain_energy::{Battery, DeviceProfile, EnergyCategory, EnergyMeter};
 use edgechain_sim::{
-    gini_counts, ByzantineAction, EventQueue, FaultInjector, FaultPlan, NodeId, RunningStats,
-    SimTime, Topology, TopologyConfig, TopologyError, Transport, TransportConfig,
+    ByzantineAction, EventQueue, FaultInjector, FaultPlan, NodeId, SimTime, Topology,
+    TopologyConfig, TopologyError, Transport, TransportConfig,
 };
-use edgechain_telemetry::{self as telemetry, trace_event, RegistrySnapshot, SpanId};
+use edgechain_telemetry::{
+    self as telemetry, gini_counts, trace_event, RegistrySnapshot, RunningStats, SampleSet, SpanId,
+};
 use edgechain_workload::{OverloadConfig, TokenBucket, WorkloadConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,21 +139,6 @@ pub struct NetworkConfig {
     /// (charged as real transport traffic). Only consulted when
     /// `fault_plan` schedules something.
     pub replica_repair: bool,
-    /// Route allocations through the cached [`AllocationContext`] (ISSUE 3
-    /// fast path): the UFL instance is built once per topology/storage
-    /// state and solutions are reused across a block's items. Output is
-    /// observationally identical to the uncached path (same reports, same
-    /// rng stream, byte-identical traces); disabling it is a debugging /
-    /// equivalence-testing aid, not a feature switch.
-    pub allocation_cache: bool,
-    /// Route PoS rounds through the per-height [`crate::pos::HitTable`]
-    /// (ISSUE 4 fast path): each candidate's hit `Hash(POSHash_prev ‖
-    /// Account)` is computed once per block height and reused by every
-    /// round at that height (a block takes ~2 rounds: schedule + mine).
-    /// Output is bit-identical to [`crate::pos::run_round`] — same
-    /// winners, same telemetry shape, no rng consumed — so disabling it
-    /// is a debugging / equivalence-testing aid, not a feature switch.
-    pub pos_hit_cache: bool,
     /// Checkpoint interval in blocks for the live fork-choice rules that
     /// activate under Byzantine fault plans: honest nodes never reorg a
     /// block at or below their latest checkpoint
@@ -198,21 +185,14 @@ pub struct NetworkConfig {
     /// observation over numbers the simulation computes anyway — and its
     /// verdicts land in [`RunReport::slo`].
     pub slo: SloThresholds,
-    /// Trust seal-time block caches on the hot path (ISSUE 4 fast path):
-    /// locally sealed blocks keep their wire encoding (`Arc<[u8]>`) and
-    /// Merkle leaf digests, so `wire_size`, broadcast, `fetch_data`,
-    /// block recovery, and tip validation stop re-encoding / re-hashing
-    /// per call. Honest validation of foreign blocks is untouched;
-    /// output is observationally identical with the flag off.
-    pub block_seal_cache: bool,
     /// Route allocations through the region-decomposed UFL engine (ISSUE 9
     /// scale path): the field is partitioned into radio-connected regions
     /// and each allocation solves only the data origin's region, stitched
     /// against its neighbors' open facilities. Work per allocation becomes
     /// independent of total network size — the knob that makes n = 10,000
-    /// runs tractable. Unlike the other fast-path toggles this is an
-    /// *approximation* of the global solve (replicas concentrate near the
-    /// origin), so it defaults off and carries no bit-equivalence contract.
+    /// runs tractable. This is an *approximation* of the global solve
+    /// (replicas concentrate near the origin), so it defaults off and
+    /// carries no bit-equivalence contract.
     pub region_alloc: bool,
     /// Coarse partition cell side in meters for `region_alloc` (default
     /// 140 m — twice the paper's 70 m radio range).
@@ -284,8 +264,6 @@ impl Default for NetworkConfig {
             fetch_retries: 3,
             retry_backoff_ms: 500,
             replica_repair: true,
-            allocation_cache: true,
-            pos_hit_cache: true,
             checkpoint_interval: 10,
             quarantine_secs: 900,
             denial_quarantine_threshold: 3,
@@ -294,7 +272,6 @@ impl Default for NetworkConfig {
             snapshot_bootstrap: false,
             invariant_every_event: false,
             slo: SloThresholds::default(),
-            block_seal_cache: true,
             region_alloc: false,
             region_cell_m: 140.0,
             region_horizon: 8,
@@ -648,18 +625,16 @@ pub struct EdgeNetwork {
     checker: InvariantChecker,
     retries: u64,
     repairs_triggered: u64,
-    /// Cached UFL instance/solution shared by all allocation call sites
-    /// (consulted when `config.allocation_cache` is on).
+    /// Cached UFL instance/solution shared by all allocation call sites.
     alloc_ctx: AllocationContext,
-    /// Per-height PoS hit cache shared by every round at one height
-    /// (consulted when `config.pos_hit_cache` is on).
+    /// Per-height PoS hit cache shared by every round at one height.
     pos_hits: HitTable,
 
     // metrics
     delivery: RunningStats,
-    delivery_samples: edgechain_sim::SampleSet,
+    delivery_samples: SampleSet,
     /// Per-item inclusion latency samples (generation → packing block).
-    inclusion_samples: edgechain_sim::SampleSet,
+    inclusion_samples: SampleSet,
     /// Rolling-window SLO health monitor; pure observation, always on.
     slo: SloMonitor,
     /// Open-span bookkeeping for the causal trace layer. `Some` only when
@@ -882,8 +857,8 @@ impl EdgeNetwork {
             invalid_storers: std::collections::HashSet::new(),
             raft_nodes: Vec::new(),
             delivery: RunningStats::new(),
-            delivery_samples: edgechain_sim::SampleSet::new(),
-            inclusion_samples: edgechain_sim::SampleSet::new(),
+            delivery_samples: SampleSet::new(),
+            inclusion_samples: SampleSet::new(),
             slo: SloMonitor::new(config.slo.clone()),
             spans: None,
             recovery: RunningStats::new(),
@@ -1971,10 +1946,8 @@ impl EdgeNetwork {
     /// The single allocation entry point for every call site (item packing,
     /// block storers, recent-block growth, replica repair): the
     /// region-decomposed engine when `config.region_alloc` is on (solving
-    /// only `origin`'s region — the scale path), otherwise the cached
-    /// [`AllocationContext`] when `config.allocation_cache` is on, or the
-    /// one-shot solver. The latter two are observationally identical; that
-    /// toggle exists for the equivalence tests. `origin` is the node the
+    /// only `origin`'s region — the scale path), otherwise the global solve
+    /// over the cached [`AllocationContext`]. `origin` is the node the
     /// data enters the network at — the item's producer, the miner for
     /// block/recent-cache replicas, a surviving source for repairs — and
     /// is only consulted by the regional path.
@@ -1991,36 +1964,23 @@ impl EdgeNetwork {
                 &self.storage,
                 &mut self.rng,
             )
-        } else if self.config.allocation_cache {
+        } else {
             self.alloc_ctx
                 .select_storers(placement, &self.topo, &self.storage, &mut self.rng)
-        } else {
-            select_storers_scaled(
-                placement,
-                &self.topo,
-                &self.storage,
-                self.config.fdc_scale,
-                &mut self.rng,
-            )
         }
     }
 
     /// The single PoS entry point for both rounds of a block (schedule +
-    /// mine): the per-height [`HitTable`] when `config.pos_hit_cache` is
-    /// on, the straight [`run_round`] otherwise. Both paths are
-    /// bit-identical; the toggle exists for the equivalence tests.
+    /// mine), over the per-height [`HitTable`]: each candidate's hit is
+    /// computed once per height and reused by the second round.
     fn pos_round(&mut self, candidates: &[Candidate]) -> crate::pos::MiningOutcome {
         let prev = self.chain.tip().pos_hash;
-        if self.config.pos_hit_cache {
-            run_round_cached(
-                &prev,
-                candidates,
-                self.config.block_interval_secs,
-                &mut self.pos_hits,
-            )
-        } else {
-            run_round(&prev, candidates, self.config.block_interval_secs)
-        }
+        run_round_cached(
+            &prev,
+            candidates,
+            self.config.block_interval_secs,
+            &mut self.pos_hits,
+        )
     }
 
     fn on_mine_block(&mut self, now: SimTime) {
@@ -2264,24 +2224,13 @@ impl EdgeNetwork {
         // Per-node fork choice needs the wire block after it moves into
         // the chain; cloned only on Byzantine runs.
         let wire_block = self.byz.is_some().then(|| block.clone());
-        // With the seal cache the encode below is the block's one and only
-        // serialization, shared from here on; without it every consumer
-        // re-encodes, as the pre-cache code did.
-        let (block_size, payload) = if self.config.block_seal_cache {
-            let payload = edgechain_sim::Payload::new(block.encoded());
-            (payload.len() as u64, Some(payload))
-        } else {
-            (crate::codec::encode_block(&block).len() as u64, None)
-        };
+        // The encode below is the block's one and only serialization,
+        // shared from here on by broadcast, recovery and wire-size queries.
+        let payload = edgechain_sim::Payload::new(block.encoded());
+        let block_size = payload.len() as u64;
         let metadata_of_block = block.metadata.clone();
-        telemetry::time_wall("block.verify_ns", || {
-            if self.config.block_seal_cache {
-                self.chain.push_sealed(block)
-            } else {
-                self.chain.push(block)
-            }
-        })
-        .expect("self-mined block extends the tip");
+        telemetry::time_wall("block.verify_ns", || self.chain.push_sealed(block))
+            .expect("self-mined block extends the tip");
         telemetry::counter_add("block.mined", 1);
         if telemetry::is_enabled() {
             telemetry::record("block.items", metadata_of_block.len() as f64);
@@ -2312,22 +2261,14 @@ impl EdgeNetwork {
         self.block_timestamps.push(now.as_secs());
 
         // Broadcast the block; deliveries reveal who is currently connected.
-        // The payload path shares one Arc of the sealed encoding across all
-        // deliveries (batched per arrival instant); the count-based path is
-        // the pre-cache reference. Both charge identical bytes and flatten
-        // to the same delivery order.
+        // One Arc of the sealed encoding is shared across all deliveries
+        // (batched per arrival instant).
         let mut received: Vec<NodeId> = vec![miner];
-        let mut arrivals: Vec<(NodeId, SimTime)> = Vec::new();
-        match &payload {
-            Some(p) => {
-                let deliveries = self.transport.broadcast_payload(&self.topo, miner, p, now);
-                arrivals.extend(deliveries.iter());
-            }
-            None => {
-                let deliveries = self.transport.broadcast(&self.topo, miner, block_size, now);
-                arrivals.extend(deliveries.iter().copied());
-            }
-        }
+        let arrivals: Vec<(NodeId, SimTime)> = self
+            .transport
+            .broadcast_payload(&self.topo, miner, &payload, now)
+            .iter()
+            .collect();
         received.extend(arrivals.iter().map(|(v, _)| *v));
 
         // Verify-on-receive (optional, costs CPU not network).
@@ -2888,17 +2829,9 @@ impl EdgeNetwork {
                 unserved = true;
                 continue;
             };
-            // Served block size: one cached encode per block under the seal
-            // cache, a fresh encode per recovery otherwise (the pre-cache
-            // behavior, kept as the equivalence reference).
-            let seal_cache = self.config.block_seal_cache;
-            let block_size = self.chain.get(idx).map_or(1000, |b| {
-                if seal_cache {
-                    b.wire_size()
-                } else {
-                    crate::codec::encode_block(b).len() as u64
-                }
-            });
+            // Served block size: the block's seal-time encoding, cached
+            // on first use — no fresh encode per recovery.
+            let block_size = self.chain.get(idx).map_or(1000, |b| b.wire_size());
             match self
                 .transport
                 .unicast(&self.topo, holder, v, block_size, req.arrival)

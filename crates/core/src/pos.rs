@@ -53,11 +53,11 @@ pub fn verify_pos_linkage(prev_pos: &Digest, miner: &AccountId, claimed: &Digest
     next_pos_hash(prev_pos, miner) == *claimed
 }
 
-/// The pre-fast-path implementation — the generic streaming hasher —
-/// kept as the uncached runtime reference: [`run_round`] chains hashes
-/// through it so the `pos_hit_cache: false` path runs the code exactly as
-/// it stood before the fixed-shape fast path landed. Bit-identical to
-/// [`next_pos_hash`] (pinned by `next_pos_hash_matches_streaming_reference`).
+/// The generic streaming hasher: [`run_round`]'s reference hasher, so the
+/// round that `cached_round_is_bit_identical_to_reference` compares
+/// [`run_round_cached`] against shares no hashing code with it.
+/// Bit-identical to [`next_pos_hash`] (pinned by
+/// `next_pos_hash_matches_streaming_reference`).
 fn next_pos_hash_streaming(prev: &Digest, account: &AccountId) -> Digest {
     edgechain_crypto::sha256_pair(prev.as_bytes(), account.as_bytes())
 }

@@ -779,10 +779,10 @@ mod tests {
             let inputs: Vec<Vec<u8>> = (0..n)
                 .map(|i| format!("msg-{i}").repeat(i % 5 + 1).into_bytes())
                 .collect();
-            let expect: Vec<Digest> = inputs.iter().map(|d| sha256(d)).collect();
+            let expect: Vec<Digest> = inputs.iter().map(sha256).collect();
             assert_eq!(sha256_many(&inputs), expect, "n={n}");
             let blocks: Vec<[u8; 64]> = (0..n).map(|i| [i as u8; 64]).collect();
-            let expect64: Vec<Digest> = blocks.iter().map(|b| sha256(b)).collect();
+            let expect64: Vec<Digest> = blocks.iter().map(sha256).collect();
             assert_eq!(sha256_many_fixed64(&blocks), expect64, "n={n}");
         }
     }

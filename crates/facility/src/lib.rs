@@ -39,5 +39,5 @@ pub mod region;
 pub use exact::{solve_exact, MAX_EXACT_FACILITIES};
 pub use greedy::solve_greedy;
 pub use instance::{fdc, SolutionError, SolveError, UflInstance, UflSolution, FDC_SCALE};
-pub use local_search::{improve, solve, solve_warm};
+pub use local_search::{improve, solve};
 pub use region::{serving_ids, stitch_close_pass, StitchFacility};

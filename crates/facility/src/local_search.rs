@@ -197,79 +197,6 @@ pub fn solve(instance: &UflInstance) -> Result<UflSolution, SolveError> {
     })
 }
 
-/// Warm-started solve: skips the greedy construction and runs local search
-/// from `previous`'s open set re-validated against `instance` (facilities
-/// whose opening cost went infinite are dropped; if none survive, the
-/// cheapest finite facility seeds the search).
-///
-/// Intended for sequences of closely related instances — consecutive items
-/// in one block, or an instance whose FDC costs drifted slightly — where
-/// the previous optimum is one or two moves from the new one. The result
-/// is feasible and never worse than the seed after reassignment, but it is
-/// a *different heuristic trajectory* than [`solve`]: callers that promise
-/// bit-identical output against the cold path must not substitute it.
-///
-/// # Errors
-///
-/// Returns [`SolveError::NoFeasibleFacility`] when every candidate
-/// facility has infinite opening cost.
-///
-/// # Panics
-///
-/// Panics when `previous` was solved against an instance with a different
-/// number of facilities or clients.
-pub fn solve_warm(
-    instance: &UflInstance,
-    previous: &UflSolution,
-) -> Result<UflSolution, SolveError> {
-    telemetry::time_wall("ufl.solve_ns", || {
-        if !instance.has_finite_facility() {
-            return Err(SolveError::NoFeasibleFacility);
-        }
-        let m = instance.facilities();
-        assert_eq!(previous.open.len(), m, "warm seed has wrong facility count");
-        assert_eq!(
-            previous.assignment.len(),
-            instance.clients(),
-            "warm seed has wrong client count"
-        );
-        let mut open: Vec<bool> = (0..m)
-            .map(|i| previous.open[i] && instance.open_cost(i).is_finite())
-            .collect();
-        if !open.iter().any(|&o| o) {
-            let mut cheapest = None;
-            for i in 0..m {
-                let f = instance.open_cost(i);
-                if !f.is_finite() {
-                    continue;
-                }
-                match cheapest {
-                    None => cheapest = Some((f, i)),
-                    Some((best, _)) if f < best => cheapest = Some((f, i)),
-                    _ => {}
-                }
-            }
-            let (_, i) = cheapest.expect("has_finite_facility checked above");
-            open[i] = true;
-        }
-        let mut solution = UflSolution {
-            open,
-            assignment: vec![0; instance.clients()],
-            cost: 0.0,
-        };
-        solution.reassign_best(instance);
-        improve(instance, &mut solution);
-        telemetry::counter_add("ufl.warm_calls", 1);
-        if telemetry::is_enabled() {
-            telemetry::record(
-                "ufl.open_facilities",
-                solution.open_facilities().len() as f64,
-            );
-        }
-        Ok(solution)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,12 +327,6 @@ mod tests {
     fn solve_propagates_infeasibility() {
         let inst = UflInstance::new(vec![f64::INFINITY], vec![vec![0.0]]);
         assert!(solve(&inst).is_err());
-        let seed = UflSolution {
-            open: vec![true],
-            assignment: vec![0],
-            cost: 0.0,
-        };
-        assert!(solve_warm(&inst, &seed).is_err());
     }
 
     /// Bookkeeping trials must accept the same moves and land on the same
@@ -455,64 +376,6 @@ mod tests {
                 reference.cost.to_bits(),
                 "trial {trial}: cost bits"
             );
-        }
-    }
-
-    #[test]
-    fn warm_start_finds_same_quality_from_good_seed() {
-        let inst = UflInstance::new(
-            vec![1.0, 1.5, 1.0],
-            vec![
-                vec![0.0, 2.0, 4.0],
-                vec![2.0, 0.0, 2.0],
-                vec![4.0, 2.0, 0.0],
-            ],
-        );
-        let cold = solve(&inst).unwrap();
-        let warm = solve_warm(&inst, &cold).unwrap();
-        assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
-        assert_eq!(warm.open, cold.open);
-    }
-
-    #[test]
-    fn warm_start_recovers_from_infeasible_seed() {
-        // The seed's only open facility became infinite (node filled up);
-        // the warm path must reseed from the cheapest finite facility.
-        let inst = UflInstance::new(
-            vec![f64::INFINITY, 2.0, 5.0],
-            vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![3.0, 3.0]],
-        );
-        let seed = UflSolution {
-            open: vec![true, false, false],
-            assignment: vec![0, 0],
-            cost: 1.0,
-        };
-        let warm = solve_warm(&inst, &seed).unwrap();
-        assert!(warm.validate(&inst).is_ok());
-        assert!(!warm.open[0], "infinite facility must stay closed");
-    }
-
-    #[test]
-    fn warm_start_never_worse_than_seed_quality() {
-        let mut state = 0xABCDEFu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        for _ in 0..40 {
-            let m = 3 + (next() * 6.0) as usize;
-            let k = 2 + (next() * 6.0) as usize;
-            let open: Vec<f64> = (0..m).map(|_| next() * 20.0).collect();
-            let conn: Vec<Vec<f64>> = (0..m)
-                .map(|_| (0..k).map(|_| next() * 8.0).collect())
-                .collect();
-            let inst = UflInstance::new(open, conn);
-            let cold = solve(&inst).unwrap();
-            let warm = solve_warm(&inst, &cold).unwrap();
-            assert!(warm.cost <= cold.cost + 1e-9);
-            assert!(warm.validate(&inst).is_ok());
         }
     }
 }

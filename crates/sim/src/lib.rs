@@ -12,7 +12,6 @@
 //! * [`Transport`] — store-and-forward unicast and flooding broadcast with
 //!   propagation (10 ms/hop), transmission (`bytes / bandwidth`), and
 //!   queueing delays, plus per-node byte accounting.
-//! * [`gini`] / [`RunningStats`] — the evaluation metrics of Figs. 4–5.
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@
 pub mod event;
 pub mod fault;
 pub mod geometry;
-pub mod metrics;
 pub mod pool;
 pub mod topology;
 pub mod transport;
@@ -50,7 +48,6 @@ pub use fault::{
     FaultPlan, FaultPlanError, RoleAssignment,
 };
 pub use geometry::{CellGrid, Field, Point};
-pub use metrics::{gini, gini_counts, RunningStats, SampleSet};
 pub use topology::{NodeId, Topology, TopologyConfig, TopologyError, UNREACHABLE};
 pub use transport::{
     BroadcastDeliveries, Delivery, Payload, TrafficStats, Transport, TransportConfig,

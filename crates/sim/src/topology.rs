@@ -1284,9 +1284,7 @@ mod tests {
     fn bounded_bfs_respects_mask() {
         let t = line_topology(6, 60.0);
         let mut mask = vec![false; 6];
-        for i in 0..3 {
-            mask[i] = true;
-        }
+        mask[..3].fill(true);
         let rows = t.bfs_bounded(NodeId(0), 10, Some(&mask));
         let ids: Vec<usize> = rows.iter().map(|(v, _)| v.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);

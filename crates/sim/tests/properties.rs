@@ -2,9 +2,10 @@
 //! transport conservation laws, and metric bounds.
 
 use edgechain_sim::{
-    gini, EventQueue, NodeId, Point, SampleSet, SimTime, Topology, TopologyConfig, Transport,
-    TransportConfig, UNREACHABLE,
+    EventQueue, NodeId, Point, SimTime, Topology, TopologyConfig, Transport, TransportConfig,
+    UNREACHABLE,
 };
+use edgechain_telemetry::{gini, SampleSet};
 use proptest::prelude::*;
 use rand::SeedableRng;
 

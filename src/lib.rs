@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`core`] | `edgechain-core` | blocks, metadata, PoS/PoW, allocation, the full network simulation |
 //! | [`crypto`] | `edgechain-crypto` | SHA-256, HMAC, Merkle trees, signatures, `U256` |
-//! | [`sim`] | `edgechain-sim` | discrete-event engine, wireless topology, transport, metrics |
+//! | [`sim`] | `edgechain-sim` | discrete-event engine, wireless topology, transport |
 //! | [`facility`] | `edgechain-facility` | uncapacitated facility location solvers |
 //! | [`raft`] | `edgechain-raft` | raft consensus for general information agreement |
 //! | [`energy`] | `edgechain-energy` | battery and device energy models |
@@ -58,7 +58,8 @@ pub mod prelude {
     pub use edgechain_energy::{Battery, DeviceProfile, EnergyMeter};
     pub use edgechain_facility::{fdc, solve, UflInstance};
     pub use edgechain_sim::{
-        gini, ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime, Topology, TopologyConfig,
-        Transport, TransportConfig,
+        ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime, Topology, TopologyConfig, Transport,
+        TransportConfig,
     };
+    pub use edgechain_telemetry::gini;
 }

@@ -299,3 +299,45 @@ fn telemetry_does_not_perturb_the_simulation() {
         .iter()
         .all(|(name, _)| !name.ends_with("_ns")));
 }
+
+/// The caches must actually work on the chaos run: faults churn the
+/// topology (allocation rebuilds), item stores patch FDC costs in place,
+/// block-time allocations reuse the solution; the second PoS round per
+/// height reads the first one's hits; and a block is encoded about once,
+/// however many broadcasts, recoveries and wire-size queries it serves.
+#[test]
+fn caches_are_exercised_on_the_chaos_run() {
+    let (_, report, _) = run_traced();
+    let snapshot = report.telemetry.expect("telemetry was armed");
+    let count = |name: &str| snapshot.counter(name).unwrap_or(0);
+
+    let (hit, miss) = (count("ufl.cache_hit"), count("ufl.cache_miss"));
+    assert!(hit > 0, "expected solution reuse, got {hit} hits");
+    assert!(miss > 0, "expected topology-driven rebuilds, got {miss}");
+    assert!(
+        count("ufl.incremental_updates") > 0,
+        "expected incremental FDC patches"
+    );
+    // Every mined block triggers at least two allocation calls (block
+    // storers + recent growth) beyond the per-item ones, so hits must be
+    // a substantial share of the calls.
+    let solves = count("ufl.solve_calls");
+    assert!(
+        hit >= solves / 4,
+        "cache barely used: {hit} hits vs {solves} solves"
+    );
+
+    let (pos_hit, pos_miss) = (count("pos.hit_cache_hit"), count("pos.hit_cache_miss"));
+    assert!(pos_miss > 0, "first round per height must miss");
+    assert!(
+        pos_hit >= pos_miss / 2,
+        "second round per height should mostly hit: {pos_hit} hits vs {pos_miss} misses"
+    );
+
+    let (mined, encodes) = (count("block.mined"), count("codec.block_encodes"));
+    assert!(mined > 0);
+    assert!(
+        encodes <= 2 * mined,
+        "seal cache leaking encodes: {encodes} encodes for {mined} blocks"
+    );
+}
