@@ -65,33 +65,46 @@ pub fn build_instance_scaled(
         storage.len(),
         "one storage manager per topology node"
     );
-    let live = live_nodes(topology);
-    build_instance_with_live(topology, storage, fdc_scale, &live)
+    build_instance_over(topology, storage, fdc_scale, &live_nodes(topology), None)
 }
 
-/// Core instance builder over an already-computed live set, so callers that
-/// need `live` for index mapping don't recompute it. Uses the topology's
-/// cached RDC rows; produces bit-identical costs to the original
-/// `from_costs` construction (`A·f_i` with identical operation order).
-fn build_instance_with_live(
+/// Core instance builder over an already-computed member set (solver index
+/// → node id), so callers that need the mapping don't recompute it.
+/// Connect rows are gathered from the topology's cached RDC rows, or —
+/// with `bounded: Some((horizon, mask))` — priced from a BFS confined to
+/// the mask and cut at `horizon` hops, peers beyond it taking the
+/// unreachable penalty. Opening costs are `A·f_i` with the operation order
+/// of the original `from_costs` construction.
+fn build_instance_over(
     topology: &Topology,
     storage: &[NodeStorage],
     fdc_scale: f64,
-    live: &[usize],
+    members: &[usize],
+    bounded: Option<(u32, &[bool])>,
 ) -> UflInstance {
+    let connect_row = |f: usize| -> Vec<f64> {
+        let Some((horizon, mask)) = bounded else {
+            let row = topology.rdc_row(NodeId(f));
+            return members.iter().map(|&c| row[c]).collect();
+        };
+        let mut hops_to = vec![UNREACHABLE; members.len()];
+        for (v, h) in topology.bfs_bounded(NodeId(f), horizon, Some(mask)) {
+            let li = members
+                .binary_search(&v.0)
+                .expect("bounded bfs stays in mask");
+            hops_to[li] = h;
+        }
+        let priced = members.iter().zip(hops_to);
+        priced
+            .map(|(&c, h)| topology.rdc_from_hops(NodeId(f), NodeId(c), h))
+            .collect()
+    };
     telemetry::time_wall("ufl.build_ns", || {
-        let open_cost: Vec<f64> = live
+        let open_cost: Vec<f64> = members
             .iter()
             .map(|&i| scaled_open_cost(&storage[i], fdc_scale))
             .collect();
-        let connect: Vec<Vec<f64>> = live
-            .iter()
-            .map(|&a| {
-                let row = topology.rdc_row(NodeId(a));
-                live.iter().map(|&b| row[b]).collect()
-            })
-            .collect();
-        UflInstance::new(open_cost, connect)
+        UflInstance::new(open_cost, members.iter().map(|&f| connect_row(f)).collect())
     })
 }
 
@@ -172,7 +185,7 @@ pub fn select_storers_scaled<R: Rng + ?Sized>(
     if live.is_empty() {
         return Err(SolveError::NoFeasibleFacility);
     }
-    let instance = build_instance_with_live(topology, storage, fdc_scale, &live);
+    let instance = build_instance_over(topology, storage, fdc_scale, &live, None);
     let solution = solve(&instance)?;
     storers_from_solution(placement, &solution, &live, storage, rng)
 }
@@ -195,21 +208,33 @@ fn storers_from_solution<R: Rng + ?Sized>(
         .into_iter()
         .map(|f| NodeId(live[f]))
         .collect();
+    place(placement, optimal, live, storage, rng)
+}
+
+/// Turns the solver's `optimal` storers into the final answer: as they
+/// are, or — for [`Placement::Random`] — as many uniformly drawn non-full
+/// nodes of `universe`.
+fn place<R: Rng + ?Sized>(
+    placement: Placement,
+    optimal: Vec<NodeId>,
+    universe: &[usize],
+    storage: &[NodeStorage],
+    rng: &mut R,
+) -> Result<Vec<NodeId>, SolveError> {
     match placement {
         Placement::NoProactive => unreachable!("handled by callers"),
         Placement::Optimal => Ok(optimal),
         Placement::Random => {
-            let candidates: Vec<NodeId> = live
+            let mut picked: Vec<NodeId> = universe
                 .iter()
                 .copied()
                 .filter(|&i| !storage[i].is_full())
                 .map(NodeId)
                 .collect();
-            if candidates.is_empty() {
+            if picked.is_empty() {
                 return Err(SolveError::NoFeasibleFacility);
             }
-            let k = optimal.len().min(candidates.len());
-            let mut picked = candidates;
+            let k = optimal.len().min(picked.len());
             picked.shuffle(rng);
             picked.truncate(k);
             picked.sort();
@@ -225,7 +250,7 @@ fn storers_from_solution<R: Rng + ?Sized>(
 ///
 /// Correctness rests on two observations:
 ///
-/// 1. The instance depends only on the topology (via the cached RDC matrix
+/// 1. The instance depends only on the topology (via the cached RDC rows
 ///    and the live set) and each live node's used-slot count. The topology
 ///    exposes an [`Topology::epoch`] that bumps on every route/RDC change,
 ///    and used slots are cheap to diff — so staleness detection is `O(n)`
@@ -250,17 +275,11 @@ pub struct AllocationContext {
     /// Region-decomposed allocation state (ISSUE 9 tentpole), present when
     /// the scale path is enabled via [`AllocationContext::with_regions`].
     regions: Option<RegionEngine>,
-    /// Topology epoch the cached instance was built against.
+    /// Topology epoch `global` was cut against.
     topo_epoch: Option<u64>,
-    /// Live-node universe of the cached instance (solver index → node id).
-    live: Vec<usize>,
-    /// Used-slot count per live node at last refresh, for FDC dirty checks.
-    last_used: Vec<u64>,
-    instance: Option<UflInstance>,
-    /// Cached solve outcome for the current instance state; invalidated on
-    /// any instance change. Errors are cached too (a full network stays
-    /// full until state changes).
-    solution: Option<Result<UflSolution, SolveError>>,
+    /// The global engine's cache: one region whose members are the live
+    /// nodes, priced from full RDC rows instead of horizon-bounded ones.
+    global: Region,
 }
 
 impl Default for AllocationContext {
@@ -276,10 +295,7 @@ impl AllocationContext {
             fdc_scale,
             regions: None,
             topo_epoch: None,
-            live: Vec::new(),
-            last_used: Vec::new(),
-            instance: None,
-            solution: None,
+            global: Region::new(Vec::new(), Vec::new()),
         }
     }
 
@@ -287,19 +303,18 @@ impl AllocationContext {
     /// partition parameters; [`AllocationContext::select_storers_regional`]
     /// requires it (it falls back to default parameters otherwise).
     pub fn with_regions(mut self, params: RegionParams) -> Self {
-        self.regions = Some(RegionEngine::new(params));
+        self.regions = Some(RegionEngine {
+            params,
+            ..RegionEngine::default()
+        });
         self
     }
 
-    /// Drops all cached state; the next call rebuilds from scratch.
+    /// Marks all cached state stale; the next call rebuilds from scratch.
     pub fn invalidate(&mut self) {
         self.topo_epoch = None;
-        self.instance = None;
-        self.solution = None;
         if let Some(engine) = &mut self.regions {
             engine.topo_epoch = None;
-            engine.regions.clear();
-            engine.region_of.clear();
         }
     }
 
@@ -321,27 +336,6 @@ impl AllocationContext {
         if placement == Placement::NoProactive {
             return Ok(Vec::new());
         }
-        self.refresh(topology, storage);
-        if self.live.is_empty() {
-            return Err(SolveError::NoFeasibleFacility);
-        }
-        if self.solution.is_some() {
-            telemetry::counter_add("ufl.cache_hit", 1);
-        } else {
-            let instance = self.instance.as_ref().expect("refresh built an instance");
-            self.solution = Some(solve(instance));
-        }
-        match self.solution.as_ref().expect("just populated") {
-            Ok(sol) => storers_from_solution(placement, sol, &self.live, storage, rng),
-            Err(e) => Err(*e),
-        }
-    }
-
-    /// Brings the cached instance in sync with the world: full rebuild when
-    /// the topology changed (or nothing is cached), in-place FDC patches
-    /// when only storage occupancy drifted, nothing when state is
-    /// untouched.
-    fn refresh(&mut self, topology: &Topology, storage: &[NodeStorage]) {
         assert_eq!(
             topology.len(),
             storage.len(),
@@ -350,36 +344,16 @@ impl AllocationContext {
         let epoch = topology.epoch();
         if self.topo_epoch != Some(epoch) {
             telemetry::counter_add("ufl.cache_miss", 1);
-            self.live = live_nodes(topology);
-            self.last_used = self.live.iter().map(|&i| storage[i].used_slots()).collect();
-            self.instance = if self.live.is_empty() {
-                None
-            } else {
-                Some(build_instance_with_live(
-                    topology,
-                    storage,
-                    self.fdc_scale,
-                    &self.live,
-                ))
-            };
-            self.solution = None;
+            self.global = Region::new(live_nodes(topology), Vec::new());
             self.topo_epoch = Some(epoch);
-            return;
         }
-        // Same topology: only FDC (occupancy) costs can have drifted.
-        let mut dirty = 0u64;
-        for (idx, &node) in self.live.iter().enumerate() {
-            let used = storage[node].used_slots();
-            if used != self.last_used[idx] {
-                self.last_used[idx] = used;
-                let instance = self.instance.as_mut().expect("live is non-empty");
-                instance.set_open_cost(idx, scaled_open_cost(&storage[node], self.fdc_scale));
-                dirty += 1;
-            }
+        if self.global.members.is_empty() {
+            return Err(SolveError::NoFeasibleFacility);
         }
-        if dirty > 0 {
-            telemetry::counter_add("ufl.incremental_updates", dirty);
-            self.solution = None;
+        self.global.sync(topology, storage, self.fdc_scale, None);
+        match self.global.solution.as_ref().expect("sync solved it") {
+            Ok(sol) => storers_from_solution(placement, sol, &self.global.members, storage, rng),
+            Err(e) => Err(*e),
         }
     }
 
@@ -419,9 +393,7 @@ impl AllocationContext {
             return Ok(Vec::new());
         }
         let fdc_scale = self.fdc_scale;
-        let engine = self
-            .regions
-            .get_or_insert_with(|| RegionEngine::new(RegionParams::default()));
+        let engine = self.regions.get_or_insert_with(RegionEngine::default);
         let horizon = engine.params.horizon;
         let epoch = topology.epoch();
         if engine.topo_epoch != Some(epoch) {
@@ -448,21 +420,11 @@ impl AllocationContext {
             .filter(|r| !order.contains(r))
             .collect();
         order.extend(rest);
-        let mut chosen = None;
-        for r in order {
-            ensure_region_solved(
-                &mut engine.regions[r],
-                topology,
-                storage,
-                fdc_scale,
-                horizon,
-            );
-            if matches!(engine.regions[r].solution, Some(Ok(_))) {
-                chosen = Some(r);
-                break;
-            }
-        }
-        let Some(r) = chosen else {
+        let solved = |r: &usize| {
+            engine.regions[*r].sync(topology, storage, fdc_scale, Some(horizon));
+            matches!(engine.regions[*r].solution, Some(Ok(_)))
+        };
+        let Some(r) = order.into_iter().find(solved) else {
             return Err(SolveError::NoFeasibleFacility);
         };
 
@@ -470,9 +432,8 @@ impl AllocationContext {
         // against adjacent regions' already-solved opens (free absorbers).
         let region = &engine.regions[r];
         let instance = region.instance.as_ref().expect("chosen region was built");
-        let sol = match region.solution.as_ref().expect("chosen region was solved") {
-            Ok(s) => s,
-            Err(e) => return Err(*e),
+        let Some(Ok(sol)) = &region.solution else {
+            unreachable!("the chosen region solved");
         };
         let k = region.members.len();
         let local_opens = sol.open_facilities();
@@ -532,28 +493,7 @@ impl AllocationContext {
             .into_iter()
             .map(NodeId)
             .collect();
-        match placement {
-            Placement::NoProactive => unreachable!("handled above"),
-            Placement::Optimal => Ok(optimal),
-            Placement::Random => {
-                let candidates: Vec<NodeId> = region
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&i| !storage[i].is_full())
-                    .map(NodeId)
-                    .collect();
-                if candidates.is_empty() {
-                    return Err(SolveError::NoFeasibleFacility);
-                }
-                let count = optimal.len().min(candidates.len());
-                let mut picked = candidates;
-                picked.shuffle(rng);
-                picked.truncate(count);
-                picked.sort();
-                Ok(picked)
-            }
-        }
+        place(placement, optimal, &region.members, storage, rng)
     }
 }
 
@@ -577,42 +517,36 @@ impl Default for RegionParams {
     }
 }
 
-/// One radio-connected region: the members of one coarse grid cell that
-/// reach each other through in-cell links, plus its cached UFL state.
+/// The one cached-UFL unit: a member set with its instance and solution.
+/// The regional engine holds one per radio-connected region (the members
+/// of one coarse grid cell that reach each other through in-cell links);
+/// the global engine holds a single one over every live node.
 #[derive(Debug, Clone)]
 struct Region {
-    /// Global node indices, ascending.
+    /// Global node indices, ascending (solver index → node id).
     members: Vec<usize>,
-    /// `n`-length membership mask for horizon-bounded BFS.
+    /// `n`-length membership mask for horizon-bounded BFS (regional only).
     mask: Vec<bool>,
     /// Indices of regions in the 3×3 coarse-cell neighborhood.
     adjacent: Vec<usize>,
     /// Used-slot counts at last refresh (FDC dirty checks).
     last_used: Vec<u64>,
     instance: Option<UflInstance>,
+    /// Solve outcome for the current instance state; dropped on any
+    /// instance change. Errors are cached too (a full network stays full
+    /// until state changes).
     solution: Option<Result<UflSolution, SolveError>>,
 }
 
 /// Cached region partition plus per-region UFL state; rebuilt when the
 /// topology epoch moves, patched in place when only occupancy drifts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RegionEngine {
     params: RegionParams,
     topo_epoch: Option<u64>,
     regions: Vec<Region>,
     /// Node index → region index (`None` for crashed nodes).
     region_of: Vec<Option<usize>>,
-}
-
-impl RegionEngine {
-    fn new(params: RegionParams) -> Self {
-        RegionEngine {
-            params,
-            topo_epoch: None,
-            regions: Vec::new(),
-            region_of: Vec::new(),
-        }
-    }
 }
 
 /// Partitions the live nodes into radio-connected regions: bucket by
@@ -669,14 +603,7 @@ fn partition_regions(
                 mask[c] = true;
             }
             cell_regions.entry(key).or_default().push(idx);
-            regions.push(Region {
-                members: comp,
-                mask,
-                adjacent: Vec::new(),
-                last_used: Vec::new(),
-                instance: None,
-                solution: None,
-            });
+            regions.push(Region::new(comp, mask));
         }
         for &m in members {
             in_cell[m] = false;
@@ -704,62 +631,59 @@ fn partition_regions(
     (regions, region_of)
 }
 
-/// Brings one region's cached UFL state in sync: builds the instance from
-/// horizon-bounded BFS rows when absent, patches drifted open costs in
-/// place otherwise, and (re-)solves only when needed.
-fn ensure_region_solved(
-    region: &mut Region,
-    topology: &Topology,
-    storage: &[NodeStorage],
-    fdc_scale: f64,
-    horizon: u32,
-) {
-    if let Some(instance) = region.instance.as_mut() {
-        let mut dirty = 0u64;
-        for (li, &i) in region.members.iter().enumerate() {
-            let used = storage[i].used_slots();
-            if used != region.last_used[li] {
-                region.last_used[li] = used;
-                instance.set_open_cost(li, scaled_open_cost(&storage[i], fdc_scale));
-                dirty += 1;
-            }
+impl Region {
+    /// An unsolved region over `members`; adjacency is filled in by
+    /// [`partition_regions`].
+    fn new(members: Vec<usize>, mask: Vec<bool>) -> Self {
+        Region {
+            members,
+            mask,
+            adjacent: Vec::new(),
+            last_used: Vec::new(),
+            instance: None,
+            solution: None,
         }
-        if dirty > 0 {
-            telemetry::counter_add("ufl.incremental_updates", dirty);
-            region.solution = None;
-        }
-    } else {
-        let members = &region.members;
-        let k = members.len();
-        let instance = telemetry::time_wall("ufl.build_ns", || {
-            let open_cost: Vec<f64> = members
-                .iter()
-                .map(|&i| scaled_open_cost(&storage[i], fdc_scale))
-                .collect();
-            let mut connect = vec![vec![0.0f64; k]; k];
-            for (fi, &f) in members.iter().enumerate() {
-                let mut hops_to = vec![UNREACHABLE; k];
-                for (v, h) in topology.bfs_bounded(NodeId(f), horizon, Some(&region.mask)) {
-                    let li = members
-                        .binary_search(&v.0)
-                        .expect("bounded bfs stays in mask");
-                    hops_to[li] = h;
-                }
-                for ci in 0..k {
-                    connect[fi][ci] =
-                        topology.rdc_from_hops(NodeId(f), NodeId(members[ci]), hops_to[ci]);
-                }
-            }
-            UflInstance::new(open_cost, connect)
-        });
-        region.last_used = members.iter().map(|&i| storage[i].used_slots()).collect();
-        region.instance = Some(instance);
-        region.solution = None;
     }
-    if region.solution.is_none() {
-        region.solution = Some(solve(region.instance.as_ref().expect("instance present")));
-    } else {
-        telemetry::counter_add("ufl.cache_hit", 1);
+
+    /// Brings the cached UFL state in sync, leaving `solution` filled:
+    /// builds the instance when absent — connect rows bounded to `horizon`
+    /// hops inside the mask, or full RDC rows with `None` — patches drifted
+    /// open costs in place otherwise (the `O(k²)` connect matrix is
+    /// untouched), and (re-)solves only when something changed.
+    fn sync(
+        &mut self,
+        topology: &Topology,
+        storage: &[NodeStorage],
+        fdc_scale: f64,
+        horizon: Option<u32>,
+    ) {
+        let members = &self.members;
+        if let Some(instance) = self.instance.as_mut() {
+            let mut dirty = 0u64;
+            for (li, &i) in members.iter().enumerate() {
+                let used = storage[i].used_slots();
+                if used != self.last_used[li] {
+                    self.last_used[li] = used;
+                    instance.set_open_cost(li, scaled_open_cost(&storage[i], fdc_scale));
+                    dirty += 1;
+                }
+            }
+            if dirty > 0 {
+                telemetry::counter_add("ufl.incremental_updates", dirty);
+                self.solution = None;
+            }
+        } else {
+            let bounded = horizon.map(|h| (h, &self.mask[..]));
+            let instance = build_instance_over(topology, storage, fdc_scale, members, bounded);
+            self.instance = Some(instance);
+            self.last_used = members.iter().map(|&i| storage[i].used_slots()).collect();
+            self.solution = None;
+        }
+        if self.solution.is_none() {
+            self.solution = Some(solve(self.instance.as_ref().expect("instance present")));
+        } else {
+            telemetry::counter_add("ufl.cache_hit", 1);
+        }
     }
 }
 
@@ -907,42 +831,69 @@ mod tests {
 
     /// The cached context must reproduce the one-shot path exactly across
     /// a mutating workload: storage writes, node crashes/restarts, and
-    /// mobility changes, under both placements.
+    /// mobility changes, under both placements. The regional engine runs
+    /// on the same cache unit: with a single all-covering region (cell ≥
+    /// field side, horizon ≥ n) it must stay feasible through the same
+    /// mutations and replay identically.
     #[test]
     fn context_matches_one_shot_path_through_mutations() {
-        let mut rng = StdRng::seed_from_u64(0xA11C);
-        let mut topo = Topology::random_connected(15, TopologyConfig::default(), &mut rng).unwrap();
-        let mut storage = vec![NodeStorage::new(40); 15];
-        let mut ctx = AllocationContext::default();
-        // Two independent rngs with identical seeds: each path must draw
-        // the same stream for Random placement.
-        let mut rng_a = StdRng::seed_from_u64(0xD1CE);
-        let mut rng_b = StdRng::seed_from_u64(0xD1CE);
-        for step in 0..60usize {
-            let placement = match step % 3 {
-                0 => Placement::Optimal,
-                1 => Placement::Random,
-                _ => Placement::NoProactive,
-            };
-            let one_shot = select_storers(placement, &topo, &storage, &mut rng_a);
-            let cached = ctx.select_storers(placement, &topo, &storage, &mut rng_b);
-            assert_eq!(one_shot, cached, "step {step} ({placement})");
-            // Mutate the world between calls.
-            if let Ok(nodes) = &one_shot {
-                for n in nodes {
-                    storage[n.0].store_data(DataId(step as u64));
+        let workload = || {
+            let mut rng = StdRng::seed_from_u64(0xA11C);
+            let mut topo =
+                Topology::random_connected(15, TopologyConfig::default(), &mut rng).unwrap();
+            let mut storage = vec![NodeStorage::new(40); 15];
+            let mut ctx = AllocationContext::default();
+            let mut regional_ctx = AllocationContext::default().with_regions(RegionParams {
+                cell_m: 1_000.0,
+                horizon: 15,
+            });
+            // Independent rngs with identical seeds: each path must draw
+            // the same stream for Random placement.
+            let mut rng_a = StdRng::seed_from_u64(0xD1CE);
+            let mut rng_b = StdRng::seed_from_u64(0xD1CE);
+            let mut rng_r = StdRng::seed_from_u64(0xD1CE);
+            let mut regional_picks = Vec::new();
+            for step in 0..60usize {
+                let placement = match step % 3 {
+                    0 => Placement::Optimal,
+                    1 => Placement::Random,
+                    _ => Placement::NoProactive,
+                };
+                let one_shot = select_storers(placement, &topo, &storage, &mut rng_a);
+                let cached = ctx.select_storers(placement, &topo, &storage, &mut rng_b);
+                assert_eq!(one_shot, cached, "step {step} ({placement})");
+                let origin = NodeId(step % 15);
+                let regional = regional_ctx
+                    .select_storers_regional(placement, origin, &topo, &storage, &mut rng_r)
+                    .unwrap_or_else(|e| panic!("step {step} ({placement}): regional {e:?}"));
+                assert_eq!(
+                    regional.is_empty(),
+                    placement == Placement::NoProactive,
+                    "step {step} ({placement}): regional picked {regional:?}"
+                );
+                for n in &regional {
+                    assert!(topo.is_active(*n) && !storage[n.0].is_full());
+                }
+                regional_picks.push(regional);
+                // Mutate the world between calls.
+                if let Ok(nodes) = &one_shot {
+                    for n in nodes {
+                        storage[n.0].store_data(DataId(step as u64));
+                    }
+                }
+                if step == 20 {
+                    topo.set_active(NodeId(3), false);
+                }
+                if step == 35 {
+                    topo.set_active(NodeId(3), true);
+                }
+                if step == 45 {
+                    topo.set_mobility_range(NodeId(7), 25.0);
                 }
             }
-            if step == 20 {
-                topo.set_active(NodeId(3), false);
-            }
-            if step == 35 {
-                topo.set_active(NodeId(3), true);
-            }
-            if step == 45 {
-                topo.set_mobility_range(NodeId(7), 25.0);
-            }
-        }
+            regional_picks
+        };
+        assert_eq!(workload(), workload(), "regional engine drifted on rerun");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use edgechain_sim::{
 use edgechain_telemetry::{
     self as telemetry, gini_counts, trace_event, RegistrySnapshot, RunningStats, SampleSet, SpanId,
 };
-use edgechain_workload::{OverloadConfig, TokenBucket, WorkloadConfig, ZipfSampler};
+use edgechain_workload::{OpenArrivals, OverloadConfig, TokenBucket, WorkloadConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -58,6 +58,15 @@ const DATA_REQUEST_BYTES: u64 = 256;
 const BLOCK_REQUEST_BYTES: u64 = 128;
 /// How long a requester waits before concluding a storer denied service.
 const DENIAL_TIMEOUT: SimTime = SimTime::from_secs(1);
+/// Fraction of nodes acting as data requesters (paper: 10 %).
+const REQUESTER_FRACTION: f64 = 0.10;
+/// Raft timer poll period (when `raft_consensus`).
+const RAFT_TICK: SimTime = SimTime::from_millis(100);
+/// Service denials a storer gets away with before the denial strikes
+/// escalate to a quarantine (only metered when a Byzantine engine is
+/// active; plain `malicious_fraction` runs keep the paper's
+/// invalidate-and-route-around behavior unchanged).
+const DENIAL_QUARANTINE_THRESHOLD: u32 = 3;
 
 /// Full configuration of a simulation run. Defaults reproduce the paper's
 /// §VI setup.
@@ -75,8 +84,6 @@ pub struct NetworkConfig {
     pub storage_slots: u64,
     /// Size of each data item in bytes (paper: 1 MB).
     pub data_item_bytes: u64,
-    /// Fraction of nodes acting as data requesters (paper: 10 %).
-    pub requester_fraction: f64,
     /// How often each requester asks for a random known item (seconds).
     pub request_interval_secs: u64,
     /// Mobility re-randomization period (seconds).
@@ -104,8 +111,6 @@ pub struct NetworkConfig {
     /// other bytes. Off by default so Figs. 4–5 isolate the blockchain
     /// protocols, matching the paper's accounting.
     pub raft_consensus: bool,
-    /// Raft timer poll period in milliseconds (when `raft_consensus`).
-    pub raft_tick_ms: u64,
     /// Placement strategy (Fig. 5 compares Optimal vs Random).
     pub placement: Placement,
     /// Geometric network parameters.
@@ -151,11 +156,6 @@ pub struct NetworkConfig {
     /// stake is slashed (Eq. 7's `S_i`); they are re-admitted when the
     /// window expires.
     pub quarantine_secs: u64,
-    /// Service denials a storer gets away with before the denial strikes
-    /// escalate to a quarantine (only metered when a Byzantine engine is
-    /// active; plain `malicious_fraction` runs keep the paper's
-    /// invalidate-and-route-around behavior unchanged).
-    pub denial_quarantine_threshold: u32,
     /// Collapse blocks strictly below the latest checkpoint minus
     /// [`NetworkConfig::prune_retention_blocks`] into a signed,
     /// Merkle-committed [`crate::chain::ChainAnchor`], reclaiming the
@@ -175,11 +175,6 @@ pub struct NetworkConfig {
     /// one is rejected, the server blacklisted, and the next-nearest
     /// provider tried. Only consulted when `prune_blocks` is on.
     pub snapshot_bootstrap: bool,
-    /// Meter safety invariants after *every* event on fault runs (the
-    /// legacy cadence, which walks all data items per event). Off by
-    /// default: the checker observes at blocks, expiry sweeps, and fault
-    /// ticks — the only instants state can change in a way the rules see.
-    pub invariant_every_event: bool,
     /// SLO thresholds and rolling-window geometry for the health monitor
     /// (see [`crate::slo`]). The monitor always runs — it is pure
     /// observation over numbers the simulation computes anyway — and its
@@ -242,7 +237,6 @@ impl Default for NetworkConfig {
             block_interval_secs: 60,
             storage_slots: 250,
             data_item_bytes: 1_000_000,
-            requester_fraction: 0.10,
             request_interval_secs: 300,
             mobility_interval_secs: 60,
             data_valid_minutes: 1440,
@@ -252,7 +246,6 @@ impl Default for NetworkConfig {
             migration: crate::migration::MigrationConfig::default(),
             malicious_fraction: 0.0,
             raft_consensus: false,
-            raft_tick_ms: 100,
             placement: Placement::Optimal,
             topology: TopologyConfig::default(),
             transport: TransportConfig::default(),
@@ -266,11 +259,9 @@ impl Default for NetworkConfig {
             replica_repair: true,
             checkpoint_interval: 10,
             quarantine_secs: 900,
-            denial_quarantine_threshold: 3,
             prune_blocks: false,
             prune_retention_blocks: 16,
             snapshot_bootstrap: false,
-            invariant_every_event: false,
             slo: SloThresholds::default(),
             region_alloc: false,
             region_cell_m: 140.0,
@@ -702,6 +693,8 @@ pub struct EdgeNetwork {
     fetch_backlog: HashMap<(usize, u64), u32>,
     /// Per-node count of backlogged fetches (mirror of `fetch_backlog`).
     inflight_fetches: Vec<u32>,
+    /// Total backlogged fetches (the sum of `fetch_backlog`'s counts).
+    backlog_total: u64,
 }
 
 /// Open-span bookkeeping for the causal trace layer.
@@ -724,6 +717,40 @@ struct SpanTracker {
     fetch_backoffs: HashMap<(usize, u64), SpanId>,
     /// `node → quarantine.window span` for currently quarantined nodes.
     quarantines: HashMap<usize, SpanId>,
+}
+
+/// The next arrival of an open-workload process after `now`, at least a
+/// millisecond out; `None` once the process has gone silent.
+fn next_arrival(arrivals: &OpenArrivals, now: SimTime, rng: &mut StdRng) -> Option<SimTime> {
+    let t = arrivals.next_arrival_secs(now.as_millis() as f64 / 1000.0, rng);
+    t.is_finite().then(|| {
+        SimTime::from_millis((t * 1000.0).ceil() as u64).max(now + SimTime::from_millis(1))
+    })
+}
+
+/// An adversary's content-free block on top of `prev`: no metadata, no
+/// storer assignments of its own, `prev`'s storers carried forward.
+fn empty_block_on(
+    prev: &Block,
+    timestamp_secs: u64,
+    pos_hash: edgechain_crypto::Digest,
+    miner: AccountId,
+    delay_secs: u64,
+    amendment: crate::pos::Amendment,
+) -> Block {
+    Block::new(
+        prev.index + 1,
+        prev.hash,
+        timestamp_secs,
+        pos_hash,
+        miner,
+        delay_secs,
+        amendment,
+        Vec::new(),
+        Vec::new(),
+        prev.storing_nodes.clone(),
+        Vec::new(),
+    )
 }
 
 impl EdgeNetwork {
@@ -756,8 +783,7 @@ impl EdgeNetwork {
             .enumerate()
             .map(|(i, &a)| (a, NodeId(i)))
             .collect();
-        let n_requesters =
-            ((config.nodes as f64 * config.requester_fraction).ceil() as usize).max(1);
+        let n_requesters = ((config.nodes as f64 * REQUESTER_FRACTION).ceil() as usize).max(1);
         let mut ids: Vec<NodeId> = (0..config.nodes).map(NodeId).collect();
         // Deterministic shuffle for requester roles.
         for i in (1..ids.len()).rev() {
@@ -810,7 +836,7 @@ impl EdgeNetwork {
                     interval: config.checkpoint_interval.max(1),
                 },
                 config.quarantine_secs,
-                config.denial_quarantine_threshold.max(1),
+                DENIAL_QUARANTINE_THRESHOLD,
             ))
         } else {
             None
@@ -913,6 +939,7 @@ impl EdgeNetwork {
             degrade_level: 0,
             fetch_backlog: HashMap::new(),
             inflight_fetches: vec![0; config.nodes],
+            backlog_total: 0,
             rng,
             config,
         };
@@ -925,8 +952,7 @@ impl EdgeNetwork {
         for s in &mut self.storage {
             s.cache_recent(0);
         }
-        let first_gen = self.sample_generation_gap();
-        self.queue.schedule(first_gen, Event::GenerateData);
+        self.schedule_next_generation();
         if self.config.workload.enabled && self.config.workload.fetches.is_some() {
             self.schedule_workload_fetch();
         }
@@ -989,11 +1015,14 @@ impl EdgeNetwork {
                     )
                 })
                 .collect();
-            self.queue.schedule(
-                SimTime::from_millis(self.config.raft_tick_ms.max(1)),
-                Event::RaftTick,
-            );
+            self.queue.schedule(RAFT_TICK, Event::RaftTick);
         }
+    }
+
+    /// Arms the next `GenerateData` event one inter-arrival gap from now.
+    fn schedule_next_generation(&mut self) {
+        let next = self.sample_generation_gap();
+        self.queue.schedule(next, Event::GenerateData);
     }
 
     fn sample_generation_gap(&mut self) -> SimTime {
@@ -1002,17 +1031,9 @@ impl EdgeNetwork {
             // times on its own seeded stream (Lewis–Shedler thinning for
             // the time-varying shapes). A silent process parks the next
             // event past the horizon so the queue still drains cleanly.
-            let now_secs = self.queue.now().as_millis() as f64 / 1000.0;
-            let t = self
-                .config
-                .workload
-                .arrivals
-                .next_arrival_secs(now_secs, &mut self.workload_rng);
-            if !t.is_finite() {
-                return SimTime::from_secs(self.config.sim_minutes * 60 + 3600);
-            }
-            return SimTime::from_millis((t * 1000.0).ceil() as u64)
-                .max(self.queue.now() + SimTime::from_millis(1));
+            let arrivals = &self.config.workload.arrivals;
+            return next_arrival(arrivals, self.queue.now(), &mut self.workload_rng)
+                .unwrap_or(SimTime::from_secs(self.config.sim_minutes * 60 + 3600));
         }
         // Closed loop: exponential inter-arrivals with mean 60/rate seconds.
         let rate_per_sec = self.config.data_items_per_min / 60.0;
@@ -1100,8 +1121,8 @@ impl EdgeNetwork {
     /// Executes the run and also reports the end-of-run topology memory
     /// estimate (adjacency plus route-state bytes) — the scale bench's
     /// allocated-bytes column. Deliberately *not* a [`RunReport`] field:
-    /// the dense and sparse route representations legitimately differ
-    /// here while every simulation outcome stays byte-identical.
+    /// eager and lazy route fill legitimately differ here while every
+    /// simulation outcome stays byte-identical.
     pub fn run_with_memory(mut self) -> (RunReport, usize) {
         self.drive();
         let bytes = self.topo.memory_bytes();
@@ -1125,16 +1146,15 @@ impl EdgeNetwork {
                 break;
             }
             let (now, event) = self.queue.pop().expect("peeked event exists");
-            // Metering cadence: by default only the events that can move
-            // durable state (block packing, expiry sweeps, fault actions)
-            // pay for a full invariant walk; `invariant_every_event`
-            // restores the exhaustive per-event schedule.
+            // Metering cadence: only the events that can move durable
+            // state (block packing, expiry sweeps, fault actions) pay for
+            // a full invariant walk — the only instants state can change
+            // in a way the rules see.
             let meter = fault_run
-                && (self.config.invariant_every_event
-                    || matches!(
-                        &event,
-                        Event::MineBlock | Event::ExpireSweep | Event::FaultTick
-                    ));
+                && matches!(
+                    &event,
+                    Event::MineBlock | Event::ExpireSweep | Event::FaultTick
+                );
             match event {
                 Event::GenerateData => self.on_generate_data(now),
                 Event::MineBlock => self.on_mine_block(now),
@@ -1181,6 +1201,7 @@ impl EdgeNetwork {
             self.close_fetch_span(NodeId(req), DataId(id), horizon.as_millis(), "exhausted");
         }
         self.fetch_backlog.clear();
+        self.backlog_total = 0;
         if self.spans.is_some() {
             // Whatever is still in flight at the horizon (unpacked items,
             // pending fetch backoffs, open quarantines, the scheduled next
@@ -1431,49 +1452,58 @@ impl EdgeNetwork {
         if !self.topo.is_active(node) || self.byz.is_none() {
             return;
         }
-        let prev = self.chain.tip().clone();
         let pos_hash = self
             .byz
             .as_mut()
             .expect("engine checked above")
             .next_digest();
-        let block = Block::new(
-            prev.index + 1,
-            prev.hash,
+        let prev = self.chain.tip();
+        let block = empty_block_on(
+            prev,
             now.as_secs().max(prev.timestamp_secs + 1),
             pos_hash,
             self.account_of[node.0],
             1,
             crate::pos::Amendment::from_fraction(1, 1000),
-            Vec::new(),
-            Vec::new(),
-            prev.storing_nodes.clone(),
-            Vec::new(),
         );
+        self.byz_broadcast_bad_block(node, &block, now, "byz_forge", "forged-block");
+    }
+
+    /// Broadcasts an adversary's `block` and lets every receiver judge it:
+    /// a node that can verify it rejects it, which detects the artifact
+    /// and quarantines `sender`; a laggard cannot disprove the claim yet,
+    /// so it keeps the orphan and judges it after syncing. A broadcast
+    /// that reached nobody injected nothing into the network.
+    fn byz_broadcast_bad_block(
+        &mut self,
+        sender: NodeId,
+        block: &Block,
+        now: SimTime,
+        kind: &'static str,
+        reason: &'static str,
+    ) {
         let payload = edgechain_sim::Payload::new(block.encoded());
         let deliveries = self
             .transport
-            .broadcast_payload(&self.topo, node, &payload, now);
+            .broadcast_payload(&self.topo, sender, &payload, now);
         let receivers: Vec<NodeId> = deliveries.iter().map(|(v, _)| v).collect();
         if receivers.is_empty() {
-            return; // reached nobody: nothing was injected into the network
+            return;
         }
-        let artifact = self.note_byz_injected(now, "byz_forge");
+        let artifact = self.note_byz_injected(now, kind);
         for v in receivers {
             let outcome = match self.byz.as_mut() {
-                Some(e) => e.deliver(v, &block),
+                Some(e) => e.deliver(v, block),
                 None => return,
             };
             match outcome {
                 ByzantineOutcome::Rejected(_) => {
-                    self.note_byz_detected(artifact, now, "byz_forge");
-                    self.punish(node, now, "forged-block");
+                    self.note_byz_detected(artifact, now, kind);
+                    self.punish(sender, now, reason);
                 }
                 ByzantineOutcome::NeedsSync => {
-                    // A laggard cannot disprove the claim yet; it keeps
-                    // the orphan and judges it after syncing.
                     if let Some(e) = self.byz.as_mut() {
-                        e.stash_orphan(v, block.clone(), Some((artifact, "byz_forge")));
+                        e.stash_orphan(v, block.clone(), Some((artifact, kind)));
                     }
                     self.byz_sync(v, now);
                 }
@@ -1531,18 +1561,13 @@ impl EdgeNetwork {
         let mut prev = self.chain.tip().clone();
         let mut fork = Vec::new();
         for i in 0..blocks.max(1) {
-            let b = Block::new(
-                prev.index + 1,
-                prev.hash,
+            let b = empty_block_on(
+                &prev,
                 now.as_secs() + i + 1,
                 crate::pos::next_pos_hash(&prev.pos_hash, &account),
                 account,
                 1,
                 crate::pos::Amendment::from_fraction(1, 1000),
-                Vec::new(),
-                Vec::new(),
-                prev.storing_nodes.clone(),
-                Vec::new(),
             );
             prev = b.clone();
             fork.push(b);
@@ -1689,12 +1714,17 @@ impl EdgeNetwork {
     }
 
     fn on_generate_data(&mut self, now: SimTime) {
+        self.generate_item(now);
+        // The gap is drawn last, whether or not an item came of this tick.
+        self.schedule_next_generation();
+    }
+
+    /// One offered data item, from admission to the metadata announcement.
+    fn generate_item(&mut self, now: SimTime) {
         // Only running nodes sense and publish data. With everyone up the
         // draw below is bit-identical to indexing `0..nodes` directly.
         let live = self.topo.active_len();
         if live == 0 {
-            let next = self.sample_generation_gap();
-            self.queue.schedule(next, Event::GenerateData);
             return;
         }
         let producer = self.topo.nth_active(self.rng.gen_range(0..live));
@@ -1705,8 +1735,6 @@ impl EdgeNetwork {
         self.overload.offered_items += 1;
         self.slo.record_offered(now.as_millis());
         if !self.admit_item(producer, now) {
-            let next = self.sample_generation_gap();
-            self.queue.schedule(next, Event::GenerateData);
             return;
         }
         self.overload.admitted_items += 1;
@@ -1775,8 +1803,6 @@ impl EdgeNetwork {
                             telemetry::span_end(root, now.as_millis());
                         }
                     }
-                    let next = self.sample_generation_gap();
-                    self.queue.schedule(next, Event::GenerateData);
                     return;
                 }
             }
@@ -1789,8 +1815,6 @@ impl EdgeNetwork {
             .overload
             .peak_pending_items
             .max(self.pending_metadata.len() as u64);
-        let next = self.sample_generation_gap();
-        self.queue.schedule(next, Event::GenerateData);
     }
 
     /// Admission gate for a newly offered data item. Checks, in order: the
@@ -1880,24 +1904,6 @@ impl EdgeNetwork {
         );
     }
 
-    /// Charges the global retry budget. Unlimited (`None`) by default; a
-    /// denied retry is accounted and the caller treats the request as
-    /// terminally failed instead of backing off again.
-    fn retry_allowed(&mut self, now: SimTime) -> bool {
-        match self.retry_bucket.as_mut() {
-            None => true,
-            Some(bucket) => {
-                if bucket.try_take(now.as_millis(), 1.0) {
-                    true
-                } else {
-                    self.overload.retries_denied += 1;
-                    telemetry::counter_add("overload.retries_denied", 1);
-                    false
-                }
-            }
-        }
-    }
-
     /// Exponential retry backoff: `retry_backoff_ms << attempt`, capped at
     /// `retry_backoff_max_ms`, plus uniform jitter from the dedicated
     /// backoff stream when `retry_jitter_ms > 0`. With the default cap the
@@ -1917,6 +1923,44 @@ impl EdgeNetwork {
         SimTime::from_millis(capped.saturating_add(jitter))
     }
 
+    /// The one retry schedule behind fetches, block recoveries and snapshot
+    /// bootstraps that found no answering source: while attempts remain and
+    /// the global retry budget (unlimited by default) allows, counts the
+    /// retry and queues `retry(attempt + 1)` after the backoff. The budget
+    /// is charged only behind the attempt check, so terminal failures never
+    /// drain it. Returns whether a retry was queued; `false` is terminal.
+    fn schedule_retry(
+        &mut self,
+        node: NodeId,
+        attempt: u32,
+        now: SimTime,
+        op: &'static str,
+        retry: impl FnOnce(u32) -> Event,
+    ) -> bool {
+        if attempt >= self.config.fetch_retries {
+            return false;
+        }
+        if let Some(bucket) = self.retry_bucket.as_mut() {
+            if !bucket.try_take(now.as_millis(), 1.0) {
+                self.overload.retries_denied += 1;
+                telemetry::counter_add("overload.retries_denied", 1);
+                return false;
+            }
+        }
+        self.retries += 1;
+        telemetry::counter_add("transport.retries", 1);
+        trace_event!(
+            "transport.retry",
+            now.as_millis(),
+            node = node.0,
+            attempt = attempt + 1,
+            op = op
+        );
+        let backoff = self.retry_backoff(attempt);
+        self.queue.schedule(now + backoff, retry(attempt + 1));
+        true
+    }
+
     /// Tracks one scheduled `RetryFetch` in the backlog (the bounded set
     /// of fetches waiting on a backoff timer).
     fn backlog_push(&mut self, requester: NodeId, data_id: DataId) {
@@ -1925,21 +1969,21 @@ impl EdgeNetwork {
             .entry((requester.0, data_id.0))
             .or_insert(0) += 1;
         self.inflight_fetches[requester.0] += 1;
-        self.overload.peak_inflight_fetches = self
-            .overload
-            .peak_inflight_fetches
-            .max(self.fetch_backlog.values().map(|&c| c as u64).sum());
+        self.backlog_total += 1;
+        self.overload.peak_inflight_fetches =
+            self.overload.peak_inflight_fetches.max(self.backlog_total);
     }
 
-    /// Clears one backlog entry when its `RetryFetch` fires.
+    /// Clears one backlog entry when its `RetryFetch` fires; an entry that
+    /// exists was counted into both mirrors by `backlog_push`.
     fn backlog_pop(&mut self, requester: NodeId, data_id: DataId) {
         if let Some(c) = self.fetch_backlog.get_mut(&(requester.0, data_id.0)) {
             *c -= 1;
             if *c == 0 {
                 self.fetch_backlog.remove(&(requester.0, data_id.0));
             }
-            self.inflight_fetches[requester.0] =
-                self.inflight_fetches[requester.0].saturating_sub(1);
+            self.inflight_fetches[requester.0] -= 1;
+            self.backlog_total -= 1;
         }
     }
 
@@ -2017,6 +2061,8 @@ impl EdgeNetwork {
         }
         let candidates = self.pos_candidates(&miners);
         let outcome = self.pos_round(&candidates);
+        let us: Vec<u64> = candidates.iter().map(|c| c.contribution()).collect();
+        let amendment = crate::pos::Amendment::compute(&us, self.config.block_interval_secs);
         let miner = NodeId(miners[outcome.winner]);
         trace_event!(
             "pos.round",
@@ -2046,12 +2092,12 @@ impl EdgeNetwork {
             None => None,
         };
         let mut equivocate = false;
+        let interval = self.byz.as_ref().map_or(1, |e| e.policy().interval.max(1));
         match byz_action {
             Some(ByzantineAction::Withhold { blocks }) => {
                 // A fork spanning a checkpoint height could never win fork
                 // choice (honest nodes refuse to cross a checkpoint), so a
                 // rational withholder waits for a base clear of them.
-                let interval = self.byz.as_ref().map_or(1, |e| e.policy().interval.max(1));
                 let base = self.chain.height();
                 let crosses_checkpoint =
                     (base + 1..=base + blocks.max(1)).any(|h| h.is_multiple_of(interval));
@@ -2069,14 +2115,13 @@ impl EdgeNetwork {
                 // A fork already in flight drops the extra action.
             }
             Some(ByzantineAction::TamperSignature) => {
-                self.byz_mine_tampered_block(miner, &candidates, &outcome, now);
+                self.byz_mine_tampered_block(miner, amendment, &outcome, now);
                 telemetry::span_field(blk_root, "outcome", "tampered");
                 telemetry::span_end(blk_root, now.as_millis());
                 self.schedule_next_block();
                 return;
             }
             Some(ByzantineAction::Equivocate) => {
-                let interval = self.byz.as_ref().map_or(1, |e| e.policy().interval.max(1));
                 if (self.chain.height() + 1).is_multiple_of(interval) {
                     if let Some(e) = self.byz.as_mut() {
                         e.arm(miner, ByzantineAction::Equivocate);
@@ -2180,31 +2225,20 @@ impl EdgeNetwork {
             Vec::new()
         };
 
-        let us: Vec<u64> = candidates.iter().map(|c| c.contribution()).collect();
-        let amendment = crate::pos::Amendment::compute(&us, self.config.block_interval_secs);
         // An equivocating miner seals a *second*, conflicting block on the
         // same earned PoS hit: same height, same miner, different content
         // and timestamp, hence a different hash — the classic two-headers
         // proof once both land at one honest node.
-        let variant: Option<Block> = if equivocate {
-            let height = self.chain.height() + 1;
-            let account = self.account_of[miner.0];
-            Some(Block::new(
-                height,
-                self.chain.tip().hash,
+        let variant: Option<Block> = equivocate.then(|| {
+            empty_block_on(
+                self.chain.tip(),
                 now.as_secs() + 1,
                 outcome.new_pos_hash,
-                account,
+                self.account_of[miner.0],
                 outcome.delay_secs.max(1),
                 amendment,
-                Vec::new(),
-                Vec::new(),
-                self.chain.tip().storing_nodes.clone(),
-                Vec::new(),
-            ))
-        } else {
-            None
-        };
+            )
+        });
         let block = telemetry::time_wall("block.assemble_ns", || {
             Block::new(
                 self.chain.height() + 1,
@@ -2283,7 +2317,7 @@ impl EdgeNetwork {
             let was_height = self.node_height[v.0];
             self.node_known[v.0].insert(block_index);
             if block_index > was_height + 1 {
-                self.recover_missing(v, block_index, now);
+                self.recover_missing_attempt(v, block_index, now, 0);
             }
             self.advance_height(v);
             // Everyone caches the newest block in its recent-cache FIFO.
@@ -2405,7 +2439,7 @@ impl EdgeNetwork {
                 {
                     if self.storage[storer.0].store_data(item.data_id) || storer == producer {
                         stored += 1;
-                        last_replica = Some(last_replica.map_or(d.arrival, |t| t.max(d.arrival)));
+                        last_replica = last_replica.max(Some(d.arrival));
                     }
                 }
             }
@@ -2578,7 +2612,7 @@ impl EdgeNetwork {
     fn byz_mine_tampered_block(
         &mut self,
         miner: NodeId,
-        candidates: &[Candidate],
+        amendment: crate::pos::Amendment,
         outcome: &crate::pos::MiningOutcome,
         now: SimTime,
     ) {
@@ -2588,8 +2622,6 @@ impl EdgeNetwork {
         let mut sig = victim.signature.to_bytes();
         sig[0] ^= 0x01;
         victim.signature = edgechain_crypto::Signature::from_bytes(&sig);
-        let us: Vec<u64> = candidates.iter().map(|c| c.contribution()).collect();
-        let amendment = crate::pos::Amendment::compute(&us, self.config.block_interval_secs);
         let block = Block::new(
             self.chain.height() + 1,
             self.chain.tip().hash,
@@ -2603,36 +2635,7 @@ impl EdgeNetwork {
             self.chain.tip().storing_nodes.clone(),
             Vec::new(),
         );
-        let payload = edgechain_sim::Payload::new(block.encoded());
-        let deliveries = self
-            .transport
-            .broadcast_payload(&self.topo, miner, &payload, now);
-        let receivers: Vec<NodeId> = deliveries.iter().map(|(v, _)| v).collect();
-        if receivers.is_empty() {
-            // Reached nobody: nothing was injected into the network.
-            self.pending_metadata = backup;
-            return;
-        }
-        let artifact = self.note_byz_injected(now, "byz_tamper");
-        for v in receivers {
-            let delivery = match self.byz.as_mut() {
-                Some(e) => e.deliver(v, &block),
-                None => return,
-            };
-            match delivery {
-                ByzantineOutcome::Rejected(_) => {
-                    self.note_byz_detected(artifact, now, "byz_tamper");
-                    self.punish(miner, now, "tampered-signature");
-                }
-                ByzantineOutcome::NeedsSync => {
-                    if let Some(e) = self.byz.as_mut() {
-                        e.stash_orphan(v, block.clone(), Some((artifact, "byz_tamper")));
-                    }
-                    self.byz_sync(v, now);
-                }
-                _ => {}
-            }
-        }
+        self.byz_broadcast_bad_block(miner, &block, now, "byz_tamper", "tampered-signature");
         // The un-tampered originals go back in the pool.
         self.pending_metadata = backup;
     }
@@ -2680,7 +2683,7 @@ impl EdgeNetwork {
                 .filter(|&h| {
                     self.topo.is_active(h)
                         && (self.storage[h.0].has_data(id) || Some(h) == producer)
-                        && self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now))
+                        && self.may_serve(h, now)
                 })
                 .collect();
             if live_holders.len() >= target {
@@ -2713,19 +2716,15 @@ impl EdgeNetwork {
                 {
                     continue;
                 }
-                let Some(&src) = sources
-                    .iter()
-                    .filter(|&&c| self.topo.reachable(c, s))
-                    .min_by_key(|&&c| (self.topo.hops(c, s), c.0))
-                else {
+                let nearest = sources.iter().filter_map(|&c| self.provider_rank(s, c));
+                let Some((_, src)) = nearest.min() else {
                     continue;
                 };
                 if let Ok(d) = self.transport.unicast(&self.topo, src, s, data_size, now) {
                     if self.storage[s.0].store_data(id) {
                         repaired = true;
                         sweep_copies += 1;
-                        last_copy =
-                            Some(last_copy.map_or(d.arrival, |t: SimTime| t.max(d.arrival)));
+                        last_copy = last_copy.max(Some(d.arrival));
                     }
                 }
             }
@@ -2769,40 +2768,76 @@ impl EdgeNetwork {
         }
     }
 
-    /// §IV-D recovery: fetch every missing block below `upto` from the
-    /// nearest node that can serve it (recent cache or permanent storage).
-    fn recover_missing(&mut self, v: NodeId, upto: u64, now: SimTime) {
-        self.recover_missing_attempt(v, upto, now, 0);
+    /// Whether requesters still accept `h` as a source at `now`: a
+    /// quarantined node is as good as dead to them.
+    fn may_serve(&self, h: NodeId, now: SimTime) -> bool {
+        self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now))
     }
 
+    /// The §IV-D access rule shared by data fetches, block recovery,
+    /// snapshot bootstrap and repair copies: how `v` ranks `h` as a
+    /// provider — nearest first, hop ties broken by lowest node id —
+    /// or `None` for `v` itself and for nodes it cannot reach.
+    fn provider_rank(&self, v: NodeId, h: NodeId) -> Option<(u32, NodeId)> {
+        (h != v && self.topo.reachable(v, h)).then(|| (self.topo.hops(v, h), h))
+    }
+
+    /// `candidates` in the order `v` asks them ([`Self::provider_rank`]).
+    fn nearest_providers(
+        &self,
+        v: NodeId,
+        candidates: impl Iterator<Item = NodeId>,
+    ) -> Vec<NodeId> {
+        let rank = |h| self.provider_rank(v, h);
+        let mut ranked: Vec<_> = candidates.filter_map(rank).collect();
+        ranked.sort_unstable();
+        ranked.into_iter().map(|(_, h)| h).collect()
+    }
+
+    /// One request–reply round trip of the recovery protocol: `v` sends a
+    /// block request to `server`, and `serve` — run only once the request
+    /// got through — sizes the reply and hands back what it carried.
+    /// Returns the reply's arrival with that content, `None` when a leg
+    /// was lost.
+    fn request_reply<T>(
+        &mut self,
+        v: NodeId,
+        server: NodeId,
+        now: SimTime,
+        serve: impl FnOnce(&mut Self) -> (u64, T),
+    ) -> Option<(SimTime, T)> {
+        let req = self
+            .transport
+            .unicast(&self.topo, v, server, BLOCK_REQUEST_BYTES, now)
+            .ok()?;
+        let (bytes, served) = serve(self);
+        let resp = self
+            .transport
+            .unicast(&self.topo, server, v, bytes, req.arrival)
+            .ok()?;
+        Some((resp.arrival, served))
+    }
+
+    /// Books one served recovery (a block, or a whole snapshot).
+    fn book_recovery(&mut self, v: NodeId, server: NodeId, now: SimTime, arrival: SimTime) {
+        self.recoveries += 1;
+        self.recovery
+            .record(arrival.saturating_since(now).as_secs_f64());
+        self.recovery_hops.record(self.topo.hops(v, server) as f64);
+    }
+
+    /// §IV-D recovery: fetch every missing block below `upto` from the
+    /// nearest node that can serve it (recent cache or permanent storage).
     fn recover_missing_attempt(&mut self, v: NodeId, upto: u64, now: SimTime, attempt: u32) {
+        let retry = move |attempt| Event::RetryRecover { node: v, attempt };
         // A node that fell behind the pruned base cannot recover block by
         // block — those blocks are gone from every store. It bootstraps
         // from a verified snapshot instead; failing that (providers dead,
         // quarantined, blacklisted, or unreachable) it backs off and
         // retries like any starved recovery.
         if self.config.prune_blocks && self.node_height[v.0] + 1 < self.chain.base_index() {
-            if self.config.snapshot_bootstrap && self.try_snapshot_bootstrap(v, now) {
-                return;
-            }
-            if attempt < self.config.fetch_retries && self.retry_allowed(now) {
-                self.retries += 1;
-                telemetry::counter_add("transport.retries", 1);
-                trace_event!(
-                    "transport.retry",
-                    now.as_millis(),
-                    node = v.0,
-                    attempt = attempt + 1,
-                    op = "snapshot"
-                );
-                let backoff = self.retry_backoff(attempt);
-                self.queue.schedule(
-                    now + backoff,
-                    Event::RetryRecover {
-                        node: v,
-                        attempt: attempt + 1,
-                    },
-                );
+            if !(self.config.snapshot_bootstrap && self.try_snapshot_bootstrap(v, now)) {
+                self.schedule_retry(v, attempt, now, "snapshot", retry);
             }
             return;
         }
@@ -2811,77 +2846,46 @@ impl EdgeNetwork {
             .collect();
         let mut unserved = false;
         for idx in missing {
-            let holder = (0..self.config.nodes)
+            let holders = (0..self.config.nodes)
                 .map(NodeId)
-                .filter(|&h| h != v && self.storage[h.0].has_block(idx))
-                .filter(|&h| !self.malicious[h.0])
-                .filter(|&h| self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now)))
-                .filter(|&h| self.topo.reachable(v, h))
-                .min_by_key(|&h| self.topo.hops(v, h));
-            let Some(holder) = holder else {
-                unserved = true;
-                continue;
-            };
-            let req = self
-                .transport
-                .unicast(&self.topo, v, holder, BLOCK_REQUEST_BYTES, now);
-            let Ok(req) = req else {
+                .filter(|&h| self.storage[h.0].has_block(idx) && !self.malicious[h.0])
+                .filter(|&h| self.may_serve(h, now));
+            let Some((_, holder)) = holders.filter_map(|h| self.provider_rank(v, h)).min() else {
                 unserved = true;
                 continue;
             };
             // Served block size: the block's seal-time encoding, cached
             // on first use — no fresh encode per recovery.
-            let block_size = self.chain.get(idx).map_or(1000, |b| b.wire_size());
-            match self
-                .transport
-                .unicast(&self.topo, holder, v, block_size, req.arrival)
-            {
-                Ok(resp) => {
-                    self.node_known[v.0].insert(idx);
-                    self.recoveries += 1;
-                    self.recovery
-                        .record(resp.arrival.saturating_since(now).as_secs_f64());
-                    self.recovery_hops.record(self.topo.hops(v, holder) as f64);
-                    trace_event!(
-                        "repair.recover_block",
-                        now.as_millis(),
-                        node = v.0,
-                        block = idx,
-                        hops = self.topo.hops(v, holder),
-                        dur_ms = resp.arrival.saturating_since(now).as_millis()
-                    );
-                    let rs = telemetry::span_start("recover.block", now.as_millis(), SpanId::NONE);
-                    telemetry::span_field(rs, "node", v.0);
-                    telemetry::span_field(rs, "block", idx);
-                    telemetry::span_end(rs, resp.arrival.as_millis());
-                }
-                Err(_) => unserved = true,
-            }
+            let served = self.request_reply(v, holder, now, |net| {
+                (net.chain.get(idx).map_or(1000, Block::wire_size), ())
+            });
+            let Some((arrival, ())) = served else {
+                unserved = true;
+                continue;
+            };
+            self.node_known[v.0].insert(idx);
+            self.book_recovery(v, holder, now, arrival);
+            trace_event!(
+                "repair.recover_block",
+                now.as_millis(),
+                node = v.0,
+                block = idx,
+                hops = self.topo.hops(v, holder),
+                dur_ms = arrival.saturating_since(now).as_millis()
+            );
+            let rs = telemetry::span_start("recover.block", now.as_millis(), SpanId::NONE);
+            telemetry::span_field(rs, "node", v.0);
+            telemetry::span_field(rs, "block", idx);
+            telemetry::span_end(rs, arrival.as_millis());
         }
         // Recovered blocks must extend the node's contiguous view right
         // away — an un-advanced height would make the node re-request
         // blocks it already holds and mis-detect gaps on the next receipt.
         self.advance_height(v);
-        if unserved && attempt < self.config.fetch_retries && self.retry_allowed(now) {
+        if unserved {
             // Lossy links or a partition starved this pass; back off
             // exponentially (capped, optionally jittered) and try again.
-            self.retries += 1;
-            telemetry::counter_add("transport.retries", 1);
-            trace_event!(
-                "transport.retry",
-                now.as_millis(),
-                node = v.0,
-                attempt = attempt + 1,
-                op = "recover"
-            );
-            let backoff = self.retry_backoff(attempt);
-            self.queue.schedule(
-                now + backoff,
-                Event::RetryRecover {
-                    node: v,
-                    attempt: attempt + 1,
-                },
-            );
+            self.schedule_retry(v, attempt, now, "recover", retry);
         }
     }
 
@@ -2899,58 +2903,42 @@ impl EdgeNetwork {
         let snap_span = telemetry::span_start("snapshot.bootstrap", now.as_millis(), SpanId::NONE);
         telemetry::span_field(snap_span, "node", v.0);
         let tip = self.chain.height();
-        let mut providers: Vec<NodeId> = (0..self.config.nodes)
+        let synced = (0..self.config.nodes)
             .map(NodeId)
-            .filter(|&h| h != v && self.topo.is_active(h))
-            .filter(|&h| self.node_height[h.0] == tip)
-            .filter(|&h| !self.malicious[h.0])
-            .filter(|&h| self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now)))
-            .filter(|&h| !self.snapshot_blacklist.contains(&(v, h)))
-            .filter(|&h| self.topo.reachable(v, h))
-            .collect();
-        providers.sort_by_key(|&h| (self.topo.hops(v, h), h.0));
-        for server in providers {
-            let Ok(req) = self
-                .transport
-                .unicast(&self.topo, v, server, BLOCK_REQUEST_BYTES, now)
-            else {
-                continue;
-            };
-            let registry: Vec<(MetadataItem, u64)> = self.catalogue.iter().cloned().collect();
-            let snapshot = Snapshot::seal(
-                anchor.clone(),
-                self.chain.as_slice().to_vec(),
-                registry,
-                self.identities[server.0].keys(),
-            );
-            let mut bytes = crate::codec::encode_snapshot(&snapshot);
-            self.snapshots_served += 1;
-            telemetry::counter_add("snapshot.served", 1);
-            trace_event!(
-                "snapshot.served",
-                now.as_millis(),
-                server = server.0,
-                node = v.0,
-                bytes = bytes.len()
-            );
-            // A Byzantine provider serves a corrupted snapshot: one bit of
-            // the signed payload flips in flight.
-            let tampered = if self.byz.as_ref().is_some_and(|e| e.byz_role[server.0]) {
-                let artifact = self.note_byz_injected(now, "byz_snapshot");
-                let pos = self
-                    .byz
-                    .as_mut()
-                    .expect("engine checked above")
-                    .draw(bytes.len() as u64) as usize;
-                bytes[pos] ^= 0x40;
-                Some(artifact)
-            } else {
-                None
-            };
-            let Ok(resp) =
-                self.transport
-                    .unicast(&self.topo, server, v, bytes.len() as u64, req.arrival)
-            else {
+            .filter(|&h| self.topo.is_active(h) && self.node_height[h.0] == tip)
+            .filter(|&h| !self.malicious[h.0] && self.may_serve(h, now))
+            .filter(|&h| !self.snapshot_blacklist.contains(&(v, h)));
+        for server in self.nearest_providers(v, synced) {
+            let served = self.request_reply(v, server, now, |net| {
+                let registry: Vec<(MetadataItem, u64)> = net.catalogue.iter().cloned().collect();
+                let snapshot = Snapshot::seal(
+                    anchor.clone(),
+                    net.chain.as_slice().to_vec(),
+                    registry,
+                    net.identities[server.0].keys(),
+                );
+                let mut bytes = crate::codec::encode_snapshot(&snapshot);
+                net.snapshots_served += 1;
+                telemetry::counter_add("snapshot.served", 1);
+                trace_event!(
+                    "snapshot.served",
+                    now.as_millis(),
+                    server = server.0,
+                    node = v.0,
+                    bytes = bytes.len()
+                );
+                // A Byzantine provider serves a corrupted snapshot: one bit
+                // of the signed payload flips in flight.
+                let mut tampered = None;
+                if net.byz.as_ref().is_some_and(|e| e.byz_role[server.0]) {
+                    tampered = Some(net.note_byz_injected(now, "byz_snapshot"));
+                    let engine = net.byz.as_mut().expect("engine checked above");
+                    let pos = engine.draw(bytes.len() as u64) as usize;
+                    bytes[pos] ^= 0x40;
+                }
+                (bytes.len() as u64, (bytes, tampered))
+            });
+            let Some((arrival, (bytes, tampered))) = served else {
                 continue;
             };
             let verified = crate::codec::decode_snapshot(&bytes)
@@ -2982,10 +2970,7 @@ impl EdgeNetwork {
             if let Some(e) = self.byz.as_mut() {
                 e.bootstrap_from_snapshot(v, chain);
             }
-            self.recoveries += 1;
-            self.recovery
-                .record(resp.arrival.saturating_since(now).as_secs_f64());
-            self.recovery_hops.record(self.topo.hops(v, server) as f64);
+            self.book_recovery(v, server, now, arrival);
             self.snapshots_applied += 1;
             telemetry::counter_add("snapshot.applied", 1);
             trace_event!(
@@ -2997,7 +2982,7 @@ impl EdgeNetwork {
             );
             telemetry::span_field(snap_span, "server", server.0);
             telemetry::span_field(snap_span, "outcome", "applied");
-            telemetry::span_end(snap_span, resp.arrival.as_millis());
+            telemetry::span_end(snap_span, arrival.as_millis());
             return true;
         }
         telemetry::span_field(snap_span, "outcome", "failed");
@@ -3029,14 +3014,11 @@ impl EdgeNetwork {
     fn on_issue_request(&mut self, requester: NodeId, now: SimTime) {
         // A crashed requester issues nothing; its schedule resumes when it
         // restarts.
-        if !self.topo.is_active(requester) {
-            let next = now + SimTime::from_secs(self.config.request_interval_secs.max(1));
-            self.queue.schedule(next, Event::IssueRequest { requester });
-            return;
-        }
-        if let Some(pick) = self.pick_visible(requester, now, Popularity::Uniform) {
-            if self.admit_fetch(requester, now, false) {
-                self.fetch_data(requester, &pick, now, 0);
+        if self.topo.is_active(requester) {
+            if let Some(pick) = self.pick_visible(requester, now, Popularity::Uniform) {
+                if self.admit_fetch(requester, now, false) {
+                    self.fetch_data(requester, &pick, now, 0);
+                }
             }
         }
         let next = now + SimTime::from_secs(self.config.request_interval_secs.max(1));
@@ -3050,14 +3032,9 @@ impl EdgeNetwork {
         let Some(arrivals) = self.config.workload.fetches.as_ref() else {
             return;
         };
-        let now_secs = self.queue.now().as_millis() as f64 / 1000.0;
-        let t = arrivals.next_arrival_secs(now_secs, &mut self.workload_rng);
-        if !t.is_finite() {
-            return;
+        if let Some(at) = next_arrival(arrivals, self.queue.now(), &mut self.workload_rng) {
+            self.queue.schedule(at, Event::WorkloadFetch);
         }
-        let at = SimTime::from_millis((t * 1000.0).ceil() as u64)
-            .max(self.queue.now() + SimTime::from_millis(1));
-        self.queue.schedule(at, Event::WorkloadFetch);
     }
 
     /// One open-workload fetch: a uniformly drawn live requester asks for
@@ -3142,6 +3119,18 @@ impl EdgeNetwork {
         self.fetch_data(requester, &item, now, attempt);
     }
 
+    /// Books one completed request that took `secs` and resolved at `at`.
+    fn book_delivery(&mut self, at: SimTime, secs: f64) {
+        self.completed_requests += 1;
+        self.delivery.record(secs);
+        self.delivery_samples.record(secs);
+        self.slo.record_fetch(at.as_millis(), secs);
+        if telemetry::is_enabled() {
+            telemetry::record("slo.fetch_secs", secs);
+        }
+        telemetry::counter_add("request.completed", 1);
+    }
+
     /// Closes an in-flight `fetch.lifecycle` span (and any pending
     /// `fetch.backoff` child) with the given outcome. No-op when spans are
     /// off or no span is open for the `(requester, item)` pair.
@@ -3204,14 +3193,7 @@ impl EdgeNetwork {
         let producer = self.node_of_account.get(&item.producer).copied();
         if self.storage[requester.0].has_data(item.data_id) || producer == Some(requester) {
             // Local hit: free and instantaneous.
-            self.completed_requests += 1;
-            self.delivery.record(0.0);
-            self.delivery_samples.record(0.0);
-            self.slo.record_fetch(now.as_millis(), 0.0);
-            if telemetry::is_enabled() {
-                telemetry::record("slo.fetch_secs", 0.0);
-            }
-            telemetry::counter_add("request.completed", 1);
+            self.book_delivery(now, 0.0);
             trace_event!(
                 "request.completed",
                 now.as_millis(),
@@ -3228,23 +3210,13 @@ impl EdgeNetwork {
             .copied()
             .filter(|&h| self.storage[h.0].has_data(item.data_id))
             .filter(|&h| !self.invalid_storers.contains(&(item.data_id, h)))
-            .filter(|&h| self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now)))
+            .filter(|&h| self.may_serve(h, now))
             .collect();
-        if holders.is_empty() {
-            // Paper Fig. 3: consumers fetch from the caching nodes; the
-            // producer's origin copy is only the fallback when no assigned
-            // storer can serve the item.
-            holders.extend(producer);
-        } else if let Some(p) = producer {
-            // Producer stays as the last resort behind all storers.
-            if !holders.contains(&p) {
-                holders.push(p);
-            }
-        }
-        holders.retain(|&h| h != requester && self.topo.reachable(requester, h));
-        holders.sort_by_key(|&h| (self.topo.hops(requester, h), h.0));
+        // Paper Fig. 3: consumers fetch from the caching nodes; the
+        // producer's origin copy is the fallback, whatever its standing.
+        holders.extend(producer.filter(|p| !holders.contains(p)));
         let mut t = now;
-        for holder in holders {
+        for holder in self.nearest_providers(requester, holders.into_iter()) {
             let probe_start = t;
             let Ok(req) =
                 self.transport
@@ -3275,15 +3247,8 @@ impl EdgeNetwork {
                 .unicast(&self.topo, holder, requester, item.data_size, req.arrival)
             {
                 Ok(resp) => {
-                    self.completed_requests += 1;
                     let secs = resp.arrival.saturating_since(now).as_secs_f64();
-                    self.delivery.record(secs);
-                    self.delivery_samples.record(secs);
-                    self.slo.record_fetch(resp.arrival.as_millis(), secs);
-                    if telemetry::is_enabled() {
-                        telemetry::record("slo.fetch_secs", secs);
-                    }
-                    telemetry::counter_add("request.completed", 1);
+                    self.book_delivery(resp.arrival, secs);
                     trace_event!(
                         "request.completed",
                         now.as_millis(),
@@ -3307,30 +3272,16 @@ impl EdgeNetwork {
                 }
             }
         }
-        // The budget check is short-circuited behind the attempt check so
-        // terminal failures never drain the budget; a budget-denied retry
-        // goes down the failed path like an exhausted one.
-        let may_retry = attempt < self.config.fetch_retries && self.retry_allowed(now);
-        if may_retry {
-            self.retries += 1;
-            telemetry::counter_add("transport.retries", 1);
-            trace_event!(
-                "transport.retry",
-                now.as_millis(),
-                node = requester.0,
-                attempt = attempt + 1,
-                op = "fetch"
-            );
-            let backoff = self.retry_backoff(attempt);
-            self.queue.schedule(
-                now + backoff,
-                Event::RetryFetch {
-                    requester,
-                    data_id: item.data_id,
-                    attempt: attempt + 1,
-                },
-            );
-            self.backlog_push(requester, item.data_id);
+        // A budget-denied retry goes down the failed path like an
+        // exhausted one.
+        let data_id = item.data_id;
+        let retry = move |attempt| Event::RetryFetch {
+            requester,
+            data_id,
+            attempt,
+        };
+        if self.schedule_retry(requester, attempt, now, "fetch", retry) {
+            self.backlog_push(requester, data_id);
             if let Some(sp) = self.spans.as_mut() {
                 let b = telemetry::span_start("fetch.backoff", now.as_millis(), froot);
                 telemetry::span_field(b, "attempt", attempt + 1);
@@ -3431,10 +3382,7 @@ impl EdgeNetwork {
             let outs = self.raft_nodes[i].tick(now);
             self.raft_dispatch(edgechain_raft::PeerId(i), outs, now);
         }
-        self.queue.schedule(
-            now + SimTime::from_millis(self.config.raft_tick_ms.max(1)),
-            Event::RaftTick,
-        );
+        self.queue.schedule(now + RAFT_TICK, Event::RaftTick);
     }
 
     fn on_raft_deliver(
@@ -3815,12 +3763,13 @@ mod tests {
 
     #[test]
     fn malicious_storers_are_routed_around() {
-        // Enough requesters and request pressure that at least one request
-        // is structurally bound to hit a malicious storer first, whatever
-        // the RNG stream picks for placement.
+        // A field dense enough that its two requesters (the fixed 10 %
+        // share) mostly reach a holder, under enough request pressure that
+        // at least one request is structurally bound to hit a malicious
+        // storer first, whatever the RNG stream picks for placement.
         let cfg = NetworkConfig {
+            nodes: 20,
             malicious_fraction: 0.4,
-            requester_fraction: 0.5,
             request_interval_secs: 30,
             ..small_config()
         };
@@ -3983,13 +3932,42 @@ mod tests {
         let v = NodeId(0);
         net.node_known[v.0].insert(3);
         assert_eq!(net.node_height[v.0], 0);
-        net.recover_missing(v, 3, SimTime::from_secs(1));
+        net.recover_missing_attempt(v, 3, SimTime::from_secs(1), 0);
         assert!(net.node_known[v.0].contains(&1));
         assert!(net.node_known[v.0].contains(&2));
         assert_eq!(
             net.node_height[v.0], 3,
             "height must advance through the recovered prefix"
         );
+    }
+
+    #[test]
+    fn nearest_providers_break_hop_ties_by_lowest_id() {
+        // The one ordering behind fetch, recovery, snapshot bootstrap and
+        // repair: nearest first, lowest id among equals, whatever order
+        // the candidates arrive in — so its head is what an id-ordered
+        // `min_by_key(hops)` scan picks.
+        let mut net = EdgeNetwork::new(small_config()).unwrap();
+        let down = NodeId(5);
+        net.topo.set_active(down, false);
+        let mut ties = 0;
+        for v in (0..net.config.nodes).map(NodeId).filter(|&v| v != down) {
+            let providers = net.nearest_providers(v, (0..net.config.nodes).rev().map(NodeId));
+            assert!(!providers.contains(&v) && !providers.contains(&down));
+            let key = |h: NodeId| (net.topo.hops(v, h), h.0);
+            for w in providers.windows(2) {
+                assert!(key(w[0]) < key(w[1]), "{v}: {:?} before {:?}", w[0], w[1]);
+                ties += usize::from(key(w[0]).0 == key(w[1]).0);
+            }
+            let scan = (0..net.config.nodes)
+                .map(NodeId)
+                .filter(|&h| h != v && net.topo.reachable(v, h))
+                .min_by_key(|&h| net.topo.hops(v, h));
+            assert_eq!(providers.first().copied(), scan);
+            let ranks = (0..net.config.nodes).filter_map(|h| net.provider_rank(v, NodeId(h)));
+            assert_eq!(ranks.min().map(|(_, h)| h), scan);
+        }
+        assert!(ties > 0, "no two providers ever tied on hops");
     }
 
     #[test]
@@ -4192,17 +4170,19 @@ mod tests {
         use edgechain_sim::FaultEvent;
         // A registry item claiming a storer that holds nothing, produced
         // by a key outside the network (no producer fallback), is a
-        // durability violation from the first observation on. Both the
-        // default (sparse) cadence and the exhaustive one must flag it.
-        let plan = || {
-            FaultPlan::new(vec![FaultEvent::LinkLoss {
-                prob: 0.0,
-                from: SimTime::from_secs(60),
-                until: SimTime::from_secs(120),
-            }])
-        };
-        let run_with_plant = |cfg: NetworkConfig| {
-            let mut net = EdgeNetwork::new(cfg).unwrap();
+        // durability violation from the first observation on; the
+        // block / sweep / fault-tick cadence must flag it.
+        let plan = FaultPlan::new(vec![FaultEvent::LinkLoss {
+            prob: 0.0,
+            from: SimTime::from_secs(60),
+            until: SimTime::from_secs(120),
+        }]);
+        let report = {
+            let mut net = EdgeNetwork::new(NetworkConfig {
+                fault_plan: plan,
+                ..small_config()
+            })
+            .unwrap();
             let foreign = Identity::from_seed(999);
             let mut item = crate::metadata::MetadataItem::new_signed(
                 foreign.keys(),
@@ -4222,22 +4202,9 @@ mod tests {
             net.catalogue.insert(item, 0);
             net.run()
         };
-        let sparse = run_with_plant(NetworkConfig {
-            fault_plan: plan(),
-            ..small_config()
-        });
         assert!(
-            sparse.invariant_violations > 0,
-            "default cadence missed the planted violation: {sparse}"
-        );
-        let dense = run_with_plant(NetworkConfig {
-            fault_plan: plan(),
-            invariant_every_event: true,
-            ..small_config()
-        });
-        assert!(
-            dense.invariant_violations >= sparse.invariant_violations,
-            "exhaustive metering observed fewer violations than the default"
+            report.invariant_violations > 0,
+            "default cadence missed the planted violation: {report}"
         );
     }
 }

@@ -21,7 +21,7 @@
 //! implementation saw, so prefix sums, ratios, tie-breaks, and claimed
 //! clients are bit-identical (the `#[cfg(test)]` reference implementation
 //! pins this). The final pruning pass uses cheapest/second-cheapest
-//! bookkeeping ([`UflInstance::two_cheapest_open`]) instead of cloning and
+//! bookkeeping (`UflInstance::two_cheapest_open`) instead of cloning and
 //! reassigning a trial solution per open facility.
 
 use crate::instance::{SolveError, UflInstance, UflSolution};

@@ -11,7 +11,7 @@
 //! ## Fast path
 //!
 //! Each round precomputes, per client, the cheapest and second-cheapest
-//! open facility ([`UflInstance::two_cheapest_open`]); every trial cost is
+//! open facility (`UflInstance::two_cheapest_open`); every trial cost is
 //! then a closed-form sum — opening `i` serves client `j` at
 //! `min(c1[j], c_ij)`, closing `i` re-routes its clients to `c2[j]`, a
 //! swap combines both — instead of the former clone + full reassignment

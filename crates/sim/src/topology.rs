@@ -9,17 +9,18 @@
 //! The topology maintains BFS hop-count rows so the transport layer can
 //! forward store-and-forward messages; a route is read off the
 //! *destination's* row (see [`Topology::path`]), so nothing stores next
-//! hops. Two interchangeable representations sit behind the same API:
+//! hops. Adjacency is built with a grid-bucket spatial hash (cell = radio
+//! range) and there is one route store: a hop row and an RDC row per
+//! source, each behind a `OnceLock`, dropped on every rebuild.
+//! [`TopologyConfig::sparse_routes`] only picks *when* a row is filled:
 //!
-//! * **Dense** (default): eager all-pairs hop rows plus a precomputed n×n
-//!   RDC matrix — the bit-exact reference, fine up to a few thousand
-//!   nodes.
-//! * **Sparse** ([`TopologyConfig::sparse_routes`]): adjacency is built
-//!   with a grid-bucket spatial hash (cell = radio range) and per-source
-//!   hop/RDC rows are materialized lazily on first query, so memory
-//!   is O(n·degree + touched sources·n) instead of Θ(n²). Every query
-//!   runs the identical BFS and Eq. 2 arithmetic, so results are
-//!   bit-identical to the dense tables.
+//! * **Eager** (default): every row is filled at rebuild, fanned out over
+//!   the worker pool — Θ(n²) memory, fine up to a few thousand nodes.
+//! * **Lazy** (`sparse_routes`): a row is filled on its first query, so
+//!   memory is O(n·degree + touched sources·n).
+//!
+//! Both fill through the same BFS and Eq. 2 arithmetic, so every query
+//! answers identically under either setting.
 
 use crate::geometry::{CellGrid, Field, Point};
 use rand::Rng;
@@ -73,9 +74,9 @@ pub struct TopologyConfig {
     /// How many placement attempts to make before giving up on a connected
     /// topology.
     pub max_placement_attempts: usize,
-    /// Use the sparse lazy-row representation instead of the eager dense
-    /// tables. Query results are bit-identical; only memory and rebuild
-    /// cost change. Default `false` (the dense reference path).
+    /// Fill hop/RDC rows lazily on first query instead of eagerly at
+    /// every rebuild. Query results are bit-identical; only memory and
+    /// rebuild cost change. Default `false` (eager).
     #[serde(default)]
     pub sparse_routes: bool,
 }
@@ -92,27 +93,10 @@ impl Default for TopologyConfig {
     }
 }
 
-/// Hop/RDC storage: eager all-pairs tables or lazy per-source rows.
-#[derive(Debug, Clone)]
-enum Routes {
-    /// The bit-exact reference: Θ(n²) tables rebuilt eagerly.
-    Dense {
-        /// `hops[i][j]` — BFS hop count, [`UNREACHABLE`] when partitioned.
-        hops: Vec<Vec<u32>>,
-        /// Dense Range-Distance Cost matrix (`n × n`, row-major).
-        rdc: Vec<f64>,
-    },
-    /// Per-source rows materialized on first query; cleared on rebuild.
-    Sparse {
-        rows: Vec<OnceLock<Vec<u32>>>,
-        rdc_rows: Vec<OnceLock<Vec<f64>>>,
-    },
-}
-
 /// Eq. 2 with an explicit hop count: `hops + range_i/norm + range_j/norm`,
 /// with the unreachable penalty substituted for the hop term. Kept as one
-/// free function so the dense matrix, the lazy rows, and the in-place
-/// mobility patches all perform the identical float operations.
+/// free function so row fills and single-pair queries perform the
+/// identical float operations.
 fn rdc_formula(i: usize, j: usize, hops: u32, mobility: &[f64], norm: f64, penalty: f64) -> f64 {
     if i == j {
         return 0.0;
@@ -138,7 +122,11 @@ pub struct Topology {
     /// top of whatever the geometry allows).
     partition: Option<Vec<bool>>,
     adjacency: Vec<Vec<NodeId>>,
-    routes: Routes,
+    /// `hop_rows[i][j]` — BFS hop count, [`UNREACHABLE`] when partitioned.
+    /// Filled at rebuild (eager) or on first query (lazy).
+    hop_rows: Vec<OnceLock<Vec<u32>>>,
+    /// `rdc_rows[i][j]` — Eq. 2. A filled RDC row implies a filled hop row.
+    rdc_rows: Vec<OnceLock<Vec<f64>>>,
     /// Bumped on every routing/RDC change; lets callers detect staleness
     /// of anything they derived from this topology snapshot.
     epoch: u64,
@@ -217,10 +205,8 @@ impl Topology {
             active: vec![true; n],
             partition: None,
             adjacency: Vec::new(),
-            routes: Routes::Dense {
-                hops: Vec::new(),
-                rdc: Vec::new(),
-            },
+            hop_rows: Vec::new(),
+            rdc_rows: Vec::new(),
             epoch: 0,
         }
     }
@@ -260,42 +246,14 @@ impl Topology {
         self.mobility[node.0]
     }
 
-    /// Overrides the mobility radius of `node`. Refreshes the node's row
-    /// and column of the cached RDC state (Eq. 2 depends on both
-    /// endpoints' ranges) and bumps [`Topology::epoch`]. In sparse mode
-    /// only already-materialized RDC rows are patched — hop rows are
-    /// unaffected, and lazily computed rows always read fresh mobility.
+    /// Overrides the mobility radius of `node` and bumps
+    /// [`Topology::epoch`]. Eq. 2 reads both endpoints' ranges, so every
+    /// filled RDC row holds a stale entry for `node`: they are dropped and
+    /// refill from the (unaffected) hop rows on their next query.
     pub fn set_mobility_range(&mut self, node: NodeId, range: f64) {
         self.mobility[node.0] = range;
-        let n = self.len();
-        let i = node.0;
-        let norm = self.config.comm_range;
-        let penalty = n as f64;
-        let mobility = &self.mobility;
-        match &mut self.routes {
-            Routes::Dense { hops, rdc, .. } => {
-                for j in 0..n {
-                    rdc[i * n + j] = rdc_formula(i, j, hops[i][j], mobility, norm, penalty);
-                    rdc[j * n + i] = rdc_formula(j, i, hops[j][i], mobility, norm, penalty);
-                }
-            }
-            Routes::Sparse { rows, rdc_rows } => {
-                for (s, lock) in rdc_rows.iter_mut().enumerate() {
-                    let Some(rdc_row) = lock.get_mut() else {
-                        continue;
-                    };
-                    let hops_row = rows[s]
-                        .get()
-                        .expect("materialized rdc row implies materialized hop row");
-                    if s == i {
-                        for j in 0..n {
-                            rdc_row[j] = rdc_formula(s, j, hops_row[j], mobility, norm, penalty);
-                        }
-                    } else {
-                        rdc_row[i] = rdc_formula(s, i, hops_row[i], mobility, norm, penalty);
-                    }
-                }
-            }
+        for row in &mut self.rdc_rows {
+            row.take();
         }
         self.epoch += 1;
     }
@@ -441,10 +399,9 @@ impl Topology {
         self.rebuild_routes();
     }
 
-    /// Recomputes adjacency and routing state from current positions.
-    /// Dense mode rebuilds the all-pairs tables eagerly (fanned out over
-    /// the worker pool); sparse mode only rebuilds adjacency and clears
-    /// the lazy rows.
+    /// Recomputes adjacency from current positions and drops every hop
+    /// and RDC row; eager fill recomputes them all right away (fanned out
+    /// over the worker pool), lazy fill leaves that to the first query.
     pub fn rebuild_routes(&mut self) {
         self.rebuild_adjacency();
         self.rebuild_tables();
@@ -454,37 +411,25 @@ impl Topology {
     /// adjacency.
     fn rebuild_tables(&mut self) {
         let n = self.len();
-        if self.config.sparse_routes {
-            self.routes = Routes::Sparse {
-                rows: (0..n).map(|_| OnceLock::new()).collect(),
-                rdc_rows: (0..n).map(|_| OnceLock::new()).collect(),
+        self.hop_rows = (0..n).map(|_| OnceLock::new()).collect();
+        self.rdc_rows = (0..n).map(|_| OnceLock::new()).collect();
+        if !self.config.sparse_routes {
+            // Per-source BFS rows are independent; fan them out over the
+            // worker pool on larger topologies. The pool returns rows in
+            // source order, so the fill is identical to a serial one.
+            let (adjacency, active) = (&self.adjacency, &self.active);
+            let workers = if n >= PARALLEL_BFS_MIN_NODES {
+                usize::MAX
+            } else {
+                1
             };
-            self.epoch += 1;
-            return;
-        }
-        // Per-source BFS rows are independent; fan them out over the
-        // worker pool on larger topologies. The pool returns rows in
-        // source order, so the tables are identical to a serial build.
-        let adjacency = &self.adjacency;
-        let active = &self.active;
-        let workers = if n >= PARALLEL_BFS_MIN_NODES {
-            usize::MAX
-        } else {
-            1
-        };
-        let hops =
-            crate::pool::parallel_map_range(n, workers, |src| bfs_hops(adjacency, active, src));
-        // Dense RDC matrix from the fresh hop tables.
-        let norm = self.config.comm_range;
-        let penalty = n as f64;
-        let mobility = &self.mobility;
-        let mut rdc = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                rdc[i * n + j] = rdc_formula(i, j, hops[i][j], mobility, norm, penalty);
+            let hops =
+                crate::pool::parallel_map_range(n, workers, |src| bfs_hops(adjacency, active, src));
+            self.hop_rows = hops.into_iter().map(OnceLock::from).collect();
+            for i in 0..n {
+                self.rdc_row(NodeId(i));
             }
         }
-        self.routes = Routes::Dense { hops, rdc };
         self.epoch += 1;
     }
 
@@ -518,14 +463,9 @@ impl Topology {
         self.adjacency = adjacency;
     }
 
-    /// `src`'s hop row; sparse mode materializes it on first use.
+    /// `src`'s hop row, filled on first use.
     fn hop_row(&self, src: usize) -> &[u32] {
-        match &self.routes {
-            Routes::Dense { hops, .. } => &hops[src],
-            Routes::Sparse { rows, .. } => {
-                rows[src].get_or_init(|| bfs_hops(&self.adjacency, &self.active, src))
-            }
-        }
+        self.hop_rows[src].get_or_init(|| bfs_hops(&self.adjacency, &self.active, src))
     }
 
     /// Whether the imposed partition cut severs the `i`–`j` link.
@@ -541,16 +481,10 @@ impl Topology {
     /// mobility ranges normalized to hop-equivalents (`range / comm_range`)
     /// so the units are commensurate. `c_ii = 0`. Unreachable pairs get a
     /// large finite penalty (`n` hops) so the facility-location solver can
-    /// still run on temporarily partitioned snapshots.
-    ///
-    /// Dense mode serves the value from the matrix precomputed at rebuild
-    /// time; sparse mode evaluates the identical formula from the lazily
-    /// materialized hop row.
+    /// still run on temporarily partitioned snapshots. Evaluated from
+    /// `i`'s hop row, so a single pair never fills an RDC row.
     pub fn rdc(&self, i: NodeId, j: NodeId) -> f64 {
-        match &self.routes {
-            Routes::Dense { rdc, .. } => rdc[i.0 * self.len() + j.0],
-            Routes::Sparse { .. } => self.rdc_from_hops(i, j, self.hops(i, j)),
-        }
+        self.rdc_from_hops(i, j, self.hops(i, j))
     }
 
     /// Eq. 2 evaluated with an explicit hop count (with [`UNREACHABLE`]
@@ -573,19 +507,15 @@ impl Topology {
 
     /// Row `i` of the RDC state: `row[j] == rdc(i, j)` for every `j`.
     /// Lets instance builders copy or gather whole rows instead of issuing
-    /// `n` individual lookups. In sparse mode the row is materialized on
-    /// first access and cached until the next route rebuild.
+    /// `n` individual lookups. Filled on first access and kept until the
+    /// next route rebuild.
     pub fn rdc_row(&self, i: NodeId) -> &[f64] {
-        let n = self.len();
-        match &self.routes {
-            Routes::Dense { rdc, .. } => &rdc[i.0 * n..(i.0 + 1) * n],
-            Routes::Sparse { rdc_rows, .. } => rdc_rows[i.0].get_or_init(|| {
-                let hops = self.hop_row(i.0);
-                (0..n)
-                    .map(|j| self.rdc_from_hops(i, NodeId(j), hops[j]))
-                    .collect()
-            }),
-        }
+        self.rdc_rows[i.0].get_or_init(|| {
+            let hops = self.hop_row(i.0);
+            (0..self.len())
+                .map(|j| self.rdc_from_hops(i, NodeId(j), hops[j]))
+                .collect()
+        })
     }
 
     /// Breadth-first search from `src` truncated at `max_hops`, returning
@@ -633,8 +563,8 @@ impl Topology {
     }
 
     /// Estimated heap bytes held by the topology's derived structures
-    /// (adjacency plus routing/RDC state). Sparse mode counts only the
-    /// rows actually materialized, which is the point of the comparison.
+    /// (adjacency plus routing/RDC state). Only filled rows count, which
+    /// is the point of comparing eager against lazy fill.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let vec_hdr = size_of::<Vec<u8>>();
@@ -643,31 +573,18 @@ impl Topology {
             .iter()
             .map(|v| vec_hdr + v.capacity() * size_of::<NodeId>())
             .sum();
-        let routes = match &self.routes {
-            Routes::Dense { hops, rdc } => {
-                let h: usize = hops
-                    .iter()
-                    .map(|r| vec_hdr + r.capacity() * size_of::<u32>())
-                    .sum();
-                h + rdc.capacity() * size_of::<f64>()
-            }
-            Routes::Sparse { rows, rdc_rows } => lazy_rows_bytes(rows) + lazy_rows_bytes(rdc_rows),
-        };
-        adj + routes
+        adj + lazy_rows_bytes(&self.hop_rows) + lazy_rows_bytes(&self.rdc_rows)
     }
 
-    /// Hop rows held this epoch: every source when dense, the sources
-    /// queried since the last rebuild when sparse.
+    /// Hop rows held this epoch: every source under eager fill, the
+    /// sources queried since the last rebuild under lazy fill.
     pub fn materialized_rows(&self) -> usize {
-        match &self.routes {
-            Routes::Dense { hops, .. } => hops.len(),
-            Routes::Sparse { rows, .. } => rows.iter().filter(|l| l.get().is_some()).count(),
-        }
+        self.hop_rows.iter().filter(|l| l.get().is_some()).count()
     }
 }
 
-/// Bytes held by one vector of lazy rows: a lock slot per source (the
-/// row's `Vec` header sits inline in it) plus each materialized row's heap.
+/// Bytes held by one vector of rows: a lock slot per source (the row's
+/// `Vec` header sits inline in it) plus each filled row's heap.
 fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
     let heap: usize = rows
         .iter()

@@ -2,11 +2,12 @@
 //!
 //! A telemetry *session* is thread-local: [`enable`] arms it, instrumented
 //! code emits events/metrics through the free functions (or the
-//! [`trace_event!`] macro), and [`finish`] disarms it and hands back the
-//! collected [`Session`]. When no session is armed every entry point is a
-//! single `Cell<bool>` load and the `trace_event!` macro does not even
-//! evaluate its field expressions — simulation results are bit-identical
-//! with telemetry on or off because nothing here feeds back into the run.
+//! [`trace_event!`](crate::trace_event) macro), and [`finish`] disarms it
+//! and hands back the collected [`Session`]. When no session is armed every
+//! entry point is a single `Cell<bool>` load and the `trace_event!` macro
+//! does not even evaluate its field expressions — simulation results are
+//! bit-identical with telemetry on or off because nothing here feeds back
+//! into the run.
 //!
 //! Event timestamps are **sim-clock milliseconds** (the caller passes
 //! them), never wall-clock, so a trace of a seeded run is byte-identical
@@ -187,7 +188,8 @@ pub fn finish() -> Option<Session> {
 }
 
 /// Emits a structured event (no-op when disabled). Prefer the
-/// [`trace_event!`] macro, which also skips field construction.
+/// [`trace_event!`](crate::trace_event) macro, which also skips field
+/// construction.
 pub fn emit(kind: &'static str, t_ms: u64, fields: Vec<(&'static str, Value)>) {
     if !is_enabled() {
         return;

@@ -7,6 +7,7 @@
 //! reruns and checks that moving the role seed moves the adversaries.
 
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
+use edgechain::crypto::sha256;
 use edgechain::sim::{
     ByzantineAction, ByzantineSweepConfig, FaultEvent, FaultPlan, NodeId, RoleAssignment, SimTime,
 };
@@ -119,6 +120,14 @@ fn byzantine_runs_are_bit_identical_per_seed() {
     let a = run(byzantine_config(0xED6E));
     let b = run(byzantine_config(0xED6E));
     assert_eq!(a, b, "same seed + plan must reproduce the identical report");
+    // Pinned in the `tests/golden.rs` form (SHA-256 of the `Debug` report,
+    // `telemetry` is `None` here): the golden runs never reach the forged,
+    // tampered, withheld or quarantine paths, this one does.
+    assert_eq!(
+        sha256(format!("{a:?}")).to_hex(),
+        "223474d0f6935867787db4f439410a54543f52ff4fb3c6e0fa64f001197c3978",
+        "byzantine report digest moved"
+    );
 
     let c = run(byzantine_config(0xED6F));
     assert_ne!(a, c, "a different seed should perturb the run");

@@ -183,6 +183,13 @@ fn flash_crowd_trajectory_is_pinned() {
         .run();
         assert_eq!(report.invariant_violations, 0, "{report}");
         assert_eq!(trajectory(&report), want, "{minutes} sim-min");
+        // Read off the per-push recount of the whole backlog that the
+        // running total replaced; the burst sits inside the first horizon,
+        // so both peak at the same value.
+        assert_eq!(
+            report.overload.peak_inflight_fetches, 31,
+            "{minutes} sim-min"
+        );
     }
 }
 

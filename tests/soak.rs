@@ -10,6 +10,7 @@
 //! the simulation length must be indistinguishable from pruning off.
 
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
+use edgechain::crypto::sha256;
 use edgechain::sim::{ByzantineAction, ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -129,6 +130,14 @@ fn soak_reruns_are_bit_identical() {
     let a = run(soak_config(1_100));
     let b = run(soak_config(1_100));
     assert_eq!(a, b, "same seed + plan must reproduce the identical report");
+    // Pinned in the `tests/golden.rs` form: the only pinned run that
+    // prunes and bootstraps rejoiners from snapshots.
+    assert!(a.telemetry.is_none());
+    assert_eq!(
+        sha256(format!("{a:?}")).to_hex(),
+        "9ee89c7c4397b32c998adcb8ffeea49856969ec036e64b4900b6690be1530bcb",
+        "soak report digest moved"
+    );
 }
 
 #[test]
