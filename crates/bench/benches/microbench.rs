@@ -69,16 +69,31 @@ fn random_instance(n: usize, seed: u64) -> UflInstance {
 }
 
 fn bench_ufl(c: &mut Criterion) {
+    // Cold cases solve a clone of a never-solved instance, so each one
+    // sorts its client rows; an instance that was solved before keeps them.
     let mut group = c.benchmark_group("facility/solve");
     for n in [10usize, 25, 50] {
         let inst = random_instance(n, n as u64);
         group.bench_function(format!("greedy_n{n}"), |b| {
-            b.iter(|| solve_greedy(std::hint::black_box(&inst)))
+            b.iter_batched(|| inst.clone(), |i| solve_greedy(&i), BatchSize::SmallInput)
         });
         group.bench_function(format!("greedy+ls_n{n}"), |b| {
-            b.iter(|| solve(std::hint::black_box(&inst)))
+            b.iter_batched(|| inst.clone(), |i| solve(&i), BatchSize::SmallInput)
         });
     }
+    // What the allocation cache does between topology epochs: one node's
+    // occupancy moved, its opening cost is patched, the instance re-solved.
+    let mut patched = random_instance(50, 50);
+    let costs: Vec<f64> = (0..50).map(|i| patched.open_cost(i)).collect();
+    let mut step = 0usize;
+    group.bench_function("solve_patched_n50", |b| {
+        b.iter(|| {
+            step += 1;
+            let node = step % 50;
+            patched.set_open_cost(node, costs[node] + (step % 7) as f64);
+            solve(std::hint::black_box(&patched))
+        })
+    });
     group.finish();
 }
 

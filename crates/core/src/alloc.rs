@@ -830,8 +830,9 @@ mod tests {
     }
 
     /// The cached context must reproduce the one-shot path exactly across
-    /// a mutating workload: storage writes, node crashes/restarts, and
-    /// mobility changes, under both placements. The regional engine runs
+    /// a mutating workload: storage writes, node crashes/restarts,
+    /// mobility changes, and a node filling up and being freed within one
+    /// topology epoch, under both placements. The regional engine runs
     /// on the same cache unit: with a single all-covering region (cell ≥
     /// field side, horizon ≥ n) it must stay feasible through the same
     /// mutations and replay identically.
@@ -880,6 +881,28 @@ mod tests {
                     for n in nodes {
                         storage[n.0].store_data(DataId(step as u64));
                     }
+                }
+                // Inside one topology epoch: node 9 is driven full (its
+                // open cost patched to +∞ in a cached instance whose other
+                // rows are already in use), stays full for six solves, then
+                // has every slot released, as an expiry sweep would.
+                const FILL: std::ops::Range<u64> = 1_000..1_040;
+                if step == 6 {
+                    storage[9].cache_recent(0);
+                    for id in FILL {
+                        storage[9].store_data(DataId(id));
+                    }
+                    assert!(storage[9].is_full());
+                }
+                if (7..=12).contains(&step) {
+                    assert!(!cached.as_ref().is_ok_and(|c| c.contains(&NodeId(9))));
+                    assert!(!regional_picks[step].contains(&NodeId(9)));
+                }
+                if step == 12 {
+                    for id in (0..step as u64).chain(FILL) {
+                        storage[9].evict_data(DataId(id));
+                    }
+                    assert_eq!(storage[9].data_count(), 0);
                 }
                 if step == 20 {
                     topo.set_active(NodeId(3), false);

@@ -12,17 +12,29 @@
 //! ## Fast path
 //!
 //! The per-facility client order is a property of the *instance*, not of
-//! the covering state, so it is sorted **once** up front and each opening
-//! round walks the pre-sorted order skipping covered clients — replacing
-//! the original per-round full re-sorts (`O(rounds · m · k log k)` →
-//! `O(m · k log k + rounds · m · k)`). Because the sorts are stable and
-//! filtering a stably-sorted list to a subset preserves its relative
-//! order, every round sees exactly the cost sequence the re-sorting
-//! implementation saw, so prefix sums, ratios, tie-breaks, and claimed
-//! clients are bit-identical (the `#[cfg(test)]` reference implementation
-//! pins this). The final pruning pass uses cheapest/second-cheapest
-//! bookkeeping (`UflInstance::two_cheapest_open`) instead of cloning and
-//! reassigning a trial solution per open facility.
+//! the covering state, so the instance keeps it (sorted on first use, see
+//! `UflInstance`) and each opening round walks it skipping covered
+//! clients — replacing the original per-round full re-sorts. Because the
+//! sorts are stable and filtering a stably-sorted list to a subset
+//! preserves its relative order, every round sees exactly the cost
+//! sequence the re-sorting implementation saw, so prefix sums, ratios,
+//! tie-breaks, and claimed clients are bit-identical (the `#[cfg(test)]`
+//! reference implementation pins this).
+//!
+//! A round does not walk every facility either. `lb[i]` holds facility
+//! `i`'s lowest ratio from the last round that walked it. Covering
+//! clients only removes entries from `i`'s sorted uncovered list, so the
+//! list's t-th entry can only grow; `+` and `/ t` round monotonically, so
+//! every t-prefix ratio `i` offers now is ≥ the one it offered then, and
+//! `lb[i]` bounds them all from below in floating point, not just in the
+//! reals. While `lb[i]` is not below the best ratio found so far the
+//! strict `ratio < best` update could not fire for `i`, and the walk is
+//! skipped. The bound's one other input, `f_i`, drops to 0 when `i`
+//! opens; `lb[i]` resets there.
+//!
+//! The final pruning pass uses cheapest/second-cheapest bookkeeping
+//! (`UflInstance::two_cheapest_open`) instead of cloning and reassigning
+//! a trial solution per open facility.
 
 use crate::instance::{SolveError, UflInstance, UflSolution};
 use edgechain_telemetry as telemetry;
@@ -44,40 +56,33 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
     }
     let m = instance.facilities();
     let k = instance.clients();
-    // Each finite facility's clients, stably pre-sorted by connection
-    // cost (ties in ascending client id). Infinite facilities never
-    // participate, so their order is never consulted.
-    let order: Vec<Vec<u32>> = (0..m)
-        .map(|i| {
-            if !instance.open_cost(i).is_finite() {
-                return Vec::new();
-            }
-            let row = instance.connect_row(i);
-            let mut idx: Vec<u32> = (0..k as u32).collect();
-            idx.sort_by(|&a, &b| {
-                row[a as usize]
-                    .partial_cmp(&row[b as usize])
-                    .expect("costs are not NaN")
-            });
-            idx
-        })
-        .collect();
-
     let mut open = vec![false; m];
     let mut assignment = vec![usize::MAX; k];
     let mut covered = 0usize;
+    // `lb[i]`: facility `i`'s lowest ratio in the last round that walked
+    // it. Covering clients only thins `i`'s sorted uncovered list, so that
+    // stale ratio bounds every ratio `i` can offer now from below (module
+    // docs) — until `i` opens and its `f_i` drops to 0.
+    let mut lb = vec![f64::NEG_INFINITY; m];
+    let (mut rounds, mut walks) = (0u64, 0u64);
 
     while covered < k {
+        rounds += 1;
         let mut best: Option<(f64, usize, usize)> = None; // (ratio, facility, take)
         for i in 0..m {
             let f_cost = if open[i] { 0.0 } else { instance.open_cost(i) };
             if !f_cost.is_finite() {
                 continue;
             }
+            if matches!(best, Some((r, _, _)) if lb[i] >= r) {
+                continue; // the strict `ratio < r` below could not fire
+            }
+            walks += 1;
             let row = instance.connect_row(i);
             let mut running = f_cost;
             let mut prefix = 0usize;
-            for &j in &order[i] {
+            let mut lowest = f64::INFINITY;
+            for &j in instance.client_order(i) {
                 if assignment[j as usize] != usize::MAX {
                     continue; // already covered
                 }
@@ -88,6 +93,7 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
                 running += c;
                 prefix += 1;
                 let ratio = running / prefix as f64;
+                lowest = lowest.min(ratio);
                 let better = match best {
                     None => true,
                     Some((r, _, _)) => ratio < r,
@@ -96,13 +102,17 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
                     best = Some((ratio, i, prefix));
                 }
             }
+            lb[i] = lowest;
         }
         let (_, fac, take) = best.ok_or(SolveError::NoFeasibleFacility)?;
-        open[fac] = true;
+        if !open[fac] {
+            open[fac] = true;
+            lb[fac] = f64::NEG_INFINITY;
+        }
         // Claim the `take` cheapest uncovered clients for `fac` — the
-        // pre-sorted order filtered to uncovered clients.
+        // sorted order filtered to uncovered clients.
         let mut taken = 0usize;
-        for &j in &order[fac] {
+        for &j in instance.client_order(fac) {
             if taken == take {
                 break;
             }
@@ -114,6 +124,8 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
             }
         }
     }
+    telemetry::counter_add("ufl.greedy.rounds", rounds);
+    telemetry::counter_add("ufl.greedy.walks", walks);
 
     let mut solution = UflSolution {
         open,
@@ -169,14 +181,14 @@ fn prune_useless(instance: &UflInstance, solution: &mut UflSolution) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::instance::UflInstance;
 
     /// The pre-rewrite greedy, verbatim: per-round full re-sorts and a
     /// clone-per-trial pruning pass. Kept as the behavioral reference the
     /// fast implementation must match bit-for-bit.
-    pub(super) fn solve_greedy_reference(
+    pub(crate) fn solve_greedy_reference(
         instance: &UflInstance,
     ) -> Result<UflSolution, SolveError> {
         if !instance.has_finite_facility() {

@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Scaling factor between FDC and RDC from the paper ("we use feature
 /// scaling to set the weight of FDC and RDC as 1000 : 1").
@@ -50,10 +51,26 @@ pub fn fdc(used: u64, total: u64) -> f64 {
 
 /// A UFL instance: `open_cost[i]` to open facility `i`, and
 /// `connect[i][j]` for client `j` to use facility `i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Connect rows are immutable after [`UflInstance::new`]: there is no
+/// setter, and [`UflInstance::set_open_cost`] touches opening costs only.
+/// Each facility's stable client order (the greedy solver's sort) is a
+/// function of its connect row alone, so the instance keeps it — filled
+/// per row on first use — and nothing ever has to invalidate it. Equality
+/// compares the costs, not which rows happen to be sorted already.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UflInstance {
     open_cost: Vec<f64>,
     connect: Vec<Vec<f64>>,
+    /// `order[i]`: the clients stably sorted by `connect[i]`, once asked for.
+    #[serde(skip)]
+    order: Vec<OnceLock<Vec<u32>>>,
+}
+
+impl PartialEq for UflInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.open_cost == other.open_cost && self.connect == other.connect
+    }
 }
 
 impl UflInstance {
@@ -84,7 +101,12 @@ impl UflInstance {
         for (i, &f) in open_cost.iter().enumerate() {
             assert!(!f.is_nan() && f >= 0.0, "open_cost[{i}] invalid: {f}");
         }
-        UflInstance { open_cost, connect }
+        let order = vec![OnceLock::new(); open_cost.len()];
+        UflInstance {
+            open_cost,
+            connect,
+            order,
+        }
     }
 
     /// Builds the paper's storage-allocation instance where every node is
@@ -129,6 +151,23 @@ impl UflInstance {
     /// slice borrow beats `clients()` individual `connect_cost` calls.
     pub fn connect_row(&self, i: usize) -> &[f64] {
         &self.connect[i]
+    }
+
+    /// Facility `i`'s clients stably sorted by connection cost (ties in
+    /// ascending client id), sorted on the first call and kept: a patched
+    /// and re-solved instance sorts nothing, and a facility no solve ever
+    /// walks (full since the instance was built) is never sorted.
+    pub(crate) fn client_order(&self, i: usize) -> &[u32] {
+        self.order[i].get_or_init(|| {
+            let row = &self.connect[i];
+            let mut idx: Vec<u32> = (0..row.len() as u32).collect();
+            idx.sort_by(|&a, &b| {
+                row[a as usize]
+                    .partial_cmp(&row[b as usize])
+                    .expect("costs are not NaN")
+            });
+            idx
+        })
     }
 
     /// Overwrites facility `i`'s opening cost in place — the incremental

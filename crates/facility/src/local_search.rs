@@ -19,7 +19,9 @@
 //! reassignment for the winning move). The accumulation order of every
 //! trial cost mirrors [`UflSolution::validate`], so accepted moves and
 //! final solutions are bit-identical to the original implementation
-//! (pinned by the `#[cfg(test)]` reference).
+//! (pinned by the `#[cfg(test)]` reference). All costs are ≥ 0, so a
+//! trial's partial sums never decrease, and a trial is abandoned as soon
+//! as one reaches the cost it would have to beat.
 
 use crate::instance::{SolveError, UflInstance, UflSolution};
 use edgechain_telemetry as telemetry;
@@ -36,6 +38,56 @@ struct Move {
     open: Option<usize>,
 }
 
+/// One round's trial pricing. A trial matters only when its cost is below
+/// `bound` — the acceptance threshold `solution.cost − 1e-12` until a trial
+/// is accepted, the best accepted trial's cost from then on (strictly lower,
+/// so the first of equal-cost trials stays the winner).
+struct Trials<'a> {
+    instance: &'a UflInstance,
+    /// The open facilities, ascending.
+    open_now: &'a [usize],
+    bound: f64,
+    best: Option<Move>,
+    cut: u64,
+}
+
+impl Trials<'_> {
+    /// Prices `mv` — opening costs of `open_now` minus `mv.close` with
+    /// `mv.open` merged at its sorted place, then `client_cost(j)` for
+    /// ascending `j`: the additions [`UflSolution::validate`] would make on
+    /// the moved solution, in its order — and keeps it when it beats
+    /// `bound`. Every term is ≥ 0, so the partial sums never decrease and
+    /// a trial whose partial sum has reached `bound` is abandoned: its
+    /// finished cost could not be below it.
+    fn price(&mut self, mv: Move, client_cost: impl Fn(usize) -> f64) {
+        let mut cost = 0.0;
+        let mut opening = mv.open;
+        for &o in self.open_now {
+            if let Some(l) = opening.filter(|&l| l < o) {
+                cost += self.instance.open_cost(l);
+                opening = None;
+            }
+            if Some(o) != mv.close {
+                cost += self.instance.open_cost(o);
+            }
+        }
+        if let Some(l) = opening {
+            cost += self.instance.open_cost(l);
+        }
+        for j in 0..self.instance.clients() {
+            if cost >= self.bound {
+                self.cut += 1;
+                return;
+            }
+            cost += client_cost(j);
+        }
+        if cost < self.bound {
+            self.bound = cost;
+            self.best = Some(mv);
+        }
+    }
+}
+
 /// Improves `solution` in place until no open/close/swap move helps.
 ///
 /// Returns the number of improving moves applied.
@@ -43,99 +95,65 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
     let m = instance.facilities();
     let k = instance.clients();
     let mut moves = 0;
+    let mut cut = 0u64;
+    let mut without = vec![0.0; k];
     for _ in 0..MAX_ROUNDS {
         let open_now = solution.open_facilities();
         let (b1, c1, c2) = instance.two_cheapest_open(&solution.open);
-        let mut best: Option<(f64, Move)> = None;
+        let closed_finite = |l: usize| !solution.open[l] && instance.open_cost(l).is_finite();
+        let mut trials = Trials {
+            instance,
+            open_now: &open_now,
+            bound: solution.cost - 1e-12,
+            best: None,
+            cut: 0,
+        };
 
         // Move 1: open a closed (finite-cost) facility.
-        for i in 0..m {
-            if solution.open[i] || !instance.open_cost(i).is_finite() {
-                continue;
-            }
-            let mut cost = 0.0;
-            for o in 0..m {
-                if solution.open[o] || o == i {
-                    cost += instance.open_cost(o);
-                }
-            }
+        for i in (0..m).filter(|&i| closed_finite(i)) {
             let row = instance.connect_row(i);
-            for j in 0..k {
-                cost += if row[j] < c1[j] { row[j] } else { c1[j] };
-            }
-            if cost < solution.cost - 1e-12 {
-                replace_if_better(
-                    &mut best,
-                    cost,
-                    Move {
-                        close: None,
-                        open: Some(i),
-                    },
-                );
-            }
+            let mv = Move {
+                close: None,
+                open: Some(i),
+            };
+            trials.price(mv, |j| if row[j] < c1[j] { row[j] } else { c1[j] });
         }
 
         // Move 2: close an open facility (if another stays open).
         if open_now.len() > 1 {
             for &i in &open_now {
-                let mut cost = 0.0;
-                for &o in &open_now {
-                    if o != i {
-                        cost += instance.open_cost(o);
-                    }
-                }
-                for j in 0..k {
-                    cost += if b1[j] == i { c2[j] } else { c1[j] };
-                }
-                if cost < solution.cost - 1e-12 {
-                    replace_if_better(
-                        &mut best,
-                        cost,
-                        Move {
-                            close: Some(i),
-                            open: None,
-                        },
-                    );
-                }
+                let mv = Move {
+                    close: Some(i),
+                    open: None,
+                };
+                trials.price(mv, |j| if b1[j] == i { c2[j] } else { c1[j] });
             }
         }
 
         // Move 3: swap an open facility for a closed one.
         for &i in &open_now {
-            for l in 0..m {
-                if solution.open[l] || !instance.open_cost(l).is_finite() {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for o in 0..m {
-                    if (solution.open[o] && o != i) || o == l {
-                        cost += instance.open_cost(o);
-                    }
-                }
+            for j in 0..k {
+                without[j] = if b1[j] == i { c2[j] } else { c1[j] };
+            }
+            for l in (0..m).filter(|&l| closed_finite(l)) {
                 let row = instance.connect_row(l);
-                for j in 0..k {
-                    let without_i = if b1[j] == i { c2[j] } else { c1[j] };
-                    cost += if row[j] < without_i {
+                let mv = Move {
+                    close: Some(i),
+                    open: Some(l),
+                };
+                trials.price(mv, |j| {
+                    if row[j] < without[j] {
                         row[j]
                     } else {
-                        without_i
-                    };
-                }
-                if cost < solution.cost - 1e-12 {
-                    replace_if_better(
-                        &mut best,
-                        cost,
-                        Move {
-                            close: Some(i),
-                            open: Some(l),
-                        },
-                    );
-                }
+                        without[j]
+                    }
+                });
             }
         }
 
-        match best {
-            Some((_, mv)) => {
+        cut += trials.cut;
+        match trials.best {
+            Some(mv) => {
                 if let Some(i) = mv.close {
                     solution.open[i] = false;
                 }
@@ -150,14 +168,8 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
         }
     }
     telemetry::counter_add("ufl.local_search.moves", moves as u64);
+    telemetry::counter_add("ufl.local_search.trials_cut", cut);
     moves
-}
-
-fn replace_if_better(best: &mut Option<(f64, Move)>, cost: f64, mv: Move) {
-    match best {
-        Some((b, _)) if *b <= cost => {}
-        _ => *best = Some((cost, mv)),
-    }
 }
 
 /// The workspace's production solver: greedy construction followed by
@@ -376,6 +388,162 @@ mod tests {
                 reference.cost.to_bits(),
                 "trial {trial}: cost bits"
             );
+        }
+    }
+
+    /// An instance of the shape the simulator builds: every node is both
+    /// facility and client, connect costs follow Eq. 2 (`hops + a_i + a_j`
+    /// with few distinct `a`, hop count 8 standing for "unreachable" and
+    /// priced at the `n`-hop penalty, so rows tie heavily), and opening
+    /// costs are `FDC_SCALE · used / (250 − used)`, infinite at 250.
+    fn sim_shaped(mobility: &[u32], hops: &[Vec<u32>], used: &[u64]) -> UflInstance {
+        let n = used.len();
+        let a = |i: usize| f64::from(mobility[i]) / 7.0;
+        let connect = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| match hops[i.min(j)][i.max(j)] {
+                        _ if i == j => 0.0,
+                        8 => n as f64 + a(i) + a(j),
+                        h => f64::from(h) + a(i) + a(j),
+                    })
+                    .collect()
+            })
+            .collect();
+        let open_cost = used.iter().map(|&u| sim_open_cost(u)).collect();
+        UflInstance::new(open_cost, connect)
+    }
+
+    fn sim_open_cost(used: u64) -> f64 {
+        crate::FDC_SCALE * crate::fdc(used, 250)
+    }
+
+    /// The two pre-rewrite references composed: what `solve` must equal.
+    fn solve_reference(instance: &UflInstance) -> Result<UflSolution, SolveError> {
+        let mut solution = crate::greedy::tests::solve_greedy_reference(instance)?;
+        improve_reference(instance, &mut solution);
+        Ok(solution)
+    }
+
+    fn assert_same_bits(
+        got: &Result<UflSolution, SolveError>,
+        want: &Result<UflSolution, SolveError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.open, w.open, "{what}: open sets");
+                assert_eq!(g.assignment, w.assignment, "{what}: assignments");
+                assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "{what}: cost bits");
+            }
+            (g, w) => assert_eq!(g, w, "{what}"),
+        }
+    }
+
+    /// The work the short-circuits leave on one fixed n = 50 instance, to
+    /// the unit: the counts repeat exactly, so a change that walks or
+    /// finishes more (or fewer) than this shows here while the timings
+    /// stay inside their noise band.
+    #[test]
+    fn work_counters_are_pinned_on_a_fixed_n50_instance() {
+        let n = 50;
+        let mut state = 0x5EED_0050u64;
+        let mut next = move |modulus: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % modulus
+        };
+        let mobility: Vec<u32> = (0..n).map(|_| next(4) as u32).collect();
+        // Mostly 1–5 hops with one pair in sixteen unreachable; one node in
+        // eight full, the rest 4–84 % used.
+        let hops: Vec<Vec<u32>> = (0..n)
+            .map(|_| {
+                (0..n)
+                    .map(|_| if next(16) == 0 { 8 } else { 1 + next(5) as u32 })
+                    .collect()
+            })
+            .collect();
+        let used: Vec<u64> = (0..n)
+            .map(|_| if next(8) == 0 { 250 } else { 10 + next(200) })
+            .collect();
+        let inst = sim_shaped(&mobility, &hops, &used);
+
+        telemetry::enable();
+        let fast = solve(&inst);
+        let registry = telemetry::finish().expect("session was armed").registry;
+
+        assert_same_bits(&fast, &solve_reference(&inst), "fixed n=50");
+
+        // 40 facilities are not full: unpruned, 6 rounds make 240 walks.
+        assert_eq!(used.iter().filter(|&&u| u < 250).count(), 40);
+        assert_eq!(registry.counter("ufl.greedy.rounds"), 6);
+        assert_eq!(registry.counter("ufl.greedy.walks"), 90);
+        assert_eq!(registry.counter("ufl.local_search.trials_cut"), 193);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(mobility, hops, used)` for [`sim_shaped`], n in 20..=60 and
+        /// 0–30 % of the nodes full.
+        fn arb_sim_parts() -> impl Strategy<Value = (Vec<u32>, Vec<Vec<u32>>, Vec<u64>)> {
+            (20usize..=60, 0u64..=30).prop_flat_map(|(n, full_pct)| {
+                let mobility = prop::collection::vec(0u32..4, n);
+                let hops = prop::collection::vec(prop::collection::vec(0u32..9, n), n);
+                let used =
+                    prop::collection::vec((0u64..100, 0u64..250), n).prop_map(move |draws| {
+                        draws
+                            .into_iter()
+                            .map(|(d, u)| if d < full_pct { 250 } else { u })
+                            .collect()
+                    });
+                (mobility, hops, used)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// At the simulator's shapes — where sorted rows are long runs
+            /// of ties, most rounds are pruned and most trials cut — the
+            /// production solve is the two references composed, bit for
+            /// bit.
+            #[test]
+            fn solve_equals_references_at_sim_shapes(parts in arb_sim_parts()) {
+                let inst = sim_shaped(&parts.0, &parts.1, &parts.2);
+                assert_same_bits(&solve(&inst), &solve_reference(&inst), "sim-shaped");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// One instance patched 50+ times — half the patches on six
+            /// hot nodes, a full node always freed and a free one filled
+            /// one time in three, so finite → ∞ → finite flips recur —
+            /// solves after every patch exactly as a fresh instance with
+            /// the same costs does: the kept client orders (some sorted
+            /// before the patch, some only once their facility frees up)
+            /// carry nothing a patch could stale.
+            #[test]
+            fn patched_instance_solves_like_a_fresh_one(
+                parts in arb_sim_parts(),
+                patches in prop::collection::vec((any::<prop::sample::Index>(), 0u64..375), 50..65),
+            ) {
+                let (mobility, hops, mut used) = parts;
+                let mut patched = sim_shaped(&mobility, &hops, &used);
+                let _ = solve(&patched);
+                for (step, (pick, draw)) in patches.into_iter().enumerate() {
+                    let node = pick.index(if step % 2 == 0 { used.len() } else { 6 });
+                    used[node] = if used[node] == 250 { draw % 250 } else { draw.min(250) };
+                    patched.set_open_cost(node, sim_open_cost(used[node]));
+                    let fresh = sim_shaped(&mobility, &hops, &used);
+                    prop_assert!(patched == fresh);
+                    assert_same_bits(&solve(&patched), &solve(&fresh), "patched vs fresh");
+                }
+            }
         }
     }
 }

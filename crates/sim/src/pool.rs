@@ -27,7 +27,15 @@ const MAX_WORKERS: usize = 8;
 
 /// How many workers the pool would use for `len` items given the caller's
 /// cap: `min(cap, available_parallelism, MAX_WORKERS, len)`, at least 1.
+///
+/// A cap or a range of one settles the answer before the host is asked:
+/// `available_parallelism` reads cgroup and affinity state (tens of
+/// microseconds), which the serial callers — every eager route rebuild
+/// below the pool's node threshold — would otherwise pay per call.
 pub fn worker_count(len: usize, max_workers: usize) -> usize {
+    if max_workers <= 1 || len <= 1 {
+        return 1;
+    }
     let hardware = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
@@ -130,6 +138,26 @@ mod tests {
             let par = parallel_map_range(103, cap, |i| (i as u64).wrapping_mul(2654435761));
             assert_eq!(par, serial, "cap={cap}");
         }
+    }
+
+    #[test]
+    fn cap_of_one_is_the_serial_map() {
+        // Runs `f` on the calling thread, in index order: the thread id
+        // check fails if a worker was spawned.
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let out = parallel_map_range(40, 1, |i| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().expect("no panic under the lock").push(i);
+            i * 3
+        });
+        assert_eq!(out, (0..40).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(seen.into_inner().unwrap(), (0..40).collect::<Vec<_>>());
+        for len in [0, 1, 2, 63, 10_000] {
+            assert_eq!(worker_count(len, 1), 1, "len={len}");
+            assert_eq!(worker_count(len, 0), 1, "len={len}");
+        }
+        assert_eq!(worker_count(1, usize::MAX), 1);
     }
 
     #[test]

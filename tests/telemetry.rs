@@ -327,6 +327,17 @@ fn caches_are_exercised_on_the_chaos_run() {
         "cache barely used: {hit} hits vs {solves} solves"
     );
 
+    // Greedy round pruning engages: unpruned, every round walks every
+    // facility that is not full. (The chaos run's instances span at most
+    // its 20 nodes; the counts repeat exactly per seed.)
+    let (rounds, walks) = (count("ufl.greedy.rounds"), count("ufl.greedy.walks"));
+    assert!(rounds >= count("ufl.greedy_calls") && walks >= rounds);
+    assert!(
+        3 * walks < 2 * rounds * 20,
+        "stale lower bounds prune under a third: {walks} walks in {rounds} rounds"
+    );
+    assert!(count("ufl.local_search.trials_cut") > 0);
+
     let (pos_hit, pos_miss) = (count("pos.hit_cache_hit"), count("pos.hit_cache_miss"));
     assert!(pos_miss > 0, "first round per height must miss");
     assert!(
