@@ -45,8 +45,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod account;
+mod admission;
 pub mod alloc;
 pub mod block;
 pub mod byzantine;
@@ -59,7 +61,9 @@ pub mod migration;
 pub mod network;
 pub mod pos;
 pub mod pow;
+pub mod report;
 pub mod slo;
+mod spans;
 pub mod storage;
 
 pub use account::{AccountId, Identity, Ledger};
@@ -73,7 +77,7 @@ pub use metadata::{DataId, DataType, Location, MetadataItem};
 pub use migration::{
     apply_migration, placement_cost, plan_migration, MigrationConfig, MigrationPlan, Move,
 };
-pub use network::{EdgeNetwork, NetworkConfig, RunReport};
+pub use network::{ConfigError, EdgeNetwork, NetworkConfig, RunReport};
 pub use pos::{
     hit, next_pos_hash, run_round, verify_claim, Amendment, Candidate, MiningOutcome, HIT_MODULUS,
 };

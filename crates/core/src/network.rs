@@ -28,6 +28,7 @@
 //!   loses the longest-chain race).
 
 use crate::account::{AccountId, Identity, Ledger};
+use crate::admission::{Admission, Op, RetryPolicy};
 use crate::alloc::{AllocationContext, Placement, RegionParams};
 use crate::block::Block;
 use crate::byzantine::{ByzantineEngine, ByzantineOutcome, OrphanVerdict, WithheldFork};
@@ -36,17 +37,17 @@ use crate::chain::{Blockchain, CheckpointPolicy, Snapshot};
 use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
 use crate::pos::{run_round_cached, Candidate, HitTable};
-use crate::slo::{LatencySummary, OverloadReport, SloMonitor, SloReport, SloThresholds};
+pub use crate::report::RunReport;
+use crate::slo::{LatencySummary, SloMonitor, SloThresholds};
+use crate::spans::SpanTracker;
 use crate::storage::NodeStorage;
 use edgechain_energy::{Battery, DeviceProfile, EnergyCategory, EnergyMeter};
 use edgechain_sim::{
-    ByzantineAction, EventQueue, FaultInjector, FaultPlan, NodeId, SimTime, Topology,
-    TopologyConfig, TopologyError, Transport, TransportConfig,
+    ByzantineAction, EventQueue, FaultInjector, FaultPlan, FaultPlanError, NodeId, SimTime,
+    Topology, TopologyConfig, TopologyError, Transport, TransportConfig,
 };
-use edgechain_telemetry::{
-    self as telemetry, gini_counts, trace_event, RegistrySnapshot, RunningStats, SampleSet, SpanId,
-};
-use edgechain_workload::{OpenArrivals, OverloadConfig, TokenBucket, WorkloadConfig, ZipfSampler};
+use edgechain_telemetry::{self as telemetry, gini_counts, trace_event, SampleSet};
+use edgechain_workload::{OpenArrivals, OverloadConfig, WorkloadConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -67,6 +68,13 @@ const RAFT_TICK: SimTime = SimTime::from_millis(100);
 /// active; plain `malicious_fraction` runs keep the paper's
 /// invalidate-and-route-around behavior unchanged).
 const DENIAL_QUARANTINE_THRESHOLD: u32 = 3;
+/// How long a node stays quarantined after a proven misbehavior
+/// (equivocation, forged block, tampered signature, garbage payload,
+/// repeated denials), in simulated seconds. Quarantined nodes are
+/// excluded from PoS rounds and from serving fetches, and half their
+/// stake is slashed (Eq. 7's `S_i`); they are re-admitted when the
+/// window expires.
+const QUARANTINE_SECS: u64 = 900;
 
 /// Full configuration of a simulation run. Defaults reproduce the paper's
 /// §VI setup.
@@ -100,8 +108,6 @@ pub struct NetworkConfig {
     /// Run the §VII data-migration pass every this many seconds, moving
     /// the worst-placed items toward the current optimum; `None` disables.
     pub migration_interval_secs: Option<u64>,
-    /// Migration decision knobs (threshold, FDC weight).
-    pub migration: crate::migration::MigrationConfig,
     /// Fraction of nodes that accept storage assignments but silently
     /// deny serving data and blocks (paper §III-B.2's malicious model).
     pub malicious_fraction: f64,
@@ -117,12 +123,11 @@ pub struct NetworkConfig {
     pub topology: TopologyConfig,
     /// Transport parameters.
     pub transport: TransportConfig,
-    /// Device energy profile.
-    pub device: DeviceProfile,
     /// Verify metadata signatures at every receiving node (slower;
     /// enabled in integration tests, off for parameter sweeps).
     pub verify_signatures: bool,
-    /// FDC weight `A` in the allocation objective (paper: 1000).
+    /// FDC weight `A` in the allocation objective (paper: 1000). The
+    /// §VII migration pass prices its moves with the same `A`.
     pub fdc_scale: f64,
     /// Whether miners run the §IV-C recent-block allocation (growing
     /// chosen nodes' caches). Disabling it is an ablation: every node then
@@ -149,13 +154,6 @@ pub struct NetworkConfig {
     /// block at or below their latest checkpoint
     /// ([`crate::chain::CheckpointPolicy`]).
     pub checkpoint_interval: u64,
-    /// How long a node stays quarantined after a proven misbehavior
-    /// (equivocation, forged block, tampered signature, garbage payload,
-    /// repeated denials), in simulated seconds. Quarantined nodes are
-    /// excluded from PoS rounds and from serving fetches, and half their
-    /// stake is slashed (Eq. 7's `S_i`); they are re-admitted when the
-    /// window expires.
-    pub quarantine_secs: u64,
     /// Collapse blocks strictly below the latest checkpoint minus
     /// [`NetworkConfig::prune_retention_blocks`] into a signed,
     /// Merkle-committed [`crate::chain::ChainAnchor`], reclaiming the
@@ -175,11 +173,6 @@ pub struct NetworkConfig {
     /// one is rejected, the server blacklisted, and the next-nearest
     /// provider tried. Only consulted when `prune_blocks` is on.
     pub snapshot_bootstrap: bool,
-    /// SLO thresholds and rolling-window geometry for the health monitor
-    /// (see [`crate::slo`]). The monitor always runs — it is pure
-    /// observation over numbers the simulation computes anyway — and its
-    /// verdicts land in [`RunReport::slo`].
-    pub slo: SloThresholds,
     /// Route allocations through the region-decomposed UFL engine (ISSUE 9
     /// scale path): the field is partitioned into radio-connected regions
     /// and each allocation solves only the data origin's region, stitched
@@ -243,13 +236,11 @@ impl Default for NetworkConfig {
             expiration_sweep_secs: 300,
             token_rescale_blocks: None,
             migration_interval_secs: None,
-            migration: crate::migration::MigrationConfig::default(),
             malicious_fraction: 0.0,
             raft_consensus: false,
             placement: Placement::Optimal,
             topology: TopologyConfig::default(),
             transport: TransportConfig::default(),
-            device: DeviceProfile::galaxy_s8(),
             verify_signatures: false,
             fdc_scale: edgechain_facility::FDC_SCALE,
             recent_block_allocation: true,
@@ -258,11 +249,9 @@ impl Default for NetworkConfig {
             retry_backoff_ms: 500,
             replica_repair: true,
             checkpoint_interval: 10,
-            quarantine_secs: 900,
             prune_blocks: false,
             prune_retention_blocks: 16,
             snapshot_bootstrap: false,
-            slo: SloThresholds::default(),
             region_alloc: false,
             region_cell_m: 140.0,
             region_horizon: 8,
@@ -275,6 +264,93 @@ impl Default for NetworkConfig {
         }
     }
 }
+
+impl NetworkConfig {
+    /// Checks the values [`EdgeNetwork::new`] would otherwise trip over:
+    /// at least one node, a positive block interval, a finite nonnegative
+    /// generation rate and FDC weight, fractions in `[0, 1]`, snapshots
+    /// only on a pruned chain, and a fault plan that fits the node count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ConfigError`] found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let rate = |v: f64| v.is_finite() && v >= 0.0;
+        let (t0, fraction) = (self.block_interval_secs, self.malicious_fraction);
+        let checks = [
+            ("nodes", self.nodes as f64, self.nodes >= 1, "at least 1"),
+            ("block_interval_secs", t0 as f64, t0 >= 1, "at least 1"),
+            (
+                "data_items_per_min",
+                self.data_items_per_min,
+                rate(self.data_items_per_min),
+                "finite and at least 0",
+            ),
+            (
+                "fdc_scale",
+                self.fdc_scale,
+                rate(self.fdc_scale),
+                "finite and at least 0",
+            ),
+            (
+                "malicious_fraction",
+                fraction,
+                (0.0..=1.0).contains(&fraction),
+                "in [0, 1]",
+            ),
+        ];
+        for (field, value, ok, want) in checks {
+            if !ok {
+                return Err(ConfigError::OutOfRange { field, value, want });
+            }
+        }
+        if self.snapshot_bootstrap && !self.prune_blocks {
+            return Err(ConfigError::SnapshotWithoutPruning);
+        }
+        // Covers `fault_plan.roles.malicious_fraction` too.
+        self.fault_plan
+            .validate(self.nodes)
+            .map_err(ConfigError::FaultPlan)
+    }
+}
+
+/// Why a [`NetworkConfig`] cannot be run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// A count, rate, weight or fraction outside its domain.
+    OutOfRange {
+        /// The offending [`NetworkConfig`] field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The domain it must lie in.
+        want: &'static str,
+    },
+    /// `snapshot_bootstrap` without `prune_blocks`: there is no anchor to
+    /// snapshot until a prefix has been pruned.
+    SnapshotWithoutPruning,
+    /// The fault plan does not fit the configured node count.
+    FaultPlan(FaultPlanError),
+    /// No connected placement exists for the requested node count.
+    Topology(TopologyError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::OutOfRange { field, value, want } => {
+                write!(f, "{field} must be {want}, got {value}")
+            }
+            ConfigError::SnapshotWithoutPruning => {
+                write!(f, "snapshot_bootstrap requires prune_blocks")
+            }
+            ConfigError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            ConfigError::Topology(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[derive(Debug)]
 enum Event {
@@ -342,236 +418,6 @@ impl GeneralEvent {
     }
 }
 
-/// Aggregated results of one simulation run — the raw material of
-/// Figs. 4 and 5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Node count of the run.
-    pub nodes: usize,
-    /// Blocks mined (excluding genesis).
-    pub blocks_mined: u64,
-    /// Data items generated.
-    pub data_generated: u64,
-    /// Data items that could not be stored anywhere (all nodes full).
-    pub data_unstored: u64,
-    /// Mean per-node transferred volume (sent + received) in MB — Fig. 4(a).
-    pub mean_node_overhead_mb: f64,
-    /// Total bytes transmitted network-wide, MB.
-    pub total_sent_mb: f64,
-    /// Gini coefficient of per-node used storage slots — Fig. 4(b).
-    pub storage_gini: f64,
-    /// Data delivery time statistics (seconds) — Fig. 4(c)/5(a).
-    pub delivery: RunningStats,
-    /// 95th-percentile data delivery time (seconds), when any completed.
-    pub delivery_p95: Option<f64>,
-    /// Requests that found no reachable storer (retried next round).
-    pub failed_requests: u64,
-    /// Completed data requests.
-    pub completed_requests: u64,
-    /// Missing-block recoveries performed.
-    pub recoveries: u64,
-    /// Recovery latency statistics (seconds).
-    pub recovery: RunningStats,
-    /// Hop distance to the node that served each recovered block.
-    pub recovery_hops: RunningStats,
-    /// Observed mean block interval (seconds).
-    pub mean_block_interval_secs: f64,
-    /// Mean remaining battery across nodes, percent.
-    pub mean_battery_percent: f64,
-    /// Average replicas per stored data item.
-    pub mean_replicas: f64,
-    /// Expired data items evicted from stores.
-    pub data_expired: u64,
-    /// Service denials observed from malicious storers (requests that got
-    /// no answer and were retried elsewhere, §III-B.2).
-    pub denials: u64,
-    /// Replica copies performed by the §VII data-migration pass.
-    pub migrations: u64,
-    /// Raft messages transmitted for general information consensus.
-    pub raft_messages: u64,
-    /// Raft heartbeats among those (the paper's §VII overhead complaint).
-    pub raft_heartbeats: u64,
-    /// Bytes of raft traffic (already included in the overhead numbers).
-    pub raft_bytes: u64,
-    /// General events committed by every live raft replica.
-    pub raft_committed: u64,
-    /// Mean per-node radio energy (joules) implied by the traffic volume
-    /// and the device profile's per-byte TX/RX costs.
-    pub mean_radio_energy_j: f64,
-    /// Fault actions applied by the injector (crashes, restarts, window
-    /// starts/ends).
-    pub faults_injected: u64,
-    /// Messages the transport dropped inside lossy-link windows.
-    pub messages_dropped: u64,
-    /// Backoff retries performed by data fetches and block recoveries.
-    pub retries: u64,
-    /// Data items re-replicated by the miner's UFL repair sweep.
-    pub repairs_triggered: u64,
-    /// Integral over time of the number of valid items with zero live
-    /// honest copies (item-seconds); 0 outside fault runs.
-    pub under_replicated_item_seconds: f64,
-    /// Fraction of resolved data requests that completed (1.0 when no
-    /// request resolved either way).
-    pub availability: f64,
-    /// Byzantine artifacts injected by the adversary engine: equivocation
-    /// pairs, forged blocks, withheld forks, tampered signatures, garbage
-    /// payloads. Counted by identity (an equivocation pair observed by
-    /// many nodes is one artifact).
-    pub byz_injected: u64,
-    /// Byzantine artifacts detected by at least one honest node
-    /// (verification failure, equivocation proof, undecodable payload,
-    /// late fork release).
-    pub byz_detected: u64,
-    /// Chain reorganizations performed by live fork choice: per-node
-    /// adoptions of the canonical branch plus trunk reorgs from released
-    /// private forks.
-    pub reorgs: u64,
-    /// Deepest reorg observed, in discarded blocks.
-    pub max_reorg_depth: u64,
-    /// Quarantines imposed on misbehaving nodes.
-    pub quarantine_events: u64,
-    /// Quarantined nodes re-admitted after their window expired.
-    pub readmissions: u64,
-    /// Blocks collapsed into the chain anchor by checkpoint-anchored
-    /// pruning ([`NetworkConfig::prune_blocks`]).
-    pub blocks_pruned: u64,
-    /// Blocks physically retained at the end of the run (bounded by the
-    /// checkpoint interval plus the retention window when pruning is on;
-    /// equal to the chain height otherwise).
-    pub retained_blocks: u64,
-    /// Snapshots assembled and sent to deep-rejoining nodes.
-    pub snapshots_served: u64,
-    /// Snapshots that verified and were adopted by a rejoining node.
-    pub snapshots_applied: u64,
-    /// Snapshots rejected at verification (tampered or undecodable);
-    /// each one blacklists its server for the requesting node.
-    pub snapshots_rejected: u64,
-    /// Peak network-wide storage occupancy (used slots summed over all
-    /// nodes, sampled at every mined block). Flat under pruning; grows
-    /// with the chain without it.
-    pub peak_storage_slots: u64,
-    /// Peak number of tombstone tracking entries held at once (swept ids +
-    /// invalidated-storer pairs + snapshot blacklist pairs + stashed
-    /// Byzantine orphans), sampled at every mined block. Bounded by the
-    /// [`NetworkConfig::tracking_retention_secs`] window, not run length.
-    pub peak_tracking_entries: u64,
-    /// Hard safety violations caught by the invariant checker — durable
-    /// data loss or a corrupted chain prefix. Must stay 0.
-    pub invariant_violations: u64,
-    /// Inclusion latency (data generation → packing block mined), seconds:
-    /// count plus p50/p95/p99 over every packed item.
-    pub inclusion_latency: LatencySummary,
-    /// Fetch latency (request issued → payload delivered), seconds:
-    /// count plus p50/p95/p99 over every completed request. The p95 here
-    /// equals [`RunReport::delivery_p95`], kept for compatibility.
-    pub fetch_latency: LatencySummary,
-    /// SLO health verdict: rolling-window breach alerts plus the end-of-run
-    /// latency/availability/safety summary (see [`crate::slo`]). Computed
-    /// unconditionally — it never consults the RNG — so it is identical
-    /// whether or not telemetry or spans were armed.
-    pub slo: SloReport,
-    /// Overload accounting: offered vs admitted vs shed load, retry-budget
-    /// denials, degradation-ladder activity, and queue high-water marks
-    /// (see [`crate::slo::OverloadReport`]). Offered/admitted counters and
-    /// queue peaks are maintained on every run; the protection counters
-    /// stay zero unless [`NetworkConfig::overload`] sets limits.
-    pub overload: OverloadReport,
-    /// Deterministic summary of the telemetry registry, when a session was
-    /// armed ([`edgechain_telemetry::enable`]) for the run; `None`
-    /// otherwise, so reports from un-instrumented runs stay bit-identical
-    /// to pre-telemetry builds.
-    pub telemetry: Option<RegistrySnapshot>,
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "run: {} nodes, {} blocks, {} items ({} unstored)",
-            self.nodes, self.blocks_mined, self.data_generated, self.data_unstored
-        )?;
-        writeln!(
-            f,
-            "  overhead: {:.1} MB/node ({:.1} MB sent total)",
-            self.mean_node_overhead_mb, self.total_sent_mb
-        )?;
-        writeln!(f, "  storage gini: {:.4}", self.storage_gini)?;
-        writeln!(
-            f,
-            "  delivery: {} ({} failed)",
-            self.delivery, self.failed_requests
-        )?;
-        writeln!(f, "  recoveries: {} ({})", self.recoveries, self.recovery)?;
-        if self.data_expired > 0 || self.denials > 0 {
-            writeln!(
-                f,
-                "  expired: {} items, denials: {}",
-                self.data_expired, self.denials
-            )?;
-        }
-        if self.faults_injected > 0 {
-            writeln!(
-                f,
-                "  faults: {} injected, {} msgs dropped, {} retries, \
-                 {} repairs, availability {:.3}, {} violations",
-                self.faults_injected,
-                self.messages_dropped,
-                self.retries,
-                self.repairs_triggered,
-                self.availability,
-                self.invariant_violations
-            )?;
-        }
-        if self.byz_injected > 0 || self.quarantine_events > 0 {
-            writeln!(
-                f,
-                "  byzantine: {} injected, {} detected, {} reorgs (max depth {}), \
-                 {} quarantines, {} readmissions",
-                self.byz_injected,
-                self.byz_detected,
-                self.reorgs,
-                self.max_reorg_depth,
-                self.quarantine_events,
-                self.readmissions
-            )?;
-        }
-        if self.blocks_pruned > 0 || self.snapshots_served > 0 {
-            writeln!(
-                f,
-                "  lifecycle: {} blocks pruned ({} retained), snapshots \
-                 {} served / {} applied / {} rejected, peak storage {} slots",
-                self.blocks_pruned,
-                self.retained_blocks,
-                self.snapshots_served,
-                self.snapshots_applied,
-                self.snapshots_rejected,
-                self.peak_storage_slots
-            )?;
-        }
-        if self.peak_tracking_entries > 0 {
-            writeln!(
-                f,
-                "  tracking: peak {} tombstone entries",
-                self.peak_tracking_entries
-            )?;
-        }
-        writeln!(f, "  inclusion latency: {}", self.inclusion_latency)?;
-        writeln!(f, "  fetch latency: {}", self.fetch_latency)?;
-        writeln!(f, "  slo: {}", self.slo)?;
-        if self.overload.engaged() {
-            writeln!(f, "  overload: {}", self.overload)?;
-        }
-        if let Some(snap) = &self.telemetry {
-            writeln!(f, "  telemetry: {} metrics captured", snap.entries.len())?;
-        }
-        write!(
-            f,
-            "  block interval: {:.1} s, battery: {:.1} %",
-            self.mean_block_interval_secs, self.mean_battery_percent
-        )
-    }
-}
-
 /// The running simulation.
 pub struct EdgeNetwork {
     config: NetworkConfig,
@@ -584,6 +430,8 @@ pub struct EdgeNetwork {
     account_of: Vec<AccountId>,
     node_of_account: HashMap<AccountId, NodeId>,
     storage: Vec<NodeStorage>,
+    /// The paper's §VI handset, which every node is.
+    device: DeviceProfile,
     batteries: Vec<Battery>,
     meters: Vec<EnergyMeter>,
 
@@ -604,9 +452,6 @@ pub struct EdgeNetwork {
     /// informed of this information", §III-B.2).
     invalid_storers: std::collections::HashSet<(DataId, NodeId)>,
     raft_nodes: Vec<edgechain_raft::RaftNode<GeneralEvent>>,
-    raft_messages: u64,
-    raft_heartbeats: u64,
-    raft_bytes: u64,
 
     injector: FaultInjector,
     /// Byzantine adversary state: per-node chain views, armed actions,
@@ -614,33 +459,25 @@ pub struct EdgeNetwork {
     /// actions, so honest runs stay bit-identical to earlier releases.
     byz: Option<ByzantineEngine>,
     checker: InvariantChecker,
-    retries: u64,
-    repairs_triggered: u64,
     /// Cached UFL instance/solution shared by all allocation call sites.
     alloc_ctx: AllocationContext,
     /// Per-height PoS hit cache shared by every round at one height.
     pos_hits: HitTable,
 
     // metrics
-    delivery: RunningStats,
+    /// The report under construction: every counter that ends up in the
+    /// [`RunReport`] one-to-one is bumped here where it happens;
+    /// [`Self::into_report`] fills in the derived fields.
+    report: RunReport,
     delivery_samples: SampleSet,
     /// Per-item inclusion latency samples (generation → packing block).
     inclusion_samples: SampleSet,
     /// Rolling-window SLO health monitor; pure observation, always on.
     slo: SloMonitor,
-    /// Open-span bookkeeping for the causal trace layer. `Some` only when
+    /// Open-span bookkeeping for the causal trace layer; inert unless
     /// spans were armed ([`edgechain_telemetry::enable_spans`]) at run
-    /// start, so untraced runs never touch it.
-    spans: Option<SpanTracker>,
-    recovery: RunningStats,
-    failed_requests: u64,
-    completed_requests: u64,
-    recoveries: u64,
-    recovery_hops: RunningStats,
-    data_unstored: u64,
-    data_expired: u64,
-    denials: u64,
-    migrations: u64,
+    /// start.
+    spans: SpanTracker,
     replica_total: u64,
     replica_items: u64,
     block_timestamps: Vec<u64>,
@@ -654,69 +491,22 @@ pub struct EdgeNetwork {
     /// Sweep-time FIFO over `expired_ids` (`(sweep_secs, id)`), popped by
     /// the retention GC.
     expired_log: std::collections::VecDeque<(u64, DataId)>,
-    /// High-water mark of tombstone tracking entries, sampled per block.
-    peak_tracking_entries: u64,
     /// Resurrections observed since the last invariant observation.
     resurrected_pending: u64,
     /// `(rejoiner, server)` pairs that served a tampered or undecodable
     /// snapshot — never asked again by that rejoiner.
     snapshot_blacklist: std::collections::HashSet<(NodeId, NodeId)>,
-    blocks_pruned: u64,
-    snapshots_served: u64,
-    snapshots_applied: u64,
-    snapshots_rejected: u64,
-    peak_storage_slots: u64,
 
     // open workload & overload protection (ISSUE 10)
     /// Dedicated RNG stream for arrival sampling and popularity draws;
     /// disabled workloads never touch it, so the master stream is
     /// unaffected either way.
     workload_rng: StdRng,
-    /// Dedicated RNG stream for retry-backoff jitter; consulted only when
-    /// `retry_jitter_ms > 0`.
-    backoff_rng: StdRng,
     /// Popularity sampler for open-workload fetches.
     zipf: ZipfSampler,
-    /// Admission bucket at item generation (`None` = unlimited).
-    item_bucket: Option<TokenBucket>,
-    /// Admission bucket at fetch entry (`None` = unlimited).
-    fetch_bucket: Option<TokenBucket>,
-    /// Global retry budget (`None` = unlimited).
-    retry_bucket: Option<TokenBucket>,
-    /// Run-wide overload accounting (folds into the report).
-    overload: OverloadReport,
-    /// Current degradation-ladder rung, recomputed at each mined block.
-    degrade_level: u8,
-    /// Scheduled-but-unresolved `RetryFetch` events per `(requester,
-    /// data_id)` key — the fetch backlog. Entries stranded past the sim
-    /// horizon are explicit `exhausted` failures, never silent.
-    fetch_backlog: HashMap<(usize, u64), u32>,
-    /// Per-node count of backlogged fetches (mirror of `fetch_backlog`).
-    inflight_fetches: Vec<u32>,
-    /// Total backlogged fetches (the sum of `fetch_backlog`'s counts).
-    backlog_total: u64,
-}
-
-/// Open-span bookkeeping for the causal trace layer.
-///
-/// Span identity lives in the telemetry session; this side table only
-/// remembers which [`SpanId`]s belong to which in-flight protocol
-/// artifacts so lifecycle edges that fire many events apart (generate →
-/// pack → replicate, request → retry → deliver) can find their span
-/// again. Item entries are kept for the whole run — fetch spans link
-/// `follows` edges back to the item lifecycle long after it closed.
-#[derive(Debug, Default)]
-struct SpanTracker {
-    /// Root + PoS-child spans of the block scheduled to be mined next.
-    next_block: Option<(SpanId, SpanId)>,
-    /// `data id → (item.lifecycle root, item.pend child)`.
-    items: HashMap<u64, (SpanId, SpanId)>,
-    /// `(requester, data id) → fetch.lifecycle root` for in-flight fetches.
-    fetches: HashMap<(usize, u64), SpanId>,
-    /// `(requester, data id) → fetch.backoff span` awaiting its retry.
-    fetch_backoffs: HashMap<(usize, u64), SpanId>,
-    /// `node → quarantine.window span` for currently quarantined nodes.
-    quarantines: HashMap<usize, SpanId>,
+    /// Admission buckets, degradation ladder, fetch backlog and retry
+    /// budget, with the overload section of the report.
+    admission: Admission,
 }
 
 /// The next arrival of an open-workload process after `now`, at least a
@@ -753,27 +543,101 @@ fn empty_block_on(
     )
 }
 
+/// What the PoS re-run at mine time decided, handed by value to the
+/// stages of one mining round.
+#[derive(Debug, Clone, Copy)]
+struct Round {
+    now: SimTime,
+    miner: NodeId,
+    /// The winner's new `POSHash`.
+    pos_hash: edgechain_crypto::Digest,
+    /// Seconds after the previous block at which the winner's hit held.
+    delay_secs: u64,
+    amendment: crate::pos::Amendment,
+}
+
+/// How an armed adversary's election win changes the round.
+enum Attack {
+    /// No attack, or one deferred to a later win: the honest round runs.
+    Honest,
+    /// The honest round runs with a conflicting variant sealed beside it.
+    Equivocate,
+    /// The attack replaced the round; no canonical block comes of it and
+    /// the block lifecycle ends with this outcome.
+    Replaced(&'static str),
+}
+
+/// A block the miner sealed onto the canonical chain and broadcast.
+struct SealedBlock {
+    index: u64,
+    /// The metadata it packed, storers assigned.
+    items: Vec<MetadataItem>,
+    /// The block as it went over the wire, for per-node fork choice; only
+    /// on Byzantine runs.
+    wire: Option<Block>,
+    /// The equivocating miner's conflicting second block.
+    variant: Option<Block>,
+    /// Who the broadcast reached, and when.
+    arrivals: Vec<(NodeId, SimTime)>,
+    block_storers: Vec<NodeId>,
+    recent_growers: Vec<NodeId>,
+}
+
+/// Draws the requester and malicious roles from the master stream (and,
+/// for a seeded [`FaultPlan::roles`] assignment, a dedicated one).
+fn draw_roles(config: &NetworkConfig, rng: &mut StdRng) -> (Vec<NodeId>, Vec<bool>) {
+    let n_requesters = ((config.nodes as f64 * REQUESTER_FRACTION).ceil() as usize).max(1);
+    let mut ids: Vec<NodeId> = (0..config.nodes).map(NodeId).collect();
+    // Deterministic shuffle for requester roles.
+    for i in (1..ids.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        ids.swap(i, j);
+    }
+    let requesters: Vec<NodeId> = ids.iter().copied().take(n_requesters).collect();
+    // Malicious role placement. With a seeded `FaultPlan::roles`
+    // assignment, a dedicated RNG stream draws the roles from the
+    // non-requester pool — the master stream is untouched, so varying
+    // the role seed moves *only* who misbehaves. Without one, the
+    // legacy deterministic tail draw applies (bit-identical to prior
+    // releases): malicious nodes come from the non-requester tail so
+    // every request exercises the denial path from the outside.
+    let mut malicious = vec![false; config.nodes];
+    match config.fault_plan.roles {
+        Some(roles) => {
+            let n = (config.nodes as f64 * roles.malicious_fraction).round() as usize;
+            let mut role_rng = StdRng::seed_from_u64(roles.seed);
+            let mut pool: Vec<NodeId> = ids.iter().copied().skip(n_requesters).collect();
+            for _ in 0..n.min(pool.len()) {
+                let j = role_rng.gen_range(0..pool.len());
+                malicious[pool.swap_remove(j).0] = true;
+            }
+        }
+        None => {
+            let n_malicious = (config.nodes as f64 * config.malicious_fraction).round() as usize;
+            for v in ids.iter().rev().take(n_malicious) {
+                malicious[v.0] = true;
+            }
+        }
+    }
+    (requesters, malicious)
+}
+
 impl EdgeNetwork {
     /// Builds the network: places nodes, keys them, elects requester roles,
     /// and schedules the initial events.
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] when no connected placement exists for the
+    /// Returns [`ConfigError`] when the configuration fails
+    /// [`NetworkConfig::validate`] (no nodes, a zero block interval, a
+    /// rate or fraction outside its domain, a fault plan that does not fit
+    /// the node count, …) or no connected placement exists for the
     /// requested node count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`NetworkConfig::fault_plan`] fails
-    /// [`FaultPlan::validate`] for the configured node count (out-of-range
-    /// node ids, empty windows, bad probabilities, …).
-    pub fn new(config: NetworkConfig) -> Result<Self, TopologyError> {
-        config
-            .fault_plan
-            .validate(config.nodes)
-            .expect("fault plan must be valid for the configured node count");
+    pub fn new(config: NetworkConfig) -> Result<Self, ConfigError> {
+        config.validate()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let topo = Topology::random_connected(config.nodes, config.topology.clone(), &mut rng)?;
+        let topo = Topology::random_connected(config.nodes, config.topology.clone(), &mut rng)
+            .map_err(ConfigError::Topology)?;
         let identities: Vec<Identity> = (0..config.nodes)
             .map(|i| Identity::from_seed(config.seed.wrapping_add(i as u64)))
             .collect();
@@ -783,83 +647,44 @@ impl EdgeNetwork {
             .enumerate()
             .map(|(i, &a)| (a, NodeId(i)))
             .collect();
-        let n_requesters = ((config.nodes as f64 * REQUESTER_FRACTION).ceil() as usize).max(1);
-        let mut ids: Vec<NodeId> = (0..config.nodes).map(NodeId).collect();
-        // Deterministic shuffle for requester roles.
-        for i in (1..ids.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            ids.swap(i, j);
-        }
-        let requesters: Vec<NodeId> = ids.iter().copied().take(n_requesters).collect();
-        // Malicious role placement. With a seeded `FaultPlan::roles`
-        // assignment, a dedicated RNG stream draws the roles from the
-        // non-requester pool — the master stream is untouched, so varying
-        // the role seed moves *only* who misbehaves. Without one, the
-        // legacy deterministic tail draw applies (bit-identical to prior
-        // releases): malicious nodes come from the non-requester tail so
-        // every request exercises the denial path from the outside.
-        let mut malicious = vec![false; config.nodes];
-        match config.fault_plan.roles {
-            Some(roles) => {
-                let n = (config.nodes as f64 * roles.malicious_fraction).round() as usize;
-                let mut role_rng = StdRng::seed_from_u64(roles.seed);
-                let mut pool: Vec<NodeId> = ids.iter().copied().skip(n_requesters).collect();
-                for _ in 0..n.min(pool.len()) {
-                    let j = role_rng.gen_range(0..pool.len());
-                    malicious[pool.swap_remove(j).0] = true;
-                }
-            }
-            None => {
-                let n_malicious =
-                    (config.nodes as f64 * config.malicious_fraction).round() as usize;
-                for v in ids.iter().rev().take(n_malicious) {
-                    malicious[v.0] = true;
-                }
-            }
-        }
+        let (requesters, malicious) = draw_roles(&config, &mut rng);
 
         // Loss draws come from a dedicated stream derived from the master
         // seed, so lossy runs are a pure function of (config, seed) and
         // fault-free runs never consult it.
         let mut transport = Transport::new(config.transport);
         transport.seed_faults(config.seed ^ 0x70A5_F417);
-        let injector = FaultInjector::new(&config.fault_plan);
         // The Byzantine engine exists only when the plan schedules
         // adversarial consensus actions; its RNG is a dedicated stream so
         // forged material never perturbs the honest draws.
-        let byz = if config.fault_plan.has_byzantine() {
-            Some(ByzantineEngine::new(
+        let byz = config.fault_plan.has_byzantine().then(|| {
+            ByzantineEngine::new(
                 config.nodes,
                 &config.fault_plan.byzantine_nodes(),
                 config.seed ^ 0xB12A_77E1,
                 CheckpointPolicy {
                     interval: config.checkpoint_interval.max(1),
                 },
-                config.quarantine_secs,
+                QUARANTINE_SECS,
                 DENIAL_QUARANTINE_THRESHOLD,
-            ))
+            )
+        });
+        let alloc_ctx = AllocationContext::new(config.fdc_scale);
+        let alloc_ctx = if config.region_alloc {
+            alloc_ctx.with_regions(RegionParams {
+                cell_m: config.region_cell_m,
+                horizon: config.region_horizon,
+            })
         } else {
-            None
+            alloc_ctx
         };
-
-        // Overload machinery. Buckets are `None` (unlimited) unless the
-        // config prices them; the dedicated RNG streams keep the master
-        // stream untouched whether or not the workload engine is on.
-        let workload_rng = StdRng::seed_from_u64(config.seed ^ edgechain_workload::WORKLOAD_STREAM);
-        let backoff_rng = StdRng::seed_from_u64(config.seed ^ edgechain_workload::BACKOFF_STREAM);
-        let zipf = ZipfSampler::new(config.workload.zipf_exponent);
-        let item_bucket = config
-            .overload
-            .admission_items_per_min
-            .map(|r| TokenBucket::per_minute(r, config.overload.admission_items_burst));
-        let fetch_bucket = config
-            .overload
-            .admission_fetches_per_min
-            .map(|r| TokenBucket::per_minute(r, config.overload.admission_fetches_burst));
-        let retry_bucket = config
-            .overload
-            .retry_budget_per_min
-            .map(|r| TokenBucket::per_minute(r, config.overload.retry_budget_burst));
+        let retry = RetryPolicy {
+            retries: config.fetch_retries,
+            backoff_ms: config.retry_backoff_ms,
+            backoff_max_ms: config.retry_backoff_max_ms,
+            jitter_ms: config.retry_jitter_ms,
+        };
+        let device = DeviceProfile::galaxy_s8();
 
         let mut network = EdgeNetwork {
             topo,
@@ -869,7 +694,8 @@ impl EdgeNetwork {
             account_of,
             node_of_account,
             storage: vec![NodeStorage::new(config.storage_slots); config.nodes],
-            batteries: vec![Battery::full(&config.device); config.nodes],
+            batteries: vec![Battery::full(&device); config.nodes],
+            device,
             meters: vec![EnergyMeter::new(); config.nodes],
             chain: Blockchain::new(),
             ledger: Ledger::new(),
@@ -882,64 +708,28 @@ impl EdgeNetwork {
             malicious,
             invalid_storers: std::collections::HashSet::new(),
             raft_nodes: Vec::new(),
-            delivery: RunningStats::new(),
-            delivery_samples: SampleSet::new(),
-            inclusion_samples: SampleSet::new(),
-            slo: SloMonitor::new(config.slo.clone()),
-            spans: None,
-            recovery: RunningStats::new(),
-            failed_requests: 0,
-            completed_requests: 0,
-            recoveries: 0,
-            recovery_hops: RunningStats::new(),
-            data_unstored: 0,
-            data_expired: 0,
-            denials: 0,
-            migrations: 0,
-            raft_messages: 0,
-            raft_heartbeats: 0,
-            raft_bytes: 0,
-            injector,
+            injector: FaultInjector::new(&config.fault_plan),
             byz,
             checker: InvariantChecker::new(SimTime::ZERO),
-            retries: 0,
-            repairs_triggered: 0,
-            alloc_ctx: {
-                let ctx = AllocationContext::new(config.fdc_scale);
-                if config.region_alloc {
-                    ctx.with_regions(RegionParams {
-                        cell_m: config.region_cell_m,
-                        horizon: config.region_horizon,
-                    })
-                } else {
-                    ctx
-                }
-            },
+            alloc_ctx,
             pos_hits: HitTable::new(),
+            report: RunReport::default(),
+            delivery_samples: SampleSet::new(),
+            inclusion_samples: SampleSet::new(),
+            slo: SloMonitor::new(SloThresholds::default()),
+            spans: SpanTracker::default(),
             replica_total: 0,
             replica_items: 0,
             block_timestamps: vec![0],
             expired_ids: std::collections::HashSet::new(),
             expired_log: std::collections::VecDeque::new(),
-            peak_tracking_entries: 0,
             resurrected_pending: 0,
             snapshot_blacklist: std::collections::HashSet::new(),
-            blocks_pruned: 0,
-            snapshots_served: 0,
-            snapshots_applied: 0,
-            snapshots_rejected: 0,
-            peak_storage_slots: 0,
-            workload_rng,
-            backoff_rng,
-            zipf,
-            item_bucket,
-            fetch_bucket,
-            retry_bucket,
-            overload: OverloadReport::default(),
-            degrade_level: 0,
-            fetch_backlog: HashMap::new(),
-            inflight_fetches: vec![0; config.nodes],
-            backlog_total: 0,
+            // The dedicated workload and backoff streams keep the master
+            // stream untouched whether or not the workload engine is on.
+            workload_rng: StdRng::seed_from_u64(config.seed ^ edgechain_workload::WORKLOAD_STREAM),
+            zipf: ZipfSampler::new(config.workload.zipf_exponent),
+            admission: Admission::new(config.overload.clone(), retry, config.nodes, config.seed),
             rng,
             config,
         };
@@ -1072,15 +862,7 @@ impl EdgeNetwork {
     /// Runs one PoS round from the live state and schedules the mining
     /// event at the winner's earliest time.
     fn schedule_next_block(&mut self) {
-        if let Some(sp) = self.spans.as_mut() {
-            // The block lifecycle starts when its PoS round is drawn: the
-            // `block.pos` child covers the winner's mining delay, so the
-            // root span captures schedule → adoption end to end.
-            let t = self.queue.now().as_millis();
-            let root = telemetry::span_start("block.lifecycle", t, SpanId::NONE);
-            let pos = telemetry::span_start("block.pos", t, root);
-            sp.next_block = Some((root, pos));
-        }
+        self.spans.block_scheduled(self.queue.now());
         let miners = self.live_miners(self.queue.now());
         if miners.is_empty() {
             // Everyone is down. Poll again after a block interval; a
@@ -1096,7 +878,7 @@ impl EdgeNetwork {
         // Every live node runs the per-second check loop until the round
         // ends: charge PoS checking energy (Fig. 6's PoS cost model).
         for &i in &miners {
-            let joules = self.config.device.pos_check_energy * outcome.delay_secs as f64;
+            let joules = self.device.pos_check_energy * outcome.delay_secs as f64;
             self.meters[i].record(EnergyCategory::PosChecking, joules);
             self.batteries[i].consume(joules);
         }
@@ -1132,11 +914,7 @@ impl EdgeNetwork {
     /// The event loop shared by every `run*` entry point.
     fn drive(&mut self) {
         let horizon = SimTime::from_secs(self.config.sim_minutes * 60);
-        // Arm the span tracker only when the caller opted in; untraced
-        // runs keep `spans: None` and skip every bookkeeping branch.
-        if telemetry::spans_enabled() {
-            self.spans = Some(SpanTracker::default());
-        }
+        self.spans.arm();
         // Invariants are only metered when faults are in play: each
         // observation walks every live data item and every node, which a
         // long fault-free sweep shouldn't pay for.
@@ -1182,32 +960,21 @@ impl EdgeNetwork {
             self.observe_invariants(horizon);
         }
         // Fetches still waiting on a scheduled retry when the horizon hits
-        // never resolved: count each as an explicit exhausted failure
-        // instead of leaving it silently in flight forever. Keys are
-        // drained in sorted order so the trace is deterministic.
-        let mut stranded: Vec<(usize, u64)> = self.fetch_backlog.keys().copied().collect();
-        stranded.sort_unstable();
-        for (req, id) in stranded {
-            self.failed_requests += 1;
-            self.overload.fetch_exhausted += 1;
+        // never resolved: each is an explicit exhausted failure.
+        for (requester, id) in self.admission.drain_stranded() {
+            self.report.failed_requests += 1;
             self.slo.record_failure(horizon.as_millis());
             telemetry::counter_add("request.exhausted", 1);
             trace_event!(
                 "request.exhausted",
                 horizon.as_millis(),
-                requester = req as u64,
+                requester = requester.0 as u64,
                 id = id
             );
-            self.close_fetch_span(NodeId(req), DataId(id), horizon.as_millis(), "exhausted");
+            self.spans
+                .fetch_closed(horizon, requester, DataId(id), "exhausted");
         }
-        self.fetch_backlog.clear();
-        self.backlog_total = 0;
-        if self.spans.is_some() {
-            // Whatever is still in flight at the horizon (unpacked items,
-            // pending fetch backoffs, open quarantines, the scheduled next
-            // block) closes there, in span-id order — deterministic.
-            telemetry::span_end_all(horizon.as_millis());
-        }
+        self.spans.close_all(horizon);
     }
 
     /// Feeds the current network state to the [`InvariantChecker`].
@@ -1356,12 +1123,7 @@ impl EdgeNetwork {
             reason = reason,
             slash = taken
         );
-        if let Some(sp) = self.spans.as_mut() {
-            let q = telemetry::span_start("quarantine.window", now.as_millis(), SpanId::NONE);
-            telemetry::span_field(q, "node", culprit.0);
-            telemetry::span_field(q, "reason", reason);
-            sp.quarantines.insert(culprit.0, q);
-        }
+        self.spans.quarantined(now, culprit, reason);
     }
 
     /// Handles a two-headers-same-height-same-miner equivocation proof:
@@ -1732,12 +1494,13 @@ impl EdgeNetwork {
         // "the network accepted it". All gates are inert by default, so a
         // default config admits everything and the counters are the only
         // observable difference.
-        self.overload.offered_items += 1;
         self.slo.record_offered(now.as_millis());
-        if !self.admit_item(producer, now) {
+        let op = Op::Item {
+            pending: self.pending_metadata.len(),
+        };
+        if !self.admit(op, producer, now) {
             return;
         }
-        self.overload.admitted_items += 1;
         let id = DataId(self.next_data_id);
         self.next_data_id += 1;
         let pos = self.topo.position(producer);
@@ -1767,16 +1530,7 @@ impl EdgeNetwork {
             node = producer.0,
             bytes = self.config.data_item_bytes
         );
-        if let Some(sp) = self.spans.as_mut() {
-            // Item lifecycle root: generation → last replica landed. The
-            // `item.pend` child covers the mempool wait until packing.
-            let t = now.as_millis();
-            let root = telemetry::span_start("item.lifecycle", t, SpanId::NONE);
-            telemetry::span_field(root, "item", id.0);
-            telemetry::span_field(root, "producer", producer.0);
-            let pend = telemetry::span_start("item.pend", t, root);
-            sp.items.insert(id.0, (root, pend));
-        }
+        self.spans.item_opened(now, id, producer);
         // Open-workload runs allocate storers *per item at admission*
         // (streaming UFL over the cached context) instead of batching the
         // solve at block-pack time; an unsatisfiable solve rejects the item
@@ -1793,16 +1547,10 @@ impl EdgeNetwork {
                     item.storing_nodes = storers;
                 }
                 Err(_) => {
-                    self.overload.alloc_rejected += 1;
+                    self.admission.report.alloc_rejected += 1;
                     telemetry::counter_add("alloc.rejected", 1);
                     trace_event!("alloc.rejected", now.as_millis(), item = id.0);
-                    if let Some(sp) = self.spans.as_mut() {
-                        if let Some((root, pend)) = sp.items.remove(&id.0) {
-                            telemetry::span_end(pend, now.as_millis());
-                            telemetry::span_field(root, "outcome", "alloc_rejected");
-                            telemetry::span_end(root, now.as_millis());
-                        }
-                    }
+                    self.spans.item_rejected(now, id);
                     return;
                 }
             }
@@ -1811,124 +1559,29 @@ impl EdgeNetwork {
         self.transport
             .broadcast(&self.topo, producer, announce_bytes, now);
         self.pending_metadata.push(item);
-        self.overload.peak_pending_items = self
-            .overload
-            .peak_pending_items
-            .max(self.pending_metadata.len() as u64);
+        let peak = &mut self.admission.report.peak_pending_items;
+        *peak = (*peak).max(self.pending_metadata.len() as u64);
     }
 
-    /// Admission gate for a newly offered data item. Checks, in order: the
-    /// pending-queue bound, the item token bucket, and the token-ledger
-    /// price. Every gate defaults off, so the default config admits
-    /// unconditionally. Returns `false` (and accounts the shed) on reject.
-    fn admit_item(&mut self, producer: NodeId, now: SimTime) -> bool {
-        if let Some(cap) = self.config.overload.max_pending_items {
-            if cap > 0 && self.pending_metadata.len() >= cap {
-                self.shed_item(now, "queue_full");
-                return false;
-            }
+    /// Puts `op` through the admission gate ([`Admission::admit`]) on
+    /// behalf of `node`, whose account pays the admission price.
+    fn admit(&mut self, op: Op, node: NodeId, now: SimTime) -> bool {
+        let (ledger, account) = (&mut self.ledger, self.account_of[node.0]);
+        let admitted = self
+            .admission
+            .admit(op, now, |price| ledger.try_debit(account, price));
+        if !admitted {
+            self.slo.record_shed(now.as_millis());
         }
-        if let Some(bucket) = self.item_bucket.as_mut() {
-            if !bucket.try_take(now.as_millis(), 1.0) {
-                self.shed_item(now, "bucket");
-                return false;
-            }
-        }
-        let price = self.config.overload.admission_price_tokens;
-        if price > 0 {
-            let account = self.account_of[producer.0];
-            if !self.ledger.try_debit(account, price) {
-                self.shed_item(now, "price");
-                return false;
-            }
-            self.overload.admission_tokens_charged += price;
-        }
-        true
-    }
-
-    fn shed_item(&mut self, now: SimTime, reason: &'static str) {
-        self.overload.shed_items += 1;
-        self.slo.record_shed(now.as_millis());
-        telemetry::counter_add("overload.shed_items", 1);
-        trace_event!(
-            "overload.shed",
-            now.as_millis(),
-            op = "item",
-            reason = reason
-        );
-    }
-
-    /// Admission gate at fetch entry. `low_priority` marks open-workload
-    /// reads, the first rung of the degradation ladder; requester-loop
-    /// fetches pass `false` and are only throttled by the explicit knobs.
-    fn admit_fetch(&mut self, requester: NodeId, now: SimTime, low_priority: bool) -> bool {
-        self.overload.offered_fetches += 1;
-        if low_priority && self.degrade_level >= 1 {
-            self.shed_fetch(now, "degraded");
-            return false;
-        }
-        if let Some(cap) = self.config.overload.max_inflight_per_node {
-            if cap > 0 && self.inflight_fetches[requester.0] as usize >= cap {
-                self.shed_fetch(now, "inflight");
-                return false;
-            }
-        }
-        if let Some(bucket) = self.fetch_bucket.as_mut() {
-            if !bucket.try_take(now.as_millis(), 1.0) {
-                self.shed_fetch(now, "bucket");
-                return false;
-            }
-        }
-        let price = self.config.overload.admission_price_tokens;
-        if price > 0 {
-            let account = self.account_of[requester.0];
-            if !self.ledger.try_debit(account, price) {
-                self.shed_fetch(now, "price");
-                return false;
-            }
-            self.overload.admission_tokens_charged += price;
-        }
-        self.overload.admitted_fetches += 1;
-        true
-    }
-
-    fn shed_fetch(&mut self, now: SimTime, reason: &'static str) {
-        self.overload.shed_fetches += 1;
-        self.slo.record_shed(now.as_millis());
-        telemetry::counter_add("overload.shed_fetches", 1);
-        trace_event!(
-            "overload.shed",
-            now.as_millis(),
-            op = "fetch",
-            reason = reason
-        );
-    }
-
-    /// Exponential retry backoff: `retry_backoff_ms << attempt`, capped at
-    /// `retry_backoff_max_ms`, plus uniform jitter from the dedicated
-    /// backoff stream when `retry_jitter_ms > 0`. With the default cap the
-    /// uncapped curve of every pre-existing config is reproduced exactly.
-    fn retry_backoff(&mut self, attempt: u32) -> SimTime {
-        let base = self
-            .config
-            .retry_backoff_ms
-            .max(1)
-            .checked_shl(attempt.min(16))
-            .unwrap_or(u64::MAX);
-        let capped = base.min(self.config.retry_backoff_max_ms.max(1));
-        let jitter = match self.config.retry_jitter_ms {
-            0 => 0,
-            j => self.backoff_rng.gen_range(0..=j),
-        };
-        SimTime::from_millis(capped.saturating_add(jitter))
+        admitted
     }
 
     /// The one retry schedule behind fetches, block recoveries and snapshot
-    /// bootstraps that found no answering source: while attempts remain and
-    /// the global retry budget (unlimited by default) allows, counts the
-    /// retry and queues `retry(attempt + 1)` after the backoff. The budget
-    /// is charged only behind the attempt check, so terminal failures never
-    /// drain it. Returns whether a retry was queued; `false` is terminal.
+    /// bootstraps that found no answering source: while
+    /// [`Admission::retry_delay`] grants one (attempts remain and the
+    /// global retry budget allows), counts the retry and queues
+    /// `retry(attempt + 1)` after the backoff. Returns whether a retry was
+    /// queued; `false` is terminal.
     fn schedule_retry(
         &mut self,
         node: NodeId,
@@ -1937,17 +1590,10 @@ impl EdgeNetwork {
         op: &'static str,
         retry: impl FnOnce(u32) -> Event,
     ) -> bool {
-        if attempt >= self.config.fetch_retries {
+        let Some(backoff) = self.admission.retry_delay(attempt, now) else {
             return false;
-        }
-        if let Some(bucket) = self.retry_bucket.as_mut() {
-            if !bucket.try_take(now.as_millis(), 1.0) {
-                self.overload.retries_denied += 1;
-                telemetry::counter_add("overload.retries_denied", 1);
-                return false;
-            }
-        }
-        self.retries += 1;
+        };
+        self.report.retries += 1;
         telemetry::counter_add("transport.retries", 1);
         trace_event!(
             "transport.retry",
@@ -1956,35 +1602,8 @@ impl EdgeNetwork {
             attempt = attempt + 1,
             op = op
         );
-        let backoff = self.retry_backoff(attempt);
         self.queue.schedule(now + backoff, retry(attempt + 1));
         true
-    }
-
-    /// Tracks one scheduled `RetryFetch` in the backlog (the bounded set
-    /// of fetches waiting on a backoff timer).
-    fn backlog_push(&mut self, requester: NodeId, data_id: DataId) {
-        *self
-            .fetch_backlog
-            .entry((requester.0, data_id.0))
-            .or_insert(0) += 1;
-        self.inflight_fetches[requester.0] += 1;
-        self.backlog_total += 1;
-        self.overload.peak_inflight_fetches =
-            self.overload.peak_inflight_fetches.max(self.backlog_total);
-    }
-
-    /// Clears one backlog entry when its `RetryFetch` fires; an entry that
-    /// exists was counted into both mirrors by `backlog_push`.
-    fn backlog_pop(&mut self, requester: NodeId, data_id: DataId) {
-        if let Some(c) = self.fetch_backlog.get_mut(&(requester.0, data_id.0)) {
-            *c -= 1;
-            if *c == 0 {
-                self.fetch_backlog.remove(&(requester.0, data_id.0));
-            }
-            self.inflight_fetches[requester.0] -= 1;
-            self.backlog_total -= 1;
-        }
     }
 
     /// The single allocation entry point for every call site (item packing,
@@ -2028,36 +1647,61 @@ impl EdgeNetwork {
     }
 
     fn on_mine_block(&mut self, now: SimTime) {
-        // Re-run the round to identify the winner (deterministic). Nodes
-        // the fault injector took down since the round was scheduled drop
-        // out of the candidate set; if the scheduled winner crashed, the
-        // re-run simply elects the best surviving node.
-        // Quarantine re-admission rides the block cadence.
-        let pending_span = self.spans.as_mut().and_then(|sp| sp.next_block.take());
-        if let Some(e) = self.byz.as_mut() {
-            let readmitted = e.readmit_due(now);
-            if !readmitted.is_empty() {
-                telemetry::counter_add("byz.readmissions", readmitted.len() as u64);
-                trace_event!("byz.readmit", now.as_millis(), nodes = readmitted.len());
-            }
-            telemetry::gauge_set("quarantine.active", e.active_quarantines(now) as f64);
-            if let Some(sp) = self.spans.as_mut() {
-                for v in &readmitted {
-                    if let Some(q) = sp.quarantines.remove(&v.0) {
-                        telemetry::span_end(q, now.as_millis());
-                    }
-                }
-            }
-        }
-        let miners = self.live_miners(now);
-        if miners.is_empty() {
-            if let Some((root, pos)) = pending_span {
-                telemetry::span_end(pos, now.as_millis());
-                telemetry::span_field(root, "outcome", "no_miners");
-                telemetry::span_end(root, now.as_millis());
-            }
+        self.readmit_quarantined(now);
+        let Some(round) = self.elect_miner(now) else {
+            self.spans.block_abandoned(now, "no_miners");
             self.schedule_next_block();
             return;
+        };
+        let equivocate = match self.armed_attack(round) {
+            Attack::Replaced(outcome) => {
+                self.spans.block_abandoned(now, outcome);
+                self.schedule_next_block();
+                return;
+            }
+            Attack::Equivocate => true,
+            Attack::Honest => false,
+        };
+        // The mempool depth picks the degradation-ladder rung for this
+        // block interval. Consensus itself (this function) is never
+        // throttled.
+        let depth = self.pending_metadata.len();
+        self.slo.note_queue_depth(depth as u64);
+        self.admission.update_ladder(depth, now);
+
+        let packed = self.pack_and_allocate(round);
+        let sealed = self.seal_and_broadcast(round, equivocate, packed);
+        let block_index = sealed.index;
+        let received = self.deliver_block(round, &sealed);
+        self.grant_block_storage(&sealed, &received);
+        self.spans
+            .block_mined(now, block_index, sealed.items.len(), &sealed.arrivals);
+        self.disseminate(now, block_index, sealed.items);
+        self.finish_round(now);
+    }
+
+    /// Quarantine re-admission rides the block cadence.
+    fn readmit_quarantined(&mut self, now: SimTime) {
+        let Some(e) = self.byz.as_mut() else {
+            return;
+        };
+        let readmitted = e.readmit_due(now);
+        if !readmitted.is_empty() {
+            telemetry::counter_add("byz.readmissions", readmitted.len() as u64);
+            trace_event!("byz.readmit", now.as_millis(), nodes = readmitted.len());
+        }
+        telemetry::gauge_set("quarantine.active", e.active_quarantines(now) as f64);
+        self.spans.readmitted(now, &readmitted);
+    }
+
+    /// Re-runs the PoS round to identify the winner (deterministic). Nodes
+    /// the fault injector took down since the round was scheduled drop out
+    /// of the candidate set; if the scheduled winner crashed, the re-run
+    /// simply elects the best surviving node. `None` when nobody is up.
+    fn elect_miner(&mut self, now: SimTime) -> Option<Round> {
+        let miners = self.live_miners(now);
+        if miners.is_empty() {
+            return None;
         }
         let candidates = self.pos_candidates(&miners);
         let outcome = self.pos_round(&candidates);
@@ -2071,29 +1715,30 @@ impl EdgeNetwork {
             delay_secs = outcome.delay_secs,
             candidates = candidates.len()
         );
-        // The very first block is scheduled in `new()` before the tracker
-        // is armed; open its lifecycle at mine time instead.
-        let (blk_root, blk_pos) = pending_span.unwrap_or_else(|| {
-            let root = telemetry::span_start("block.lifecycle", now.as_millis(), SpanId::NONE);
-            let pos = telemetry::span_start("block.pos", now.as_millis(), root);
-            (root, pos)
-        });
-        telemetry::span_end(blk_pos, now.as_millis());
-        telemetry::span_field(blk_root, "miner", miner.0);
+        self.spans.block_won(now, miner);
+        Some(Round {
+            now,
+            miner,
+            pos_hash: outcome.new_pos_hash,
+            delay_secs: outcome.delay_secs,
+            amendment,
+        })
+    }
 
-        // A freshly elected adversary may have an armed consensus attack.
-        // Withholding and tampering replace the honest round entirely;
-        // equivocation rides alongside it (two conflicting blocks sealed
-        // on the same earned hit) unless the new height is a checkpoint,
-        // where honest fork choice is first-seen-final and the fork could
-        // never spread — the adversary waits for a later win instead.
-        let byz_action = match self.byz.as_mut() {
-            Some(e) => e.next_mining_action(miner, !self.pending_metadata.is_empty()),
-            None => None,
+    /// A freshly elected adversary may have an armed consensus attack.
+    /// Withholding and tampering replace the honest round entirely;
+    /// equivocation rides alongside it (two conflicting blocks sealed on
+    /// the same earned hit) unless the new height is a checkpoint, where
+    /// honest fork choice is first-seen-final and the fork could never
+    /// spread — the adversary waits for a later win instead.
+    fn armed_attack(&mut self, round: Round) -> Attack {
+        let Round { now, miner, .. } = round;
+        let Some(e) = self.byz.as_mut() else {
+            return Attack::Honest;
         };
-        let mut equivocate = false;
-        let interval = self.byz.as_ref().map_or(1, |e| e.policy().interval.max(1));
-        match byz_action {
+        let action = e.next_mining_action(miner, !self.pending_metadata.is_empty());
+        let interval = e.policy().interval.max(1);
+        match action {
             Some(ByzantineAction::Withhold { blocks }) => {
                 // A fork spanning a checkpoint height could never win fork
                 // choice (honest nodes refuse to cross a checkpoint), so a
@@ -2102,59 +1747,33 @@ impl EdgeNetwork {
                 let crosses_checkpoint =
                     (base + 1..=base + blocks.max(1)).any(|h| h.is_multiple_of(interval));
                 if crosses_checkpoint {
-                    if let Some(e) = self.byz.as_mut() {
-                        e.arm(miner, ByzantineAction::Withhold { blocks });
-                    }
-                } else if self.byz.as_ref().is_some_and(|e| e.withheld.is_none()) {
+                    e.arm(miner, ByzantineAction::Withhold { blocks });
+                } else if e.withheld.is_none() {
                     self.byz_mine_withheld_fork(miner, blocks, now);
-                    telemetry::span_field(blk_root, "outcome", "withheld");
-                    telemetry::span_end(blk_root, now.as_millis());
-                    self.schedule_next_block();
-                    return;
+                    return Attack::Replaced("withheld");
                 }
                 // A fork already in flight drops the extra action.
+                Attack::Honest
             }
             Some(ByzantineAction::TamperSignature) => {
-                self.byz_mine_tampered_block(miner, amendment, &outcome, now);
-                telemetry::span_field(blk_root, "outcome", "tampered");
-                telemetry::span_end(blk_root, now.as_millis());
-                self.schedule_next_block();
-                return;
+                self.byz_mine_tampered_block(round);
+                Attack::Replaced("tampered")
             }
             Some(ByzantineAction::Equivocate) => {
                 if (self.chain.height() + 1).is_multiple_of(interval) {
-                    if let Some(e) = self.byz.as_mut() {
-                        e.arm(miner, ByzantineAction::Equivocate);
-                    }
+                    e.arm(miner, ByzantineAction::Equivocate);
+                    Attack::Honest
                 } else {
-                    equivocate = true;
+                    Attack::Equivocate
                 }
             }
-            Some(_) | None => {}
+            Some(_) | None => Attack::Honest,
         }
+    }
 
-        // Degradation ladder: the mempool depth relative to the configured
-        // bound picks the rung for this block interval. L1 sheds
-        // low-priority fetches, L2 also trims dissemination to the first
-        // replica, L3 also parks repair sweeps. Consensus itself (this
-        // function) is never throttled. With no bound configured the
-        // ladder stays at level 0 forever.
-        let depth = self.pending_metadata.len();
-        self.slo.note_queue_depth(depth as u64);
-        let level = self.config.overload.degrade_level(depth);
-        if level != self.degrade_level {
-            trace_event!(
-                "overload.degrade",
-                now.as_millis(),
-                from = self.degrade_level as u64,
-                to = level as u64,
-                depth = depth as u64
-            );
-            self.degrade_level = level;
-        }
-        self.overload.max_degrade_level = self.overload.max_degrade_level.max(level);
-
-        // The miner packs pending metadata and allocates storers per item.
+    /// The miner packs the pending metadata and allocates storers per item.
+    fn pack_and_allocate(&mut self, round: Round) -> Vec<MetadataItem> {
+        let Round { now, miner, .. } = round;
         let mut packed = std::mem::take(&mut self.pending_metadata);
         for item in &mut packed {
             // Inclusion latency (generation → this block) feeds the SLO
@@ -2165,18 +1784,7 @@ impl EdgeNetwork {
             if telemetry::is_enabled() {
                 telemetry::record("slo.inclusion_secs", incl_secs);
             }
-            // The mempool wait ends here; allocation is a zero-duration
-            // child (the UFL solve costs wall-clock, not sim time).
-            let item_root = match self.spans.as_ref() {
-                Some(sp) => match sp.items.get(&item.data_id.0) {
-                    Some(&(root, pend)) => {
-                        telemetry::span_end(pend, now.as_millis());
-                        root
-                    }
-                    None => SpanId::NONE,
-                },
-                None => SpanId::NONE,
-            };
+            self.spans.item_packed(now, item.data_id);
             // Items admitted through the streaming path carry their storers
             // already (allocated per item at generation); only batch-path
             // items solve here.
@@ -2196,21 +1804,30 @@ impl EdgeNetwork {
                         item = item.data_id.0,
                         storers = storers.len()
                     );
-                    let alloc = telemetry::span_start("item.alloc", now.as_millis(), item_root);
-                    telemetry::span_field(alloc, "storers", storers.len());
-                    telemetry::span_end(alloc, now.as_millis());
+                    self.spans
+                        .item_allocated(now, item.data_id, Some(storers.len()));
                     item.storing_nodes = storers;
                 }
                 Err(_) => {
-                    self.data_unstored += 1;
-                    let alloc = telemetry::span_start("item.alloc", now.as_millis(), item_root);
-                    telemetry::span_field(alloc, "outcome", "unstored");
-                    telemetry::span_end(alloc, now.as_millis());
+                    self.report.data_unstored += 1;
+                    self.spans.item_allocated(now, item.data_id, None);
                     item.storing_nodes = Vec::new();
                 }
             }
         }
+        packed
+    }
 
+    /// The miner allocates storers for the block itself and for the
+    /// recent-block growth, seals `packed` into a block on the canonical
+    /// chain and broadcasts it.
+    fn seal_and_broadcast(
+        &mut self,
+        round: Round,
+        equivocate: bool,
+        packed: Vec<MetadataItem>,
+    ) -> SealedBlock {
+        let Round { now, miner, .. } = round;
         // Allocation for the block itself and for the recent-block growth.
         // The placement strategy under study (Fig. 5) varies only *data*
         // placement; block storage always uses the paper's allocation so
@@ -2233,10 +1850,10 @@ impl EdgeNetwork {
             empty_block_on(
                 self.chain.tip(),
                 now.as_secs() + 1,
-                outcome.new_pos_hash,
+                round.pos_hash,
                 self.account_of[miner.0],
-                outcome.delay_secs.max(1),
-                amendment,
+                round.delay_secs.max(1),
+                round.amendment,
             )
         });
         let block = telemetry::time_wall("block.assemble_ns", || {
@@ -2244,51 +1861,51 @@ impl EdgeNetwork {
                 self.chain.height() + 1,
                 self.chain.tip().hash,
                 now.as_secs(),
-                outcome.new_pos_hash,
+                round.pos_hash,
                 self.account_of[miner.0],
-                outcome.delay_secs.max(1),
-                amendment,
+                round.delay_secs.max(1),
+                round.amendment,
                 packed,
                 block_storers.clone(),
                 self.chain.tip().storing_nodes.clone(),
                 recent_growers.clone(),
             )
         });
-        let block_index = block.index;
+        let index = block.index;
         // Per-node fork choice needs the wire block after it moves into
         // the chain; cloned only on Byzantine runs.
-        let wire_block = self.byz.is_some().then(|| block.clone());
+        let wire = self.byz.is_some().then(|| block.clone());
         // The encode below is the block's one and only serialization,
         // shared from here on by broadcast, recovery and wire-size queries.
         let payload = edgechain_sim::Payload::new(block.encoded());
         let block_size = payload.len() as u64;
-        let metadata_of_block = block.metadata.clone();
+        let items = block.metadata.clone();
         telemetry::time_wall("block.verify_ns", || self.chain.push_sealed(block))
             .expect("self-mined block extends the tip");
         telemetry::counter_add("block.mined", 1);
         if telemetry::is_enabled() {
-            telemetry::record("block.items", metadata_of_block.len() as f64);
+            telemetry::record("block.items", items.len() as f64);
             telemetry::record("block.bytes", block_size as f64);
         }
         trace_event!(
             "block.mined",
             now.as_millis(),
-            block = block_index,
+            block = index,
             miner = miner.0,
-            items = metadata_of_block.len(),
+            items = items.len(),
             bytes = block_size,
-            delay_secs = outcome.delay_secs
+            delay_secs = round.delay_secs
         );
         // Under an adversarial plan the miner keeps its own sealed block
         // durably (not just in the FIFO cache): a mobility partition can
         // otherwise orphan a block that *nobody* stores, leaving lagging
         // nodes unable to ever verify — or disprove — later wire blocks.
         if self.byz.is_some() {
-            self.storage[miner.0].store_block(block_index);
+            self.storage[miner.0].store_block(index);
         }
         self.ledger.credit(self.account_of[miner.0], 1);
         if let Some(every) = self.config.token_rescale_blocks {
-            if every > 0 && block_index.is_multiple_of(every) {
+            if every > 0 && index.is_multiple_of(every) {
                 self.ledger.rescale_halve();
             }
         }
@@ -2297,22 +1914,37 @@ impl EdgeNetwork {
         // Broadcast the block; deliveries reveal who is currently connected.
         // One Arc of the sealed encoding is shared across all deliveries
         // (batched per arrival instant).
-        let mut received: Vec<NodeId> = vec![miner];
         let arrivals: Vec<(NodeId, SimTime)> = self
             .transport
             .broadcast_payload(&self.topo, miner, &payload, now)
             .iter()
             .collect();
-        received.extend(arrivals.iter().map(|(v, _)| *v));
 
         // Verify-on-receive (optional, costs CPU not network).
         if self.config.verify_signatures {
-            for item in &metadata_of_block {
+            for item in &items {
                 assert!(item.verify(), "self-packed metadata must verify");
             }
         }
+        SealedBlock {
+            index,
+            items,
+            wire,
+            variant,
+            arrivals,
+            block_storers,
+            recent_growers,
+        }
+    }
 
-        // Receivers update their views; detect and recover missing blocks.
+    /// Receivers (the miner first) update their views, detect and recover
+    /// missing blocks, and — under a Byzantine engine — route the block
+    /// through their own fork choice. Returns who received it.
+    fn deliver_block(&mut self, round: Round, sealed: &SealedBlock) -> Vec<NodeId> {
+        let Round { now, miner, .. } = round;
+        let block_index = sealed.index;
+        let mut received: Vec<NodeId> = vec![miner];
+        received.extend(sealed.arrivals.iter().map(|(v, _)| *v));
         for &v in &received {
             let was_height = self.node_height[v.0];
             self.node_known[v.0].insert(block_index);
@@ -2330,86 +1962,65 @@ impl EdgeNetwork {
         // block and adopt it — a live fork that reconciles (and surfaces
         // the equivocation proof) at the next sync; the others hear both
         // and hold the two-headers proof immediately.
-        if let Some(a_block) = &wire_block {
-            // The conflicting variant counts as injected only once it
-            // actually reaches an honest node (a broadcast swallowed by a
-            // transient partition put nothing into the network).
-            let variant = match variant {
-                Some(b) if received.len() > 1 => {
-                    let artifact = self
-                        .byz
-                        .as_mut()
-                        .expect("wire_block implies engine")
-                        .register_equivocation(b.index, b.miner);
-                    telemetry::counter_add("byz.injected", 1);
-                    trace_event!(
-                        "byz.injected",
-                        now.as_millis(),
-                        kind = "byz_equivocate",
-                        artifact = artifact
-                    );
-                    Some(b)
-                }
-                _ => None,
-            };
-            for (i, &v) in received.iter().enumerate() {
-                if v == miner {
+        let Some(a_block) = &sealed.wire else {
+            return received;
+        };
+        // The conflicting variant counts as injected only once it
+        // actually reaches an honest node (a broadcast swallowed by a
+        // transient partition put nothing into the network).
+        let variant = sealed.variant.as_ref().filter(|_| received.len() > 1);
+        if let Some(b) = variant {
+            let artifact = self
+                .byz
+                .as_mut()
+                .expect("wire block implies engine")
+                .register_equivocation(b.index, b.miner);
+            telemetry::counter_add("byz.injected", 1);
+            trace_event!(
+                "byz.injected",
+                now.as_millis(),
+                kind = "byz_equivocate",
+                artifact = artifact
+            );
+        }
+        for (i, &v) in received.iter().enumerate() {
+            if v == miner {
+                self.byz_deliver(v, a_block, now);
+                continue;
+            }
+            match (variant, i % 2) {
+                (Some(b_block), 1) => self.byz_deliver(v, b_block, now),
+                (Some(b_block), _) => {
                     self.byz_deliver(v, a_block, now);
-                    continue;
+                    self.byz_deliver(v, b_block, now);
                 }
-                match (&variant, i % 2) {
-                    (Some(b_block), 1) => self.byz_deliver(v, b_block, now),
-                    (Some(b_block), _) => {
-                        self.byz_deliver(v, a_block, now);
-                        self.byz_deliver(v, b_block, now);
-                    }
-                    (None, _) => self.byz_deliver(v, a_block, now),
-                }
+                (None, _) => self.byz_deliver(v, a_block, now),
             }
         }
+        received
+    }
 
+    /// The allocations the block carries take effect at the nodes that
+    /// actually heard it.
+    fn grant_block_storage(&mut self, sealed: &SealedBlock, received: &[NodeId]) {
         // Recent-block allocation: chosen nodes grow their cache quota.
-        for &v in &recent_growers {
+        for &v in &sealed.recent_growers {
             if received.contains(&v) {
                 self.storage[v.0].grow_recent_quota();
             }
         }
         // Block storage allocation: chosen nodes keep the block for good.
-        for &v in &block_storers {
+        for &v in &sealed.block_storers {
             if received.contains(&v) {
-                self.storage[v.0].store_block(block_index);
+                self.storage[v.0].store_block(sealed.index);
             }
         }
+    }
 
-        // Block lifecycle spans: one `block.broadcast` child covering
-        // schedule-to-last-arrival, with a zero-duration per-receiver
-        // `block.verify` grandchild at each arrival instant. The root
-        // closes at the last arrival, so `block.pos` + `block.broadcast`
-        // tile it exactly.
-        if self.spans.is_some() {
-            let asm = telemetry::span_start("block.assemble", now.as_millis(), blk_root);
-            telemetry::span_field(asm, "items", metadata_of_block.len());
-            telemetry::span_end(asm, now.as_millis());
-            let bc = telemetry::span_start("block.broadcast", now.as_millis(), blk_root);
-            telemetry::span_field(bc, "receivers", arrivals.len());
-            let mut last = now;
-            for &(v, t) in &arrivals {
-                if t > last {
-                    last = t;
-                }
-                let vs = telemetry::span_start("block.verify", t.as_millis(), bc);
-                telemetry::span_field(vs, "node", v.0);
-                telemetry::span_end(vs, t.as_millis());
-            }
-            telemetry::span_end(bc, last.as_millis());
-            telemetry::span_field(blk_root, "block", block_index);
-            telemetry::span_field(blk_root, "items", metadata_of_block.len());
-            telemetry::span_end(blk_root, last.as_millis());
-        }
-
-        // Data dissemination: each storing node proactively fetches the
-        // data item from its producer.
-        for item in &metadata_of_block {
+    /// Data dissemination: each storing node proactively fetches the data
+    /// item from its producer, and the item enters the catalogue.
+    fn disseminate(&mut self, now: SimTime, block_index: u64, items: Vec<MetadataItem>) {
+        for item in items {
             let Some(&producer) = self.node_of_account.get(&item.producer) else {
                 continue;
             };
@@ -2425,11 +2036,7 @@ impl EdgeNetwork {
                 if storer != producer && self.storage[storer.0].is_full() {
                     continue;
                 }
-                // Ladder L2+: defer proactive replication past the first
-                // landed copy — the repair sweep restores full replication
-                // once the mempool drains back below the rung.
-                if self.degrade_level >= 2 && stored >= 1 {
-                    self.overload.deferred_replications += 1;
+                if self.admission.defer_replication(stored) {
                     continue;
                 }
                 // An unreachable storer simply stays unstored for now.
@@ -2447,34 +2054,28 @@ impl EdgeNetwork {
                 self.replica_total += stored;
                 self.replica_items += 1;
             }
-            // The item lifecycle closes when its last replica lands.
-            if let Some(sp) = self.spans.as_ref() {
-                if let Some(&(root, _)) = sp.items.get(&item.data_id.0) {
-                    let end = last_replica.unwrap_or(now).as_millis();
-                    let rep = telemetry::span_start("item.replicate", now.as_millis(), root);
-                    telemetry::span_field(rep, "replicas", stored);
-                    telemetry::span_end(rep, end);
-                    telemetry::span_field(root, "block", block_index);
-                    telemetry::span_end(root, end);
-                }
-            }
+            self.spans
+                .item_replicated(now, item.data_id, block_index, stored, last_replica);
             if self.expired_ids.contains(&item.data_id) {
                 // A swept id must never re-enter the live registry.
                 self.resurrected_pending += 1;
             }
-            self.catalogue.insert(item.clone(), block_index);
+            self.catalogue.insert(item, block_index);
         }
+    }
 
+    /// What rides the block cadence once the block is out: the withheld
+    /// fork's release, the repair sweep, the per-block gauges and peaks,
+    /// pruning, the SLO check, and the next round.
+    fn finish_round(&mut self, now: SimTime) {
         // A withheld private fork is released once the public chain is
         // about to out-grow it; trunk fork choice then decides.
         self.byz_release_withheld(now);
 
         // The miner also audits replica health and repairs what churn
         // broke since the last block — unless the ladder's top rung has
-        // parked repair to shed load (the next sub-L3 block catches up).
-        if self.degrade_level >= 3 {
-            self.overload.deferred_repairs += 1;
-        } else {
+        // parked repair.
+        if !self.admission.defer_repair() {
             self.repair_replicas(now);
         }
 
@@ -2482,13 +2083,13 @@ impl EdgeNetwork {
         telemetry::gauge_set("catalogue.live_items", self.catalogue.len() as f64);
         telemetry::gauge_set("queue.depth", self.queue.len() as f64);
         let used_now: u64 = self.storage.iter().map(NodeStorage::used_slots).sum();
-        self.peak_storage_slots = self.peak_storage_slots.max(used_now);
+        self.report.peak_storage_slots = self.report.peak_storage_slots.max(used_now);
         let tracking_now = (self.expired_ids.len()
             + self.invalid_storers.len()
             + self.snapshot_blacklist.len()
             + self.byz.as_ref().map_or(0, ByzantineEngine::orphan_entries))
             as u64;
-        self.peak_tracking_entries = self.peak_tracking_entries.max(tracking_now);
+        self.report.peak_tracking_entries = self.report.peak_tracking_entries.max(tracking_now);
         self.maybe_prune(now);
 
         // SLO health check rides the block cadence, like quarantine
@@ -2592,7 +2193,7 @@ impl EdgeNetwork {
             }
             self.advance_height(NodeId(v));
         }
-        self.blocks_pruned += pruned;
+        self.report.blocks_pruned += pruned;
         telemetry::counter_add("chain.pruned", pruned);
         trace_event!(
             "chain.pruned",
@@ -2609,13 +2210,8 @@ impl EdgeNetwork {
     /// the canonical chain does not advance and the (intact) pending
     /// metadata survives for the next honest miner, which re-runs the UFL
     /// allocation from scratch.
-    fn byz_mine_tampered_block(
-        &mut self,
-        miner: NodeId,
-        amendment: crate::pos::Amendment,
-        outcome: &crate::pos::MiningOutcome,
-        now: SimTime,
-    ) {
+    fn byz_mine_tampered_block(&mut self, round: Round) {
+        let Round { now, miner, .. } = round;
         let backup = self.pending_metadata.clone();
         let mut packed = std::mem::take(&mut self.pending_metadata);
         let victim = &mut packed[0]; // gated on pending metadata existing
@@ -2626,10 +2222,10 @@ impl EdgeNetwork {
             self.chain.height() + 1,
             self.chain.tip().hash,
             now.as_secs(),
-            outcome.new_pos_hash,
+            round.pos_hash,
             self.account_of[miner.0],
-            outcome.delay_secs.max(1),
-            amendment,
+            round.delay_secs.max(1),
+            round.amendment,
             packed,
             Vec::new(),
             self.chain.tip().storing_nodes.clone(),
@@ -2729,23 +2325,9 @@ impl EdgeNetwork {
                 }
             }
             if repaired {
-                self.repairs_triggered += 1;
+                self.report.repairs_triggered += 1;
                 sweep_repaired += 1;
-                // Repair rides the block cadence, not the item lifecycle:
-                // its span is a root with a follows-from edge back to the
-                // item it re-replicated.
-                if let Some(sp) = self.spans.as_ref() {
-                    if let Some(&(iroot, _)) = sp.items.get(&id.0) {
-                        let rs = telemetry::span_start(
-                            "repair.replicate",
-                            now.as_millis(),
-                            SpanId::NONE,
-                        );
-                        telemetry::span_follows(rs, iroot);
-                        telemetry::span_field(rs, "item", id.0);
-                        telemetry::span_end(rs, last_copy.unwrap_or(now).as_millis());
-                    }
-                }
+                self.spans.repair(now, id, last_copy);
                 // Refresh the operational holder view: every node whose
                 // disk holds the item (crashed ones keep theirs, and the
                 // fresh copies just landed).
@@ -2820,10 +2402,13 @@ impl EdgeNetwork {
 
     /// Books one served recovery (a block, or a whole snapshot).
     fn book_recovery(&mut self, v: NodeId, server: NodeId, now: SimTime, arrival: SimTime) {
-        self.recoveries += 1;
-        self.recovery
+        self.report.recoveries += 1;
+        self.report
+            .recovery
             .record(arrival.saturating_since(now).as_secs_f64());
-        self.recovery_hops.record(self.topo.hops(v, server) as f64);
+        self.report
+            .recovery_hops
+            .record(self.topo.hops(v, server) as f64);
     }
 
     /// §IV-D recovery: fetch every missing block below `upto` from the
@@ -2873,10 +2458,7 @@ impl EdgeNetwork {
                 hops = self.topo.hops(v, holder),
                 dur_ms = arrival.saturating_since(now).as_millis()
             );
-            let rs = telemetry::span_start("recover.block", now.as_millis(), SpanId::NONE);
-            telemetry::span_field(rs, "node", v.0);
-            telemetry::span_field(rs, "block", idx);
-            telemetry::span_end(rs, arrival.as_millis());
+            self.spans.recover_block(now, v, idx, arrival);
         }
         // Recovered blocks must extend the node's contiguous view right
         // away — an un-advanced height would make the node re-request
@@ -2900,8 +2482,7 @@ impl EdgeNetwork {
         let Some(anchor) = self.chain.anchor().cloned() else {
             return false;
         };
-        let snap_span = telemetry::span_start("snapshot.bootstrap", now.as_millis(), SpanId::NONE);
-        telemetry::span_field(snap_span, "node", v.0);
+        self.spans.snapshot_opened(now, v);
         let tip = self.chain.height();
         let synced = (0..self.config.nodes)
             .map(NodeId)
@@ -2918,7 +2499,7 @@ impl EdgeNetwork {
                     net.identities[server.0].keys(),
                 );
                 let mut bytes = crate::codec::encode_snapshot(&snapshot);
-                net.snapshots_served += 1;
+                net.report.snapshots_served += 1;
                 telemetry::counter_add("snapshot.served", 1);
                 trace_event!(
                     "snapshot.served",
@@ -2945,7 +2526,7 @@ impl EdgeNetwork {
                 .ok()
                 .filter(|s| s.verify());
             let Some(snap) = verified else {
-                self.snapshots_rejected += 1;
+                self.report.snapshots_rejected += 1;
                 self.snapshot_blacklist.insert((v, server));
                 telemetry::counter_add("snapshot.rejected", 1);
                 trace_event!(
@@ -2971,7 +2552,7 @@ impl EdgeNetwork {
                 e.bootstrap_from_snapshot(v, chain);
             }
             self.book_recovery(v, server, now, arrival);
-            self.snapshots_applied += 1;
+            self.report.snapshots_applied += 1;
             telemetry::counter_add("snapshot.applied", 1);
             trace_event!(
                 "snapshot.applied",
@@ -2980,13 +2561,10 @@ impl EdgeNetwork {
                 node = v.0,
                 tip = snap_tip
             );
-            telemetry::span_field(snap_span, "server", server.0);
-            telemetry::span_field(snap_span, "outcome", "applied");
-            telemetry::span_end(snap_span, arrival.as_millis());
+            self.spans.snapshot_closed(arrival, Some(server));
             return true;
         }
-        telemetry::span_field(snap_span, "outcome", "failed");
-        telemetry::span_end(snap_span, now.as_millis());
+        self.spans.snapshot_closed(now, None);
         false
     }
 
@@ -3016,7 +2594,11 @@ impl EdgeNetwork {
         // restarts.
         if self.topo.is_active(requester) {
             if let Some(pick) = self.pick_visible(requester, now, Popularity::Uniform) {
-                if self.admit_fetch(requester, now, false) {
+                let op = Op::Fetch {
+                    requester,
+                    low_priority: false,
+                };
+                if self.admit(op, requester, now) {
                     self.fetch_data(requester, &pick, now, 0);
                 }
             }
@@ -3056,7 +2638,11 @@ impl EdgeNetwork {
         let Some(pick) = self.pick_visible(requester, now, Popularity::ZipfByRecency) else {
             return;
         };
-        if self.admit_fetch(requester, now, true) {
+        let op = Op::Fetch {
+            requester,
+            low_priority: true,
+        };
+        if self.admit(op, requester, now) {
             self.fetch_data(requester, &pick, now, 0);
         }
     }
@@ -3100,19 +2686,22 @@ impl EdgeNetwork {
     fn on_retry_fetch(&mut self, requester: NodeId, data_id: DataId, attempt: u32, now: SimTime) {
         // The scheduled retry either resolves below or re-enters the
         // backlog with a fresh timer; either way this entry is consumed.
-        self.backlog_pop(requester, data_id);
+        self.admission.backlog_pop(requester, data_id.0);
         if !self.topo.is_active(requester) {
             // nobody is waiting for the answer anymore
-            self.close_fetch_span(requester, data_id, now.as_millis(), "requester_down");
+            self.spans
+                .fetch_closed(now, requester, data_id, "requester_down");
             return;
         }
         let Some(item) = self.catalogue.get(data_id) else {
             // expired or superseded while backing off
-            self.close_fetch_span(requester, data_id, now.as_millis(), "item_gone");
+            self.spans
+                .fetch_closed(now, requester, data_id, "item_gone");
             return;
         };
         if !item.is_valid_at(now.as_secs()) {
-            self.close_fetch_span(requester, data_id, now.as_millis(), "item_expired");
+            self.spans
+                .fetch_closed(now, requester, data_id, "item_expired");
             return;
         }
         let item = item.clone();
@@ -3121,30 +2710,14 @@ impl EdgeNetwork {
 
     /// Books one completed request that took `secs` and resolved at `at`.
     fn book_delivery(&mut self, at: SimTime, secs: f64) {
-        self.completed_requests += 1;
-        self.delivery.record(secs);
+        self.report.completed_requests += 1;
+        self.report.delivery.record(secs);
         self.delivery_samples.record(secs);
         self.slo.record_fetch(at.as_millis(), secs);
         if telemetry::is_enabled() {
             telemetry::record("slo.fetch_secs", secs);
         }
         telemetry::counter_add("request.completed", 1);
-    }
-
-    /// Closes an in-flight `fetch.lifecycle` span (and any pending
-    /// `fetch.backoff` child) with the given outcome. No-op when spans are
-    /// off or no span is open for the `(requester, item)` pair.
-    fn close_fetch_span(&mut self, requester: NodeId, id: DataId, t: u64, outcome: &'static str) {
-        if let Some(sp) = self.spans.as_mut() {
-            let fkey = (requester.0, id.0);
-            if let Some(b) = sp.fetch_backoffs.remove(&fkey) {
-                telemetry::span_end(b, t);
-            }
-            if let Some(root) = sp.fetches.remove(&fkey) {
-                telemetry::span_field(root, "outcome", outcome);
-                telemetry::span_end(root, t);
-            }
-        }
     }
 
     /// §IV-D data access: request from the nearest node that actually holds
@@ -3156,40 +2729,8 @@ impl EdgeNetwork {
     /// retries up to [`NetworkConfig::fetch_retries`] times before the
     /// request counts as failed.
     fn fetch_data(&mut self, requester: NodeId, item: &MetadataItem, now: SimTime, attempt: u32) {
-        // The fetch lifecycle span persists across backoff retries: the
-        // first attempt opens it (with a follows-from edge back to the
-        // item's lifecycle), each retry entry closes the pending backoff
-        // child, and resolution — delivery, failure, or abandonment —
-        // closes the root.
-        let fkey = (requester.0, item.data_id.0);
-        let froot = match self.spans.as_mut() {
-            Some(sp) => {
-                if let Some(b) = sp.fetch_backoffs.remove(&fkey) {
-                    telemetry::span_end(b, now.as_millis());
-                }
-                match sp.fetches.get(&fkey) {
-                    Some(&r) => r,
-                    None => {
-                        let root =
-                            telemetry::span_start("fetch.lifecycle", now.as_millis(), SpanId::NONE);
-                        telemetry::span_field(root, "requester", requester.0);
-                        telemetry::span_field(root, "item", item.data_id.0);
-                        if let Some(&(iroot, _)) = sp.items.get(&item.data_id.0) {
-                            telemetry::span_follows(root, iroot);
-                        }
-                        sp.fetches.insert(fkey, root);
-                        root
-                    }
-                }
-            }
-            None => SpanId::NONE,
-        };
-        let attempt_span = |t0: SimTime, t1: SimTime, holder: NodeId, outcome: &'static str| {
-            let s = telemetry::span_start("fetch.attempt", t0.as_millis(), froot);
-            telemetry::span_field(s, "holder", holder.0);
-            telemetry::span_field(s, "outcome", outcome);
-            telemetry::span_end(s, t1.as_millis());
-        };
+        let data_id = item.data_id;
+        self.spans.fetch_opened(now, requester, data_id);
         let producer = self.node_of_account.get(&item.producer).copied();
         if self.storage[requester.0].has_data(item.data_id) || producer == Some(requester) {
             // Local hit: free and instantaneous.
@@ -3201,7 +2742,7 @@ impl EdgeNetwork {
                 item = item.data_id.0,
                 dur_ms = 0_u64
             );
-            self.close_fetch_span(requester, item.data_id, now.as_millis(), "local");
+            self.spans.fetch_closed(now, requester, data_id, "local");
             return;
         }
         let mut holders: Vec<NodeId> = item
@@ -3222,15 +2763,17 @@ impl EdgeNetwork {
                 self.transport
                     .unicast(&self.topo, requester, holder, DATA_REQUEST_BYTES, t)
             else {
-                attempt_span(probe_start, probe_start, holder, "send_drop");
+                self.spans
+                    .fetch_attempt(requester, data_id, t, t, holder, "send_drop");
                 continue;
             };
             if self.malicious[holder.0] && producer != Some(holder) {
                 // No response: wait out the timeout, publish the denial.
-                self.denials += 1;
+                self.report.denials += 1;
                 self.invalid_storers.insert((item.data_id, holder));
                 t = req.arrival + DENIAL_TIMEOUT;
-                attempt_span(probe_start, t, holder, "denied");
+                self.spans
+                    .fetch_attempt(requester, data_id, probe_start, t, holder, "denied");
                 // Under a Byzantine engine, repeated denials accumulate
                 // strikes and eventually escalate to a quarantine.
                 let crossed = match self.byz.as_mut() {
@@ -3257,38 +2800,44 @@ impl EdgeNetwork {
                         storer = holder.0,
                         dur_ms = resp.arrival.saturating_since(now).as_millis()
                     );
-                    attempt_span(probe_start, resp.arrival, holder, "ok");
-                    self.close_fetch_span(
+                    self.spans.fetch_attempt(
                         requester,
-                        item.data_id,
-                        resp.arrival.as_millis(),
-                        "completed",
+                        data_id,
+                        probe_start,
+                        resp.arrival,
+                        holder,
+                        "ok",
                     );
+                    self.spans
+                        .fetch_closed(resp.arrival, requester, data_id, "completed");
                     return;
                 }
                 Err(_) => {
-                    attempt_span(probe_start, req.arrival, holder, "reply_drop");
+                    self.spans.fetch_attempt(
+                        requester,
+                        data_id,
+                        probe_start,
+                        req.arrival,
+                        holder,
+                        "reply_drop",
+                    );
                     continue;
                 }
             }
         }
         // A budget-denied retry goes down the failed path like an
         // exhausted one.
-        let data_id = item.data_id;
         let retry = move |attempt| Event::RetryFetch {
             requester,
             data_id,
             attempt,
         };
         if self.schedule_retry(requester, attempt, now, "fetch", retry) {
-            self.backlog_push(requester, data_id);
-            if let Some(sp) = self.spans.as_mut() {
-                let b = telemetry::span_start("fetch.backoff", now.as_millis(), froot);
-                telemetry::span_field(b, "attempt", attempt + 1);
-                sp.fetch_backoffs.insert(fkey, b);
-            }
+            self.admission.backlog_push(requester, data_id.0);
+            self.spans
+                .fetch_backoff(now, requester, data_id, attempt + 1);
         } else {
-            self.failed_requests += 1;
+            self.report.failed_requests += 1;
             self.slo.record_failure(now.as_millis());
             telemetry::counter_add("request.failed", 1);
             trace_event!(
@@ -3297,7 +2846,7 @@ impl EdgeNetwork {
                 requester = requester.0,
                 item = item.data_id.0
             );
-            self.close_fetch_span(requester, item.data_id, now.as_millis(), "failed");
+            self.spans.fetch_closed(now, requester, data_id, "failed");
         }
     }
 
@@ -3311,7 +2860,7 @@ impl EdgeNetwork {
         while let Some(id) = self.catalogue.pop_expired(now_secs) {
             for s in &mut self.storage {
                 if s.evict_data(id) {
-                    self.data_expired += 1;
+                    self.report.data_expired += 1;
                 }
             }
             if self.expired_ids.insert(id) {
@@ -3356,11 +2905,11 @@ impl EdgeNetwork {
             // radio at all, as in a real partitioned network; only messages
             // actually transmitted count toward the overhead metrics.
             if let Ok(delivery) = self.transport.unicast(&self.topo, src, dst, bytes, now) {
-                self.raft_messages += 1;
+                self.report.raft_messages += 1;
                 if env.message.is_heartbeat() {
-                    self.raft_heartbeats += 1;
+                    self.report.raft_heartbeats += 1;
                 }
-                self.raft_bytes += bytes;
+                self.report.raft_bytes += bytes;
                 self.queue.schedule(
                     delivery.arrival.max(now),
                     Event::RaftDeliver {
@@ -3430,7 +2979,10 @@ impl EdgeNetwork {
                 &self.topo,
                 &self.storage,
                 &holders,
-                self.config.migration,
+                crate::migration::MigrationConfig {
+                    fdc_scale: self.config.fdc_scale,
+                    ..Default::default()
+                },
             ) {
                 Ok(Some(plan)) => plan,
                 _ => continue,
@@ -3443,7 +2995,7 @@ impl EdgeNetwork {
                 data_size,
                 now,
             );
-            self.migrations += copied as u64;
+            self.report.migrations += copied as u64;
             // Update the operational view of where the item now lives.
             if copied > 0 || !plan.drops.is_empty() {
                 let mut new_holders: Vec<NodeId> = holders
@@ -3496,8 +3048,10 @@ impl EdgeNetwork {
         );
     }
 
+    /// Fills in the derived fields of the report; every one-to-one counter
+    /// is already in `self.report`.
     fn into_report(mut self) -> RunReport {
-        let raft_committed_total: u64 = self
+        let raft_committed: u64 = self
             .raft_nodes
             .iter_mut()
             .map(|n| n.take_committed().len() as u64)
@@ -3505,16 +3059,15 @@ impl EdgeNetwork {
         let delivery_p95 = self.delivery_samples.p95();
         // Radio energy implied by the byte counters (802.11 per-byte costs
         // from the device profile).
+        let stats = self.transport.stats();
         let radio_total: f64 = (0..self.config.nodes)
             .map(|i| {
                 let v = NodeId(i);
-                self.transport.stats().sent_bytes(v) as f64 * self.config.device.tx_energy_per_byte
-                    + self.transport.stats().received_bytes(v) as f64
-                        * self.config.device.rx_energy_per_byte
+                stats.sent_bytes(v) as f64 * self.device.tx_energy_per_byte
+                    + stats.received_bytes(v) as f64 * self.device.rx_energy_per_byte
             })
             .sum();
         let used: Vec<u64> = self.storage.iter().map(NodeStorage::used_slots).collect();
-        let stats = self.transport.stats();
         let intervals: Vec<f64> = self
             .block_timestamps
             .windows(2)
@@ -3525,31 +3078,21 @@ impl EdgeNetwork {
         } else {
             intervals.iter().sum::<f64>() / intervals.len() as f64
         };
-        let (byz_injected, byz_detected, reorgs, max_reorg_depth, quarantine_events, readmissions) =
-            match &self.byz {
-                Some(e) => (
-                    e.injected(),
-                    e.detected(),
-                    e.reorgs(),
-                    e.max_reorg_depth(),
-                    e.quarantine_events(),
-                    e.readmissions(),
-                ),
-                None => (0, 0, 0, 0, 0, 0),
-            };
+        let byz = self.byz.as_ref();
+        let max_reorg_depth = byz.map_or(0, ByzantineEngine::max_reorg_depth);
+        let quarantine_events = byz.map_or(0, ByzantineEngine::quarantine_events);
         let availability = {
-            let resolved = self.completed_requests + self.failed_requests;
+            let completed = self.report.completed_requests;
+            let resolved = completed + self.report.failed_requests;
             if resolved == 0 {
                 1.0
             } else {
-                self.completed_requests as f64 / resolved as f64
+                completed as f64 / resolved as f64
             }
         };
         let inclusion_latency = LatencySummary::from_samples(&mut self.inclusion_samples);
         let fetch_latency = LatencySummary::from_samples(&mut self.delivery_samples);
-        let slo_monitor =
-            std::mem::replace(&mut self.slo, SloMonitor::new(SloThresholds::default()));
-        let slo = slo_monitor.into_report(
+        let slo = self.slo.into_report(
             inclusion_latency,
             fetch_latency,
             availability,
@@ -3560,17 +3103,10 @@ impl EdgeNetwork {
             nodes: self.config.nodes,
             blocks_mined: self.chain.height(),
             data_generated: self.next_data_id,
-            data_unstored: self.data_unstored,
             mean_node_overhead_mb: stats.mean_node_overhead() / 1e6,
             total_sent_mb: stats.total_sent() as f64 / 1e6,
             storage_gini: gini_counts(&used),
-            delivery: self.delivery,
             delivery_p95,
-            failed_requests: self.failed_requests,
-            completed_requests: self.completed_requests,
-            recoveries: self.recoveries,
-            recovery: self.recovery,
-            recovery_hops: self.recovery_hops,
             mean_block_interval_secs: mean_interval,
             mean_battery_percent: self.batteries.iter().map(Battery::percent).sum::<f64>()
                 / self.config.nodes as f64,
@@ -3579,39 +3115,26 @@ impl EdgeNetwork {
             } else {
                 self.replica_total as f64 / self.replica_items as f64
             },
-            data_expired: self.data_expired,
-            denials: self.denials,
-            migrations: self.migrations,
-            raft_messages: self.raft_messages,
-            raft_heartbeats: self.raft_heartbeats,
-            raft_bytes: self.raft_bytes,
-            raft_committed: raft_committed_total,
+            raft_committed,
             mean_radio_energy_j: radio_total / self.config.nodes as f64,
             faults_injected: self.injector.applied(),
             messages_dropped: self.transport.messages_dropped(),
-            retries: self.retries,
-            repairs_triggered: self.repairs_triggered,
-            blocks_pruned: self.blocks_pruned,
             retained_blocks: self.chain.retained_len() as u64,
-            snapshots_served: self.snapshots_served,
-            snapshots_applied: self.snapshots_applied,
-            snapshots_rejected: self.snapshots_rejected,
-            peak_storage_slots: self.peak_storage_slots,
-            peak_tracking_entries: self.peak_tracking_entries,
             under_replicated_item_seconds: self.checker.under_replicated_item_seconds,
             availability,
-            byz_injected,
-            byz_detected,
-            reorgs,
+            byz_injected: byz.map_or(0, ByzantineEngine::injected),
+            byz_detected: byz.map_or(0, ByzantineEngine::detected),
+            reorgs: byz.map_or(0, ByzantineEngine::reorgs),
             max_reorg_depth,
             quarantine_events,
-            readmissions,
+            readmissions: byz.map_or(0, ByzantineEngine::readmissions),
             invariant_violations: self.checker.violations,
             inclusion_latency,
             fetch_latency,
             slo,
-            overload: self.overload,
+            overload: self.admission.report,
             telemetry: telemetry::registry_snapshot(),
+            ..self.report
         }
     }
 
@@ -4065,7 +3588,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault plan must be valid")]
     fn invalid_fault_plan_is_rejected() {
         use edgechain_sim::FaultEvent;
         let cfg = NetworkConfig {
@@ -4075,7 +3597,119 @@ mod tests {
             }]),
             ..small_config()
         };
-        let _ = EdgeNetwork::new(cfg);
+        let err = EdgeNetwork::new(cfg).expect_err("node 99 of 12");
+        assert!(
+            matches!(
+                err,
+                ConfigError::FaultPlan(FaultPlanError::NodeOutOfRange { nodes: 12, .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn contradictory_configs_are_errors() {
+        let rejects = |cfg: NetworkConfig, want: &str| {
+            let err = EdgeNetwork::new(cfg).expect_err(want);
+            assert!(err.to_string().contains(want), "{err} lacks {want:?}");
+        };
+        let base = small_config;
+        rejects(NetworkConfig { nodes: 0, ..base() }, "nodes");
+        let zero_t0 = NetworkConfig {
+            block_interval_secs: 0,
+            ..base()
+        };
+        rejects(zero_t0, "block_interval_secs");
+        for rate in [f64::NAN, f64::INFINITY, -1.0] {
+            let cfg = NetworkConfig {
+                data_items_per_min: rate,
+                ..base()
+            };
+            rejects(cfg, "data_items_per_min");
+        }
+        for fraction in [2.0, -0.1, f64::NAN] {
+            let cfg = NetworkConfig {
+                malicious_fraction: fraction,
+                ..base()
+            };
+            rejects(cfg, "malicious_fraction");
+            let roles = edgechain_sim::RoleAssignment {
+                seed: 1,
+                malicious_fraction: fraction,
+            };
+            let cfg = NetworkConfig {
+                fault_plan: FaultPlan {
+                    roles: Some(roles),
+                    ..FaultPlan::none()
+                },
+                ..base()
+            };
+            rejects(cfg, "fault plan");
+        }
+        let cfg = NetworkConfig {
+            fdc_scale: -1.0,
+            ..base()
+        };
+        rejects(cfg, "fdc_scale");
+        let cfg = NetworkConfig {
+            snapshot_bootstrap: true,
+            prune_blocks: false,
+            ..base()
+        };
+        rejects(cfg, "prune_blocks");
+        // The boundary values are fine: nobody generates, everybody denies.
+        let quiet = NetworkConfig {
+            data_items_per_min: 0.0,
+            malicious_fraction: 1.0,
+            sim_minutes: 3,
+            ..base()
+        };
+        assert_eq!(EdgeNetwork::new(quiet).unwrap().run().data_generated, 0);
+    }
+
+    #[test]
+    fn migration_prices_moves_at_the_runs_fdc_scale() {
+        // One item on a nearly empty node 0, every other node two slots
+        // short of full. At the paper's A = 1000 opening any of them costs
+        // far more fairness than the distance it saves and the pass leaves
+        // the item alone; at A = 0 fairness is free, every node with room
+        // is worth opening and the pass copies the item out.
+        let migrations_at = |fdc_scale| {
+            let mut net = EdgeNetwork::new(NetworkConfig {
+                fdc_scale,
+                ..small_config()
+            })
+            .unwrap();
+            for s in &mut net.storage[1..] {
+                let mut filler = 1_000;
+                while s.free_slots() > 2 {
+                    s.store_block(filler);
+                    filler += 1;
+                }
+            }
+            let id = DataId(0);
+            let mut item = MetadataItem::new_signed(
+                net.identities[0].keys(),
+                id,
+                DataType::Sensing("PM2.5".into()),
+                0,
+                Location {
+                    label: "field/0".into(),
+                    x: 0.0,
+                    y: 0.0,
+                },
+                1_440,
+                None,
+                1_000,
+            );
+            item.storing_nodes = vec![NodeId(0)];
+            assert!(net.storage[0].store_data(id));
+            net.catalogue.insert(item, 0);
+            net.on_migrate(SimTime::from_secs(1));
+            net.report.migrations
+        };
+        assert_eq!(migrations_at(edgechain_facility::FDC_SCALE), 0);
+        assert!(migrations_at(0.0) > 0, "the pass ignored the run's A");
     }
 
     #[test]

@@ -118,8 +118,10 @@ fn main() -> ExitCode {
     let network = match EdgeNetwork::new(config) {
         Ok(n) => n,
         Err(e) => {
+            // A configuration that cannot run is a usage error, like a
+            // flag that does not parse.
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let (report, chain) = network.run_with_chain();

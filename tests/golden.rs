@@ -7,12 +7,21 @@
 //! pin against a reference implementation; these digests hold the whole
 //! run those pieces compose into.
 //!
-//! A change that is not meant to move simulated behaviour must leave all
-//! six constants alone. One that is re-pins them and says so.
+//! Two more runs are pinned with causal spans armed, so the span ids,
+//! parent / `follows` edges and the interleaving of span closes with
+//! plain trace events are held too: the chaos run again, and a short
+//! open-workload run under overload with one equivocating and one
+//! denying node.
+//!
+//! A change that is not meant to move simulated behaviour must leave
+//! every constant alone. One that is re-pins them and says so.
 
-use edgechain::core::{EdgeNetwork, NetworkConfig, Placement};
+use edgechain::core::{
+    ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, Placement,
+    WorkloadConfig,
+};
 use edgechain::crypto::sha256;
-use edgechain::sim::{FaultEvent, FaultPlan, NodeId, SimTime};
+use edgechain::sim::{ByzantineAction, FaultEvent, FaultPlan, NodeId, RoleAssignment, SimTime};
 use edgechain::telemetry;
 
 /// Fig. 4-sized cell: 30 nodes, 2 items/min, 40 simulated minutes.
@@ -73,21 +82,85 @@ fn chaos_config() -> NetworkConfig {
     }
 }
 
-/// Runs `cfg` untraced and traced and holds both to their pins: SHA-256
-/// of the `Debug` form of the report with `telemetry = None` (the form
-/// `edgebench`'s `report_digest` hashes), and SHA-256 of the traced run's
-/// JSONL trace. The traced report, telemetry section aside, must equal
-/// the untraced one, so one report digest covers both runs.
-fn assert_pinned(label: &str, cfg: NetworkConfig, report_pin: &str, trace_pin: &str) {
+/// Flash crowd at ~5x admission capacity (`tests/overload.rs`' shape) on
+/// stores small enough to fill, with short-lived items so the sweep keeps
+/// freeing slots, one early equivocation (quarantined, then re-admitted
+/// inside the run) and one seeded denying storer.
+fn overload_byzantine_config() -> NetworkConfig {
+    let burst = Some(Burst {
+        multiplier: 5.0,
+        from_secs: 600.0,
+        until_secs: 1_200.0,
+    });
+    NetworkConfig {
+        nodes: 20,
+        sim_minutes: 40,
+        request_interval_secs: 60,
+        storage_slots: 12,
+        data_valid_minutes: 12,
+        expiration_sweep_secs: 60,
+        fetch_retries: 5,
+        retry_backoff_ms: 4_000,
+        fault_plan: FaultPlan {
+            roles: Some(RoleAssignment {
+                seed: 0xD3A1,
+                malicious_fraction: 0.05,
+            }),
+            ..FaultPlan::new(vec![FaultEvent::Byzantine {
+                node: NodeId(2),
+                action: ByzantineAction::Equivocate,
+                at: SimTime::from_secs(120),
+            }])
+        },
+        workload: WorkloadConfig {
+            enabled: true,
+            arrivals: OpenArrivals {
+                process: ArrivalProcess::Poisson { rate_per_min: 12.0 },
+                burst: burst.clone(),
+            },
+            fetches: Some(OpenArrivals {
+                process: ArrivalProcess::Poisson { rate_per_min: 30.0 },
+                burst,
+            }),
+            zipf_exponent: 0.9,
+        },
+        overload: OverloadConfig {
+            admission_items_per_min: Some(40.0),
+            admission_fetches_per_min: Some(60.0),
+            max_pending_items: Some(30),
+            max_inflight_per_node: Some(8),
+            retry_budget_per_min: Some(240.0),
+            ..OverloadConfig::default()
+        },
+        seed: 0xFA57_0B12,
+        ..NetworkConfig::default()
+    }
+}
+
+/// Runs `cfg` untraced and traced — with causal spans armed too when
+/// `spans` — and holds both to their pins: SHA-256 of the `Debug` form of
+/// the report with `telemetry = None` (the form `edgebench`'s
+/// `report_digest` hashes), and SHA-256 of the traced run's JSONL trace.
+/// The traced report, telemetry section aside, must equal the untraced
+/// one, so one report digest covers both runs. Returns the traced
+/// session.
+fn assert_pinned(
+    label: &str,
+    cfg: NetworkConfig,
+    spans: bool,
+    report_pin: &str,
+    trace_pin: &str,
+) -> telemetry::Session {
     let plain = EdgeNetwork::new(cfg.clone()).expect("valid config").run();
     assert!(plain.telemetry.is_none());
     assert!(plain.blocks_mined > 0, "{label}: the run must mine");
 
     telemetry::enable();
+    if spans {
+        telemetry::enable_spans();
+    }
     let mut traced = EdgeNetwork::new(cfg).expect("valid config").run();
-    let trace = telemetry::finish()
-        .expect("telemetry was enabled")
-        .trace_jsonl();
+    let session = telemetry::finish().expect("telemetry was enabled");
     traced.telemetry = None;
     assert_eq!(traced, plain, "{label}: tracing perturbed the run");
 
@@ -97,10 +170,11 @@ fn assert_pinned(label: &str, cfg: NetworkConfig, report_pin: &str, trace_pin: &
         "{label}: report digest moved"
     );
     assert_eq!(
-        sha256(trace).to_hex(),
+        sha256(session.trace_jsonl()).to_hex(),
         trace_pin,
         "{label}: trace digest moved"
     );
+    session
 }
 
 #[test]
@@ -108,6 +182,7 @@ fn fig4_sized_run_is_pinned() {
     assert_pinned(
         "fig4",
         fig4_config(),
+        false,
         "e7ae2342856318682dbc0316e7c51a6eb0b9f12cfa063bf1728f7176edaed5c4",
         "d457cb64be7eee336b27a278a8f54034cc9151a4ba6d398b6d5cc753dd67c4d9",
     );
@@ -118,6 +193,7 @@ fn fig5_random_placement_is_pinned() {
     assert_pinned(
         "fig5-random",
         fig5_random_config(),
+        false,
         "47458d09a131918cf36929acd9d8e180519212e11670ab6ab0917c0e99efa2d6",
         "a13192f4da9b54d4c1e2536ab19936d66530d779500dd90e27a3cd1ebb23ec8b",
     );
@@ -128,7 +204,80 @@ fn chaos_run_is_pinned() {
     assert_pinned(
         "chaos",
         chaos_config(),
+        false,
         "3f8fd070214216c38840c94eabf163eda69b4c1729c3ffa9c652698d28ddd3eb",
         "c59162d67398ad1f34bc946bbc44e0df0fd5c55c4b7b4a79cf37179faf50d1ed",
     );
+}
+
+/// How many trace events are of `kind` and, when `field` is given, carry
+/// that string-valued field.
+fn count(session: &telemetry::Session, kind: &str, field: Option<(&str, &str)>) -> usize {
+    let carries = |e: &telemetry::TraceEvent, (key, want): (&str, &str)| {
+        e.fields
+            .iter()
+            .any(|(k, v)| *k == key && *v == telemetry::Value::Str(want.into()))
+    };
+    session
+        .events()
+        .iter()
+        .filter(|e| e.kind == kind && field.is_none_or(|f| carries(e, f)))
+        .count()
+}
+
+#[test]
+fn chaos_run_with_spans_is_pinned() {
+    let session = assert_pinned(
+        "chaos+spans",
+        chaos_config(),
+        true,
+        "3f8fd070214216c38840c94eabf163eda69b4c1729c3ffa9c652698d28ddd3eb",
+        "45dfdbb6aa54469015fc8b9c13d6e4b82f3f2e1e9950c98d5be8ea959445e79a",
+    );
+    // What the span layer does on this run beyond the happy path; a pin
+    // over a trace without them would hold nothing.
+    for kind in ["fetch.backoff", "recover.block", "transport.retry"] {
+        assert!(count(&session, kind, None) > 0, "no {kind} in the trace");
+    }
+    let follows_an_item = session
+        .events()
+        .iter()
+        .any(|e| e.kind == "repair.replicate" && e.fields.iter().any(|(k, _)| *k == "follows"));
+    assert!(follows_an_item, "no repair span follows an item lifecycle");
+}
+
+#[test]
+fn overload_byzantine_run_with_spans_is_pinned() {
+    let session = assert_pinned(
+        "overload+byzantine+spans",
+        overload_byzantine_config(),
+        true,
+        "58179e3a8fedcacdc8215b88b7e62214675752e7612109baceeda3f5e62e21ce",
+        "d7211a05b4a7e7b27b51729bc944b82a65505691cb9d6f987859dcb502eb1df6",
+    );
+    for (kind, field) in [
+        ("overload.shed", Some(("op", "item"))),
+        ("overload.shed", Some(("op", "fetch"))),
+        ("alloc.rejected", None),
+        ("item.lifecycle", Some(("outcome", "alloc_rejected"))),
+        ("fetch.backoff", None),
+        ("fetch.attempt", Some(("outcome", "denied"))),
+        ("byz.quarantine", None),
+        ("byz.readmit", None),
+        ("request.exhausted", None),
+        ("fetch.lifecycle", Some(("outcome", "exhausted"))),
+    ] {
+        assert!(
+            count(&session, kind, field) > 0,
+            "no {kind} {field:?} in the trace"
+        );
+    }
+    // A quarantine window that readmission closed ends before the
+    // horizon; one still open there is closed by the end-of-run flush.
+    let horizon_ms = 40 * 60 * 1_000;
+    let closed_early = session
+        .events()
+        .iter()
+        .any(|e| e.kind == "quarantine.window" && e.t_ms < horizon_ms);
+    assert!(closed_early, "no quarantine window closed by readmission");
 }
