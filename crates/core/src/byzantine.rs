@@ -1,5 +1,6 @@
 //! Byzantine adversary engine: per-node chain views, misbehavior
-//! bookkeeping, detection proofs, and quarantine state.
+//! bookkeeping, detection proofs, and quarantine state — and the handlers
+//! that act on them.
 //!
 //! The paper's threat model (§III-B.2) includes nodes that misbehave in
 //! consensus, not just ones that deny storage service. This module holds
@@ -10,110 +11,150 @@
 //! through live [`Blockchain::try_adopt_checkpointed`] fork choice, and
 //! proofs of misbehavior — equivocation (two valid headers, same height
 //! and miner), forged PoS claims, tampered signatures, undecodable
-//! payloads, repeated denials — feed a per-node quarantine with stake
-//! slashing (Eq. 7's `S_i`) and eventual re-admission.
+//! payloads, tampered snapshots, repeated denials, a late fork release —
+//! feed one response ([`ByzantineEngine::convict`]): a per-node quarantine
+//! with stake slashing (Eq. 7's `S_i`) and eventual re-admission.
+//!
+//! [`crate::network::EdgeNetwork`] enters the engine once per event with
+//! a [`Court`]: the few pieces of network state a judgement reads or
+//! writes, lent by disjoint field borrows. The court has no topology and
+//! no transport — whatever goes on the air is broadcast by the network,
+//! which hands the engine who heard it.
 //!
 //! Everything here is deterministic: the engine's RNG is a dedicated
 //! stream seeded from the run seed, artifacts are counted by identity
 //! (an equivocation pair is *one* injected artifact however many nodes
 //! observe it), and no wall clock is consulted — reruns are bit-identical.
 
-use crate::account::AccountId;
-use crate::block::{Block, BlockError};
+use crate::account::{AccountId, Ledger};
+use crate::block::Block;
 use crate::chain::{verify_wire_block, Blockchain, ChainAnchor, CheckpointPolicy};
-use edgechain_sim::{ByzantineAction, NodeId, SimTime};
+use crate::pos::{next_pos_hash, Amendment};
+use crate::report::RunReport;
+use crate::spans::SpanTracker;
+use edgechain_sim::{ByzantineAction, NodeId, Payload, SimTime};
+use edgechain_telemetry::{self as telemetry, trace_event};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 
+/// Service denials a storer gets away with before the denial strikes
+/// escalate to a quarantine (only metered when a Byzantine engine is
+/// active; plain `malicious_fraction` runs keep the paper's
+/// invalidate-and-route-around behavior unchanged).
+const DENIAL_QUARANTINE_THRESHOLD: u32 = 3;
+/// How long a node stays quarantined after a proven misbehavior
+/// (equivocation, forged block, tampered signature, garbage payload,
+/// repeated denials), in simulated seconds. Quarantined nodes are
+/// excluded from PoS rounds and from serving fetches, and half their
+/// stake is slashed (Eq. 7's `S_i`); they are re-admitted when the
+/// window expires.
+const QUARANTINE_SECS: u64 = 900;
+
+/// The network state a Byzantine judgement reads or writes, lent for one
+/// event by disjoint field borrows of
+/// [`crate::network::EdgeNetwork`].
+pub(crate) struct Court<'a> {
+    /// The canonical chain.
+    pub(crate) canonical: &'a Blockchain,
+    /// Highest contiguous block index each node holds a view of.
+    pub(crate) node_height: &'a [u64],
+    /// Token balances; slashes are debited here.
+    pub(crate) ledger: &'a mut Ledger,
+    /// Each node's account, indexed by node id.
+    pub(crate) account_of: &'a [AccountId],
+    /// The node behind each account.
+    pub(crate) node_of_account: &'a HashMap<AccountId, NodeId>,
+    /// The run's report, where the adversary's counters accumulate.
+    pub(crate) report: &'a mut RunReport,
+    /// Quarantine windows open and close here.
+    pub(crate) spans: &'a mut SpanTracker,
+}
+
+/// How an armed adversary's election win changes the round.
+pub(crate) enum Attack {
+    /// No attack, or one deferred to a later win: the honest round runs.
+    Honest,
+    /// The honest round runs with a conflicting variant sealed beside it.
+    Equivocate,
+    /// The miner sealed a private fork and withholds it: no canonical
+    /// block comes of the round.
+    Withheld,
+    /// The miner seals the round's block with one corrupted signature
+    /// instead (assembled by the network, which holds the mempool): no
+    /// canonical block comes of the round.
+    Tamper,
+}
+
 /// A private fork a withholding miner has sealed but not yet released.
 #[derive(Debug, Clone)]
-pub struct WithheldFork {
+pub(crate) struct WithheldFork {
     /// The withholding miner.
-    pub miner: NodeId,
+    pub(crate) miner: NodeId,
     /// Canonical height the fork diverges after (the fork's first block
     /// sits at `base_height + 1`).
-    pub base_height: u64,
+    pub(crate) base_height: u64,
     /// The withheld blocks, in order.
-    pub blocks: Vec<Block>,
+    pub(crate) blocks: Vec<Block>,
     /// Artifact id counted under `byz.injected`.
-    pub artifact: u64,
+    artifact: u64,
 }
 
-/// What happened when a node processed a block received from the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ByzantineOutcome {
-    /// The block verified and extended the node's chain.
-    Extended,
-    /// The block is at or below the node's tip and consistent (or from a
-    /// different miner); nothing to do.
-    Stale,
-    /// The block skips ahead of the node's tip; the node must reconcile
-    /// with the canonical chain ([`ByzantineEngine::sync`]).
-    NeedsSync,
-    /// Verification failed — the block is invalid and was dropped.
-    Rejected(BlockError),
-    /// The block conflicts with one the node already holds at the same
-    /// height from the same miner: an equivocation proof.
-    Equivocation {
-        /// Height of the conflicting pair.
-        height: u64,
-        /// The equivocating miner.
-        miner: AccountId,
-    },
+/// An injected-artifact tag: `(artifact id, trace kind)`.
+type Evidence = (u64, &'static str);
+
+/// A stashed orphan block plus its injected-artifact tag when the sender
+/// was Byzantine; `None` for honest or equivocation-variant traffic.
+type StashedOrphan = (Block, Option<Evidence>);
+
+/// An adversary's content-free block on top of `prev`: no metadata, no
+/// storer assignments of its own, `prev`'s storers carried forward.
+pub(crate) fn empty_block_on(
+    prev: &Block,
+    timestamp_secs: u64,
+    pos_hash: edgechain_crypto::Digest,
+    miner: AccountId,
+    delay_secs: u64,
+    amendment: Amendment,
+) -> Block {
+    Block::new(
+        prev.index + 1,
+        prev.hash,
+        timestamp_secs,
+        pos_hash,
+        miner,
+        delay_secs,
+        amendment,
+        Vec::new(),
+        Vec::new(),
+        prev.storing_nodes.clone(),
+        Vec::new(),
+    )
 }
 
-/// Verdict on a stashed orphan block once its node has synced far enough
-/// to judge it (see [`ByzantineEngine::resolve_orphans`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum OrphanVerdict {
-    /// The orphan was a Byzantine wire artifact (forged PoS claim or
-    /// tampered signatures) now disproven by the adopted honest block at
-    /// its height.
-    Forged {
-        /// Artifact id counted under `byz.injected`.
-        artifact: u64,
-        /// Trace kind the artifact was injected under.
-        kind: &'static str,
-        /// The claimed miner, to be quarantined.
-        miner: AccountId,
-    },
-    /// The orphan conflicts with the adopted block at the same height
-    /// from the same miner: a two-headers equivocation proof.
-    Equivocation {
-        /// Height of the conflicting pair.
-        height: u64,
-        /// The equivocating miner.
-        miner: AccountId,
-    },
-}
-
-/// A stashed orphan block plus its injected-artifact tag (`(artifact id,
-/// trace kind)`) when the sender was Byzantine; `None` for honest or
-/// equivocation-variant traffic.
-type StashedOrphan = (Block, Option<(u64, &'static str)>);
-
-/// Result of reconciling one node's chain with the canonical chain.
-#[derive(Debug, Clone, Default)]
-pub struct SyncResult {
-    /// Number of blocks the node discarded, when fork choice adopted the
-    /// canonical branch over a divergent local one.
-    pub reorg_depth: Option<u64>,
-    /// Equivocation proofs surfaced by the reorg: replaced local blocks
-    /// whose canonical counterpart has the same miner but a different
-    /// hash.
-    pub equivocations: Vec<(u64, AccountId)>,
+/// Counts one reorg of `depth` discarded blocks: a node view adopting the
+/// canonical branch, or the trunk adopting a released fork.
+pub(crate) fn count_reorg(report: &mut RunReport, depth: u64) {
+    report.reorgs += 1;
+    report.max_reorg_depth = report.max_reorg_depth.max(depth);
+    telemetry::counter_add("chain.reorgs", 1);
+    telemetry::record("chain.reorg_depth", depth as f64);
 }
 
 /// Deterministic Byzantine adversary state for one run. Allocated only
 /// when the fault plan schedules Byzantine actions, so honest runs carry
 /// no per-node chains and stay bit-identical to earlier releases.
 #[derive(Debug, Clone)]
-pub struct ByzantineEngine {
+pub(crate) struct ByzantineEngine {
     /// Each node's locally adopted chain, indexed by node id.
-    pub chains: Vec<Blockchain>,
-    /// Whether each node holds any Byzantine role in the plan.
-    pub byz_role: Vec<bool>,
+    pub(crate) chains: Vec<Blockchain>,
+    /// Whether each node is honest (holds no Byzantine role in the plan);
+    /// only honest views are held to the fork invariants.
+    pub(crate) honest: Vec<bool>,
+    /// The checkpoint policy governing every fork-choice decision.
+    pub(crate) policy: CheckpointPolicy,
+    /// The single private fork in flight, if any.
+    pub(crate) withheld: Option<WithheldFork>,
     /// Armed mining-triggered actions per node, consumed FIFO at the
     /// node's next election win.
     pending: Vec<VecDeque<ByzantineAction>>,
@@ -121,84 +162,55 @@ pub struct ByzantineEngine {
     quarantined_until: Vec<Option<SimTime>>,
     /// Per-node denial strikes toward the quarantine threshold.
     strikes: Vec<u32>,
-    /// Cumulative tokens slashed per node, re-applied after ledger
-    /// re-derivation on trunk reorgs.
-    slashed: Vec<u64>,
     /// Canonical height at which each node is sitting out elections (a
     /// failed Byzantine round must not deterministically re-elect its
     /// author at the same height forever).
     sit_out: Vec<Option<u64>>,
-    /// The single private fork in flight, if any.
-    pub withheld: Option<WithheldFork>,
     /// Per-node orphan pool: wire blocks ahead of the node's tip, kept
     /// until the node syncs far enough to judge them (bounded FIFO).
     orphans: Vec<VecDeque<StashedOrphan>>,
     /// Artifact ids of known equivocations, keyed by `(height, miner)`.
     equivocation_artifacts: HashMap<(u64, AccountId), u64>,
+    /// Whether each injected artifact (indexed by id) was detected yet.
     detected_artifacts: Vec<bool>,
-    injected: u64,
-    detected: u64,
-    reorgs: u64,
-    max_reorg_depth: u64,
-    quarantine_events: u64,
-    readmissions: u64,
     rng: StdRng,
-    policy: CheckpointPolicy,
-    quarantine_secs: u64,
-    denial_threshold: u32,
 }
 
 impl ByzantineEngine {
     /// Builds the engine for a network of `nodes` nodes. `byz_nodes` are
     /// the nodes the plan names in any Byzantine action; `seed` feeds the
     /// engine's dedicated RNG stream (forged hashes, garbage bytes).
-    pub fn new(
+    pub(crate) fn new(
         nodes: usize,
         byz_nodes: &[NodeId],
         seed: u64,
         policy: CheckpointPolicy,
-        quarantine_secs: u64,
-        denial_threshold: u32,
     ) -> Self {
-        let mut byz_role = vec![false; nodes];
+        let mut honest = vec![true; nodes];
         for v in byz_nodes {
-            byz_role[v.0] = true;
+            honest[v.0] = false;
         }
         ByzantineEngine {
             chains: vec![Blockchain::new(); nodes],
-            byz_role,
+            honest,
+            policy,
+            withheld: None,
             pending: vec![VecDeque::new(); nodes],
             quarantined_until: vec![None; nodes],
             strikes: vec![0; nodes],
-            slashed: vec![0; nodes],
             sit_out: vec![None; nodes],
-            withheld: None,
             orphans: vec![VecDeque::new(); nodes],
             equivocation_artifacts: HashMap::new(),
             detected_artifacts: Vec::new(),
-            injected: 0,
-            detected: 0,
-            reorgs: 0,
-            max_reorg_depth: 0,
-            quarantine_events: 0,
-            readmissions: 0,
             rng: StdRng::seed_from_u64(seed),
-            policy,
-            quarantine_secs,
-            denial_threshold,
         }
-    }
-
-    /// The checkpoint policy governing every fork-choice decision.
-    pub fn policy(&self) -> CheckpointPolicy {
-        self.policy
     }
 
     // ---- roles & arming -------------------------------------------------
 
     /// Arms a mining-triggered action for `node` (consumed at its next
     /// election win).
-    pub fn arm(&mut self, node: NodeId, action: ByzantineAction) {
+    pub(crate) fn arm(&mut self, node: NodeId, action: ByzantineAction) {
         self.pending[node.0].push_back(action);
     }
 
@@ -206,7 +218,7 @@ impl ByzantineEngine {
     /// [`ByzantineAction::TamperSignature`] stays armed until the round
     /// actually packs metadata (there is no signature to corrupt in an
     /// empty block).
-    pub fn next_mining_action(
+    fn next_mining_action(
         &mut self,
         node: NodeId,
         has_pending_metadata: bool,
@@ -218,75 +230,157 @@ impl ByzantineEngine {
         }
     }
 
-    // ---- artifact accounting -------------------------------------------
+    /// A freshly elected adversary may have an armed consensus attack.
+    /// Withholding and tampering replace the honest round entirely;
+    /// equivocation rides alongside it (two conflicting blocks sealed on
+    /// the same earned hit) unless the new height is a checkpoint, where
+    /// honest fork choice is first-seen-final and the fork could never
+    /// spread — the adversary waits for a later win instead.
+    pub(crate) fn armed_attack(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        miner: NodeId,
+        has_pending_metadata: bool,
+    ) -> Attack {
+        let interval = self.policy.interval.max(1);
+        let height = court.canonical.height();
+        match self.next_mining_action(miner, has_pending_metadata) {
+            Some(ByzantineAction::Withhold { blocks }) => {
+                // A fork spanning a checkpoint height could never win fork
+                // choice (honest nodes refuse to cross a checkpoint), so a
+                // rational withholder waits for a base clear of them.
+                let crosses_checkpoint =
+                    (height + 1..=height + blocks.max(1)).any(|h| h.is_multiple_of(interval));
+                if crosses_checkpoint {
+                    self.arm(miner, ByzantineAction::Withhold { blocks });
+                } else if self.withheld.is_none() {
+                    self.withhold(court, now, miner, blocks);
+                    return Attack::Withheld;
+                }
+                // A fork already in flight drops the extra action.
+                Attack::Honest
+            }
+            Some(ByzantineAction::TamperSignature) => Attack::Tamper,
+            Some(ByzantineAction::Equivocate) if (height + 1).is_multiple_of(interval) => {
+                self.arm(miner, ByzantineAction::Equivocate);
+                Attack::Honest
+            }
+            Some(ByzantineAction::Equivocate) => Attack::Equivocate,
+            Some(_) | None => Attack::Honest,
+        }
+    }
 
-    /// Registers one injected Byzantine artifact and returns its id.
-    pub fn note_injected(&mut self) -> u64 {
-        let id = self.detected_artifacts.len() as u64;
+    // ---- artifact accounting & the one response -------------------------
+
+    /// Counts one injected Byzantine artifact and returns its id.
+    fn inject(&mut self, court: &mut Court<'_>, now: SimTime, kind: &'static str) -> u64 {
+        let artifact = self.detected_artifacts.len() as u64;
         self.detected_artifacts.push(false);
-        self.injected += 1;
-        id
+        court.report.byz_injected += 1;
+        telemetry::counter_add("byz.injected", 1);
+        trace_event!(
+            "byz.injected",
+            now.as_millis(),
+            kind = kind,
+            artifact = artifact
+        );
+        artifact
     }
 
-    /// Marks an artifact detected; returns `true` the first time.
-    pub fn note_detected(&mut self, artifact: u64) -> bool {
-        let slot = &mut self.detected_artifacts[artifact as usize];
-        if *slot {
-            false
-        } else {
-            *slot = true;
-            self.detected += 1;
-            true
+    /// Counts the conflicting variant of an equivocating miner's block at
+    /// `height` as one injected artifact, however many nodes observe it.
+    fn inject_equivocation(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        height: u64,
+        miner: AccountId,
+    ) {
+        if !self.equivocation_artifacts.contains_key(&(height, miner)) {
+            let artifact = self.inject(court, now, "byz_equivocate");
+            self.equivocation_artifacts
+                .insert((height, miner), artifact);
         }
     }
 
-    /// Registers (or retrieves) the artifact id of an equivocation pair.
-    pub fn register_equivocation(&mut self, height: u64, miner: AccountId) -> u64 {
-        if let Some(&id) = self.equivocation_artifacts.get(&(height, miner)) {
-            return id;
+    /// The one response to proven misbehavior — every row of DESIGN §11's
+    /// Detection → response table. The artifact `evidence` names counts as
+    /// detected the first time any honest node holds it; the `culprit`,
+    /// when known, is quarantined for [`QUARANTINE_SECS`] and half its
+    /// stake is slashed (the PoS target's `S_i`, Eq. 7, shrinks with it).
+    /// Convicting an already quarantined node extends its window but
+    /// neither re-counts nor re-slashes.
+    pub(crate) fn convict(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        evidence: Option<Evidence>,
+        culprit: Option<(NodeId, &'static str)>,
+    ) {
+        if let Some((artifact, kind)) = evidence {
+            if !std::mem::replace(&mut self.detected_artifacts[artifact as usize], true) {
+                court.report.byz_detected += 1;
+                telemetry::counter_add("byz.detected", 1);
+                trace_event!(
+                    "byz.detected",
+                    now.as_millis(),
+                    kind = kind,
+                    artifact = artifact
+                );
+            }
         }
-        let id = self.note_injected();
-        self.equivocation_artifacts.insert((height, miner), id);
-        id
+        let Some((culprit, reason)) = culprit else {
+            return;
+        };
+        let fresh = !self.is_quarantined(culprit, now);
+        self.quarantined_until[culprit.0] = Some(now + SimTime::from_secs(QUARANTINE_SECS));
+        if !fresh {
+            return;
+        }
+        court.report.quarantine_events += 1;
+        let account = court.account_of[culprit.0];
+        let slash = court.ledger.balance(&account) / 2;
+        let taken = court.ledger.debit(account, slash);
+        telemetry::counter_add("byz.quarantines", 1);
+        trace_event!(
+            "byz.quarantine",
+            now.as_millis(),
+            node = culprit.0,
+            reason = reason,
+            slash = taken
+        );
+        court.spans.quarantined(now, culprit, reason);
     }
 
-    /// Looks up the artifact id of a proven equivocation, if the pair was
-    /// an injected one.
-    pub fn lookup_equivocation(&self, height: u64, miner: AccountId) -> Option<u64> {
-        self.equivocation_artifacts.get(&(height, miner)).copied()
-    }
-
-    /// Total injected artifacts so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Total artifacts detected by at least one honest node.
-    pub fn detected(&self) -> u64 {
-        self.detected
+    /// A two-headers-same-height-same-miner equivocation proof: the
+    /// injected pair (if it was one) is detected and the miner convicted.
+    fn equivocation_proof(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        height: u64,
+        miner: AccountId,
+    ) {
+        let evidence = self
+            .equivocation_artifacts
+            .get(&(height, miner))
+            .map(|&artifact| (artifact, "byz_equivocate"));
+        let culprit = court.node_of_account.get(&miner);
+        self.convict(court, now, evidence, culprit.map(|&c| (c, "equivocation")));
     }
 
     // ---- quarantine ----------------------------------------------------
 
-    /// Quarantines `node` until `now + quarantine_secs`. Returns `true`
-    /// when this is a new quarantine (not an extension of an active one).
-    pub fn quarantine(&mut self, node: NodeId, now: SimTime) -> bool {
-        let fresh = !self.is_quarantined(node, now);
-        if fresh {
-            self.quarantine_events += 1;
-        }
-        self.quarantined_until[node.0] = Some(now + SimTime::from_secs(self.quarantine_secs));
-        fresh
-    }
-
     /// Whether `node` is quarantined at `now`.
-    pub fn is_quarantined(&self, node: NodeId, now: SimTime) -> bool {
+    pub(crate) fn is_quarantined(&self, node: NodeId, now: SimTime) -> bool {
         matches!(self.quarantined_until[node.0], Some(until) if until > now)
     }
 
-    /// Clears expired quarantines, counting re-admissions. Returns the
-    /// nodes re-admitted at this sweep (ascending id order).
-    pub fn readmit_due(&mut self, now: SimTime) -> Vec<NodeId> {
+    /// Quarantine re-admission rides the block cadence: clears expired
+    /// quarantines (ascending node id), counts the re-admissions and
+    /// closes their windows.
+    pub(crate) fn readmit(&mut self, court: &mut Court<'_>, now: SimTime) {
         let mut readmitted = Vec::new();
         for (i, slot) in self.quarantined_until.iter_mut().enumerate() {
             if matches!(slot, Some(until) if *until <= now) {
@@ -294,33 +388,25 @@ impl ByzantineEngine {
                 readmitted.push(NodeId(i));
             }
         }
-        self.readmissions += readmitted.len() as u64;
-        readmitted
-    }
-
-    /// Nodes currently quarantined at `now`.
-    pub fn active_quarantines(&self, now: SimTime) -> usize {
-        (0..self.quarantined_until.len())
+        if !readmitted.is_empty() {
+            court.report.readmissions += readmitted.len() as u64;
+            telemetry::counter_add("byz.readmissions", readmitted.len() as u64);
+            trace_event!("byz.readmit", now.as_millis(), nodes = readmitted.len());
+        }
+        let active = (0..self.quarantined_until.len())
             .filter(|&v| self.is_quarantined(NodeId(v), now))
-            .count()
+            .count();
+        telemetry::gauge_set("quarantine.active", active as f64);
+        court.spans.readmitted(now, &readmitted);
     }
 
-    /// Records a denial strike against a storer; returns `true` when the
-    /// strike crosses the quarantine threshold.
-    pub fn strike(&mut self, node: NodeId) -> bool {
+    /// Records a denial strike against a storer at `now`: the third one
+    /// convicts it.
+    pub(crate) fn strike(&mut self, court: &mut Court<'_>, now: SimTime, node: NodeId) {
         self.strikes[node.0] += 1;
-        self.strikes[node.0] == self.denial_threshold
-    }
-
-    /// Records `amount` tokens slashed from `node` (re-applied after
-    /// ledger re-derivation on trunk reorgs).
-    pub fn record_slash(&mut self, node: NodeId, amount: u64) {
-        self.slashed[node.0] += amount;
-    }
-
-    /// Cumulative slash per node, indexed by node id.
-    pub fn slashes(&self) -> &[u64] {
-        &self.slashed
+        if self.strikes[node.0] == DENIAL_QUARANTINE_THRESHOLD {
+            self.convict(court, now, None, Some((node, "repeated-denials")));
+        }
     }
 
     // ---- election gating -----------------------------------------------
@@ -328,120 +414,253 @@ impl ByzantineEngine {
     /// Whether `node` must be excluded from the election at the given
     /// canonical height (quarantined, or sitting out after a failed
     /// Byzantine round at this height).
-    pub fn is_excluded(&self, node: NodeId, now: SimTime, canonical_height: u64) -> bool {
+    pub(crate) fn is_excluded(&self, node: NodeId, now: SimTime, canonical_height: u64) -> bool {
         self.is_quarantined(node, now) || self.sit_out[node.0] == Some(canonical_height)
-    }
-
-    /// Benches `node` from elections while the canonical chain stays at
-    /// `height` (progress guarantee: a failed Byzantine round must hand
-    /// the election to the runner-up instead of re-electing its author in
-    /// an infinite loop at one instant).
-    pub fn bench(&mut self, node: NodeId, height: u64) {
-        self.sit_out[node.0] = Some(height);
-    }
-
-    /// Lifts a bench early (e.g. when the private fork resolves).
-    pub fn unbench(&mut self, node: NodeId) {
-        self.sit_out[node.0] = None;
-    }
-
-    // ---- reorg accounting ----------------------------------------------
-
-    /// Counts one reorg of `depth` discarded blocks.
-    pub fn record_reorg(&mut self, depth: u64) {
-        self.reorgs += 1;
-        self.max_reorg_depth = self.max_reorg_depth.max(depth);
-    }
-
-    /// Total reorgs (per-node adoptions and trunk reorgs).
-    pub fn reorgs(&self) -> u64 {
-        self.reorgs
-    }
-
-    /// Deepest reorg seen, in discarded blocks.
-    pub fn max_reorg_depth(&self) -> u64 {
-        self.max_reorg_depth
-    }
-
-    /// Quarantine events so far.
-    pub fn quarantine_events(&self) -> u64 {
-        self.quarantine_events
-    }
-
-    /// Re-admissions so far.
-    pub fn readmissions(&self) -> u64 {
-        self.readmissions
     }
 
     // ---- adversarial material ------------------------------------------
 
-    /// A fresh digest from the engine's dedicated RNG stream (forged PoS
-    /// claims).
-    pub fn next_digest(&mut self) -> edgechain_crypto::Digest {
-        let mut raw = [0u8; 32];
-        self.rng.fill(&mut raw);
-        edgechain_crypto::Digest(raw)
+    /// A Byzantine node's block with a PoS hit it never earned (a fresh
+    /// digest from the engine's RNG stream) on the canonical tip. Honest
+    /// receivers verify the chained hash and reject it.
+    pub(crate) fn forge_block(&mut self, court: &Court<'_>, now: SimTime, node: NodeId) -> Block {
+        let mut pos_hash = [0u8; 32];
+        self.rng.fill(&mut pos_hash);
+        let prev = court.canonical.tip();
+        empty_block_on(
+            prev,
+            now.as_secs().max(prev.timestamp_secs + 1),
+            edgechain_crypto::Digest(pos_hash),
+            court.account_of[node.0],
+            1,
+            Amendment::from_fraction(1, 1000),
+        )
     }
 
-    /// `n` deterministic garbage bytes from the engine's RNG stream.
-    pub fn garbage_bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n];
-        self.rng.fill(&mut out[..]);
-        out
+    /// Bytes that are not a block at all: raw garbage (`bytes` of it,
+    /// clamped), a scrambled encoding of the canonical tip, or a truncated
+    /// one — the shape drawn from the engine's RNG stream.
+    pub(crate) fn garbage_payload(&mut self, court: &Court<'_>, bytes: u64) -> Payload {
+        let tip_encoding = Payload::new(court.canonical.tip().encoded());
+        match self.rng.gen_range(0..3u64) {
+            0 => {
+                let mut out = vec![0u8; bytes.clamp(8, 65_536) as usize];
+                self.rng.fill(&mut out[..]);
+                Payload::new(out.into())
+            }
+            1 => {
+                let seed = self.rng.gen_range(0..u64::MAX);
+                tip_encoding.scrambled(seed)
+            }
+            _ => tip_encoding.truncated(tip_encoding.len() / 2),
+        }
     }
 
-    /// A draw from the engine's RNG in `[0, bound)` (payload-shape
-    /// choices).
-    pub fn draw(&mut self, bound: u64) -> u64 {
-        self.rng.gen_range(0..bound)
+    /// A freshly elected Byzantine miner seals a private fork on its own
+    /// earned PoS hit and *withholds* it: nothing is broadcast, the
+    /// canonical chain does not advance, and the miner sits out the
+    /// re-election at this height so an honest runner-up makes progress.
+    /// The fork is released once the public chain catches up
+    /// ([`Self::released`]).
+    fn withhold(&mut self, court: &mut Court<'_>, now: SimTime, miner: NodeId, blocks: u64) {
+        let base_height = court.canonical.height();
+        let account = court.account_of[miner.0];
+        let mut fork: Vec<Block> = Vec::new();
+        for i in 0..blocks.max(1) {
+            let prev = fork.last().unwrap_or(court.canonical.tip());
+            let block = empty_block_on(
+                prev,
+                now.as_secs() + i + 1,
+                next_pos_hash(&prev.pos_hash, &account),
+                account,
+                1,
+                Amendment::from_fraction(1, 1000),
+            );
+            fork.push(block);
+        }
+        let artifact = self.inject(court, now, "byz_withhold");
+        trace_event!(
+            "byz.withhold",
+            now.as_millis(),
+            node = miner.0,
+            blocks = blocks.max(1),
+            base = base_height
+        );
+        self.withheld = Some(WithheldFork {
+            miner,
+            base_height,
+            blocks: fork,
+            artifact,
+        });
+        // Progress guarantee: benched while the canonical chain stays at
+        // this height, the failed round hands the election to the
+        // runner-up instead of re-electing its author in an infinite loop
+        // at one instant.
+        self.sit_out[miner.0] = Some(base_height);
+    }
+
+    /// The private fork hit the wire: it leaves the engine, its miner's
+    /// bench lifts, and — the late release *is* the observable: honest
+    /// nodes now hold two competing branches — the withholding comes to
+    /// light. The miner is convicted once trunk fork choice has decided.
+    pub(crate) fn released(&mut self, court: &mut Court<'_>, now: SimTime) -> Option<WithheldFork> {
+        let w = self.withheld.take()?;
+        self.sit_out[w.miner.0] = None;
+        trace_event!(
+            "byz.release",
+            now.as_millis(),
+            node = w.miner.0,
+            blocks = w.blocks.len(),
+            base = w.base_height
+        );
+        self.convict(court, now, Some((w.artifact, "byz_withhold")), None);
+        Some(w)
+    }
+
+    /// A Byzantine `server` corrupts the snapshot it serves: one bit of
+    /// the signed payload flips in flight. Returns the injected artifact;
+    /// an honest server's bytes pass untouched.
+    pub(crate) fn tamper_snapshot(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        server: NodeId,
+        bytes: &mut [u8],
+    ) -> Option<u64> {
+        if self.honest[server.0] {
+            return None;
+        }
+        let artifact = self.inject(court, now, "byz_snapshot");
+        let pos = self.rng.gen_range(0..bytes.len() as u64) as usize;
+        bytes[pos] ^= 0x40;
+        Some(artifact)
+    }
+
+    // ---- judging what went on the air ----------------------------------
+
+    /// Per-node fork choice for the block just sealed onto the canonical
+    /// chain, at every node in `received` (the miner first), and for the
+    /// equivocating miner's conflicting `variant` when armed: alternating
+    /// receivers hear only the conflicting block and adopt it — a live
+    /// fork that reconciles (and surfaces the equivocation proof) at the
+    /// next sync; the others hear both and hold the two-headers proof
+    /// immediately. The variant counts as injected here, once it actually
+    /// reached an honest node.
+    pub(crate) fn deliver_sealed(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        received: &[NodeId],
+        variant: Option<&Block>,
+    ) {
+        let canonical = court.canonical;
+        let sealed = canonical.tip();
+        if let Some(b) = variant {
+            self.inject_equivocation(court, now, b.index, b.miner);
+        }
+        for (i, &v) in received.iter().enumerate() {
+            match variant {
+                Some(b) if v != received[0] && i % 2 == 1 => self.receive(court, now, v, b, None),
+                Some(b) if v != received[0] => {
+                    self.receive(court, now, v, sealed, None);
+                    self.receive(court, now, v, b, None);
+                }
+                _ => self.receive(court, now, v, sealed, None),
+            }
+        }
+    }
+
+    /// An adversary's `block` reached `receivers`: one injected artifact of
+    /// `kind`, judged at every receiver. A node that can verify it rejects
+    /// it, which detects the artifact and convicts the miner for `reason`;
+    /// a laggard cannot disprove the claim yet, so it keeps the orphan and
+    /// judges it after syncing.
+    pub(crate) fn judge_bad_block(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        block: &Block,
+        receivers: &[NodeId],
+        (kind, reason): (&'static str, &'static str),
+    ) {
+        let artifact = self.inject(court, now, kind);
+        for &v in receivers {
+            self.receive(court, now, v, block, Some((artifact, kind, reason)));
+        }
+    }
+
+    /// `sender`'s bytes that are not a block at all reached someone: one
+    /// injected artifact of `kind`. The payload is one shared buffer, so
+    /// decoding once stands for every receiver's (identical,
+    /// deterministic) verdict: a decoder error (never a panic) convicts
+    /// the sender for `reason`.
+    pub(crate) fn judge_garbage(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        sender: NodeId,
+        payload: &Payload,
+        (kind, reason): (&'static str, &'static str),
+    ) {
+        let artifact = self.inject(court, now, kind);
+        if crate::codec::decode_block(payload.bytes()).is_err() {
+            self.convict(court, now, Some((artifact, kind)), Some((sender, reason)));
+        }
+    }
+
+    /// Node `v` processes a wire-received block against its chain view,
+    /// `tag`ged `(artifact, kind, reason)` when an adversary sent it. A
+    /// block extending the tip is verified in full and adopted; a rejected
+    /// one convicts its miner when tagged and otherwise makes the node
+    /// reconcile; a conflicting same-height/same-miner header is an
+    /// equivocation proof; a block skipping ahead is too far ahead to
+    /// verify — it is stashed (a forgery or an equivocating variant
+    /// delivered to a laggard is judged after sync) and the node
+    /// reconciles. Tagged blocks always sit at canonical height + 1,
+    /// above every node's view, so they never take the equivocation arm.
+    fn receive(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        v: NodeId,
+        block: &Block,
+        tag: Option<(u64, &'static str, &'static str)>,
+    ) {
+        let chain = &mut self.chains[v.0];
+        let tip_index = chain.tip().index;
+        if block.index > tip_index + 1 {
+            self.stash_orphan(v, block.clone(), tag.map(|(a, kind, _)| (a, kind)));
+            self.sync(court, now, v);
+        } else if block.index <= tip_index {
+            let conflicting = chain.get(block.index).is_some_and(|ours| {
+                ours.hash != block.hash && ours.miner == block.miner && block.is_well_formed()
+            });
+            if conflicting {
+                self.equivocation_proof(court, now, block.index, block.miner);
+            }
+        } else if verify_wire_block(chain.tip(), block).is_ok() {
+            chain
+                .push(block.clone())
+                .expect("verified block must push cleanly");
+        } else if let Some((artifact, kind, reason)) = tag {
+            let culprit = court.node_of_account.get(&block.miner);
+            let culprit = culprit.map(|&c| (c, reason));
+            self.convict(court, now, Some((artifact, kind)), culprit);
+        } else {
+            self.sync(court, now, v);
+        }
     }
 
     // ---- per-node chain views ------------------------------------------
-
-    /// Processes a wire-received block against node `v`'s chain view:
-    /// verifies in full when it extends the tip, flags conflicting
-    /// same-height/same-miner headers as equivocation proofs, and asks for
-    /// a sync when the block skips ahead.
-    pub fn deliver(&mut self, v: NodeId, block: &Block) -> ByzantineOutcome {
-        let chain = &mut self.chains[v.0];
-        let tip_index = chain.tip().index;
-        if block.index == tip_index + 1 {
-            match verify_wire_block(chain.tip(), block) {
-                Ok(()) => {
-                    chain
-                        .push(block.clone())
-                        .expect("verified block must push cleanly");
-                    ByzantineOutcome::Extended
-                }
-                Err(e) => ByzantineOutcome::Rejected(e),
-            }
-        } else if block.index <= tip_index {
-            match chain.get(block.index) {
-                Some(ours)
-                    if ours.hash != block.hash
-                        && ours.miner == block.miner
-                        && block.is_well_formed() =>
-                {
-                    ByzantineOutcome::Equivocation {
-                        height: block.index,
-                        miner: block.miner,
-                    }
-                }
-                _ => ByzantineOutcome::Stale,
-            }
-        } else {
-            ByzantineOutcome::NeedsSync
-        }
-    }
 
     /// Stashes a wire block that skipped ahead of node `v`'s tip. A
     /// lagging node cannot verify such a block yet (its parent is
     /// unknown), so it is kept — with the injected-artifact tag when the
     /// sender was Byzantine — until a later [`Self::sync`] lands the
-    /// honest block at that height and [`Self::resolve_orphans`] can
-    /// judge it. The pool is a small FIFO; honest traffic cycles through
-    /// it without growing it.
-    pub fn stash_orphan(&mut self, v: NodeId, block: Block, artifact: Option<(u64, &'static str)>) {
+    /// honest block at that height and the orphan can be judged. The pool
+    /// is a small FIFO; honest traffic cycles through it without growing
+    /// it.
+    fn stash_orphan(&mut self, v: NodeId, block: Block, artifact: Option<Evidence>) {
         let pool = &mut self.orphans[v.0];
         if pool.iter().any(|(b, _)| b.hash == block.hash) {
             return;
@@ -465,69 +684,34 @@ impl ByzantineEngine {
     /// Total stashed orphan blocks across every node's pool. Each pool is
     /// already bounded (8 entries, honest-looking evicted first); this
     /// accessor feeds the run report's peak tracking-state accounting.
-    pub fn orphan_entries(&self) -> usize {
+    pub(crate) fn orphan_entries(&self) -> usize {
         self.orphans.iter().map(VecDeque::len).sum()
     }
 
-    /// Judges node `v`'s stashed orphans against its (freshly synced)
-    /// chain: an orphan matching the adopted block at its height was
-    /// honest and is dropped; a mismatching one is proof — of forgery or
-    /// tampering when it carries an artifact tag, of equivocation when
-    /// the adopted block has the same miner. A mismatching untagged
-    /// orphan from a *different* miner is a block displaced by a trunk
-    /// reorg: honest, dropped. Orphans still ahead of the tip stay
-    /// stashed.
-    pub fn resolve_orphans(&mut self, v: NodeId) -> Vec<OrphanVerdict> {
-        let height = self.chains[v.0].height();
-        let mut verdicts = Vec::new();
-        let pool = std::mem::take(&mut self.orphans[v.0]);
-        for (block, artifact) in pool {
-            if block.index > height {
-                self.orphans[v.0].push_back((block, artifact));
-                continue;
-            }
-            let Some(ours) = self.chains[v.0].get(block.index) else {
-                // Below the node's pruned base: the adopted block at that
-                // height is gone, so the orphan can never be judged. Drop
-                // it rather than keep it stashed forever.
-                continue;
-            };
-            if ours.hash == block.hash {
-                continue;
-            }
-            match artifact {
-                Some((artifact, kind)) => verdicts.push(OrphanVerdict::Forged {
-                    artifact,
-                    kind,
-                    miner: block.miner,
-                }),
-                None if ours.miner == block.miner => {
-                    verdicts.push(OrphanVerdict::Equivocation {
-                        height: block.index,
-                        miner: block.miner,
-                    });
-                }
-                None => {}
-            }
-        }
-        verdicts
+    /// Reconciles node `v`'s chain view with the canonical chain up to its
+    /// contiguous recovered height, counting reorgs and convicting on the
+    /// equivocation proofs they surface; then, since a sync may have landed
+    /// the honest block at a stashed orphan's height, judges the orphans —
+    /// late proof of forgery, tampering, or equivocation.
+    pub(crate) fn sync(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
+        self.catch_up(court, now, v);
+        self.resolve_orphans(court, now, v);
     }
 
-    /// Reconciles node `v`'s chain with the canonical chain up to block
-    /// `target` (the node's contiguous recovered height): extends with
-    /// canonical blocks while the linkage holds, and on divergence runs
-    /// checkpointed fork choice over the canonical prefix, surfacing any
-    /// equivocation proofs among the replaced blocks.
-    pub fn sync(&mut self, v: NodeId, canonical: &Blockchain, target: u64) -> SyncResult {
-        let mut result = SyncResult::default();
-        let target = target.min(canonical.height());
+    /// Extends node `v`'s chain with canonical blocks while the linkage
+    /// holds, and on divergence runs checkpointed fork choice over the
+    /// canonical prefix, surfacing any equivocation proofs among the
+    /// replaced blocks.
+    fn catch_up(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
+        let canonical = court.canonical;
+        let target = court.node_height[v.0].min(canonical.height());
         let chain = &mut self.chains[v.0];
         if chain.height() + 1 < canonical.base_index() {
             // The node is so far behind that the next block it needs has
             // been pruned from the canonical chain. Block-by-block sync is
-            // impossible; the caller must bootstrap from a snapshot
+            // impossible; the network must bootstrap it from a snapshot
             // ([`Self::bootstrap_from_snapshot`]).
-            return result;
+            return;
         }
         while chain.height() < target {
             let next = canonical
@@ -542,7 +726,7 @@ impl ByzantineEngine {
             }
         }
         if chain.height() >= target || chain.fork_point(canonical.as_slice()) > chain.height() {
-            return result;
+            return;
         }
         // Divergence: the node sits on a fork. Adopt the canonical prefix
         // up to `target` under checkpoint rules. `retained_up_to` aligns
@@ -550,20 +734,61 @@ impl ByzantineEngine {
         // by block index, so a suffix candidate splices correctly.
         let candidate = canonical.retained_up_to(target);
         let fork_point = chain.fork_point(candidate);
-        for h in fork_point..=chain.height() {
-            let (ours, canon) = (chain.get(h), canonical.get(h));
-            if let (Some(a), Some(b)) = (ours, canon) {
-                if a.miner == b.miner && a.hash != b.hash {
-                    result.equivocations.push((h, a.miner));
-                }
-            }
-        }
+        // Equivocation proofs: replaced local blocks whose canonical
+        // counterpart has the same miner but a different hash.
+        let equivocations: Vec<(u64, AccountId)> = (fork_point..=chain.height())
+            .filter_map(|h| match (chain.get(h), canonical.get(h)) {
+                (Some(a), Some(b)) if a.miner == b.miner && a.hash != b.hash => Some((h, a.miner)),
+                _ => None,
+            })
+            .collect();
         let depth = chain.divergence_depth(candidate);
         if chain.try_adopt_checkpointed(candidate, self.policy) {
-            result.reorg_depth = Some(depth);
-            self.record_reorg(depth);
+            count_reorg(court.report, depth);
+            trace_event!("chain.reorg", now.as_millis(), node = v.0, depth = depth);
         }
-        result
+        for (height, miner) in equivocations {
+            self.equivocation_proof(court, now, height, miner);
+        }
+    }
+
+    /// Judges node `v`'s stashed orphans against its (freshly synced)
+    /// chain: an orphan matching the adopted block at its height was
+    /// honest and is dropped; a mismatching one is proof — of forgery or
+    /// tampering when it carries an artifact tag (its claimed miner is
+    /// convicted), of equivocation when the adopted block has the same
+    /// miner. A mismatching untagged orphan from a *different* miner is a
+    /// block displaced by a trunk reorg: honest, dropped. Orphans still
+    /// ahead of the tip stay stashed.
+    fn resolve_orphans(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
+        let height = self.chains[v.0].height();
+        for (block, artifact) in std::mem::take(&mut self.orphans[v.0]) {
+            if block.index > height {
+                self.orphans[v.0].push_back((block, artifact));
+                continue;
+            }
+            let Some(ours) = self.chains[v.0].get(block.index) else {
+                // Below the node's pruned base: the adopted block at that
+                // height is gone, so the orphan can never be judged. Drop
+                // it rather than keep it stashed forever.
+                continue;
+            };
+            if ours.hash == block.hash {
+                continue;
+            }
+            let same_miner = ours.miner == block.miner;
+            match artifact {
+                Some(evidence) => {
+                    let culprit = court.node_of_account.get(&block.miner);
+                    let culprit = culprit.map(|&c| (c, "disproven-orphan"));
+                    self.convict(court, now, Some(evidence), culprit);
+                }
+                None if same_miner => {
+                    self.equivocation_proof(court, now, block.index, block.miner);
+                }
+                None => {}
+            }
+        }
     }
 
     // ---- chain lifecycle ------------------------------------------------
@@ -576,10 +801,8 @@ impl ByzantineEngine {
     /// lagging behind the boundary, or sitting on a fork there, are left
     /// intact — they reconcile later through [`Self::sync`] or a snapshot
     /// bootstrap. Orphans below the new base are unjudgeable (the adopted
-    /// blocks at their heights are gone everywhere) and are dropped; the
-    /// caller should collect pending [`Self::resolve_orphans`] verdicts
-    /// first.
-    pub fn prune_below(&mut self, anchor: &ChainAnchor) {
+    /// blocks at their heights are gone everywhere) and are dropped.
+    pub(crate) fn prune_below(&mut self, anchor: &ChainAnchor) {
         let cut = anchor.height + 1;
         for chain in &mut self.chains {
             if chain.base_index() >= cut || chain.height() < cut {
@@ -601,7 +824,7 @@ impl ByzantineEngine {
     /// snapshot (a deep rejoin past the canonical pruned base). Stashed
     /// orphans below the snapshot base can no longer be judged and are
     /// dropped; ones ahead of it stay for the next resolution pass.
-    pub fn bootstrap_from_snapshot(&mut self, v: NodeId, chain: Blockchain) {
+    pub(crate) fn bootstrap_from_snapshot(&mut self, v: NodeId, chain: Blockchain) {
         let base = chain.base_index();
         self.orphans[v.0].retain(|(b, _)| b.index >= base);
         self.chains[v.0] = chain;
@@ -612,7 +835,6 @@ impl ByzantineEngine {
 mod tests {
     use super::*;
     use crate::account::Identity;
-    use crate::pos::{next_pos_hash, Amendment};
 
     fn mined(prev: &Block, seed: u64, ts: u64) -> Block {
         let account = Identity::from_seed(seed).account();
@@ -631,217 +853,321 @@ mod tests {
         )
     }
 
-    fn engine(nodes: usize) -> ByzantineEngine {
-        ByzantineEngine::new(
-            nodes,
-            &[NodeId(0)],
-            7,
-            CheckpointPolicy { interval: 4 },
-            600,
-            3,
+    /// A conflicting variant of the height-1 `block`: same parent, PoS
+    /// claim and miner, one second later and without storers, so a
+    /// different hash.
+    fn variant_of(block: &Block) -> Block {
+        let ts = block.timestamp_secs + 1;
+        let amendment = Amendment::from_fraction(1, 1000);
+        empty_block_on(
+            &Block::genesis(),
+            ts,
+            block.pos_hash,
+            block.miner,
+            60,
+            amendment,
         )
     }
 
-    #[test]
-    fn deliver_extends_rejects_and_proves_equivocation() {
-        let mut eng = engine(2);
-        let genesis = Block::genesis();
-        let good = mined(&genesis, 1, 60);
-        assert_eq!(eng.deliver(NodeId(1), &good), ByzantineOutcome::Extended);
-        assert_eq!(eng.chains[1].height(), 1);
+    /// Node 0 holds the Byzantine role; checkpoints every 4 blocks.
+    fn engine(nodes: usize) -> ByzantineEngine {
+        ByzantineEngine::new(nodes, &[NodeId(0)], 7, CheckpointPolicy { interval: 4 })
+    }
 
-        // A forged PoS claim is rejected at the wire.
-        let mut forged = mined(&good, 2, 120);
-        forged.pos_hash = edgechain_crypto::sha256(b"never earned");
-        let forged = Block::new(
-            forged.index,
-            forged.prev_hash,
-            forged.timestamp_secs,
-            forged.pos_hash,
-            forged.miner,
-            forged.delay_secs,
-            forged.amendment,
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-        );
-        assert!(matches!(
-            eng.deliver(NodeId(1), &forged),
-            ByzantineOutcome::Rejected(BlockError::BadPosClaim { .. })
-        ));
+    /// Everything a [`Court`] lends, owned by the test — no topology, no
+    /// transport. Node `i`'s account is `Identity::from_seed(i)`'s; every
+    /// account starts with 10 tokens.
+    struct World {
+        canonical: Blockchain,
+        node_height: Vec<u64>,
+        ledger: Ledger,
+        account_of: Vec<AccountId>,
+        node_of_account: HashMap<AccountId, NodeId>,
+        report: RunReport,
+        spans: SpanTracker,
+    }
 
-        // Same height, same miner, different hash: equivocation proof.
-        let variant = {
-            let account = Identity::from_seed(1).account();
-            Block::new(
-                1,
-                genesis.hash,
-                61,
-                next_pos_hash(&genesis.pos_hash, &account),
-                account,
-                60,
-                Amendment::from_fraction(1, 1000),
-                Vec::new(),
-                Vec::new(),
-                genesis.storing_nodes.clone(),
-                Vec::new(),
-            )
-        };
-        assert_eq!(
-            eng.deliver(NodeId(1), &variant),
-            ByzantineOutcome::Equivocation {
-                height: 1,
-                miner: Identity::from_seed(1).account()
+    impl World {
+        fn new(nodes: usize) -> Self {
+            let account_of: Vec<AccountId> = (0..nodes as u64)
+                .map(|i| Identity::from_seed(i).account())
+                .collect();
+            let node_of_account = (0..nodes).map(|i| (account_of[i], NodeId(i))).collect();
+            World {
+                canonical: Blockchain::new(),
+                node_height: vec![0; nodes],
+                ledger: Ledger::with_initial_tokens(10),
+                account_of,
+                node_of_account,
+                report: RunReport::default(),
+                spans: SpanTracker::default(),
             }
-        );
-
-        // A block far ahead asks for a sync.
-        let mut canonical = Blockchain::new();
-        for i in 0..4 {
-            let b = mined(canonical.tip(), 1, (i + 1) * 60);
-            canonical.push(b).unwrap();
         }
-        assert_eq!(
-            eng.deliver(NodeId(1), canonical.get(4).unwrap()),
-            ByzantineOutcome::NeedsSync
-        );
+
+        fn court(&mut self) -> Court<'_> {
+            Court {
+                canonical: &self.canonical,
+                node_height: &self.node_height,
+                ledger: &mut self.ledger,
+                account_of: &self.account_of,
+                node_of_account: &self.node_of_account,
+                report: &mut self.report,
+                spans: &mut self.spans,
+            }
+        }
+
+        /// Mines `n` canonical blocks by node `miner` and marks every node
+        /// as holding them.
+        fn grow(&mut self, n: u64, miner: u64) {
+            for _ in 0..n {
+                let tip = self.canonical.tip();
+                let b = mined(tip, miner, tip.timestamp_secs + 60);
+                self.canonical.push(b).unwrap();
+            }
+            let h = self.canonical.height();
+            self.node_height.iter_mut().for_each(|x| *x = h);
+        }
+
+        fn balance(&self, node: usize) -> u64 {
+            self.ledger.balance(&self.account_of[node])
+        }
+    }
+
+    const NOW: SimTime = SimTime::from_secs(100);
+
+    #[test]
+    fn an_equivocation_proof_detects_once_quarantines_and_slashes_half() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 2);
+        let sealed = w.canonical.tip().clone();
+        let variant = variant_of(&sealed);
+        // Node 2 mined; node 1 (odd position) hears only the variant and
+        // adopts it; node 0 hears both and holds the two-headers proof.
+        let received = [NodeId(2), NodeId(1), NodeId(0)];
+        eng.deliver_sealed(&mut w.court(), NOW, &received, Some(&variant));
+        assert_eq!(eng.chains[1].tip().hash, variant.hash);
+        assert_eq!(eng.chains[0].tip().hash, sealed.hash);
+        assert_eq!(w.report.byz_injected, 1);
+        assert_eq!(w.report.byz_detected, 1);
+        assert_eq!(w.report.quarantine_events, 1);
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(w.balance(2), 5, "half of 10 tokens slashed");
     }
 
     #[test]
     fn sync_reorgs_a_divergent_view_and_surfaces_equivocations() {
-        let mut eng = engine(2);
-        let mut canonical = Blockchain::new();
-        for i in 0..3 {
-            let b = mined(canonical.tip(), 1, (i + 1) * 60);
-            canonical.push(b).unwrap();
-        }
-        // Node 1 adopted an equivocating variant at height 1 (same miner).
-        let variant = {
-            let account = Identity::from_seed(1).account();
-            Block::new(
-                1,
-                Block::genesis().hash,
-                61,
-                next_pos_hash(&Block::genesis().pos_hash, &account),
-                account,
-                60,
-                Amendment::from_fraction(1, 1000),
-                Vec::new(),
-                Vec::new(),
-                Block::genesis().storing_nodes.clone(),
-                Vec::new(),
-            )
-        };
-        assert_eq!(eng.deliver(NodeId(1), &variant), ByzantineOutcome::Extended);
-        let result = eng.sync(NodeId(1), &canonical, 3);
-        assert_eq!(result.reorg_depth, Some(1));
-        assert_eq!(
-            result.equivocations,
-            vec![(1, Identity::from_seed(1).account())]
-        );
-        assert_eq!(eng.chains[1], canonical);
-        assert_eq!(eng.reorgs(), 1);
-        assert_eq!(eng.max_reorg_depth(), 1);
-
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 2);
+        let sealed = w.canonical.tip().clone();
+        let variant = variant_of(&sealed);
+        let received = [NodeId(2), NodeId(1), NodeId(0)];
+        eng.deliver_sealed(&mut w.court(), NOW, &received, Some(&variant));
+        // Node 1 reconciles: fork choice replaces its variant with the
+        // canonical block and surfaces the same proof a second time — a
+        // repeat proof neither re-counts nor re-slashes.
+        w.grow(2, 0);
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(eng.chains[1], w.canonical);
+        assert_eq!((w.report.reorgs, w.report.max_reorg_depth), (1, 1));
+        assert_eq!(w.report.byz_detected, 1, "detected once");
+        assert_eq!(w.report.quarantine_events, 1, "quarantined once");
+        assert_eq!(w.balance(2), 5, "slashed once");
         // A lagging prefix syncs without a reorg.
-        let r2 = eng.sync(NodeId(0), &canonical, 2);
-        assert_eq!(r2.reorg_depth, None);
-        assert!(r2.equivocations.is_empty());
+        w.node_height[0] = 2;
+        eng.sync(&mut w.court(), NOW, NodeId(0));
         assert_eq!(eng.chains[0].height(), 2);
+        assert_eq!(w.report.reorgs, 1);
     }
 
     #[test]
-    fn quarantine_strikes_and_readmission() {
-        let mut eng = engine(3);
-        let now = SimTime::from_secs(100);
-        assert!(!eng.strike(NodeId(2)));
-        assert!(!eng.strike(NodeId(2)));
-        assert!(eng.strike(NodeId(2)), "third strike crosses the threshold");
-        assert!(eng.quarantine(NodeId(2), now));
-        assert!(!eng.quarantine(NodeId(2), now), "already quarantined");
-        assert!(eng.is_quarantined(NodeId(2), now));
-        assert!(eng.is_excluded(NodeId(2), now, 0));
-        assert_eq!(eng.active_quarantines(now), 1);
-        assert_eq!(eng.quarantine_events(), 1);
-        let later = now + SimTime::from_secs(600);
-        assert!(!eng.is_quarantined(NodeId(2), later));
-        assert_eq!(eng.readmit_due(later), vec![NodeId(2)]);
-        assert_eq!(eng.readmissions(), 1);
-        assert_eq!(eng.active_quarantines(later), 0);
+    fn deliver_extends_rejects_and_proves_equivocation() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 1);
+        let good = w.canonical.tip().clone();
+        eng.receive(&mut w.court(), NOW, NodeId(1), &good, None);
+        assert_eq!(eng.chains[1].tip().hash, good.hash, "verified and adopted");
+
+        // A forged PoS claim is rejected at the wire: untagged, the node
+        // only reconciles; tagged as an injected artifact, its miner is
+        // convicted on the spot.
+        let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
+        eng.receive(&mut w.court(), NOW, NodeId(1), &forged, None);
+        assert_eq!(eng.chains[1].height(), 1, "forgery not adopted");
+        assert_eq!(w.report.quarantine_events, 0);
+        let charge = ("byz_forge", "forged-block");
+        eng.judge_bad_block(&mut w.court(), NOW, &forged, &[NodeId(1)], charge);
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 1));
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+
+        // Same height, same miner, different hash: an equivocation proof
+        // (of a pair nobody registered, so nothing counts as detected).
+        eng.receive(&mut w.court(), NOW, NodeId(1), &variant_of(&good), None);
+        assert!(eng.is_quarantined(NodeId(1), NOW));
+        assert_eq!(w.report.byz_detected, 1);
+
+        // A block far ahead is stashed and the node syncs past it.
+        w.grow(3, 0);
+        let ahead = w.canonical.tip().clone();
+        eng.receive(&mut w.court(), NOW, NodeId(0), &ahead, None);
+        assert_eq!(eng.chains[0], w.canonical);
+        assert_eq!(eng.orphan_entries(), 0, "the honest orphan was dropped");
     }
 
     #[test]
     fn artifact_accounting_counts_each_artifact_once() {
-        let mut eng = engine(2);
-        let a = eng.note_injected();
-        let b = eng.register_equivocation(5, Identity::from_seed(1).account());
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        let miner = w.account_of[2];
+        let a = eng.inject(&mut w.court(), NOW, "byz_garbage");
+        eng.inject_equivocation(&mut w.court(), NOW, 5, miner);
+        eng.inject_equivocation(&mut w.court(), NOW, 5, miner);
+        assert_eq!(w.report.byz_injected, 2);
+        for _ in 0..2 {
+            eng.convict(&mut w.court(), NOW, Some((a, "byz_garbage")), None);
+            eng.equivocation_proof(&mut w.court(), NOW, 5, miner);
+        }
         assert_eq!(
-            eng.register_equivocation(5, Identity::from_seed(1).account()),
-            b
+            w.report.byz_detected, 2,
+            "second observation does not recount"
         );
-        assert_eq!(eng.injected(), 2);
-        assert!(eng.note_detected(a));
-        assert!(!eng.note_detected(a), "second observation does not recount");
-        assert!(eng.note_detected(b));
-        assert_eq!(eng.detected(), 2);
-        assert_eq!(
-            eng.lookup_equivocation(5, Identity::from_seed(1).account()),
-            Some(b)
-        );
-        assert_eq!(
-            eng.lookup_equivocation(6, Identity::from_seed(1).account()),
-            None
-        );
+        // An unregistered pair still convicts, but detects nothing.
+        let other = w.account_of[1];
+        eng.equivocation_proof(&mut w.court(), NOW, 6, other);
+        assert_eq!(w.report.byz_detected, 2);
+        assert_eq!(w.report.quarantine_events, 2);
+    }
+
+    #[test]
+    fn a_tagged_orphan_is_judged_forged_after_sync_and_punished() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 1);
+        // Node 1 still sits at genesis: a forgery claiming height 2 skips
+        // ahead of its view and can only be stashed.
+        w.node_height[1] = 0;
+        let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
+        let charge = ("byz_forge", "forged-block");
+        eng.judge_bad_block(&mut w.court(), NOW, &forged, &[NodeId(1)], charge);
+        assert_eq!(eng.orphan_entries(), 1);
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 0));
+        assert!(!eng.is_quarantined(NodeId(2), NOW));
+        // The honest block at its height lands; the sync disproves it.
+        w.grow(1, 1);
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(eng.chains[1].height(), 2);
+        assert_eq!(eng.orphan_entries(), 0);
+        assert_eq!(w.report.byz_detected, 1);
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(w.balance(2), 5);
+        // A second sync finds the pool judged and empty.
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(w.report.quarantine_events, 1);
+    }
+
+    #[test]
+    fn quarantine_strikes_and_readmission() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        telemetry::enable();
+        telemetry::enable_spans();
+        w.spans.arm();
+        // The third denial strike quarantines.
+        eng.strike(&mut w.court(), NOW, NodeId(2));
+        eng.strike(&mut w.court(), NOW, NodeId(2));
+        assert!(!eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(w.report.quarantine_events, 0);
+        eng.strike(&mut w.court(), NOW, NodeId(2));
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert!(eng.is_excluded(NodeId(2), NOW, 0));
+        assert_eq!(w.report.quarantine_events, 1);
+        assert_eq!(w.report.byz_detected, 0, "a denial names no artifact");
+        // Readmission closes the window, not a second earlier; each pass
+        // sets the active-quarantine gauge.
+        let active = || {
+            let snapshot = telemetry::registry_snapshot().expect("telemetry is enabled");
+            snapshot.get("quarantine.active").cloned()
+        };
+        let expiry = NOW + SimTime::from_secs(QUARANTINE_SECS);
+        eng.readmit(&mut w.court(), expiry - SimTime::from_secs(1));
+        assert_eq!(w.report.readmissions, 0, "window still open");
+        assert_eq!(active(), Some(telemetry::MetricSummary::Gauge(1.0)));
+        eng.readmit(&mut w.court(), expiry);
+        assert_eq!(w.report.readmissions, 1);
+        assert!(!eng.is_quarantined(NodeId(2), expiry));
+        assert_eq!(active(), Some(telemetry::MetricSummary::Gauge(0.0)));
+        let session = telemetry::finish().expect("telemetry was enabled");
+        let spans = telemetry::spans_from_events(session.events());
+        let window = spans
+            .iter()
+            .find(|s| s.kind == "quarantine.window")
+            .expect("a window opened");
+        assert_eq!(window.t1_ms, expiry.as_millis(), "{window:?}");
     }
 
     #[test]
     fn bench_excludes_only_at_the_benched_height() {
-        let mut eng = engine(2);
-        eng.bench(NodeId(0), 7);
-        assert!(eng.is_excluded(NodeId(0), SimTime::ZERO, 7));
-        assert!(!eng.is_excluded(NodeId(0), SimTime::ZERO, 8));
-        eng.unbench(NodeId(0));
-        assert!(!eng.is_excluded(NodeId(0), SimTime::ZERO, 7));
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 1);
+        eng.arm(NodeId(0), ByzantineAction::Withhold { blocks: 2 });
+        let attack = eng.armed_attack(&mut w.court(), NOW, NodeId(0), false);
+        assert!(matches!(attack, Attack::Withheld));
+        assert!(eng.is_excluded(NodeId(0), NOW, 1));
+        assert!(!eng.is_excluded(NodeId(0), NOW, 2));
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 0));
+        let fork = eng
+            .released(&mut w.court(), NOW)
+            .expect("a fork was withheld");
+        assert_eq!((fork.base_height, fork.blocks.len()), (1, 2));
+        assert!(!eng.is_excluded(NodeId(0), NOW, 1));
+        assert_eq!(w.report.byz_detected, 1, "the late release detects");
+        assert!(eng.released(&mut w.court(), NOW).is_none());
+        // A fork whose window would cross the checkpoint at 4 waits armed.
+        w.grow(2, 1);
+        eng.arm(NodeId(0), ByzantineAction::Withhold { blocks: 2 });
+        let attack = eng.armed_attack(&mut w.court(), NOW, NodeId(0), false);
+        assert!(matches!(attack, Attack::Honest));
+        assert_eq!(eng.pending[0].len(), 1);
     }
 
     #[test]
     fn adversarial_material_is_deterministic() {
-        let mut a = engine(2);
-        let mut b = engine(2);
-        assert_eq!(a.next_digest(), b.next_digest());
-        assert_eq!(a.garbage_bytes(64), b.garbage_bytes(64));
-        assert_eq!(a.draw(10), b.draw(10));
+        let (mut a, mut b, mut w) = (engine(2), engine(2), World::new(2));
+        let court = w.court();
+        assert_eq!(
+            a.forge_block(&court, NOW, NodeId(1)),
+            b.forge_block(&court, NOW, NodeId(1))
+        );
+        for _ in 0..4 {
+            assert_eq!(
+                a.garbage_payload(&court, 64).bytes(),
+                b.garbage_payload(&court, 64).bytes()
+            );
+        }
     }
 
     #[test]
     fn canonical_pruning_re_bases_agreeing_views_and_stays_safe() {
-        let mut eng = engine(3);
-        let mut canonical = Blockchain::new();
-        for i in 0..9u64 {
-            let b = mined(canonical.tip(), 1, (i + 1) * 60);
-            canonical.push(b).unwrap();
-        }
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(9, 1);
         // Node 1 is fully synced; node 2 lags at height 2.
-        eng.sync(NodeId(1), &canonical, 9);
-        eng.sync(NodeId(2), &canonical, 2);
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        w.node_height[2] = 2;
+        eng.sync(&mut w.court(), NOW, NodeId(2));
         // A tagged orphan at height 4 on node 2: once the canonical chain
         // prunes past it, it can never be judged and must be dropped.
-        let full = canonical.clone();
+        let full = w.canonical.clone();
         let orphan = mined(full.get(3).unwrap(), 5, 241);
         eng.stash_orphan(NodeId(2), orphan, Some((0, "byz_forge")));
 
         let identity = Identity::from_seed(42);
-        canonical.prune_below(5, identity.keys());
-        let anchor = canonical.anchor().unwrap().clone();
+        w.canonical.prune_below(5, identity.keys());
+        let anchor = w.canonical.anchor().unwrap().clone();
         eng.prune_below(&anchor);
 
         assert_eq!(eng.chains[1].base_index(), 5);
         assert_eq!(eng.chains[1].height(), 9);
-        assert_eq!(eng.chains[1], canonical);
+        assert_eq!(eng.chains[1], w.canonical);
         assert_eq!(eng.chains[2].base_index(), 0, "laggard view left intact");
-        assert!(
-            eng.resolve_orphans(NodeId(2)).is_empty(),
+        assert_eq!(
+            eng.orphan_entries(),
+            0,
             "below-base orphan dropped at the prune"
         );
 
@@ -849,27 +1175,29 @@ mod tests {
         // graceful drop, never a panic.
         let stale = mined(full.get(2).unwrap(), 6, 200);
         eng.stash_orphan(NodeId(1), stale, None);
-        assert!(eng.resolve_orphans(NodeId(1)).is_empty());
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(eng.orphan_entries(), 0);
 
         // A deep laggard cannot sync block-by-block across the pruned gap:
         // the call is a no-op asking for a snapshot, not a panic.
-        let r = eng.sync(NodeId(2), &canonical, 9);
-        assert_eq!(r.reorg_depth, None);
+        w.node_height[2] = 9;
+        eng.sync(&mut w.court(), NOW, NodeId(2));
         assert_eq!(eng.chains[2].height(), 2);
 
         // Snapshot bootstrap lands the laggard on the pruned canonical
         // view, after which normal sync works again.
-        let rebuilt = Blockchain::from_anchor(anchor, canonical.as_slice().to_vec()).unwrap();
+        let rebuilt = Blockchain::from_anchor(anchor, w.canonical.as_slice().to_vec()).unwrap();
         eng.bootstrap_from_snapshot(NodeId(2), rebuilt);
-        assert_eq!(eng.chains[2], canonical);
-        let r = eng.sync(NodeId(2), &canonical, 9);
-        assert_eq!(r.reorg_depth, None);
+        assert_eq!(eng.chains[2], w.canonical);
+        eng.sync(&mut w.court(), NOW, NodeId(2));
         assert_eq!(eng.chains[2].height(), 9);
+        assert_eq!(w.report.reorgs, 0);
+        assert_eq!(w.report.quarantine_events, 0);
     }
 
     #[test]
     fn orphan_pool_defers_judgement_and_keeps_tagged_entries() {
-        let mut eng = engine(2);
+        let (mut eng, mut w) = (engine(3), World::new(3));
         let genesis = Block::genesis();
         let honest = mined(&genesis, 1, 60);
 
@@ -877,32 +1205,31 @@ mod tests {
         // lands as a tagged orphan, then a flood of competing height-1
         // claims churns the FIFO — untagged entries must be evicted
         // before the tagged proof-in-waiting.
+        let artifact = eng.inject(&mut w.court(), NOW, "byz_forge");
         let forged = mined(&genesis, 2, 61);
-        eng.stash_orphan(NodeId(1), forged.clone(), Some((9, "byz_forge")));
-        eng.stash_orphan(NodeId(1), forged, Some((9, "byz_forge"))); // dedup
+        eng.stash_orphan(NodeId(1), forged.clone(), Some((artifact, "byz_forge")));
+        eng.stash_orphan(NodeId(1), forged, Some((artifact, "byz_forge"))); // dedup
         for seed in 3..13 {
             eng.stash_orphan(NodeId(1), mined(&genesis, seed, 60 + seed), None);
         }
         // A stashed copy of the block the node will adopt is dropped
         // silently at resolution (same hash ⇒ honest).
         eng.stash_orphan(NodeId(1), honest.clone(), None);
+        assert_eq!(eng.orphan_entries(), 8, "the pool stays bounded");
         // Nothing resolvable while the node is still behind.
-        assert!(eng.resolve_orphans(NodeId(1)).is_empty());
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(w.report.byz_detected, 0);
 
-        // Sync the honest block, then judge: the tagged forgery survived
+        // Adopt the honest block, then judge: the tagged forgery survived
         // the FIFO churn and is disproven; untagged blocks from other
         // miners count as reorg-displaced and are dropped.
-        assert_eq!(eng.deliver(NodeId(1), &honest), ByzantineOutcome::Extended);
-        let verdicts = eng.resolve_orphans(NodeId(1));
-        assert!(
-            verdicts.contains(&OrphanVerdict::Forged {
-                artifact: 9,
-                kind: "byz_forge",
-                miner: Identity::from_seed(2).account(),
-            }),
-            "tagged orphan must survive eviction and be disproven: {verdicts:?}"
-        );
-        // A second resolution pass finds the pool judged and empty.
-        assert!(eng.resolve_orphans(NodeId(1)).is_empty());
+        w.canonical.push(honest.clone()).unwrap();
+        w.node_height[1] = 1;
+        eng.receive(&mut w.court(), NOW, NodeId(1), &honest, None);
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(w.report.byz_detected, 1, "tagged orphan disproven");
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(w.report.quarantine_events, 1, "only the forger");
+        assert_eq!(eng.orphan_entries(), 0, "the pool is judged and empty");
     }
 }

@@ -51,7 +51,7 @@ pub mod account;
 mod admission;
 pub mod alloc;
 pub mod block;
-pub mod byzantine;
+mod byzantine;
 mod catalogue;
 pub mod chain;
 pub mod codec;
@@ -69,7 +69,6 @@ pub mod storage;
 pub use account::{AccountId, Identity, Ledger};
 pub use alloc::{build_instance, select_storers, AllocationContext, Placement, RegionParams};
 pub use block::{Block, BlockError};
-pub use byzantine::{ByzantineEngine, ByzantineOutcome, OrphanVerdict, SyncResult, WithheldFork};
 pub use chain::verify_wire_block;
 pub use chain::{Blockchain, ChainAnchor, ChainError, CheckpointPolicy, Snapshot};
 pub use invariant::{ForkView, InvariantChecker, InvariantView};

@@ -18,7 +18,7 @@
 //!   as "branches" appears here as nodes with *missing blocks*, handled
 //!   by the §IV-D recovery protocol. When the fault plan schedules
 //!   Byzantine actions, that shortcut is replaced by per-node tip
-//!   tracking through [`crate::byzantine::ByzantineEngine`]: nodes can
+//!   tracking through the adversary engine (`byzantine.rs`): nodes can
 //!   receive conflicting tips (equivocation, withheld private forks),
 //!   every foreign block is verified in full before adoption, and
 //!   divergent views reconcile via live checkpointed fork choice with
@@ -31,7 +31,7 @@ use crate::account::{AccountId, Identity, Ledger};
 use crate::admission::{Admission, Op, RetryPolicy};
 use crate::alloc::{AllocationContext, Placement, RegionParams};
 use crate::block::Block;
-use crate::byzantine::{ByzantineEngine, ByzantineOutcome, OrphanVerdict, WithheldFork};
+use crate::byzantine::{self, empty_block_on, Attack, ByzantineEngine, Court};
 use crate::catalogue::Catalogue;
 use crate::chain::{Blockchain, CheckpointPolicy, Snapshot};
 use crate::invariant::{ForkView, InvariantChecker, InvariantView};
@@ -63,18 +63,6 @@ const DENIAL_TIMEOUT: SimTime = SimTime::from_secs(1);
 const REQUESTER_FRACTION: f64 = 0.10;
 /// Raft timer poll period (when `raft_consensus`).
 const RAFT_TICK: SimTime = SimTime::from_millis(100);
-/// Service denials a storer gets away with before the denial strikes
-/// escalate to a quarantine (only metered when a Byzantine engine is
-/// active; plain `malicious_fraction` runs keep the paper's
-/// invalidate-and-route-around behavior unchanged).
-const DENIAL_QUARANTINE_THRESHOLD: u32 = 3;
-/// How long a node stays quarantined after a proven misbehavior
-/// (equivocation, forged block, tampered signature, garbage payload,
-/// repeated denials), in simulated seconds. Quarantined nodes are
-/// excluded from PoS rounds and from serving fetches, and half their
-/// stake is slashed (Eq. 7's `S_i`); they are re-admitted when the
-/// window expires.
-const QUARANTINE_SECS: u64 = 900;
 
 /// Full configuration of a simulation run. Defaults reproduce the paper's
 /// §VI setup.
@@ -518,31 +506,6 @@ fn next_arrival(arrivals: &OpenArrivals, now: SimTime, rng: &mut StdRng) -> Opti
     })
 }
 
-/// An adversary's content-free block on top of `prev`: no metadata, no
-/// storer assignments of its own, `prev`'s storers carried forward.
-fn empty_block_on(
-    prev: &Block,
-    timestamp_secs: u64,
-    pos_hash: edgechain_crypto::Digest,
-    miner: AccountId,
-    delay_secs: u64,
-    amendment: crate::pos::Amendment,
-) -> Block {
-    Block::new(
-        prev.index + 1,
-        prev.hash,
-        timestamp_secs,
-        pos_hash,
-        miner,
-        delay_secs,
-        amendment,
-        Vec::new(),
-        Vec::new(),
-        prev.storing_nodes.clone(),
-        Vec::new(),
-    )
-}
-
 /// What the PoS re-run at mine time decided, handed by value to the
 /// stages of one mining round.
 #[derive(Debug, Clone, Copy)]
@@ -556,25 +519,11 @@ struct Round {
     amendment: crate::pos::Amendment,
 }
 
-/// How an armed adversary's election win changes the round.
-enum Attack {
-    /// No attack, or one deferred to a later win: the honest round runs.
-    Honest,
-    /// The honest round runs with a conflicting variant sealed beside it.
-    Equivocate,
-    /// The attack replaced the round; no canonical block comes of it and
-    /// the block lifecycle ends with this outcome.
-    Replaced(&'static str),
-}
-
 /// A block the miner sealed onto the canonical chain and broadcast.
 struct SealedBlock {
     index: u64,
     /// The metadata it packed, storers assigned.
     items: Vec<MetadataItem>,
-    /// The block as it went over the wire, for per-node fork choice; only
-    /// on Byzantine runs.
-    wire: Option<Block>,
     /// The equivocating miner's conflicting second block.
     variant: Option<Block>,
     /// Who the broadcast reached, and when.
@@ -665,8 +614,6 @@ impl EdgeNetwork {
                 CheckpointPolicy {
                     interval: config.checkpoint_interval.max(1),
                 },
-                QUARANTINE_SECS,
-                DENIAL_QUARANTINE_THRESHOLD,
             )
         });
         let alloc_ctx = AllocationContext::new(config.fdc_scale);
@@ -987,13 +934,6 @@ impl EdgeNetwork {
             .iter()
             .map(|known| known.last().copied().unwrap_or(0))
             .collect();
-        // Fork-consistency rules apply only when per-node chains exist;
-        // nodes with a Byzantine role are exempt (their chains are
-        // adversarial by construction).
-        let honest: Vec<bool> = match &self.byz {
-            Some(e) => e.byz_role.iter().map(|&b| !b).collect(),
-            None => Vec::new(),
-        };
         let resurrected = std::mem::take(&mut self.resurrected_pending);
         self.checker.observe(
             now,
@@ -1006,11 +946,14 @@ impl EdgeNetwork {
                 chain_height: self.chain.height(),
                 node_height: &self.node_height,
                 node_max_known: &node_max_known,
+                // Fork-consistency rules apply only when per-node chains
+                // exist; nodes with a Byzantine role are exempt (their
+                // chains are adversarial by construction).
                 forks: self.byz.as_ref().map(|e| ForkView {
                     canonical: &self.chain,
                     node_chains: &e.chains,
-                    honest: &honest,
-                    checkpoint_interval: e.policy().interval,
+                    honest: &e.honest,
+                    checkpoint_interval: e.policy.interval,
                 }),
             },
         );
@@ -1043,208 +986,61 @@ impl EdgeNetwork {
         }
     }
 
+    /// The adversary engine with the [`Court`] it judges in, lent by
+    /// disjoint field borrows — the one way into the engine for a handler
+    /// that judges. `None` on honest runs.
+    fn adversary(&mut self) -> Option<(&mut ByzantineEngine, Court<'_>)> {
+        let engine = self.byz.as_mut()?;
+        let court = Court {
+            canonical: &self.chain,
+            node_height: &self.node_height,
+            ledger: &mut self.ledger,
+            account_of: &self.account_of,
+            node_of_account: &self.node_of_account,
+            report: &mut self.report,
+            spans: &mut self.spans,
+        };
+        Some((engine, court))
+    }
+
     /// Routes one scheduled Byzantine action: mining-triggered attacks
     /// (equivocation, tampering, withholding) are armed for the node's
     /// next election win; wire-level attacks (forged blocks, garbage
-    /// payloads) execute immediately.
+    /// payloads) execute immediately, from a node that is up.
     fn on_byzantine_action(&mut self, node: NodeId, action: ByzantineAction, now: SimTime) {
-        if self.byz.is_none() {
+        let up = self.topo.is_active(node);
+        let Some((engine, court)) = self.adversary() else {
             return;
-        }
-        match action {
-            ByzantineAction::Equivocate
-            | ByzantineAction::TamperSignature
-            | ByzantineAction::Withhold { .. } => {
-                if let Some(e) = self.byz.as_mut() {
-                    e.arm(node, action);
-                }
-            }
-            ByzantineAction::ForgeBlock => self.byz_forge_block(node, now),
-            ByzantineAction::GarbagePayload { bytes } => {
-                self.byz_garbage_payload(node, bytes, now);
-            }
-        }
-    }
-
-    /// Counts one injected Byzantine artifact and returns its id.
-    fn note_byz_injected(&mut self, now: SimTime, kind: &'static str) -> u64 {
-        let artifact = self
-            .byz
-            .as_mut()
-            .expect("caller checked the engine exists")
-            .note_injected();
-        telemetry::counter_add("byz.injected", 1);
-        trace_event!(
-            "byz.injected",
-            now.as_millis(),
-            kind = kind,
-            artifact = artifact
-        );
-        artifact
-    }
-
-    /// Counts the first honest detection of an artifact.
-    fn note_byz_detected(&mut self, artifact: u64, now: SimTime, kind: &'static str) {
-        if let Some(e) = self.byz.as_mut() {
-            if e.note_detected(artifact) {
-                telemetry::counter_add("byz.detected", 1);
-                trace_event!(
-                    "byz.detected",
-                    now.as_millis(),
-                    kind = kind,
-                    artifact = artifact
-                );
-            }
-        }
-    }
-
-    /// Quarantines a proven misbehaver and slashes half its stake (the
-    /// PoS target's `S_i`, Eq. 7, shrinks with it). Re-quarantining an
-    /// already quarantined node neither re-counts nor re-slashes.
-    fn punish(&mut self, culprit: NodeId, now: SimTime, reason: &'static str) {
-        let fresh = match self.byz.as_mut() {
-            Some(e) => e.quarantine(culprit, now),
-            None => return,
         };
-        if !fresh {
-            return;
-        }
-        let account = self.account_of[culprit.0];
-        let slash = self.ledger.balance(&account) / 2;
-        let taken = self.ledger.debit(account, slash);
-        if let Some(e) = self.byz.as_mut() {
-            e.record_slash(culprit, taken);
-        }
-        telemetry::counter_add("byz.quarantines", 1);
-        trace_event!(
-            "byz.quarantine",
-            now.as_millis(),
-            node = culprit.0,
-            reason = reason,
-            slash = taken
-        );
-        self.spans.quarantined(now, culprit, reason);
-    }
-
-    /// Handles a two-headers-same-height-same-miner equivocation proof:
-    /// counts the artifact (once) and quarantines the culprit.
-    fn handle_equivocation_proof(&mut self, height: u64, miner: AccountId, now: SimTime) {
-        let artifact = self
-            .byz
-            .as_ref()
-            .and_then(|e| e.lookup_equivocation(height, miner));
-        if let Some(a) = artifact {
-            self.note_byz_detected(a, now, "byz_equivocate");
-        }
-        if let Some(&culprit) = self.node_of_account.get(&miner) {
-            self.punish(culprit, now, "equivocation");
-        }
-    }
-
-    /// Reconciles node `v`'s chain view with the canonical chain,
-    /// counting reorgs and surfacing equivocation proofs.
-    fn byz_sync(&mut self, v: NodeId, now: SimTime) {
-        let target = self.node_height[v.0];
-        let result = match self.byz.as_mut() {
-            Some(e) => e.sync(v, &self.chain, target),
-            None => return,
+        let (material, reason) = match action {
+            ByzantineAction::ForgeBlock if up => {
+                (Ok(engine.forge_block(&court, now, node)), "forged-block")
+            }
+            ByzantineAction::GarbagePayload { bytes } if up => (
+                Err(engine.garbage_payload(&court, bytes)),
+                "garbage-payload",
+            ),
+            ByzantineAction::ForgeBlock | ByzantineAction::GarbagePayload { .. } => return,
+            armed => return engine.arm(node, armed),
         };
-        if let Some(depth) = result.reorg_depth {
-            telemetry::counter_add("chain.reorgs", 1);
-            telemetry::record("chain.reorg_depth", depth as f64);
-            trace_event!("chain.reorg", now.as_millis(), node = v.0, depth = depth);
-        }
-        for (height, miner) in result.equivocations {
-            self.handle_equivocation_proof(height, miner, now);
-        }
-        // A sync may have landed the honest block at a stashed orphan's
-        // height — late proof of forgery, tampering, or equivocation.
-        let verdicts = match self.byz.as_mut() {
-            Some(e) => e.resolve_orphans(v),
-            None => Vec::new(),
-        };
-        for verdict in verdicts {
-            match verdict {
-                OrphanVerdict::Forged {
-                    artifact,
-                    kind,
-                    miner,
-                } => {
-                    self.note_byz_detected(artifact, now, kind);
-                    if let Some(&culprit) = self.node_of_account.get(&miner) {
-                        self.punish(culprit, now, "disproven-orphan");
-                    }
-                }
-                OrphanVerdict::Equivocation { height, miner } => {
-                    self.handle_equivocation_proof(height, miner, now);
-                }
-            }
-        }
+        self.broadcast_bad(node, material, now, (action.kind(), reason));
     }
 
-    /// Routes a wire-received block through node `v`'s fork choice.
-    fn byz_deliver(&mut self, v: NodeId, block: &Block, now: SimTime) {
-        let outcome = match self.byz.as_mut() {
-            Some(e) => e.deliver(v, block),
-            None => return,
-        };
-        match outcome {
-            ByzantineOutcome::Extended | ByzantineOutcome::Stale => {}
-            ByzantineOutcome::Equivocation { height, miner } => {
-                self.handle_equivocation_proof(height, miner, now);
-            }
-            ByzantineOutcome::NeedsSync => {
-                // Too far ahead to verify: stash it (an equivocating
-                // variant delivered to a laggard is judged after sync)
-                // and reconcile.
-                if let Some(e) = self.byz.as_mut() {
-                    e.stash_orphan(v, block.clone(), None);
-                }
-                self.byz_sync(v, now);
-            }
-            ByzantineOutcome::Rejected(_) => {
-                self.byz_sync(v, now);
-            }
-        }
-    }
-
-    /// A Byzantine node broadcasts a block with a PoS hit it never earned.
-    /// Honest receivers verify the chained hash and reject it.
-    fn byz_forge_block(&mut self, node: NodeId, now: SimTime) {
-        if !self.topo.is_active(node) || self.byz.is_none() {
-            return;
-        }
-        let pos_hash = self
-            .byz
-            .as_mut()
-            .expect("engine checked above")
-            .next_digest();
-        let prev = self.chain.tip();
-        let block = empty_block_on(
-            prev,
-            now.as_secs().max(prev.timestamp_secs + 1),
-            pos_hash,
-            self.account_of[node.0],
-            1,
-            crate::pos::Amendment::from_fraction(1, 1000),
-        );
-        self.byz_broadcast_bad_block(node, &block, now, "byz_forge", "forged-block");
-    }
-
-    /// Broadcasts an adversary's `block` and lets every receiver judge it:
-    /// a node that can verify it rejects it, which detects the artifact
-    /// and quarantines `sender`; a laggard cannot disprove the claim yet,
-    /// so it keeps the orphan and judges it after syncing. A broadcast
-    /// that reached nobody injected nothing into the network.
-    fn byz_broadcast_bad_block(
+    /// Broadcasts an adversary's `material` — `Ok` a block, sent encoded,
+    /// `Err` bytes that are no block at all — and lets the engine judge it
+    /// at whoever heard, under `charge` (trace kind, quarantine reason). A
+    /// broadcast that reached nobody injected nothing into the network.
+    fn broadcast_bad(
         &mut self,
         sender: NodeId,
-        block: &Block,
+        material: Result<Block, edgechain_sim::Payload>,
         now: SimTime,
-        kind: &'static str,
-        reason: &'static str,
+        charge: (&'static str, &'static str),
     ) {
-        let payload = edgechain_sim::Payload::new(block.encoded());
+        let payload = match &material {
+            Ok(block) => edgechain_sim::Payload::new(block.encoded()),
+            Err(garbage) => garbage.clone(),
+        };
         let deliveries = self
             .transport
             .broadcast_payload(&self.topo, sender, &payload, now);
@@ -1252,104 +1048,12 @@ impl EdgeNetwork {
         if receivers.is_empty() {
             return;
         }
-        let artifact = self.note_byz_injected(now, kind);
-        for v in receivers {
-            let outcome = match self.byz.as_mut() {
-                Some(e) => e.deliver(v, block),
-                None => return,
-            };
-            match outcome {
-                ByzantineOutcome::Rejected(_) => {
-                    self.note_byz_detected(artifact, now, kind);
-                    self.punish(sender, now, reason);
-                }
-                ByzantineOutcome::NeedsSync => {
-                    if let Some(e) = self.byz.as_mut() {
-                        e.stash_orphan(v, block.clone(), Some((artifact, kind)));
-                    }
-                    self.byz_sync(v, now);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// A Byzantine node broadcasts bytes that are not a block at all:
-    /// raw garbage, a scrambled encoding, or a truncated one. Every
-    /// receiver's decoder returns an error (never panics) and the sender
-    /// is quarantined.
-    fn byz_garbage_payload(&mut self, node: NodeId, bytes: u64, now: SimTime) {
-        if !self.topo.is_active(node) || self.byz.is_none() {
+        let Some((engine, mut court)) = self.adversary() else {
             return;
-        }
-        let tip_encoding = edgechain_sim::Payload::new(self.chain.tip().encoded());
-        let engine = self.byz.as_mut().expect("engine checked above");
-        let payload = match engine.draw(3) {
-            0 => {
-                let n = bytes.clamp(8, 65_536) as usize;
-                edgechain_sim::Payload::new(engine.garbage_bytes(n).into())
-            }
-            1 => {
-                let seed = engine.draw(u64::MAX);
-                tip_encoding.scrambled(seed)
-            }
-            _ => tip_encoding.truncated(tip_encoding.len() / 2),
         };
-        let deliveries = self
-            .transport
-            .broadcast_payload(&self.topo, node, &payload, now);
-        let reached = deliveries.iter().next().is_some();
-        if !reached {
-            return; // reached nobody: nothing was injected into the network
-        }
-        let artifact = self.note_byz_injected(now, "byz_garbage");
-        // The payload is one shared buffer, so decoding once stands for
-        // every receiver's (identical, deterministic) verdict.
-        if crate::codec::decode_block(payload.bytes()).is_err() {
-            self.note_byz_detected(artifact, now, "byz_garbage");
-            self.punish(node, now, "garbage-payload");
-        }
-    }
-
-    /// A freshly elected Byzantine miner seals a private fork on its own
-    /// earned PoS hit and *withholds* it: nothing is broadcast, the
-    /// canonical chain does not advance, and the miner sits out the
-    /// re-election at this height so an honest runner-up makes progress.
-    /// The fork is released once the public chain catches up
-    /// ([`Self::byz_release_withheld`]).
-    fn byz_mine_withheld_fork(&mut self, miner: NodeId, blocks: u64, now: SimTime) {
-        let base_height = self.chain.height();
-        let account = self.account_of[miner.0];
-        let mut prev = self.chain.tip().clone();
-        let mut fork = Vec::new();
-        for i in 0..blocks.max(1) {
-            let b = empty_block_on(
-                &prev,
-                now.as_secs() + i + 1,
-                crate::pos::next_pos_hash(&prev.pos_hash, &account),
-                account,
-                1,
-                crate::pos::Amendment::from_fraction(1, 1000),
-            );
-            prev = b.clone();
-            fork.push(b);
-        }
-        let artifact = self.note_byz_injected(now, "byz_withhold");
-        trace_event!(
-            "byz.withhold",
-            now.as_millis(),
-            node = miner.0,
-            blocks = blocks.max(1),
-            base = base_height
-        );
-        if let Some(e) = self.byz.as_mut() {
-            e.withheld = Some(WithheldFork {
-                miner,
-                base_height,
-                blocks: fork,
-                artifact,
-            });
-            e.bench(miner, base_height);
+        match material {
+            Ok(block) => engine.judge_bad_block(&mut court, now, &block, &receivers, charge),
+            Err(_) => engine.judge_garbage(&mut court, now, sender, &payload, charge),
         }
     }
 
@@ -1358,57 +1062,49 @@ impl EdgeNetwork {
     /// under checkpoint rules, and on adoption the displaced metadata
     /// re-enters the packing pool (fresh UFL allocation next block), the
     /// ledger follows the adopted chain, and receivers reorg their views.
-    fn byz_release_withheld(&mut self, now: SimTime) {
-        let Some(w) = self.byz.as_ref().and_then(|e| e.withheld.clone()) else {
+    fn release_withheld(&mut self, now: SimTime) {
+        let withheld = self.byz.as_ref().and_then(|e| {
+            let w = e.withheld.as_ref()?;
+            let due = w.base_height + w.blocks.len() as u64 - 1;
+            let bytes: u64 = w.blocks.iter().map(Block::wire_size).sum();
+            Some((w.miner, due, bytes, e.policy))
+        });
+        let Some((miner, due, bytes, policy)) = withheld else {
             return;
         };
-        if self.chain.height() < w.base_height + w.blocks.len() as u64 - 1 {
+        if self.chain.height() < due {
             return;
         }
-        if !self.topo.is_active(w.miner) {
+        if !self.topo.is_active(miner) {
             return; // the release waits until the miner is back up
         }
-        let bytes: u64 = w.blocks.iter().map(Block::wire_size).sum();
-        let deliveries = self.transport.broadcast(&self.topo, w.miner, bytes, now);
+        let deliveries = self.transport.broadcast(&self.topo, miner, bytes, now);
         let receivers: Vec<NodeId> = deliveries.iter().map(|(v, _)| *v).collect();
         if receivers.is_empty() {
             return; // nobody heard the release; try again next block
         }
-        if let Some(e) = self.byz.as_mut() {
-            e.withheld = None;
-            e.unbench(w.miner);
-        }
-        trace_event!(
-            "byz.release",
-            now.as_millis(),
-            node = w.miner.0,
-            blocks = w.blocks.len(),
-            base = w.base_height
-        );
-        // The late release *is* the observable: honest nodes now hold two
-        // competing branches and the withholding comes to light.
-        self.note_byz_detected(w.artifact, now, "byz_withhold");
+        let released = self
+            .adversary()
+            .and_then(|(engine, mut court)| engine.released(&mut court, now));
+        let Some(w) = released else {
+            return;
+        };
 
         let old_height = self.chain.height();
-        // The candidate is the fork itself, index-aligned at
-        // `base_height + 1`: it attaches at the public base block, which
-        // is always retained (`maybe_prune` never cuts past a live fork),
-        // and the shared prefix below needs no re-validation.
-        let candidate: Vec<Block> = w.blocks.clone();
         let displaced_blocks = self.chain.retained_after(w.base_height);
         let displaced_miners: Vec<AccountId> = displaced_blocks.iter().map(|b| b.miner).collect();
         let displaced_items: Vec<MetadataItem> = displaced_blocks
             .iter()
             .flat_map(|b| b.metadata.iter().cloned())
             .collect();
-        let policy = self.byz.as_ref().expect("engine checked above").policy();
-        if self.chain.try_adopt_checkpointed(&candidate, policy) {
+        // The candidate is the fork itself, index-aligned at
+        // `base_height + 1`: it attaches at the public base block, which
+        // is always retained (`maybe_prune` never cuts past a live fork),
+        // and the shared prefix below needs no re-validation.
+        let adopted = self.chain.try_adopt_checkpointed(&w.blocks, policy);
+        if adopted {
             let depth = old_height - w.base_height;
-            if let Some(e) = self.byz.as_mut() {
-                e.record_reorg(depth);
-            }
-            telemetry::counter_add("chain.reorgs", 1);
-            telemetry::record("chain.reorg_depth", depth as f64);
+            byzantine::count_reorg(&mut self.report, depth);
             trace_event!(
                 "chain.trunk_reorg",
                 now.as_millis(),
@@ -1454,13 +1150,12 @@ impl EdgeNetwork {
             for b in &w.blocks {
                 self.storage[w.miner.0].store_block(b.index);
             }
-            for v in receivers {
+            for &v in &receivers {
                 for idx in (w.base_height + 1)..=self.chain.height() {
                     self.node_known[v.0].insert(idx);
                 }
                 self.advance_height(v);
                 self.storage[v.0].cache_recent(self.chain.height());
-                self.byz_sync(v, now);
             }
         } else {
             // Checkpoint rules refused the fork: every honest node keeps
@@ -1472,7 +1167,18 @@ impl EdgeNetwork {
                 base = w.base_height
             );
         }
-        self.punish(w.miner, now, "withheld-fork");
+        let Some((engine, mut court)) = self.adversary() else {
+            return;
+        };
+        // Receivers of an adopted fork reconcile their views (each sync
+        // reads only its own node's height, so they may all run after the
+        // bookkeeping above), then the withholder is convicted.
+        if adopted {
+            for &v in &receivers {
+                engine.sync(&mut court, now, v);
+            }
+        }
+        engine.convict(&mut court, now, None, Some((w.miner, "withheld-fork")));
     }
 
     fn on_generate_data(&mut self, now: SimTime) {
@@ -1647,21 +1353,38 @@ impl EdgeNetwork {
     }
 
     fn on_mine_block(&mut self, now: SimTime) {
-        self.readmit_quarantined(now);
+        if let Some((engine, mut court)) = self.adversary() {
+            engine.readmit(&mut court, now);
+        }
         let Some(round) = self.elect_miner(now) else {
             self.spans.block_abandoned(now, "no_miners");
             self.schedule_next_block();
             return;
         };
-        let equivocate = match self.armed_attack(round) {
-            Attack::Replaced(outcome) => {
-                self.spans.block_abandoned(now, outcome);
-                self.schedule_next_block();
-                return;
+        // A freshly elected adversary may have an armed consensus attack.
+        let has_pending = !self.pending_metadata.is_empty();
+        let attack = match self.adversary() {
+            Some((engine, mut court)) => {
+                engine.armed_attack(&mut court, now, round.miner, has_pending)
             }
-            Attack::Equivocate => true,
-            Attack::Honest => false,
+            None => Attack::Honest,
         };
+        // Withholding and tampering replace the round: no canonical block
+        // comes of it and the block lifecycle ends with that outcome.
+        let replaced = match attack {
+            Attack::Honest | Attack::Equivocate => None,
+            Attack::Withheld => Some("withheld"),
+            Attack::Tamper => {
+                self.mine_tampered_block(round);
+                Some("tampered")
+            }
+        };
+        if let Some(outcome) = replaced {
+            self.spans.block_abandoned(now, outcome);
+            self.schedule_next_block();
+            return;
+        }
+        let equivocate = matches!(attack, Attack::Equivocate);
         // The mempool depth picks the degradation-ladder rung for this
         // block interval. Consensus itself (this function) is never
         // throttled.
@@ -1678,20 +1401,6 @@ impl EdgeNetwork {
             .block_mined(now, block_index, sealed.items.len(), &sealed.arrivals);
         self.disseminate(now, block_index, sealed.items);
         self.finish_round(now);
-    }
-
-    /// Quarantine re-admission rides the block cadence.
-    fn readmit_quarantined(&mut self, now: SimTime) {
-        let Some(e) = self.byz.as_mut() else {
-            return;
-        };
-        let readmitted = e.readmit_due(now);
-        if !readmitted.is_empty() {
-            telemetry::counter_add("byz.readmissions", readmitted.len() as u64);
-            trace_event!("byz.readmit", now.as_millis(), nodes = readmitted.len());
-        }
-        telemetry::gauge_set("quarantine.active", e.active_quarantines(now) as f64);
-        self.spans.readmitted(now, &readmitted);
     }
 
     /// Re-runs the PoS round to identify the winner (deterministic). Nodes
@@ -1723,52 +1432,6 @@ impl EdgeNetwork {
             delay_secs: outcome.delay_secs,
             amendment,
         })
-    }
-
-    /// A freshly elected adversary may have an armed consensus attack.
-    /// Withholding and tampering replace the honest round entirely;
-    /// equivocation rides alongside it (two conflicting blocks sealed on
-    /// the same earned hit) unless the new height is a checkpoint, where
-    /// honest fork choice is first-seen-final and the fork could never
-    /// spread — the adversary waits for a later win instead.
-    fn armed_attack(&mut self, round: Round) -> Attack {
-        let Round { now, miner, .. } = round;
-        let Some(e) = self.byz.as_mut() else {
-            return Attack::Honest;
-        };
-        let action = e.next_mining_action(miner, !self.pending_metadata.is_empty());
-        let interval = e.policy().interval.max(1);
-        match action {
-            Some(ByzantineAction::Withhold { blocks }) => {
-                // A fork spanning a checkpoint height could never win fork
-                // choice (honest nodes refuse to cross a checkpoint), so a
-                // rational withholder waits for a base clear of them.
-                let base = self.chain.height();
-                let crosses_checkpoint =
-                    (base + 1..=base + blocks.max(1)).any(|h| h.is_multiple_of(interval));
-                if crosses_checkpoint {
-                    e.arm(miner, ByzantineAction::Withhold { blocks });
-                } else if e.withheld.is_none() {
-                    self.byz_mine_withheld_fork(miner, blocks, now);
-                    return Attack::Replaced("withheld");
-                }
-                // A fork already in flight drops the extra action.
-                Attack::Honest
-            }
-            Some(ByzantineAction::TamperSignature) => {
-                self.byz_mine_tampered_block(round);
-                Attack::Replaced("tampered")
-            }
-            Some(ByzantineAction::Equivocate) => {
-                if (self.chain.height() + 1).is_multiple_of(interval) {
-                    e.arm(miner, ByzantineAction::Equivocate);
-                    Attack::Honest
-                } else {
-                    Attack::Equivocate
-                }
-            }
-            Some(_) | None => Attack::Honest,
-        }
     }
 
     /// The miner packs the pending metadata and allocates storers per item.
@@ -1872,9 +1535,6 @@ impl EdgeNetwork {
             )
         });
         let index = block.index;
-        // Per-node fork choice needs the wire block after it moves into
-        // the chain; cloned only on Byzantine runs.
-        let wire = self.byz.is_some().then(|| block.clone());
         // The encode below is the block's one and only serialization,
         // shared from here on by broadcast, recovery and wire-size queries.
         let payload = edgechain_sim::Payload::new(block.encoded());
@@ -1929,7 +1589,6 @@ impl EdgeNetwork {
         SealedBlock {
             index,
             items,
-            wire,
             variant,
             arrivals,
             block_storers,
@@ -1957,45 +1616,13 @@ impl EdgeNetwork {
         }
 
         // Per-node fork choice: route the block (and the equivocating
-        // variant, when armed) through each receiver's chain view. With a
-        // variant in play, alternating receivers hear only the conflicting
-        // block and adopt it — a live fork that reconciles (and surfaces
-        // the equivocation proof) at the next sync; the others hear both
-        // and hold the two-headers proof immediately.
-        let Some(a_block) = &sealed.wire else {
-            return received;
-        };
-        // The conflicting variant counts as injected only once it
-        // actually reaches an honest node (a broadcast swallowed by a
-        // transient partition put nothing into the network).
+        // variant, when armed) through each receiver's chain view. The
+        // conflicting variant counts as injected only once it actually
+        // reaches an honest node (a broadcast swallowed by a transient
+        // partition put nothing into the network).
         let variant = sealed.variant.as_ref().filter(|_| received.len() > 1);
-        if let Some(b) = variant {
-            let artifact = self
-                .byz
-                .as_mut()
-                .expect("wire block implies engine")
-                .register_equivocation(b.index, b.miner);
-            telemetry::counter_add("byz.injected", 1);
-            trace_event!(
-                "byz.injected",
-                now.as_millis(),
-                kind = "byz_equivocate",
-                artifact = artifact
-            );
-        }
-        for (i, &v) in received.iter().enumerate() {
-            if v == miner {
-                self.byz_deliver(v, a_block, now);
-                continue;
-            }
-            match (variant, i % 2) {
-                (Some(b_block), 1) => self.byz_deliver(v, b_block, now),
-                (Some(b_block), _) => {
-                    self.byz_deliver(v, a_block, now);
-                    self.byz_deliver(v, b_block, now);
-                }
-                (None, _) => self.byz_deliver(v, a_block, now),
-            }
+        if let Some((engine, mut court)) = self.adversary() {
+            engine.deliver_sealed(&mut court, now, &received, variant);
         }
         received
     }
@@ -2070,7 +1697,7 @@ impl EdgeNetwork {
     fn finish_round(&mut self, now: SimTime) {
         // A withheld private fork is released once the public chain is
         // about to out-grow it; trunk fork choice then decides.
-        self.byz_release_withheld(now);
+        self.release_withheld(now);
 
         // The miner also audits replica health and repairs what churn
         // broke since the last block — unless the ladder's top rung has
@@ -2084,13 +1711,18 @@ impl EdgeNetwork {
         telemetry::gauge_set("queue.depth", self.queue.len() as f64);
         let used_now: u64 = self.storage.iter().map(NodeStorage::used_slots).sum();
         self.report.peak_storage_slots = self.report.peak_storage_slots.max(used_now);
+        // A withheld private fork still references its public base block;
+        // pruning must never cut past it.
+        let (orphans, fork_base) = self.byz.as_ref().map_or((0, None), |e| {
+            let base = e.withheld.as_ref().map(|w| w.base_height);
+            (e.orphan_entries(), base)
+        });
         let tracking_now = (self.expired_ids.len()
             + self.invalid_storers.len()
             + self.snapshot_blacklist.len()
-            + self.byz.as_ref().map_or(0, ByzantineEngine::orphan_entries))
-            as u64;
+            + orphans) as u64;
         self.report.peak_tracking_entries = self.report.peak_tracking_entries.max(tracking_now);
-        self.maybe_prune(now);
+        self.maybe_prune(now, fork_base);
 
         // SLO health check rides the block cadence, like quarantine
         // re-admission: trim the rolling windows and surface any breaches.
@@ -2102,10 +1734,7 @@ impl EdgeNetwork {
     /// alerts as counters and trace events. Pure observation: consumes no
     /// randomness and feeds nothing back into the protocol.
     fn evaluate_slo(&mut self, now: SimTime) {
-        let (depth, quarantines) = match &self.byz {
-            Some(e) => (e.max_reorg_depth(), e.quarantine_events()),
-            None => (0, 0),
-        };
+        let (depth, quarantines) = (self.report.max_reorg_depth, self.report.quarantine_events);
         for a in self.slo.evaluate(now.as_millis(), depth, quarantines) {
             telemetry::counter_add("slo.breaches", 1);
             trace_event!(
@@ -2120,23 +1749,23 @@ impl EdgeNetwork {
 
     /// Checkpoint-anchored pruning: once the chain has grown a retention
     /// window past the latest checkpoint, the prefix strictly below
-    /// `checkpoint - retention` collapses into a signed [`ChainAnchor`]
-    /// carrying the Merkle commitment over the pruned history. Storage
-    /// follows suit (reclaimed slots feed straight back into the UFL
-    /// occupancy costs), and Byzantine per-node views re-base onto the
-    /// same anchor so fork choice keeps working on the retained suffix.
-    fn maybe_prune(&mut self, now: SimTime) {
+    /// `checkpoint - retention` collapses into a signed
+    /// [`crate::chain::ChainAnchor`] carrying the Merkle commitment over
+    /// the pruned history — never past `fork_base`, the base block a
+    /// withheld private fork still references, or its release could not
+    /// re-attach. Storage follows suit (reclaimed slots feed straight back
+    /// into the UFL occupancy costs), and Byzantine per-node views re-base
+    /// onto the same anchor so fork choice keeps working on the retained
+    /// suffix.
+    fn maybe_prune(&mut self, now: SimTime, fork_base: Option<u64>) {
         if !self.config.prune_blocks {
             return;
         }
         let interval = self.config.checkpoint_interval.max(1);
         let checkpoint = (self.chain.height() / interval) * interval;
-        let mut cut = checkpoint.saturating_sub(self.config.prune_retention_blocks);
-        // A withheld private fork still references its public base block;
-        // never prune past it or its release could not re-attach.
-        if let Some(w) = self.byz.as_ref().and_then(|e| e.withheld.as_ref()) {
-            cut = cut.min(w.base_height);
-        }
+        let cut = checkpoint
+            .saturating_sub(self.config.prune_retention_blocks)
+            .min(fork_base.unwrap_or(u64::MAX));
         if cut <= self.chain.base_index() {
             return;
         }
@@ -2168,7 +1797,7 @@ impl EdgeNetwork {
                     if !self.topo.is_active(NodeId(v)) {
                         continue;
                     }
-                    if !e.byz_role[v] && e.chains[v].height() + 1 < cut {
+                    if e.honest[v] && e.chains[v].height() + 1 < cut {
                         let rebased = Blockchain::from_anchor(anchor.clone(), suffix.clone())
                             .expect("retained suffix attaches to its own anchor");
                         e.bootstrap_from_snapshot(NodeId(v), rebased);
@@ -2210,7 +1839,7 @@ impl EdgeNetwork {
     /// the canonical chain does not advance and the (intact) pending
     /// metadata survives for the next honest miner, which re-runs the UFL
     /// allocation from scratch.
-    fn byz_mine_tampered_block(&mut self, round: Round) {
+    fn mine_tampered_block(&mut self, round: Round) {
         let Round { now, miner, .. } = round;
         let backup = self.pending_metadata.clone();
         let mut packed = std::mem::take(&mut self.pending_metadata);
@@ -2231,7 +1860,8 @@ impl EdgeNetwork {
             self.chain.tip().storing_nodes.clone(),
             Vec::new(),
         );
-        self.byz_broadcast_bad_block(miner, &block, now, "byz_tamper", "tampered-signature");
+        let charge = ("byz_tamper", "tampered-signature");
+        self.broadcast_bad(miner, Ok(block), now, charge);
         // The un-tampered originals go back in the pool.
         self.pending_metadata = backup;
     }
@@ -2508,15 +2138,10 @@ impl EdgeNetwork {
                     node = v.0,
                     bytes = bytes.len()
                 );
-                // A Byzantine provider serves a corrupted snapshot: one bit
-                // of the signed payload flips in flight.
-                let mut tampered = None;
-                if net.byz.as_ref().is_some_and(|e| e.byz_role[server.0]) {
-                    tampered = Some(net.note_byz_injected(now, "byz_snapshot"));
-                    let engine = net.byz.as_mut().expect("engine checked above");
-                    let pos = engine.draw(bytes.len() as u64) as usize;
-                    bytes[pos] ^= 0x40;
-                }
+                // A Byzantine provider serves a corrupted snapshot.
+                let tampered = net.adversary().and_then(|(engine, mut court)| {
+                    engine.tamper_snapshot(&mut court, now, server, &mut bytes)
+                });
                 (bytes.len() as u64, (bytes, tampered))
             });
             let Some((arrival, (bytes, tampered))) = served else {
@@ -2535,10 +2160,10 @@ impl EdgeNetwork {
                     server = server.0,
                     node = v.0
                 );
-                if let Some(artifact) = tampered {
+                if let Some((artifact, (engine, mut court))) = tampered.zip(self.adversary()) {
                     // Verification caught the corruption red-handed.
-                    self.note_byz_detected(artifact, now, "byz_snapshot");
-                    self.punish(server, now, "tampered-snapshot");
+                    let culprit = Some((server, "tampered-snapshot"));
+                    engine.convict(&mut court, now, Some((artifact, "byz_snapshot")), culprit);
                 }
                 continue;
             };
@@ -2578,8 +2203,8 @@ impl EdgeNetwork {
         self.recover_missing_attempt(node, upto, now, attempt);
         // A recovered view may still sit on a reorged-away branch;
         // reconcile the node's chain with the canonical one.
-        if self.byz.is_some() {
-            self.byz_sync(node, now);
+        if let Some((engine, mut court)) = self.adversary() {
+            engine.sync(&mut court, now, node);
         }
     }
 
@@ -2776,12 +2401,8 @@ impl EdgeNetwork {
                     .fetch_attempt(requester, data_id, probe_start, t, holder, "denied");
                 // Under a Byzantine engine, repeated denials accumulate
                 // strikes and eventually escalate to a quarantine.
-                let crossed = match self.byz.as_mut() {
-                    Some(e) => e.strike(holder),
-                    None => false,
-                };
-                if crossed {
-                    self.punish(holder, t, "repeated-denials");
+                if let Some((engine, mut court)) = self.adversary() {
+                    engine.strike(&mut court, t, holder);
                 }
                 continue;
             }
@@ -3078,9 +2699,6 @@ impl EdgeNetwork {
         } else {
             intervals.iter().sum::<f64>() / intervals.len() as f64
         };
-        let byz = self.byz.as_ref();
-        let max_reorg_depth = byz.map_or(0, ByzantineEngine::max_reorg_depth);
-        let quarantine_events = byz.map_or(0, ByzantineEngine::quarantine_events);
         let availability = {
             let completed = self.report.completed_requests;
             let resolved = completed + self.report.failed_requests;
@@ -3096,8 +2714,8 @@ impl EdgeNetwork {
             inclusion_latency,
             fetch_latency,
             availability,
-            max_reorg_depth,
-            quarantine_events,
+            self.report.max_reorg_depth,
+            self.report.quarantine_events,
         );
         RunReport {
             nodes: self.config.nodes,
@@ -3122,12 +2740,6 @@ impl EdgeNetwork {
             retained_blocks: self.chain.retained_len() as u64,
             under_replicated_item_seconds: self.checker.under_replicated_item_seconds,
             availability,
-            byz_injected: byz.map_or(0, ByzantineEngine::injected),
-            byz_detected: byz.map_or(0, ByzantineEngine::detected),
-            reorgs: byz.map_or(0, ByzantineEngine::reorgs),
-            max_reorg_depth,
-            quarantine_events,
-            readmissions: byz.map_or(0, ByzantineEngine::readmissions),
             invariant_violations: self.checker.violations,
             inclusion_latency,
             fetch_latency,
@@ -3769,6 +3381,8 @@ mod tests {
         // Node 3 sleeps through most of the run; by the time it restarts
         // the blocks it needs are pruned everywhere, so block-by-block
         // recovery is impossible and only a snapshot can catch it up.
+        // `tests/golden.rs` (`tampered_snapshot_run_with_spans_is_pinned`)
+        // reruns this with a Byzantine provider serving a tampered one.
         let cfg = NetworkConfig {
             nodes: 15,
             sim_minutes: 60,

@@ -7,18 +7,21 @@
 //! pin against a reference implementation; these digests hold the whole
 //! run those pieces compose into.
 //!
-//! Two more runs are pinned with causal spans armed, so the span ids,
+//! Four more runs are pinned with causal spans armed, so the span ids,
 //! parent / `follows` edges and the interleaving of span closes with
-//! plain trace events are held too: the chaos run again, and a short
+//! plain trace events are held too: the chaos run again, a short
 //! open-workload run under overload with one equivocating and one
-//! denying node.
+//! denying node, `tests/byzantine.rs`' five-attack run, and a deep rejoin
+//! served a tampered snapshot by a Byzantine provider.
 //!
 //! A change that is not meant to move simulated behaviour must leave
 //! every constant alone. One that is re-pins them and says so.
 
+mod common;
+
 use edgechain::core::{
     ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, Placement,
-    WorkloadConfig,
+    RunReport, WorkloadConfig,
 };
 use edgechain::crypto::sha256;
 use edgechain::sim::{ByzantineAction, FaultEvent, FaultPlan, NodeId, RoleAssignment, SimTime};
@@ -142,15 +145,15 @@ fn overload_byzantine_config() -> NetworkConfig {
 /// the report with `telemetry = None` (the form `edgebench`'s
 /// `report_digest` hashes), and SHA-256 of the traced run's JSONL trace.
 /// The traced report, telemetry section aside, must equal the untraced
-/// one, so one report digest covers both runs. Returns the traced
-/// session.
+/// one, so one report digest covers both runs. Returns the report and
+/// the traced session.
 fn assert_pinned(
     label: &str,
     cfg: NetworkConfig,
     spans: bool,
     report_pin: &str,
     trace_pin: &str,
-) -> telemetry::Session {
+) -> (RunReport, telemetry::Session) {
     let plain = EdgeNetwork::new(cfg.clone()).expect("valid config").run();
     assert!(plain.telemetry.is_none());
     assert!(plain.blocks_mined > 0, "{label}: the run must mine");
@@ -174,7 +177,7 @@ fn assert_pinned(
         trace_pin,
         "{label}: trace digest moved"
     );
-    session
+    (plain, session)
 }
 
 #[test]
@@ -210,24 +213,26 @@ fn chaos_run_is_pinned() {
     );
 }
 
-/// How many trace events are of `kind` and, when `field` is given, carry
-/// that string-valued field.
-fn count(session: &telemetry::Session, kind: &str, field: Option<(&str, &str)>) -> usize {
+/// Asserts `session` traced at least one event of each kind in `wanted`,
+/// carrying the string-valued field when one is given.
+fn assert_traced(session: &telemetry::Session, wanted: &[(&str, Option<(&str, &str)>)]) {
     let carries = |e: &telemetry::TraceEvent, (key, want): (&str, &str)| {
         e.fields
             .iter()
             .any(|(k, v)| *k == key && *v == telemetry::Value::Str(want.into()))
     };
-    session
-        .events()
-        .iter()
-        .filter(|e| e.kind == kind && field.is_none_or(|f| carries(e, f)))
-        .count()
+    for &(kind, field) in wanted {
+        let traced = session
+            .events()
+            .iter()
+            .any(|e| e.kind == kind && field.is_none_or(|f| carries(e, f)));
+        assert!(traced, "no {kind} {field:?} in the trace");
+    }
 }
 
 #[test]
 fn chaos_run_with_spans_is_pinned() {
-    let session = assert_pinned(
+    let (_, session) = assert_pinned(
         "chaos+spans",
         chaos_config(),
         true,
@@ -236,9 +241,14 @@ fn chaos_run_with_spans_is_pinned() {
     );
     // What the span layer does on this run beyond the happy path; a pin
     // over a trace without them would hold nothing.
-    for kind in ["fetch.backoff", "recover.block", "transport.retry"] {
-        assert!(count(&session, kind, None) > 0, "no {kind} in the trace");
-    }
+    assert_traced(
+        &session,
+        &[
+            ("fetch.backoff", None),
+            ("recover.block", None),
+            ("transport.retry", None),
+        ],
+    );
     let follows_an_item = session
         .events()
         .iter()
@@ -248,30 +258,28 @@ fn chaos_run_with_spans_is_pinned() {
 
 #[test]
 fn overload_byzantine_run_with_spans_is_pinned() {
-    let session = assert_pinned(
+    let (_, session) = assert_pinned(
         "overload+byzantine+spans",
         overload_byzantine_config(),
         true,
         "58179e3a8fedcacdc8215b88b7e62214675752e7612109baceeda3f5e62e21ce",
         "d7211a05b4a7e7b27b51729bc944b82a65505691cb9d6f987859dcb502eb1df6",
     );
-    for (kind, field) in [
-        ("overload.shed", Some(("op", "item"))),
-        ("overload.shed", Some(("op", "fetch"))),
-        ("alloc.rejected", None),
-        ("item.lifecycle", Some(("outcome", "alloc_rejected"))),
-        ("fetch.backoff", None),
-        ("fetch.attempt", Some(("outcome", "denied"))),
-        ("byz.quarantine", None),
-        ("byz.readmit", None),
-        ("request.exhausted", None),
-        ("fetch.lifecycle", Some(("outcome", "exhausted"))),
-    ] {
-        assert!(
-            count(&session, kind, field) > 0,
-            "no {kind} {field:?} in the trace"
-        );
-    }
+    assert_traced(
+        &session,
+        &[
+            ("overload.shed", Some(("op", "item"))),
+            ("overload.shed", Some(("op", "fetch"))),
+            ("alloc.rejected", None),
+            ("item.lifecycle", Some(("outcome", "alloc_rejected"))),
+            ("fetch.backoff", None),
+            ("fetch.attempt", Some(("outcome", "denied"))),
+            ("byz.quarantine", None),
+            ("byz.readmit", None),
+            ("request.exhausted", None),
+            ("fetch.lifecycle", Some(("outcome", "exhausted"))),
+        ],
+    );
     // A quarantine window that readmission closed ends before the
     // horizon; one still open there is closed by the end-of-run flush.
     let horizon_ms = 40 * 60 * 1_000;
@@ -280,4 +288,110 @@ fn overload_byzantine_run_with_spans_is_pinned() {
         .iter()
         .any(|e| e.kind == "quarantine.window" && e.t_ms < horizon_ms);
     assert!(closed_early, "no quarantine window closed by readmission");
+}
+
+/// The deep rejoin of `network::tests::snapshot_bootstrap_rejoins_a_deep_laggard`
+/// (node 3 sleeps until its blocks are pruned everywhere) with node 6 —
+/// the provider nearest node 3 when it restarts — Byzantine: it tampers a
+/// signature at its first election win and forges a block at 30 sim-min
+/// (each rejected, quarantined, re-admitted), then serves node 3 a
+/// tampered snapshot, which verification rejects before the next-nearest
+/// provider serves a good one. The only run that reaches the
+/// tampered-snapshot path.
+fn tampered_snapshot_config() -> NetworkConfig {
+    NetworkConfig {
+        nodes: 15,
+        sim_minutes: 60,
+        data_items_per_min: 2.0,
+        request_interval_secs: 60,
+        seed: 21,
+        prune_blocks: true,
+        prune_retention_blocks: 4,
+        snapshot_bootstrap: true,
+        fault_plan: FaultPlan::new(vec![
+            FaultEvent::Crash {
+                node: NodeId(3),
+                at: SimTime::from_secs(120),
+            },
+            FaultEvent::Restart {
+                node: NodeId(3),
+                at: SimTime::from_secs(3_000),
+            },
+            FaultEvent::Byzantine {
+                node: NodeId(6),
+                action: ByzantineAction::TamperSignature,
+                at: SimTime::ZERO,
+            },
+            FaultEvent::Byzantine {
+                node: NodeId(6),
+                action: ByzantineAction::ForgeBlock,
+                at: SimTime::from_secs(1_800),
+            },
+        ]),
+        ..NetworkConfig::default()
+    }
+}
+
+#[test]
+fn five_attack_byzantine_run_with_spans_is_pinned() {
+    let (_, session) = assert_pinned(
+        "five-attack+spans",
+        common::byzantine_config(0xED6E),
+        true,
+        "223474d0f6935867787db4f439410a54543f52ff4fb3c6e0fa64f001197c3978",
+        "a60f3ebf0e66790b80ea7cae8e3dfe787b23303cdfdff89586098468a2bdf96d",
+    );
+    let injected = |kind| ("byz.injected", Some(("kind", kind)));
+    assert_traced(
+        &session,
+        &[
+            injected("byz_equivocate"),
+            injected("byz_garbage"),
+            injected("byz_forge"),
+            injected("byz_withhold"),
+            ("byz.release", None),
+            ("chain.reorg", None),
+            ("byz.quarantine", None),
+            ("quarantine.window", None),
+        ],
+    );
+}
+
+#[test]
+fn tampered_snapshot_run_with_spans_is_pinned() {
+    let (report, session) = assert_pinned(
+        "tampered-snapshot+spans",
+        tampered_snapshot_config(),
+        true,
+        "eddb7b14adcdb0384be2dda1010cba870761478d1a95450f16e7230a754c3771",
+        "345b0caeb8e785dd33aea12a93d47c958c35d2a9167707976773d15cf376b60d",
+    );
+    // Rejected, blacklisted, detected, quarantined — and still rejoined.
+    assert!(report.blocks_pruned > 0, "pruning never fired: {report}");
+    assert!(
+        report.snapshots_rejected >= 1,
+        "no tampered snapshot: {report}"
+    );
+    assert!(
+        report.snapshots_applied >= 1,
+        "no snapshot rejoin: {report}"
+    );
+    assert!(report.byz_injected >= 1, "nothing injected: {report}");
+    assert_eq!(report.byz_detected, report.byz_injected, "{report}");
+    assert!(
+        report.quarantine_events >= 1,
+        "nobody quarantined: {report}"
+    );
+    assert_eq!(report.invariant_violations, 0, "invariant broken: {report}");
+    assert_traced(
+        &session,
+        &[
+            ("byz.injected", Some(("kind", "byz_tamper"))),
+            ("byz.injected", Some(("kind", "byz_forge"))),
+            ("byz.injected", Some(("kind", "byz_snapshot"))),
+            ("snapshot.rejected", None),
+            ("byz.quarantine", Some(("reason", "tampered-snapshot"))),
+            ("quarantine.window", None),
+        ],
+    );
 }
