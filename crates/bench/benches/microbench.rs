@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot operations of every subsystem:
 //! hashing, signing, Merkle commitment, UFL solving at evaluation sizes,
-//! PoS round execution, PoW mining steps, Gini computation, and the
-//! end-to-end per-block allocation path.
+//! PoS round execution, PoW mining steps, Gini computation, the
+//! end-to-end per-block allocation path, the event queue under the raft
+//! workload's shape, and one raft heartbeat round.
 //!
 //! `cargo bench -p edgechain-bench`
 
@@ -13,7 +14,8 @@ use edgechain_core::storage::NodeStorage;
 use edgechain_core::Identity;
 use edgechain_crypto::{sha256, KeyPair, MerkleTree};
 use edgechain_facility::{solve, solve_greedy, UflInstance};
-use edgechain_sim::{Topology, TopologyConfig};
+use edgechain_raft::{Envelope, PeerId, RaftConfig, RaftNode, Role};
+use edgechain_sim::{EventQueue, SimTime, Topology, TopologyConfig};
 use edgechain_telemetry::gini;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -165,6 +167,87 @@ fn bench_gini(c: &mut Criterion) {
     });
 }
 
+/// One pop and one push at the `raft` workload's shape: about 8 k events
+/// standing, delays of 0–4 s (radio backlog pushes deliveries that far
+/// out), so most milliseconds hold a tie or two.
+fn bench_event_queue(c: &mut Criterion) {
+    const DEPTH: u64 = 8_192;
+    const MAX_DELAY_MS: u64 = 4_000;
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    for i in 0..DEPTH {
+        queue.schedule(SimTime::from_millis(rng.gen_range(0..=MAX_DELAY_MS)), i);
+    }
+    c.bench_function("sim/event_queue_raft_shape", |b| {
+        b.iter(|| {
+            let (now, event) = queue.pop().expect("standing depth");
+            let delay = SimTime::from_millis(rng.gen_range(0..=MAX_DELAY_MS));
+            queue.schedule(now + delay, std::hint::black_box(event));
+        })
+    });
+}
+
+/// A 50-replica set with the simulator's raft timing, past its first
+/// election: the leader's nodes in id order, the leader's id and the time.
+fn elected_raft_set(n: usize) -> (Vec<RaftNode<u64>>, PeerId, SimTime) {
+    let peers: Vec<PeerId> = (0..n).map(PeerId).collect();
+    let config = RaftConfig {
+        election_timeout_min: SimTime::from_millis(2_000),
+        election_timeout_max: SimTime::from_millis(4_000),
+        heartbeat_interval: SimTime::from_millis(500),
+        pre_vote: true,
+        ..RaftConfig::default()
+    };
+    let mut nodes: Vec<RaftNode<u64>> = peers
+        .iter()
+        .map(|&p| RaftNode::new(p, peers.clone(), config, p.0 as u64))
+        .collect();
+    // Deliver instantly, 100 ms timer polls, until someone leads.
+    let (mut now, mut in_flight) = (SimTime::ZERO, Vec::new());
+    let mut out = Vec::new();
+    while !nodes.iter().any(|node| node.role() == Role::Leader) {
+        now += SimTime::from_millis(100);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.tick_into(now, &mut out);
+            in_flight.extend(out.drain(..).map(|env| (PeerId(i), env)));
+        }
+        while let Some((from, env)) = in_flight.pop() {
+            let to: PeerId = env.to;
+            nodes[to.0].handle_into(from, env.message, now, &mut out);
+            in_flight.extend(out.drain(..).map(|env| (to, env)));
+        }
+    }
+    let leader = nodes
+        .iter()
+        .find(|node| node.role() == Role::Leader)
+        .map(RaftNode::id)
+        .expect("a leader was elected");
+    (nodes, leader, now)
+}
+
+/// One heartbeat round on 50 replicas: the leader's due tick, every
+/// follower handling its empty append, the leader handling every reply —
+/// through reused outboxes, as the simulator drives them.
+fn bench_raft_heartbeat(c: &mut Criterion) {
+    let (mut nodes, leader, mut now) = elected_raft_set(50);
+    let (mut heartbeats, mut replies, mut sink): (Vec<Envelope<u64>>, Vec<_>, Vec<_>) =
+        (Vec::new(), Vec::new(), Vec::new());
+    c.bench_function("raft/heartbeat_round_n50", |b| {
+        b.iter(|| {
+            now = nodes[leader.0].next_due();
+            nodes[leader.0].tick_into(now, &mut heartbeats);
+            for env in heartbeats.drain(..) {
+                let to = env.to;
+                nodes[to.0].handle_into(leader, env.message, now, &mut replies);
+                for reply in replies.drain(..) {
+                    nodes[leader.0].handle_into(to, reply.message, now, &mut sink);
+                }
+            }
+            sink.clear();
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_sha256,
@@ -175,5 +258,7 @@ criterion_group!(
     bench_pow,
     bench_allocation_path,
     bench_gini,
+    bench_event_queue,
+    bench_raft_heartbeat,
 );
 criterion_main!(benches);

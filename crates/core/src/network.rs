@@ -440,6 +440,10 @@ pub struct EdgeNetwork {
     /// informed of this information", §III-B.2).
     invalid_storers: std::collections::HashSet<(DataId, NodeId)>,
     raft_nodes: Vec<edgechain_raft::RaftNode<GeneralEvent>>,
+    /// Envelopes the raft node being stepped just emitted; emptied by
+    /// [`Self::raft_dispatch`] and reused, so the message path allocates
+    /// no `Vec` per handled message.
+    raft_outbox: Vec<edgechain_raft::Envelope<GeneralEvent>>,
 
     injector: FaultInjector,
     /// Byzantine adversary state: per-node chain views, armed actions,
@@ -655,6 +659,7 @@ impl EdgeNetwork {
             malicious,
             invalid_storers: std::collections::HashSet::new(),
             raft_nodes: Vec::new(),
+            raft_outbox: Vec::new(),
             injector: FaultInjector::new(&config.fault_plan),
             byz,
             checker: InvariantChecker::new(SimTime::ZERO),
@@ -2510,15 +2515,12 @@ impl EdgeNetwork {
         );
     }
 
-    /// Ships a batch of raft envelopes over the radio transport, charging
-    /// bytes and scheduling deliveries at their computed arrival times.
-    fn raft_dispatch(
-        &mut self,
-        from: edgechain_raft::PeerId,
-        envelopes: Vec<edgechain_raft::Envelope<GeneralEvent>>,
-        now: SimTime,
-    ) {
-        for env in envelopes {
+    /// Ships the raft outbox over the radio transport, charging bytes and
+    /// scheduling deliveries at their computed arrival times, and leaves
+    /// it empty.
+    fn raft_dispatch(&mut self, from: edgechain_raft::PeerId, now: SimTime) {
+        let mut outbox = std::mem::take(&mut self.raft_outbox);
+        for env in outbox.drain(..) {
             let bytes = env.message.wire_size(GeneralEvent::wire_size);
             let src = NodeId(from.0);
             let dst = NodeId(env.to.0);
@@ -2540,17 +2542,22 @@ impl EdgeNetwork {
                 );
             }
         }
+        self.raft_outbox = outbox;
     }
 
+    /// Ticks the raft nodes that are due, in id order. A node's tick before
+    /// its `next_due` is a no-op, so skipping it moves nothing; the poll
+    /// itself stays on its 100 ms grid, because dropping or moving the
+    /// event would reorder it against same-millisecond deliveries.
     fn on_raft_tick(&mut self, now: SimTime) {
         for i in 0..self.raft_nodes.len() {
             // A crashed node's raft process isn't running: no timers fire,
             // so it neither heartbeats nor starts elections until restart.
-            if !self.topo.is_active(NodeId(i)) {
+            if now < self.raft_nodes[i].next_due() || !self.topo.is_active(NodeId(i)) {
                 continue;
             }
-            let outs = self.raft_nodes[i].tick(now);
-            self.raft_dispatch(edgechain_raft::PeerId(i), outs, now);
+            self.raft_nodes[i].tick_into(now, &mut self.raft_outbox);
+            self.raft_dispatch(edgechain_raft::PeerId(i), now);
         }
         self.queue.schedule(now + RAFT_TICK, Event::RaftTick);
     }
@@ -2567,8 +2574,8 @@ impl EdgeNetwork {
         if !self.topo.is_active(NodeId(to.0)) {
             return;
         }
-        let outs = self.raft_nodes[to.0].handle(from, envelope.message, now);
-        self.raft_dispatch(to, outs, now);
+        self.raft_nodes[to.0].handle_into(from, envelope.message, now, &mut self.raft_outbox);
+        self.raft_dispatch(to, now);
     }
 
     /// §VII data migration: periodically re-evaluate every item's placement

@@ -144,6 +144,8 @@ pub struct Cluster<C> {
     leaders_by_term: HashMap<u64, PeerId>,
     counts: MessageCounts,
     committed: Vec<Vec<C>>,
+    /// Envelopes the node being stepped just emitted, reused across steps.
+    outbox: Vec<Envelope<C>>,
 }
 
 impl<C: Clone + PartialEq + fmt::Debug> Cluster<C> {
@@ -170,6 +172,7 @@ impl<C: Clone + PartialEq + fmt::Debug> Cluster<C> {
             leaders_by_term: HashMap::new(),
             counts: MessageCounts::default(),
             committed: vec![Vec::new(); n],
+            outbox: Vec::new(),
         }
     }
 
@@ -287,17 +290,21 @@ impl<C: Clone + PartialEq + fmt::Debug> Cluster<C> {
         };
         match event {
             Event::Tick => {
+                // A node's tick before its `next_due` is a no-op: poll only
+                // the due ones.
                 for i in 0..self.nodes.len() {
-                    let outs = self.nodes[i].tick(now);
-                    self.dispatch(PeerId(i), outs, now);
+                    if now >= self.nodes[i].next_due() {
+                        self.nodes[i].tick_into(now, &mut self.outbox);
+                        self.dispatch(PeerId(i), now);
+                    }
                 }
                 self.queue
                     .schedule(now + self.config.tick_interval, Event::Tick);
             }
             Event::Deliver { from, env } => {
                 let to = env.to;
-                let outs = self.nodes[to.0].handle(from, env.message, now);
-                self.dispatch(to, outs, now);
+                self.nodes[to.0].handle_into(from, env.message, now, &mut self.outbox);
+                self.dispatch(to, now);
             }
         }
         self.drain_committed();
@@ -313,8 +320,10 @@ impl<C: Clone + PartialEq + fmt::Debug> Cluster<C> {
         }
     }
 
-    fn dispatch(&mut self, from: PeerId, envs: Vec<Envelope<C>>, now: SimTime) {
-        for env in envs {
+    /// Sends (or drops) every envelope in the outbox, leaving it empty.
+    fn dispatch(&mut self, from: PeerId, now: SimTime) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for env in outbox.drain(..) {
             match &env.message {
                 Message::RequestVote { .. } | Message::PreVote { .. } => self.counts.votes += 1,
                 Message::AppendEntries { entries, .. } => {
@@ -349,6 +358,7 @@ impl<C: Clone + PartialEq + fmt::Debug> Cluster<C> {
             self.queue
                 .schedule(now + delay, Event::Deliver { from, env });
         }
+        self.outbox = outbox;
     }
 
     fn drain_committed(&mut self) {

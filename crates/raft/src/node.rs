@@ -1,18 +1,22 @@
 //! The raft replica state machine (sans-I/O).
 //!
 //! [`RaftNode`] is a pure state machine: callers feed it time via
-//! [`RaftNode::tick`] and messages via [`RaftNode::handle`], and it returns
-//! the envelopes to transmit. This makes it driveable both by the
-//! deterministic test cluster ([`crate::cluster`]) and by the edge network
-//! simulation, where raft provides the paper's "general information
-//! consensus" and its heartbeat traffic is charged to the overhead metrics.
+//! [`RaftNode::tick_into`] and messages via [`RaftNode::handle_into`], and
+//! it appends the envelopes to transmit to a caller-owned outbox
+//! ([`RaftNode::tick`] / [`RaftNode::handle`] return them in a fresh `Vec`
+//! instead). [`RaftNode::next_due`] says when it next needs time, so a
+//! driver polls only the nodes that are due. This makes it driveable both
+//! by the deterministic test cluster ([`crate::cluster`]) and by the edge
+//! network simulation, where raft provides the paper's "general
+//! information consensus" and its heartbeat traffic is charged to the
+//! overhead metrics.
 
 use crate::message::{Envelope, LogEntry, LogIndex, Message, PeerId, Term};
 use edgechain_sim::SimTime;
 use edgechain_telemetry::{self as telemetry, trace_event};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Raft timing parameters.
@@ -117,8 +121,13 @@ pub struct RaftNode<C> {
     prevotes_received: HashSet<PeerId>,
     /// The would-be term of the pre-vote round in flight (0 = none).
     prevote_term: Term,
-    next_index: HashMap<PeerId, LogIndex>,
-    match_index: HashMap<PeerId, LogIndex>,
+    /// Indexed by `PeerId`, sized on first election win: next entry to
+    /// ship to each peer.
+    next_index: Vec<LogIndex>,
+    /// Indexed by `PeerId`, sized on first election win: highest entry
+    /// known replicated on each peer (0 for this node and for ids outside
+    /// the cluster).
+    match_index: Vec<LogIndex>,
     leader_hint: Option<PeerId>,
 
     election_deadline: SimTime,
@@ -165,8 +174,8 @@ impl<C: Clone> RaftNode<C> {
             votes_received: HashSet::new(),
             prevotes_received: HashSet::new(),
             prevote_term: 0,
-            next_index: HashMap::new(),
-            match_index: HashMap::new(),
+            next_index: Vec::new(),
+            match_index: Vec::new(),
             leader_hint: None,
             election_deadline: SimTime::ZERO,
             heartbeat_due: SimTime::ZERO,
@@ -286,41 +295,61 @@ impl<C: Clone> RaftNode<C> {
             now + self.config.election_timeout_min + SimTime::from_millis(jitter);
     }
 
-    /// Advances time. Returns messages to send (election or heartbeats).
-    pub fn tick(&mut self, now: SimTime) -> Vec<Envelope<C>> {
+    /// When this node next needs time: the heartbeat deadline for a leader,
+    /// the election deadline otherwise. [`RaftNode::tick_into`] before then
+    /// is a no-op, so a driver may skip the node until this time; only a
+    /// handled message can move it.
+    pub fn next_due(&self) -> SimTime {
+        match self.role {
+            Role::Leader => self.heartbeat_due,
+            Role::Follower | Role::Candidate => self.election_deadline,
+        }
+    }
+
+    /// Advances time, appending messages to send (election or heartbeats)
+    /// to `out`. Does nothing before [`RaftNode::next_due`].
+    pub fn tick_into(&mut self, now: SimTime, out: &mut Vec<Envelope<C>>) {
+        if now < self.next_due() {
+            return;
+        }
+        telemetry::counter_add("raft.node_ticks", 1);
         match self.role {
             Role::Leader => {
-                if now >= self.heartbeat_due {
-                    self.heartbeat_due = now + self.config.heartbeat_interval;
-                    self.broadcast_append()
-                } else {
-                    Vec::new()
-                }
+                self.heartbeat_due = now + self.config.heartbeat_interval;
+                self.broadcast_append(out);
             }
-            Role::Follower | Role::Candidate => {
-                if now >= self.election_deadline {
-                    if self.config.pre_vote {
-                        self.start_prevote(now)
-                    } else {
-                        self.start_election(now)
-                    }
-                } else {
-                    Vec::new()
-                }
+            Role::Follower | Role::Candidate if self.config.pre_vote => {
+                self.start_prevote(now, out);
             }
+            Role::Follower | Role::Candidate => self.start_election(now, out),
         }
+    }
+
+    /// [`RaftNode::tick_into`] into a fresh `Vec`.
+    pub fn tick(&mut self, now: SimTime) -> Vec<Envelope<C>> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// Appends one copy of `message` per peer to `out`.
+    fn to_peers(&self, message: Message<C>, out: &mut Vec<Envelope<C>>) {
+        out.extend(self.peers().map(|to| Envelope {
+            to,
+            message: message.clone(),
+        }));
     }
 
     /// Probes peers for a would-be election at `term + 1` without touching
     /// any persistent state (term, voted_for).
-    fn start_prevote(&mut self, now: SimTime) -> Vec<Envelope<C>> {
+    fn start_prevote(&mut self, now: SimTime, out: &mut Vec<Envelope<C>>) {
         self.prevotes_received.clear();
         self.prevotes_received.insert(self.id);
         self.prevote_term = self.term + 1;
         self.reset_election_deadline(now);
         if self.prevotes_received.len() >= self.majority() {
             // Single-node cluster: no probe needed.
-            return self.start_election(now);
+            return self.start_election(now, out);
         }
         let msg = Message::PreVote {
             term: self.term + 1,
@@ -328,15 +357,10 @@ impl<C: Clone> RaftNode<C> {
             last_log_index: self.last_log_index(),
             last_log_term: self.last_log_term(),
         };
-        self.peers()
-            .map(|to| Envelope {
-                to,
-                message: msg.clone(),
-            })
-            .collect()
+        self.to_peers(msg, out);
     }
 
-    fn start_election(&mut self, now: SimTime) -> Vec<Envelope<C>> {
+    fn start_election(&mut self, now: SimTime, out: &mut Vec<Envelope<C>>) {
         self.prevote_term = 0;
         self.term += 1;
         telemetry::counter_add("raft.elections", 1);
@@ -355,7 +379,7 @@ impl<C: Clone> RaftNode<C> {
         self.reset_election_deadline(now);
         if self.votes_received.len() >= self.majority() {
             // Single-node cluster: win immediately.
-            return self.become_leader(now);
+            return self.become_leader(now, out);
         }
         let msg = Message::RequestVote {
             term: self.term,
@@ -363,15 +387,10 @@ impl<C: Clone> RaftNode<C> {
             last_log_index: self.last_log_index(),
             last_log_term: self.last_log_term(),
         };
-        self.peers()
-            .map(|to| Envelope {
-                to,
-                message: msg.clone(),
-            })
-            .collect()
+        self.to_peers(msg, out);
     }
 
-    fn become_leader(&mut self, now: SimTime) -> Vec<Envelope<C>> {
+    fn become_leader(&mut self, now: SimTime, out: &mut Vec<Envelope<C>>) {
         telemetry::counter_add("raft.leaders_elected", 1);
         trace_event!(
             "raft.leader",
@@ -381,14 +400,13 @@ impl<C: Clone> RaftNode<C> {
         );
         self.role = Role::Leader;
         self.heartbeat_due = now + self.config.heartbeat_interval;
-        self.next_index.clear();
-        self.match_index.clear();
+        let ids = self.cluster.iter().map(|p| p.0 + 1).max().unwrap_or(0);
         let next = self.last_log_index() + 1;
-        for p in self.peers().collect::<Vec<_>>() {
-            self.next_index.insert(p, next);
-            self.match_index.insert(p, 0);
-        }
-        self.broadcast_append()
+        self.next_index.clear();
+        self.next_index.resize(ids, next);
+        self.match_index.clear();
+        self.match_index.resize(ids, 0);
+        self.broadcast_append(out);
     }
 
     fn step_down(&mut self, term: Term) {
@@ -403,7 +421,7 @@ impl<C: Clone> RaftNode<C> {
     }
 
     fn append_for(&self, peer: PeerId) -> Envelope<C> {
-        let next = *self.next_index.get(&peer).unwrap_or(&1);
+        let next = self.next_index[peer.0];
         if next <= self.log_start {
             // The entries this follower needs were compacted: ship the
             // snapshot instead (Raft §7).
@@ -443,15 +461,10 @@ impl<C: Clone> RaftNode<C> {
         }
     }
 
-    fn broadcast_append(&mut self) -> Vec<Envelope<C>> {
-        let envelopes: Vec<Envelope<C>> = self
-            .peers()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|p| self.append_for(p))
-            .collect();
-        telemetry::counter_add("raft.appends_sent", envelopes.len() as u64);
-        envelopes
+    fn broadcast_append(&self, out: &mut Vec<Envelope<C>>) {
+        let before = out.len();
+        out.extend(self.peers().map(|p| self.append_for(p)));
+        telemetry::counter_add("raft.appends_sent", (out.len() - before) as u64);
     }
 
     /// Proposes a command for replication.
@@ -475,14 +488,21 @@ impl<C: Clone> RaftNode<C> {
         Ok(index)
     }
 
-    /// Handles an incoming message from `from`. Returns replies/side
-    /// messages to send.
-    pub fn handle(&mut self, from: PeerId, message: Message<C>, now: SimTime) -> Vec<Envelope<C>> {
+    /// Handles an incoming message from `from`, appending replies and side
+    /// messages to `out`.
+    pub fn handle_into(
+        &mut self,
+        from: PeerId,
+        message: Message<C>,
+        now: SimTime,
+        out: &mut Vec<Envelope<C>>,
+    ) {
         // A PreVote carries a *would-be* term; it must never force a step
         // down — that is the entire point of the pre-vote phase.
         if !matches!(message, Message::PreVote { .. }) && message.term() > self.term {
             self.step_down(message.term());
         }
+        let mut reply = |message| out.push(Envelope { to: from, message });
         match message {
             Message::RequestVote {
                 term,
@@ -503,13 +523,10 @@ impl<C: Clone> RaftNode<C> {
                     self.voted_for = Some(candidate);
                     self.reset_election_deadline(now);
                 }
-                vec![Envelope {
-                    to: from,
-                    message: Message::RequestVoteResponse {
-                        term: self.term,
-                        granted: grant,
-                    },
-                }]
+                reply(Message::RequestVoteResponse {
+                    term: self.term,
+                    granted: grant,
+                });
             }
             Message::PreVote {
                 term,
@@ -528,13 +545,10 @@ impl<C: Clone> RaftNode<C> {
                 let no_live_leader =
                     now >= self.last_leader_contact + self.config.election_timeout_min;
                 let grant = term > self.term && up_to_date && no_live_leader;
-                vec![Envelope {
-                    to: from,
-                    message: Message::PreVoteResponse {
-                        term: self.term,
-                        granted: grant,
-                    },
-                }]
+                reply(Message::PreVoteResponse {
+                    term: self.term,
+                    granted: grant,
+                });
             }
             Message::PreVoteResponse { term: _, granted } => {
                 let round_live = self.prevote_term == self.term + 1;
@@ -543,19 +557,17 @@ impl<C: Clone> RaftNode<C> {
                 if self.role == Role::Follower && granted && round_live && no_live_leader {
                     self.prevotes_received.insert(from);
                     if self.prevotes_received.len() >= self.majority() {
-                        return self.start_election(now);
+                        self.start_election(now, out);
                     }
                 }
-                Vec::new()
             }
             Message::RequestVoteResponse { term, granted } => {
                 if self.role == Role::Candidate && term == self.term && granted {
                     self.votes_received.insert(from);
                     if self.votes_received.len() >= self.majority() {
-                        return self.become_leader(now);
+                        self.become_leader(now, out);
                     }
                 }
-                Vec::new()
             }
             Message::AppendEntries {
                 term,
@@ -566,14 +578,11 @@ impl<C: Clone> RaftNode<C> {
                 leader_commit,
             } => {
                 if term < self.term {
-                    return vec![Envelope {
-                        to: from,
-                        message: Message::AppendEntriesResponse {
-                            term: self.term,
-                            success: false,
-                            match_index: 0,
-                        },
-                    }];
+                    return reply(Message::AppendEntriesResponse {
+                        term: self.term,
+                        success: false,
+                        match_index: 0,
+                    });
                 }
                 // Valid leader for our term.
                 self.role = Role::Follower;
@@ -587,16 +596,11 @@ impl<C: Clone> RaftNode<C> {
                 let (prev_log_index, prev_log_term, entries) = if prev_log_index < self.log_start {
                     let skip = (self.log_start - prev_log_index) as usize;
                     if entries.len() <= skip {
-                        return vec![Envelope {
-                            to: from,
-                            message: Message::AppendEntriesResponse {
-                                term: self.term,
-                                success: true,
-                                match_index: self
-                                    .log_start
-                                    .max(prev_log_index + entries.len() as u64),
-                            },
-                        }];
+                        return reply(Message::AppendEntriesResponse {
+                            term: self.term,
+                            success: true,
+                            match_index: self.log_start.max(prev_log_index + entries.len() as u64),
+                        });
                     }
                     (self.log_start, self.snapshot_term, entries[skip..].to_vec())
                 } else {
@@ -619,26 +623,20 @@ impl<C: Clone> RaftNode<C> {
                         if leader_commit > self.commit_index {
                             self.commit_index = leader_commit.min(index);
                         }
-                        vec![Envelope {
-                            to: from,
-                            message: Message::AppendEntriesResponse {
-                                term: self.term,
-                                success: true,
-                                match_index: index,
-                            },
-                        }]
+                        reply(Message::AppendEntriesResponse {
+                            term: self.term,
+                            success: true,
+                            match_index: index,
+                        });
                     }
                     _ => {
                         // Log mismatch: hint back-off to our log end.
                         let hint = self.last_log_index().min(prev_log_index.saturating_sub(1));
-                        vec![Envelope {
-                            to: from,
-                            message: Message::AppendEntriesResponse {
-                                term: self.term,
-                                success: false,
-                                match_index: hint,
-                            },
-                        }]
+                        reply(Message::AppendEntriesResponse {
+                            term: self.term,
+                            success: false,
+                            match_index: hint,
+                        });
                     }
                 }
             }
@@ -650,13 +648,10 @@ impl<C: Clone> RaftNode<C> {
                 commands,
             } => {
                 if term < self.term {
-                    return vec![Envelope {
-                        to: from,
-                        message: Message::InstallSnapshotResponse {
-                            term: self.term,
-                            match_index: 0,
-                        },
-                    }];
+                    return reply(Message::InstallSnapshotResponse {
+                        term: self.term,
+                        match_index: 0,
+                    });
                 }
                 self.role = Role::Follower;
                 self.leader_hint = Some(leader);
@@ -678,26 +673,19 @@ impl<C: Clone> RaftNode<C> {
                     self.snapshot_term = last_included_term;
                     self.commit_index = last_included_index;
                 }
-                vec![Envelope {
-                    to: from,
-                    message: Message::InstallSnapshotResponse {
-                        term: self.term,
-                        match_index: self.log_start.max(self.commit_index),
-                    },
-                }]
+                reply(Message::InstallSnapshotResponse {
+                    term: self.term,
+                    match_index: self.log_start.max(self.commit_index),
+                });
             }
             Message::InstallSnapshotResponse { term, match_index } => {
                 if self.role != Role::Leader || term != self.term || match_index == 0 {
-                    return Vec::new();
+                    return;
                 }
-                let m = self.match_index.entry(from).or_insert(0);
-                *m = (*m).max(match_index);
-                self.next_index.insert(from, match_index + 1);
-                self.advance_commit();
+                self.acknowledge(from, match_index);
                 if match_index < self.last_log_index() {
-                    return vec![self.append_for(from)];
+                    out.push(self.append_for(from));
                 }
-                Vec::new()
             }
             Message::AppendEntriesResponse {
                 term,
@@ -705,25 +693,37 @@ impl<C: Clone> RaftNode<C> {
                 match_index,
             } => {
                 if self.role != Role::Leader || term != self.term {
-                    return Vec::new();
+                    return;
                 }
                 if success {
-                    let m = self.match_index.entry(from).or_insert(0);
-                    *m = (*m).max(match_index);
-                    self.next_index.insert(from, match_index + 1);
-                    self.advance_commit();
+                    self.acknowledge(from, match_index);
                     // Ship any remaining entries immediately.
                     if match_index < self.last_log_index() {
-                        return vec![self.append_for(from)];
+                        out.push(self.append_for(from));
                     }
-                    Vec::new()
                 } else {
-                    let next = self.next_index.entry(from).or_insert(1);
-                    *next = (match_index + 1).min((*next).saturating_sub(1)).max(1);
-                    vec![self.append_for(from)]
+                    let next = &mut self.next_index[from.0];
+                    *next = (match_index + 1).min(next.saturating_sub(1)).max(1);
+                    out.push(self.append_for(from));
                 }
             }
         }
+    }
+
+    /// [`RaftNode::handle_into`] into a fresh `Vec`.
+    pub fn handle(&mut self, from: PeerId, message: Message<C>, now: SimTime) -> Vec<Envelope<C>> {
+        let mut out = Vec::new();
+        self.handle_into(from, message, now, &mut out);
+        out
+    }
+
+    /// Records that `peer` holds the log up to `match_index`, resumes its
+    /// shipping just past it, and re-checks the commit index.
+    fn acknowledge(&mut self, peer: PeerId, match_index: LogIndex) {
+        let m = &mut self.match_index[peer.0];
+        *m = (*m).max(match_index);
+        self.next_index[peer.0] = match_index + 1;
+        self.advance_commit();
     }
 
     /// Advances `commit_index` to the highest index replicated on a
@@ -737,7 +737,7 @@ impl<C: Clone> RaftNode<C> {
             if self.term_at(n) != Some(self.term) {
                 continue;
             }
-            let replicas = 1 + self.match_index.values().filter(|&&m| m >= n).count();
+            let replicas = 1 + self.match_index.iter().filter(|&&m| m >= n).count();
             if replicas >= self.majority() {
                 self.commit_index = n;
                 break;

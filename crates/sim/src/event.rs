@@ -18,7 +18,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -106,38 +106,46 @@ impl fmt::Display for SimTime {
     }
 }
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap on (time, seq).
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// Width of the bucket ring in milliseconds: events due within this many
+/// ms of [`EventQueue::now`] wait in a bucket, later ones in the overflow.
+const RING: u64 = 4096;
+/// Words of the ring's occupancy bitmap.
+const WORDS: usize = RING as usize / 64;
+/// No slot: an empty bucket's tail, the free list's end. Slot 0 is a
+/// sentinel that never holds an event, so the bucket array is allocated
+/// zeroed and costs no page until a bucket in it is used.
+const NIL: u32 = 0;
 
 /// A priority queue of timestamped events, popped in time order with FIFO
 /// tie-breaking.
+///
+/// A calendar queue: one bucket per millisecond of the window
+/// `[now, now + RING)`, each a circular FIFO list through one slab of event
+/// slots (the links kept beside it, so a slot is no larger than its event),
+/// and an occupancy bitmap to find the next non-empty bucket. The
+/// window's milliseconds fall in distinct buckets, so a bucket holds a
+/// single timestamp and pops in push order. An event due at or past the
+/// window's end waits as a `(time, seq, slot)` key in a small overflow heap
+/// and moves into its bucket, in `(time, seq)` order, on the pop that brings
+/// its time into the window — before any later push can reach that bucket.
+/// Pop order is therefore exactly `(time, seq)`, as with one binary heap
+/// over all events.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// The slab: each pending event in its slot, `None` while free.
+    slots: Vec<Option<E>>,
+    /// `next[s]`: the slot after `s` in its bucket's list or in the free
+    /// list.
+    next: Vec<u32>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// Last slot of each bucket's list, `NIL` when empty. The lists are
+    /// circular: a tail's `next` is its bucket's head.
+    tails: Box<[u32]>,
+    occupied: [u64; WORDS],
+    overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Insertion sequence of overflow keys: FIFO among equal times.
     next_seq: u64,
+    len: usize,
     now: SimTime,
 }
 
@@ -147,12 +155,23 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// The bucket of timestamp `at`.
+fn bucket(at: SimTime) -> usize {
+    (at.as_millis() % RING) as usize
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: vec![None],
+            next: vec![NIL],
+            free: NIL,
+            tails: vec![NIL; RING as usize].into_boxed_slice(),
+            occupied: [0; WORDS],
+            overflow: BinaryHeap::new(),
             next_seq: 0,
+            len: 0,
             now: SimTime::ZERO,
         }
     }
@@ -164,12 +183,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -183,13 +202,14 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
+        let slot = self.alloc(event);
+        self.len += 1;
+        if at.as_millis() - self.now.as_millis() < RING {
+            self.append(at, slot);
+        } else {
+            self.overflow.push(Reverse((at, self.next_seq, slot)));
+            self.next_seq += 1;
+        }
     }
 
     /// Schedules `event` at `delay` after the current time.
@@ -199,14 +219,89 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        let at = self.peek_time()?;
+        self.now = at;
+        // The window now ends at `at + RING`: the keys it reached join
+        // their buckets before anything else can be pushed there.
+        while let Some(&Reverse((t, _, slot))) = self.overflow.peek() {
+            if t.as_millis() - at.as_millis() >= RING {
+                break;
+            }
+            self.overflow.pop();
+            self.append(t, slot);
+        }
+        let b = bucket(at);
+        let tail = self.tails[b];
+        let head = self.next[tail as usize];
+        if head == tail {
+            self.tails[b] = NIL;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        } else {
+            self.next[tail as usize] = self.next[head as usize];
+        }
+        let event = self.slots[head as usize]
+            .take()
+            .expect("a listed slot holds an event");
+        self.next[head as usize] = self.free;
+        self.free = head;
+        self.len -= 1;
+        Some((at, event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.next_bucket_time()
+            .or_else(|| self.overflow.peek().map(|&Reverse((t, ..))| t))
+    }
+
+    /// Timestamp of the first non-empty bucket at or after `now`'s, read
+    /// off the bitmap: the window's earliest event.
+    fn next_bucket_time(&self) -> Option<SimTime> {
+        let start = bucket(self.now);
+        let (first, bit) = (start / 64, start % 64);
+        for k in 0..=WORDS {
+            let w = (first + k) % WORDS;
+            let bits = match k {
+                0 => self.occupied[w] & (!0 << bit),
+                WORDS => self.occupied[w] & ((1 << bit) - 1),
+                _ => self.occupied[w],
+            };
+            if bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                let ahead = (b + RING as usize - start) as u64 % RING;
+                return Some(SimTime::from_millis(self.now.as_millis() + ahead));
+            }
+        }
+        None
+    }
+
+    /// Stores `event` in a free slot, growing the slab when none is free.
+    fn alloc(&mut self, event: E) -> u32 {
+        if self.free == NIL {
+            let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+            self.slots.push(Some(event));
+            self.next.push(NIL);
+            return slot;
+        }
+        let slot = self.free;
+        self.free = self.next[slot as usize];
+        self.slots[slot as usize] = Some(event);
+        slot
+    }
+
+    /// Appends `slot`, due at `at` inside the window, to its bucket's list.
+    fn append(&mut self, at: SimTime, slot: u32) {
+        let b = bucket(at);
+        let s = slot as usize;
+        match self.tails[b] {
+            NIL => self.next[s] = slot,
+            tail => {
+                self.next[s] = self.next[tail as usize];
+                self.next[tail as usize] = slot;
+            }
+        }
+        self.tails[b] = slot;
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 }
 
@@ -214,7 +309,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len)
             .finish()
     }
 }
@@ -241,6 +336,34 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overflow_keys_pop_before_later_pushes_at_their_time() {
+        // `far` is past the window at push time; once the clock reaches
+        // 100 ms it is inside it, and a push at the same time queues behind.
+        let far = SimTime::from_millis(RING + 100);
+        let mut q = EventQueue::new();
+        q.schedule(far, "overflow-a");
+        q.schedule(far, "overflow-b");
+        q.schedule(SimTime::from_millis(100), "tick");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(100), "tick")));
+        q.schedule(far, "direct");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["overflow-a", "overflow-b", "direct"]);
+    }
+
+    #[test]
+    fn idle_gap_past_the_ring_jumps_the_window() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(10 * RING + 7), 1);
+        q.schedule(SimTime::from_millis(10 * RING + 7 + RING), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(10 * RING + 7), 1)));
+        q.schedule_in(SimTime::ZERO, 3);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(10 * RING + 7), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(11 * RING + 7), 2)));
+        assert!(q.pop().is_none());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

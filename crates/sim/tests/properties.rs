@@ -1,5 +1,6 @@
 //! Property-based tests for the simulator: topology route invariants,
-//! transport conservation laws, and metric bounds.
+//! transport conservation laws, metric bounds, and the event queue's pop
+//! order against a binary-heap reference.
 
 use edgechain_sim::{
     EventQueue, NodeId, Point, SimTime, Topology, TopologyConfig, Transport, TransportConfig,
@@ -8,6 +9,12 @@ use edgechain_sim::{
 use edgechain_telemetry::{gini, SampleSet};
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// `EventQueue`'s bucket-ring width in milliseconds; delays around it
+/// cross between the ring and the overflow heap.
+const RING_MS: u64 = 4096;
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec((0.0f64..300.0, 0.0f64..300.0), 2..max)
@@ -191,11 +198,74 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_millis(t), i);
         }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
+        let mut last: Option<(SimTime, usize)> = None;
+        while let Some((t, i)) = q.pop() {
+            if let Some((last_t, last_i)) = last {
+                prop_assert!(t >= last_t);
+                // Equal times pop in insertion order.
+                prop_assert!(t > last_t || i > last_i, "{} popped after {} at {}", i, last_i, t);
+            }
+            last = Some((t, i));
         }
+    }
+
+    /// The calendar queue pops exactly what a binary heap on `(time, seq)`
+    /// pops, with the same `len()` after every operation: interleaved
+    /// schedules and pops, same-millisecond bursts, scheduling at `now`,
+    /// delays either side of the ring width, and idle gaps longer than the
+    /// ring after draining it.
+    #[test]
+    fn event_queue_matches_binary_heap(
+        ops in prop::collection::vec((0u8..8, 0u64..3 * RING_MS, 1usize..6), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let (mut seq, mut now) = (0u64, 0u64);
+        let pop_both = |q: &mut EventQueue<u64>,
+                            reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                            now: &mut u64| {
+            let want = reference.pop().map(|Reverse((t, s))| (SimTime::from_millis(t), s));
+            let got = q.pop();
+            assert_eq!(got, want);
+            if let Some((t, _)) = got {
+                *now = t.as_millis();
+            }
+            got.is_some()
+        };
+        for (kind, x, burst) in ops {
+            let delay = match kind {
+                0 | 1 => {
+                    pop_both(&mut q, &mut reference, &mut now);
+                    prop_assert_eq!(q.len(), reference.len());
+                    continue;
+                }
+                2 => {
+                    while pop_both(&mut q, &mut reference, &mut now) {
+                        prop_assert_eq!(q.len(), reference.len());
+                    }
+                    continue;
+                }
+                3 => 0,
+                4 => x % 8,
+                5 => RING_MS - 1 + x % 3,
+                6 => x,
+                _ => RING_MS * (2 + x % 5) + x % 7,
+            };
+            for _ in 0..burst {
+                q.schedule(SimTime::from_millis(now + delay), seq);
+                reference.push(Reverse((now + delay, seq)));
+                seq += 1;
+                prop_assert_eq!(q.len(), reference.len());
+            }
+            prop_assert_eq!(
+                q.peek_time(),
+                reference.peek().map(|&Reverse((t, _))| SimTime::from_millis(t))
+            );
+        }
+        while pop_both(&mut q, &mut reference, &mut now) {
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        prop_assert!(q.is_empty());
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! denying node, `tests/byzantine.rs`' five-attack run, and a deep rejoin
 //! served a tampered snapshot by a Byzantine provider.
 //!
+//! One more plain run turns raft on: a leader crash and restart under a
+//! lossy window, the only pin whose digests carry raft traffic.
+//!
 //! A change that is not meant to move simulated behaviour must leave
 //! every constant alone. One that is re-pins them and says so.
 
@@ -393,5 +396,63 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
             ("byz.quarantine", Some(("reason", "tampered-snapshot"))),
             ("quarantine.window", None),
         ],
+    );
+}
+
+/// Raft on, over signed blocks: node 0 — the raft leader at 240 s — crashes
+/// there and restarts at 420 s with its leader timers long stale, while a
+/// 5 % loss window from 120 s to 480 s drops some raft frames. The only
+/// pinned run that replicates through raft: its heartbeats, re-election
+/// and the restarted ex-leader's step-down all reach the digests.
+fn raft_config() -> NetworkConfig {
+    NetworkConfig {
+        nodes: 20,
+        sim_minutes: 10,
+        raft_consensus: true,
+        verify_signatures: true,
+        seed: 0xFA57_4AF7,
+        fault_plan: FaultPlan::new(vec![
+            FaultEvent::Crash {
+                node: NodeId(0),
+                at: SimTime::from_secs(240),
+            },
+            FaultEvent::Restart {
+                node: NodeId(0),
+                at: SimTime::from_secs(420),
+            },
+            FaultEvent::LinkLoss {
+                prob: 0.05,
+                from: SimTime::from_secs(120),
+                until: SimTime::from_secs(480),
+            },
+        ]),
+        ..NetworkConfig::default()
+    }
+}
+
+#[test]
+fn raft_run_is_pinned() {
+    let cfg = raft_config();
+    let polls = cfg.sim_minutes * 60 * 10; // one raft timer poll per 100 ms
+    let nodes = cfg.nodes as u64;
+    let (report, session) = assert_pinned(
+        "raft",
+        cfg,
+        false,
+        "f4711c3c47504a4ccb6919a2848cfdc6cf434b213e2faa0a410e9b10627d086a",
+        "b1c259ba1946bfbaf1bc2f5870db7ff1b57f32f51a913066676e839bc0c7e165",
+    );
+    assert!(report.raft_heartbeats > 0, "no raft traffic: {report}");
+    assert!(
+        report.raft_committed > 0,
+        "raft committed nothing: {report}"
+    );
+    assert_traced(&session, &[("raft.election", None), ("raft.leader", None)]);
+    // Only due replicas tick: the leader's heartbeat and the odd lapsed
+    // election timer, not every replica at every poll.
+    let node_ticks = session.registry.counter("raft.node_ticks");
+    assert!(
+        node_ticks * 10 < polls * nodes,
+        "{node_ticks} replica ticks over {polls} polls of {nodes} nodes"
     );
 }
