@@ -235,18 +235,7 @@ impl Block {
     /// Returns the specific [`BlockError`] exactly as
     /// [`Block::validate_against`] does.
     pub fn validate_sealed_against(&self, prev: &Block) -> Result<(), BlockError> {
-        if self.index != prev.index + 1 {
-            return Err(BlockError::BadIndex {
-                expected: prev.index + 1,
-                got: self.index,
-            });
-        }
-        if self.prev_hash != prev.hash {
-            return Err(BlockError::BrokenHashLink { index: self.index });
-        }
-        if self.timestamp_secs < prev.timestamp_secs {
-            return Err(BlockError::TimestampRegression { index: self.index });
-        }
+        self.validate_link(prev)?;
         if !self.is_well_formed_sealed() {
             return Err(BlockError::Malformed { index: self.index });
         }
@@ -260,6 +249,21 @@ impl Block {
     /// Returns the specific [`BlockError`] for a broken index, hash link,
     /// timestamp regression, or malformed contents.
     pub fn validate_against(&self, prev: &Block) -> Result<(), BlockError> {
+        self.validate_link(prev)?;
+        if !self.is_well_formed() {
+            return Err(BlockError::Malformed { index: self.index });
+        }
+        Ok(())
+    }
+
+    /// The header-only part of [`Block::validate_against`]: index, hash
+    /// link and timestamp against `prev`, without rehashing the contents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BlockError::BadIndex`], [`BlockError::BrokenHashLink`] or
+    /// [`BlockError::TimestampRegression`], checked in that order.
+    pub fn validate_link(&self, prev: &Block) -> Result<(), BlockError> {
         if self.index != prev.index + 1 {
             return Err(BlockError::BadIndex {
                 expected: prev.index + 1,
@@ -271,9 +275,6 @@ impl Block {
         }
         if self.timestamp_secs < prev.timestamp_secs {
             return Err(BlockError::TimestampRegression { index: self.index });
-        }
-        if !self.is_well_formed() {
-            return Err(BlockError::Malformed { index: self.index });
         }
         Ok(())
     }

@@ -7,7 +7,8 @@
 //! the state the network layer needs to make that real: each node tracks
 //! its *own* adopted chain (so conflicting tips can actually exist),
 //! foreign blocks are verified in full before adoption
-//! ([`crate::chain::verify_wire_block`]), divergent views reconcile
+//! ([`crate::chain::verify_wire_block`], its block-only half judged once
+//! per broadcast), divergent views reconcile
 //! through live [`Blockchain::try_adopt_checkpointed`] fork choice, and
 //! proofs of misbehavior — equivocation (two valid headers, same height
 //! and miner), forged PoS claims, tampered signatures, undecodable
@@ -27,8 +28,8 @@
 //! observe it), and no wall clock is consulted — reruns are bit-identical.
 
 use crate::account::{AccountId, Ledger};
-use crate::block::Block;
-use crate::chain::{verify_wire_block, Blockchain, ChainAnchor, CheckpointPolicy};
+use crate::block::{Block, BlockError};
+use crate::chain::{wire_content_verdict, Blockchain, ChainAnchor, CheckpointPolicy};
 use crate::pos::{next_pos_hash, Amendment};
 use crate::report::RunReport;
 use crate::spans::SpanTracker;
@@ -106,6 +107,19 @@ type Evidence = (u64, &'static str);
 /// A stashed orphan block plus its injected-artifact tag when the sender
 /// was Byzantine; `None` for honest or equivocation-variant traffic.
 type StashedOrphan = (Block, Option<Evidence>);
+
+/// One block on the air with its block-only verdict
+/// ([`wire_content_verdict`]), shared by every receiver of that broadcast.
+type Heard<'a> = (&'a Block, Result<(), BlockError>);
+
+/// Judges `block`'s contents once for the whole broadcast. The verdict is
+/// a pure function of the one shared copy every receiver hears, so it
+/// stands for each receiver's own; only the linkage and PoS link against
+/// a receiver's tip differ per receiver.
+fn heard(block: &Block) -> Heard<'_> {
+    telemetry::counter_add("byz.wire_verdicts", 1);
+    (block, wire_content_verdict(block))
+}
 
 /// An adversary's content-free block on top of `prev`: no metadata, no
 /// storer assignments of its own, `prev`'s storers carried forward.
@@ -553,9 +567,9 @@ impl ByzantineEngine {
         received: &[NodeId],
         variant: Option<&Block>,
     ) {
-        let canonical = court.canonical;
-        let sealed = canonical.tip();
-        if let Some(b) = variant {
+        let sealed = heard(court.canonical.tip());
+        let variant = variant.map(heard);
+        if let Some((b, _)) = variant {
             self.inject_equivocation(court, now, b.index, b.miner);
         }
         for (i, &v) in received.iter().enumerate() {
@@ -584,6 +598,7 @@ impl ByzantineEngine {
         (kind, reason): (&'static str, &'static str),
     ) {
         let artifact = self.inject(court, now, kind);
+        let block = heard(block);
         for &v in receivers {
             self.receive(court, now, v, block, Some((artifact, kind, reason)));
         }
@@ -610,7 +625,9 @@ impl ByzantineEngine {
 
     /// Node `v` processes a wire-received block against its chain view,
     /// `tag`ged `(artifact, kind, reason)` when an adversary sent it. A
-    /// block extending the tip is verified in full and adopted; a rejected
+    /// block extending the tip is verified in full — the broadcast's
+    /// content verdict plus this node's linkage and PoS link — and adopted
+    /// by the same call ([`Blockchain::push_wire`]); a rejected
     /// one convicts its miner when tagged and otherwise makes the node
     /// reconcile; a conflicting same-height/same-miner header is an
     /// equivocation proof; a block skipping ahead is too far ahead to
@@ -623,7 +640,7 @@ impl ByzantineEngine {
         court: &mut Court<'_>,
         now: SimTime,
         v: NodeId,
-        block: &Block,
+        (block, content): Heard<'_>,
         tag: Option<(u64, &'static str, &'static str)>,
     ) {
         let chain = &mut self.chains[v.0];
@@ -638,16 +655,15 @@ impl ByzantineEngine {
             if conflicting {
                 self.equivocation_proof(court, now, block.index, block.miner);
             }
-        } else if verify_wire_block(chain.tip(), block).is_ok() {
-            chain
-                .push(block.clone())
-                .expect("verified block must push cleanly");
-        } else if let Some((artifact, kind, reason)) = tag {
-            let culprit = court.node_of_account.get(&block.miner);
-            let culprit = culprit.map(|&c| (c, reason));
-            self.convict(court, now, Some((artifact, kind)), culprit);
-        } else {
-            self.sync(court, now, v);
+        } else if chain.push_wire(block, content).is_err() {
+            match tag {
+                Some((artifact, kind, reason)) => {
+                    let culprit = court.node_of_account.get(&block.miner);
+                    let culprit = culprit.map(|&c| (c, reason));
+                    self.convict(court, now, Some((artifact, kind)), culprit);
+                }
+                None => self.sync(court, now, v),
+            }
         }
     }
 
@@ -797,7 +813,9 @@ impl ByzantineEngine {
     ///
     /// A node chain whose block at the anchor boundary matches the
     /// canonical one shares the entire pruned prefix (the hash chain
-    /// guarantees it), so it re-bases onto the same signed anchor. Chains
+    /// guarantees it), so it re-bases onto the same signed anchor, in
+    /// place ([`Blockchain::rebase_onto`]): its blocks were verified when
+    /// the view adopted them, so none is cloned or rehashed. Chains
     /// lagging behind the boundary, or sitting on a fork there, are left
     /// intact — they reconcile later through [`Self::sync`] or a snapshot
     /// bootstrap. Orphans below the new base are unjudgeable (the adopted
@@ -811,9 +829,10 @@ impl ByzantineEngine {
             if chain.get(anchor.height).map(|b| b.hash) != Some(anchor.tip_hash) {
                 continue;
             }
-            let suffix = chain.retained_after(anchor.height).to_vec();
-            *chain = Blockchain::from_anchor(anchor.clone(), suffix)
+            chain
+                .rebase_onto(anchor)
                 .expect("retained suffix attaches to its own boundary block");
+            telemetry::counter_add("chain.rebased_views", 1);
         }
         for pool in &mut self.orphans {
             pool.retain(|(b, _)| b.index >= cut);
@@ -984,14 +1003,14 @@ mod tests {
         let (mut eng, mut w) = (engine(3), World::new(3));
         w.grow(1, 1);
         let good = w.canonical.tip().clone();
-        eng.receive(&mut w.court(), NOW, NodeId(1), &good, None);
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&good), None);
         assert_eq!(eng.chains[1].tip().hash, good.hash, "verified and adopted");
 
         // A forged PoS claim is rejected at the wire: untagged, the node
         // only reconciles; tagged as an injected artifact, its miner is
         // convicted on the spot.
         let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
-        eng.receive(&mut w.court(), NOW, NodeId(1), &forged, None);
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&forged), None);
         assert_eq!(eng.chains[1].height(), 1, "forgery not adopted");
         assert_eq!(w.report.quarantine_events, 0);
         let charge = ("byz_forge", "forged-block");
@@ -1001,14 +1020,15 @@ mod tests {
 
         // Same height, same miner, different hash: an equivocation proof
         // (of a pair nobody registered, so nothing counts as detected).
-        eng.receive(&mut w.court(), NOW, NodeId(1), &variant_of(&good), None);
+        let variant = variant_of(&good);
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&variant), None);
         assert!(eng.is_quarantined(NodeId(1), NOW));
         assert_eq!(w.report.byz_detected, 1);
 
         // A block far ahead is stashed and the node syncs past it.
         w.grow(3, 0);
         let ahead = w.canonical.tip().clone();
-        eng.receive(&mut w.court(), NOW, NodeId(0), &ahead, None);
+        eng.receive(&mut w.court(), NOW, NodeId(0), heard(&ahead), None);
         assert_eq!(eng.chains[0], w.canonical);
         assert_eq!(eng.orphan_entries(), 0, "the honest orphan was dropped");
     }
@@ -1225,7 +1245,7 @@ mod tests {
         // miners count as reorg-displaced and are dropped.
         w.canonical.push(honest.clone()).unwrap();
         w.node_height[1] = 1;
-        eng.receive(&mut w.court(), NOW, NodeId(1), &honest, None);
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&honest), None);
         eng.sync(&mut w.court(), NOW, NodeId(1));
         assert_eq!(w.report.byz_detected, 1, "tagged orphan disproven");
         assert!(eng.is_quarantined(NodeId(2), NOW));

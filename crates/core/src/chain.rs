@@ -204,7 +204,10 @@ impl Snapshot {
     /// Full verification: server key matches the account and the
     /// signature, the anchor verifies on its own, the suffix attaches to
     /// the anchor with valid linkage throughout (every block well-formed),
-    /// and no registry entry claims a packing block above the tip.
+    /// and every registry entry claims a packing block at or below the tip
+    /// and carries a `producer_key` that hashes to its `producer`. The
+    /// signing digest commits each entry's canonical bytes, which omit the
+    /// key, so the key is bound here instead.
     pub fn verify(&self) -> bool {
         if AccountId::from_public_key(&self.server_key) != self.server {
             return false;
@@ -222,7 +225,9 @@ impl Snapshot {
             return false;
         };
         let tip = chain.height();
-        self.registry.iter().all(|(_, packed_at)| *packed_at <= tip)
+        self.registry.iter().all(|(item, packed_at)| {
+            *packed_at <= tip && AccountId::from_public_key(&item.producer_key) == item.producer
+        })
     }
 }
 
@@ -315,11 +320,7 @@ impl Blockchain {
         let Some(first) = blocks.first() else {
             return Err(ChainError::Empty);
         };
-        if first.index != anchor.height + 1
-            || first.prev_hash != anchor.tip_hash
-            || first.timestamp_secs < anchor.tip_timestamp_secs
-            || !first.is_well_formed()
-        {
+        if !attaches_to(&anchor, first) || !first.is_well_formed() {
             return Err(ChainError::DetachedAnchor);
         }
         for i in 1..blocks.len() {
@@ -336,6 +337,36 @@ impl Blockchain {
             anchor: Some(anchor),
             blocks,
         })
+    }
+
+    /// Re-bases this chain onto `anchor` in place: the blocks at and below
+    /// `anchor.height` are dropped and the result equals
+    /// `from_anchor(anchor.clone(), self.retained_after(anchor.height).to_vec())`
+    /// — same base, anchor and one-entry anchor history — without cloning
+    /// or rehashing the retained blocks. Every block a chain holds was
+    /// validated when it entered it, so only the O(1) attachment of the
+    /// first retained block to the anchor boundary is checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChainError::Empty`] when `anchor.height` is the tip (no
+    /// block would be retained) and [`ChainError::DetachedAnchor`] when
+    /// this chain holds no block at `anchor.height + 1` or that block does
+    /// not link to the anchor. On error the chain is left untouched.
+    pub fn rebase_onto(&mut self, anchor: &ChainAnchor) -> Result<(), ChainError> {
+        if anchor.height == self.height() {
+            return Err(ChainError::Empty);
+        }
+        let cut = anchor.height + 1;
+        if !self.get(cut).is_some_and(|b| attaches_to(anchor, b)) {
+            return Err(ChainError::DetachedAnchor);
+        }
+        self.blocks.drain(..(cut - self.base) as usize);
+        self.base = cut;
+        self.anchor_history.clear();
+        self.anchor_history.push((anchor.height, anchor.commitment));
+        self.anchor = Some(anchor.clone());
+        Ok(())
     }
 
     /// Number of blocks including genesis — pruned blocks still count.
@@ -449,6 +480,25 @@ impl Blockchain {
     pub fn push_sealed(&mut self, block: Block) -> Result<(), BlockError> {
         block.validate_sealed_against(self.tip())?;
         self.blocks.push(block);
+        Ok(())
+    }
+
+    /// Appends a wire-received `block` that passes
+    /// [`verify_wire_against`] the tip, given its block-only `content`
+    /// verdict ([`wire_content_verdict`] of this very block). The one full
+    /// verification is also the append's validation: nothing is rehashed
+    /// twice, and the block is cloned only once it is accepted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`BlockError`], in [`verify_wire_block`]'s order.
+    pub fn push_wire(
+        &mut self,
+        block: &Block,
+        content: Result<(), BlockError>,
+    ) -> Result<(), BlockError> {
+        verify_wire_against(self.tip(), block, content)?;
+        self.blocks.push(block.clone());
         Ok(())
     }
 
@@ -718,18 +768,65 @@ impl Blockchain {
     }
 }
 
+/// Whether `first` sits directly on `anchor`'s boundary: the next index,
+/// a `prev_hash` naming the anchored tip, and no timestamp regression.
+fn attaches_to(anchor: &ChainAnchor, first: &Block) -> bool {
+    first.index == anchor.height + 1
+        && first.prev_hash == anchor.tip_hash
+        && first.timestamp_secs >= anchor.tip_timestamp_secs
+}
+
 /// Full verification an honest node applies to a block received from the
 /// wire before adopting it onto `prev`: structural linkage
 /// ([`Block::validate_against`]), every metadata producer signature, and
 /// the Eq. 7 PoS-hash chaining ([`Block::check_pos_link`]). Blocks a node
 /// sealed itself skip this — only foreign blocks can lie.
 ///
+/// It is the composition of a block-only half, [`wire_content_verdict`],
+/// and a per-receiver half, [`verify_wire_against`].
+///
 /// # Errors
 ///
-/// Returns the first [`BlockError`] found, in the order above.
+/// Returns the first [`BlockError`] found, in the order index → hash link
+/// → timestamp → malformed → signature → PoS link.
 pub fn verify_wire_block(prev: &Block, block: &Block) -> Result<(), BlockError> {
-    block.validate_against(prev)?;
-    Blockchain::verify_block_signatures(block)?;
+    verify_wire_against(prev, block, wire_content_verdict(block))
+}
+
+/// The block-only half of [`verify_wire_block`]: hash and Merkle root
+/// match the contents ([`Block::is_well_formed`]) and every metadata
+/// producer signature verifies. It reads nothing but the block's own
+/// fields, so every receiver of one broadcast copy gets the same verdict
+/// and it can be computed once per broadcast. It must not be reused for
+/// another copy that merely carries the same `hash`: a tampered copy can.
+///
+/// # Errors
+///
+/// Returns [`BlockError::Malformed`], then
+/// [`BlockError::BadMetadataSignature`] naming the first bad item.
+pub fn wire_content_verdict(block: &Block) -> Result<(), BlockError> {
+    if !block.is_well_formed() {
+        return Err(BlockError::Malformed { index: block.index });
+    }
+    Blockchain::verify_block_signatures(block)
+}
+
+/// The per-receiver half of [`verify_wire_block`]: `block`'s index, hash
+/// link and timestamp against the receiver's tip `prev`
+/// ([`Block::validate_link`]), then the block-only `content` verdict
+/// ([`wire_content_verdict`] of this very block), then the Eq. 7 PoS link
+/// ([`Block::check_pos_link`]).
+///
+/// # Errors
+///
+/// Returns the first [`BlockError`], in [`verify_wire_block`]'s order.
+pub fn verify_wire_against(
+    prev: &Block,
+    block: &Block,
+    content: Result<(), BlockError>,
+) -> Result<(), BlockError> {
+    block.validate_link(prev)?;
+    content?;
     block.check_pos_link(prev)
 }
 
@@ -1040,6 +1137,121 @@ mod tests {
             Blockchain::verify_block_signatures(&block),
             Err(BlockError::BadMetadataSignature { index: 1, item: 0 })
         );
+    }
+
+    /// One way a wire block can be wrong against its predecessor.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        Index,
+        HashLink,
+        Timestamp,
+        Hash,
+        MerkleRoot,
+        Signature,
+        PosClaim,
+    }
+
+    const FAULTS: [Fault; 7] = [
+        Fault::Index,
+        Fault::HashLink,
+        Fault::Timestamp,
+        Fault::Hash,
+        Fault::MerkleRoot,
+        Fault::Signature,
+        Fault::PosClaim,
+    ];
+
+    /// A one-item block on `prev` carrying exactly `faults`: header faults
+    /// are sealed in (the hash still matches), content faults are written
+    /// after sealing.
+    fn faulty_block(prev: &Block, item: &MetadataItem, faults: &[Fault]) -> Block {
+        let miner = Identity::from_seed(3).account();
+        let (mut index, mut prev_hash) = (prev.index + 1, prev.hash);
+        let mut ts = prev.timestamp_secs + 60;
+        let mut pos_hash = crate::pos::next_pos_hash(&prev.pos_hash, &miner);
+        let mut item = item.clone();
+        for fault in faults {
+            match fault {
+                Fault::Index => index += 1,
+                Fault::HashLink => prev_hash = edgechain_crypto::sha256(b"elsewhere"),
+                Fault::Timestamp => ts = prev.timestamp_secs - 1,
+                Fault::Signature => item.data_size += 1,
+                Fault::PosClaim => pos_hash = edgechain_crypto::sha256(b"unearned"),
+                Fault::Hash | Fault::MerkleRoot => {}
+            }
+        }
+        let amendment = Amendment::from_fraction(1, 1000);
+        let mut block = Block::new(
+            index,
+            prev_hash,
+            ts,
+            pos_hash,
+            miner,
+            60,
+            amendment,
+            vec![item],
+            vec![NodeId(0)],
+            Vec::new(),
+            Vec::new(),
+        );
+        if faults.contains(&Fault::MerkleRoot) {
+            block.merkle_root = edgechain_crypto::sha256(b"not the root");
+            block.hash = block.compute_hash();
+        }
+        if faults.contains(&Fault::Hash) {
+            block.hash = edgechain_crypto::sha256(b"not the hash");
+        }
+        block
+    }
+
+    #[test]
+    fn wire_halves_compose_to_verify_wire_block() {
+        let item = MetadataItem::new_signed(
+            Identity::from_seed(1).keys(),
+            DataId(1),
+            DataType::KeyExchange,
+            0,
+            Location::default(),
+            60,
+            None,
+            100,
+        );
+        let prev = mined_block(&Block::genesis(), 0, 60);
+        let mut corpus: Vec<Vec<Fault>> = vec![Vec::new()];
+        for (i, &a) in FAULTS.iter().enumerate() {
+            corpus.push(vec![a]);
+            corpus.extend(FAULTS[i + 1..].iter().map(|&b| vec![a, b]));
+        }
+        for faults in &corpus {
+            let block = faulty_block(&prev, &item, faults);
+            // The pre-split sequence, written out independently.
+            let reference = block
+                .validate_against(&prev)
+                .and_then(|()| Blockchain::verify_block_signatures(&block))
+                .and_then(|()| block.check_pos_link(&prev));
+            let composed = verify_wire_against(&prev, &block, wire_content_verdict(&block));
+            assert_eq!(composed, reference, "{faults:?}");
+            assert_eq!(verify_wire_block(&prev, &block), reference, "{faults:?}");
+            let mut chain = Blockchain::from_blocks(vec![Block::genesis(), prev.clone()]).unwrap();
+            let pushed = chain.push_wire(&block, wire_content_verdict(&block));
+            assert_eq!(pushed, reference, "{faults:?}");
+            assert_eq!(chain.height(), 1 + u64::from(pushed.is_ok()), "{faults:?}");
+            // Each fault alone is caught, and as itself.
+            let caught = match faults[..] {
+                [] => Ok(()),
+                [Fault::Index] => Err(BlockError::BadIndex {
+                    expected: 2,
+                    got: 3,
+                }),
+                [Fault::HashLink] => Err(BlockError::BrokenHashLink { index: 2 }),
+                [Fault::Timestamp] => Err(BlockError::TimestampRegression { index: 2 }),
+                [Fault::Hash | Fault::MerkleRoot] => Err(BlockError::Malformed { index: 2 }),
+                [Fault::Signature] => Err(BlockError::BadMetadataSignature { index: 2, item: 0 }),
+                [Fault::PosClaim] => Err(BlockError::BadPosClaim { index: 2 }),
+                _ => continue,
+            };
+            assert_eq!(reference, caught, "{faults:?}");
+        }
     }
 
     #[test]

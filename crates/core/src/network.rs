@@ -1790,23 +1790,22 @@ impl EdgeNetwork {
         for s in &mut self.storage {
             reclaimed += s.prune_blocks_below(cut);
         }
-        if let Some(anchor) = self.chain.anchor().cloned() {
-            if let Some(e) = self.byz.as_mut() {
-                e.prune_below(&anchor);
-                // Active honest nodes whose per-node fork views fell behind
-                // the new base adopt the anchor too: the pruned prefix is
-                // consensus-final, and a view stuck below it could neither
-                // re-sync block-by-block nor judge incoming tip blocks.
-                let suffix = self.chain.as_slice().to_vec();
-                for v in 0..self.config.nodes {
-                    if !self.topo.is_active(NodeId(v)) {
-                        continue;
-                    }
-                    if e.honest[v] && e.chains[v].height() + 1 < cut {
-                        let rebased = Blockchain::from_anchor(anchor.clone(), suffix.clone())
-                            .expect("retained suffix attaches to its own anchor");
-                        e.bootstrap_from_snapshot(NodeId(v), rebased);
-                    }
+        if let (Some(anchor), Some(e)) = (self.chain.anchor(), self.byz.as_mut()) {
+            e.prune_below(anchor);
+            // Active honest nodes whose per-node fork views fell behind the
+            // new base adopt the anchor too: the pruned prefix is
+            // consensus-final, and a view stuck below it could neither
+            // re-sync block-by-block nor judge incoming tip blocks. The
+            // canonical suffix is copied only for such a view.
+            for v in 0..self.config.nodes {
+                if !self.topo.is_active(NodeId(v)) {
+                    continue;
+                }
+                if e.honest[v] && e.chains[v].height() + 1 < cut {
+                    let suffix = self.chain.as_slice().to_vec();
+                    let rebased = Blockchain::from_anchor(anchor.clone(), suffix)
+                        .expect("retained suffix attaches to its own anchor");
+                    e.bootstrap_from_snapshot(NodeId(v), rebased);
                 }
             }
         }

@@ -1,9 +1,9 @@
 //! Property-based tests for the core blockchain invariants: PoS math,
 //! storage accounting, chain integrity, and metadata signatures.
 
-use edgechain_core::account::{Identity, Ledger};
+use edgechain_core::account::{AccountId, Identity, Ledger};
 use edgechain_core::block::Block;
-use edgechain_core::chain::Blockchain;
+use edgechain_core::chain::{Blockchain, ChainAnchor, ChainError};
 use edgechain_core::metadata::{DataId, DataType, Location, MetadataItem};
 use edgechain_core::pos::{hit, run_round, Amendment, Candidate};
 use edgechain_core::storage::NodeStorage;
@@ -166,6 +166,98 @@ proptest! {
             _ => blocks[2].prev_hash = sha256(delta.to_be_bytes()),
         }
         prop_assert!(Blockchain::from_blocks(blocks).is_err());
+    }
+}
+
+/// A chain of `n` blocks on genesis whose miners cycle through three
+/// accounts offset by `fork`: chains built with different offsets diverge
+/// from block 1 on.
+fn linked_chain(n: u64, fork: u64) -> Blockchain {
+    let mut chain = Blockchain::new();
+    for i in 0..n {
+        let tip = chain.tip();
+        let block = Block::new(
+            tip.index + 1,
+            tip.hash,
+            tip.timestamp_secs + 60,
+            sha256(format!("pos{i}").as_bytes()),
+            AccountId(sha256(format!("miner{}", fork + i % 3).as_bytes())),
+            60,
+            Amendment::from_fraction(1, 1000),
+            vec![],
+            vec![NodeId(0)],
+            vec![],
+            vec![],
+        );
+        chain.push(block).unwrap();
+    }
+    chain
+}
+
+/// The anchor `chain` seals when pruning below `cut`.
+fn anchor_below(chain: &Blockchain, cut: u64, keys: &Identity) -> ChainAnchor {
+    let mut pruned = chain.clone();
+    assert!(pruned.prune_below(cut, keys.keys()) > 0);
+    pruned.anchor().unwrap().clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn rebase_onto_matches_from_anchor(
+        n in 2u64..24,
+        with_prior in any::<bool>(),
+        prior in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        let keys = Identity::from_seed(9);
+        // The canonical chain runs one block past the view, so an anchor
+        // can sit at every height the view retains, its tip included.
+        let canonical = linked_chain(n + 1, 0);
+        let mut view = Blockchain::from_blocks(canonical.retained_up_to(n).to_vec()).unwrap();
+        if with_prior {
+            view.prune_below(1 + prior % n, keys.keys());
+        }
+        let base = view.base_index();
+        let h = base + pick % (view.height() - base + 1);
+        let anchor = anchor_below(&canonical, h + 1, &keys);
+
+        let expected = Blockchain::from_anchor(anchor.clone(), view.retained_after(h).to_vec());
+        let mut rebased = view.clone();
+        let got = rebased.rebase_onto(&anchor);
+        match expected {
+            Ok(want) => {
+                prop_assert_eq!(got, Ok(()));
+                prop_assert_eq!(rebased.base_index(), h + 1);
+                prop_assert_eq!(rebased.commitment_at(h), Some(anchor.commitment));
+                prop_assert_eq!(rebased.commitment_at(h), want.commitment_at(h));
+                prop_assert_eq!(&rebased, &want);
+            }
+            Err(e) => {
+                prop_assert_eq!(h, view.height(), "only an anchor at the tip retains nothing");
+                prop_assert_eq!(got, Err(e));
+                prop_assert_eq!(&rebased, &view);
+            }
+        }
+
+        // A fork's anchor at the same height does not attach: refused by
+        // both paths, and the view is left as it was.
+        let mut untouched = view.clone();
+        if h >= 1 && h < view.height() {
+            let detached = anchor_below(&linked_chain(n + 1, 100), h + 1, &keys);
+            prop_assert_eq!(untouched.rebase_onto(&detached), Err(ChainError::DetachedAnchor));
+            prop_assert_eq!(
+                Blockchain::from_anchor(detached, view.retained_after(h).to_vec()),
+                Err(ChainError::DetachedAnchor)
+            );
+        }
+        // So is an anchor whose boundary the view pruned away already.
+        if base >= 2 {
+            let stale = anchor_below(&canonical, base - 1, &keys);
+            prop_assert_eq!(untouched.rebase_onto(&stale), Err(ChainError::DetachedAnchor));
+        }
+        prop_assert_eq!(&untouched, &view);
     }
 }
 

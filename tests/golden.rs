@@ -397,6 +397,51 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
             ("quarantine.window", None),
         ],
     );
+    // Pruning under the engine re-bases the per-node views in place, and
+    // each block on the air is judged for content once, not once per
+    // receiver.
+    let counter = |name| session.registry.counter(name);
+    assert!(counter("chain.rebased_views") > 0, "no view re-based");
+    let verdicts = counter("byz.wire_verdicts");
+    let on_air = counter("block.mined") + counter("byz.injected");
+    assert!(verdicts > 0, "no wire verdict");
+    assert!(
+        verdicts <= on_air,
+        "{verdicts} content verdicts for {on_air} blocks on the air"
+    );
+}
+
+/// The tampered-snapshot rejoin with node 6's attacks taken out: it keeps
+/// its Byzantine role (one forgery scheduled past the horizon) and nothing
+/// else, so the snapshot it serves node 3 is its only act. On this seed
+/// the tamper flips a byte of a registry item's `producer_key` — a field
+/// the snapshot's signing digest does not commit. Verification must still
+/// catch it by checking that the key hashes to the item's producer.
+#[test]
+fn a_snapshot_with_a_tampered_producer_key_is_rejected() {
+    let mut cfg = tampered_snapshot_config();
+    let horizon = SimTime::from_secs(cfg.sim_minutes * 60);
+    cfg.fault_plan
+        .events
+        .retain(|e| !matches!(e, FaultEvent::Byzantine { .. }));
+    cfg.fault_plan.events.push(FaultEvent::Byzantine {
+        node: NodeId(6),
+        action: ByzantineAction::ForgeBlock,
+        at: horizon + SimTime::from_secs(60),
+    });
+    let report = EdgeNetwork::new(cfg).expect("valid config").run();
+    assert_eq!(report.byz_injected, 1, "{report}");
+    assert_eq!(
+        report.byz_detected, 1,
+        "tampered snapshot verified: {report}"
+    );
+    assert!(report.snapshots_rejected >= 1, "{report}");
+    assert!(
+        report.snapshots_applied >= 1,
+        "no snapshot rejoin: {report}"
+    );
+    assert_eq!(report.quarantine_events, 1, "{report}");
+    assert_eq!(report.invariant_violations, 0, "{report}");
 }
 
 /// Raft on, over signed blocks: node 0 — the raft leader at 240 s — crashes
