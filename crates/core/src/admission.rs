@@ -5,18 +5,16 @@
 //! fetch entry, the degradation ladder, the bounded fetch backlog, the
 //! retry budget with its backoff curve, and the [`OverloadReport`] section
 //! all of them account into. It needs no topology — every decision is a
-//! function of the sim clock, queue depths the caller passes in, and its
-//! own dedicated RNG stream — so it is constructed and tested on its own.
+//! function of the sim clock and the queue depths the caller passes in —
+//! so it is constructed and tested on its own.
 //!
 //! Every limit defaults off: a default [`OverloadConfig`] admits
-//! everything, draws nothing and moves only the offered/admitted counters.
+//! everything and moves only the offered/admitted counters.
 
 use crate::slo::OverloadReport;
 use edgechain_sim::{NodeId, SimTime};
 use edgechain_telemetry::{self as telemetry, trace_event};
-use edgechain_workload::{OverloadConfig, TokenBucket, BACKOFF_STREAM};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use edgechain_workload::{OverloadConfig, TokenBucket};
 use std::collections::HashMap;
 
 /// The retry schedule shared by data fetches, block recoveries and
@@ -30,9 +28,6 @@ pub(crate) struct RetryPolicy {
     pub(crate) backoff_ms: u64,
     /// Ceiling on the doubled backoff, milliseconds.
     pub(crate) backoff_max_ms: u64,
-    /// Uniform jitter in `[0, jitter_ms]` added to every backoff; 0 draws
-    /// nothing.
-    pub(crate) jitter_ms: u64,
 }
 
 /// An operation asking to be admitted, with the queue state its own
@@ -72,16 +67,12 @@ pub(crate) struct Admission {
     inflight_fetches: Vec<u32>,
     /// Total backlogged fetches (the sum of `fetch_backlog`'s counts).
     backlog_total: u64,
-    /// Dedicated RNG stream for retry-backoff jitter
-    /// (`seed ^ BACKOFF_STREAM`), so enabling jitter never perturbs the
-    /// master stream; consulted only when `jitter_ms > 0`.
-    backoff_rng: StdRng,
     /// Run-wide overload accounting; becomes [`crate::RunReport::overload`].
     pub(crate) report: OverloadReport,
 }
 
 impl Admission {
-    pub(crate) fn new(limits: OverloadConfig, retry: RetryPolicy, nodes: usize, seed: u64) -> Self {
+    pub(crate) fn new(limits: OverloadConfig, retry: RetryPolicy, nodes: usize) -> Self {
         let bucket = |rate: Option<f64>, burst| rate.map(|r| TokenBucket::per_minute(r, burst));
         Admission {
             item_bucket: bucket(limits.admission_items_per_min, limits.admission_items_burst),
@@ -96,7 +87,6 @@ impl Admission {
             fetch_backlog: HashMap::new(),
             inflight_fetches: vec![0; nodes],
             backlog_total: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ BACKOFF_STREAM),
             report: OverloadReport::default(),
         }
     }
@@ -239,23 +229,17 @@ impl Admission {
     }
 
     /// Exponential retry backoff: `backoff_ms << attempt`, capped at
-    /// `backoff_max_ms`, plus uniform jitter from the dedicated backoff
-    /// stream when `jitter_ms > 0`. With the default cap (10 min, far
-    /// above what any shipped configuration reaches) the uncapped curve is
-    /// reproduced exactly.
-    fn backoff(&mut self, attempt: u32) -> SimTime {
+    /// `backoff_max_ms`. With the default cap (10 min, far above what any
+    /// shipped configuration reaches) the uncapped curve is reproduced
+    /// exactly.
+    fn backoff(&self, attempt: u32) -> SimTime {
         let base = self
             .retry
             .backoff_ms
             .max(1)
             .checked_shl(attempt.min(16))
             .unwrap_or(u64::MAX);
-        let capped = base.min(self.retry.backoff_max_ms.max(1));
-        let jitter = match self.retry.jitter_ms {
-            0 => 0,
-            j => self.backoff_rng.gen_range(0..=j),
-        };
-        SimTime::from_millis(capped.saturating_add(jitter))
+        SimTime::from_millis(base.min(self.retry.backoff_max_ms.max(1)))
     }
 
     /// Tracks one scheduled fetch retry in the backlog (the bounded set of
@@ -312,12 +296,11 @@ mod tests {
         retries: 3,
         backoff_ms: 500,
         backoff_max_ms: 600_000,
-        jitter_ms: 0,
     };
     const T0: SimTime = SimTime::ZERO;
 
     fn admission(limits: OverloadConfig) -> Admission {
-        Admission::new(limits, RETRY, 4, 0xED6E)
+        Admission::new(limits, RETRY, 4)
     }
 
     fn fetch(requester: usize, low_priority: bool) -> Op {
@@ -416,32 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_to_the_cap_and_jitter_has_its_own_stream() {
+    fn backoff_doubles_to_the_cap() {
         let capped = RetryPolicy {
             backoff_max_ms: 3_000,
             ..RETRY
         };
-        let mut a = Admission::new(OverloadConfig::default(), capped, 1, 7);
+        let a = Admission::new(OverloadConfig::default(), capped, 1);
         let curve: Vec<u64> = (0..4).map(|n| a.backoff(n).as_millis()).collect();
         assert_eq!(curve, [500, 1_000, 2_000, 3_000]);
         assert_eq!(a.backoff(u32::MAX).as_millis(), 3_000);
-
-        let jittered = RetryPolicy {
-            jitter_ms: 250,
-            ..capped
-        };
-        let draw = |seed| {
-            let mut a = Admission::new(OverloadConfig::default(), jittered, 1, seed);
-            (0..8)
-                .map(|n| a.backoff(n % 3).as_millis())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draw(7), draw(7));
-        assert_ne!(draw(7), draw(8));
-        for (n, ms) in draw(7).into_iter().enumerate() {
-            let base = 500 << (n % 3);
-            assert!((base..=base + 250).contains(&ms), "attempt {n}: {ms}");
-        }
     }
 
     #[test]
@@ -466,7 +432,6 @@ mod tests {
     #[test]
     fn default_limits_admit_everything_and_touch_nothing() {
         let mut a = admission(OverloadConfig::default());
-        let untouched = a.backoff_rng.clone();
         for i in 0..200usize {
             let now = SimTime::from_secs(i as u64);
             a.update_ladder(i * 1_000, now);
@@ -477,7 +442,6 @@ mod tests {
             assert!(a.retry_delay(0, now).is_some());
         }
         assert!(a.item_bucket.is_none() && a.fetch_bucket.is_none() && a.retry_bucket.is_none());
-        assert_eq!(a.backoff_rng, untouched, "no jitter, no draw");
         assert!(!a.report.engaged());
         assert_eq!(
             (a.report.offered_items, a.report.admitted_items),

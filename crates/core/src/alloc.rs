@@ -318,6 +318,25 @@ impl AllocationContext {
         }
     }
 
+    /// The one entry point a network run allocates through: the
+    /// region-decomposed path ([`Self::select_storers_regional`], solving
+    /// only `origin`'s region) once [`Self::with_regions`] enabled it, the
+    /// global cached solve ([`Self::select_storers`]) otherwise.
+    pub(crate) fn select<R: Rng + ?Sized>(
+        &mut self,
+        placement: Placement,
+        origin: NodeId,
+        topology: &Topology,
+        storage: &[NodeStorage],
+        rng: &mut R,
+    ) -> Result<Vec<NodeId>, SolveError> {
+        if self.regions.is_some() {
+            self.select_storers_regional(placement, origin, topology, storage, rng)
+        } else {
+            self.select_storers(placement, topology, storage, rng)
+        }
+    }
+
     /// Cached equivalent of [`select_storers_scaled`]: observationally
     /// identical output and rng consumption, without re-building (or, when
     /// state is unchanged, re-solving) the UFL instance per call.

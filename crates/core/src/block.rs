@@ -299,7 +299,7 @@ impl Block {
     }
 
     /// The block's wire encoding, computed once and shared as an
-    /// `Arc<[u8]>`: broadcast, `fetch_data` replies, and replica repair
+    /// `Arc<[u8]>`: broadcast, fetch replies, and replica repair
     /// all hand out clones of the same allocation instead of re-running
     /// [`crate::codec::encode_block`] per consumer.
     pub fn encoded(&self) -> Arc<[u8]> {

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
+mod access;
 pub mod account;
 mod admission;
 pub mod alloc;

@@ -27,13 +27,14 @@
 //!   paper's prototype behaves the same way (a stale miner's block simply
 //!   loses the longest-chain race).
 
+use crate::access::{self, Access, Lent, Want};
 use crate::account::{AccountId, Identity, Ledger};
 use crate::admission::{Admission, Op, RetryPolicy};
 use crate::alloc::{AllocationContext, Placement, RegionParams};
 use crate::block::Block;
-use crate::byzantine::{self, empty_block_on, Attack, ByzantineEngine, Court};
+use crate::byzantine::{self, empty_block_on, Attack, ByzantineEngine};
 use crate::catalogue::Catalogue;
-use crate::chain::{Blockchain, CheckpointPolicy, Snapshot};
+use crate::chain::{Blockchain, CheckpointPolicy};
 use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
 use crate::pos::{run_round_cached, Candidate, HitTable};
@@ -53,12 +54,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-/// Wire size of a data request message.
-const DATA_REQUEST_BYTES: u64 = 256;
-/// Wire size of a missing-block request message.
-const BLOCK_REQUEST_BYTES: u64 = 128;
-/// How long a requester waits before concluding a storer denied service.
-const DENIAL_TIMEOUT: SimTime = SimTime::from_secs(1);
 /// Fraction of nodes acting as data requesters (paper: 10 %).
 const REQUESTER_FRACTION: f64 = 0.10;
 /// Raft timer poll period (when `raft_consensus`).
@@ -200,11 +195,6 @@ pub struct NetworkConfig {
     /// default (10 min) is far above what any shipped configuration can
     /// produce, so existing runs schedule identically.
     pub retry_backoff_max_ms: u64,
-    /// Uniform jitter in `[0, retry_jitter_ms]` added to every backoff,
-    /// drawn from a dedicated seeded stream (`seed ^ BACKOFF_STREAM`) so
-    /// enabling it never perturbs the master RNG. 0 (the default)
-    /// consumes no draws and reproduces the original schedule exactly.
-    pub retry_jitter_ms: u64,
     /// Master RNG seed; identical configs+seeds give identical runs.
     pub seed: u64,
 }
@@ -247,7 +237,6 @@ impl Default for NetworkConfig {
             workload: WorkloadConfig::default(),
             overload: OverloadConfig::default(),
             retry_backoff_max_ms: 600_000,
-            retry_jitter_ms: 0,
             seed: 0xED6E,
         }
     }
@@ -341,7 +330,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     GenerateData,
     MineBlock,
     IssueRequest {
@@ -357,16 +346,12 @@ enum Event {
     },
     /// Apply every fault action due now and re-arm for the next one.
     FaultTick,
-    /// Backoff expired: retry a data fetch that found no live source.
-    RetryFetch {
-        requester: NodeId,
-        data_id: DataId,
-        attempt: u32,
-    },
-    /// Backoff expired: retry recovering a node's missing blocks.
-    RetryRecover {
+    /// Backoff expired: `node` asks again for what it wants
+    /// ([`Access::on_retry`]).
+    Retry {
         node: NodeId,
         attempt: u32,
+        want: Want,
     },
     /// One open-workload fetch arrival is due (requester and target item
     /// drawn from the dedicated workload RNG stream).
@@ -380,7 +365,7 @@ enum Popularity {
     /// stream).
     Uniform,
     /// The open workload: Zipf over recency, rank 0 = newest (workload
-    /// stream).
+    /// stream); low-priority reads.
     ZipfByRecency,
 }
 
@@ -435,10 +420,9 @@ pub struct EdgeNetwork {
     catalogue: Catalogue,
     next_data_id: u64,
     requesters: Vec<NodeId>,
-    malicious: Vec<bool>,
-    /// Globally-known invalidated (data, storer) pairs ("everyone will be
-    /// informed of this information", §III-B.2).
-    invalid_storers: std::collections::HashSet<(DataId, NodeId)>,
+    /// Fetch, block recovery, snapshot bootstrap and repair, with the
+    /// state only they use.
+    access: Access,
     raft_nodes: Vec<edgechain_raft::RaftNode<GeneralEvent>>,
     /// Envelopes the raft node being stepped just emitted; emptied by
     /// [`Self::raft_dispatch`] and reused, so the message path allocates
@@ -461,7 +445,6 @@ pub struct EdgeNetwork {
     /// [`RunReport`] one-to-one is bumped here where it happens;
     /// [`Self::into_report`] fills in the derived fields.
     report: RunReport,
-    delivery_samples: SampleSet,
     /// Per-item inclusion latency samples (generation → packing block).
     inclusion_samples: SampleSet,
     /// Rolling-window SLO health monitor; pure observation, always on.
@@ -485,9 +468,6 @@ pub struct EdgeNetwork {
     expired_log: std::collections::VecDeque<(u64, DataId)>,
     /// Resurrections observed since the last invariant observation.
     resurrected_pending: u64,
-    /// `(rejoiner, server)` pairs that served a tampered or undecodable
-    /// snapshot — never asked again by that rejoiner.
-    snapshot_blacklist: std::collections::HashSet<(NodeId, NodeId)>,
 
     // open workload & overload protection (ISSUE 10)
     /// Dedicated RNG stream for arrival sampling and popularity draws;
@@ -633,7 +613,6 @@ impl EdgeNetwork {
             retries: config.fetch_retries,
             backoff_ms: config.retry_backoff_ms,
             backoff_max_ms: config.retry_backoff_max_ms,
-            jitter_ms: config.retry_jitter_ms,
         };
         let device = DeviceProfile::galaxy_s8();
 
@@ -656,8 +635,7 @@ impl EdgeNetwork {
             catalogue: Catalogue::default(),
             next_data_id: 0,
             requesters,
-            malicious,
-            invalid_storers: std::collections::HashSet::new(),
+            access: Access::new(malicious),
             raft_nodes: Vec::new(),
             raft_outbox: Vec::new(),
             injector: FaultInjector::new(&config.fault_plan),
@@ -666,7 +644,6 @@ impl EdgeNetwork {
             alloc_ctx,
             pos_hits: HitTable::new(),
             report: RunReport::default(),
-            delivery_samples: SampleSet::new(),
             inclusion_samples: SampleSet::new(),
             slo: SloMonitor::new(SloThresholds::default()),
             spans: SpanTracker::default(),
@@ -676,12 +653,11 @@ impl EdgeNetwork {
             expired_ids: std::collections::HashSet::new(),
             expired_log: std::collections::VecDeque::new(),
             resurrected_pending: 0,
-            snapshot_blacklist: std::collections::HashSet::new(),
-            // The dedicated workload and backoff streams keep the master
-            // stream untouched whether or not the workload engine is on.
+            // The dedicated workload stream keeps the master stream
+            // untouched whether or not the workload engine is on.
             workload_rng: StdRng::seed_from_u64(config.seed ^ edgechain_workload::WORKLOAD_STREAM),
             zipf: ZipfSampler::new(config.workload.zipf_exponent),
-            admission: Admission::new(config.overload.clone(), retry, config.nodes, config.seed),
+            admission: Admission::new(config.overload.clone(), retry, config.nodes),
             rng,
             config,
         };
@@ -895,12 +871,14 @@ impl EdgeNetwork {
                 Event::RaftTick => self.on_raft_tick(now),
                 Event::RaftDeliver { from, envelope } => self.on_raft_deliver(from, envelope, now),
                 Event::FaultTick => self.on_fault_tick(now),
-                Event::RetryFetch {
-                    requester,
-                    data_id,
+                Event::Retry {
+                    node,
                     attempt,
-                } => self.on_retry_fetch(requester, data_id, attempt, now),
-                Event::RetryRecover { node, attempt } => self.on_retry_recover(node, attempt, now),
+                    want,
+                } => {
+                    let (access, mut cx) = self.lend();
+                    access.on_retry(&mut cx, node, attempt, want, now);
+                }
                 Event::WorkloadFetch => self.on_workload_fetch(now),
             }
             if meter {
@@ -914,8 +892,6 @@ impl EdgeNetwork {
         // Fetches still waiting on a scheduled retry when the horizon hits
         // never resolved: each is an explicit exhausted failure.
         for (requester, id) in self.admission.drain_stranded() {
-            self.report.failed_requests += 1;
-            self.slo.record_failure(horizon.as_millis());
             telemetry::counter_add("request.exhausted", 1);
             trace_event!(
                 "request.exhausted",
@@ -923,8 +899,8 @@ impl EdgeNetwork {
                 requester = requester.0 as u64,
                 id = id
             );
-            self.spans
-                .fetch_closed(horizon, requester, DataId(id), "exhausted");
+            let (_, mut cx) = self.lend();
+            cx.book_failure(horizon, requester, DataId(id), "exhausted");
         }
         self.spans.close_all(horizon);
     }
@@ -945,7 +921,7 @@ impl EdgeNetwork {
             &InvariantView {
                 topo: &self.topo,
                 storage: &self.storage,
-                malicious: &self.malicious,
+                malicious: &self.access.malicious,
                 items: &items,
                 resurrected_items: resurrected,
                 chain_height: self.chain.height(),
@@ -979,9 +955,10 @@ impl EdgeNetwork {
                 // backoff so the radio settles.
                 self.queue.schedule(
                     now + SimTime::from_millis(self.config.retry_backoff_ms.max(1)),
-                    Event::RetryRecover {
+                    Event::Retry {
                         node: v,
                         attempt: 0,
+                        want: Want::Blocks,
                     },
                 );
             }
@@ -991,21 +968,33 @@ impl EdgeNetwork {
         }
     }
 
-    /// The adversary engine with the [`Court`] it judges in, lent by
-    /// disjoint field borrows — the one way into the engine for a handler
-    /// that judges. `None` on honest runs.
-    fn adversary(&mut self) -> Option<(&mut ByzantineEngine, Court<'_>)> {
-        let engine = self.byz.as_mut()?;
-        let court = Court {
-            canonical: &self.chain,
-            node_height: &self.node_height,
-            ledger: &mut self.ledger,
+    /// The access machine and the network state its walks step through,
+    /// lent by disjoint field borrows — the one way into access and,
+    /// through [`Lent::adversary`], into the adversary engine.
+    fn lend(&mut self) -> (&mut Access, Lent<'_>) {
+        let cx = Lent {
+            config: &self.config,
+            topo: &self.topo,
+            transport: &mut self.transport,
+            queue: &mut self.queue,
+            admission: &mut self.admission,
+            storage: &mut self.storage,
+            catalogue: &mut self.catalogue,
+            chain: &self.chain,
+            node_height: &mut self.node_height,
+            node_known: &mut self.node_known,
+            identities: &self.identities,
             account_of: &self.account_of,
             node_of_account: &self.node_of_account,
+            ledger: &mut self.ledger,
+            alloc: &mut self.alloc_ctx,
+            rng: &mut self.rng,
             report: &mut self.report,
+            slo: &mut self.slo,
             spans: &mut self.spans,
+            byz: self.byz.as_mut(),
         };
-        Some((engine, court))
+        (&mut self.access, cx)
     }
 
     /// Routes one scheduled Byzantine action: mining-triggered attacks
@@ -1014,7 +1003,8 @@ impl EdgeNetwork {
     /// payloads) execute immediately, from a node that is up.
     fn on_byzantine_action(&mut self, node: NodeId, action: ByzantineAction, now: SimTime) {
         let up = self.topo.is_active(node);
-        let Some((engine, court)) = self.adversary() else {
+        let (_, mut cx) = self.lend();
+        let Some((engine, court)) = cx.adversary() else {
             return;
         };
         let (material, reason) = match action {
@@ -1053,7 +1043,8 @@ impl EdgeNetwork {
         if receivers.is_empty() {
             return;
         }
-        let Some((engine, mut court)) = self.adversary() else {
+        let (_, mut cx) = self.lend();
+        let Some((engine, mut court)) = cx.adversary() else {
             return;
         };
         match material {
@@ -1088,7 +1079,8 @@ impl EdgeNetwork {
         if receivers.is_empty() {
             return; // nobody heard the release; try again next block
         }
-        let released = self
+        let (_, mut cx) = self.lend();
+        let released = cx
             .adversary()
             .and_then(|(engine, mut court)| engine.released(&mut court, now));
         let Some(w) = released else {
@@ -1159,7 +1151,7 @@ impl EdgeNetwork {
                 for idx in (w.base_height + 1)..=self.chain.height() {
                     self.node_known[v.0].insert(idx);
                 }
-                self.advance_height(v);
+                access::advance_height(&mut self.node_height, &self.node_known, v);
                 self.storage[v.0].cache_recent(self.chain.height());
             }
         } else {
@@ -1172,7 +1164,8 @@ impl EdgeNetwork {
                 base = w.base_height
             );
         }
-        let Some((engine, mut court)) = self.adversary() else {
+        let (_, mut cx) = self.lend();
+        let Some((engine, mut court)) = cx.adversary() else {
             return;
         };
         // Receivers of an adopted fork reconcile their views (each sync
@@ -1287,61 +1280,18 @@ impl EdgeNetwork {
         admitted
     }
 
-    /// The one retry schedule behind fetches, block recoveries and snapshot
-    /// bootstraps that found no answering source: while
-    /// [`Admission::retry_delay`] grants one (attempts remain and the
-    /// global retry budget allows), counts the retry and queues
-    /// `retry(attempt + 1)` after the backoff. Returns whether a retry was
-    /// queued; `false` is terminal.
-    fn schedule_retry(
-        &mut self,
-        node: NodeId,
-        attempt: u32,
-        now: SimTime,
-        op: &'static str,
-        retry: impl FnOnce(u32) -> Event,
-    ) -> bool {
-        let Some(backoff) = self.admission.retry_delay(attempt, now) else {
-            return false;
-        };
-        self.report.retries += 1;
-        telemetry::counter_add("transport.retries", 1);
-        trace_event!(
-            "transport.retry",
-            now.as_millis(),
-            node = node.0,
-            attempt = attempt + 1,
-            op = op
-        );
-        self.queue.schedule(now + backoff, retry(attempt + 1));
-        true
-    }
-
-    /// The single allocation entry point for every call site (item packing,
-    /// block storers, recent-block growth, replica repair): the
-    /// region-decomposed engine when `config.region_alloc` is on (solving
-    /// only `origin`'s region — the scale path), otherwise the global solve
-    /// over the cached [`AllocationContext`]. `origin` is the node the
-    /// data enters the network at — the item's producer, the miner for
-    /// block/recent-cache replicas, a surviving source for repairs — and
-    /// is only consulted by the regional path.
+    /// The one allocation entry point for item packing, block storers and
+    /// recent-block growth ([`AllocationContext::select`]; repair calls it
+    /// through [`Lent`]). `origin` is the node the data enters the network
+    /// at — the item's producer, or the miner for block and recent-cache
+    /// replicas — and is only consulted by the regional path.
     fn select_storers_now(
         &mut self,
         placement: Placement,
         origin: NodeId,
     ) -> Result<Vec<NodeId>, edgechain_facility::SolveError> {
-        if self.config.region_alloc {
-            self.alloc_ctx.select_storers_regional(
-                placement,
-                origin,
-                &self.topo,
-                &self.storage,
-                &mut self.rng,
-            )
-        } else {
-            self.alloc_ctx
-                .select_storers(placement, &self.topo, &self.storage, &mut self.rng)
-        }
+        self.alloc_ctx
+            .select(placement, origin, &self.topo, &self.storage, &mut self.rng)
     }
 
     /// The single PoS entry point for both rounds of a block (schedule +
@@ -1358,7 +1308,7 @@ impl EdgeNetwork {
     }
 
     fn on_mine_block(&mut self, now: SimTime) {
-        if let Some((engine, mut court)) = self.adversary() {
+        if let Some((engine, mut court)) = self.lend().1.adversary() {
             engine.readmit(&mut court, now);
         }
         let Some(round) = self.elect_miner(now) else {
@@ -1368,7 +1318,7 @@ impl EdgeNetwork {
         };
         // A freshly elected adversary may have an armed consensus attack.
         let has_pending = !self.pending_metadata.is_empty();
-        let attack = match self.adversary() {
+        let attack = match self.lend().1.adversary() {
             Some((engine, mut court)) => {
                 engine.armed_attack(&mut court, now, round.miner, has_pending)
             }
@@ -1613,9 +1563,10 @@ impl EdgeNetwork {
             let was_height = self.node_height[v.0];
             self.node_known[v.0].insert(block_index);
             if block_index > was_height + 1 {
-                self.recover_missing_attempt(v, block_index, now, 0);
+                let (access, mut cx) = self.lend();
+                access.recover(&mut cx, v, block_index, now, 0);
             }
-            self.advance_height(v);
+            access::advance_height(&mut self.node_height, &self.node_known, v);
             // Everyone caches the newest block in its recent-cache FIFO.
             self.storage[v.0].cache_recent(block_index);
         }
@@ -1626,7 +1577,7 @@ impl EdgeNetwork {
         // reaches an honest node (a broadcast swallowed by a transient
         // partition put nothing into the network).
         let variant = sealed.variant.as_ref().filter(|_| received.len() > 1);
-        if let Some((engine, mut court)) = self.adversary() {
+        if let Some((engine, mut court)) = self.lend().1.adversary() {
             engine.deliver_sealed(&mut court, now, &received, variant);
         }
         received
@@ -1708,7 +1659,7 @@ impl EdgeNetwork {
         // broke since the last block — unless the ladder's top rung has
         // parked repair.
         if !self.admission.defer_repair() {
-            self.repair_replicas(now);
+            self.lend().1.repair_replicas(now);
         }
 
         // Growth of either with sim time is what makes later events dearer.
@@ -1722,10 +1673,8 @@ impl EdgeNetwork {
             let base = e.withheld.as_ref().map(|w| w.base_height);
             (e.orphan_entries(), base)
         });
-        let tracking_now = (self.expired_ids.len()
-            + self.invalid_storers.len()
-            + self.snapshot_blacklist.len()
-            + orphans) as u64;
+        let tracking_now =
+            (self.expired_ids.len() + self.access.tracking_entries() + orphans) as u64;
         self.report.peak_tracking_entries = self.report.peak_tracking_entries.max(tracking_now);
         self.maybe_prune(now, fork_base);
 
@@ -1824,7 +1773,7 @@ impl EdgeNetwork {
             if self.node_height[v] + 1 < cut {
                 self.node_height[v] = cut - 1;
             }
-            self.advance_height(NodeId(v));
+            access::advance_height(&mut self.node_height, &self.node_known, NodeId(v));
         }
         self.report.blocks_pruned += pruned;
         telemetry::counter_add("chain.pruned", pruned);
@@ -1870,367 +1819,11 @@ impl EdgeNetwork {
         self.pending_metadata = backup;
     }
 
-    /// UFL-driven replica repair: for every valid item whose *live*
-    /// replica count fell below its allocation target (a crash took
-    /// holders offline, or dissemination never reached them), the miner
-    /// re-runs the storage allocation over the surviving nodes and copies
-    /// the data from the nearest live source to the newly chosen storers.
-    /// The copies ride the transport like any other traffic, so repair
-    /// cost lands in the overhead and energy metrics.
-    fn repair_replicas(&mut self, now: SimTime) {
-        // Fault-free closed-loop runs never under-replicate, so the sweep
-        // is skipped unless faults are in play — or the open workload is
-        // on, where deferred dissemination (ladder L2) leaves gaps the
-        // sweep must close once load subsides.
-        if !self.config.replica_repair
-            || (self.config.fault_plan.is_empty() && !self.config.workload.enabled)
-        {
-            return;
-        }
-        let ids: Vec<DataId> = self.catalogue.ids().collect();
-        let mut sweep_repaired = 0u64;
-        let mut sweep_copies = 0u64;
-        for id in ids {
-            let Some(item) = self.catalogue.get(id) else {
-                continue;
-            };
-            if !item.is_valid_at(now.as_secs()) {
-                continue;
-            }
-            let target = item.storing_nodes.len();
-            if target == 0 {
-                continue; // never allocated (NoProactive or unstored)
-            }
-            let producer = self.node_of_account.get(&item.producer).copied();
-            let data_size = item.data_size;
-            let assigned = item.storing_nodes.clone();
-            // A quarantined storer is as good as dead to requesters (they
-            // refuse to fetch from it), so it does not count toward the
-            // replication target and the sweep re-replicates around it.
-            let live_holders: Vec<NodeId> = assigned
-                .iter()
-                .copied()
-                .filter(|&h| {
-                    self.topo.is_active(h)
-                        && (self.storage[h.0].has_data(id) || Some(h) == producer)
-                        && self.may_serve(h, now)
-                })
-                .collect();
-            if live_holders.len() >= target {
-                continue;
-            }
-            // Any live replica or the producer's origin copy can seed the
-            // new replicas; with none alive the item waits for a restart.
-            let mut sources = live_holders.clone();
-            if let Some(p) = producer {
-                if self.topo.is_active(p) && !sources.contains(&p) {
-                    sources.push(p);
-                }
-            }
-            if sources.is_empty() {
-                continue;
-            }
-            let origin = producer
-                .filter(|&p| self.topo.is_active(p))
-                .unwrap_or(sources[0]);
-            let Ok(new_set) = self.select_storers_now(self.config.placement, origin) else {
-                continue;
-            };
-            let mut repaired = false;
-            let mut last_copy: Option<SimTime> = None;
-            for s in new_set {
-                if live_holders.contains(&s)
-                    || Some(s) == producer
-                    || self.storage[s.0].is_full()
-                    || self.storage[s.0].has_data(id)
-                {
-                    continue;
-                }
-                let nearest = sources.iter().filter_map(|&c| self.provider_rank(s, c));
-                let Some((_, src)) = nearest.min() else {
-                    continue;
-                };
-                if let Ok(d) = self.transport.unicast(&self.topo, src, s, data_size, now) {
-                    if self.storage[s.0].store_data(id) {
-                        repaired = true;
-                        sweep_copies += 1;
-                        last_copy = last_copy.max(Some(d.arrival));
-                    }
-                }
-            }
-            if repaired {
-                self.report.repairs_triggered += 1;
-                sweep_repaired += 1;
-                self.spans.repair(now, id, last_copy);
-                // Refresh the operational holder view: every node whose
-                // disk holds the item (crashed ones keep theirs, and the
-                // fresh copies just landed).
-                let holders: Vec<NodeId> = (0..self.config.nodes)
-                    .map(NodeId)
-                    .filter(|&v| self.storage[v.0].has_data(id))
-                    .collect();
-                self.catalogue.set_storers(id, holders);
-            }
-        }
-        if sweep_repaired > 0 {
-            telemetry::counter_add("repair.items", sweep_repaired);
-            telemetry::counter_add("repair.copies", sweep_copies);
-            trace_event!(
-                "repair.sweep",
-                now.as_millis(),
-                repaired = sweep_repaired,
-                copies = sweep_copies
-            );
-        }
-    }
-
-    /// Whether requesters still accept `h` as a source at `now`: a
-    /// quarantined node is as good as dead to them.
-    fn may_serve(&self, h: NodeId, now: SimTime) -> bool {
-        self.byz.as_ref().is_none_or(|e| !e.is_quarantined(h, now))
-    }
-
-    /// The §IV-D access rule shared by data fetches, block recovery,
-    /// snapshot bootstrap and repair copies: how `v` ranks `h` as a
-    /// provider — nearest first, hop ties broken by lowest node id —
-    /// or `None` for `v` itself and for nodes it cannot reach.
-    fn provider_rank(&self, v: NodeId, h: NodeId) -> Option<(u32, NodeId)> {
-        (h != v && self.topo.reachable(v, h)).then(|| (self.topo.hops(v, h), h))
-    }
-
-    /// `candidates` in the order `v` asks them ([`Self::provider_rank`]).
-    fn nearest_providers(
-        &self,
-        v: NodeId,
-        candidates: impl Iterator<Item = NodeId>,
-    ) -> Vec<NodeId> {
-        let rank = |h| self.provider_rank(v, h);
-        let mut ranked: Vec<_> = candidates.filter_map(rank).collect();
-        ranked.sort_unstable();
-        ranked.into_iter().map(|(_, h)| h).collect()
-    }
-
-    /// One request–reply round trip of the recovery protocol: `v` sends a
-    /// block request to `server`, and `serve` — run only once the request
-    /// got through — sizes the reply and hands back what it carried.
-    /// Returns the reply's arrival with that content, `None` when a leg
-    /// was lost.
-    fn request_reply<T>(
-        &mut self,
-        v: NodeId,
-        server: NodeId,
-        now: SimTime,
-        serve: impl FnOnce(&mut Self) -> (u64, T),
-    ) -> Option<(SimTime, T)> {
-        let req = self
-            .transport
-            .unicast(&self.topo, v, server, BLOCK_REQUEST_BYTES, now)
-            .ok()?;
-        let (bytes, served) = serve(self);
-        let resp = self
-            .transport
-            .unicast(&self.topo, server, v, bytes, req.arrival)
-            .ok()?;
-        Some((resp.arrival, served))
-    }
-
-    /// Books one served recovery (a block, or a whole snapshot).
-    fn book_recovery(&mut self, v: NodeId, server: NodeId, now: SimTime, arrival: SimTime) {
-        self.report.recoveries += 1;
-        self.report
-            .recovery
-            .record(arrival.saturating_since(now).as_secs_f64());
-        self.report
-            .recovery_hops
-            .record(self.topo.hops(v, server) as f64);
-    }
-
-    /// §IV-D recovery: fetch every missing block below `upto` from the
-    /// nearest node that can serve it (recent cache or permanent storage).
-    fn recover_missing_attempt(&mut self, v: NodeId, upto: u64, now: SimTime, attempt: u32) {
-        let retry = move |attempt| Event::RetryRecover { node: v, attempt };
-        // A node that fell behind the pruned base cannot recover block by
-        // block — those blocks are gone from every store. It bootstraps
-        // from a verified snapshot instead; failing that (providers dead,
-        // quarantined, blacklisted, or unreachable) it backs off and
-        // retries like any starved recovery.
-        if self.config.prune_blocks && self.node_height[v.0] + 1 < self.chain.base_index() {
-            if !(self.config.snapshot_bootstrap && self.try_snapshot_bootstrap(v, now)) {
-                self.schedule_retry(v, attempt, now, "snapshot", retry);
-            }
-            return;
-        }
-        let missing: Vec<u64> = (self.node_height[v.0] + 1..upto)
-            .filter(|i| !self.node_known[v.0].contains(i))
-            .collect();
-        let mut unserved = false;
-        for idx in missing {
-            let holders = (0..self.config.nodes)
-                .map(NodeId)
-                .filter(|&h| self.storage[h.0].has_block(idx) && !self.malicious[h.0])
-                .filter(|&h| self.may_serve(h, now));
-            let Some((_, holder)) = holders.filter_map(|h| self.provider_rank(v, h)).min() else {
-                unserved = true;
-                continue;
-            };
-            // Served block size: the block's seal-time encoding, cached
-            // on first use — no fresh encode per recovery.
-            let served = self.request_reply(v, holder, now, |net| {
-                (net.chain.get(idx).map_or(1000, Block::wire_size), ())
-            });
-            let Some((arrival, ())) = served else {
-                unserved = true;
-                continue;
-            };
-            self.node_known[v.0].insert(idx);
-            self.book_recovery(v, holder, now, arrival);
-            trace_event!(
-                "repair.recover_block",
-                now.as_millis(),
-                node = v.0,
-                block = idx,
-                hops = self.topo.hops(v, holder),
-                dur_ms = arrival.saturating_since(now).as_millis()
-            );
-            self.spans.recover_block(now, v, idx, arrival);
-        }
-        // Recovered blocks must extend the node's contiguous view right
-        // away — an un-advanced height would make the node re-request
-        // blocks it already holds and mis-detect gaps on the next receipt.
-        self.advance_height(v);
-        if unserved {
-            // Lossy links or a partition starved this pass; back off
-            // exponentially (capped, optionally jittered) and try again.
-            self.schedule_retry(v, attempt, now, "recover", retry);
-        }
-    }
-
-    /// Snapshot bootstrap for a deep rejoiner: ask the nearest fully-synced
-    /// node for a signed [`Snapshot`] (anchor + retained blocks + live
-    /// registry), verify it end-to-end, and adopt it wholesale. A provider
-    /// serving bytes that fail to decode or verify — a Byzantine server
-    /// tampers with them in flight — is blacklisted for this rejoiner and
-    /// the next-nearest provider is asked instead. Returns whether a
-    /// snapshot was applied.
-    fn try_snapshot_bootstrap(&mut self, v: NodeId, now: SimTime) -> bool {
-        let Some(anchor) = self.chain.anchor().cloned() else {
-            return false;
-        };
-        self.spans.snapshot_opened(now, v);
-        let tip = self.chain.height();
-        let synced = (0..self.config.nodes)
-            .map(NodeId)
-            .filter(|&h| self.topo.is_active(h) && self.node_height[h.0] == tip)
-            .filter(|&h| !self.malicious[h.0] && self.may_serve(h, now))
-            .filter(|&h| !self.snapshot_blacklist.contains(&(v, h)));
-        for server in self.nearest_providers(v, synced) {
-            let served = self.request_reply(v, server, now, |net| {
-                let registry: Vec<(MetadataItem, u64)> = net.catalogue.iter().cloned().collect();
-                let snapshot = Snapshot::seal(
-                    anchor.clone(),
-                    net.chain.as_slice().to_vec(),
-                    registry,
-                    net.identities[server.0].keys(),
-                );
-                let mut bytes = crate::codec::encode_snapshot(&snapshot);
-                net.report.snapshots_served += 1;
-                telemetry::counter_add("snapshot.served", 1);
-                trace_event!(
-                    "snapshot.served",
-                    now.as_millis(),
-                    server = server.0,
-                    node = v.0,
-                    bytes = bytes.len()
-                );
-                // A Byzantine provider serves a corrupted snapshot.
-                let tampered = net.adversary().and_then(|(engine, mut court)| {
-                    engine.tamper_snapshot(&mut court, now, server, &mut bytes)
-                });
-                (bytes.len() as u64, (bytes, tampered))
-            });
-            let Some((arrival, (bytes, tampered))) = served else {
-                continue;
-            };
-            let verified = crate::codec::decode_snapshot(&bytes)
-                .ok()
-                .filter(|s| s.verify());
-            let Some(snap) = verified else {
-                self.report.snapshots_rejected += 1;
-                self.snapshot_blacklist.insert((v, server));
-                telemetry::counter_add("snapshot.rejected", 1);
-                trace_event!(
-                    "snapshot.rejected",
-                    now.as_millis(),
-                    server = server.0,
-                    node = v.0
-                );
-                if let Some((artifact, (engine, mut court))) = tampered.zip(self.adversary()) {
-                    // Verification caught the corruption red-handed.
-                    let culprit = Some((server, "tampered-snapshot"));
-                    engine.convict(&mut court, now, Some((artifact, "byz_snapshot")), culprit);
-                }
-                continue;
-            };
-            let chain = Blockchain::from_anchor(snap.anchor.clone(), snap.blocks.clone())
-                .expect("verified snapshot attaches to its own anchor");
-            let snap_tip = chain.height();
-            self.node_known[v.0] = (chain.base_index()..=snap_tip).collect();
-            self.node_height[v.0] = snap_tip;
-            self.storage[v.0].cache_recent(snap_tip);
-            if let Some(e) = self.byz.as_mut() {
-                e.bootstrap_from_snapshot(v, chain);
-            }
-            self.book_recovery(v, server, now, arrival);
-            self.report.snapshots_applied += 1;
-            telemetry::counter_add("snapshot.applied", 1);
-            trace_event!(
-                "snapshot.applied",
-                now.as_millis(),
-                server = server.0,
-                node = v.0,
-                tip = snap_tip
-            );
-            self.spans.snapshot_closed(arrival, Some(server));
-            return true;
-        }
-        self.spans.snapshot_closed(now, None);
-        false
-    }
-
-    fn on_retry_recover(&mut self, node: NodeId, attempt: u32, now: SimTime) {
-        if !self.topo.is_active(node) {
-            return; // crashed (again) before the backoff expired
-        }
-        // Catch up on everything up to the canonical tip: the node learns
-        // the current height from whichever neighbor answers the probe.
-        let upto = self.chain.height() + 1;
-        self.recover_missing_attempt(node, upto, now, attempt);
-        // A recovered view may still sit on a reorged-away branch;
-        // reconcile the node's chain with the canonical one.
-        if let Some((engine, mut court)) = self.adversary() {
-            engine.sync(&mut court, now, node);
-        }
-    }
-
-    fn advance_height(&mut self, v: NodeId) {
-        while self.node_known[v.0].contains(&(self.node_height[v.0] + 1)) {
-            self.node_height[v.0] += 1;
-        }
-    }
-
     fn on_issue_request(&mut self, requester: NodeId, now: SimTime) {
         // A crashed requester issues nothing; its schedule resumes when it
         // restarts.
         if self.topo.is_active(requester) {
-            if let Some(pick) = self.pick_visible(requester, now, Popularity::Uniform) {
-                let op = Op::Fetch {
-                    requester,
-                    low_priority: false,
-                };
-                if self.admit(op, requester, now) {
-                    self.fetch_data(requester, &pick, now, 0);
-                }
-            }
+            self.fetch_entry(requester, now, Popularity::Uniform);
         }
         let next = now + SimTime::from_secs(self.config.request_interval_secs.max(1));
         self.queue.schedule(next, Event::IssueRequest { requester });
@@ -2250,9 +1843,8 @@ impl EdgeNetwork {
 
     /// One open-workload fetch: a uniformly drawn live requester asks for
     /// an item drawn Zipf-by-recency from its visible catalogue (rank 0 =
-    /// newest). These are the low-priority reads — first to shed when the
-    /// degradation ladder engages. All draws come from the dedicated
-    /// workload stream, so the closed-loop trajectory is untouched.
+    /// newest). All draws come from the dedicated workload stream, so the
+    /// closed-loop trajectory is untouched.
     fn on_workload_fetch(&mut self, now: SimTime) {
         // Re-arm first: an empty catalogue or a shed fetch must not
         // silence the arrival stream.
@@ -2262,17 +1854,26 @@ impl EdgeNetwork {
             return;
         }
         let requester = self.topo.nth_active(self.workload_rng.gen_range(0..live));
-        // The pick comes before admission: the Zipf draw advances the
-        // workload stream whether or not the fetch is then shed.
-        let Some(pick) = self.pick_visible(requester, now, Popularity::ZipfByRecency) else {
+        self.fetch_entry(requester, now, Popularity::ZipfByRecency);
+    }
+
+    /// The one fetch entry: `requester` picks an item it can see, then
+    /// fetches it once admitted. The pick comes before admission, so its
+    /// draw is made whether or not the fetch is then shed. Open-workload
+    /// reads are the low-priority ones, first to shed when the degradation
+    /// ladder engages.
+    fn fetch_entry(&mut self, requester: NodeId, now: SimTime, popularity: Popularity) {
+        let Some(pick) = self.pick_visible(requester, now, popularity) else {
             return;
         };
+        let low_priority = matches!(popularity, Popularity::ZipfByRecency);
         let op = Op::Fetch {
             requester,
-            low_priority: true,
+            low_priority,
         };
         if self.admit(op, requester, now) {
-            self.fetch_data(requester, &pick, now, 0);
+            let (access, mut cx) = self.lend();
+            access.fetch(&mut cx, requester, &pick, now, 0);
         }
     }
 
@@ -2312,169 +1913,6 @@ impl EdgeNetwork {
         pick.cloned()
     }
 
-    fn on_retry_fetch(&mut self, requester: NodeId, data_id: DataId, attempt: u32, now: SimTime) {
-        // The scheduled retry either resolves below or re-enters the
-        // backlog with a fresh timer; either way this entry is consumed.
-        self.admission.backlog_pop(requester, data_id.0);
-        if !self.topo.is_active(requester) {
-            // nobody is waiting for the answer anymore
-            self.spans
-                .fetch_closed(now, requester, data_id, "requester_down");
-            return;
-        }
-        let Some(item) = self.catalogue.get(data_id) else {
-            // expired or superseded while backing off
-            self.spans
-                .fetch_closed(now, requester, data_id, "item_gone");
-            return;
-        };
-        if !item.is_valid_at(now.as_secs()) {
-            self.spans
-                .fetch_closed(now, requester, data_id, "item_expired");
-            return;
-        }
-        let item = item.clone();
-        self.fetch_data(requester, &item, now, attempt);
-    }
-
-    /// Books one completed request that took `secs` and resolved at `at`.
-    fn book_delivery(&mut self, at: SimTime, secs: f64) {
-        self.report.completed_requests += 1;
-        self.report.delivery.record(secs);
-        self.delivery_samples.record(secs);
-        self.slo.record_fetch(at.as_millis(), secs);
-        if telemetry::is_enabled() {
-            telemetry::record("slo.fetch_secs", secs);
-        }
-        telemetry::counter_add("request.completed", 1);
-    }
-
-    /// §IV-D data access: request from the nearest node that actually holds
-    /// the data. Malicious storers silently deny; the requester waits out a
-    /// timeout, the `(data, storer)` pair is marked invalid network-wide
-    /// ("everyone will be informed", §III-B.2), and the next-nearest holder
-    /// is tried. The producer's origin copy is the final fallback. When no
-    /// source answered at all, the requester backs off exponentially and
-    /// retries up to [`NetworkConfig::fetch_retries`] times before the
-    /// request counts as failed.
-    fn fetch_data(&mut self, requester: NodeId, item: &MetadataItem, now: SimTime, attempt: u32) {
-        let data_id = item.data_id;
-        self.spans.fetch_opened(now, requester, data_id);
-        let producer = self.node_of_account.get(&item.producer).copied();
-        if self.storage[requester.0].has_data(item.data_id) || producer == Some(requester) {
-            // Local hit: free and instantaneous.
-            self.book_delivery(now, 0.0);
-            trace_event!(
-                "request.completed",
-                now.as_millis(),
-                requester = requester.0,
-                item = item.data_id.0,
-                dur_ms = 0_u64
-            );
-            self.spans.fetch_closed(now, requester, data_id, "local");
-            return;
-        }
-        let mut holders: Vec<NodeId> = item
-            .storing_nodes
-            .iter()
-            .copied()
-            .filter(|&h| self.storage[h.0].has_data(item.data_id))
-            .filter(|&h| !self.invalid_storers.contains(&(item.data_id, h)))
-            .filter(|&h| self.may_serve(h, now))
-            .collect();
-        // Paper Fig. 3: consumers fetch from the caching nodes; the
-        // producer's origin copy is the fallback, whatever its standing.
-        holders.extend(producer.filter(|p| !holders.contains(p)));
-        let mut t = now;
-        for holder in self.nearest_providers(requester, holders.into_iter()) {
-            let probe_start = t;
-            let Ok(req) =
-                self.transport
-                    .unicast(&self.topo, requester, holder, DATA_REQUEST_BYTES, t)
-            else {
-                self.spans
-                    .fetch_attempt(requester, data_id, t, t, holder, "send_drop");
-                continue;
-            };
-            if self.malicious[holder.0] && producer != Some(holder) {
-                // No response: wait out the timeout, publish the denial.
-                self.report.denials += 1;
-                self.invalid_storers.insert((item.data_id, holder));
-                t = req.arrival + DENIAL_TIMEOUT;
-                self.spans
-                    .fetch_attempt(requester, data_id, probe_start, t, holder, "denied");
-                // Under a Byzantine engine, repeated denials accumulate
-                // strikes and eventually escalate to a quarantine.
-                if let Some((engine, mut court)) = self.adversary() {
-                    engine.strike(&mut court, t, holder);
-                }
-                continue;
-            }
-            match self
-                .transport
-                .unicast(&self.topo, holder, requester, item.data_size, req.arrival)
-            {
-                Ok(resp) => {
-                    let secs = resp.arrival.saturating_since(now).as_secs_f64();
-                    self.book_delivery(resp.arrival, secs);
-                    trace_event!(
-                        "request.completed",
-                        now.as_millis(),
-                        requester = requester.0,
-                        item = item.data_id.0,
-                        storer = holder.0,
-                        dur_ms = resp.arrival.saturating_since(now).as_millis()
-                    );
-                    self.spans.fetch_attempt(
-                        requester,
-                        data_id,
-                        probe_start,
-                        resp.arrival,
-                        holder,
-                        "ok",
-                    );
-                    self.spans
-                        .fetch_closed(resp.arrival, requester, data_id, "completed");
-                    return;
-                }
-                Err(_) => {
-                    self.spans.fetch_attempt(
-                        requester,
-                        data_id,
-                        probe_start,
-                        req.arrival,
-                        holder,
-                        "reply_drop",
-                    );
-                    continue;
-                }
-            }
-        }
-        // A budget-denied retry goes down the failed path like an
-        // exhausted one.
-        let retry = move |attempt| Event::RetryFetch {
-            requester,
-            data_id,
-            attempt,
-        };
-        if self.schedule_retry(requester, attempt, now, "fetch", retry) {
-            self.admission.backlog_push(requester, data_id.0);
-            self.spans
-                .fetch_backoff(now, requester, data_id, attempt + 1);
-        } else {
-            self.report.failed_requests += 1;
-            self.slo.record_failure(now.as_millis());
-            telemetry::counter_add("request.failed", 1);
-            trace_event!(
-                "request.failed",
-                now.as_millis(),
-                requester = requester.0,
-                item = item.data_id.0
-            );
-            self.spans.fetch_closed(now, requester, data_id, "failed");
-        }
-    }
-
     /// Evicts expired data items from every store and from the catalogue,
     /// freeing slots for fresh content (§VII: "data items may become
     /// obsolete"). The catalogue hands over exactly the items that are
@@ -2504,9 +1942,8 @@ impl EdgeNetwork {
             self.expired_log.pop_front();
             self.expired_ids.remove(&id);
         }
-        if swept_any && !self.invalid_storers.is_empty() {
-            let catalogue = &self.catalogue;
-            self.invalid_storers.retain(|(d, _)| catalogue.contains(*d));
+        if swept_any {
+            self.access.forget_swept(&self.catalogue);
         }
         self.queue.schedule(
             now + SimTime::from_secs(self.config.expiration_sweep_secs),
@@ -2683,7 +2120,7 @@ impl EdgeNetwork {
             .iter_mut()
             .map(|n| n.take_committed().len() as u64)
             .sum();
-        let delivery_p95 = self.delivery_samples.p95();
+        let delivery_p95 = self.access.delivery_samples.p95();
         // Radio energy implied by the byte counters (802.11 per-byte costs
         // from the device profile).
         let stats = self.transport.stats();
@@ -2715,7 +2152,7 @@ impl EdgeNetwork {
             }
         };
         let inclusion_latency = LatencySummary::from_samples(&mut self.inclusion_samples);
-        let fetch_latency = LatencySummary::from_samples(&mut self.delivery_samples);
+        let fetch_latency = LatencySummary::from_samples(&mut self.access.delivery_samples);
         let slo = self.slo.into_report(
             inclusion_latency,
             fetch_latency,
@@ -3073,7 +2510,8 @@ mod tests {
         let v = NodeId(0);
         net.node_known[v.0].insert(3);
         assert_eq!(net.node_height[v.0], 0);
-        net.recover_missing_attempt(v, 3, SimTime::from_secs(1), 0);
+        let (access, mut cx) = net.lend();
+        access.recover(&mut cx, v, 3, SimTime::from_secs(1), 0);
         assert!(net.node_known[v.0].contains(&1));
         assert!(net.node_known[v.0].contains(&2));
         assert_eq!(
@@ -3093,7 +2531,8 @@ mod tests {
         net.topo.set_active(down, false);
         let mut ties = 0;
         for v in (0..net.config.nodes).map(NodeId).filter(|&v| v != down) {
-            let providers = net.nearest_providers(v, (0..net.config.nodes).rev().map(NodeId));
+            let candidates = (0..net.config.nodes).rev().map(NodeId);
+            let providers = access::nearest_providers(&net.topo, v, candidates);
             assert!(!providers.contains(&v) && !providers.contains(&down));
             let key = |h: NodeId| (net.topo.hops(v, h), h.0);
             for w in providers.windows(2) {
@@ -3105,7 +2544,8 @@ mod tests {
                 .filter(|&h| h != v && net.topo.reachable(v, h))
                 .min_by_key(|&h| net.topo.hops(v, h));
             assert_eq!(providers.first().copied(), scan);
-            let ranks = (0..net.config.nodes).filter_map(|h| net.provider_rank(v, NodeId(h)));
+            let rank = |h| access::provider_rank(&net.topo, v, NodeId(h));
+            let ranks = (0..net.config.nodes).filter_map(rank);
             assert_eq!(ranks.min().map(|(_, h)| h), scan);
         }
         assert!(ties > 0, "no two providers ever tied on hops");

@@ -29,9 +29,6 @@ use serde::{Deserialize, Serialize};
 /// XOR'd into the run seed to derive the dedicated workload RNG stream.
 pub const WORKLOAD_STREAM: u64 = 0x0BE2_AC71_7E55_u64;
 
-/// XOR'd into the run seed to derive the dedicated backoff-jitter stream.
-pub const BACKOFF_STREAM: u64 = 0xBACC_0FF5_EED5_u64;
-
 /// The base arrival-rate shape, before any flash-crowd burst.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
