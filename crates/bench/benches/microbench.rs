@@ -2,7 +2,8 @@
 //! hashing, signing, Merkle commitment, UFL solving at evaluation sizes,
 //! PoS round execution, PoW mining steps, Gini computation, the
 //! end-to-end per-block allocation path, the event queue under the raft
-//! workload's shape, and one raft heartbeat round.
+//! workload's shape, the topology layer at the scale and raft shapes, and
+//! one raft heartbeat round.
 //!
 //! `cargo bench -p edgechain-bench`
 
@@ -15,7 +16,9 @@ use edgechain_core::Identity;
 use edgechain_crypto::{sha256, KeyPair, MerkleTree};
 use edgechain_facility::{solve, solve_greedy, UflInstance};
 use edgechain_raft::{Envelope, PeerId, RaftConfig, RaftNode, Role};
-use edgechain_sim::{EventQueue, SimTime, Topology, TopologyConfig};
+use edgechain_sim::{
+    EventQueue, Field, NodeId, SimTime, Topology, TopologyConfig, Transport, TransportConfig,
+};
 use edgechain_telemetry::gini;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,6 +190,60 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// The topology layer. At the `scale` workload's shape (n = 3000 on a
+/// field whose side grows as `300·sqrt(n/400)`, rows filled lazily): one
+/// BFS hop row, one adjacency rebuild, and one route read off the
+/// source's row while the destination's is not held — each route and
+/// row on a fresh copy, so none finds the previous one's row. At the
+/// `raft` shape (n = 50, every row filled): one unicast, which walks the
+/// destination's row.
+fn bench_topology(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim/topology");
+    let n = 3_000;
+    let side = 300.0 * (n as f64 / 400.0).sqrt();
+    let config = TopologyConfig {
+        field: Field::new(side, side),
+        sparse_routes: true,
+        ..TopologyConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut fresh = Topology::random_connected(n, config, &mut rng).expect("scale shape connects");
+    let (a, b) = (NodeId(0), NodeId(n / 2));
+    group.bench_function("bfs_row_n3000", |bench| {
+        bench.iter_batched(|| fresh.clone(), |t| t.hops(a, b), BatchSize::LargeInput)
+    });
+    let from_a = fresh.clone();
+    from_a.hops(a, a);
+    let mut k = 0;
+    group.bench_function("interval_route_n3000", |bench| {
+        bench.iter_batched(
+            || {
+                k = (k + 7_919) % n;
+                (from_a.clone(), NodeId(k))
+            },
+            |(t, b)| t.path(a, b),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("rebuild_n3000", |bench| {
+        bench.iter(|| fresh.rebuild_routes())
+    });
+
+    let raft = Topology::random_connected(50, TopologyConfig::default(), &mut rng)
+        .expect("raft shape connects");
+    let mut transport = Transport::new(TransportConfig::default());
+    let (mut k, mut now) = (0, SimTime::ZERO);
+    group.bench_function("unicast_filled_row_n50", |bench| {
+        bench.iter(|| {
+            k += 1;
+            now += SimTime::from_millis(1_000);
+            let (src, dst) = (NodeId(k % 50), NodeId(k * 7 % 50));
+            transport.unicast(&raft, src, dst, 2_048, now)
+        })
+    });
+    group.finish();
+}
+
 /// A 50-replica set with the simulator's raft timing, past its first
 /// election: the leader's nodes in id order, the leader's id and the time.
 fn elected_raft_set(n: usize) -> (Vec<RaftNode<u64>>, PeerId, SimTime) {
@@ -259,6 +316,7 @@ criterion_group!(
     bench_allocation_path,
     bench_gini,
     bench_event_queue,
+    bench_topology,
     bench_raft_heartbeat,
 );
 criterion_main!(benches);

@@ -608,7 +608,7 @@ fn partition_regions(
             region_of[m] = Some(idx);
             let mut queue = VecDeque::from([m]);
             while let Some(u) = queue.pop_front() {
-                for &w in topology.neighbors(NodeId(u)) {
+                for w in topology.neighbors(NodeId(u)) {
                     if in_cell[w.0] && region_of[w.0].is_none() {
                         region_of[w.0] = Some(idx);
                         comp.push(w.0);

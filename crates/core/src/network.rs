@@ -245,15 +245,18 @@ impl Default for NetworkConfig {
 impl NetworkConfig {
     /// Checks the values [`EdgeNetwork::new`] would otherwise trip over:
     /// at least one node, a positive block interval, a finite nonnegative
-    /// generation rate and FDC weight, fractions in `[0, 1]`, snapshots
-    /// only on a pruned chain, and a fault plan that fits the node count.
+    /// generation rate, FDC weight and mobility range, a finite positive
+    /// radio range and field, fractions in `[0, 1]`, snapshots only on a
+    /// pruned chain, and a fault plan that fits the node count.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let rate = |v: f64| v.is_finite() && v >= 0.0;
+        let positive = |v: f64| v.is_finite() && v > 0.0;
         let (t0, fraction) = (self.block_interval_secs, self.malicious_fraction);
+        let topo = &self.topology;
         let checks = [
             ("nodes", self.nodes as f64, self.nodes >= 1, "at least 1"),
             ("block_interval_secs", t0 as f64, t0 >= 1, "at least 1"),
@@ -274,6 +277,30 @@ impl NetworkConfig {
                 fraction,
                 (0.0..=1.0).contains(&fraction),
                 "in [0, 1]",
+            ),
+            (
+                "topology.mobility_range",
+                topo.mobility_range,
+                rate(topo.mobility_range),
+                "finite and at least 0",
+            ),
+            (
+                "topology.comm_range",
+                topo.comm_range,
+                positive(topo.comm_range),
+                "finite and above 0",
+            ),
+            (
+                "topology.field.width",
+                topo.field.width,
+                positive(topo.field.width),
+                "finite and above 0",
+            ),
+            (
+                "topology.field.height",
+                topo.field.height,
+                positive(topo.field.height),
+                "finite and above 0",
             ),
         ];
         for (field, value, ok, want) in checks {
@@ -2684,6 +2711,22 @@ mod tests {
                 ..base()
             };
             rejects(cfg, "data_items_per_min");
+        }
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let mut cfg = base();
+            cfg.topology.comm_range = bad;
+            rejects(cfg, "topology.comm_range");
+            let mut cfg = base();
+            cfg.topology.field.width = bad;
+            rejects(cfg, "topology.field.width");
+            let mut cfg = base();
+            cfg.topology.field.height = bad;
+            rejects(cfg, "topology.field.height");
+            if bad != 0.0 {
+                let mut cfg = base();
+                cfg.topology.mobility_range = bad;
+                rejects(cfg, "topology.mobility_range");
+            }
         }
         for fraction in [2.0, -0.1, f64::NAN] {
             let cfg = NetworkConfig {

@@ -94,12 +94,18 @@ impl Default for Field {
 /// `cell >= radio range`, every point within range of a query point lies
 /// in the query's own cell or one of its 8 neighbors, so range queries
 /// touch O(density · cell²) candidates instead of all `n` points.
+///
+/// The buckets are counting-sorted into one array: cell `c` holds
+/// `entries[start[c]..start[c + 1]]`, each `(position, index)` in index
+/// order, and cells are laid out row-major — so the three cells of one
+/// grid row are one contiguous slice.
 #[derive(Debug, Clone)]
 pub struct CellGrid {
     cell: f64,
     cols: usize,
     rows: usize,
-    buckets: Vec<Vec<usize>>,
+    start: Vec<usize>,
+    entries: Vec<(Point, usize)>,
 }
 
 impl CellGrid {
@@ -118,47 +124,57 @@ impl CellGrid {
             cell,
             cols,
             rows,
-            buckets: vec![Vec::new(); cols * rows],
+            start: vec![0; cols * rows + 1],
+            entries: vec![(Point::default(), 0); points.len()],
         };
-        for (i, p) in points.iter().enumerate() {
-            let c = grid.cell_of(p);
-            grid.buckets[c].push(i);
+        let cells: Vec<usize> = points.iter().map(|p| grid.cell_of(p)).collect();
+        for &c in &cells {
+            grid.start[c + 1] += 1;
+        }
+        for c in 0..cols * rows {
+            grid.start[c + 1] += grid.start[c];
+        }
+        let mut next = grid.start.clone();
+        for (i, (&c, &p)) in cells.iter().zip(points).enumerate() {
+            grid.entries[next[c]] = (p, i);
+            next[c] += 1;
         }
         grid
     }
 
-    /// Bucket index containing `p` (clamped to the grid bounds).
-    fn cell_of(&self, p: &Point) -> usize {
+    /// Column and row of the cell containing `p` (clamped to the grid).
+    fn cell_xy(&self, p: &Point) -> (usize, usize) {
         let cx = ((p.x / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
         let cy = ((p.y / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
+        (cx, cy)
+    }
+
+    /// Bucket index containing `p` (clamped to the grid bounds).
+    fn cell_of(&self, p: &Point) -> usize {
+        let (cx, cy) = self.cell_xy(p);
         cy * self.cols + cx
     }
 
-    /// Visits every point index in the 3×3 cell neighborhood of `p` —
-    /// a superset of all points within `cell` meters of `p`. Indices are
-    /// visited in bucket order (insertion order within a bucket), so the
-    /// caller must sort if it needs a canonical ordering.
-    pub fn for_each_candidate<F: FnMut(usize)>(&self, p: &Point, mut f: F) {
-        let cx = ((p.x / self.cell).floor().max(0.0) as usize).min(self.cols - 1);
-        let cy = ((p.y / self.cell).floor().max(0.0) as usize).min(self.rows - 1);
-        let x0 = cx.saturating_sub(1);
-        let y0 = cy.saturating_sub(1);
-        let x1 = (cx + 1).min(self.cols - 1);
-        let y1 = (cy + 1).min(self.rows - 1);
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                for &i in &self.buckets[y * self.cols + x] {
-                    f(i);
-                }
+    /// Visits every point in the 3×3 cell neighborhood of `p` — a
+    /// superset of all points within `cell` meters of `p` — as
+    /// `(index, position)`. Cells are visited row by row and each cell in
+    /// index order, so the caller must sort if it needs a canonical
+    /// ordering.
+    pub fn for_each_candidate<F: FnMut(usize, Point)>(&self, p: &Point, mut f: F) {
+        let (cx, cy) = self.cell_xy(p);
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(self.cols - 1));
+        for y in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
+            let row = y * self.cols;
+            for &(q, i) in &self.entries[self.start[row + x0]..self.start[row + x1 + 1]] {
+                f(i, q);
             }
         }
     }
 
     /// Estimated heap usage in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let per_bucket = std::mem::size_of::<Vec<usize>>();
-        let entries: usize = self.buckets.iter().map(|b| b.capacity()).sum();
-        self.buckets.capacity() * per_bucket + entries * std::mem::size_of::<usize>()
+        self.start.capacity() * std::mem::size_of::<usize>()
+            + self.entries.capacity() * std::mem::size_of::<(Point, usize)>()
     }
 }
 
@@ -218,7 +234,10 @@ mod tests {
         let grid = CellGrid::new(&field, range, &pts);
         for (a, pa) in pts.iter().enumerate() {
             let mut candidates = Vec::new();
-            grid.for_each_candidate(pa, |i| candidates.push(i));
+            grid.for_each_candidate(pa, |i, q| {
+                assert_eq!(q, pts[i], "candidate {i} carries its own position");
+                candidates.push(i);
+            });
             // Every in-range point (including `a` itself) is a candidate.
             for (b, pb) in pts.iter().enumerate() {
                 if pa.distance(pb) <= range {
@@ -234,10 +253,10 @@ mod tests {
         let pts = vec![Point::new(-10.0, 50.0), Point::new(250.0, 250.0)];
         let grid = CellGrid::new(&field, 70.0, &pts);
         let mut seen = Vec::new();
-        grid.for_each_candidate(&Point::new(0.0, 50.0), |i| seen.push(i));
+        grid.for_each_candidate(&Point::new(0.0, 50.0), |i, _| seen.push(i));
         assert!(seen.contains(&0));
         let mut far = Vec::new();
-        grid.for_each_candidate(&Point::new(100.0, 100.0), |i| far.push(i));
+        grid.for_each_candidate(&Point::new(100.0, 100.0), |i, _| far.push(i));
         assert!(far.contains(&1));
         assert!(grid.memory_bytes() > 0);
     }

@@ -48,7 +48,7 @@ pub use fault::{
     FaultPlan, FaultPlanError, RoleAssignment,
 };
 pub use geometry::{CellGrid, Field, Point};
-pub use topology::{NodeId, Topology, TopologyConfig, TopologyError, UNREACHABLE};
+pub use topology::{Neighbors, NodeId, Topology, TopologyConfig, TopologyError, UNREACHABLE};
 pub use transport::{
     BroadcastDeliveries, Delivery, Payload, TrafficStats, Transport, TransportConfig,
     TransportError,

@@ -7,11 +7,12 @@
 //! Cost; §VI — mobility is "within 30 meters ranges").
 //!
 //! The topology maintains BFS hop-count rows so the transport layer can
-//! forward store-and-forward messages; a route is read off the
-//! *destination's* row (see [`Topology::path`]), so nothing stores next
-//! hops. Adjacency is built with a grid-bucket spatial hash (cell = radio
-//! range) and there is one route store: a hop row and an RDC row per
-//! source, each behind a `OnceLock`, dropped on every rebuild.
+//! forward store-and-forward messages; a route is read off whichever
+//! endpoint's row is held (see [`Topology::path`]), so nothing stores
+//! next hops. Adjacency is built with a grid-bucket spatial hash (cell =
+//! radio range) into one compressed-sparse-row array, and there is one
+//! route store: a hop row and an RDC row per source, each behind a
+//! `OnceLock`, dropped on every rebuild.
 //! [`TopologyConfig::sparse_routes`] only picks *when* a row is filled:
 //!
 //! * **Eager** (default): every row is filled at rebuild, fanned out over
@@ -23,9 +24,9 @@
 //! answers identically under either setting.
 
 use crate::geometry::{CellGrid, Field, Point};
+use edgechain_telemetry as telemetry;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -108,6 +109,108 @@ fn rdc_formula(i: usize, j: usize, hops: u32, mobility: &[f64], norm: f64, penal
     hop_cost + mobility[i] / norm + mobility[j] / norm
 }
 
+/// Links in compressed sparse row form: node `v`'s neighbours are
+/// `list[start[v]..start[v + 1]]`, ascending. `u32` ids halve the bytes a
+/// BFS streams against `usize` [`NodeId`]s, and one array keeps them
+/// contiguous.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    start: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl Adjacency {
+    /// `v`'s neighbours, ascending.
+    #[inline]
+    fn of(&self, v: usize) -> &[u32] {
+        &self.list[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+/// The direct neighbours of one node, ascending by id (see
+/// [`Topology::neighbors`]). Compares equal to a `&[NodeId]` holding the
+/// same ids in the same order.
+#[derive(Clone)]
+pub struct Neighbors<'a>(std::slice::Iter<'a, u32>);
+
+impl Iterator for Neighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.next().map(|&v| NodeId(v as usize))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+impl fmt::Debug for Neighbors<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl PartialEq for Neighbors<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.as_slice() == other.0.as_slice()
+    }
+}
+
+impl PartialEq<&[NodeId]> for Neighbors<'_> {
+    fn eq(&self, other: &&[NodeId]) -> bool {
+        self.clone().eq(other.iter().copied())
+    }
+}
+
+/// The nodes after the source on a route (see [`Topology::route`]).
+pub(crate) enum Route<'a> {
+    /// Stepped off the destination's filled hop row, one node per step.
+    Walk(Walk<'a>),
+    /// Collected at once off the source's row.
+    Interval(std::vec::IntoIter<NodeId>),
+}
+
+/// A route stepped off the destination's hop row: each step takes the
+/// lowest-id neighbour one hop closer to it. It holds the CSR arrays
+/// themselves, not the [`Adjacency`], so a hop reads no headers.
+pub(crate) struct Walk<'a> {
+    start: &'a [u32],
+    list: &'a [u32],
+    to_b: &'a [u32],
+    cur: u32,
+    left: u32,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.left = self.left.checked_sub(1)?;
+        let d = self.left;
+        let to_b = self.to_b;
+        // `cur` is d + 1 hops out, so its row holds a neighbour d hops
+        // out: a scan from the row's start stops inside the row, at the
+        // row's first match, and need not read where the row ends.
+        let row = self.start[self.cur as usize] as usize;
+        self.cur = *self.list[row..]
+            .iter()
+            .find(|&&v| to_b[v as usize] == d)
+            .expect("a node d + 1 hops out has a neighbour d hops out");
+        Some(NodeId(self.cur as usize))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Walk<'_> {}
+
 /// A snapshot of the multi-hop network: positions, links, and routes.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -121,7 +224,7 @@ pub struct Topology {
     /// cut set and one outside it are severed (a clean network split on
     /// top of whatever the geometry allows).
     partition: Option<Vec<bool>>,
-    adjacency: Vec<Vec<NodeId>>,
+    adjacency: Adjacency,
     /// `hop_rows[i][j]` — BFS hop count, [`UNREACHABLE`] when partitioned.
     /// Filled at rebuild (eager) or on first query (lazy).
     hop_rows: Vec<OnceLock<Vec<u32>>>,
@@ -143,7 +246,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n` does not fit a `u32` (link lists hold
+    /// `u32` ids).
     pub fn random_connected<R: Rng + ?Sized>(
         n: usize,
         config: TopologyConfig,
@@ -163,7 +267,7 @@ impl Topology {
             // placement pays for route state.
             let mut topo = Self::unrouted(home, config.clone());
             topo.rebuild_adjacency();
-            if !bfs_hops(&topo.adjacency, &topo.active, 0).contains(&UNREACHABLE) {
+            if !bfs_row(&topo.adjacency, &topo.active, 0).contains(&UNREACHABLE) {
                 topo.rebuild_tables();
                 return Ok(topo);
             }
@@ -183,7 +287,7 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `positions` is empty.
+    /// Panics if `positions` is empty or its length does not fit a `u32`.
     pub fn from_positions_with_config(positions: Vec<Point>, config: TopologyConfig) -> Self {
         assert!(
             !positions.is_empty(),
@@ -197,6 +301,7 @@ impl Topology {
     /// Every node up at its home position, no links or routes yet.
     fn unrouted(positions: Vec<Point>, config: TopologyConfig) -> Self {
         let n = positions.len();
+        assert!(u32::try_from(n).is_ok(), "node ids must fit u32");
         Topology {
             mobility: vec![config.mobility_range; n],
             config,
@@ -204,7 +309,7 @@ impl Topology {
             position: positions,
             active: vec![true; n],
             partition: None,
-            adjacency: Vec::new(),
+            adjacency: Adjacency::default(),
             hop_rows: Vec::new(),
             rdc_rows: Vec::new(),
             epoch: 0,
@@ -321,9 +426,9 @@ impl Topology {
         self.partition.is_some()
     }
 
-    /// Direct neighbors of `node` in the current snapshot.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.adjacency[node.0]
+    /// Direct neighbors of `node` in the current snapshot, ascending.
+    pub fn neighbors(&self, node: NodeId) -> Neighbors<'_> {
+        Neighbors(self.adjacency.of(node.0).iter())
     }
 
     /// Hop count between two nodes ([`UNREACHABLE`] when partitioned,
@@ -350,32 +455,103 @@ impl Topology {
     /// the lowest-id neighbour one hop closer to `b` — the first hop of
     /// the current node's own BFS tree toward `b`, because BFS scans
     /// sorted adjacency lists from a FIFO queue. Links are symmetric, so
-    /// "closer to `b`" is read from `b`'s hop row: one row per route.
-    pub(crate) fn route(
-        &self,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<impl ExactSizeIterator<Item = NodeId> + '_> {
-        let to_b = self.hop_row(b.0);
+    /// "closer to `b`" is read from `b`'s hop row when it is held; the
+    /// rest is [`Topology::route_cold`].
+    #[inline]
+    pub(crate) fn route(&self, a: NodeId, b: NodeId) -> Option<Route<'_>> {
+        match self.hop_rows[b.0].get() {
+            Some(to_b) => self.walk(a, b, to_b).map(Route::Walk),
+            None => self.route_cold(a, b),
+        }
+    }
+
+    /// [`Topology::route`] when `b`'s row is not held: off `a`'s row if
+    /// that one is ([`Topology::interval_route`]), else off `b`'s, filled
+    /// now.
+    #[cold]
+    #[inline(never)]
+    fn route_cold(&self, a: NodeId, b: NodeId) -> Option<Route<'_>> {
+        match self.hop_rows[a.0].get() {
+            Some(from_a) => self
+                .interval_route(a, b, from_a)
+                .map(|path| Route::Interval(path.into_iter())),
+            None => self.walk(a, b, self.hop_row(b.0)).map(Route::Walk),
+        }
+    }
+
+    /// The walk from `a` over `b`'s row `to_b`.
+    #[inline]
+    fn walk<'a>(&'a self, a: NodeId, b: NodeId, to_b: &'a [u32]) -> Option<Walk<'a>> {
         // A crashed node's row does not even reach itself.
         let left = if a == b { 0 } else { to_b[a.0] };
-        if left == UNREACHABLE {
+        (left != UNREACHABLE).then_some(Walk {
+            start: &self.adjacency.start,
+            list: &self.adjacency.list,
+            to_b,
+            cur: a.0 as u32,
+            left,
+        })
+    }
+
+    /// The route [`Topology::walk`] would take over `b`'s row, read off
+    /// `a`'s row `from_a` instead. `d(·, b)` is needed only on the a–b
+    /// shortest-path interval — the nodes with `d(a, v) + d(v, b) =
+    /// d(a, b)` — and there it is `d(a, b) − d(a, v)`: the interval's
+    /// level `k` from `b` is the neighbours of level `k − 1` with
+    /// `d(a, v) = d(a, b) − k`. A neighbour of an interval node that is
+    /// one hop closer to `b` lies on the interval itself (its distances
+    /// to `a` and `b` are squeezed between the triangle inequality and
+    /// the hop it is closer by), so "lowest-id interval neighbour one hop
+    /// further from `a`" picks the node the walk picks.
+    fn interval_route(&self, a: NodeId, b: NodeId, from_a: &[u32]) -> Option<Vec<NodeId>> {
+        if a == b {
+            return Some(Vec::new());
+        }
+        let d = from_a[b.0];
+        if d == UNREACHABLE {
             return None;
         }
-        let mut cur = a;
-        Some((0..left).rev().map(move |d| {
-            cur = *self.adjacency[cur.0]
+        telemetry::counter_add("topology.interval_routes", 1);
+        let mut on_interval = vec![false; self.len()];
+        on_interval[b.0] = true;
+        let (mut level, mut next) = (vec![b.0 as u32], Vec::new());
+        // Levels 1 ..= d − 1 from `b`; level d is `a` alone.
+        for want in (1..d).rev() {
+            for &u in &level {
+                for &v in self.adjacency.of(u as usize) {
+                    let v = v as usize;
+                    if from_a[v] == want && !on_interval[v] {
+                        on_interval[v] = true;
+                        next.push(v as u32);
+                    }
+                }
+            }
+            std::mem::swap(&mut level, &mut next);
+            next.clear();
+        }
+        let mut cur = a.0;
+        let path = (1..=d).map(|h| {
+            cur = *self
+                .adjacency
+                .of(cur)
                 .iter()
-                .find(|v| to_b[v.0] == d)
-                .expect("a node d + 1 hops out has a neighbour d hops out");
-            cur
-        }))
+                .find(|&&v| on_interval[v as usize] && from_a[v as usize] == h)
+                .expect("an interval node h - 1 hops from a has one h hops out")
+                as usize;
+            NodeId(cur)
+        });
+        Some(path.collect())
     }
 
     /// Shortest path from `a` to `b` (inclusive of both endpoints), or
     /// `None` when unreachable. `a == b` yields a single-element path.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-        Some(std::iter::once(a).chain(self.route(a, b)?).collect())
+        let mut path = vec![a];
+        match self.route(a, b)? {
+            Route::Walk(walk) => path.extend(walk),
+            Route::Interval(rest) => path.extend(rest),
+        }
+        Some(path)
     }
 
     /// Moves every node to a fresh uniform point inside its mobility disc
@@ -411,8 +587,10 @@ impl Topology {
     /// adjacency.
     fn rebuild_tables(&mut self) {
         let n = self.len();
-        self.hop_rows = (0..n).map(|_| OnceLock::new()).collect();
-        self.rdc_rows = (0..n).map(|_| OnceLock::new()).collect();
+        self.hop_rows.clear();
+        self.hop_rows.resize_with(n, OnceLock::new);
+        self.rdc_rows.clear();
+        self.rdc_rows.resize_with(n, OnceLock::new);
         if !self.config.sparse_routes {
             // Per-source BFS rows are independent; fan them out over the
             // worker pool on larger topologies. The pool returns rows in
@@ -424,7 +602,8 @@ impl Topology {
                 1
             };
             let hops =
-                crate::pool::parallel_map_range(n, workers, |src| bfs_hops(adjacency, active, src));
+                crate::pool::parallel_map_range(n, workers, |src| bfs_row(adjacency, active, src));
+            telemetry::counter_add("topology.rows", n as u64);
             self.hop_rows = hops.into_iter().map(OnceLock::from).collect();
             for i in 0..n {
                 self.rdc_row(NodeId(i));
@@ -433,39 +612,45 @@ impl Topology {
         self.epoch += 1;
     }
 
-    /// Rebuilds the adjacency lists with a grid-bucket spatial hash
-    /// (cell = radio range): each node tests only the candidates in its
-    /// 3×3 cell neighborhood — O(degree) work per node instead of the
-    /// O(n) pair scan. Sorting each list ascending reproduces exactly the
-    /// ordering of the classic `i < j` double loop, so BFS tie-breaking
-    /// (and therefore every route) is unchanged.
+    /// Rebuilds the adjacency with a grid-bucket spatial hash (cell =
+    /// radio range): each node tests only the candidates in its 3×3 cell
+    /// neighborhood — O(degree) work per node instead of the O(n) pair
+    /// scan. Sorting each list ascending reproduces exactly the ordering
+    /// of the classic `i < j` double loop, so BFS tie-breaking (and
+    /// therefore every route) is unchanged. The previous arrays are
+    /// refilled in place.
     fn rebuild_adjacency(&mut self) {
-        let n = self.len();
         let range = self.config.comm_range;
         let grid = CellGrid::new(&self.config.field, range, &self.position);
-        let mut adjacency = vec![Vec::new(); n];
-        for (i, slot) in adjacency.iter_mut().enumerate() {
-            if !self.active[i] {
-                continue;
+        let Adjacency {
+            mut start,
+            mut list,
+        } = std::mem::take(&mut self.adjacency);
+        start.clear();
+        list.clear();
+        start.push(0);
+        for (i, p) in self.position.iter().enumerate() {
+            if self.active[i] {
+                let from = list.len();
+                grid.for_each_candidate(p, |j, q| {
+                    if j != i && p.distance(&q) <= range && self.active[j] && !self.cut_severs(i, j)
+                    {
+                        list.push(j as u32);
+                    }
+                });
+                list[from..].sort_unstable();
             }
-            let mut nbrs: Vec<NodeId> = Vec::new();
-            grid.for_each_candidate(&self.position[i], |j| {
-                if j == i || !self.active[j] || self.cut_severs(i, j) {
-                    return;
-                }
-                if self.position[i].distance(&self.position[j]) <= range {
-                    nbrs.push(NodeId(j));
-                }
-            });
-            nbrs.sort_unstable();
-            *slot = nbrs;
+            start.push(u32::try_from(list.len()).expect("link count fits u32"));
         }
-        self.adjacency = adjacency;
+        self.adjacency = Adjacency { start, list };
     }
 
     /// `src`'s hop row, filled on first use.
     fn hop_row(&self, src: usize) -> &[u32] {
-        self.hop_rows[src].get_or_init(|| bfs_hops(&self.adjacency, &self.active, src))
+        self.hop_rows[src].get_or_init(|| {
+            telemetry::counter_add("topology.rows", 1);
+            bfs_row(&self.adjacency, &self.active, src)
+        })
     }
 
     /// Whether the imposed partition cut severs the `i`–`j` link.
@@ -534,45 +719,25 @@ impl Topology {
         if !self.active[src.0] {
             return Vec::new();
         }
-        let n = self.len();
-        let mut dist: Vec<u32> = vec![UNREACHABLE; n];
-        dist[src.0] = 0;
-        let mut order = vec![(src, 0)];
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u.0];
-            if du >= max_hops {
-                continue;
-            }
-            for &v in &self.adjacency[u.0] {
-                if dist[v.0] != UNREACHABLE {
-                    continue;
-                }
-                if let Some(mask) = within {
-                    if !mask[v.0] {
-                        continue;
-                    }
-                }
-                dist[v.0] = du + 1;
-                order.push((v, du + 1));
-                queue.push_back(v);
-            }
+        let mut dist = vec![UNREACHABLE; self.len()];
+        let mut queue = Vec::with_capacity(self.len());
+        let (adjacency, src) = (&self.adjacency, src.0);
+        match within {
+            Some(mask) => bfs(adjacency, src, max_hops, |v| mask[v], &mut dist, &mut queue),
+            None => bfs(adjacency, src, max_hops, |_| true, &mut dist, &mut queue),
         }
-        order
+        queue
+            .into_iter()
+            .map(|v| (NodeId(v as usize), dist[v as usize]))
+            .collect()
     }
 
     /// Estimated heap bytes held by the topology's derived structures
     /// (adjacency plus routing/RDC state). Only filled rows count, which
     /// is the point of comparing eager against lazy fill.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let vec_hdr = size_of::<Vec<u8>>();
-        let adj: usize = self
-            .adjacency
-            .iter()
-            .map(|v| vec_hdr + v.capacity() * size_of::<NodeId>())
-            .sum();
+        let adj = (self.adjacency.start.capacity() + self.adjacency.list.capacity())
+            * std::mem::size_of::<u32>();
         adj + lazy_rows_bytes(&self.hop_rows) + lazy_rows_bytes(&self.rdc_rows)
     }
 
@@ -595,27 +760,49 @@ fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
 }
 
 /// One source's BFS hop-count row; a crashed source reaches nothing, not
-/// even itself. A free function over the borrowed adjacency list (rather
-/// than a `&mut self` method) so the per-source fan-out can run on pool
+/// even itself. A free function over the borrowed adjacency (rather than
+/// a `&mut self` method) so the per-source fan-out can run on pool
 /// workers.
-fn bfs_hops(adjacency: &[Vec<NodeId>], active: &[bool], src: usize) -> Vec<u32> {
-    let mut hops = vec![UNREACHABLE; adjacency.len()];
-    if !active[src] {
-        return hops;
+fn bfs_row(adjacency: &Adjacency, active: &[bool], src: usize) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; active.len()];
+    if active[src] {
+        let mut queue = Vec::with_capacity(active.len());
+        bfs(adjacency, src, UNREACHABLE, |_| true, &mut dist, &mut queue);
     }
-    hops[src] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(NodeId(src));
-    while let Some(u) = queue.pop_front() {
-        let du = hops[u.0];
-        for &v in &adjacency[u.0] {
-            if hops[v.0] == UNREACHABLE {
-                hops[v.0] = du + 1;
-                queue.push_back(v);
+    dist
+}
+
+/// The one BFS kernel behind full rows and [`Topology::bfs_bounded`]:
+/// from `src`, expanding nodes in FIFO order up to `max_hops` and
+/// entering only the nodes `enter` admits. `dist` must hold
+/// [`UNREACHABLE`] everywhere and `queue` be empty with room for every
+/// node, so nothing grows; on return `dist` holds hop counts and `queue`
+/// the discovery order, `src` first.
+#[inline]
+fn bfs(
+    adjacency: &Adjacency,
+    src: usize,
+    max_hops: u32,
+    enter: impl Fn(usize) -> bool,
+    dist: &mut [u32],
+    queue: &mut Vec<u32>,
+) {
+    dist[src] = 0;
+    queue.push(src as u32);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = dist[u as usize];
+        if du >= max_hops {
+            continue;
+        }
+        for &v in adjacency.of(u as usize) {
+            if dist[v as usize] == UNREACHABLE && enter(v as usize) {
+                dist[v as usize] = du + 1;
+                queue.push(v);
             }
         }
     }
-    hops
 }
 
 /// Errors from topology generation.
@@ -646,8 +833,10 @@ impl std::error::Error for TopologyError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::VecDeque;
 
     fn line_topology(n: usize, spacing: f64) -> Topology {
         let pts: Vec<Point> = (0..n)
@@ -741,8 +930,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let t = Topology::random_connected(30, TopologyConfig::default(), &mut rng).unwrap();
         for a in t.nodes() {
-            for &b in t.neighbors(a) {
-                assert!(t.neighbors(b).contains(&a));
+            for b in t.neighbors(a) {
+                assert!(t.neighbors(b).any(|v| v == a));
             }
         }
     }
@@ -759,7 +948,7 @@ mod tests {
         assert_eq!(t.nth_active(1), NodeId(2), "the crashed node is skipped");
         assert!(!t.reachable(NodeId(0), NodeId(2)), "relay must be gone");
         assert!(!t.reachable(NodeId(0), NodeId(1)));
-        assert!(t.neighbors(NodeId(1)).is_empty());
+        assert_eq!(t.neighbors(NodeId(1)).len(), 0);
         // A restart restores the original routes.
         t.set_active(NodeId(1), true);
         assert!(t.reachable(NodeId(0), NodeId(2)));
@@ -875,7 +1064,7 @@ mod tests {
         let n = 96;
         let t = Topology::random_connected(n, TopologyConfig::default(), &mut rng).unwrap();
         for src in 0..n {
-            let hops_row = super::bfs_hops(&t.adjacency, &t.active, src);
+            let hops_row = super::bfs_row(&t.adjacency, &t.active, src);
             for (dst, &hops) in hops_row.iter().enumerate() {
                 assert_eq!(t.hops(NodeId(src), NodeId(dst)), hops);
             }
@@ -886,8 +1075,8 @@ mod tests {
     /// destination's hop row, kept as the oracle: `src`'s BFS tree, then
     /// each destination's parent chain walked back to the source to find
     /// the first hop toward it.
-    fn bfs_tree_next_hop(adjacency: &[Vec<NodeId>], src: usize) -> Vec<Option<NodeId>> {
-        let n = adjacency.len();
+    fn bfs_tree_next_hop(t: &Topology, src: usize) -> Vec<Option<NodeId>> {
+        let n = t.len();
         let mut seen = vec![false; n];
         seen[src] = true;
         let mut queue = VecDeque::new();
@@ -895,7 +1084,7 @@ mod tests {
         // parent[v] = predecessor of v on the BFS tree rooted at src.
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         while let Some(u) = queue.pop_front() {
-            for &v in &adjacency[u.0] {
+            for v in t.neighbors(u) {
                 if !seen[v.0] {
                     seen[v.0] = true;
                     parent[v.0] = Some(u);
@@ -918,29 +1107,25 @@ mod tests {
             .collect()
     }
 
-    /// Asserts `path` equals the old walk — every intermediate node
-    /// consulting its *own* BFS tree — for every ordered pair.
+    /// The oracle's path from `a` to `b`: every intermediate node
+    /// consulting its *own* BFS tree (`next_hop[src]` per source).
+    fn tree_path(next_hop: &[Vec<Option<NodeId>>], a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+        let mut path = vec![a];
+        let mut cur = a;
+        while cur != b {
+            cur = next_hop[cur.0][b.0]?;
+            path.push(cur);
+        }
+        Some(path)
+    }
+
+    /// Asserts `path` equals the old walk for every ordered pair.
     fn assert_paths_match_bfs_trees(t: &Topology, step: &str) {
         let n = t.len();
-        let next_hop: Vec<_> = (0..n)
-            .map(|src| bfs_tree_next_hop(&t.adjacency, src))
-            .collect();
+        let next_hop: Vec<_> = (0..n).map(|src| bfs_tree_next_hop(t, src)).collect();
         for a in t.nodes() {
             for b in t.nodes() {
-                let mut expect = Some(vec![a]);
-                let mut cur = a;
-                while cur != b {
-                    match (next_hop[cur.0][b.0], expect.as_mut()) {
-                        (Some(next), Some(path)) => {
-                            path.push(next);
-                            cur = next;
-                        }
-                        _ => {
-                            expect = None;
-                            break;
-                        }
-                    }
-                }
+                let expect = tree_path(&next_hop, a, b);
                 assert_eq!(t.path(a, b), expect, "{step}: {a}->{b} (n={n})");
             }
         }
@@ -1047,9 +1232,11 @@ mod tests {
     /// The regression guard for routing cost: a unicast materializes the
     /// destination's hop row and nothing else, however many hops it
     /// crosses, and a fetch (sort candidates by distance, request, reply)
-    /// costs two rows the first time and none the second.
+    /// costs one row the first time and none the second — the
+    /// requester's, which ranks the holders, routes the request over the
+    /// requester–holder interval and carries the reply.
     #[test]
-    fn unicast_materializes_one_row_and_a_fetch_two() {
+    fn unicast_materializes_one_row_and_a_fetch_one() {
         use crate::event::SimTime;
         use crate::transport::Transport;
         // The scale ladder's density (400 nodes per 300 m × 300 m) on a
@@ -1075,10 +1262,14 @@ mod tests {
             tr.unicast(t, holder, requester, 1_000_000, SimTime::ZERO)
                 .unwrap();
         };
+        telemetry::enable();
         fetch(&mut tr);
-        assert_eq!(t.materialized_rows(), 2);
+        assert_eq!(t.materialized_rows(), 1);
         fetch(&mut tr);
-        assert_eq!(t.materialized_rows(), 2);
+        assert_eq!(t.materialized_rows(), 1);
+        let registry = telemetry::finish().expect("telemetry was enabled").registry;
+        assert_eq!(registry.counter("topology.rows"), 1);
+        assert_eq!(registry.counter("topology.interval_routes"), 2);
     }
 
     /// Runs the same mutation workload on a dense and a sparse topology
@@ -1213,19 +1404,19 @@ mod tests {
         assert_eq!(rows.len(), 1, "node 2 is not adjacent to node 0");
     }
 
-    /// Sparse accounting: one lock slot per source in each row vector,
-    /// sized by its own element type, plus the heap of materialized rows.
+    /// Sparse accounting: the CSR adjacency's two `u32` arrays, one lock
+    /// slot per source in each row vector, sized by its own element type,
+    /// plus the heap of materialized rows.
     #[test]
     fn sparse_memory_counts_slots_and_materialized_rows() {
         use std::mem::size_of;
         let t = sparse_connected(100, Field::paper_default(), 61);
         let n = t.len();
         let empty = t.memory_bytes();
-        let adjacency: usize = t
-            .adjacency
-            .iter()
-            .map(|v| size_of::<Vec<NodeId>>() + v.capacity() * size_of::<NodeId>())
-            .sum();
+        let links: usize = t.nodes().map(|v| t.neighbors(v).len()).sum();
+        let Adjacency { start, list } = &t.adjacency;
+        assert_eq!((start.len(), list.len()), (n + 1, links));
+        let adjacency = (start.capacity() + list.capacity()) * size_of::<u32>();
         let slots = size_of::<OnceLock<Vec<u32>>>() + size_of::<OnceLock<Vec<f64>>>();
         assert_eq!(empty, adjacency + n * slots);
         let _ = t.hops(NodeId(3), NodeId(4));
@@ -1261,5 +1452,133 @@ mod tests {
             sparse.memory_bytes(),
             dense.memory_bytes()
         );
+    }
+
+    /// The BFS this module ran before the shared kernel, kept as the
+    /// oracle: a growing `VecDeque` of [`NodeId`]s over the neighbour
+    /// lists, returning `(node, hops)` in discovery order.
+    fn reference_bfs(
+        t: &Topology,
+        src: NodeId,
+        max_hops: u32,
+        within: Option<&[bool]>,
+    ) -> Vec<(NodeId, u32)> {
+        if !t.is_active(src) {
+            return Vec::new();
+        }
+        let mut dist = vec![UNREACHABLE; t.len()];
+        dist[src.0] = 0;
+        let mut order = vec![(src, 0)];
+        let mut queue = VecDeque::from([src]);
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u.0];
+            if du >= max_hops {
+                continue;
+            }
+            for v in t.neighbors(u) {
+                if dist[v.0] != UNREACHABLE || within.is_some_and(|mask| !mask[v.0]) {
+                    continue;
+                }
+                dist[v.0] = du + 1;
+                order.push((v, du + 1));
+                queue.push_back(v);
+            }
+        }
+        order
+    }
+
+    /// A placement of `n` nodes at about ten neighbours each on a square
+    /// field (long multi-hop routes, many equal-length alternatives and
+    /// cut-off islands), with `crashed` down and `cut` imposed.
+    fn faulted(
+        n: usize,
+        seed: u64,
+        sparse_routes: bool,
+        crashed: &[usize],
+        cut: &[usize],
+    ) -> Topology {
+        let side = 300.0 * (n as f64 / 60.0).sqrt();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let positions = (0..n)
+            .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
+            .collect();
+        let config = TopologyConfig {
+            field: Field::new(side, side),
+            sparse_routes,
+            ..TopologyConfig::default()
+        };
+        let mut t = Topology::from_positions_with_config(positions, config);
+        for &v in crashed {
+            t.set_active(NodeId(v % n), false);
+        }
+        let cut: Vec<NodeId> = cut.iter().map(|&v| NodeId(v % n)).collect();
+        t.set_partition(Some(&cut));
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A route read off the source's row (the interval), off the
+        /// destination's row (the walk) and off the eager twin's full
+        /// table are one path — the per-source BFS-tree oracle's — under
+        /// crashes and a partition cut. The interval fills no row.
+        #[test]
+        fn interval_routes_match_walks_and_bfs_trees(
+            n in 2usize..90,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..90, 0..4),
+            cut in prop::collection::vec(0usize..90, 0..30),
+            pairs in prop::collection::vec((0usize..90, 0usize..90), 1..24),
+        ) {
+            let lazy = faulted(n, seed, true, &crashed, &cut);
+            let eager = faulted(n, seed, false, &crashed, &cut);
+            let next_hop: Vec<_> = (0..n).map(|src| bfs_tree_next_hop(&eager, src)).collect();
+            for (a, b) in pairs {
+                let (a, b) = (NodeId(a % n), NodeId(b % n));
+                let expect = tree_path(&next_hop, a, b);
+                let from_a = lazy.clone();
+                let _ = from_a.hops(a, a);
+                prop_assert_eq!(from_a.path(a, b), expect.clone(), "interval {}->{}", a, b);
+                prop_assert_eq!(from_a.materialized_rows(), 1);
+                let to_b = lazy.clone();
+                let _ = to_b.hops(b, b);
+                prop_assert_eq!(to_b.path(a, b), expect.clone(), "walk {}->{}", a, b);
+                prop_assert_eq!(eager.path(a, b), expect, "eager {}->{}", a, b);
+            }
+        }
+
+        /// The shared BFS kernel equals the reference BFS: full rows, and
+        /// [`Topology::bfs_bounded`]'s discovery order at every horizon,
+        /// with and without a membership mask.
+        #[test]
+        fn bfs_kernel_matches_reference_bfs(
+            n in 2usize..90,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..90, 0..4),
+            cut in prop::collection::vec(0usize..90, 0..30),
+            mask in prop::collection::vec(any::<bool>(), 90),
+            horizon in 0u32..6,
+        ) {
+            let t = faulted(n, seed, true, &crashed, &cut);
+            let mask = &mask[..n];
+            for src in t.nodes() {
+                let mut row = vec![UNREACHABLE; n];
+                for (v, h) in reference_bfs(&t, src, UNREACHABLE, None) {
+                    row[v.0] = h;
+                }
+                prop_assert_eq!(bfs_row(&t.adjacency, &t.active, src.0), row);
+                for max_hops in [horizon, UNREACHABLE] {
+                    prop_assert_eq!(
+                        t.bfs_bounded(src, max_hops, None),
+                        reference_bfs(&t, src, max_hops, None)
+                    );
+                    prop_assert_eq!(
+                        t.bfs_bounded(src, max_hops, Some(mask)),
+                        reference_bfs(&t, src, max_hops, Some(mask))
+                    );
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! byte counters, which later feed the Fig. 4(a)/5(b) overhead metrics.
 
 use crate::event::SimTime;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, Route, Topology};
 use edgechain_telemetry::{self as telemetry, trace_event};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -421,7 +421,6 @@ impl Transport {
         let route = topo
             .route(src, dst)
             .ok_or(TransportError::Unreachable { src, dst })?;
-        let hops = route.len() as u32;
         let tx = self.tx_time(bytes);
         if self.message_lost() {
             // The source transmitted a doomed frame: charge its airtime and
@@ -441,37 +440,61 @@ impl Transport {
             );
             return Err(TransportError::Dropped { src, dst });
         }
-        let hop_delay = self.hop_delay();
-        let mut t = now;
-        let mut u = src;
-        for v in route {
-            let depart = t.max(self.busy_until[u.0]);
-            let done = depart + tx;
-            self.busy_until[u.0] = done;
-            t = done + hop_delay;
-            self.stats.sent[u.0] += bytes;
-            self.stats.received[v.0] += bytes;
-            self.stats.messages += 1;
-            u = v;
-        }
-        telemetry::counter_add("transport.sends", 1);
+        // One dispatch per message, not per hop: the filled-row walk and
+        // the interval's collected route each get their own hop loop.
+        let (t, hops) = match route {
+            Route::Walk(route) => self.carry(route, src, bytes, tx, now),
+            Route::Interval(route) => self.carry(route, src, bytes, tx, now),
+        };
         if telemetry::is_enabled() {
+            telemetry::counter_add("transport.sends", 1);
             telemetry::record("transport.hops", hops as f64);
             telemetry::record(
                 "transport.unicast_ms",
                 t.saturating_since(now).as_millis() as f64,
             );
+            trace_event!(
+                "transport.send",
+                now.as_millis(),
+                src = src.0,
+                dst = dst.0,
+                bytes = bytes,
+                hops = hops,
+                dur_ms = t.saturating_since(now).as_millis()
+            );
         }
-        trace_event!(
-            "transport.send",
-            now.as_millis(),
-            src = src.0,
-            dst = dst.0,
-            bytes = bytes,
-            hops = hops,
-            dur_ms = t.saturating_since(now).as_millis()
-        );
         Ok(Delivery { arrival: t, hops })
+    }
+
+    /// Store-and-forward along `route`, the nodes after `src`: queueing
+    /// and `tx` airtime at every forwarder, byte counts on both ends of
+    /// every hop. Returns the arrival time and the hop count.
+    #[inline]
+    fn carry(
+        &mut self,
+        route: impl ExactSizeIterator<Item = NodeId>,
+        src: NodeId,
+        bytes: u64,
+        tx: SimTime,
+        now: SimTime,
+    ) -> (SimTime, u32) {
+        let hops = route.len() as u32;
+        let hop_delay = self.hop_delay();
+        let busy_until = &mut self.busy_until[..];
+        let (sent, received) = (&mut self.stats.sent[..], &mut self.stats.received[..]);
+        let mut t = now;
+        let mut u = src;
+        for v in route {
+            let depart = t.max(busy_until[u.0]);
+            let done = depart + tx;
+            busy_until[u.0] = done;
+            t = done + hop_delay;
+            sent[u.0] += bytes;
+            received[v.0] += bytes;
+            u = v;
+        }
+        self.stats.messages += u64::from(hops);
+        (t, hops)
     }
 
     /// Floods `bytes` from `src` to every reachable node (classic flooding:
@@ -535,7 +558,7 @@ impl Transport {
             let u = order[head];
             head += 1;
             let t_u = arrival[u.0].expect("ordered nodes have arrivals");
-            let has_new_neighbor = topo.neighbors(u).iter().any(|v| arrival[v.0].is_none());
+            let has_new_neighbor = topo.neighbors(u).any(|v| arrival[v.0].is_none());
             if !has_new_neighbor {
                 continue;
             }
@@ -546,7 +569,7 @@ impl Transport {
             self.stats.sent[u.0] += bytes;
             self.stats.messages += 1;
             let reach = done + hop_delay;
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 if arrival[v.0].is_none() {
                     // Injected link loss applies per reception: a neighbor
                     // that misses the frame may still be covered by a later
@@ -622,7 +645,7 @@ impl Transport {
             if !forwards {
                 continue;
             }
-            let has_new = topo.neighbors(u).iter().any(|v| arrival[v.0].is_none());
+            let has_new = topo.neighbors(u).any(|v| arrival[v.0].is_none());
             if !has_new {
                 continue;
             }
@@ -633,7 +656,7 @@ impl Transport {
             self.stats.sent[u.0] += bytes;
             self.stats.messages += 1;
             let reach = done + hop_delay;
-            for &v in topo.neighbors(u) {
+            for v in topo.neighbors(u) {
                 if arrival[v.0].is_none() {
                     if self.message_lost() {
                         self.dropped += 1;

@@ -64,7 +64,7 @@ proptest! {
                         prop_assert_eq!(*path.last().unwrap(), b);
                         // Consecutive path nodes are radio neighbors.
                         for w in path.windows(2) {
-                            prop_assert!(topo.neighbors(w[0]).contains(&w[1]));
+                            prop_assert!(topo.neighbors(w[0]).any(|v| v == w[1]));
                         }
                     }
                     None => prop_assert_eq!(topo.hops(a, b), UNREACHABLE),
@@ -83,9 +83,8 @@ proptest! {
                 for w in topo.path(a, b).unwrap_or_default().windows(2) {
                     let closer = topo
                         .neighbors(w[0])
-                        .iter()
-                        .find(|&&v| topo.hops(v, b) < topo.hops(w[0], b));
-                    prop_assert_eq!(closer, Some(&w[1]));
+                        .find(|&v| topo.hops(v, b) < topo.hops(w[0], b));
+                    prop_assert_eq!(closer, Some(w[1]));
                 }
             }
         }
@@ -107,8 +106,8 @@ proptest! {
             topo.set_active(NodeId(v % n), false);
         }
         for a in topo.nodes() {
-            for &b in topo.neighbors(a) {
-                prop_assert!(topo.neighbors(b).contains(&a), "{} -> {} only", a, b);
+            for b in topo.neighbors(a) {
+                prop_assert!(topo.neighbors(b).any(|v| v == a), "{} -> {} only", a, b);
             }
             for b in topo.nodes() {
                 prop_assert_eq!(topo.hops(a, b), topo.hops(b, a));
@@ -308,7 +307,7 @@ proptest! {
         prop_assert!(reach_part.is_subset(&reach_full));
         prop_assert!(part.stats().total_sent() <= full.stats().total_sent());
         // Direct neighbors of the source are always reached.
-        for &v in topo.neighbors(NodeId(0)) {
+        for v in topo.neighbors(NodeId(0)) {
             prop_assert!(reach_part.contains(&v));
         }
     }

@@ -13,6 +13,7 @@ fn hostile_flag_values_exit_2_with_a_message() {
         (["--rate", "nan"], "data_items_per_min"),
         (["--rate", "-1"], "data_items_per_min"),
         (["--malicious", "2"], "malicious_fraction"),
+        (["--mobility", "nan"], "topology.mobility_range"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_edgechain-cli"))
             .args(flags)

@@ -133,6 +133,46 @@ fn byzantine_run_is_equivalent() {
     assert_sparse_dense_equivalent("byzantine", byzantine_config());
 }
 
+/// The route-row counters of one run: hop rows filled (eager or lazy)
+/// and routes read off the source's row over the source–destination
+/// interval.
+fn route_counters(cfg: NetworkConfig) -> (u64, u64) {
+    telemetry::enable();
+    let _ = run(cfg);
+    let registry = telemetry::finish().expect("telemetry was enabled").registry;
+    (
+        registry.counter("topology.rows"),
+        registry.counter("topology.interval_routes"),
+    )
+}
+
+/// The lazy twin reads a route off whichever endpoint's row it holds:
+/// some routes cross an interval, and it fills fewer rows than the eager
+/// twin, which holds every row and never needs the interval.
+fn assert_sparse_reads_either_row(label: &str, cfg: NetworkConfig) {
+    let (sparse_rows, intervals) = route_counters(with_sparse(cfg.clone(), true));
+    let (eager_rows, eager_intervals) = route_counters(with_sparse(cfg, false));
+    assert!(intervals > 0, "{label}: no interval route");
+    assert_eq!(
+        eager_intervals, 0,
+        "{label}: the eager twin holds every row"
+    );
+    assert!(
+        sparse_rows < eager_rows,
+        "{label}: sparse filled {sparse_rows} rows, eager {eager_rows}"
+    );
+}
+
+#[test]
+fn chaos_run_reads_routes_off_either_row() {
+    assert_sparse_reads_either_row("chaos", chaos_config());
+}
+
+#[test]
+fn byzantine_run_reads_routes_off_either_row() {
+    assert_sparse_reads_either_row("byzantine", byzantine_config());
+}
+
 /// Runs with telemetry armed; returns the JSONL trace and the report.
 fn run_traced(cfg: NetworkConfig) -> (String, RunReport) {
     telemetry::enable();
