@@ -2,13 +2,14 @@
 //! hashing, signing, Merkle commitment, UFL solving at evaluation sizes,
 //! PoS round execution, PoW mining steps, Gini computation, the
 //! end-to-end per-block allocation path, the event queue under the raft
-//! workload's shape, the topology layer at the scale and raft shapes, and
-//! one raft heartbeat round.
+//! workload's shape, the topology layer at the scale, raft and paper
+//! shapes, the client orders of one paper-shaped UFL instance, and one
+//! raft heartbeat round.
 //!
 //! `cargo bench -p edgechain-bench`
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use edgechain_core::alloc::{select_storers, Placement};
+use edgechain_core::alloc::{build_instance, select_storers, Placement};
 use edgechain_core::pos::{run_round, Candidate};
 use edgechain_core::pow::{mine, Difficulty};
 use edgechain_core::storage::NodeStorage;
@@ -196,7 +197,8 @@ fn bench_event_queue(c: &mut Criterion) {
 /// source's row while the destination's is not held — each route and
 /// row on a fresh copy, so none finds the previous one's row. At the
 /// `raft` shape (n = 50, every row filled): one unicast, which walks the
-/// destination's row.
+/// destination's row. At the `paper` shape: one epoch's hop rows and one
+/// mobility step.
 fn bench_topology(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/topology");
     let n = 3_000;
@@ -241,7 +243,54 @@ fn bench_topology(c: &mut Criterion) {
             transport.unicast(&raft, src, dst, 2_048, now)
         })
     });
+
+    // The `paper` shape's topology epoch (n = 50 on the default field):
+    // every hop row of a fresh lazy copy in one sweep, and a whole eager
+    // mobility step — positions, adjacency, hop rows and RDC rows.
+    let mut rng = StdRng::seed_from_u64(19);
+    let lazy = TopologyConfig {
+        sparse_routes: true,
+        ..TopologyConfig::default()
+    };
+    let paper = Topology::random_connected(50, lazy, &mut rng).expect("paper shape connects");
+    group.bench_function("fill_all_rows_n50", |bench| {
+        bench.iter_batched(
+            || paper.clone(),
+            |t| {
+                t.fill_hop_rows(t.nodes());
+                t
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let mut paper = Topology::random_connected(50, TopologyConfig::default(), &mut rng)
+        .expect("paper shape connects");
+    group.bench_function("mobility_step_n50", |bench| {
+        bench.iter(|| paper.mobility_step(&mut rng))
+    });
     group.finish();
+}
+
+/// Every facility's client order of one `paper`-shaped instance (n = 50
+/// RDC rows on the default field), sorted on a fresh copy: what each
+/// topology epoch's first solve pays.
+fn bench_client_order(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(23);
+    let topology = Topology::random_connected(50, TopologyConfig::default(), &mut rng)
+        .expect("paper shape connects");
+    let instance = build_instance(&topology, &vec![NodeStorage::paper_default(); 50]);
+    c.bench_function("facility/client_order_n50", |b| {
+        b.iter_batched(
+            || instance.clone(),
+            |i| {
+                for f in 0..i.facilities() {
+                    std::hint::black_box(i.client_order(f));
+                }
+                i
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 /// A 50-replica set with the simulator's raft timing, past its first
@@ -311,6 +360,7 @@ criterion_group!(
     bench_signatures,
     bench_merkle,
     bench_ufl,
+    bench_client_order,
     bench_pos_round,
     bench_pow,
     bench_allocation_path,

@@ -70,9 +70,10 @@ pub fn build_instance_scaled(
 
 /// Core instance builder over an already-computed member set (solver index
 /// → node id), so callers that need the mapping don't recompute it.
-/// Connect rows are gathered from the topology's cached RDC rows, or —
-/// with `bounded: Some((horizon, mask))` — priced from a BFS confined to
-/// the mask and cut at `horizon` hops, peers beyond it taking the
+/// Connect rows are gathered from the topology's cached RDC rows — the
+/// members' hop rows filled first, in bit-parallel sweeps, when not held
+/// — or, with `bounded: Some((horizon, mask))`, priced from a BFS confined
+/// to the mask and cut at `horizon` hops, peers beyond it taking the
 /// unreachable penalty. Opening costs are `A·f_i` with the operation order
 /// of the original `from_costs` construction.
 fn build_instance_over(
@@ -100,6 +101,9 @@ fn build_instance_over(
             .collect()
     };
     telemetry::time_wall("ufl.build_ns", || {
+        if bounded.is_none() {
+            topology.fill_hop_rows(members.iter().map(|&f| NodeId(f)));
+        }
         let open_cost: Vec<f64> = members
             .iter()
             .map(|&i| scaled_open_cost(&storage[i], fdc_scale))

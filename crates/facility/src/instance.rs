@@ -157,17 +157,8 @@ impl UflInstance {
     /// ascending client id), sorted on the first call and kept: a patched
     /// and re-solved instance sorts nothing, and a facility no solve ever
     /// walks (full since the instance was built) is never sorted.
-    pub(crate) fn client_order(&self, i: usize) -> &[u32] {
-        self.order[i].get_or_init(|| {
-            let row = &self.connect[i];
-            let mut idx: Vec<u32> = (0..row.len() as u32).collect();
-            idx.sort_by(|&a, &b| {
-                row[a as usize]
-                    .partial_cmp(&row[b as usize])
-                    .expect("costs are not NaN")
-            });
-            idx
-        })
+    pub fn client_order(&self, i: usize) -> &[u32] {
+        self.order[i].get_or_init(|| counting_order(&self.connect[i]))
     }
 
     /// Overwrites facility `i`'s opening cost in place — the incremental
@@ -228,6 +219,51 @@ impl UflInstance {
         }
         (b1, c1, c2)
     }
+}
+
+/// The clients of one connect row stably sorted by cost — exactly
+/// `sort_by(partial_cmp)` over the ids `0..k` — by a counting pass first.
+///
+/// The bucket `min(⌊c⌋, k)` is monotone in `c` (`as usize` truncates a
+/// non-negative cost toward zero, maps −0.0 to 0 and saturates +∞), so
+/// the buckets are already in cost order relative to each other. Filling
+/// them in ascending id is stable, which leaves only the order *inside* a
+/// bucket to settle, and a bucket whose costs are all equal is already in
+/// it. RDC rows are hop counts plus range terms, so most buckets hold one
+/// value and only the rest pay a (stable) comparison sort.
+fn counting_order(row: &[f64]) -> Vec<u32> {
+    let k = row.len();
+    let bucket = |c: f64| (c as usize).min(k);
+    // `end[b + 1]` counts bucket `b`, then (prefix-summed) is its start,
+    // then (after the placement pass) its end.
+    let mut end = vec![0u32; k + 2];
+    for &c in row {
+        end[bucket(c) + 1] += 1;
+    }
+    for b in 1..end.len() {
+        end[b] += end[b - 1];
+    }
+    let mut order = vec![0u32; k];
+    for (j, &c) in row.iter().enumerate() {
+        let slot = &mut end[bucket(c)];
+        order[*slot as usize] = j as u32;
+        *slot += 1;
+    }
+    let mut lo = 0;
+    for &hi in &end[..=k] {
+        let run = &mut order[lo..hi as usize];
+        if let Some((&first, rest)) = run.split_first() {
+            if rest.iter().any(|&j| row[j as usize] != row[first as usize]) {
+                run.sort_by(|&a, &b| {
+                    row[a as usize]
+                        .partial_cmp(&row[b as usize])
+                        .expect("costs are not NaN")
+                });
+            }
+        }
+        lo = hi as usize;
+    }
+    order
 }
 
 /// A feasible solution: which facilities are open and where each client
@@ -377,6 +413,7 @@ impl std::error::Error for SolveError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fdc_basics() {
@@ -473,6 +510,37 @@ mod tests {
         sol.reassign_best(&inst);
         assert_eq!(sol.assignment, vec![0, 1]);
         assert_eq!(sol.cost, 2.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The counting pass orders clients exactly as the stable
+        /// comparison sort over ids does, on rows mixing ties, 0.0 and
+        /// −0.0, +∞, costs at or past the last bucket (`≥ k`), several
+        /// distinct costs inside one unit bucket and RDC-shaped costs.
+        #[test]
+        fn client_order_is_the_stable_sort(
+            k in 1usize..48,
+            picks in prop::collection::vec((0usize..7, 0u32..400), 48),
+        ) {
+            let row: Vec<f64> = picks[..k]
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    3 => k as f64 + f64::from(x % 9) / 8.0,
+                    4 => 2.0 + f64::from(x % 4) / 4.0,
+                    5 => f64::from(x % 6) + 30.0 / 70.0 + 30.0 / 70.0,
+                    _ => f64::from(x) / 16.0,
+                })
+                .collect();
+            let mut expect: Vec<u32> = (0..k as u32).collect();
+            expect.sort_by(|&a, &b| row[a as usize].partial_cmp(&row[b as usize]).unwrap());
+            let inst = UflInstance::new(vec![1.0], vec![row]);
+            prop_assert_eq!(inst.client_order(0), &expect[..]);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Built on [`std::thread::scope`] so borrowed inputs work without any
 //! `'static` gymnastics and without new dependencies. Used to parallelize
-//! per-source BFS in [`crate::Topology::rebuild_routes`] and the
+//! the hop-row sweeps of [`crate::Topology::fill_hop_rows`] and the
 //! independent parameter points of the bench sweep binaries.
 //!
 //! Note that telemetry sessions are thread-local: a worker that should
@@ -20,6 +20,7 @@
 //! bench binary for the merge-in-index-order pattern).
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Hard ceiling on worker threads, keeping the pool polite on big hosts
 /// where BFS chunks would become too small to amortize spawn cost.
@@ -28,18 +29,28 @@ const MAX_WORKERS: usize = 8;
 /// How many workers the pool would use for `len` items given the caller's
 /// cap: `min(cap, available_parallelism, MAX_WORKERS, len)`, at least 1.
 ///
-/// A cap or a range of one settles the answer before the host is asked:
-/// `available_parallelism` reads cgroup and affinity state (tens of
-/// microseconds), which the serial callers — every eager route rebuild
-/// below the pool's node threshold — would otherwise pay per call.
+/// A cap or a range of one settles the answer before the host is asked.
 pub fn worker_count(len: usize, max_workers: usize) -> usize {
     if max_workers <= 1 || len <= 1 {
         return 1;
     }
-    let hardware = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    hardware.min(MAX_WORKERS).min(max_workers).min(len).max(1)
+    hardware_threads()
+        .min(MAX_WORKERS)
+        .min(max_workers)
+        .min(len)
+        .max(1)
+}
+
+/// The host's `available_parallelism`, asked once per process: the call
+/// reads cgroup and affinity state (about 12 µs), which every parallel
+/// map would otherwise pay.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Maps `f` over `0..len` using up to `max_workers` scoped threads and

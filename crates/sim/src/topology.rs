@@ -15,12 +15,14 @@
 //! `OnceLock`, dropped on every rebuild.
 //! [`TopologyConfig::sparse_routes`] only picks *when* a row is filled:
 //!
-//! * **Eager** (default): every row is filled at rebuild, fanned out over
-//!   the worker pool — Θ(n²) memory, fine up to a few thousand nodes.
+//! * **Eager** (default): every row is filled at rebuild, 64 sources per
+//!   bit-parallel sweep ([`Topology::fill_hop_rows`]) — Θ(n²) memory,
+//!   fine up to a few thousand nodes.
 //! * **Lazy** (`sparse_routes`): a row is filled on its first query, so
 //!   memory is O(n·degree + touched sources·n).
 //!
-//! Both fill through the same BFS and Eq. 2 arithmetic, so every query
+//! Hop counts are unique, so the sweep and the one-source BFS fill equal
+//! rows, and both price them with the same Eq. 2 arithmetic: every query
 //! answers identically under either setting.
 
 use crate::geometry::{CellGrid, Field, Point};
@@ -58,10 +60,14 @@ impl From<usize> for NodeId {
 /// Hop count marker for unreachable node pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Below this node count the per-source BFS fan-out runs serially: the
-/// whole rebuild is a few hundred microseconds and thread spawns would
-/// dominate.
-const PARALLEL_BFS_MIN_NODES: usize = 64;
+/// Sources per bit-parallel sweep: one bit of a `u64` word each.
+const SWEEP_WIDTH: usize = u64::BITS as usize;
+
+/// Below this many sweeps a multi-row fill runs serially. Measured on a
+/// 2-core host: a sweep costs 10–60 µs at n = 50–250 and spawning and
+/// joining two workers ≈ 55 µs, so the pool breaks even at about 4
+/// sweeps (n ≈ 200–250) and loses below.
+const PARALLEL_SWEEP_MIN_BATCHES: usize = 4;
 
 /// Configuration for generating a [`Topology`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,10 +101,13 @@ impl Default for TopologyConfig {
 }
 
 /// Eq. 2 with an explicit hop count: `hops + range_i/norm + range_j/norm`,
-/// with the unreachable penalty substituted for the hop term. Kept as one
-/// free function so row fills and single-pair queries perform the
-/// identical float operations.
-fn rdc_formula(i: usize, j: usize, hops: u32, mobility: &[f64], norm: f64, penalty: f64) -> f64 {
+/// with the unreachable penalty substituted for the hop term. `reach`
+/// holds each node's `range/norm`, divided once when the range is set
+/// (the same quotient, so the same bits). Kept as one free function so
+/// row fills and single-pair queries perform the identical float
+/// operations.
+#[inline]
+fn rdc_formula(i: usize, j: usize, hops: u32, reach: &[f64], penalty: f64) -> f64 {
     if i == j {
         return 0.0;
     }
@@ -106,7 +115,7 @@ fn rdc_formula(i: usize, j: usize, hops: u32, mobility: &[f64], norm: f64, penal
         UNREACHABLE => penalty,
         h => h as f64,
     };
-    hop_cost + mobility[i] / norm + mobility[j] / norm
+    hop_cost + reach[i] + reach[j]
 }
 
 /// Links in compressed sparse row form: node `v`'s neighbours are
@@ -218,6 +227,9 @@ pub struct Topology {
     home: Vec<Point>,
     position: Vec<Point>,
     mobility: Vec<f64>,
+    /// `mobility[i] / comm_range`: node `i`'s Eq. 2 range term in
+    /// hop-equivalents, kept in step with `mobility`.
+    reach: Vec<f64>,
     /// Fault-injection state: crashed nodes have no radio at all.
     active: Vec<bool>,
     /// Fault-injection state: when set, links between a node inside the
@@ -304,6 +316,7 @@ impl Topology {
         assert!(u32::try_from(n).is_ok(), "node ids must fit u32");
         Topology {
             mobility: vec![config.mobility_range; n],
+            reach: vec![config.mobility_range / config.comm_range; n],
             config,
             home: positions.clone(),
             position: positions,
@@ -355,8 +368,18 @@ impl Topology {
     /// [`Topology::epoch`]. Eq. 2 reads both endpoints' ranges, so every
     /// filled RDC row holds a stale entry for `node`: they are dropped and
     /// refill from the (unaffected) hop rows on their next query.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` is NaN, infinite or negative: Eq. 2 would carry
+    /// it into every cost of `node`.
     pub fn set_mobility_range(&mut self, node: NodeId, range: f64) {
+        assert!(
+            range.is_finite() && range >= 0.0,
+            "mobility range of node {node} must be finite and non-negative, got {range}"
+        );
         self.mobility[node.0] = range;
+        self.reach[node.0] = range / self.config.comm_range;
         for row in &mut self.rdc_rows {
             row.take();
         }
@@ -576,8 +599,9 @@ impl Topology {
     }
 
     /// Recomputes adjacency from current positions and drops every hop
-    /// and RDC row; eager fill recomputes them all right away (fanned out
-    /// over the worker pool), lazy fill leaves that to the first query.
+    /// and RDC row; eager fill recomputes them all right away
+    /// ([`Topology::fill_hop_rows`]), lazy fill leaves that to the first
+    /// query.
     pub fn rebuild_routes(&mut self) {
         self.rebuild_adjacency();
         self.rebuild_tables();
@@ -592,19 +616,7 @@ impl Topology {
         self.rdc_rows.clear();
         self.rdc_rows.resize_with(n, OnceLock::new);
         if !self.config.sparse_routes {
-            // Per-source BFS rows are independent; fan them out over the
-            // worker pool on larger topologies. The pool returns rows in
-            // source order, so the fill is identical to a serial one.
-            let (adjacency, active) = (&self.adjacency, &self.active);
-            let workers = if n >= PARALLEL_BFS_MIN_NODES {
-                usize::MAX
-            } else {
-                1
-            };
-            let hops =
-                crate::pool::parallel_map_range(n, workers, |src| bfs_row(adjacency, active, src));
-            telemetry::counter_add("topology.rows", n as u64);
-            self.hop_rows = hops.into_iter().map(OnceLock::from).collect();
+            self.fill_hop_rows(self.nodes());
             for i in 0..n {
                 self.rdc_row(NodeId(i));
             }
@@ -645,6 +657,41 @@ impl Topology {
         self.adjacency = Adjacency { start, list };
     }
 
+    /// Fills the hop row of every source in `sources` that is not held
+    /// yet, 64 sources per bit-parallel multi-source BFS sweep; sweeps fan
+    /// out over the worker pool when there are enough of them. Each row
+    /// equals what its first query would fill, and counts once in
+    /// `topology.rows` as that query would, so calling this ahead of a
+    /// loop over the same sources changes nothing but the wall time. A
+    /// no-op when every row is held (eager fill).
+    pub fn fill_hop_rows(&self, sources: impl IntoIterator<Item = NodeId>) {
+        let missing: Vec<u32> = sources
+            .into_iter()
+            .filter(|s| self.hop_rows[s.0].get().is_none())
+            .map(|s| s.0 as u32)
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let batches: Vec<&[u32]> = missing.chunks(SWEEP_WIDTH).collect();
+        let workers = if batches.len() >= PARALLEL_SWEEP_MIN_BATCHES {
+            usize::MAX
+        } else {
+            1
+        };
+        let (adjacency, active) = (&self.adjacency, &self.active);
+        let rows = crate::pool::parallel_map(&batches, workers, |batch| {
+            sweep_rows(adjacency, active, batch)
+        });
+        // The pool returns sweeps in batch order, so rows line up with
+        // `missing`; a source listed twice is filled once.
+        let mut filled = 0;
+        for (&src, row) in missing.iter().zip(rows.into_iter().flatten()) {
+            filled += u64::from(self.hop_rows[src as usize].set(row).is_ok());
+        }
+        telemetry::counter_add("topology.rows", filled);
+    }
+
     /// `src`'s hop row, filled on first use.
     fn hop_row(&self, src: usize) -> &[u32] {
         self.hop_rows[src].get_or_init(|| {
@@ -680,14 +727,7 @@ impl Topology {
     ///
     /// [`rdc`]: Topology::rdc
     pub fn rdc_from_hops(&self, i: NodeId, j: NodeId, hops: u32) -> f64 {
-        rdc_formula(
-            i.0,
-            j.0,
-            hops,
-            &self.mobility,
-            self.config.comm_range,
-            self.len() as f64,
-        )
+        rdc_formula(i.0, j.0, hops, &self.reach, self.len() as f64)
     }
 
     /// Row `i` of the RDC state: `row[j] == rdc(i, j)` for every `j`.
@@ -696,9 +736,9 @@ impl Topology {
     /// next route rebuild.
     pub fn rdc_row(&self, i: NodeId) -> &[f64] {
         self.rdc_rows[i.0].get_or_init(|| {
-            let hops = self.hop_row(i.0);
-            (0..self.len())
-                .map(|j| self.rdc_from_hops(i, NodeId(j), hops[j]))
+            let (reach, penalty) = (&self.reach[..], self.len() as f64);
+            let hops = self.hop_row(i.0).iter().enumerate();
+            hops.map(|(j, &h)| rdc_formula(i.0, j, h, reach, penalty))
                 .collect()
         })
     }
@@ -759,10 +799,60 @@ fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
     std::mem::size_of_val(rows) + heap
 }
 
+/// The hop rows of up to 64 `sources` at once, in source order: the
+/// multi-source BFS of Then et al., *The More the Merrier* (VLDB 2014).
+/// Bit `b` of a node's words stands for `sources[b]`; `seen` marks the
+/// sources that reached the node, `frontier` those that reached it last
+/// level. A level ORs each frontier node's word into its neighbours'
+/// `next`, and the bits new to a node (`next & !seen`) are the sources it
+/// lies `level` hops from. A node's hop count from a source is unique, so
+/// each row equals [`bfs_row`]'s; the sweep reads a link once per level
+/// for all 64 sources instead of once per source. The inner loop is a
+/// branch-free OR; the per-level scan of all `n` words it buys is far
+/// cheaper than tracking which nodes were touched.
+fn sweep_rows(adjacency: &Adjacency, active: &[bool], sources: &[u32]) -> Vec<Vec<u32>> {
+    debug_assert!(sources.len() <= SWEEP_WIDTH);
+    let n = active.len();
+    let mut rows = vec![vec![UNREACHABLE; n]; sources.len()];
+    let (mut seen, mut frontier, mut next) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+    for (b, &s) in sources.iter().enumerate() {
+        // A crashed source reaches nothing, not even itself.
+        let s = s as usize;
+        if active[s] {
+            frontier[s] |= 1 << b;
+            rows[b][s] = 0;
+        }
+    }
+    seen.copy_from_slice(&frontier);
+    let mut hops = 0;
+    loop {
+        hops += 1;
+        for (v, &bits) in frontier.iter().enumerate() {
+            if bits != 0 {
+                for &u in adjacency.of(v) {
+                    next[u as usize] |= bits;
+                }
+            }
+        }
+        let mut reached = false;
+        for u in 0..n {
+            let mut fresh = std::mem::take(&mut next[u]) & !seen[u];
+            frontier[u] = fresh;
+            seen[u] |= fresh;
+            reached |= fresh != 0;
+            while fresh != 0 {
+                rows[fresh.trailing_zeros() as usize][u] = hops;
+                fresh &= fresh - 1;
+            }
+        }
+        if !reached {
+            return rows;
+        }
+    }
+}
+
 /// One source's BFS hop-count row; a crashed source reaches nothing, not
-/// even itself. A free function over the borrowed adjacency (rather than
-/// a `&mut self` method) so the per-source fan-out can run on pool
-/// workers.
+/// even itself. The single-row fill behind a lazy query.
 fn bfs_row(adjacency: &Adjacency, active: &[bool], src: usize) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; active.len()];
     if active[src] {
@@ -998,6 +1088,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "mobility range of node n1 must be finite and non-negative")]
+    fn nan_mobility_range_is_rejected() {
+        line_topology(2, 60.0).set_mobility_range(NodeId(1), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "mobility range of node n0 must be finite and non-negative")]
+    fn negative_mobility_range_is_rejected() {
+        line_topology(2, 60.0).set_mobility_range(NodeId(0), -1.0);
+    }
+
+    #[test]
     fn rdc_row_matches_pointwise_lookups() {
         let mut rng = StdRng::seed_from_u64(21);
         let t = Topology::random_connected(25, TopologyConfig::default(), &mut rng).unwrap();
@@ -1056,12 +1158,14 @@ mod tests {
         assert!(t.epoch() > e4);
     }
 
-    /// Above the parallel-BFS threshold, the tables must be exactly what a
-    /// serial per-source BFS would produce (index-order merge).
+    /// Above the parallel-sweep threshold (5 sweeps here), the tables must
+    /// be exactly what a serial per-source BFS would produce (index-order
+    /// merge).
     #[test]
     fn parallel_rebuild_matches_serial_bfs() {
         let mut rng = StdRng::seed_from_u64(31);
-        let n = 96;
+        let n = 4 * SWEEP_WIDTH + 3;
+        assert!(n.div_ceil(SWEEP_WIDTH) >= PARALLEL_SWEEP_MIN_BATCHES);
         let t = Topology::random_connected(n, TopologyConfig::default(), &mut rng).unwrap();
         for src in 0..n {
             let hops_row = super::bfs_row(&t.adjacency, &t.active, src);
@@ -1069,6 +1173,47 @@ mod tests {
                 assert_eq!(t.hops(NodeId(src), NodeId(dst)), hops);
             }
         }
+    }
+
+    /// A line whose diameter exceeds a sweep's 64 source bits: levels are
+    /// hop counts, not bit positions. Eager fill sweeps it whole; a lazy
+    /// twin, crashed in the middle, fills a listed source once however
+    /// often it is listed.
+    #[test]
+    fn swept_rows_span_a_diameter_past_64() {
+        let n = 150;
+        let positions: Vec<Point> = (0..n).map(|i| Point::new(i as f64 * 60.0, 0.0)).collect();
+        let field = Field::new(n as f64 * 60.0, 60.0);
+        let eager = TopologyConfig {
+            field,
+            ..TopologyConfig::default()
+        };
+        let t = Topology::from_positions_with_config(positions.clone(), eager.clone());
+        assert_eq!(t.hops(NodeId(0), NodeId(n - 1)), n as u32 - 1);
+        for src in 0..n {
+            let row = t.hop_rows[src].get().expect("eager fill holds every row");
+            assert_eq!(row, &bfs_row(&t.adjacency, &t.active, src), "src {src}");
+        }
+
+        let lazy = TopologyConfig {
+            sparse_routes: true,
+            ..eager
+        };
+        let mut t = Topology::from_positions_with_config(positions, lazy);
+        t.set_active(NodeId(70), false);
+        telemetry::enable();
+        t.fill_hop_rows([0, 149, 0, 70, 149].map(NodeId));
+        let registry = telemetry::finish().expect("telemetry was enabled").registry;
+        assert_eq!(registry.counter("topology.rows"), 3);
+        assert_eq!(t.materialized_rows(), 3);
+        for src in [0, 70, 149] {
+            let row = t.hop_rows[src].get().expect("filled");
+            assert_eq!(row, &bfs_row(&t.adjacency, &t.active, src), "src {src}");
+        }
+        assert_eq!(t.hops(NodeId(0), NodeId(69)), 69);
+        assert_eq!(t.hops(NodeId(0), NodeId(71)), UNREACHABLE);
+        let crashed = t.hop_rows[70].get().expect("filled");
+        assert!(crashed.iter().all(|&h| h == UNREACHABLE));
     }
 
     /// The router this module had before routes were read off the
@@ -1545,6 +1690,31 @@ mod tests {
                 let _ = to_b.hops(b, b);
                 prop_assert_eq!(to_b.path(a, b), expect.clone(), "walk {}->{}", a, b);
                 prop_assert_eq!(eager.path(a, b), expect, "eager {}->{}", a, b);
+            }
+        }
+
+        /// The bit-parallel sweep fills exactly the one-source BFS's rows
+        /// at the batch edges (n = 1, 63, 64, 65, 129) on random geometric
+        /// graphs with crashed nodes and a partition cut: for any subset
+        /// of sources first, then for all of them, filling only the rest.
+        #[test]
+        fn swept_rows_match_bfs_rows(
+            pick in 0usize..5,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..129, 0..6),
+            cut in prop::collection::vec(0usize..129, 0..40),
+            subset in prop::collection::vec(any::<bool>(), 129),
+        ) {
+            let n = [1, 63, 64, 65, 129][pick];
+            let t = faulted(n, seed, true, &crashed, &cut);
+            let some: Vec<NodeId> = t.nodes().filter(|v| subset[v.0]).collect();
+            t.fill_hop_rows(some.iter().copied());
+            prop_assert_eq!(t.materialized_rows(), some.len());
+            t.fill_hop_rows(t.nodes());
+            prop_assert_eq!(t.materialized_rows(), n);
+            for src in 0..n {
+                let row = t.hop_rows[src].get().expect("every row filled");
+                prop_assert_eq!(row, &bfs_row(&t.adjacency, &t.active, src), "src {}", src);
             }
         }
 
