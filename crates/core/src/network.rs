@@ -42,7 +42,7 @@ pub use crate::report::RunReport;
 use crate::slo::{LatencySummary, SloMonitor, SloThresholds};
 use crate::spans::SpanTracker;
 use crate::storage::NodeStorage;
-use edgechain_energy::{Battery, DeviceProfile, EnergyCategory, EnergyMeter};
+use edgechain_energy::{Battery, DeviceProfile};
 use edgechain_sim::{
     ByzantineAction, EventQueue, FaultInjector, FaultPlan, FaultPlanError, NodeId, SimTime,
     Topology, TopologyConfig, TopologyError, Transport, TransportConfig,
@@ -244,10 +244,11 @@ impl Default for NetworkConfig {
 
 impl NetworkConfig {
     /// Checks the values [`EdgeNetwork::new`] would otherwise trip over:
-    /// at least one node, a positive block interval, a finite nonnegative
-    /// generation rate, FDC weight and mobility range, a finite positive
-    /// radio range and field, fractions in `[0, 1]`, snapshots only on a
-    /// pruned chain, and a fault plan that fits the node count.
+    /// at least one node, a positive block and mobility interval, a finite
+    /// nonnegative generation rate, FDC weight and mobility range, a finite
+    /// positive bandwidth, radio range and field, fractions in `[0, 1]`,
+    /// snapshots only on a pruned chain, and a fault plan that fits the
+    /// node count.
     ///
     /// # Errors
     ///
@@ -256,10 +257,23 @@ impl NetworkConfig {
         let rate = |v: f64| v.is_finite() && v >= 0.0;
         let positive = |v: f64| v.is_finite() && v > 0.0;
         let (t0, fraction) = (self.block_interval_secs, self.malicious_fraction);
+        let (mobility, bandwidth) = (self.mobility_interval_secs, self.transport.bandwidth);
         let topo = &self.topology;
         let checks = [
             ("nodes", self.nodes as f64, self.nodes >= 1, "at least 1"),
             ("block_interval_secs", t0 as f64, t0 >= 1, "at least 1"),
+            (
+                "mobility_interval_secs",
+                mobility as f64,
+                mobility >= 1,
+                "at least 1",
+            ),
+            (
+                "transport.bandwidth",
+                bandwidth,
+                positive(bandwidth),
+                "finite and above 0",
+            ),
             (
                 "data_items_per_min",
                 self.data_items_per_min,
@@ -433,7 +447,6 @@ pub struct EdgeNetwork {
     /// The paper's §VI handset, which every node is.
     device: DeviceProfile,
     batteries: Vec<Battery>,
-    meters: Vec<EnergyMeter>,
 
     chain: Blockchain,
     ledger: Ledger,
@@ -482,7 +495,6 @@ pub struct EdgeNetwork {
     spans: SpanTracker,
     replica_total: u64,
     replica_items: u64,
-    block_timestamps: Vec<u64>,
 
     // chain lifecycle
     /// Ids that have been swept. A swept id reappearing in a later block
@@ -653,7 +665,6 @@ impl EdgeNetwork {
             storage: vec![NodeStorage::new(config.storage_slots); config.nodes],
             batteries: vec![Battery::full(&device); config.nodes],
             device,
-            meters: vec![EnergyMeter::new(); config.nodes],
             chain: Blockchain::new(),
             ledger: Ledger::new(),
             node_height: vec![0; config.nodes],
@@ -676,7 +687,6 @@ impl EdgeNetwork {
             spans: SpanTracker::default(),
             replica_total: 0,
             replica_items: 0,
-            block_timestamps: vec![0],
             expired_ids: std::collections::HashSet::new(),
             expired_log: std::collections::VecDeque::new(),
             resurrected_pending: 0,
@@ -834,7 +844,6 @@ impl EdgeNetwork {
         // ends: charge PoS checking energy (Fig. 6's PoS cost model).
         for &i in &miners {
             let joules = self.device.pos_check_energy * outcome.delay_secs as f64;
-            self.meters[i].record(EnergyCategory::PosChecking, joules);
             self.batteries[i].consume(joules);
         }
         let prev_ts = SimTime::from_secs(self.chain.tip().timestamp_secs);
@@ -1157,15 +1166,6 @@ impl EdgeNetwork {
             }
             self.ledger
                 .credit(self.account_of[w.miner.0], w.blocks.len() as u64);
-            // Timestamps below the fork base are untouched by the reorg;
-            // rebuild only the displaced tail from the adopted suffix.
-            self.block_timestamps.truncate((w.base_height + 1) as usize);
-            self.block_timestamps.extend(
-                self.chain
-                    .retained_after(w.base_height)
-                    .iter()
-                    .map(|b| b.timestamp_secs),
-            );
             // Cached per-height PoS hits keyed on the replaced branch are
             // stale now.
             self.pos_hits.invalidate();
@@ -1551,7 +1551,6 @@ impl EdgeNetwork {
                 self.ledger.rescale_halve();
             }
         }
-        self.block_timestamps.push(now.as_secs());
 
         // Broadcast the block; deliveries reveal who is currently connected.
         // One Arc of the sealed encoding is shared across all deliveries
@@ -2159,15 +2158,12 @@ impl EdgeNetwork {
             })
             .sum();
         let used: Vec<u64> = self.storage.iter().map(NodeStorage::used_slots).collect();
-        let intervals: Vec<f64> = self
-            .block_timestamps
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as f64)
-            .collect();
-        let mean_interval = if intervals.is_empty() {
+        // The intervals telescope from genesis (timestamp 0) to the tip.
+        let height = self.chain.height();
+        let mean_interval = if height == 0 {
             0.0
         } else {
-            intervals.iter().sum::<f64>() / intervals.len() as f64
+            self.chain.tip().timestamp_secs as f64 / height as f64
         };
         let availability = {
             let completed = self.report.completed_requests;
@@ -2705,6 +2701,12 @@ mod tests {
             ..base()
         };
         rejects(zero_t0, "block_interval_secs");
+        // Zero would re-arm the mobility step at the same instant forever.
+        let zero_mobility = NetworkConfig {
+            mobility_interval_secs: 0,
+            ..base()
+        };
+        rejects(zero_mobility, "mobility_interval_secs");
         for rate in [f64::NAN, f64::INFINITY, -1.0] {
             let cfg = NetworkConfig {
                 data_items_per_min: rate,
@@ -2722,6 +2724,9 @@ mod tests {
             let mut cfg = base();
             cfg.topology.field.height = bad;
             rejects(cfg, "topology.field.height");
+            let mut cfg = base();
+            cfg.transport.bandwidth = bad;
+            rejects(cfg, "transport.bandwidth");
             if bad != 0.0 {
                 let mut cfg = base();
                 cfg.topology.mobility_range = bad;

@@ -147,16 +147,6 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// The index of the proven leaf.
-    pub fn leaf_index(&self) -> usize {
-        self.index
-    }
-
-    /// The number of sibling hashes in the proof.
-    pub fn path_len(&self) -> usize {
-        self.path.len()
-    }
-
     /// Verifies that `leaf_data` at this proof's index hashes up to `root`.
     pub fn verify(&self, leaf_data: &[u8], root: &Digest) -> bool {
         let mut acc = hash_leaf(leaf_data);

@@ -16,9 +16,11 @@
 //!   **compile-time message schedule for the padding block**: a 64-byte
 //!   message always pads to the same second block (`0x80`, zeros, bit
 //!   length 512), so its 64-entry schedule expansion is a `const`.
-//! - [`sha256_many`] / [`sha256_many_fixed64`] hash a batch, fanning out
-//!   on [`edgechain_sim::pool`] with index-ordered joins above a size
-//!   threshold; output order and bytes are identical to the serial map.
+//! - [`SharedPrefix32`] / [`sha256_many_pair64`] run the message-block
+//!   rounds that depend only on a shared 32-byte prefix once per batch,
+//!   fanning large batches out on [`edgechain_sim::pool`] with
+//!   index-ordered joins; output order and bytes are identical to the
+//!   serial map.
 //!
 //! # Examples
 //!
@@ -212,14 +214,13 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_block(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
         while data.len() >= 64 {
             let block: [u8; 64] = data[..64].try_into().unwrap();
-            self.compress(&block);
+            compress_block(&mut self.state, &block);
             data = &data[64..];
         }
         if !data.is_empty() {
@@ -245,15 +246,7 @@ impl Sha256 {
         tail.extend_from_slice(&bit_len.to_be_bytes());
         self.update(&tail);
         debug_assert_eq!(self.buffer_len, 0);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+        to_digest(&self.state)
     }
 
     /// Captures the compression state, provided the hasher sits exactly at
@@ -313,28 +306,33 @@ impl Midstate {
     }
 }
 
-/// One compression round over the 16-word block `block`, expanding the
-/// message schedule on the fly.
+/// One compression of the 64-byte `block`, its message schedule expanded
+/// on the fly.
 fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
+    let mut first16 = [0u32; 16];
+    for (i, word) in first16.iter_mut().enumerate() {
         *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    compress_scheduled(state, &w);
+    compress_scheduled(state, &expand_schedule(first16));
 }
 
-/// The 64 compression rounds over an already-expanded message schedule.
+/// The 64 compression rounds over an already-expanded message schedule,
+/// then the feed-forward into `state`.
 fn compress_scheduled(state: &mut [u32; 8], w: &[u32; 64]) {
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
+    let mut vars = *state;
+    rounds(&mut vars, w, 0..64);
+    for (s, v) in state.iter_mut().zip(vars) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Compression rounds `range` over the working variables `a..h`: round
+/// `t` consumes schedule word `w[t]` and nothing past it, so a caller
+/// that runs a prefix of the rounds needs only that prefix of `w` filled.
+#[inline(always)]
+fn rounds(vars: &mut [u32; 8], w: &[u32; 64], range: std::ops::Range<usize>) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *vars;
+    for i in range {
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
         let ch = (e & f) ^ (!e & g);
         let temp1 = h
@@ -354,18 +352,11 @@ fn compress_scheduled(state: &mut [u32; 8], w: &[u32; 64]) {
         b = a;
         a = temp1.wrapping_add(temp2);
     }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+    *vars = [a, b, c, d, e, f, g, h];
 }
 
-/// Expands a 16-word block into the full 64-entry message schedule at
-/// compile time (used for the constant padding block of 64-byte messages).
+/// Expands a 16-word block into the full 64-entry message schedule; a
+/// `const fn` so the padding block's schedule is computed at compile time.
 const fn expand_schedule(first16: [u32; 16]) -> [u32; 64] {
     let mut w = [0u32; 64];
     let mut i = 0;
@@ -383,6 +374,15 @@ const fn expand_schedule(first16: [u32; 16]) -> [u32; 64] {
         i += 1;
     }
     w
+}
+
+/// The big-endian write-out of a finished state.
+fn to_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
 }
 
 /// Message schedule of the padding block every 64-byte message shares:
@@ -403,11 +403,7 @@ pub fn sha256_fixed64(block: &[u8; 64]) -> Digest {
     let mut state = H0;
     compress_block(&mut state, block);
     compress_scheduled(&mut state, &PAD64_SCHEDULE);
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    Digest(out)
+    to_digest(&state)
 }
 
 /// [`sha256_fixed64`] over the concatenation of two 32-byte halves — the
@@ -443,31 +439,12 @@ impl SharedPrefix32 {
     /// Absorbs the shared 32-byte prefix: eight compression rounds plus
     /// the prefix-only schedule partials, done once per batch.
     pub fn new(prefix: &[u8; 32]) -> Self {
-        let mut w = [0u32; 8];
-        for (i, word) in w.iter_mut().enumerate() {
+        let mut w = [0u32; 64];
+        for (i, word) in w.iter_mut().take(8).enumerate() {
             *word = u32::from_be_bytes(prefix[i * 4..i * 4 + 4].try_into().unwrap());
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = H0;
-        for i in 0..8 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+        let mut vars = H0;
+        rounds(&mut vars, &w, 0..8);
         let mut partial = [0u32; 7];
         for (k, p) in partial.iter_mut().enumerate() {
             let i = k + 16;
@@ -476,8 +453,8 @@ impl SharedPrefix32 {
             *p = w[i - 16].wrapping_add(s0);
         }
         SharedPrefix32 {
-            w,
-            vars: [a, b, c, d, e, f, g, h],
+            w: w[..8].try_into().unwrap(),
+            vars,
             partial,
         }
     }
@@ -502,39 +479,16 @@ impl SharedPrefix32 {
             };
             w[i] = head.wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.vars;
-        for i in 8..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
+        let mut vars = self.vars;
+        rounds(&mut vars, &w, 8..64);
         // The message block started from the constant `H0`, so the
         // feed-forward is `H0 + vars`; the padding block then finishes.
         let mut state = H0;
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip(vars) {
             *s = s.wrapping_add(v);
         }
         compress_scheduled(&mut state, &PAD64_SCHEDULE);
-        let mut out = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        to_digest(&state)
     }
 }
 
@@ -550,36 +504,11 @@ pub fn sha256_many_pair64(prefix: &[u8; 32], suffixes: &[[u8; 32]]) -> Vec<Diges
     edgechain_sim::pool::parallel_map(suffixes, usize::MAX, |s| shared.pair(s))
 }
 
-/// Batches below this size are hashed serially: scoped-thread spawning
-/// costs more than a few hundred compressions, and the worker pool caps at
-/// 8 threads anyway. Above it, [`sha256_many`] fans out on
-/// [`edgechain_sim::pool`] with index-ordered joins, so the output is
-/// byte-identical either way.
-const PARALLEL_MIN: usize = 256;
-
 /// A resumed shared-prefix compression is under half a microsecond, so a
-/// pair batch must be far larger than the generic threshold before eight
-/// scoped-thread spawns pay for themselves.
+/// pair batch must be large before eight scoped-thread spawns pay for
+/// themselves. Below it the batch is hashed serially; the output is
+/// byte-identical either way.
 const PARALLEL_MIN_PAIR: usize = 2048;
-
-/// SHA-256 of every input, in input order — exactly
-/// `inputs.iter().map(sha256).collect()`, computed on the deterministic
-/// worker pool when the batch is large enough to amortize thread spawns.
-pub fn sha256_many<T: AsRef<[u8]> + Sync>(inputs: &[T]) -> Vec<Digest> {
-    if inputs.len() < PARALLEL_MIN {
-        return inputs.iter().map(sha256).collect();
-    }
-    edgechain_sim::pool::parallel_map(inputs, usize::MAX, |d| sha256(d))
-}
-
-/// [`sha256_many`] over exactly-64-byte messages, taking the
-/// [`sha256_fixed64`] fast path per item.
-pub fn sha256_many_fixed64(blocks: &[[u8; 64]]) -> Vec<Digest> {
-    if blocks.len() < PARALLEL_MIN {
-        return blocks.iter().map(sha256_fixed64).collect();
-    }
-    edgechain_sim::pool::parallel_map(blocks, usize::MAX, sha256_fixed64)
-}
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: impl AsRef<[u8]>) -> Digest {
@@ -763,27 +692,6 @@ mod tests {
             let suffixes: Vec<[u8; 32]> = (0..n).map(|i| sha256(i.to_le_bytes()).0).collect();
             let expect: Vec<Digest> = suffixes.iter().map(|s| sha256_pair64(&prefix, s)).collect();
             assert_eq!(sha256_many_pair64(&prefix, &suffixes), expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn many_matches_serial_on_both_sides_of_threshold() {
-        for n in [
-            0usize,
-            1,
-            7,
-            PARALLEL_MIN - 1,
-            PARALLEL_MIN,
-            2 * PARALLEL_MIN + 3,
-        ] {
-            let inputs: Vec<Vec<u8>> = (0..n)
-                .map(|i| format!("msg-{i}").repeat(i % 5 + 1).into_bytes())
-                .collect();
-            let expect: Vec<Digest> = inputs.iter().map(sha256).collect();
-            assert_eq!(sha256_many(&inputs), expect, "n={n}");
-            let blocks: Vec<[u8; 64]> = (0..n).map(|i| [i as u8; 64]).collect();
-            let expect64: Vec<Digest> = blocks.iter().map(sha256).collect();
-            assert_eq!(sha256_many_fixed64(&blocks), expect64, "n={n}");
         }
     }
 }

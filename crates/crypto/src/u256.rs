@@ -116,11 +116,6 @@ impl U256 {
         self.limbs[0]
     }
 
-    /// Returns the low 128 bits.
-    pub fn low_u128(&self) -> u128 {
-        (self.limbs[0] as u128) | ((self.limbs[1] as u128) << 64)
-    }
-
     /// Number of significant bits (zero for the value zero).
     pub fn bits(&self) -> u32 {
         for i in (0..4).rev() {

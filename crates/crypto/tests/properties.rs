@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use edgechain_crypto::{
-    field, leaf_hash, sha256, sha256_fixed64, sha256_many, sha256_pair64, KeyPair, MerkleTree,
-    Sha256, SharedPrefix32, Signature, U256,
+    field, leaf_hash, sha256, sha256_fixed64, sha256_pair64, KeyPair, MerkleTree, Sha256,
+    SharedPrefix32, Signature, U256,
 };
 use proptest::prelude::*;
 
@@ -149,13 +149,6 @@ proptest! {
         prop_assert_eq!(sha256_fixed64(&full), sha256(full));
         prop_assert_eq!(sha256_pair64(&a, &b), sha256(full));
         prop_assert_eq!(SharedPrefix32::new(&a).pair(&b), sha256(full));
-    }
-
-    #[test]
-    fn sha_many_matches_map(inputs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 0..40)) {
-        let batched = sha256_many(&inputs);
-        let serial: Vec<_> = inputs.iter().map(sha256).collect();
-        prop_assert_eq!(batched, serial);
     }
 
     #[test]

@@ -149,20 +149,6 @@ pub enum FaultEvent {
     },
 }
 
-impl FaultEvent {
-    /// The instant this event first takes effect.
-    pub fn starts_at(&self) -> SimTime {
-        match self {
-            FaultEvent::Crash { at, .. }
-            | FaultEvent::Restart { at, .. }
-            | FaultEvent::Byzantine { at, .. } => *at,
-            FaultEvent::Partition { from, .. }
-            | FaultEvent::LinkLoss { from, .. }
-            | FaultEvent::LatencySpike { from, .. } => *from,
-        }
-    }
-}
-
 /// A complete fault schedule, fixed before the run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {

@@ -511,7 +511,7 @@ impl Transport {
         bytes: u64,
         now: SimTime,
     ) -> Vec<(NodeId, SimTime)> {
-        self.flood(topo, src, bytes, now, None).flatten()
+        self.flood(topo, src, bytes, now, None, |_| true).flatten()
     }
 
     /// [`Transport::broadcast`] carrying an actual payload: byte
@@ -527,84 +527,10 @@ impl Transport {
         payload: &Payload,
         now: SimTime,
     ) -> BroadcastDeliveries {
-        self.flood(topo, src, payload.len() as u64, now, Some(payload.clone()))
+        let bytes = payload.len() as u64;
+        self.flood(topo, src, bytes, now, Some(payload.clone()), |_| true)
     }
 
-    /// Shared flooding core: BFS by arrival time, one transmission per
-    /// node with uncovered neighbors, deliveries grouped by arrival
-    /// instant. All neighbors newly covered by one transmission share its
-    /// `reach` time, so they land in one group (groups with coinciding
-    /// arrivals merge); flattening restores the historical per-recipient
-    /// order because coverage order within a group is BFS push order.
-    fn flood(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        bytes: u64,
-        now: SimTime,
-        payload: Option<Payload>,
-    ) -> BroadcastDeliveries {
-        self.ensure(topo.len());
-        let tx = self.tx_time(bytes);
-        let hop_delay = self.hop_delay();
-        let mut arrival: Vec<Option<SimTime>> = vec![None; topo.len()];
-        arrival[src.0] = Some(now);
-        // BFS by arrival time: process nodes in nondecreasing arrival order.
-        let mut order: Vec<NodeId> = vec![src];
-        let mut head = 0;
-        let mut reached = 0usize;
-        let mut groups: Vec<(SimTime, Vec<NodeId>)> = Vec::new();
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            let t_u = arrival[u.0].expect("ordered nodes have arrivals");
-            let has_new_neighbor = topo.neighbors(u).any(|v| arrival[v.0].is_none());
-            if !has_new_neighbor {
-                continue;
-            }
-            // One transmission reaches all (new) neighbors.
-            let depart = t_u.max(self.busy_until[u.0]);
-            let done = depart + tx;
-            self.busy_until[u.0] = done;
-            self.stats.sent[u.0] += bytes;
-            self.stats.messages += 1;
-            let reach = done + hop_delay;
-            for v in topo.neighbors(u) {
-                if arrival[v.0].is_none() {
-                    // Injected link loss applies per reception: a neighbor
-                    // that misses the frame may still be covered by a later
-                    // rebroadcast from another neighbor.
-                    if self.message_lost() {
-                        self.dropped += 1;
-                        continue;
-                    }
-                    arrival[v.0] = Some(reach);
-                    self.stats.received[v.0] += bytes;
-                    order.push(v);
-                    reached += 1;
-                    match groups.last_mut() {
-                        Some((t, nodes)) if *t == reach => nodes.push(v),
-                        _ => groups.push((reach, vec![v])),
-                    }
-                }
-            }
-        }
-        telemetry::counter_add("transport.broadcasts", 1);
-        if telemetry::is_enabled() {
-            telemetry::record("transport.broadcast_reach", reached as f64);
-        }
-        trace_event!(
-            "transport.broadcast",
-            now.as_millis(),
-            src = src.0,
-            bytes = bytes,
-            reached = reached
-        );
-        BroadcastDeliveries { payload, groups }
-    }
-}
-
-impl Transport {
     /// Probabilistic flooding (gossip-style broadcast-storm mitigation):
     /// the source always transmits; every other node that receives the
     /// message rebroadcasts with probability `rebroadcast_prob`. With
@@ -630,26 +556,46 @@ impl Transport {
             (0.0..=1.0).contains(&rebroadcast_prob),
             "rebroadcast probability must be in [0, 1]"
         );
+        let forwards = |u: NodeId| u == src || rng.gen::<f64>() < rebroadcast_prob;
+        self.flood(topo, src, bytes, now, None, forwards).flatten()
+    }
+
+    /// The one flooding loop: BFS by arrival time, one transmission per
+    /// node that `forwards` and has uncovered neighbors, deliveries
+    /// grouped by arrival instant. `forwards` is asked once per dequeued
+    /// node, before its neighbors are looked at, so a rule that draws
+    /// randomness draws for every reached node in BFS order. All
+    /// neighbors newly covered by one transmission share its `reach`
+    /// time, so they land in one group (groups with coinciding arrivals
+    /// merge); flattening restores the per-recipient order because
+    /// coverage order within a group is BFS push order.
+    fn flood(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        bytes: u64,
+        now: SimTime,
+        payload: Option<Payload>,
+        mut forwards: impl FnMut(NodeId) -> bool,
+    ) -> BroadcastDeliveries {
         self.ensure(topo.len());
         let tx = self.tx_time(bytes);
         let hop_delay = self.hop_delay();
         let mut arrival: Vec<Option<SimTime>> = vec![None; topo.len()];
         arrival[src.0] = Some(now);
-        let mut frontier: Vec<NodeId> = vec![src];
+        // BFS by arrival time: process nodes in nondecreasing arrival order.
+        let mut order: Vec<NodeId> = vec![src];
         let mut head = 0;
-        let mut out = Vec::new();
-        while head < frontier.len() {
-            let u = frontier[head];
+        let mut reached = 0usize;
+        let mut groups: Vec<(SimTime, Vec<NodeId>)> = Vec::new();
+        while head < order.len() {
+            let u = order[head];
             head += 1;
-            let forwards = u == src || rng.gen::<f64>() < rebroadcast_prob;
-            if !forwards {
+            if !forwards(u) || !topo.neighbors(u).any(|v| arrival[v.0].is_none()) {
                 continue;
             }
-            let has_new = topo.neighbors(u).any(|v| arrival[v.0].is_none());
-            if !has_new {
-                continue;
-            }
-            let t_u = arrival[u.0].expect("frontier nodes have arrivals");
+            // One transmission reaches all (new) neighbors.
+            let t_u = arrival[u.0].expect("ordered nodes have arrivals");
             let depart = t_u.max(self.busy_until[u.0]);
             let done = depart + tx;
             self.busy_until[u.0] = done;
@@ -658,18 +604,37 @@ impl Transport {
             let reach = done + hop_delay;
             for v in topo.neighbors(u) {
                 if arrival[v.0].is_none() {
+                    // Injected link loss applies per reception: a neighbor
+                    // that misses the frame may still be covered by a later
+                    // rebroadcast from another neighbor.
                     if self.message_lost() {
                         self.dropped += 1;
+                        telemetry::counter_add("transport.drops", 1);
                         continue;
                     }
                     arrival[v.0] = Some(reach);
                     self.stats.received[v.0] += bytes;
-                    frontier.push(v);
-                    out.push((v, reach));
+                    order.push(v);
+                    reached += 1;
+                    match groups.last_mut() {
+                        Some((t, nodes)) if *t == reach => nodes.push(v),
+                        _ => groups.push((reach, vec![v])),
+                    }
                 }
             }
         }
-        out
+        telemetry::counter_add("transport.broadcasts", 1);
+        if telemetry::is_enabled() {
+            telemetry::record("transport.broadcast_reach", reached as f64);
+        }
+        trace_event!(
+            "transport.broadcast",
+            now.as_millis(),
+            src = src.0,
+            bytes = bytes,
+            reached = reached
+        );
+        BroadcastDeliveries { payload, groups }
     }
 }
 
@@ -837,6 +802,106 @@ mod tests {
                 tr.stats().total_sent() <= flood.stats().total_sent(),
                 "p={p} sent more than flooding"
             );
+        }
+    }
+
+    /// Pins `broadcast_probabilistic` under link loss from fixed seeds:
+    /// the deliveries, the drops, each node's bytes and where the caller's
+    /// RNG stands afterwards, so neither the rebroadcast draws nor the
+    /// loss draws can change order.
+    #[test]
+    fn probabilistic_flood_under_loss_is_pinned() {
+        use rand::{Rng, SeedableRng};
+        const BYTES: u64 = 50_000;
+        // A 5 × 5 grid at 45 m: each node hears its (up to) eight
+        // neighbours inside the 70 m range. Node 12 is the centre.
+        let topo = Topology::from_positions(
+            (0..25)
+                .map(|i| Point::new((i % 5) as f64 * 45.0, (i / 5) as f64 * 45.0))
+                .collect(),
+        );
+        let first: [(usize, u64); 20] = [
+            (6, 1030),
+            (7, 1030),
+            (8, 1030),
+            (11, 1030),
+            (13, 1030),
+            (16, 1030),
+            (17, 1030),
+            (18, 1030),
+            (2, 1060),
+            (3, 1060),
+            (9, 1060),
+            (14, 1060),
+            (10, 1060),
+            (15, 1060),
+            (20, 1060),
+            (21, 1060),
+            (22, 1060),
+            (19, 1060),
+            (23, 1060),
+            (24, 1060),
+        ];
+        /// Deliveries after the shared first 20, drops, the nodes that
+        /// transmitted, the nodes that received nothing, and the next
+        /// draw of the caller's RNG.
+        struct Pin {
+            p: f64,
+            rest: &'static [(usize, u64)],
+            dropped: u64,
+            senders: &'static [usize],
+            unreached: &'static [usize],
+            next: u64,
+        }
+        let pins = [
+            Pin {
+                p: 0.3,
+                rest: &[(4, 1090)],
+                dropped: 1,
+                senders: &[3, 8, 12, 16, 18],
+                unreached: &[0, 1, 5, 12],
+                next: 0x5a25_d92e_f7c7_1055,
+            },
+            Pin {
+                p: 0.7,
+                rest: &[(1, 1090), (4, 1090), (5, 1120), (0, 1150)],
+                dropped: 3,
+                senders: &[1, 2, 3, 5, 8, 9, 12, 16, 18],
+                unreached: &[12],
+                next: 0x040e_0b20_05dd_bc30,
+            },
+        ];
+        for Pin {
+            p,
+            rest,
+            dropped,
+            senders,
+            unreached,
+            next,
+        } in pins
+        {
+            let mut tr = Transport::new(TransportConfig::default());
+            tr.seed_faults(0x5EED);
+            tr.set_loss_prob(0.2);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1CE);
+            let src = NodeId(12);
+            let out =
+                tr.broadcast_probabilistic(&topo, src, BYTES, SimTime::from_secs(1), p, &mut rng);
+            let got: Vec<(usize, u64)> = out.iter().map(|(v, t)| (v.0, t.as_millis())).collect();
+            let want: Vec<(usize, u64)> = first.iter().chain(rest).copied().collect();
+            assert_eq!(got, want, "p={p}");
+            assert_eq!(tr.messages_dropped(), dropped, "p={p}");
+            for i in 0..topo.len() {
+                let sent = if senders.contains(&i) { BYTES } else { 0 };
+                let received = if unreached.contains(&i) { 0 } else { BYTES };
+                assert_eq!(tr.stats().sent_bytes(NodeId(i)), sent, "p={p} node {i}");
+                assert_eq!(
+                    tr.stats().received_bytes(NodeId(i)),
+                    received,
+                    "p={p} node {i}"
+                );
+            }
+            assert_eq!(rng.gen::<u64>(), next, "p={p}");
         }
     }
 

@@ -39,11 +39,6 @@ impl Histogram {
         &self.stats
     }
 
-    /// Exact samples (quantiles, `histogram(edges)` buckets).
-    pub fn samples_mut(&mut self) -> &mut SampleSet {
-        &mut self.samples
-    }
-
     /// Folds another histogram's observations into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.stats.merge(&other.stats);
@@ -113,11 +108,6 @@ impl Registry {
     /// Current value of gauge `name`, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// Histogram `name`, if any observation was recorded.
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
     }
 
     /// Wall-clock stats recorded under `name`, if any.

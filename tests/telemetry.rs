@@ -293,6 +293,10 @@ fn telemetry_does_not_perturb_the_simulation() {
         snapshot.counter("transport.retries"),
         Some(baseline.retries)
     );
+    assert_eq!(
+        snapshot.counter("transport.drops"),
+        Some(baseline.messages_dropped)
+    );
     // Wall-clock profiling never leaks into the deterministic snapshot.
     assert!(snapshot
         .entries
