@@ -9,7 +9,6 @@
 //! | `fig5` | Fig. 5(a)(b) | delivery / overhead vs node count × placement strategy |
 //! | `fig6` | Fig. 6 | remaining battery vs blocks mined, PoW vs PoS |
 //! | `ablation` | design-choice ablations | FDC weight `A`, solver variants, recent-cache, PoS `Q` term |
-//! | `perf` | scale sweep | sparse scale path vs dense reference, n up to 10,000 |
 //!
 //! Binaries accept `--full` for the paper-scale 500-minute runs and
 //! default to shorter, shape-preserving runs (see each binary's header).

@@ -244,9 +244,10 @@ impl Default for NetworkConfig {
 
 impl NetworkConfig {
     /// Checks the values [`EdgeNetwork::new`] would otherwise trip over:
-    /// at least one node, a positive block and mobility interval, a finite
-    /// nonnegative generation rate, FDC weight and mobility range, a finite
-    /// positive bandwidth, radio range and field, fractions in `[0, 1]`,
+    /// at least one node and one storage slot, a positive block and
+    /// mobility interval, a finite nonnegative generation rate, FDC weight
+    /// and mobility range, a finite positive bandwidth, radio range, field
+    /// and region cell, fractions in `[0, 1]`,
     /// snapshots only on a pruned chain, and a fault plan that fits the
     /// node count.
     ///
@@ -261,6 +262,12 @@ impl NetworkConfig {
         let topo = &self.topology;
         let checks = [
             ("nodes", self.nodes as f64, self.nodes >= 1, "at least 1"),
+            (
+                "storage_slots",
+                self.storage_slots as f64,
+                self.storage_slots >= 1,
+                "at least 1",
+            ),
             ("block_interval_secs", t0 as f64, t0 >= 1, "at least 1"),
             (
                 "mobility_interval_secs",
@@ -285,6 +292,12 @@ impl NetworkConfig {
                 self.fdc_scale,
                 rate(self.fdc_scale),
                 "finite and at least 0",
+            ),
+            (
+                "region_cell_m",
+                self.region_cell_m,
+                positive(self.region_cell_m),
+                "finite and above 0",
             ),
             (
                 "malicious_fraction",
@@ -2689,6 +2702,25 @@ mod tests {
     }
 
     #[test]
+    fn an_unconnectable_placement_is_an_error() {
+        // A 30 m radio on the 300 m field gives twelve nodes an expected
+        // degree of 0.35: no placement connects.
+        let mut cfg = small_config();
+        cfg.topology.comm_range = 30.0;
+        let err = EdgeNetwork::new(cfg).expect_err("no connected placement");
+        assert!(
+            matches!(
+                err,
+                ConfigError::Topology(TopologyError::Disconnected {
+                    attempts: 10_000,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn contradictory_configs_are_errors() {
         let rejects = |cfg: NetworkConfig, want: &str| {
             let err = EdgeNetwork::new(cfg).expect_err(want);
@@ -2696,6 +2728,11 @@ mod tests {
         };
         let base = small_config;
         rejects(NetworkConfig { nodes: 0, ..base() }, "nodes");
+        let no_storage = NetworkConfig {
+            storage_slots: 0,
+            ..base()
+        };
+        rejects(no_storage, "storage_slots");
         let zero_t0 = NetworkConfig {
             block_interval_secs: 0,
             ..base()
@@ -2727,6 +2764,12 @@ mod tests {
             let mut cfg = base();
             cfg.transport.bandwidth = bad;
             rejects(cfg, "transport.bandwidth");
+            // Checked whether or not `region_alloc` is on.
+            let cfg = NetworkConfig {
+                region_cell_m: bad,
+                ..base()
+            };
+            rejects(cfg, "region_cell_m");
             if bad != 0.0 {
                 let mut cfg = base();
                 cfg.topology.mobility_range = bad;

@@ -16,7 +16,7 @@
 //! independent parameter points of the bench sweep binaries.
 //!
 //! Note that telemetry sessions are thread-local: a worker that should
-//! record metrics must arm its own session inside `f` (see the `perf`
+//! record metrics must arm its own session inside `f` (see the `fig4`
 //! bench binary for the merge-in-index-order pattern).
 
 use std::num::NonZeroUsize;

@@ -69,6 +69,10 @@ const SWEEP_WIDTH: usize = u64::BITS as usize;
 /// sweeps (n ≈ 200–250) and loses below.
 const PARALLEL_SWEEP_MIN_BATCHES: usize = 4;
 
+/// Placement attempts [`Topology::random_connected`] makes before giving
+/// up on a connected topology.
+const MAX_PLACEMENT_ATTEMPTS: usize = 10_000;
+
 /// Configuration for generating a [`Topology`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopologyConfig {
@@ -78,9 +82,6 @@ pub struct TopologyConfig {
     pub comm_range: f64,
     /// Mobility radius in meters for every node (default 30 m).
     pub mobility_range: f64,
-    /// How many placement attempts to make before giving up on a connected
-    /// topology.
-    pub max_placement_attempts: usize,
     /// Fill hop/RDC rows lazily on first query instead of eagerly at
     /// every rebuild. Query results are bit-identical; only memory and
     /// rebuild cost change. Default `false` (eager).
@@ -94,7 +95,6 @@ impl Default for TopologyConfig {
             field: Field::paper_default(),
             comm_range: 70.0,
             mobility_range: 30.0,
-            max_placement_attempts: 10_000,
             sparse_routes: false,
         }
     }
@@ -254,7 +254,7 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`TopologyError::Disconnected`] if no connected placement is
-    /// found within `config.max_placement_attempts`.
+    /// found within 10,000 attempts.
     ///
     /// # Panics
     ///
@@ -266,7 +266,7 @@ impl Topology {
         rng: &mut R,
     ) -> Result<Self, TopologyError> {
         assert!(n > 0, "topology must have at least one node");
-        for _ in 0..config.max_placement_attempts.max(1) {
+        for _ in 0..MAX_PLACEMENT_ATTEMPTS {
             let home: Vec<Point> = (0..n)
                 .map(|_| {
                     Point::new(
@@ -286,7 +286,7 @@ impl Topology {
         }
         Err(TopologyError::Disconnected {
             nodes: n,
-            attempts: config.max_placement_attempts,
+            attempts: MAX_PLACEMENT_ATTEMPTS,
         })
     }
 

@@ -10,7 +10,7 @@
 
 use edgechain::core::{
     ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, RunReport,
-    WorkloadConfig,
+    SloThresholds, WorkloadConfig,
 };
 use edgechain::sim::{FaultEvent, FaultPlan, SimTime};
 use proptest::prelude::*;
@@ -112,6 +112,104 @@ fn flash_crowd_sheds_load_but_stays_healthy() {
         report.availability
     );
     assert!(report.completed_requests > 0, "{report}");
+}
+
+/// Offered item rates of the load ladder, per minute: 1/6× to ~2.7× the
+/// 30/min admission capacity every rung runs against.
+const OFFERED_ITEMS_PER_MIN: [f64; 5] = [5.0, 10.0, 20.0, 40.0, 80.0];
+
+/// One rung of the offered-load ladder: the same 20-node network and
+/// protection stack (admission bucket at 30 items/min, 30-item mempool
+/// bound, fetch bucket, retry budget) at every rung; only the offered
+/// rate climbs. `edgebench`'s `overload` workload runs the top rung's shape.
+fn load_config(offered_per_min: f64) -> NetworkConfig {
+    const CAPACITY_ITEMS_PER_MIN: f64 = 30.0;
+    NetworkConfig {
+        nodes: 20,
+        sim_minutes: 10,
+        request_interval_secs: 60,
+        // Ride out mobility disconnections (chaos-suite tuning): 4 s …
+        // 64 s of backoff spans over two minutes.
+        fetch_retries: 5,
+        retry_backoff_ms: 4_000,
+        retry_backoff_max_ms: 64_000,
+        seed: 0x10AD_0000 + (offered_per_min * 10.0) as u64,
+        workload: WorkloadConfig {
+            enabled: true,
+            arrivals: OpenArrivals {
+                process: ArrivalProcess::Poisson {
+                    rate_per_min: offered_per_min,
+                },
+                burst: None,
+            },
+            // Open fetch pressure scales with the item rate (readers chase
+            // writers), Zipf-skewed toward fresh content.
+            fetches: Some(OpenArrivals {
+                process: ArrivalProcess::Poisson {
+                    rate_per_min: offered_per_min * 2.5,
+                },
+                burst: None,
+            }),
+            zipf_exponent: 0.9,
+        },
+        overload: OverloadConfig {
+            admission_items_per_min: Some(CAPACITY_ITEMS_PER_MIN),
+            admission_fetches_per_min: Some(CAPACITY_ITEMS_PER_MIN * 2.0),
+            max_pending_items: Some(30),
+            max_inflight_per_node: Some(8),
+            retry_budget_per_min: Some(240.0),
+            ..OverloadConfig::default()
+        },
+        ..NetworkConfig::default()
+    }
+}
+
+/// The offered-load ladder keeps the admitted tail bounded: shedding is
+/// zero at 5/min and never falls as the offered rate climbs, the mempool
+/// never holds more than its 30 items, and admitted p99 inclusion stays
+/// inside the SLO at every rung. At the top rung (~2.7× capacity)
+/// shedding has engaged while availability and mining hold.
+#[test]
+fn offered_load_ladder_sheds_and_keeps_the_admitted_tail_bounded() {
+    let slo_bar = SloThresholds::default().inclusion_p99_max_secs;
+    let rungs: Vec<RunReport> = OFFERED_ITEMS_PER_MIN
+        .iter()
+        .map(|&rate| EdgeNetwork::new(load_config(rate)).unwrap().run())
+        .collect();
+    for (rate, r) in OFFERED_ITEMS_PER_MIN.iter().zip(&rungs) {
+        let o = &r.overload;
+        assert!(
+            o.peak_pending_items <= 30,
+            "{rate}/min: pending queue exceeded its bound: {}",
+            o.peak_pending_items
+        );
+        let p99 = r
+            .inclusion_latency
+            .p99
+            .unwrap_or_else(|| panic!("{rate}/min: no inclusion p99\n{r}"));
+        assert!(
+            p99 <= slo_bar,
+            "{rate}/min: admitted p99 inclusion {p99:.1}s breaches the {slo_bar:.0}s SLO"
+        );
+    }
+    let shed: Vec<u64> = rungs.iter().map(|r| r.overload.shed_items).collect();
+    assert_eq!(shed[0], 0, "shed below capacity: {shed:?}");
+    assert!(
+        shed.windows(2).all(|w| w[0] <= w[1]),
+        "shedding fell as load climbed: {shed:?}"
+    );
+    let top = rungs.last().expect("ladder is non-empty");
+    let o = &top.overload;
+    assert!(
+        o.engaged() && o.shed_items > 0,
+        "top of the ladder never shed: {o}"
+    );
+    assert!(
+        top.availability >= 0.9,
+        "availability {:.3} < 0.9 under overload",
+        top.availability
+    );
+    assert!(top.blocks_mined > 0, "mining stalled");
 }
 
 #[test]
