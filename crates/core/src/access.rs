@@ -736,7 +736,6 @@ mod tests {
     use crate::chain::CheckpointPolicy;
     use crate::metadata::{DataType, Location};
     use crate::pos::{next_pos_hash, Amendment};
-    use crate::slo::SloThresholds;
     use edgechain_sim::{Point, TransportConfig};
     use edgechain_workload::OverloadConfig;
     use rand::SeedableRng;
@@ -805,7 +804,7 @@ mod tests {
                 alloc: AllocationContext::default(),
                 rng: StdRng::seed_from_u64(1),
                 report: RunReport::default(),
-                slo: SloMonitor::new(SloThresholds::default()),
+                slo: SloMonitor::new(),
                 spans: SpanTracker::default(),
                 byz: None,
                 access: Access::new(vec![false; n]),

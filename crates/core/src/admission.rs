@@ -17,6 +17,13 @@ use edgechain_telemetry::{self as telemetry, trace_event};
 use edgechain_workload::{OverloadConfig, TokenBucket};
 use std::collections::HashMap;
 
+/// Burst capacity, in operations, of the item-admission bucket.
+const ITEM_BURST: f64 = 8.0;
+/// Burst capacity of the fetch-admission bucket.
+const FETCH_BURST: f64 = 16.0;
+/// Burst capacity of the global retry-budget bucket.
+const RETRY_BURST: f64 = 32.0;
+
 /// The retry schedule shared by data fetches, block recoveries and
 /// snapshot bootstraps that found no answering source.
 #[derive(Debug, Clone, Copy)]
@@ -75,12 +82,9 @@ impl Admission {
     pub(crate) fn new(limits: OverloadConfig, retry: RetryPolicy, nodes: usize) -> Self {
         let bucket = |rate: Option<f64>, burst| rate.map(|r| TokenBucket::per_minute(r, burst));
         Admission {
-            item_bucket: bucket(limits.admission_items_per_min, limits.admission_items_burst),
-            fetch_bucket: bucket(
-                limits.admission_fetches_per_min,
-                limits.admission_fetches_burst,
-            ),
-            retry_bucket: bucket(limits.retry_budget_per_min, limits.retry_budget_burst),
+            item_bucket: bucket(limits.admission_items_per_min, ITEM_BURST),
+            fetch_bucket: bucket(limits.admission_fetches_per_min, FETCH_BURST),
+            retry_bucket: bucket(limits.retry_budget_per_min, RETRY_BURST),
             limits,
             retry,
             degrade_level: 0,
@@ -315,15 +319,13 @@ mod tests {
         a.gate(op, T0, |_| can_pay)
     }
 
-    /// Every gate configured and, to start with, failing: a one-token
-    /// bucket, a mempool bound of 4, one in-flight fetch per node, and a
-    /// price.
+    /// Every gate configured: buckets that never refill (each starts full
+    /// at its burst), a mempool bound of 4, one in-flight fetch per node,
+    /// and a price.
     fn every_gate() -> OverloadConfig {
         OverloadConfig {
             admission_items_per_min: Some(0.0),
-            admission_items_burst: 1.0,
             admission_fetches_per_min: Some(0.0),
-            admission_fetches_burst: 1.0,
             admission_price_tokens: 2,
             max_pending_items: Some(4),
             max_inflight_per_node: Some(1),
@@ -334,7 +336,7 @@ mod tests {
     #[test]
     fn item_gates_fire_in_order() {
         let mut a = admission(every_gate());
-        a.item_bucket.as_mut().unwrap().try_take(0, 1.0); // drain it
+        assert!(a.item_bucket.as_mut().unwrap().try_take(0, ITEM_BURST)); // drain it
         let full = Op::Item { pending: 4 };
         let room = Op::Item { pending: 3 };
         assert_eq!(verdict(&mut a, full, false), Err("queue_full"));
@@ -347,7 +349,7 @@ mod tests {
     #[test]
     fn fetch_gates_fire_in_order() {
         let mut a = admission(every_gate());
-        a.fetch_bucket.as_mut().unwrap().try_take(0, 1.0);
+        assert!(a.fetch_bucket.as_mut().unwrap().try_take(0, FETCH_BURST));
         a.update_ladder(2, T0); // 2 of 4 pending: rung 1
         a.backlog_push(NodeId(1), 9);
         assert_eq!(verdict(&mut a, fetch(1, true), false), Err("degraded"));
@@ -365,16 +367,21 @@ mod tests {
     #[test]
     fn a_failed_price_keeps_the_bucket_token() {
         let mut a = admission(every_gate());
-        assert!(!a.admit(Op::Item { pending: 0 }, T0, |_| false));
-        assert_eq!(a.report.admission_tokens_charged, 0);
-        assert_eq!((a.report.offered_items, a.report.shed_items), (1, 1));
-        // The one token went with the failed attempt: a payer is now
+        let item = Op::Item { pending: 0 };
+        for _ in 1..ITEM_BURST as u64 {
+            assert!(a.admit(item, T0, |price| price == 2));
+        }
+        assert!(!a.admit(item, T0, |_| false));
+        let charged = 2 * (ITEM_BURST as u64 - 1);
+        assert_eq!(a.report.admission_tokens_charged, charged);
+        assert_eq!((a.report.offered_items, a.report.shed_items), (8, 1));
+        // The last token went with the failed attempt: a payer is now
         // turned away at the bucket, before being asked to pay.
-        assert!(!a.admit(Op::Item { pending: 0 }, T0, |_| unreachable!()));
-        assert_eq!(a.report.admission_tokens_charged, 0);
+        assert!(!a.admit(item, T0, |_| unreachable!()));
+        assert_eq!(a.report.admission_tokens_charged, charged);
 
         assert!(a.admit(fetch(0, false), T0, |price| price == 2));
-        assert_eq!(a.report.admission_tokens_charged, 2);
+        assert_eq!(a.report.admission_tokens_charged, charged + 2);
         assert_eq!(
             (a.report.offered_fetches, a.report.admitted_fetches),
             (1, 1)
@@ -385,14 +392,17 @@ mod tests {
     fn retry_budget_is_charged_only_behind_the_attempt_check() {
         let mut a = admission(OverloadConfig {
             retry_budget_per_min: Some(0.0),
-            retry_budget_burst: 1.0,
             ..OverloadConfig::default()
         });
         // Out of attempts: terminal, and the budget is untouched.
-        assert_eq!(a.retry_delay(RETRY.retries, T0), None);
+        for _ in 0..2 * RETRY_BURST as u64 {
+            assert_eq!(a.retry_delay(RETRY.retries, T0), None);
+        }
         assert_eq!(a.report.retries_denied, 0);
-        // The one budgeted retry, on the doubling curve.
-        assert_eq!(a.retry_delay(2, T0), Some(SimTime::from_millis(2_000)));
+        // The budgeted retries, on the doubling curve.
+        for _ in 0..RETRY_BURST as u64 {
+            assert_eq!(a.retry_delay(2, T0), Some(SimTime::from_millis(2_000)));
+        }
         // Budget spent: denied and counted.
         assert_eq!(a.retry_delay(0, T0), None);
         assert_eq!(a.report.retries_denied, 1);

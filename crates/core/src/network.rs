@@ -39,7 +39,7 @@ use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
 use crate::pos::{run_round_cached, Candidate, HitTable};
 pub use crate::report::RunReport;
-use crate::slo::{LatencySummary, SloMonitor, SloThresholds};
+use crate::slo::{LatencySummary, SloMonitor};
 use crate::spans::SpanTracker;
 use crate::storage::NodeStorage;
 use edgechain_energy::{Battery, DeviceProfile};
@@ -48,7 +48,9 @@ use edgechain_sim::{
     Topology, TopologyConfig, TopologyError, Transport, TransportConfig,
 };
 use edgechain_telemetry::{self as telemetry, gini_counts, trace_event, SampleSet};
-use edgechain_workload::{OpenArrivals, OverloadConfig, WorkloadConfig, ZipfSampler};
+use edgechain_workload::{
+    ArrivalProcess, OpenArrivals, OverloadConfig, WorkloadConfig, ZipfSampler,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -58,6 +60,13 @@ use std::fmt;
 const REQUESTER_FRACTION: f64 = 0.10;
 /// Raft timer poll period (when `raft_consensus`).
 const RAFT_TICK: SimTime = SimTime::from_millis(100);
+/// Retention window, in simulated seconds, for tombstone tracking state:
+/// swept data ids (`expired_ids`) older than this are forgotten and
+/// invalidated-storer records are dropped with their item, keeping
+/// tracking memory O(retention window) instead of O(run history).
+/// Resurrection detection still covers the window — a block citing an id
+/// swept longer ago than this is treated as fresh.
+const TRACKING_RETENTION_SECS: u64 = 7_200;
 
 /// Full configuration of a simulation run. Defaults reproduce the paper's
 /// §VI setup.
@@ -171,13 +180,6 @@ pub struct NetworkConfig {
     /// BFS hop horizon for regional connect costs; peers beyond it take
     /// the unreachable penalty.
     pub region_horizon: u32,
-    /// Retention window, in simulated seconds, for tombstone tracking
-    /// state: swept data ids (`expired_ids`) older than this are forgotten
-    /// and invalidated-storer records are dropped with their item, keeping
-    /// tracking memory O(retention window) instead of O(run history).
-    /// Resurrection detection still covers the window — a block citing an
-    /// id swept longer ago than this is treated as fresh.
-    pub tracking_retention_secs: u64,
     /// Open-workload section (ISSUE 10): seeded arrival processes for
     /// item generation and (optionally) demand-skewed fetches. Disabled
     /// by default, which keeps the original closed-loop generator and
@@ -233,7 +235,6 @@ impl Default for NetworkConfig {
             region_alloc: false,
             region_cell_m: 140.0,
             region_horizon: 8,
-            tracking_retention_secs: 7200,
             workload: WorkloadConfig::default(),
             overload: OverloadConfig::default(),
             retry_backoff_max_ms: 600_000,
@@ -246,10 +247,10 @@ impl NetworkConfig {
     /// Checks the values [`EdgeNetwork::new`] would otherwise trip over:
     /// at least one node and one storage slot, a positive block and
     /// mobility interval, a finite nonnegative generation rate, FDC weight
-    /// and mobility range, a finite positive bandwidth, radio range, field
-    /// and region cell, fractions in `[0, 1]`,
-    /// snapshots only on a pruned chain, and a fault plan that fits the
-    /// node count.
+    /// and mobility range, finite nonnegative open-workload and overload
+    /// rates, a finite positive bandwidth, field and region cell,
+    /// fractions in `[0, 1]`, snapshots only on a pruned chain, and a
+    /// fault plan that fits the node count.
     ///
     /// # Errors
     ///
@@ -312,12 +313,6 @@ impl NetworkConfig {
                 "finite and at least 0",
             ),
             (
-                "topology.comm_range",
-                topo.comm_range,
-                positive(topo.comm_range),
-                "finite and above 0",
-            ),
-            (
                 "topology.field.width",
                 topo.field.width,
                 positive(topo.field.width),
@@ -330,7 +325,10 @@ impl NetworkConfig {
                 "finite and above 0",
             ),
         ];
-        for (field, value, ok, want) in checks {
+        let load = self
+            .load_rates()
+            .map(|(field, v)| (field, v, rate(v), "finite and at least 0"));
+        for (field, value, ok, want) in checks.into_iter().chain(load) {
             if !ok {
                 return Err(ConfigError::OutOfRange { field, value, want });
             }
@@ -342,6 +340,40 @@ impl NetworkConfig {
         self.fault_plan
             .validate(self.nodes)
             .map_err(ConfigError::FaultPlan)
+    }
+
+    /// The open-workload and overload values that must be finite and at
+    /// least 0, checked whether or not their section is switched on. An
+    /// infinite arrival rate would schedule an arrival every simulated
+    /// millisecond; a NaN one clamps to 0 and silences its stream.
+    fn load_rates(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        let base = |a: &OpenArrivals| match a.process {
+            ArrivalProcess::Poisson { rate_per_min: r }
+            | ArrivalProcess::Diurnal {
+                base_per_min: r, ..
+            } => r,
+        };
+        let burst = |a: &OpenArrivals| a.burst.as_ref().map(|b| b.multiplier);
+        let (w, o) = (&self.workload, &self.overload);
+        let fetches = w.fetches.as_ref();
+        [
+            ("workload.arrivals rate", Some(base(&w.arrivals))),
+            ("workload.arrivals burst", burst(&w.arrivals)),
+            ("workload.fetches rate", fetches.map(base)),
+            ("workload.fetches burst", fetches.and_then(burst)),
+            ("workload.zipf_exponent", Some(w.zipf_exponent)),
+            (
+                "overload.admission_items_per_min",
+                o.admission_items_per_min,
+            ),
+            (
+                "overload.admission_fetches_per_min",
+                o.admission_fetches_per_min,
+            ),
+            ("overload.retry_budget_per_min", o.retry_budget_per_min),
+        ]
+        .into_iter()
+        .filter_map(|(field, value)| Some((field, value?)))
     }
 }
 
@@ -512,7 +544,7 @@ pub struct EdgeNetwork {
     // chain lifecycle
     /// Ids that have been swept. A swept id reappearing in a later block
     /// is a finalized-then-resurrected violation. Entries older than
-    /// [`NetworkConfig::tracking_retention_secs`] are garbage-collected
+    /// [`TRACKING_RETENTION_SECS`] are garbage-collected
     /// via `expired_log`, bounding the set by the retention window.
     expired_ids: std::collections::HashSet<DataId>,
     /// Sweep-time FIFO over `expired_ids` (`(sweep_secs, id)`), popped by
@@ -696,7 +728,7 @@ impl EdgeNetwork {
             pos_hits: HitTable::new(),
             report: RunReport::default(),
             inclusion_samples: SampleSet::new(),
-            slo: SloMonitor::new(SloThresholds::default()),
+            slo: SloMonitor::new(),
             spans: SpanTracker::default(),
             replica_total: 0,
             replica_items: 0,
@@ -1238,7 +1270,6 @@ impl EdgeNetwork {
         // "the network accepted it". All gates are inert by default, so a
         // default config admits everything and the counters are the only
         // observable difference.
-        self.slo.record_offered(now.as_millis());
         let op = Op::Item {
             pending: self.pending_metadata.len(),
         };
@@ -1311,13 +1342,8 @@ impl EdgeNetwork {
     /// behalf of `node`, whose account pays the admission price.
     fn admit(&mut self, op: Op, node: NodeId, now: SimTime) -> bool {
         let (ledger, account) = (&mut self.ledger, self.account_of[node.0]);
-        let admitted = self
-            .admission
-            .admit(op, now, |price| ledger.try_debit(account, price));
-        if !admitted {
-            self.slo.record_shed(now.as_millis());
-        }
-        admitted
+        self.admission
+            .admit(op, now, |price| ledger.try_debit(account, price))
     }
 
     /// The one allocation entry point for item packing, block storers and
@@ -1383,9 +1409,8 @@ impl EdgeNetwork {
         // The mempool depth picks the degradation-ladder rung for this
         // block interval. Consensus itself (this function) is never
         // throttled.
-        let depth = self.pending_metadata.len();
-        self.slo.note_queue_depth(depth as u64);
-        self.admission.update_ladder(depth, now);
+        self.admission
+            .update_ladder(self.pending_metadata.len(), now);
 
         let packed = self.pack_and_allocate(round);
         let sealed = self.seal_and_broadcast(round, equivocate, packed);
@@ -1973,7 +1998,7 @@ impl EdgeNetwork {
         // Tracking-state GC (ISSUE 9): tombstones older than the retention
         // window are forgotten, and invalidated-storer records die with
         // their item — both sets stay O(window), not O(run history).
-        let horizon = now_secs.saturating_sub(self.config.tracking_retention_secs);
+        let horizon = now_secs.saturating_sub(TRACKING_RETENTION_SECS);
         while let Some(&(t, id)) = self.expired_log.front() {
             if t >= horizon {
                 break;
@@ -2258,6 +2283,7 @@ impl fmt::Debug for EdgeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgechain_workload::Burst;
 
     fn small_config() -> NetworkConfig {
         NetworkConfig {
@@ -2703,10 +2729,10 @@ mod tests {
 
     #[test]
     fn an_unconnectable_placement_is_an_error() {
-        // A 30 m radio on the 300 m field gives twelve nodes an expected
-        // degree of 0.35: no placement connects.
+        // Twelve 70 m radios on a 1,000 km square field have an expected
+        // degree of 2 × 10⁻⁷: no placement connects.
         let mut cfg = small_config();
-        cfg.topology.comm_range = 30.0;
+        cfg.topology.field = edgechain_sim::Field::new(1e6, 1e6);
         let err = EdgeNetwork::new(cfg).expect_err("no connected placement");
         assert!(
             matches!(
@@ -2720,12 +2746,65 @@ mod tests {
         );
     }
 
+    fn rejects(cfg: NetworkConfig, want: &str) {
+        let err = EdgeNetwork::new(cfg).expect_err(want);
+        assert!(err.to_string().contains(want), "{err} lacks {want:?}");
+    }
+
+    /// Each open-workload and overload rate set to `bad` is an error.
+    fn rejects_load_rate(bad: f64) {
+        let diurnal = ArrivalProcess::Diurnal {
+            base_per_min: bad,
+            amplitude: 0.5,
+            period_secs: 600.0,
+            phase_secs: 0.0,
+        };
+        let burst = Burst {
+            multiplier: bad,
+            from_secs: 0.0,
+            until_secs: 60.0,
+        };
+        let streams = [
+            (OpenArrivals::poisson(bad), "rate"),
+            (
+                OpenArrivals {
+                    process: diurnal,
+                    burst: None,
+                },
+                "rate",
+            ),
+            (
+                OpenArrivals {
+                    burst: Some(burst),
+                    ..OpenArrivals::poisson(1.0)
+                },
+                "burst",
+            ),
+        ];
+        for (stream, what) in streams {
+            let mut cfg = small_config();
+            cfg.workload.arrivals = stream.clone();
+            rejects(cfg, &format!("workload.arrivals {what}"));
+            let mut cfg = small_config();
+            cfg.workload.fetches = Some(stream);
+            rejects(cfg, &format!("workload.fetches {what}"));
+        }
+        let mut cfg = small_config();
+        cfg.workload.zipf_exponent = bad;
+        rejects(cfg, "workload.zipf_exponent");
+        let mut cfg = small_config();
+        cfg.overload.admission_items_per_min = Some(bad);
+        rejects(cfg, "overload.admission_items_per_min");
+        let mut cfg = small_config();
+        cfg.overload.admission_fetches_per_min = Some(bad);
+        rejects(cfg, "overload.admission_fetches_per_min");
+        let mut cfg = small_config();
+        cfg.overload.retry_budget_per_min = Some(bad);
+        rejects(cfg, "overload.retry_budget_per_min");
+    }
+
     #[test]
     fn contradictory_configs_are_errors() {
-        let rejects = |cfg: NetworkConfig, want: &str| {
-            let err = EdgeNetwork::new(cfg).expect_err(want);
-            assert!(err.to_string().contains(want), "{err} lacks {want:?}");
-        };
         let base = small_config;
         rejects(NetworkConfig { nodes: 0, ..base() }, "nodes");
         let no_storage = NetworkConfig {
@@ -2752,9 +2831,6 @@ mod tests {
             rejects(cfg, "data_items_per_min");
         }
         for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            let mut cfg = base();
-            cfg.topology.comm_range = bad;
-            rejects(cfg, "topology.comm_range");
             let mut cfg = base();
             cfg.topology.field.width = bad;
             rejects(cfg, "topology.field.width");
@@ -2800,6 +2876,11 @@ mod tests {
             ..base()
         };
         rejects(cfg, "fdc_scale");
+        // An infinite arrival rate would schedule an arrival every
+        // simulated millisecond; a NaN one would silence its stream.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            rejects_load_rate(bad);
+        }
         let cfg = NetworkConfig {
             snapshot_bootstrap: true,
             prune_blocks: false,

@@ -120,7 +120,7 @@ pub struct RunReport {
     /// Peak number of tombstone tracking entries held at once (swept ids +
     /// invalidated-storer pairs + snapshot blacklist pairs + stashed
     /// Byzantine orphans), sampled at every mined block. Bounded by the
-    /// [`crate::network::NetworkConfig::tracking_retention_secs`] window, not run length.
+    /// 7,200 s tracking-retention window, not run length.
     pub peak_tracking_entries: u64,
     /// Hard safety violations caught by the invariant checker — durable
     /// data loss or a corrupted chain prefix. Must stay 0.

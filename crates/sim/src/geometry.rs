@@ -90,10 +90,12 @@ impl Default for Field {
 
 /// A uniform-grid spatial hash over a [`Field`].
 ///
-/// Buckets points into square cells of side `cell` meters. With
+/// Buckets points into square cells at least `cell` meters wide. With
 /// `cell >= radio range`, every point within range of a query point lies
 /// in the query's own cell or one of its 8 neighbors, so range queries
-/// touch O(density · cell²) candidates instead of all `n` points.
+/// touch O(density · cell²) candidates instead of all `n` points. Cells
+/// are widened to `sqrt(area / n)` when that is larger, so a sparse field
+/// holds about `n` buckets instead of `area / cell²`.
 ///
 /// The buckets are counting-sorted into one array: cell `c` holds
 /// `entries[start[c]..start[c + 1]]`, each `(position, index)` in index
@@ -110,7 +112,9 @@ pub struct CellGrid {
 
 impl CellGrid {
     /// Buckets `points` (indexed by position in the slice) into cells of
-    /// side `cell` meters. Points outside the field are clamped into the
+    /// side `max(cell, sqrt(area / n))` meters. A wider cell's 3×3 block
+    /// still covers radius `cell`; it only visits more candidates, in a
+    /// different order. Points outside the field are clamped into the
     /// border cells, so out-of-field coordinates still land in a bucket.
     ///
     /// # Panics
@@ -118,6 +122,8 @@ impl CellGrid {
     /// Panics if `cell` is not strictly positive.
     pub fn new(field: &Field, cell: f64, points: &[Point]) -> Self {
         assert!(cell > 0.0, "cell size must be positive");
+        let per_point = (field.width * field.height / points.len().max(1) as f64).sqrt();
+        let cell = cell.max(per_point);
         let cols = (field.width / cell).ceil().max(1.0) as usize;
         let rows = (field.height / cell).ceil().max(1.0) as usize;
         let mut grid = CellGrid {
@@ -259,5 +265,35 @@ mod tests {
         grid.for_each_candidate(&Point::new(100.0, 100.0), |i, _| far.push(i));
         assert!(far.contains(&1));
         assert!(grid.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn a_sparse_field_holds_about_one_bucket_per_point() {
+        // 100 points, in 50 m pairs, on a 200 km square: 70 m cells would
+        // be 2,858² ≈ 8 × 10⁶ buckets (65 MB of offsets).
+        let field = Field::new(2e5, 2e5);
+        let pts: Vec<Point> = (0..50)
+            .flat_map(|i| {
+                let (x, y) = ((i * 3_917) % 199_900, (i * 7_741) % 199_900);
+                let p = Point::new(x as f64, y as f64);
+                [p, Point::new(p.x + 30.0, p.y + 40.0)]
+            })
+            .collect();
+        let grid = CellGrid::new(&field, 70.0, &pts);
+        assert!(
+            grid.memory_bytes() <= 64 * 1024,
+            "{} bytes for {} points",
+            grid.memory_bytes(),
+            pts.len()
+        );
+        for (a, pa) in pts.iter().enumerate() {
+            let mut candidates = Vec::new();
+            grid.for_each_candidate(pa, |i, _| candidates.push(i));
+            for (b, pb) in pts.iter().enumerate() {
+                if pa.distance(pb) <= 70.0 {
+                    assert!(candidates.contains(&b), "{a} missing in-range {b}");
+                }
+            }
+        }
     }
 }

@@ -9,10 +9,10 @@
 //! The topology maintains BFS hop-count rows so the transport layer can
 //! forward store-and-forward messages; a route is read off whichever
 //! endpoint's row is held (see [`Topology::path`]), so nothing stores
-//! next hops. Adjacency is built with a grid-bucket spatial hash (cell =
-//! radio range) into one compressed-sparse-row array, and there is one
-//! route store: a hop row and an RDC row per source, each behind a
-//! `OnceLock`, dropped on every rebuild.
+//! next hops. Adjacency is built with a grid-bucket spatial hash (cells
+//! at least the radio range wide) into one compressed-sparse-row array,
+//! and there is one route store: a hop row and an RDC row per source,
+//! each behind a `OnceLock`, dropped on every rebuild.
 //! [`TopologyConfig::sparse_routes`] only picks *when* a row is filled:
 //!
 //! * **Eager** (default): every row is filled at rebuild, 64 sources per
@@ -73,13 +73,15 @@ const PARALLEL_SWEEP_MIN_BATCHES: usize = 4;
 /// up on a connected topology.
 const MAX_PLACEMENT_ATTEMPTS: usize = 10_000;
 
+/// Radio range in meters: the paper's §VI 70 m (typical 802.11n). Two
+/// nodes share a link when at most this far apart.
+pub const COMM_RANGE: f64 = 70.0;
+
 /// Configuration for generating a [`Topology`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopologyConfig {
     /// Deployment field (default 300 m × 300 m).
     pub field: Field,
-    /// Radio range in meters (default 70 m, typical 802.11n).
-    pub comm_range: f64,
     /// Mobility radius in meters for every node (default 30 m).
     pub mobility_range: f64,
     /// Fill hop/RDC rows lazily on first query instead of eagerly at
@@ -93,7 +95,6 @@ impl Default for TopologyConfig {
     fn default() -> Self {
         TopologyConfig {
             field: Field::paper_default(),
-            comm_range: 70.0,
             mobility_range: 30.0,
             sparse_routes: false,
         }
@@ -227,7 +228,7 @@ pub struct Topology {
     home: Vec<Point>,
     position: Vec<Point>,
     mobility: Vec<f64>,
-    /// `mobility[i] / comm_range`: node `i`'s Eq. 2 range term in
+    /// `mobility[i] / COMM_RANGE`: node `i`'s Eq. 2 range term in
     /// hop-equivalents, kept in step with `mobility`.
     reach: Vec<f64>,
     /// Fault-injection state: crashed nodes have no radio at all.
@@ -316,7 +317,7 @@ impl Topology {
         assert!(u32::try_from(n).is_ok(), "node ids must fit u32");
         Topology {
             mobility: vec![config.mobility_range; n],
-            reach: vec![config.mobility_range / config.comm_range; n],
+            reach: vec![config.mobility_range / COMM_RANGE; n],
             config,
             home: positions.clone(),
             position: positions,
@@ -379,7 +380,7 @@ impl Topology {
             "mobility range of node {node} must be finite and non-negative, got {range}"
         );
         self.mobility[node.0] = range;
-        self.reach[node.0] = range / self.config.comm_range;
+        self.reach[node.0] = range / COMM_RANGE;
         for row in &mut self.rdc_rows {
             row.take();
         }
@@ -624,16 +625,15 @@ impl Topology {
         self.epoch += 1;
     }
 
-    /// Rebuilds the adjacency with a grid-bucket spatial hash (cell =
-    /// radio range): each node tests only the candidates in its 3×3 cell
-    /// neighborhood — O(degree) work per node instead of the O(n) pair
-    /// scan. Sorting each list ascending reproduces exactly the ordering
-    /// of the classic `i < j` double loop, so BFS tie-breaking (and
-    /// therefore every route) is unchanged. The previous arrays are
-    /// refilled in place.
+    /// Rebuilds the adjacency with a grid-bucket spatial hash (cells at
+    /// least the radio range wide): each node tests only the candidates
+    /// in its 3×3 cell neighborhood — O(degree) work per node instead of
+    /// the O(n) pair scan. Sorting each list ascending reproduces exactly
+    /// the ordering of the classic `i < j` double loop, so BFS
+    /// tie-breaking (and therefore every route) is unchanged, whatever
+    /// the cell side. The previous arrays are refilled in place.
     fn rebuild_adjacency(&mut self) {
-        let range = self.config.comm_range;
-        let grid = CellGrid::new(&self.config.field, range, &self.position);
+        let grid = CellGrid::new(&self.config.field, COMM_RANGE, &self.position);
         let Adjacency {
             mut start,
             mut list,
@@ -645,7 +645,10 @@ impl Topology {
             if self.active[i] {
                 let from = list.len();
                 grid.for_each_candidate(p, |j, q| {
-                    if j != i && p.distance(&q) <= range && self.active[j] && !self.cut_severs(i, j)
+                    if j != i
+                        && p.distance(&q) <= COMM_RANGE
+                        && self.active[j]
+                        && !self.cut_severs(i, j)
                     {
                         list.push(j as u32);
                     }
@@ -710,7 +713,7 @@ impl Topology {
 
     /// Range-Distance Cost between two nodes (paper Eq. 2):
     /// `c_ij = d(i,j) + range(i) + range(j)` with hop-count distance and
-    /// mobility ranges normalized to hop-equivalents (`range / comm_range`)
+    /// mobility ranges normalized to hop-equivalents (`range / COMM_RANGE`)
     /// so the units are commensurate. `c_ii = 0`. Unreachable pairs get a
     /// large finite penalty (`n` hops) so the facility-location solver can
     /// still run on temporarily partitioned snapshots. Evaluated from
@@ -1118,7 +1121,7 @@ mod tests {
         let mut t = Topology::random_connected(12, TopologyConfig::default(), &mut rng).unwrap();
         t.set_active(NodeId(3), false);
         t.set_mobility_range(NodeId(5), 45.0);
-        let norm = t.config().comm_range;
+        let norm = COMM_RANGE;
         for i in t.nodes() {
             for j in t.nodes() {
                 let expect = if i == j {
@@ -1493,7 +1496,7 @@ mod tests {
             let _ = t.rdc_row(NodeId(i));
         }
         t.set_mobility_range(NodeId(5), 62.0);
-        let norm = t.config().comm_range;
+        let norm = COMM_RANGE;
         for i in [0usize, 5, 9, 13] {
             let row = t.rdc_row(NodeId(i)).to_vec();
             for j in t.nodes() {

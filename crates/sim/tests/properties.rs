@@ -2,9 +2,10 @@
 //! transport conservation laws, metric bounds, and the event queue's pop
 //! order against a binary-heap reference.
 
+use edgechain_sim::topology::COMM_RANGE;
 use edgechain_sim::{
-    EventQueue, NodeId, Point, SimTime, Topology, TopologyConfig, Transport, TransportConfig,
-    UNREACHABLE,
+    EventQueue, Field, NodeId, Point, SimTime, Topology, TopologyConfig, Transport,
+    TransportConfig, UNREACHABLE,
 };
 use edgechain_telemetry::{gini, SampleSet};
 use proptest::prelude::*;
@@ -327,19 +328,23 @@ proptest! {
         }
     }
 
-    /// The grid-bucket adjacency build (cell side = radio range, 3×3
-    /// candidate neighborhoods) must produce exactly the neighbor lists of
-    /// the brute-force all-pairs distance scan, for arbitrary placements
-    /// and radio ranges — including ranges larger than the paper's, where
-    /// the grid clamps cells to the field boundary.
+    /// The grid-bucket adjacency build (cells at least the radio range
+    /// wide, 3×3 candidate neighborhoods) must produce exactly the
+    /// neighbor lists of the brute-force all-pairs distance scan, for
+    /// arbitrary placements on fields from a tenth to twenty times the
+    /// paper's side — from a field inside one radio range, where the grid
+    /// clamps cells to the field boundary, to one so sparse that cells
+    /// widen to `sqrt(area / n)`.
     #[test]
     fn grid_bucket_adjacency_matches_brute_force(
         points in arb_points(40),
-        comm_range in 5.0f64..150.0,
+        scale in 0.1f64..20.0,
         steps in 0usize..3,
     ) {
+        let points: Vec<Point> =
+            points.iter().map(|p| Point::new(p.x * scale, p.y * scale)).collect();
         let config = TopologyConfig {
-            comm_range,
+            field: Field::new(300.0 * scale, 300.0 * scale),
             ..TopologyConfig::default()
         };
         let mut topo = Topology::from_positions_with_config(points, config);
@@ -351,7 +356,7 @@ proptest! {
             let mut brute: Vec<NodeId> = topo
                 .nodes()
                 .filter(|&b| {
-                    b != a && topo.position(a).distance(&topo.position(b)) <= comm_range
+                    b != a && topo.position(a).distance(&topo.position(b)) <= COMM_RANGE
                 })
                 .collect();
             brute.sort();

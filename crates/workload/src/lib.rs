@@ -314,27 +314,32 @@ impl Default for WorkloadConfig {
     }
 }
 
+/// Degradation-ladder rungs, as fractions of
+/// [`OverloadConfig::max_pending_items`]: L1, L2 and L3 engage at these
+/// pending-queue depths.
+const DEGRADE_FRACS: [f64; 3] = [0.50, 0.75, 0.90];
+
 /// Overload-protection knobs for the simulator. Every limit defaults to
 /// `None`/zero — fully inert — so the section can ride every config without
 /// disturbing existing runs; set limits explicitly to engage protection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OverloadConfig {
     /// Admission token-bucket rate for new items, per minute
     /// (`None` = no admission control at generation).
     pub admission_items_per_min: Option<f64>,
-    /// Burst capacity of the item-admission bucket.
-    pub admission_items_burst: f64,
     /// Admission token-bucket rate for fetch entry, per minute
     /// (`None` = no admission control at fetch entry).
     pub admission_fetches_per_min: Option<f64>,
-    /// Burst capacity of the fetch-admission bucket.
-    pub admission_fetches_burst: f64,
     /// Ledger tokens debited per admitted operation (all-or-nothing): an
     /// account that cannot pay is shed with `reason=price`, making
     /// rejection visible in balances instead of silent.
     pub admission_price_tokens: u64,
     /// Bound on the miner-side pending-metadata queue; arrivals beyond it
-    /// are shed (`None` = unbounded, the original behaviour).
+    /// are shed (`None` = unbounded, the original behaviour). The
+    /// degradation ladder's rungs are fractions of it: at half full
+    /// lowest-priority (open workload) fetches are shed, at 75 % proactive
+    /// replication is deferred to the repair sweep, at 90 % repair sweeps
+    /// themselves are deferred. Consensus is never throttled.
     pub max_pending_items: Option<usize>,
     /// Bound on concurrently in-flight (awaiting-retry) fetches per node;
     /// excess entries fail fast instead of queueing (`None` = unbounded).
@@ -343,37 +348,6 @@ pub struct OverloadConfig {
     /// retries, the original behaviour). A denied fetch retry is a
     /// terminal failure; a denied snapshot/recover retry re-polls later.
     pub retry_budget_per_min: Option<f64>,
-    /// Burst capacity of the retry-budget bucket.
-    pub retry_budget_burst: f64,
-    /// Degradation ladder thresholds, as fractions of `max_pending_items`
-    /// (ignored unless that bound is set): at L1 lowest-priority (open
-    /// workload) fetches are shed, at L2 proactive replication is
-    /// deferred to the repair sweep, at L3 repair sweeps themselves are
-    /// deferred. Consensus is never throttled.
-    pub degrade_l1_frac: f64,
-    /// L2 threshold fraction (defer proactive replication).
-    pub degrade_l2_frac: f64,
-    /// L3 threshold fraction (defer repair sweeps).
-    pub degrade_l3_frac: f64,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            admission_items_per_min: None,
-            admission_items_burst: 8.0,
-            admission_fetches_per_min: None,
-            admission_fetches_burst: 16.0,
-            admission_price_tokens: 0,
-            max_pending_items: None,
-            max_inflight_per_node: None,
-            retry_budget_per_min: None,
-            retry_budget_burst: 32.0,
-            degrade_l1_frac: 0.50,
-            degrade_l2_frac: 0.75,
-            degrade_l3_frac: 0.90,
-        }
-    }
 }
 
 impl OverloadConfig {
@@ -389,15 +363,7 @@ impl OverloadConfig {
             return 0;
         }
         let frac = pending as f64 / max as f64;
-        if frac >= self.degrade_l3_frac {
-            3
-        } else if frac >= self.degrade_l2_frac {
-            2
-        } else if frac >= self.degrade_l1_frac {
-            1
-        } else {
-            0
-        }
+        DEGRADE_FRACS.iter().filter(|&&rung| frac >= rung).count() as u8
     }
 }
 
@@ -620,7 +586,9 @@ mod tests {
         assert_eq!(cfg.degrade_level(0), 0);
         assert_eq!(cfg.degrade_level(49), 0);
         assert_eq!(cfg.degrade_level(50), 1);
+        assert_eq!(cfg.degrade_level(74), 1);
         assert_eq!(cfg.degrade_level(75), 2);
+        assert_eq!(cfg.degrade_level(89), 2);
         assert_eq!(cfg.degrade_level(90), 3);
         assert_eq!(cfg.degrade_level(1_000), 3);
     }

@@ -8,9 +8,10 @@
 //! A dormant-workload run must stay byte-identical to the closed-loop
 //! baseline — the whole engine rides behind inert defaults.
 
+use edgechain::core::slo::INCLUSION_P99_MAX_SECS;
 use edgechain::core::{
     ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, RunReport,
-    SloThresholds, WorkloadConfig,
+    WorkloadConfig,
 };
 use edgechain::sim::{FaultEvent, FaultPlan, SimTime};
 use proptest::prelude::*;
@@ -171,7 +172,6 @@ fn load_config(offered_per_min: f64) -> NetworkConfig {
 /// shedding has engaged while availability and mining hold.
 #[test]
 fn offered_load_ladder_sheds_and_keeps_the_admitted_tail_bounded() {
-    let slo_bar = SloThresholds::default().inclusion_p99_max_secs;
     let rungs: Vec<RunReport> = OFFERED_ITEMS_PER_MIN
         .iter()
         .map(|&rate| EdgeNetwork::new(load_config(rate)).unwrap().run())
@@ -188,8 +188,8 @@ fn offered_load_ladder_sheds_and_keeps_the_admitted_tail_bounded() {
             .p99
             .unwrap_or_else(|| panic!("{rate}/min: no inclusion p99\n{r}"));
         assert!(
-            p99 <= slo_bar,
-            "{rate}/min: admitted p99 inclusion {p99:.1}s breaches the {slo_bar:.0}s SLO"
+            p99 <= INCLUSION_P99_MAX_SECS,
+            "{rate}/min: admitted p99 inclusion {p99:.1}s breaches the {INCLUSION_P99_MAX_SECS:.0}s SLO"
         );
     }
     let shed: Vec<u64> = rungs.iter().map(|r| r.overload.shed_items).collect();
