@@ -100,7 +100,44 @@ fn bench_ufl(c: &mut Criterion) {
             solve(std::hint::black_box(&patched))
         })
     });
+    // The simulator's loaded regime: an n = 50 paper-shaped instance with
+    // every store 40–90 % full, solved cold (a clone of a never-solved
+    // instance, so the client orders a solve walks are sorted in the
+    // iteration), then patched and re-solved with its orders kept.
+    let mut loaded = loaded_instance(50);
+    group.bench_function("loaded_n50", |b| {
+        b.iter_batched(|| loaded.clone(), |i| solve(&i), BatchSize::SmallInput)
+    });
+    let costs: Vec<f64> = (0..50).map(|i| loaded.open_cost(i)).collect();
+    let mut step = 0usize;
+    group.bench_function("loaded_patched_n50", |b| {
+        b.iter(|| {
+            step += 1;
+            let node = step % 50;
+            loaded.set_open_cost(node, costs[node] * (1.0 + (step % 7) as f64 / 50.0));
+            solve(std::hint::black_box(&loaded))
+        })
+    });
     group.finish();
+}
+
+/// A paper-shaped n = 50 instance (random connected topology, Eq. 2 rows)
+/// whose stores hold 40–90 % of their 250 slots.
+fn loaded_instance(n: usize) -> UflInstance {
+    let mut rng = StdRng::seed_from_u64(29);
+    let topology = Topology::random_connected(n, TopologyConfig::default(), &mut rng)
+        .expect("paper shape connects");
+    let storage: Vec<NodeStorage> = (0..n)
+        .map(|i| {
+            let mut s = NodeStorage::paper_default();
+            let used = s.capacity() * rng.gen_range(40..=90u64) / 100;
+            for k in 0..used {
+                s.store_data(edgechain_core::DataId(i as u64 * 1000 + k));
+            }
+            s
+        })
+        .collect();
+    build_instance(&topology, &storage)
 }
 
 fn bench_pos_round(c: &mut Criterion) {

@@ -95,10 +95,12 @@ pub struct NetworkConfig {
     /// for long-running deployments).
     pub expiration_sweep_secs: u64,
     /// Halve all token balances every this many blocks (paper §V-B's
-    /// rescaling that keeps `B` numerically tame); `None` disables.
+    /// rescaling that keeps `B` numerically tame); `None` disables, and
+    /// `Some(0)` is rejected by [`NetworkConfig::validate`].
     pub token_rescale_blocks: Option<u64>,
     /// Run the §VII data-migration pass every this many seconds, moving
-    /// the worst-placed items toward the current optimum; `None` disables.
+    /// the worst-placed items toward the current optimum; `None` disables,
+    /// and `Some(0)` is rejected by [`NetworkConfig::validate`].
     pub migration_interval_secs: Option<u64>,
     /// Fraction of nodes that accept storage assignments but silently
     /// deny serving data and blocks (paper §III-B.2's malicious model).
@@ -328,7 +330,14 @@ impl NetworkConfig {
         let load = self
             .load_rates()
             .map(|(field, v)| (field, v, rate(v), "finite and at least 0"));
-        for (field, value, ok, want) in checks.into_iter().chain(load) {
+        // `None` is the one spelling of "off" for the two schedules.
+        let schedules = [
+            ("token_rescale_blocks", self.token_rescale_blocks),
+            ("migration_interval_secs", self.migration_interval_secs),
+        ]
+        .into_iter()
+        .filter_map(|(field, every)| every.map(|e| (field, e as f64, e >= 1, "at least 1")));
+        for (field, value, ok, want) in checks.into_iter().chain(load).chain(schedules) {
             if !ok {
                 return Err(ConfigError::OutOfRange { field, value, want });
             }
@@ -776,10 +785,8 @@ impl EdgeNetwork {
             );
         }
         if let Some(every) = self.config.migration_interval_secs {
-            if every > 0 {
-                self.queue
-                    .schedule(SimTime::from_secs(every), Event::MigrateData);
-            }
+            self.queue
+                .schedule(SimTime::from_secs(every), Event::MigrateData);
         }
         if let Some(t) = self.injector.next_due() {
             self.queue.schedule(t, Event::FaultTick);
@@ -1585,7 +1592,7 @@ impl EdgeNetwork {
         }
         self.ledger.credit(self.account_of[miner.0], 1);
         if let Some(every) = self.config.token_rescale_blocks {
-            if every > 0 && index.is_multiple_of(every) {
+            if index.is_multiple_of(every) {
                 self.ledger.rescale_halve();
             }
         }
@@ -2145,7 +2152,7 @@ impl EdgeNetwork {
         }
         if let Some(every) = self.config.migration_interval_secs {
             self.queue
-                .schedule(now + SimTime::from_secs(every.max(1)), Event::MigrateData);
+                .schedule(now + SimTime::from_secs(every), Event::MigrateData);
         }
     }
 
@@ -2823,6 +2830,17 @@ mod tests {
             ..base()
         };
         rejects(zero_mobility, "mobility_interval_secs");
+        // `None` is "off"; `Some(0)` is not a second spelling of it.
+        let zero_rescale = NetworkConfig {
+            token_rescale_blocks: Some(0),
+            ..base()
+        };
+        rejects(zero_rescale, "token_rescale_blocks");
+        let zero_migration = NetworkConfig {
+            migration_interval_secs: Some(0),
+            ..base()
+        };
+        rejects(zero_migration, "migration_interval_secs");
         for rate in [f64::NAN, f64::INFINITY, -1.0] {
             let cfg = NetworkConfig {
                 data_items_per_min: rate,

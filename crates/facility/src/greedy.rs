@@ -11,33 +11,194 @@
 //!
 //! ## Fast path
 //!
-//! The per-facility client order is a property of the *instance*, not of
-//! the covering state, so the instance keeps it (sorted on first use, see
-//! `UflInstance`) and each opening round walks it skipping covered
-//! clients — replacing the original per-round full re-sorts. Because the
-//! sorts are stable and filtering a stably-sorted list to a subset
-//! preserves its relative order, every round sees exactly the cost
-//! sequence the re-sorting implementation saw, so prefix sums, ratios,
-//! tie-breaks, and claimed clients are bit-identical (the `#[cfg(test)]`
-//! reference implementation pins this).
+//! The original solver scans the facilities in index order each round,
+//! re-sorts every facility's uncovered clients, and keeps a pair only when
+//! its ratio is strictly below the best so far. Its pick is therefore the
+//! lexicographic minimum of (ratio, facility, prefix length), and this
+//! solver computes that same minimum with less work. The `#[cfg(test)]`
+//! reference pins it bit for bit.
 //!
-//! A round does not walk every facility either. `lb[i]` holds facility
-//! `i`'s lowest ratio from the last round that walked it. Covering
-//! clients only removes entries from `i`'s sorted uncovered list, so the
-//! list's t-th entry can only grow; `+` and `/ t` round monotonically, so
-//! every t-prefix ratio `i` offers now is ≥ the one it offered then, and
-//! `lb[i]` bounds them all from below in floating point, not just in the
-//! reals. While `lb[i]` is not below the best ratio found so far the
-//! strict `ratio < best` update could not fire for `i`, and the walk is
-//! skipped. The bound's one other input, `f_i`, drops to 0 when `i`
-//! opens; `lb[i]` resets there.
+//! * *Orders are kept.* A facility's stable client order depends only on
+//!   its connect row, so the instance sorts it once, on first use (see
+//!   `UflInstance::client_order`). A facility's first walk copies that
+//!   order, filtered to uncovered finite-cost clients, into a list of its
+//!   own; later walks drop the clients covered since. Filtering a stably
+//!   sorted list keeps its relative order, so each walk sees the cost
+//!   sequence a re-sort would produce.
+//! * *The order of the walks is free.* The winner is compared as
+//!   (ratio, facility), so any walk order picks the same pair. Open
+//!   facilities (`f_i = 0`) are walked first because they usually set a
+//!   low best ratio `r` early. Closed facilities follow in index order.
+//! * *A stale ratio is a lower bound.* `lb[i]` is facility `i`'s lowest
+//!   ratio in the last round that walked it. Covering clients only removes
+//!   entries from `i`'s list, so its t-th entry can only grow. `+` and
+//!   `/ t` round monotonically, so every ratio `i` offers now is ≥ `lb[i]`
+//!   in floating point, not just in the reals. A facility whose `lb[i]`
+//!   cannot beat the best pair is skipped. `f_i` changes only when `i`
+//!   opens and drops to 0; `lb[i]` resets there.
+//! * *A closed facility is screened before its walk, and before its order
+//!   is ever sorted.* With `u` uncovered clients, every ratio it could
+//!   compute is ≥ `f_i / u` in floating point, so that O(1) bound is
+//!   tried first. If that does not settle it, `f_i ≥ Σ_{uncovered j}
+//!   max(0, r − c_ij) + (u + 2)²·ε·r` proves that every prefix ratio it
+//!   could compute is strictly above `r`. The margin covers the rounding
+//!   of both sums (DESIGN §9, short-circuit 5).
 //!
 //! The final pruning pass uses cheapest/second-cheapest bookkeeping
 //! (`UflInstance::two_cheapest_open`) instead of cloning and reassigning
-//! a trial solution per open facility.
+//! a trial solution per open facility. All buffers live in the thread's
+//! reused scratch.
 
-use crate::instance::{SolveError, UflInstance, UflSolution};
+use crate::instance::{SolveError, TwoCheapest, UflInstance, UflSolution};
+use crate::scratch::{with_scratch, Scratch};
 use edgechain_telemetry as telemetry;
+
+/// The smallest best ratio the sum screen runs at. From here up, the
+/// screen's margin and every ratio it bounds are normal floats, so each
+/// rounding is relative.
+pub(crate) const SCREEN_FLOOR: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// The sum screen's error analysis assumes fewer uncovered clients than
+/// this (u·ε stays far below 1).
+const SCREEN_MAX_CLIENTS: usize = 1 << 22;
+
+/// A facility that has not been walked in this solve yet.
+const UNWALKED: usize = usize::MAX;
+
+/// The greedy's per-facility state. Its buffers are reused across solves.
+#[derive(Debug, Default)]
+pub(crate) struct Walks {
+    /// Facility `i`'s uncovered finite-cost clients in client order, as of
+    /// its last walk: `arena[start[i]..start[i] + len[i]]`.
+    arena: Vec<u32>,
+    /// Where facility `i`'s list starts, or [`UNWALKED`].
+    start: Vec<usize>,
+    len: Vec<usize>,
+    /// Facility `i`'s lowest ratio in the last round that walked it.
+    lb: Vec<f64>,
+    /// The uncovered clients, ascending.
+    uncovered: Vec<u32>,
+    /// The open facilities, ascending.
+    open: Vec<usize>,
+}
+
+/// The best (ratio, facility, prefix length) found so far in a round.
+#[derive(Clone, Copy)]
+struct Best {
+    ratio: f64,
+    fac: usize,
+    take: usize,
+}
+
+impl Best {
+    /// Whether facility `i` offering `ratio` comes first in the
+    /// (ratio, facility) order. Within one facility's walk a longer prefix
+    /// with an equal ratio does not come first.
+    fn beaten_by(&self, ratio: f64, i: usize) -> bool {
+        ratio < self.ratio || (ratio == self.ratio && i < self.fac)
+    }
+}
+
+/// Whether a facility that can only offer ratios ≥ `bound` might beat
+/// `best` (no best yet: it might).
+fn may_beat(best: Option<Best>, bound: f64, i: usize) -> bool {
+    best.is_none_or(|b| b.beaten_by(bound, i))
+}
+
+impl Walks {
+    fn reset(&mut self, m: usize, k: usize) {
+        self.arena.clear();
+        self.start.clear();
+        self.start.resize(m, UNWALKED);
+        self.len.clear();
+        self.len.resize(m, 0);
+        self.lb.clear();
+        self.lb.resize(m, f64::NEG_INFINITY);
+        self.uncovered.clear();
+        self.uncovered.extend(0..k as u32);
+        self.open.clear();
+    }
+
+    /// Walks facility `i` at opening cost `f_cost`. The walk drops the
+    /// clients covered since its last walk from `i`'s list, or builds the
+    /// list from the client order on the first walk. It then prices every
+    /// prefix, updates `best`, and records `i`'s lowest ratio in `lb[i]`.
+    fn walk(
+        &mut self,
+        instance: &UflInstance,
+        i: usize,
+        f_cost: f64,
+        assignment: &[usize],
+        best: &mut Option<Best>,
+    ) {
+        let row = instance.connect_row(i);
+        if self.start[i] == UNWALKED {
+            self.start[i] = self.arena.len();
+            // A stable order puts the infinite costs last; no prefix
+            // reaches them.
+            let uncovered = instance
+                .client_order(i)
+                .iter()
+                .take_while(|&&j| row[j as usize].is_finite())
+                .filter(|&&j| assignment[j as usize] == usize::MAX);
+            self.arena.extend(uncovered);
+            self.len[i] = self.arena.len() - self.start[i];
+        }
+        let list = &mut self.arena[self.start[i]..self.start[i] + self.len[i]];
+        let (mut kept, mut running, mut lowest) = (0, f_cost, f64::INFINITY);
+        for at in 0..list.len() {
+            let j = list[at];
+            if assignment[j as usize] != usize::MAX {
+                continue;
+            }
+            list[kept] = j;
+            kept += 1;
+            running += row[j as usize];
+            let ratio = running / kept as f64;
+            lowest = lowest.min(ratio);
+            if may_beat(*best, ratio, i) {
+                *best = Some(Best {
+                    ratio,
+                    fac: i,
+                    take: kept,
+                });
+            }
+        }
+        self.len[i] = kept;
+        self.lb[i] = lowest;
+    }
+
+    /// Whether closed facility `i` can be skipped without a walk: no prefix
+    /// ratio it could compute beats `best`.
+    fn screened(&self, best: Best, i: usize, f: f64, row: &[f64]) -> bool {
+        let u = self.uncovered.len();
+        // Every computed ratio is fl(fl(f + …) / t) ≥ fl(f / t) ≥ fl(f / u).
+        if !best.beaten_by(f / u as f64, i) {
+            return true;
+        }
+        let r = best.ratio;
+        if r < SCREEN_FLOOR || u >= SCREEN_MAX_CLIENTS {
+            return false;
+        }
+        // In the reals a prefix S reaches ratio r only if
+        // f ≤ Σ_{j∈S} (r − c_ij) ≤ `gain`. The margin covers the rounding
+        // of `gain` and of the walk's running sums and divisions, so every
+        // ratio the walk could compute is strictly above r (DESIGN §9).
+        let margin = ((u + 2) * (u + 2)) as f64 * f64::EPSILON * r;
+        let gain = |j: u32| (r - row[j as usize]).max(0.0);
+        let (quads, tail) = self.uncovered.as_chunks::<4>();
+        let mut acc = [0.0f64; 4];
+        for q in quads {
+            for a in 0..4 {
+                acc[a] += gain(q[a]);
+            }
+        }
+        for (slot, &j) in acc.iter_mut().zip(tail) {
+            *slot += gain(j);
+        }
+        f >= (acc[0] + acc[1]) + (acc[2] + acc[3]) + margin
+    }
+}
 
 /// Solves `instance` greedily.
 ///
@@ -47,10 +208,15 @@ use edgechain_telemetry as telemetry;
 /// infinite opening cost (in the paper's setting: all nodes are full).
 pub fn solve_greedy(instance: &UflInstance) -> Result<UflSolution, SolveError> {
     telemetry::counter_add("ufl.greedy_calls", 1);
-    telemetry::time_wall("ufl.greedy_ns", || solve_greedy_inner(instance))
+    telemetry::time_wall("ufl.greedy_ns", || {
+        with_scratch(|scratch| solve_greedy_inner(instance, scratch))
+    })
 }
 
-fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError> {
+fn solve_greedy_inner(
+    instance: &UflInstance,
+    scratch: &mut Scratch,
+) -> Result<UflSolution, SolveError> {
     if !instance.has_finite_facility() {
         return Err(SolveError::NoFeasibleFacility);
     }
@@ -58,74 +224,56 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
     let k = instance.clients();
     let mut open = vec![false; m];
     let mut assignment = vec![usize::MAX; k];
-    let mut covered = 0usize;
-    // `lb[i]`: facility `i`'s lowest ratio in the last round that walked
-    // it. Covering clients only thins `i`'s sorted uncovered list, so that
-    // stale ratio bounds every ratio `i` can offer now from below (module
-    // docs) — until `i` opens and its `f_i` drops to 0.
-    let mut lb = vec![f64::NEG_INFINITY; m];
-    let (mut rounds, mut walks) = (0u64, 0u64);
+    let state = &mut scratch.walks;
+    state.reset(m, k);
+    let (mut rounds, mut walks, mut screened) = (0u64, 0u64, 0u64);
 
-    while covered < k {
+    while !state.uncovered.is_empty() {
         rounds += 1;
-        let mut best: Option<(f64, usize, usize)> = None; // (ratio, facility, take)
-        for i in 0..m {
-            let f_cost = if open[i] { 0.0 } else { instance.open_cost(i) };
-            if !f_cost.is_finite() {
+        let mut best: Option<Best> = None;
+        for at in 0..state.open.len() {
+            let i = state.open[at];
+            if may_beat(best, state.lb[i], i) {
+                walks += 1;
+                state.walk(instance, i, 0.0, &assignment, &mut best);
+            }
+        }
+        for (i, &is_open) in open.iter().enumerate() {
+            let f = instance.open_cost(i);
+            if is_open || !f.is_finite() || !may_beat(best, state.lb[i], i) {
                 continue;
             }
-            if matches!(best, Some((r, _, _)) if lb[i] >= r) {
-                continue; // the strict `ratio < r` below could not fire
+            if let Some(b) = best {
+                if state.screened(b, i, f, instance.connect_row(i)) {
+                    screened += 1;
+                    continue;
+                }
             }
             walks += 1;
-            let row = instance.connect_row(i);
-            let mut running = f_cost;
-            let mut prefix = 0usize;
-            let mut lowest = f64::INFINITY;
-            for &j in instance.client_order(i) {
-                if assignment[j as usize] != usize::MAX {
-                    continue; // already covered
-                }
-                let c = row[j as usize];
-                if !c.is_finite() {
-                    break;
-                }
-                running += c;
-                prefix += 1;
-                let ratio = running / prefix as f64;
-                lowest = lowest.min(ratio);
-                let better = match best {
-                    None => true,
-                    Some((r, _, _)) => ratio < r,
-                };
-                if better {
-                    best = Some((ratio, i, prefix));
-                }
-            }
-            lb[i] = lowest;
+            state.walk(instance, i, f, &assignment, &mut best);
         }
-        let (_, fac, take) = best.ok_or(SolveError::NoFeasibleFacility)?;
+        let Best { fac, take, .. } = best.ok_or(SolveError::NoFeasibleFacility)?;
         if !open[fac] {
             open[fac] = true;
-            lb[fac] = f64::NEG_INFINITY;
+            state.lb[fac] = f64::NEG_INFINITY;
+            let at = state.open.partition_point(|&o| o < fac);
+            state.open.insert(at, fac);
         }
-        // Claim the `take` cheapest uncovered clients for `fac` — the
-        // sorted order filtered to uncovered clients.
-        let mut taken = 0usize;
-        for &j in instance.client_order(fac) {
-            if taken == take {
-                break;
-            }
-            let j = j as usize;
-            if assignment[j] == usize::MAX {
-                assignment[j] = fac;
-                taken += 1;
-                covered += 1;
-            }
+        // `fac` was walked this round, so its list is exactly its uncovered
+        // clients in order: claim the first `take`.
+        let start = state.start[fac];
+        for &j in &state.arena[start..start + take] {
+            assignment[j as usize] = fac;
         }
+        state.start[fac] += take;
+        state.len[fac] -= take;
+        state
+            .uncovered
+            .retain(|&j| assignment[j as usize] == usize::MAX);
     }
     telemetry::counter_add("ufl.greedy.rounds", rounds);
     telemetry::counter_add("ufl.greedy.walks", walks);
+    telemetry::counter_add("ufl.greedy.screened", screened);
 
     let mut solution = UflSolution {
         open,
@@ -134,8 +282,8 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
     };
     // Cleanup: every client to its cheapest open facility, then drop
     // facilities that no longer pay for themselves.
-    solution.reassign_best(instance);
-    prune_useless(instance, &mut solution);
+    solution.reassign_best_with(instance, &mut scratch.best_cost);
+    prune_useless(instance, &mut solution, scratch);
     Ok(solution)
 }
 
@@ -148,18 +296,25 @@ fn solve_greedy_inner(instance: &UflInstance) -> Result<UflSolution, SolveError>
 /// clients in ascending id order) mirrors [`UflSolution::validate`], so
 /// each trial cost is bit-identical to what the former clone-and-reassign
 /// trial computed.
-fn prune_useless(instance: &UflInstance, solution: &mut UflSolution) {
+fn prune_useless(instance: &UflInstance, solution: &mut UflSolution, scratch: &mut Scratch) {
     let k = instance.clients();
+    let Scratch {
+        cheapest,
+        open_now,
+        best_cost,
+        ..
+    } = scratch;
     loop {
-        let open_now: Vec<usize> = solution.open_facilities();
+        solution.open_facilities_into(open_now);
         if open_now.len() <= 1 {
             return;
         }
-        let (b1, c1, c2) = instance.two_cheapest_open(&solution.open);
+        instance.two_cheapest_open(&solution.open, cheapest);
+        let TwoCheapest { b1, c1, c2 } = &*cheapest;
         let mut improved = false;
-        for &i in &open_now {
+        for &i in open_now.iter() {
             let mut cost = 0.0;
-            for &o in &open_now {
+            for &o in open_now.iter() {
                 if o != i {
                     cost += instance.open_cost(o);
                 }
@@ -169,7 +324,7 @@ fn prune_useless(instance: &UflInstance, solution: &mut UflSolution) {
             }
             if cost < solution.cost {
                 solution.open[i] = false;
-                solution.reassign_best(instance);
+                solution.reassign_best_with(instance, best_cost);
                 improved = true;
                 break;
             }
@@ -409,6 +564,64 @@ pub(crate) mod tests {
                 reference.cost
             );
         }
+    }
+
+    /// Solves `inst` with the fast greedy and the reference, asserts the
+    /// two agree bit for bit, and returns the fast solution.
+    fn same_as_reference(inst: &UflInstance) -> UflSolution {
+        let fast = solve_greedy(inst).unwrap();
+        let reference = solve_greedy_reference(inst).unwrap();
+        assert_eq!(fast.open, reference.open, "open sets differ");
+        assert_eq!(fast.assignment, reference.assignment, "assignments differ");
+        assert_eq!(
+            fast.cost.to_bits(),
+            reference.cost.to_bits(),
+            "cost bits differ"
+        );
+        fast
+    }
+
+    /// Round 1 opens facility 2 (ratio 1/2 on clients 0 and 1). In round 2
+    /// open facility 2 offers clients 2 and 3 at ratio 2, and closed
+    /// facility 0 offers the same ratio, `(4 + 0 + 0) / 2`. Facility 2 is
+    /// walked first, so only the (ratio, facility) order gives the round to
+    /// facility 0, as the reference's index-order scan does.
+    #[test]
+    fn an_open_facility_and_a_lower_closed_one_tie() {
+        let inst = UflInstance::new(
+            vec![4.0, f64::INFINITY, 1.0],
+            vec![
+                vec![4.0, 4.0, 0.0, 0.0],
+                vec![0.0, 0.0, 0.0, 0.0],
+                vec![0.0, 0.0, 2.0, 2.0],
+            ],
+        );
+        let sol = same_as_reference(&inst);
+        assert_eq!(sol.open_facilities(), vec![0, 2]);
+        assert_eq!(sol.assignment, vec![2, 2, 0, 0]);
+    }
+
+    /// Facility 2 opens at ratio 0 and covers clients 0–3, one per round.
+    /// In round 5 it offers clients 4 and 5 at ratio r = 3. Closed facility
+    /// 0 is screened by the sum, its terms `max(0, 3 − 10)` clamped to 0.
+    /// Closed facility 1 was never walked: the O(1) bound `f / u` screened
+    /// it in every earlier round. Now `f_1 = 6 = Σ max(0, 3 − c_1j)` over
+    /// clients 4 and 5 exactly, and its prefix ratio `(6 + 0 + 0) / 2`
+    /// ties r at a lower index. The sum screen must let it through: only
+    /// its margin tells this apart from a loss.
+    #[test]
+    fn a_closed_facility_at_exactly_its_screen_bound_is_walked() {
+        let inst = UflInstance::new(
+            vec![3.0, 6.0, 0.0],
+            vec![
+                vec![0.0, 0.0, 0.0, 10.0, 10.0, 10.0],
+                vec![9.0, 9.0, 9.0, 9.0, 0.0, 0.0],
+                vec![0.0, 0.0, 0.0, 0.0, 3.0, 3.0],
+            ],
+        );
+        let sol = same_as_reference(&inst);
+        assert_eq!(sol.open_facilities(), vec![1, 2]);
+        assert_eq!(sol.assignment, vec![2, 2, 2, 2, 1, 1]);
     }
 
     mod properties {

@@ -183,10 +183,10 @@ impl UflInstance {
     }
 
     /// Per-client cheapest/second-cheapest bookkeeping over the facilities
-    /// marked `open`: returns `(b1, c1, c2)` where `b1[j]` is the
-    /// lowest-index open facility achieving the minimum connection cost
-    /// `c1[j]`, and `c2[j]` is the cheapest cost among the *other* open
-    /// facilities (`+∞` with a single open facility).
+    /// marked `open`, written into `into` (its buffers are reused): `b1[j]`
+    /// is the lowest-index open facility achieving the minimum connection
+    /// cost `c1[j]`, and `c2[j]` is the cheapest cost among the *other*
+    /// open facilities (`+∞` with a single open facility).
     ///
     /// This is the data the close/swap trial costs of
     /// [`crate::local_search::improve`] and the greedy pruning pass need:
@@ -197,13 +197,17 @@ impl UflInstance {
     /// # Panics
     ///
     /// Panics when no facility is marked open.
-    pub(crate) fn two_cheapest_open(&self, open: &[bool]) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    pub(crate) fn two_cheapest_open(&self, open: &[bool], into: &mut TwoCheapest) {
         let k = self.clients();
         let mut open_facilities = (0..self.facilities()).filter(|&i| open[i]);
         let first = open_facilities.next().expect("at least one facility open");
-        let mut b1 = vec![first; k];
-        let mut c1 = self.connect_row(first).to_vec();
-        let mut c2 = vec![f64::INFINITY; k];
+        let TwoCheapest { b1, c1, c2 } = into;
+        b1.clear();
+        b1.resize(k, first);
+        c1.clear();
+        c1.extend_from_slice(self.connect_row(first));
+        c2.clear();
+        c2.resize(k, f64::INFINITY);
         for i in open_facilities {
             let row = self.connect_row(i);
             for j in 0..k {
@@ -217,8 +221,18 @@ impl UflInstance {
                 }
             }
         }
-        (b1, c1, c2)
     }
+}
+
+/// [`UflInstance::two_cheapest_open`]'s output, one entry per client.
+#[derive(Debug, Default)]
+pub(crate) struct TwoCheapest {
+    /// The lowest-index open facility at the cheapest cost.
+    pub(crate) b1: Vec<usize>,
+    /// The cheapest cost over the open facilities.
+    pub(crate) c1: Vec<f64>,
+    /// The cheapest cost over the open facilities other than `b1`.
+    pub(crate) c2: Vec<f64>,
 }
 
 /// The clients of one connect row stably sorted by cost — exactly
@@ -288,6 +302,13 @@ impl UflSolution {
             .collect()
     }
 
+    /// [`Self::open_facilities`] written into `out`, a buffer the caller
+    /// reuses.
+    pub(crate) fn open_facilities_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.open.len()).filter(|&i| self.open[i]));
+    }
+
     /// Recomputes the cost of this solution against `instance` and checks
     /// feasibility. Useful as a test oracle.
     ///
@@ -327,11 +348,20 @@ impl UflSolution {
     /// [`UflInstance::connect_row`] so the client loop is a contiguous
     /// scan; the strict `<` keeps the first-minimal tie-break.
     pub fn reassign_best(&mut self, instance: &UflInstance) {
+        self.reassign_best_with(instance, &mut Vec::new());
+    }
+
+    /// [`Self::reassign_best`] with the running cheapest costs kept in
+    /// `best_cost`, a buffer the caller reuses; the assignment is
+    /// rewritten in place.
+    pub(crate) fn reassign_best_with(&mut self, instance: &UflInstance, best_cost: &mut Vec<f64>) {
         let k = self.assignment.len();
         let mut open_facilities = (0..instance.facilities()).filter(|&i| self.open[i]);
         let first = open_facilities.next().expect("at least one facility open");
-        let mut best_cost = instance.connect_row(first)[..k].to_vec();
-        let mut best_fac = vec![first; k];
+        best_cost.clear();
+        best_cost.extend_from_slice(&instance.connect_row(first)[..k]);
+        let best_fac = &mut self.assignment;
+        best_fac.fill(first);
         for i in open_facilities {
             let row = instance.connect_row(i);
             for j in 0..k {
@@ -341,7 +371,6 @@ impl UflSolution {
                 }
             }
         }
-        self.assignment = best_fac;
         self.cost = self
             .validate(instance)
             .expect("reassigned solution is feasible");

@@ -35,6 +35,7 @@ pub mod greedy;
 pub mod instance;
 pub mod local_search;
 pub mod region;
+mod scratch;
 
 pub use exact::{solve_exact, MAX_EXACT_FACILITIES};
 pub use greedy::solve_greedy;

@@ -11,19 +11,33 @@
 //! ## Fast path
 //!
 //! Each round precomputes, per client, the cheapest and second-cheapest
-//! open facility (`UflInstance::two_cheapest_open`); every trial cost is
-//! then a closed-form sum — opening `i` serves client `j` at
-//! `min(c1[j], c_ij)`, closing `i` re-routes its clients to `c2[j]`, a
-//! swap combines both — instead of the former clone + full reassignment
-//! per trial (`O(moves · m · k)` clones → `O(m · k)` per round plus one
-//! reassignment for the winning move). The accumulation order of every
-//! trial cost mirrors [`UflSolution::validate`], so accepted moves and
-//! final solutions are bit-identical to the original implementation
-//! (pinned by the `#[cfg(test)]` reference). All costs are ≥ 0, so a
-//! trial's partial sums never decrease, and a trial is abandoned as soon
-//! as one reaches the cost it would have to beat.
+//! open facility (`UflInstance::two_cheapest_open`). Every trial cost is
+//! then a closed-form sum: opening `i` serves client `j` at
+//! `min(c1[j], c_ij)`, closing `i` re-routes its clients to `c2[j]`, and a
+//! swap combines both. The former code cloned the solution and reassigned
+//! every client per trial (`O(moves · m · k)` clones); this is `O(m · k)`
+//! per round plus one reassignment for the winning move. The accumulation
+//! order of every trial cost mirrors [`UflSolution::validate`], so accepted
+//! moves and final solutions are bit-identical to the original
+//! implementation (pinned by the `#[cfg(test)]` reference).
+//!
+//! Most trials lose, and two checks drop them before the ordered sum is
+//! finished:
+//!
+//! * *A screen.* A trial is first summed in any order, with four
+//!   independent accumulators. That sum is within a proven relative error
+//!   of the ordered one. When even the lowest ordered sum it allows is not
+//!   below the bound the trial must beat, the trial is dropped
+//!   (`ufl.local_search.trials_screened`; DESIGN §9, short-circuit 6).
+//! * *A cut.* All costs are ≥ 0, so the ordered sum's partial sums never
+//!   decrease. A trial the screen keeps is abandoned as soon as one partial
+//!   sum reaches its bound (`ufl.local_search.trials_cut`).
+//!
+//! The buffers live in the thread's reused scratch.
 
-use crate::instance::{SolveError, UflInstance, UflSolution};
+use crate::greedy::SCREEN_FLOOR;
+use crate::instance::{SolveError, TwoCheapest, UflInstance, UflSolution};
+use crate::scratch::{with_scratch, Scratch};
 use edgechain_telemetry as telemetry;
 
 /// Hard cap on improvement rounds, a backstop against pathological cycling
@@ -47,19 +61,32 @@ struct Trials<'a> {
     /// The open facilities, ascending.
     open_now: &'a [usize],
     bound: f64,
+    /// `1 − 2(k + 3)·ε`: a trial whose four-accumulator sum `t` has
+    /// `t · shrink ≥ bound` has an ordered sum ≥ `bound`.
+    shrink: f64,
     best: Option<Move>,
     cut: u64,
+    screened: u64,
 }
 
 impl Trials<'_> {
-    /// Prices `mv` — opening costs of `open_now` minus `mv.close` with
-    /// `mv.open` merged at its sorted place, then `client_cost(j)` for
-    /// ascending `j`: the additions [`UflSolution::validate`] would make on
-    /// the moved solution, in its order — and keeps it when it beats
-    /// `bound`. Every term is ≥ 0, so the partial sums never decrease and
-    /// a trial whose partial sum has reached `bound` is abandoned: its
-    /// finished cost could not be below it.
-    fn price(&mut self, mv: Move, client_cost: impl Fn(usize) -> f64) {
+    /// Prices a trial that serves client `j` at the cheaper of `row[j]`
+    /// and `base[j]` — an open (`base = c1`) or a swap (`base` = the costs
+    /// without the closed facility). The four-accumulator screen runs
+    /// first; only a trial it cannot reject is priced in order.
+    fn price_min(&mut self, mv: Move, row: &[f64], base: &[f64]) {
+        let opening = self.opening_cost(mv);
+        if opening >= self.bound || self.rejects(opening + four_way_min_sum(row, base)) {
+            self.screened += 1;
+            return;
+        }
+        self.price_from(mv, opening, |j| serve(row[j], base[j]));
+    }
+
+    /// The opening costs of the moved solution: `open_now` minus
+    /// `mv.close`, with `mv.open` merged at its sorted place — the additions
+    /// [`UflSolution::validate`] makes first, in its order.
+    fn opening_cost(&self, mv: Move) -> f64 {
         let mut cost = 0.0;
         let mut opening = mv.open;
         for &o in self.open_now {
@@ -74,6 +101,15 @@ impl Trials<'_> {
         if let Some(l) = opening {
             cost += self.instance.open_cost(l);
         }
+        cost
+    }
+
+    /// Finishes the ordered sum from `cost` (the opening costs) with
+    /// `client_cost(j)` for ascending `j`, as [`UflSolution::validate`]
+    /// would, and keeps `mv` when it beats `bound`. Every term is ≥ 0, so
+    /// the partial sums never decrease and a trial whose partial sum has
+    /// reached `bound` is abandoned: its finished cost could not be below.
+    fn price_from(&mut self, mv: Move, mut cost: f64, client_cost: impl Fn(usize) -> f64) {
         for j in 0..self.instance.clients() {
             if cost >= self.bound {
                 self.cut += 1;
@@ -86,27 +122,84 @@ impl Trials<'_> {
             self.best = Some(mv);
         }
     }
+
+    /// Whether a trial whose four-accumulator sum is `any_order` has an
+    /// ordered sum ≥ `bound` (DESIGN §9, short-circuit 6).
+    fn rejects(&self, any_order: f64) -> bool {
+        any_order >= SCREEN_FLOOR && any_order * self.shrink >= self.bound
+    }
+}
+
+/// What a client pays when a facility at cost `r` opens beside its
+/// current cost `b`: `r` only when strictly cheaper, as the reassignment's
+/// first-minimal tie-break has it.
+fn serve(r: f64, b: f64) -> f64 {
+    if r < b {
+        r
+    } else {
+        b
+    }
+}
+
+/// `Σ_j serve(row[j], base[j])` in four interleaved accumulators, combined
+/// pairwise. Each term passes through at most `⌈k/4⌉ + 1` roundings.
+/// Adding the opening costs as one more term keeps the result within a
+/// factor `1 + γ_{k+3}` of the exact sum of the nonnegative terms, where
+/// `γ_n = n·u / (1 − n·u)`.
+fn four_way_min_sum(row: &[f64], base: &[f64]) -> f64 {
+    let (rows, row_tail) = row.as_chunks::<4>();
+    let (bases, base_tail) = base[..row.len()].as_chunks::<4>();
+    let mut acc = [0.0f64; 4];
+    for (r, b) in rows.iter().zip(bases) {
+        for a in 0..4 {
+            acc[a] += serve(r[a], b[a]);
+        }
+    }
+    for (slot, (&r, &b)) in acc.iter_mut().zip(row_tail.iter().zip(base_tail)) {
+        *slot += serve(r, b);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 /// Improves `solution` in place until no open/close/swap move helps.
 ///
 /// Returns the number of improving moves applied.
 pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
+    with_scratch(|scratch| improve_with(instance, solution, scratch))
+}
+
+fn improve_with(
+    instance: &UflInstance,
+    solution: &mut UflSolution,
+    scratch: &mut Scratch,
+) -> usize {
     let m = instance.facilities();
     let k = instance.clients();
+    let shrink = 1.0 - 2.0 * (k + 3) as f64 * f64::EPSILON;
     let mut moves = 0;
-    let mut cut = 0u64;
-    let mut without = vec![0.0; k];
+    let (mut cut, mut screened) = (0u64, 0u64);
+    let Scratch {
+        cheapest,
+        open_now,
+        without,
+        best_cost,
+        ..
+    } = scratch;
+    without.clear();
+    without.resize(k, 0.0);
     for _ in 0..MAX_ROUNDS {
-        let open_now = solution.open_facilities();
-        let (b1, c1, c2) = instance.two_cheapest_open(&solution.open);
+        solution.open_facilities_into(open_now);
+        instance.two_cheapest_open(&solution.open, cheapest);
+        let TwoCheapest { b1, c1, c2 } = &*cheapest;
         let closed_finite = |l: usize| !solution.open[l] && instance.open_cost(l).is_finite();
         let mut trials = Trials {
             instance,
-            open_now: &open_now,
+            open_now,
             bound: solution.cost - 1e-12,
+            shrink,
             best: None,
             cut: 0,
+            screened: 0,
         };
 
         // Move 1: open a closed (finite-cost) facility.
@@ -116,22 +209,23 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
                 close: None,
                 open: Some(i),
             };
-            trials.price(mv, |j| if row[j] < c1[j] { row[j] } else { c1[j] });
+            trials.price_min(mv, row, c1);
         }
 
         // Move 2: close an open facility (if another stays open).
         if open_now.len() > 1 {
-            for &i in &open_now {
+            for &i in open_now.iter() {
                 let mv = Move {
                     close: Some(i),
                     open: None,
                 };
-                trials.price(mv, |j| if b1[j] == i { c2[j] } else { c1[j] });
+                let opening = trials.opening_cost(mv);
+                trials.price_from(mv, opening, |j| if b1[j] == i { c2[j] } else { c1[j] });
             }
         }
 
         // Move 3: swap an open facility for a closed one.
-        for &i in &open_now {
+        for &i in open_now.iter() {
             for j in 0..k {
                 without[j] = if b1[j] == i { c2[j] } else { c1[j] };
             }
@@ -141,17 +235,12 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
                     close: Some(i),
                     open: Some(l),
                 };
-                trials.price(mv, |j| {
-                    if row[j] < without[j] {
-                        row[j]
-                    } else {
-                        without[j]
-                    }
-                });
+                trials.price_min(mv, row, without);
             }
         }
 
         cut += trials.cut;
+        screened += trials.screened;
         match trials.best {
             Some(mv) => {
                 if let Some(i) = mv.close {
@@ -161,7 +250,7 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
                     solution.open[l] = true;
                 }
                 // Materialize only the winning move.
-                solution.reassign_best(instance);
+                solution.reassign_best_with(instance, best_cost);
                 moves += 1;
             }
             None => break,
@@ -169,6 +258,7 @@ pub fn improve(instance: &UflInstance, solution: &mut UflSolution) -> usize {
     }
     telemetry::counter_add("ufl.local_search.moves", moves as u64);
     telemetry::counter_add("ufl.local_search.trials_cut", cut);
+    telemetry::counter_add("ufl.local_search.trials_screened", screened);
     moves
 }
 
@@ -391,6 +481,35 @@ mod tests {
         }
     }
 
+    /// Greedy starts from {0, 1}. In the first local-search round the swap
+    /// (close 0, open 2) is accepted at 4.3999999999999995, which becomes
+    /// the bound. The swap (close 1, open 2) then sums to 4.399999999999999
+    /// in `validate` order, one ulp below the bound, so the reference takes
+    /// it. Its four-accumulator sum lands exactly on the bound,
+    /// 4.3999999999999995: only the screen's margin keeps the trial.
+    #[test]
+    fn a_trial_whose_any_order_sum_lands_on_its_bound_is_priced() {
+        let inst = UflInstance::new(
+            vec![0.6, 0.9, 1.8, 2.7],
+            vec![
+                vec![0.3, 0.7, 0.9, 0.7, 0.3, 0.3, 1.1],
+                vec![0.2, 2.3, 1.1, 0.7, 0.1, 2.3, 0.1],
+                vec![0.9, 0.6, 0.3, 0.3, 2.3, 0.1, 0.1],
+                vec![0.2, 0.2, 0.2, 2.3, 0.9, 1.1, 0.3],
+            ],
+        );
+        let start = crate::greedy::solve_greedy(&inst).unwrap();
+        assert_eq!(start.open_facilities(), vec![0, 1]);
+        let (mut fast, mut reference) = (start.clone(), start);
+        assert_eq!(
+            improve(&inst, &mut fast),
+            improve_reference(&inst, &mut reference)
+        );
+        assert_same_bits(&Ok(fast.clone()), &Ok(reference), "on the bound");
+        assert_eq!(fast.open_facilities(), vec![0, 2]);
+        assert_eq!(fast.cost, 4.399999999999999);
+    }
+
     /// An instance of the shape the simulator builds: every node is both
     /// facility and client, connect costs follow Eq. 2 (`hops + a_i + a_j`
     /// with few distinct `a`, hop count 8 standing for "unreachable" and
@@ -475,11 +594,16 @@ mod tests {
 
         assert_same_bits(&fast, &solve_reference(&inst), "fixed n=50");
 
-        // 40 facilities are not full: unpruned, 6 rounds make 240 walks.
+        // 40 facilities are not full, so 6 rounds without short-circuits
+        // make 240 walks; the stale-ratio bound alone leaves 90. The
+        // screens skip 232 closed facilities before a walk, and drop all
+        // 193 local-search trials before their ordered sums.
         assert_eq!(used.iter().filter(|&&u| u < 250).count(), 40);
         assert_eq!(registry.counter("ufl.greedy.rounds"), 6);
-        assert_eq!(registry.counter("ufl.greedy.walks"), 90);
-        assert_eq!(registry.counter("ufl.local_search.trials_cut"), 193);
+        assert_eq!(registry.counter("ufl.greedy.walks"), 8);
+        assert_eq!(registry.counter("ufl.greedy.screened"), 232);
+        assert_eq!(registry.counter("ufl.local_search.trials_screened"), 191);
+        assert_eq!(registry.counter("ufl.local_search.trials_cut"), 2);
     }
 
     mod properties {

@@ -14,6 +14,8 @@ fn hostile_flag_values_exit_2_with_a_message() {
         (["--rate", "-1"], "data_items_per_min"),
         (["--malicious", "2"], "malicious_fraction"),
         (["--mobility", "nan"], "topology.mobility_range"),
+        (["--migrate", "0"], "migration_interval_secs"),
+        (["--rescale", "0"], "token_rescale_blocks"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_edgechain-cli"))
             .args(flags)
