@@ -196,7 +196,6 @@ impl Lent<'_> {
         };
         let attempt = attempt + 1;
         self.report.retries += 1;
-        telemetry::counter_add("transport.retries", 1);
         trace_event!(
             "transport.retry",
             now.as_millis(),
@@ -348,7 +347,6 @@ impl Lent<'_> {
             }
         }
         if sweep_repaired > 0 {
-            telemetry::counter_add("repair.items", sweep_repaired);
             telemetry::counter_add("repair.copies", sweep_copies);
             trace_event!(
                 "repair.sweep",
@@ -445,7 +443,6 @@ impl Access {
         if telemetry::is_enabled() {
             telemetry::record("slo.fetch_secs", secs);
         }
-        telemetry::counter_add("request.completed", 1);
     }
 
     /// §IV-D data access: a local copy is free; otherwise the requester
@@ -665,7 +662,6 @@ impl Access {
                 let snapshot = Snapshot::seal(anchor.clone(), blocks, registry, keys);
                 let mut bytes = crate::codec::encode_snapshot(&snapshot);
                 cx.report.snapshots_served += 1;
-                telemetry::counter_add("snapshot.served", 1);
                 trace_event!(
                     "snapshot.served",
                     now.as_millis(),
@@ -687,7 +683,6 @@ impl Access {
             let Some(snap) = verified else {
                 cx.report.snapshots_rejected += 1;
                 self.snapshot_blacklist.insert((v, server));
-                telemetry::counter_add("snapshot.rejected", 1);
                 trace_event!(
                     "snapshot.rejected",
                     now.as_millis(),
@@ -712,7 +707,6 @@ impl Access {
             }
             cx.book_recovery(v, server, now, arrival);
             cx.report.snapshots_applied += 1;
-            telemetry::counter_add("snapshot.applied", 1);
             trace_event!(
                 "snapshot.applied",
                 now.as_millis(),

@@ -91,11 +91,6 @@ impl Identity {
         }
     }
 
-    /// Whether this identity's address satisfies an `zero_bits` pattern.
-    pub fn matches_pattern(&self, zero_bits: u32) -> bool {
-        self.account.0.leading_zero_bits() >= zero_bits
-    }
-
     /// The signing key pair.
     pub fn keys(&self) -> &KeyPair {
         &self.keys
@@ -302,7 +297,7 @@ mod tests {
     #[test]
     fn pattern_grinding_finds_matching_address() {
         let (id, attempts) = Identity::from_seed_with_pattern(1, 4);
-        assert!(id.matches_pattern(4));
+        assert!(id.account.0.leading_zero_bits() >= 4);
         assert!(attempts >= 1);
         // Expected ~16 attempts for 4 bits; allow generous slack.
         assert!(attempts < 1000, "took {attempts} attempts");

@@ -225,7 +225,6 @@ impl Admission {
         if let Some(bucket) = self.retry_bucket.as_mut() {
             if !bucket.try_take(now.as_millis(), 1.0) {
                 self.report.retries_denied += 1;
-                telemetry::counter_add("overload.retries_denied", 1);
                 return None;
             }
         }

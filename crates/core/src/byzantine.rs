@@ -151,7 +151,6 @@ pub(crate) fn empty_block_on(
 pub(crate) fn count_reorg(report: &mut RunReport, depth: u64) {
     report.reorgs += 1;
     report.max_reorg_depth = report.max_reorg_depth.max(depth);
-    telemetry::counter_add("chain.reorgs", 1);
     telemetry::record("chain.reorg_depth", depth as f64);
 }
 
@@ -257,7 +256,7 @@ impl ByzantineEngine {
         miner: NodeId,
         has_pending_metadata: bool,
     ) -> Attack {
-        let interval = self.policy.interval.max(1);
+        let interval = self.policy.interval;
         let height = court.canonical.height();
         match self.next_mining_action(miner, has_pending_metadata) {
             Some(ByzantineAction::Withhold { blocks }) => {
@@ -292,7 +291,6 @@ impl ByzantineEngine {
         let artifact = self.detected_artifacts.len() as u64;
         self.detected_artifacts.push(false);
         court.report.byz_injected += 1;
-        telemetry::counter_add("byz.injected", 1);
         trace_event!(
             "byz.injected",
             now.as_millis(),
@@ -335,7 +333,6 @@ impl ByzantineEngine {
         if let Some((artifact, kind)) = evidence {
             if !std::mem::replace(&mut self.detected_artifacts[artifact as usize], true) {
                 court.report.byz_detected += 1;
-                telemetry::counter_add("byz.detected", 1);
                 trace_event!(
                     "byz.detected",
                     now.as_millis(),
@@ -356,7 +353,6 @@ impl ByzantineEngine {
         let account = court.account_of[culprit.0];
         let slash = court.ledger.balance(&account) / 2;
         let taken = court.ledger.debit(account, slash);
-        telemetry::counter_add("byz.quarantines", 1);
         trace_event!(
             "byz.quarantine",
             now.as_millis(),
@@ -404,7 +400,6 @@ impl ByzantineEngine {
         }
         if !readmitted.is_empty() {
             court.report.readmissions += readmitted.len() as u64;
-            telemetry::counter_add("byz.readmissions", readmitted.len() as u64);
             trace_event!("byz.readmit", now.as_millis(), nodes = readmitted.len());
         }
         let active = (0..self.quarantined_until.len())

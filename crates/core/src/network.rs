@@ -260,24 +260,18 @@ impl NetworkConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let rate = |v: f64| v.is_finite() && v >= 0.0;
         let positive = |v: f64| v.is_finite() && v > 0.0;
-        let (t0, fraction) = (self.block_interval_secs, self.malicious_fraction);
-        let (mobility, bandwidth) = (self.mobility_interval_secs, self.transport.bandwidth);
+        let (fraction, bandwidth) = (self.malicious_fraction, self.transport.bandwidth);
         let topo = &self.topology;
+        let counts = [
+            ("nodes", self.nodes as u64),
+            ("storage_slots", self.storage_slots),
+            ("block_interval_secs", self.block_interval_secs),
+            ("mobility_interval_secs", self.mobility_interval_secs),
+            ("request_interval_secs", self.request_interval_secs),
+            ("checkpoint_interval", self.checkpoint_interval),
+        ]
+        .map(|(field, v)| (field, v as f64, v >= 1, "at least 1"));
         let checks = [
-            ("nodes", self.nodes as f64, self.nodes >= 1, "at least 1"),
-            (
-                "storage_slots",
-                self.storage_slots as f64,
-                self.storage_slots >= 1,
-                "at least 1",
-            ),
-            ("block_interval_secs", t0 as f64, t0 >= 1, "at least 1"),
-            (
-                "mobility_interval_secs",
-                mobility as f64,
-                mobility >= 1,
-                "at least 1",
-            ),
             (
                 "transport.bandwidth",
                 bandwidth,
@@ -337,7 +331,12 @@ impl NetworkConfig {
         ]
         .into_iter()
         .filter_map(|(field, every)| every.map(|e| (field, e as f64, e >= 1, "at least 1")));
-        for (field, value, ok, want) in checks.into_iter().chain(load).chain(schedules) {
+        let all = counts
+            .into_iter()
+            .chain(checks)
+            .chain(load)
+            .chain(schedules);
+        for (field, value, ok, want) in all {
             if !ok {
                 return Err(ConfigError::OutOfRange { field, value, want });
             }
@@ -689,7 +688,7 @@ impl EdgeNetwork {
                 &config.fault_plan.byzantine_nodes(),
                 config.seed ^ 0xB12A_77E1,
                 CheckpointPolicy {
-                    interval: config.checkpoint_interval.max(1),
+                    interval: config.checkpoint_interval,
                 },
             )
         });
@@ -885,7 +884,7 @@ impl EdgeNetwork {
             // Everyone is down. Poll again after a block interval; a
             // restart in the meantime revives mining.
             self.queue.schedule(
-                self.queue.now() + SimTime::from_secs(self.config.block_interval_secs.max(1)),
+                self.queue.now() + SimTime::from_secs(self.config.block_interval_secs),
                 Event::MineBlock,
             );
             return;
@@ -1304,7 +1303,6 @@ impl EdgeNetwork {
         );
         // Producer always keeps its own data (it is the origin copy).
         // Broadcast the metadata item so miners can pack it.
-        telemetry::counter_add("data.generated", 1);
         trace_event!(
             "data.generated",
             now.as_millis(),
@@ -1330,7 +1328,6 @@ impl EdgeNetwork {
                 }
                 Err(_) => {
                     self.admission.report.alloc_rejected += 1;
-                    telemetry::counter_add("alloc.rejected", 1);
                     trace_event!("alloc.rejected", now.as_millis(), item = id.0);
                     self.spans.item_rejected(now, id);
                     return;
@@ -1569,6 +1566,8 @@ impl EdgeNetwork {
         let items = block.metadata.clone();
         telemetry::time_wall("block.verify_ns", || self.chain.push_sealed(block))
             .expect("self-mined block extends the tip");
+        // Not `RunReport::blocks_mined`, which is the final chain height:
+        // a released withheld fork can replace blocks sealed here.
         telemetry::counter_add("block.mined", 1);
         if telemetry::is_enabled() {
             telemetry::record("block.items", items.len() as f64);
@@ -1761,7 +1760,6 @@ impl EdgeNetwork {
     fn evaluate_slo(&mut self, now: SimTime) {
         let (depth, quarantines) = (self.report.max_reorg_depth, self.report.quarantine_events);
         for a in self.slo.evaluate(now.as_millis(), depth, quarantines) {
-            telemetry::counter_add("slo.breaches", 1);
             trace_event!(
                 "slo.breach",
                 a.t_ms,
@@ -1786,7 +1784,7 @@ impl EdgeNetwork {
         if !self.config.prune_blocks {
             return;
         }
-        let interval = self.config.checkpoint_interval.max(1);
+        let interval = self.config.checkpoint_interval;
         let checkpoint = (self.chain.height() / interval) * interval;
         let cut = checkpoint
             .saturating_sub(self.config.prune_retention_blocks)
@@ -1847,7 +1845,6 @@ impl EdgeNetwork {
             access::advance_height(&mut self.node_height, &self.node_known, NodeId(v));
         }
         self.report.blocks_pruned += pruned;
-        telemetry::counter_add("chain.pruned", pruned);
         trace_event!(
             "chain.pruned",
             now.as_millis(),
@@ -1896,7 +1893,7 @@ impl EdgeNetwork {
         if self.topo.is_active(requester) {
             self.fetch_entry(requester, now, Popularity::Uniform);
         }
-        let next = now + SimTime::from_secs(self.config.request_interval_secs.max(1));
+        let next = now + SimTime::from_secs(self.config.request_interval_secs);
         self.queue.schedule(next, Event::IssueRequest { requester });
     }
 
@@ -2228,7 +2225,7 @@ impl EdgeNetwork {
             self.report.max_reorg_depth,
             self.report.quarantine_events,
         );
-        RunReport {
+        let mut report = RunReport {
             nodes: self.config.nodes,
             blocks_mined: self.chain.height(),
             data_generated: self.next_data_id,
@@ -2256,9 +2253,14 @@ impl EdgeNetwork {
             fetch_latency,
             slo,
             overload: self.admission.report,
-            telemetry: telemetry::registry_snapshot(),
+            telemetry: None,
             ..self.report
+        };
+        for (name, n) in report.registry_counts().into_iter().filter(|c| c.1 > 0) {
+            telemetry::counter_add(name, n);
         }
+        report.telemetry = telemetry::registry_snapshot();
+        report
     }
 
     /// The canonical chain (primarily for tests and examples).
@@ -2813,34 +2815,28 @@ mod tests {
     #[test]
     fn contradictory_configs_are_errors() {
         let base = small_config;
-        rejects(NetworkConfig { nodes: 0, ..base() }, "nodes");
-        let no_storage = NetworkConfig {
-            storage_slots: 0,
-            ..base()
-        };
-        rejects(no_storage, "storage_slots");
-        let zero_t0 = NetworkConfig {
-            block_interval_secs: 0,
-            ..base()
-        };
-        rejects(zero_t0, "block_interval_secs");
-        // Zero would re-arm the mobility step at the same instant forever.
-        let zero_mobility = NetworkConfig {
-            mobility_interval_secs: 0,
-            ..base()
-        };
-        rejects(zero_mobility, "mobility_interval_secs");
-        // `None` is "off"; `Some(0)` is not a second spelling of it.
-        let zero_rescale = NetworkConfig {
-            token_rescale_blocks: Some(0),
-            ..base()
-        };
-        rejects(zero_rescale, "token_rescale_blocks");
-        let zero_migration = NetworkConfig {
-            migration_interval_secs: Some(0),
-            ..base()
-        };
-        rejects(zero_migration, "migration_interval_secs");
+        // A zero period would re-arm its event at the same instant forever,
+        // and a zero checkpoint interval divides by zero. `None` is "off"
+        // for the two optional schedules; `Some(0)` is not a second
+        // spelling of it.
+        type Zero = fn(&mut NetworkConfig);
+        let zeros: [(&str, Zero); 8] = [
+            ("nodes", |c| c.nodes = 0),
+            ("storage_slots", |c| c.storage_slots = 0),
+            ("block_interval_secs", |c| c.block_interval_secs = 0),
+            ("mobility_interval_secs", |c| c.mobility_interval_secs = 0),
+            ("request_interval_secs", |c| c.request_interval_secs = 0),
+            ("checkpoint_interval", |c| c.checkpoint_interval = 0),
+            ("token_rescale_blocks", |c| c.token_rescale_blocks = Some(0)),
+            ("migration_interval_secs", |c| {
+                c.migration_interval_secs = Some(0)
+            }),
+        ];
+        for (field, zero) in zeros {
+            let mut cfg = base();
+            zero(&mut cfg);
+            rejects(cfg, field);
+        }
         for rate in [f64::NAN, f64::INFINITY, -1.0] {
             let cfg = NetworkConfig {
                 data_items_per_min: rate,
@@ -2968,7 +2964,7 @@ mod tests {
             prune_retention_blocks: 8,
             ..small_config()
         };
-        let interval = cfg.checkpoint_interval.max(1);
+        let interval = cfg.checkpoint_interval;
         let retention = cfg.prune_retention_blocks;
         let seed = cfg.seed;
         let (report, chain) = EdgeNetwork::new(cfg).unwrap().run_with_chain();

@@ -4,6 +4,10 @@
 //! and bumps every counter that lands in it one-to-one where the counted
 //! thing happens; the derived fields (means, percentiles, Gini, shares) are
 //! computed once at the end of the run.
+//!
+//! A count the report keeps is counted there only: the registry counters
+//! that copy one are named once, in [`RunReport::registry_counts`], and
+//! written from the report when a traced run finishes.
 
 use crate::slo::{LatencySummary, OverloadReport, SloReport};
 use edgechain_telemetry::{RegistrySnapshot, RunningStats};
@@ -148,6 +152,34 @@ pub struct RunReport {
     /// otherwise, so reports from un-instrumented runs stay bit-identical
     /// to pre-telemetry builds.
     pub telemetry: Option<RegistrySnapshot>,
+}
+
+impl RunReport {
+    /// The registry counters that copy a report count, each with the
+    /// count. A traced run adds every nonzero entry to the registry as it
+    /// finishes, so a name is present there exactly when its count is not 0.
+    pub fn registry_counts(&self) -> [(&'static str, u64); 18] {
+        [
+            ("data.generated", self.data_generated),
+            ("alloc.rejected", self.overload.alloc_rejected),
+            ("overload.retries_denied", self.overload.retries_denied),
+            ("chain.pruned", self.blocks_pruned),
+            ("chain.reorgs", self.reorgs),
+            ("byz.injected", self.byz_injected),
+            ("byz.detected", self.byz_detected),
+            ("byz.quarantines", self.quarantine_events),
+            ("byz.readmissions", self.readmissions),
+            ("transport.retries", self.retries),
+            ("transport.drops", self.messages_dropped),
+            ("fault.injected", self.faults_injected),
+            ("repair.items", self.repairs_triggered),
+            ("request.completed", self.completed_requests),
+            ("snapshot.served", self.snapshots_served),
+            ("snapshot.rejected", self.snapshots_rejected),
+            ("snapshot.applied", self.snapshots_applied),
+            ("slo.breaches", self.slo.breaches),
+        ]
+    }
 }
 
 impl fmt::Display for RunReport {

@@ -144,11 +144,6 @@ impl NodeStorage {
         self.blocks.insert(index)
     }
 
-    /// Number of permanently stored blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Whether the node can serve block `index` (permanent or recent pool).
     pub fn has_block(&self, index: u64) -> bool {
         self.blocks.contains(&index) || self.recent_cache.contains(&index)
@@ -190,11 +185,6 @@ impl NodeStorage {
             self.recent_quota += 1;
         }
         self.recent_quota
-    }
-
-    /// Blocks currently in the recent cache, oldest first.
-    pub fn recent_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.recent_cache.iter().copied()
     }
 
     /// Drops every stored block (permanent pool and recent cache) with an
@@ -299,7 +289,7 @@ mod tests {
         assert!(s.has_block(1) && s.has_block(2) && s.has_block(3));
         let evicted = s.cache_recent(4);
         assert_eq!(evicted, vec![1]);
-        assert_eq!(s.recent_blocks().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(s.recent_cache, [2, 3, 4]);
     }
 
     #[test]
@@ -317,7 +307,7 @@ mod tests {
         s.store_block(5);
         s.cache_recent(5); // dedup against recent pool only
         assert!(s.has_block(5));
-        assert_eq!(s.block_count(), 1);
+        assert_eq!(s.blocks.len(), 1);
         // Permanent 5 + recent 5 both occupy slots (separate pools).
         assert_eq!(s.used_slots(), 2);
     }

@@ -134,11 +134,6 @@ impl Battery {
         !self.is_empty()
     }
 
-    /// Remaining charge in joules.
-    pub fn remaining_joules(&self) -> f64 {
-        self.remaining
-    }
-
     /// Remaining charge in percent of capacity.
     pub fn percent(&self) -> f64 {
         100.0 * self.remaining / self.capacity
@@ -261,7 +256,7 @@ mod tests {
         assert_eq!(b.percent(), 60.0);
         assert!(!b.consume(1000.0));
         assert!(b.is_empty());
-        assert_eq!(b.remaining_joules(), 0.0);
+        assert_eq!(b.remaining, 0.0);
     }
 
     #[test]

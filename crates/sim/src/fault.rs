@@ -35,7 +35,7 @@
 use crate::event::SimTime;
 use crate::topology::{NodeId, Topology};
 use crate::transport::Transport;
-use edgechain_telemetry::{self as telemetry, trace_event};
+use edgechain_telemetry::trace_event;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -694,7 +694,6 @@ impl FaultInjector {
             if t > now {
                 break;
             }
-            telemetry::counter_add("fault.injected", 1);
             match action {
                 FaultAction::Crash(node) => {
                     trace_event!(

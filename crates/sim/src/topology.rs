@@ -445,11 +445,6 @@ impl Topology {
         self.rebuild_routes();
     }
 
-    /// Whether a partition cut is currently imposed.
-    pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
-    }
-
     /// Direct neighbors of `node` in the current snapshot, ascending.
     pub fn neighbors(&self, node: NodeId) -> Neighbors<'_> {
         Neighbors(self.adjacency.of(node.0).iter())
@@ -1052,7 +1047,6 @@ mod tests {
     fn partition_cut_severs_cross_links_only() {
         let mut t = line_topology(4, 60.0);
         t.set_partition(Some(&[NodeId(2), NodeId(3)]));
-        assert!(t.is_partitioned());
         assert!(t.reachable(NodeId(0), NodeId(1)));
         assert!(t.reachable(NodeId(2), NodeId(3)));
         assert!(!t.reachable(NodeId(1), NodeId(2)));

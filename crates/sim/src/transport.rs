@@ -317,11 +317,6 @@ impl Transport {
         &self.stats
     }
 
-    /// Resets statistics (e.g., after a warm-up phase) but keeps queue state.
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
-    }
-
     /// Reseeds the loss-draw RNG (call once at setup for reproducible
     /// fault runs).
     pub fn seed_faults(&mut self, seed: u64) {
@@ -430,7 +425,6 @@ impl Transport {
             self.stats.sent[src.0] += bytes;
             self.stats.messages += 1;
             self.dropped += 1;
-            telemetry::counter_add("transport.drops", 1);
             trace_event!(
                 "transport.drop",
                 now.as_millis(),
@@ -609,7 +603,6 @@ impl Transport {
                     // rebroadcast from another neighbor.
                     if self.message_lost() {
                         self.dropped += 1;
-                        telemetry::counter_add("transport.drops", 1);
                         continue;
                     }
                     arrival[v.0] = Some(reach);
@@ -913,17 +906,6 @@ mod tests {
         let mut tr = Transport::new(TransportConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let _ = tr.broadcast_probabilistic(&topo, NodeId(0), 1, SimTime::ZERO, 1.5, &mut rng);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_only() {
-        let topo = line(2);
-        let mut tr = Transport::new(TransportConfig::default());
-        tr.unicast(&topo, NodeId(0), NodeId(1), 50, SimTime::ZERO)
-            .unwrap();
-        tr.reset_stats();
-        assert_eq!(tr.stats().total_sent(), 0);
-        assert_eq!(tr.stats().mean_node_overhead(), 0.0);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   exported only through [`Registry::to_json`] (the `BENCH_*.json`
 //!   dumps), never through the deterministic snapshot.
 //!
+//! Counters that copy a count the simulation's run report keeps are not
+//! bumped where the event happens: the report lists them once and adds
+//! them here when a traced run finishes.
+//!
 //! All maps are `BTreeMap`s so every export iterates in sorted-name order.
 
 use crate::json::{write_f64, write_str};
@@ -113,13 +117,6 @@ impl Registry {
     /// Wall-clock stats recorded under `name`, if any.
     pub fn wall_ns(&self, name: &str) -> Option<&RunningStats> {
         self.wall_ns.get(name)
-    }
-
-    /// Iterates every wall-clock `*_ns` entry in sorted-name order. Lets
-    /// bench binaries aggregate profile families (e.g. sum all `ufl.*_ns`
-    /// time) without reaching into the JSON dump.
-    pub fn wall_ns_entries(&self) -> impl Iterator<Item = (&'static str, &RunningStats)> + '_ {
-        self.wall_ns.iter().map(|(&name, stats)| (name, stats))
     }
 
     /// Folds `other` into this registry: counters add, gauges take
@@ -406,8 +403,6 @@ mod tests {
         let solve = a.wall_ns("solve_ns").unwrap();
         assert_eq!(solve.count(), 2);
         assert_eq!(solve.sum(), 400.0);
-        let names: Vec<&str> = a.wall_ns_entries().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["solve_ns"]);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! itself — the report computed with tracing on equals the report computed
 //! with tracing off, except for the `telemetry` summary section.
 
+mod common;
+
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
 use edgechain::sim::{FaultEvent, FaultPlan, NodeId, SimTime};
 use edgechain::telemetry;
+use std::collections::BTreeSet;
 
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(vec![
@@ -283,25 +286,55 @@ fn telemetry_does_not_perturb_the_simulation() {
         "arming telemetry must not change simulation results"
     );
 
-    // The snapshot agrees with the report's own accounting.
+    // With no released fork, every block sealed here is on the chain.
     assert_eq!(snapshot.counter("block.mined"), Some(baseline.blocks_mined));
-    assert_eq!(
-        snapshot.counter("fault.injected"),
-        Some(baseline.faults_injected)
-    );
-    assert_eq!(
-        snapshot.counter("transport.retries"),
-        Some(baseline.retries)
-    );
-    assert_eq!(
-        snapshot.counter("transport.drops"),
-        Some(baseline.messages_dropped)
-    );
     // Wall-clock profiling never leaks into the deterministic snapshot.
     assert!(snapshot
         .entries
         .iter()
         .all(|(name, _)| !name.ends_with("_ns")));
+}
+
+/// Every registry counter that copies a report count is written from the
+/// report, once: on each run the counter is present exactly when the count
+/// is nonzero, and equals it. Between them the runs reach every entry, so
+/// the list carries no dead name, and a site that also bumps one of these
+/// names reads as a double count here.
+#[test]
+fn registry_counts_are_the_reports_counts() {
+    // A retry budget of 6/min denies retries and breaches the fetch SLO.
+    let mut overload = common::overload_byzantine_config();
+    overload.overload.retry_budget_per_min = Some(6.0);
+    let runs = [
+        ("chaos", chaos_config()),
+        ("tampered-snapshot", common::tampered_snapshot_config()),
+        ("overload+byzantine", overload),
+    ];
+    let mut reached = BTreeSet::new();
+    for (label, cfg) in runs {
+        telemetry::enable();
+        let report = EdgeNetwork::new(cfg).expect("valid config").run();
+        let snapshot = report.telemetry.clone().expect("traced run has a summary");
+        let mut session = telemetry::finish().expect("telemetry was enabled");
+        assert_eq!(session.registry.snapshot(), snapshot, "{label}");
+        for (name, n) in report.registry_counts() {
+            assert_eq!(
+                snapshot.counter(name),
+                (n > 0).then_some(n),
+                "{label}: {name}"
+            );
+            if n > 0 {
+                reached.insert(name);
+            }
+        }
+    }
+    let dead: Vec<_> = RunReport::default()
+        .registry_counts()
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| !reached.contains(name))
+        .collect();
+    assert!(dead.is_empty(), "never nonzero: {dead:?}");
 }
 
 /// The caches must actually work on the chaos run: faults churn the
