@@ -19,68 +19,18 @@
 //! cargo run --release --bin trace-report -- byz_trace.jsonl
 //! ```
 
-use edgechain::core::{EdgeNetwork, NetworkConfig};
-use edgechain::sim::{ByzantineAction, FaultEvent, FaultPlan, NodeId, SimTime};
+use edgechain::core::EdgeNetwork;
+use edgechain::scenario;
 use edgechain::telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let plan = FaultPlan::new(vec![
-        FaultEvent::Byzantine {
-            node: NodeId(6),
-            action: ByzantineAction::Equivocate,
-            at: SimTime::from_secs(300),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(6),
-            action: ByzantineAction::Withhold { blocks: 2 },
-            at: SimTime::from_secs(1_600),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(15),
-            action: ByzantineAction::TamperSignature,
-            at: SimTime::from_secs(600),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(15),
-            action: ByzantineAction::GarbagePayload { bytes: 2_048 },
-            at: SimTime::from_secs(1_200),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::ForgeBlock,
-            at: SimTime::from_secs(900),
-        },
-        FaultEvent::Crash {
-            node: NodeId(3),
-            at: SimTime::from_secs(800),
-        },
-        FaultEvent::Restart {
-            node: NodeId(3),
-            at: SimTime::from_secs(1_500),
-        },
-        FaultEvent::LinkLoss {
-            prob: 0.05,
-            from: SimTime::from_secs(120),
-            until: SimTime::from_secs(3_000),
-        },
-    ]);
-    plan.validate(20)?;
+    let config = scenario::byzantine(0xED6E);
+    let plan = &config.fault_plan;
+    plan.validate(config.nodes)?;
     println!("fault plan: {} events", plan.events.len());
     for ev in &plan.events {
         println!("  {ev:?}");
     }
-
-    let config = NetworkConfig {
-        nodes: 20,
-        sim_minutes: 60,
-        data_items_per_min: 2.0,
-        request_interval_secs: 60,
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        fault_plan: plan,
-        seed: 0xED6E,
-        ..NetworkConfig::default()
-    };
 
     println!("\nrunning 60 simulated minutes against three adversaries…\n");
     telemetry::enable();

@@ -23,56 +23,22 @@
 //! ```
 
 use edgechain::core::{EdgeNetwork, NetworkConfig};
-use edgechain::sim::{FaultEvent, FaultPlan, NodeId, SimTime};
+use edgechain::scenario;
 use edgechain::telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let plan = FaultPlan::new(vec![
-        FaultEvent::Crash {
-            node: NodeId(4),
-            at: SimTime::from_secs(600),
-        },
-        FaultEvent::Restart {
-            node: NodeId(4),
-            at: SimTime::from_secs(1_080),
-        },
-        FaultEvent::Crash {
-            node: NodeId(13),
-            at: SimTime::from_secs(1_000),
-        },
-        FaultEvent::Partition {
-            cut: (0..5).map(NodeId).collect(),
-            from: SimTime::from_secs(1_800),
-            until: SimTime::from_secs(2_100),
-        },
-        FaultEvent::LinkLoss {
-            prob: 0.05,
-            from: SimTime::from_secs(120),
-            until: SimTime::from_secs(3_500),
-        },
-    ]);
-    plan.validate(20)?;
+    let config = NetworkConfig {
+        // Replicate "general information" through raft too, so the trace
+        // carries election/leader events alongside the PoS chain.
+        raft_consensus: true,
+        ..scenario::chaos()
+    };
+    let plan = &config.fault_plan;
+    plan.validate(config.nodes)?;
     println!("fault plan: {} events", plan.events.len());
     for ev in &plan.events {
         println!("  {ev:?}");
     }
-
-    let config = NetworkConfig {
-        nodes: 20,
-        sim_minutes: 60,
-        data_items_per_min: 2.0,
-        request_interval_secs: 60,
-        // Retries back off 4 s, 8 s, … so a request can ride out a
-        // mobility disconnection instead of failing immediately.
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        // Replicate "general information" through raft too, so the trace
-        // carries election/leader events alongside the PoS chain.
-        raft_consensus: true,
-        fault_plan: plan,
-        seed: 0xC4A05,
-        ..NetworkConfig::default()
-    };
 
     println!("\nrunning 60 simulated minutes under the fault plan…\n");
     telemetry::enable();

@@ -21,65 +21,35 @@
 //! ```
 
 use edgechain::core::{EdgeNetwork, NetworkConfig};
-use edgechain::prelude::{ArrivalProcess, Burst, OpenArrivals, OverloadConfig, WorkloadConfig};
+use edgechain::prelude::{ArrivalProcess, FaultPlan};
+use edgechain::scenario;
 use edgechain::telemetry::{self, Value};
 
-/// Burst window, sim-clock seconds.
-const BURST_FROM_SECS: f64 = 600.0;
-const BURST_UNTIL_SECS: f64 = 1_200.0;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = NetworkConfig {
-        nodes: 20,
-        sim_minutes: 40,
-        request_interval_secs: 60,
-        // Retries back off 4 s, 8 s, … 64 s so a fetch can ride out a
-        // mobility disconnection instead of failing immediately.
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        seed: 0xF1A5,
-        workload: WorkloadConfig {
-            enabled: true,
-            arrivals: OpenArrivals {
-                // A compressed "day": the rate swings 12 ± 40 % over the
-                // 40-minute horizon, peaking as the burst hits.
-                process: ArrivalProcess::Diurnal {
-                    base_per_min: 12.0,
-                    amplitude: 0.4,
-                    period_secs: 2_400.0,
-                    phase_secs: 0.0,
-                },
-                burst: Some(Burst {
-                    multiplier: 5.0,
-                    from_secs: BURST_FROM_SECS,
-                    until_secs: BURST_UNTIL_SECS,
-                }),
-            },
-            fetches: Some(OpenArrivals {
-                process: ArrivalProcess::Poisson { rate_per_min: 30.0 },
-                burst: Some(Burst {
-                    multiplier: 5.0,
-                    from_secs: BURST_FROM_SECS,
-                    until_secs: BURST_UNTIL_SECS,
-                }),
-            }),
-            zipf_exponent: 0.9,
-        },
-        overload: OverloadConfig {
-            admission_items_per_min: Some(40.0),
-            admission_fetches_per_min: Some(60.0),
-            max_pending_items: Some(30),
-            max_inflight_per_node: Some(8),
-            retry_budget_per_min: Some(240.0),
-            ..OverloadConfig::default()
-        },
-        ..NetworkConfig::default()
+    // The tests' flash crowd with no fault plan, and the item rate swung
+    // over a compressed "day": 12 ± 40 % over the 40-minute horizon,
+    // peaking as the burst hits.
+    let mut config = NetworkConfig {
+        fault_plan: FaultPlan::none(),
+        ..scenario::flash_crowd()
     };
+    config.workload.arrivals.process = ArrivalProcess::Diurnal {
+        base_per_min: 12.0,
+        amplitude: 0.4,
+        period_secs: 2_400.0,
+        phase_secs: 0.0,
+    };
+    let burst = config
+        .workload
+        .arrivals
+        .burst
+        .clone()
+        .expect("the flash crowd bursts");
 
     println!(
         "flash crowd: 20 nodes, 40 simulated minutes; diurnal items ~12/min, \
          fetches 30/min, ×5 burst in [{:.0} s, {:.0} s)…\n",
-        BURST_FROM_SECS, BURST_UNTIL_SECS
+        burst.from_secs, burst.until_secs
     );
     telemetry::enable();
     telemetry::enable_spans();
@@ -154,9 +124,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             let t0_secs = t0 as f64 / 1_000.0;
-            let w = if t0_secs < BURST_FROM_SECS {
+            let w = if t0_secs < burst.from_secs {
                 0
-            } else if t0_secs < BURST_UNTIL_SECS {
+            } else if t0_secs < burst.until_secs {
                 1
             } else {
                 2

@@ -19,84 +19,24 @@
 //! cargo run --release --bin trace-report -- soak_trace.jsonl
 //! ```
 
-use edgechain::core::{EdgeNetwork, NetworkConfig};
-use edgechain::sim::{ByzantineAction, ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime};
+use edgechain::core::EdgeNetwork;
+use edgechain::scenario;
 use edgechain::telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let minutes: u64 = std::env::var("SOAK_MINUTES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(240);
-    // SOAK_PRUNE=0 disables the lifecycle features for an A/B contrast
-    // (watch peak storage grow with the chain instead of staying flat).
-    let lifecycle = std::env::var("SOAK_PRUNE").map_or(true, |v| v != "0");
-    let horizon_secs = minutes * 60;
-    let nodes = 20;
-
-    let churn = FaultPlan::random_churn(
-        nodes,
-        ChurnConfig {
-            crashes_per_min: 0.05,
-            mean_downtime_secs: 600.0,
-            max_concurrent_down: 2,
-            horizon: SimTime::from_secs(horizon_secs * 4 / 5),
-        },
-        &mut StdRng::seed_from_u64(0x50AC),
-    );
-    let adversary = FaultPlan::new(vec![
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::Equivocate,
-            at: SimTime::from_secs(horizon_secs / 10),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::Withhold { blocks: 2 },
-            at: SimTime::from_secs(horizon_secs / 4),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::ForgeBlock,
-            at: SimTime::from_secs(horizon_secs / 2),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::GarbagePayload { bytes: 2_048 },
-            at: SimTime::from_secs(horizon_secs * 3 / 5),
-        },
-    ]);
-    let plan = churn.merged(adversary);
-    plan.validate(nodes)?;
-    println!("fault plan: {} events (seeded churn + 1 adversary)", {
-        plan.events.len()
-    });
-
-    let config = NetworkConfig {
-        nodes,
-        sim_minutes: minutes,
-        block_interval_secs: 6,
-        data_items_per_min: 1.0,
-        data_valid_minutes: 45,
-        expiration_sweep_secs: 60,
-        request_interval_secs: 120,
-        prune_blocks: lifecycle,
-        prune_retention_blocks: 32,
-        snapshot_bootstrap: lifecycle,
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        seed: 0x50_AB,
-        fault_plan: plan,
-        ..NetworkConfig::default()
-    };
-    let retained_bound = config.checkpoint_interval.max(1) + config.prune_retention_blocks + 1;
-
+    let config = scenario::soak(minutes);
+    config.fault_plan.validate(config.nodes)?;
     println!(
-        "\nsoaking {minutes} simulated minutes with pruning + snapshots {}…\n",
-        if lifecycle { "on" } else { "off" }
+        "fault plan: {} events (seeded churn + 1 adversary)",
+        config.fault_plan.events.len()
     );
+    let retained_bound = config.checkpoint_interval + config.prune_retention_blocks + 1;
+
+    println!("\nsoaking {minutes} simulated minutes with pruning + snapshots on…\n");
     telemetry::enable();
     let report = EdgeNetwork::new(config)?.run();
     println!("{report}");
@@ -133,21 +73,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  invariant violations  : {}", report.invariant_violations);
 
-    if lifecycle {
-        assert!(report.blocks_pruned > 0, "pruning never fired");
+    assert!(report.blocks_pruned > 0, "pruning never fired");
+    assert!(
+        report.retained_blocks <= retained_bound,
+        "retained state exceeded the retention bound"
+    );
+    // Short horizons may not crash anyone long enough to fall below the
+    // pruned base; only demand a bootstrap once churn has had two sim-hours
+    // to produce a deep rejoiner.
+    if minutes >= 120 {
         assert!(
-            report.retained_blocks <= retained_bound,
-            "retained state exceeded the retention bound"
+            report.snapshots_applied >= 1,
+            "no deep rejoiner bootstrapped from a snapshot"
         );
-        // Short horizons may not crash anyone long enough to fall below
-        // the pruned base; only demand a bootstrap once churn has had two
-        // sim-hours to produce a deep rejoiner.
-        if minutes >= 120 {
-            assert!(
-                report.snapshots_applied >= 1,
-                "no deep rejoiner bootstrapped from a snapshot"
-            );
-        }
     }
     assert_eq!(
         report.byz_detected, report.byz_injected,

@@ -16,6 +16,10 @@
 //! | [`raft`] | `edgechain-raft` | raft consensus for general information agreement |
 //! | [`energy`] | `edgechain-energy` | battery and device energy models |
 //!
+//! [`scenario`] is this crate's own: the named runs (Fig. 4 cell, chaos,
+//! Byzantine, soak, flash crowd, …) that the integration tests and the
+//! examples share, each defined once.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -45,6 +49,8 @@ pub use edgechain_facility as facility;
 pub use edgechain_raft as raft;
 pub use edgechain_sim as sim;
 pub use edgechain_telemetry as telemetry;
+
+pub mod scenario;
 
 /// The most commonly used types, importable with one `use`.
 pub mod prelude {

@@ -6,10 +6,8 @@
 //! The adversary engine is seeded, so each test also pins bit-identical
 //! reruns and checks that moving the role seed moves the adversaries.
 
-mod common;
-
-use common::byzantine_config;
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
+use edgechain::scenario;
 use edgechain::sim::{ByzantineSweepConfig, FaultPlan, RoleAssignment, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,7 +19,7 @@ fn run(config: NetworkConfig) -> RunReport {
 
 #[test]
 fn byzantine_run_converges_and_detects_every_artifact() {
-    let report = run(byzantine_config(0xED6E));
+    let report = run(scenario::byzantine(0xED6E));
 
     // The chain made progress despite five attacks, churn, and loss.
     assert!(report.blocks_mined > 20, "chain stalled: {report}");
@@ -55,13 +53,13 @@ fn byzantine_run_converges_and_detects_every_artifact() {
 
 #[test]
 fn byzantine_runs_are_bit_identical_per_seed() {
-    let a = run(byzantine_config(0xED6E));
-    let b = run(byzantine_config(0xED6E));
+    let a = run(scenario::byzantine(0xED6E));
+    let b = run(scenario::byzantine(0xED6E));
     assert_eq!(a, b, "same seed + plan must reproduce the identical report");
     // The report and trace digests of this run are pinned in
     // `tests/golden.rs` (`five_attack_byzantine_run_with_spans_is_pinned`).
 
-    let c = run(byzantine_config(0xED6F));
+    let c = run(scenario::byzantine(0xED6F));
     assert_ne!(a, c, "a different seed should perturb the run");
 }
 

@@ -2,7 +2,8 @@
 //! churn, a partition, and lossy links — the robustness scenario the fault
 //! injector exists for.
 //!
-//! The schedule throws at a 20-node network:
+//! The schedule (`scenario::chaos`, the plan `examples/chaos.rs` runs too)
+//! throws at a 20-node network:
 //! * two crashes, one of which never restarts (permanently lost node);
 //! * a 5-minute partition splitting five nodes from the rest;
 //! * a 5 % link-loss window covering most of the run.
@@ -12,58 +13,15 @@
 //! produce a bit-identical report when re-run with the same seed.
 
 use edgechain::core::{EdgeNetwork, NetworkConfig};
-use edgechain::sim::{ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime};
+use edgechain::scenario;
+use edgechain::sim::{ChurnConfig, FaultPlan, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn chaos_plan() -> FaultPlan {
-    FaultPlan::new(vec![
-        FaultEvent::Crash {
-            node: NodeId(4),
-            at: SimTime::from_secs(600),
-        },
-        FaultEvent::Restart {
-            node: NodeId(4),
-            at: SimTime::from_secs(1_400),
-        },
-        // Node 13 dies for good: its replicas must be repaired elsewhere.
-        FaultEvent::Crash {
-            node: NodeId(13),
-            at: SimTime::from_secs(1_000),
-        },
-        FaultEvent::Partition {
-            cut: (0..5).map(NodeId).collect(),
-            from: SimTime::from_secs(1_800),
-            until: SimTime::from_secs(2_100), // 5 minutes
-        },
-        FaultEvent::LinkLoss {
-            prob: 0.05,
-            from: SimTime::from_secs(120),
-            until: SimTime::from_secs(3_500),
-        },
-    ])
-}
-
-fn chaos_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 20,
-        sim_minutes: 60,
-        data_items_per_min: 2.0,
-        request_interval_secs: 60,
-        seed: 0xC4A05,
-        fault_plan: chaos_plan(),
-        // Back off long enough to ride out a mobility disconnection or a
-        // partition window: 4 s, 8 s, …, 64 s spans over two minutes.
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        ..NetworkConfig::default()
-    }
-}
-
 #[test]
 fn chaos_run_stays_available_and_safe() {
-    let report = EdgeNetwork::new(chaos_config()).unwrap().run();
+    let report = EdgeNetwork::new(scenario::chaos()).unwrap().run();
     // Every scheduled action fired: 3 node events + 2 windows × 2 edges.
     assert_eq!(report.faults_injected, 7, "{report}");
     assert!(
@@ -89,8 +47,8 @@ fn chaos_run_stays_available_and_safe() {
 
 #[test]
 fn chaos_run_is_deterministic() {
-    let a = EdgeNetwork::new(chaos_config()).unwrap().run();
-    let b = EdgeNetwork::new(chaos_config()).unwrap().run();
+    let a = EdgeNetwork::new(scenario::chaos()).unwrap().run();
+    let b = EdgeNetwork::new(scenario::chaos()).unwrap().run();
     assert_eq!(a, b, "same seed + same fault plan must be bit-identical");
 }
 
@@ -99,10 +57,10 @@ fn chaos_seeds_differ() {
     // The fault plan is part of the configuration, not the seed: a
     // different master seed under the identical plan still yields a
     // different (but internally consistent) run.
-    let a = EdgeNetwork::new(chaos_config()).unwrap().run();
+    let a = EdgeNetwork::new(scenario::chaos()).unwrap().run();
     let cfg = NetworkConfig {
         seed: 0xC4A06,
-        ..chaos_config()
+        ..scenario::chaos()
     };
     let b = EdgeNetwork::new(cfg).unwrap().run();
     assert_ne!(a, b);

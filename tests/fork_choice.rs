@@ -11,6 +11,7 @@ use edgechain::core::{
     run_round, Amendment, Block, Blockchain, Candidate, CheckpointPolicy, EdgeNetwork, Identity,
     NetworkConfig,
 };
+use edgechain::scenario;
 use edgechain::sim::{
     ByzantineAction, ByzantineSweepConfig, FaultEvent, FaultPlan, NodeId, SimTime,
 };
@@ -141,15 +142,8 @@ fn live_network_reorgs_stay_below_checkpoint_depth() {
         },
     ]);
     let report = EdgeNetwork::new(NetworkConfig {
-        nodes: 20,
-        sim_minutes: 60,
-        data_items_per_min: 2.0,
-        request_interval_secs: 60,
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
         fault_plan: plan,
-        seed: 0xED6E,
-        ..NetworkConfig::default()
+        ..scenario::byzantine(0xED6E)
     })
     .expect("valid config")
     .run();

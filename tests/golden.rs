@@ -18,27 +18,17 @@
 //! One more plain run turns raft on: a leader crash and restart under a
 //! lossy window, the only pin whose digests carry raft traffic.
 //!
+//! The runs other files share come from `edgechain::scenario`; the two
+//! only this file runs are defined here.
+//!
 //! A change that is not meant to move simulated behaviour must leave
 //! every constant alone. One that is re-pins them and says so.
 
-mod common;
-
-use common::{overload_byzantine_config, tampered_snapshot_config};
 use edgechain::core::{EdgeNetwork, NetworkConfig, Placement, RunReport};
 use edgechain::crypto::sha256;
+use edgechain::scenario;
 use edgechain::sim::{ByzantineAction, FaultEvent, FaultPlan, NodeId, SimTime};
 use edgechain::telemetry;
-
-/// Fig. 4-sized cell: 30 nodes, 2 items/min, 40 simulated minutes.
-fn fig4_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 30,
-        data_items_per_min: 2.0,
-        sim_minutes: 40,
-        seed: 0xFA57_0004,
-        ..NetworkConfig::default()
-    }
-}
 
 /// Fig. 5-sized cell under the Random baseline — the placement that
 /// draws from the run's rng, so one extra or missing draw anywhere
@@ -50,39 +40,6 @@ fn fig5_random_config() -> NetworkConfig {
         sim_minutes: 40,
         placement: Placement::Random,
         seed: 0xFA57_0005,
-        ..NetworkConfig::default()
-    }
-}
-
-/// Chaos run: crashes (one permanent, triggering UFL repair sweeps and
-/// dropping candidates out of PoS rounds mid-height), a restart, and a
-/// lossy window (per-reception loss draws plus block recovery).
-fn chaos_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 20,
-        data_items_per_min: 2.0,
-        sim_minutes: 25,
-        request_interval_secs: 60,
-        fault_plan: FaultPlan::new(vec![
-            FaultEvent::Crash {
-                node: NodeId(3),
-                at: SimTime::from_secs(500),
-            },
-            FaultEvent::Restart {
-                node: NodeId(3),
-                at: SimTime::from_secs(900),
-            },
-            FaultEvent::Crash {
-                node: NodeId(11),
-                at: SimTime::from_secs(650),
-            },
-            FaultEvent::LinkLoss {
-                prob: 0.05,
-                from: SimTime::from_secs(200),
-                until: SimTime::from_secs(1_000),
-            },
-        ]),
-        seed: 0xFA57_C405,
         ..NetworkConfig::default()
     }
 }
@@ -137,7 +94,7 @@ fn assert_pinned(
 fn fig4_sized_run_is_pinned() {
     assert_pinned(
         "fig4",
-        fig4_config(),
+        scenario::fig4_cell(),
         false,
         [
             "e7ae2342856318682dbc0316e7c51a6eb0b9f12cfa063bf1728f7176edaed5c4",
@@ -165,7 +122,7 @@ fn fig5_random_placement_is_pinned() {
 fn chaos_run_is_pinned() {
     assert_pinned(
         "chaos",
-        chaos_config(),
+        scenario::chaos_short(),
         false,
         [
             "3f8fd070214216c38840c94eabf163eda69b4c1729c3ffa9c652698d28ddd3eb",
@@ -196,7 +153,7 @@ fn assert_traced(session: &telemetry::Session, wanted: &[(&str, Option<(&str, &s
 fn chaos_run_with_spans_is_pinned() {
     let (_, session) = assert_pinned(
         "chaos+spans",
-        chaos_config(),
+        scenario::chaos_short(),
         true,
         [
             "3f8fd070214216c38840c94eabf163eda69b4c1729c3ffa9c652698d28ddd3eb",
@@ -225,7 +182,7 @@ fn chaos_run_with_spans_is_pinned() {
 fn overload_byzantine_run_with_spans_is_pinned() {
     let (_, session) = assert_pinned(
         "overload+byzantine+spans",
-        overload_byzantine_config(),
+        scenario::overload_byzantine(),
         true,
         [
             "58179e3a8fedcacdc8215b88b7e62214675752e7612109baceeda3f5e62e21ce",
@@ -262,7 +219,7 @@ fn overload_byzantine_run_with_spans_is_pinned() {
 fn five_attack_byzantine_run_with_spans_is_pinned() {
     let (_, session) = assert_pinned(
         "five-attack+spans",
-        common::byzantine_config(0xED6E),
+        scenario::byzantine(0xED6E),
         true,
         [
             "223474d0f6935867787db4f439410a54543f52ff4fb3c6e0fa64f001197c3978",
@@ -290,7 +247,7 @@ fn five_attack_byzantine_run_with_spans_is_pinned() {
 fn tampered_snapshot_run_with_spans_is_pinned() {
     let (report, session) = assert_pinned(
         "tampered-snapshot+spans",
-        tampered_snapshot_config(),
+        scenario::tampered_snapshot(),
         true,
         [
             "eddb7b14adcdb0384be2dda1010cba870761478d1a95450f16e7230a754c3771",
@@ -348,7 +305,7 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
 /// catch it by checking that the key hashes to the item's producer.
 #[test]
 fn a_snapshot_with_a_tampered_producer_key_is_rejected() {
-    let mut cfg = tampered_snapshot_config();
+    let mut cfg = scenario::tampered_snapshot();
     let horizon = SimTime::from_secs(cfg.sim_minutes * 60);
     cfg.fault_plan
         .events

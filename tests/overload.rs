@@ -13,73 +13,15 @@ use edgechain::core::{
     ArrivalProcess, Burst, EdgeNetwork, NetworkConfig, OpenArrivals, OverloadConfig, RunReport,
     WorkloadConfig,
 };
+use edgechain::scenario;
 use edgechain::sim::{FaultEvent, FaultPlan, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A zero-probability loss window: injects no faults but flips the run
-/// into "fault mode", so the invariant checker actually meters it.
-fn metered_plan(minutes: u64) -> FaultPlan {
-    FaultPlan::new(vec![FaultEvent::LinkLoss {
-        prob: 0.0,
-        from: SimTime::from_secs(1),
-        until: SimTime::from_secs(minutes * 60 - 60),
-    }])
-}
-
-/// Flash crowd: base item arrivals at 12/min burst 5× for ten minutes,
-/// open fetches at 30/min burst 5×, against a 40/min admission bucket and
-/// a 30-item mempool bound — deep enough into overload that every rung of
-/// the ladder engages.
-fn flash_crowd_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 20,
-        sim_minutes: 40,
-        request_interval_secs: 60,
-        seed: 0xF1A5,
-        // Ride out mobility disconnections like the chaos suite does:
-        // 4 s, 8 s, …, 64 s spans over two minutes of backoff.
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        fault_plan: metered_plan(40),
-        workload: WorkloadConfig {
-            enabled: true,
-            arrivals: OpenArrivals {
-                process: ArrivalProcess::Poisson { rate_per_min: 12.0 },
-                burst: Some(Burst {
-                    multiplier: 5.0,
-                    from_secs: 600.0,
-                    until_secs: 1_200.0,
-                }),
-            },
-            fetches: Some(OpenArrivals {
-                process: ArrivalProcess::Poisson { rate_per_min: 30.0 },
-                burst: Some(Burst {
-                    multiplier: 5.0,
-                    from_secs: 600.0,
-                    until_secs: 1_200.0,
-                }),
-            }),
-            zipf_exponent: 0.9,
-        },
-        overload: OverloadConfig {
-            admission_items_per_min: Some(40.0),
-            admission_fetches_per_min: Some(60.0),
-            max_pending_items: Some(30),
-            max_inflight_per_node: Some(8),
-            // Generous budget: bounds a retry storm without failing the
-            // routine mobility-disconnect retries that must succeed.
-            retry_budget_per_min: Some(240.0),
-            ..OverloadConfig::default()
-        },
-        ..NetworkConfig::default()
-    }
-}
-
 #[test]
 fn flash_crowd_sheds_load_but_stays_healthy() {
-    let report = EdgeNetwork::new(flash_crowd_config()).unwrap().run();
+    let report = EdgeNetwork::new(scenario::flash_crowd()).unwrap().run();
     let o = &report.overload;
     // Protection engaged, visibly: both shed paths and the ladder fired.
     assert!(o.engaged(), "overload protection never engaged: {report}");
@@ -214,12 +156,12 @@ fn offered_load_ladder_sheds_and_keeps_the_admitted_tail_bounded() {
 
 #[test]
 fn flash_crowd_is_bit_identical_per_seed() {
-    let a = EdgeNetwork::new(flash_crowd_config()).unwrap().run();
-    let b = EdgeNetwork::new(flash_crowd_config()).unwrap().run();
+    let a = EdgeNetwork::new(scenario::flash_crowd()).unwrap().run();
+    let b = EdgeNetwork::new(scenario::flash_crowd()).unwrap().run();
     assert_eq!(a, b, "overloaded runs must replay bit-identically");
     let c = EdgeNetwork::new(NetworkConfig {
         seed: 0xF1A6,
-        ..flash_crowd_config()
+        ..scenario::flash_crowd()
     })
     .unwrap()
     .run();
@@ -275,7 +217,7 @@ fn flash_crowd_trajectory_is_pinned() {
     for (minutes, want) in pinned {
         let report = EdgeNetwork::new(NetworkConfig {
             sim_minutes: minutes,
-            ..flash_crowd_config()
+            ..scenario::flash_crowd()
         })
         .unwrap()
         .run();

@@ -12,6 +12,7 @@
 //! `cargo test --release --test scale_equivalence -- --ignored`.
 
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
+use edgechain::scenario;
 use edgechain::sim::{
     ByzantineAction, FaultEvent, FaultPlan, Field, NodeId, SimTime, TopologyConfig,
 };
@@ -30,61 +31,12 @@ fn with_sparse(mut cfg: NetworkConfig, sparse: bool) -> NetworkConfig {
     cfg
 }
 
-/// Fig. 4-sized cell (same seed as `tests/allocation_fastpath.rs`).
-fn fig4_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 30,
-        data_items_per_min: 2.0,
-        sim_minutes: 40,
-        seed: 0xFA57_0004,
-        ..NetworkConfig::default()
-    }
-}
-
-/// Chaos run: crashes (triggering UFL repair sweeps), a restart, and a
-/// lossy window — every topology change rebuilds the route state, so the
-/// sparse lazy rows are re-materialized across many epochs.
-fn chaos_config() -> NetworkConfig {
-    NetworkConfig {
-        nodes: 20,
-        data_items_per_min: 2.0,
-        sim_minutes: 25,
-        request_interval_secs: 60,
-        fault_plan: FaultPlan::new(vec![
-            FaultEvent::Crash {
-                node: NodeId(3),
-                at: SimTime::from_secs(500),
-            },
-            FaultEvent::Restart {
-                node: NodeId(3),
-                at: SimTime::from_secs(900),
-            },
-            FaultEvent::Crash {
-                node: NodeId(11),
-                at: SimTime::from_secs(650),
-            },
-            FaultEvent::LinkLoss {
-                prob: 0.05,
-                from: SimTime::from_secs(200),
-                until: SimTime::from_secs(1_000),
-            },
-        ]),
-        seed: 0xFA57_C405,
-        ..NetworkConfig::default()
-    }
-}
-
 /// Byzantine run: equivocation, forged block, tampered signature — the
 /// adversary engine consults hop counts and reachability everywhere, so a
 /// single off-by-one in the sparse BFS would cascade into the verdicts.
 fn byzantine_config() -> NetworkConfig {
     NetworkConfig {
-        nodes: 20,
         sim_minutes: 40,
-        data_items_per_min: 2.0,
-        request_interval_secs: 60,
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
         fault_plan: FaultPlan::new(vec![
             FaultEvent::Byzantine {
                 node: NodeId(6),
@@ -111,8 +63,7 @@ fn byzantine_config() -> NetworkConfig {
                 until: SimTime::from_secs(1_800),
             },
         ]),
-        seed: 0xFA57_B12A,
-        ..NetworkConfig::default()
+        ..scenario::byzantine(0xFA57_B12A)
     }
 }
 
@@ -127,12 +78,12 @@ fn assert_sparse_dense_equivalent(label: &str, cfg: NetworkConfig) {
 
 #[test]
 fn fig4_sized_run_is_equivalent() {
-    assert_sparse_dense_equivalent("fig4", fig4_config());
+    assert_sparse_dense_equivalent("fig4", scenario::fig4_cell());
 }
 
 #[test]
 fn chaos_run_is_equivalent() {
-    assert_sparse_dense_equivalent("chaos", chaos_config());
+    assert_sparse_dense_equivalent("chaos", scenario::chaos_short());
 }
 
 #[test]
@@ -172,7 +123,7 @@ fn assert_sparse_reads_either_row(label: &str, cfg: NetworkConfig) {
 
 #[test]
 fn chaos_run_reads_routes_off_either_row() {
-    assert_sparse_reads_either_row("chaos", chaos_config());
+    assert_sparse_reads_either_row("chaos", scenario::chaos_short());
 }
 
 #[test]
@@ -193,8 +144,8 @@ fn run_traced(cfg: NetworkConfig) -> (String, RunReport) {
 /// hop-count or path divergence would surface as shifted timestamps.
 #[test]
 fn traces_are_byte_identical_across_route_representations() {
-    let (trace_sparse, mut report_sparse) = run_traced(with_sparse(chaos_config(), true));
-    let (trace_dense, mut report_dense) = run_traced(with_sparse(chaos_config(), false));
+    let (trace_sparse, mut report_sparse) = run_traced(with_sparse(scenario::chaos_short(), true));
+    let (trace_dense, mut report_dense) = run_traced(with_sparse(scenario::chaos_short(), false));
     assert!(
         trace_sparse.contains("ufl.alloc"),
         "the run must allocate storers"
@@ -316,7 +267,7 @@ fn ten_thousand_nodes_stay_healthy() {
 fn regional_chaos_run_keeps_invariants() {
     let report = run(NetworkConfig {
         region_alloc: true,
-        ..chaos_config()
+        ..scenario::chaos_short()
     });
     assert!(report.blocks_mined > 0);
     assert_eq!(report.invariant_violations, 0);
@@ -329,7 +280,7 @@ fn regional_chaos_run_keeps_invariants() {
 fn regional_reruns_are_byte_identical() {
     let cfg = || NetworkConfig {
         region_alloc: true,
-        ..fig4_config()
+        ..scenario::fig4_cell()
     };
     let (trace_a, report_a) = run_traced(cfg());
     let (trace_b, report_b) = run_traced(cfg());

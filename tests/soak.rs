@@ -11,74 +11,8 @@
 
 use edgechain::core::{EdgeNetwork, NetworkConfig, RunReport};
 use edgechain::crypto::sha256;
-use edgechain::sim::{ByzantineAction, ChurnConfig, FaultEvent, FaultPlan, NodeId, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-// 20 nodes matches the density the chaos availability plan runs at; the
-// default 300 m × 300 m field is too sparse for ≥ 0.9 reachability with
-// fewer radios.
-const NODES: usize = 20;
-
-/// Seeded churn across the whole run plus one repeat-offender Byzantine
-/// adversary (node 19), composed via [`FaultPlan::merged`].
-fn soak_plan(horizon_secs: u64) -> FaultPlan {
-    let churn = FaultPlan::random_churn(
-        NODES,
-        ChurnConfig {
-            crashes_per_min: 0.05,
-            mean_downtime_secs: 600.0,
-            max_concurrent_down: 2,
-            horizon: SimTime::from_secs(horizon_secs * 4 / 5),
-        },
-        &mut StdRng::seed_from_u64(0x50AC),
-    );
-    let adversary = FaultPlan::new(vec![
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::Equivocate,
-            at: SimTime::from_secs(horizon_secs / 10),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::Withhold { blocks: 2 },
-            at: SimTime::from_secs(horizon_secs / 4),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::ForgeBlock,
-            at: SimTime::from_secs(horizon_secs / 2),
-        },
-        FaultEvent::Byzantine {
-            node: NodeId(19),
-            action: ByzantineAction::GarbagePayload { bytes: 2_048 },
-            at: SimTime::from_secs(horizon_secs * 3 / 5),
-        },
-    ]);
-    churn.merged(adversary)
-}
-
-/// A 6-second block target packs ≥ 10⁴ blocks into `minutes` ≥ 1000;
-/// short-lived data keeps the catalogue (and its expiry order) churning.
-fn soak_config(minutes: u64) -> NetworkConfig {
-    NetworkConfig {
-        nodes: NODES,
-        sim_minutes: minutes,
-        block_interval_secs: 6,
-        data_items_per_min: 1.0,
-        data_valid_minutes: 45,
-        expiration_sweep_secs: 60,
-        request_interval_secs: 120,
-        prune_blocks: true,
-        prune_retention_blocks: 32,
-        snapshot_bootstrap: true,
-        fetch_retries: 5,
-        retry_backoff_ms: 4_000,
-        seed: 0x50_AB,
-        fault_plan: soak_plan(minutes * 60),
-        ..NetworkConfig::default()
-    }
-}
+use edgechain::scenario;
+use edgechain::sim::{ByzantineAction, FaultEvent, FaultPlan, NodeId, SimTime};
 
 fn run(config: NetworkConfig) -> RunReport {
     EdgeNetwork::new(config).expect("valid config").run()
@@ -86,8 +20,8 @@ fn run(config: NetworkConfig) -> RunReport {
 
 #[test]
 fn soak_survives_churn_adversary_and_pruning() {
-    let config = soak_config(1_100);
-    let retained_bound = config.checkpoint_interval.max(1) + config.prune_retention_blocks + 1;
+    let config = scenario::soak(1_100);
+    let retained_bound = config.checkpoint_interval + config.prune_retention_blocks + 1;
     let report = run(config);
 
     assert!(
@@ -127,8 +61,8 @@ fn soak_survives_churn_adversary_and_pruning() {
 
 #[test]
 fn soak_reruns_are_bit_identical() {
-    let a = run(soak_config(1_100));
-    let b = run(soak_config(1_100));
+    let a = run(scenario::soak(1_100));
+    let b = run(scenario::soak(1_100));
     assert_eq!(a, b, "same seed + plan must reproduce the identical report");
     // Pinned in the `tests/golden.rs` form: the only pinned run that
     // prunes and bootstraps rejoiners from snapshots.
@@ -145,8 +79,8 @@ fn peak_storage_stays_flat_as_the_horizon_doubles() {
     // With pruning reclaiming block storage and expiry reclaiming data
     // slots, occupancy plateaus after warmup: doubling the horizon must
     // not grow the peak meaningfully (an O(height) chain would).
-    let half = run(soak_config(550));
-    let full = run(soak_config(1_100));
+    let half = run(scenario::soak(550));
+    let full = run(scenario::soak(1_100));
     assert!(half.peak_storage_slots > 0);
     assert!(
         full.peak_storage_slots <= half.peak_storage_slots * 5 / 4,
@@ -164,15 +98,33 @@ fn pruning_below_the_horizon_matches_pruning_off() {
     let base = NetworkConfig {
         prune_blocks: false,
         snapshot_bootstrap: false,
-        ..soak_config(60)
+        ..scenario::soak(60)
     };
     let lifecycle_armed = NetworkConfig {
         prune_retention_blocks: 100_000,
-        ..soak_config(60)
+        ..scenario::soak(60)
     };
     let off = run(base);
     let armed = run(lifecycle_armed);
     assert_eq!(off, armed, "dormant lifecycle features perturbed the run");
     assert_eq!(armed.blocks_pruned, 0);
     assert_eq!(armed.snapshots_served, 0);
+}
+
+/// One equivocation by node 7 at 15 sim-min on the soak's network, with no
+/// churn and no other adversary, strands a fork that pruning cannot
+/// reconcile: 99 invariant violations. The same run reads 0 with a
+/// retention of 64 blocks or with pruning off.
+#[test]
+#[ignore = "stranded-fork bug, ROADMAP item 1"]
+fn a_lone_equivocation_under_pruning_breaks_no_invariant() {
+    let report = run(NetworkConfig {
+        fault_plan: FaultPlan::new(vec![FaultEvent::Byzantine {
+            node: NodeId(7),
+            action: ByzantineAction::Equivocate,
+            at: SimTime::from_secs(900),
+        }]),
+        ..scenario::soak(40)
+    });
+    assert_eq!(report.invariant_violations, 0, "{report}");
 }
