@@ -9,7 +9,7 @@
 //! foreign blocks are verified in full before adoption
 //! ([`crate::chain::verify_wire_block`], its block-only half judged once
 //! per broadcast), divergent views reconcile
-//! through live [`Blockchain::try_adopt_checkpointed`] fork choice, and
+//! through live checkpointed fork choice ([`Blockchain::try_adopt`]), and
 //! proofs of misbehavior — equivocation (two valid headers, same height
 //! and miner), forged PoS claims, tampered signatures, undecodable
 //! payloads, tampered snapshots, repeated denials, a late fork release —
@@ -29,7 +29,7 @@
 
 use crate::account::{AccountId, Ledger};
 use crate::block::{Block, BlockError};
-use crate::chain::{wire_content_verdict, Blockchain, ChainAnchor, CheckpointPolicy};
+use crate::chain::{wire_content_verdict, Blockchain, CheckpointPolicy};
 use crate::pos::{next_pos_hash, Amendment};
 use crate::report::RunReport;
 use crate::spans::SpanTracker;
@@ -709,42 +709,22 @@ impl ByzantineEngine {
         self.resolve_orphans(court, now, v);
     }
 
-    /// Extends node `v`'s chain with canonical blocks while the linkage
-    /// holds, and on divergence runs checkpointed fork choice over the
-    /// canonical prefix, surfacing any equivocation proofs among the
-    /// replaced blocks.
+    /// Offers node `v`'s chain the canonical blocks from their fork point
+    /// up to the node's contiguous recovered height — an extension when
+    /// the view is a canonical prefix, a reorg when it sits on a fork —
+    /// and surfaces any equivocation proofs among the blocks it replaces.
+    /// A view whose fork point lies below the canonical pruned base is
+    /// offered nothing: those blocks exist nowhere any more, and the
+    /// network must bootstrap it from a snapshot
+    /// ([`Self::bootstrap_from_snapshot`]).
     fn catch_up(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
         let canonical = court.canonical;
         let target = court.node_height[v.0].min(canonical.height());
         let chain = &mut self.chains[v.0];
-        if chain.height() + 1 < canonical.base_index() {
-            // The node is so far behind that the next block it needs has
-            // been pruned from the canonical chain. Block-by-block sync is
-            // impossible; the network must bootstrap it from a snapshot
-            // ([`Self::bootstrap_from_snapshot`]).
+        if chain.height() >= target {
             return;
         }
-        while chain.height() < target {
-            let next = canonical
-                .get(chain.height() + 1)
-                .expect("target within canonical chain");
-            if next.prev_hash == chain.tip().hash {
-                chain
-                    .push(next.clone())
-                    .expect("canonical block must extend a canonical prefix");
-            } else {
-                break;
-            }
-        }
-        if chain.height() >= target || chain.fork_point(canonical.as_slice()) > chain.height() {
-            return;
-        }
-        // Divergence: the node sits on a fork. Adopt the canonical prefix
-        // up to `target` under checkpoint rules. `retained_up_to` aligns
-        // with the canonical pruned base; `try_adopt` attaches the slice
-        // by block index, so a suffix candidate splices correctly.
-        let candidate = canonical.retained_up_to(target);
-        let fork_point = chain.fork_point(candidate);
+        let fork_point = chain.fork_point(canonical.as_slice());
         // Equivocation proofs: replaced local blocks whose canonical
         // counterpart has the same miner but a different hash.
         let equivocations: Vec<(u64, AccountId)> = (fork_point..=chain.height())
@@ -753,8 +733,12 @@ impl ByzantineEngine {
                 _ => None,
             })
             .collect();
-        let depth = chain.divergence_depth(candidate);
-        if chain.try_adopt_checkpointed(candidate, self.policy) {
+        let depth = chain.height() + 1 - fork_point;
+        let base = canonical.base_index();
+        let candidate = fork_point
+            .checked_sub(base)
+            .map(|lo| &canonical.as_slice()[lo as usize..=(target - base) as usize]);
+        if candidate.is_some_and(|c| chain.try_adopt(c, self.policy)) && depth > 0 {
             count_reorg(court.report, depth);
             trace_event!("chain.reorg", now.as_millis(), node = v.0, depth = depth);
         }
@@ -804,30 +788,43 @@ impl ByzantineEngine {
 
     // ---- chain lifecycle ------------------------------------------------
 
-    /// Mirrors a canonical prune into the per-node chain views.
+    /// Mirrors the canonical chain's latest prune into the per-node chain
+    /// views; `active` tells which nodes are online.
     ///
-    /// A node chain whose block at the anchor boundary matches the
-    /// canonical one shares the entire pruned prefix (the hash chain
-    /// guarantees it), so it re-bases onto the same signed anchor, in
-    /// place ([`Blockchain::rebase_onto`]): its blocks were verified when
-    /// the view adopted them, so none is cloned or rehashed. Chains
-    /// lagging behind the boundary, or sitting on a fork there, are left
-    /// intact — they reconcile later through [`Self::sync`] or a snapshot
-    /// bootstrap. Orphans below the new base are unjudgeable (the adopted
-    /// blocks at their heights are gone everywhere) and are dropped.
-    pub(crate) fn prune_below(&mut self, anchor: &ChainAnchor) {
-        let cut = anchor.height + 1;
-        for chain in &mut self.chains {
-            if chain.base_index() >= cut || chain.height() < cut {
+    /// A view holding the canonical block at the cut (the new base) shares
+    /// the entire pruned prefix — the hash chain guarantees it — so it
+    /// re-bases onto the same signed anchor, in place
+    /// ([`Blockchain::rebase_onto`]): its blocks were verified when the
+    /// view adopted them, so none is cloned or rehashed. Agreeing at the
+    /// anchor's block alone is not enough: a sibling at the cut attaches
+    /// to the anchor too, and re-basing onto it would leave the view no
+    /// block below its fork point to reorg from. Such a view keeps its
+    /// base and reorgs at its next [`Self::sync`]. An online honest view
+    /// that fell behind the anchor can neither re-sync block-by-block nor
+    /// judge tip blocks, so it adopts the anchor plus the canonical
+    /// suffix (the pruned prefix is consensus-final); an offline one
+    /// snapshot-bootstraps on return. Orphans below the new base are
+    /// unjudgeable (the adopted blocks at their heights are gone
+    /// everywhere) and are dropped.
+    pub(crate) fn prune_below(&mut self, canonical: &Blockchain, active: impl Fn(NodeId) -> bool) {
+        let Some(anchor) = canonical.anchor() else {
+            return;
+        };
+        let cut = canonical.base_index();
+        let at_cut = canonical.as_slice()[0].hash;
+        for (v, chain) in self.chains.iter_mut().enumerate() {
+            if chain.base_index() >= cut {
                 continue;
             }
-            if chain.get(anchor.height).map(|b| b.hash) != Some(anchor.tip_hash) {
-                continue;
+            let agrees = chain.get(cut).is_some_and(|b| b.hash == at_cut);
+            if agrees && chain.rebase_onto(anchor).is_ok() {
+                telemetry::counter_add("chain.rebased_views", 1);
+            } else if self.honest[v] && chain.height() + 1 < cut && active(NodeId(v)) {
+                let suffix = canonical.as_slice().to_vec();
+                if let Ok(rebuilt) = Blockchain::from_anchor(anchor.clone(), suffix) {
+                    *chain = rebuilt;
+                }
             }
-            chain
-                .rebase_onto(anchor)
-                .expect("retained suffix attaches to its own boundary block");
-            telemetry::counter_add("chain.rebased_views", 1);
         }
         for pool in &mut self.orphans {
             pool.retain(|(b, _)| b.index >= cut);
@@ -1159,12 +1156,14 @@ mod tests {
 
     #[test]
     fn canonical_pruning_re_bases_agreeing_views_and_stays_safe() {
-        let (mut eng, mut w) = (engine(3), World::new(3));
+        let (mut eng, mut w) = (engine(4), World::new(4));
         w.grow(9, 1);
-        // Node 1 is fully synced; node 2 lags at height 2.
+        // Node 1 is fully synced; nodes 2 (offline) and 3 lag at height 2.
         eng.sync(&mut w.court(), NOW, NodeId(1));
         w.node_height[2] = 2;
+        w.node_height[3] = 2;
         eng.sync(&mut w.court(), NOW, NodeId(2));
+        eng.sync(&mut w.court(), NOW, NodeId(3));
         // A tagged orphan at height 4 on node 2: once the canonical chain
         // prunes past it, it can never be judged and must be dropped.
         let full = w.canonical.clone();
@@ -1174,12 +1173,17 @@ mod tests {
         let identity = Identity::from_seed(42);
         w.canonical.prune_below(5, identity.keys());
         let anchor = w.canonical.anchor().unwrap().clone();
-        eng.prune_below(&anchor);
+        eng.prune_below(&w.canonical, |v| v != NodeId(2));
 
         assert_eq!(eng.chains[1].base_index(), 5);
         assert_eq!(eng.chains[1].height(), 9);
         assert_eq!(eng.chains[1], w.canonical);
-        assert_eq!(eng.chains[2].base_index(), 0, "laggard view left intact");
+        assert_eq!(eng.chains[2].base_index(), 0, "offline laggard left intact");
+        assert_eq!(
+            eng.chains[3], w.canonical,
+            "online laggard adopts the anchor"
+        );
+        assert_eq!(eng.chains[0].height(), 0, "the adversary's view is its own");
         assert_eq!(
             eng.orphan_entries(),
             0,
@@ -1208,6 +1212,34 @@ mod tests {
         assert_eq!(eng.chains[2].height(), 9);
         assert_eq!(w.report.reorgs, 0);
         assert_eq!(w.report.quarantine_events, 0);
+    }
+
+    #[test]
+    fn a_view_with_a_sibling_at_the_cut_keeps_its_base_and_reorgs_at_sync() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(4, 1);
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        // Node 1 adopted a sibling of canonical block 5: it agrees at the
+        // anchor (block 4) that a cut at 5 seals, and its block 5 attaches
+        // to that anchor too.
+        let sibling = mined(w.canonical.tip(), 2, w.canonical.tip().timestamp_secs + 61);
+        eng.chains[1].push(sibling).unwrap();
+        w.grow(5, 1);
+        w.node_height[1] = 5;
+        w.canonical.prune_below(5, Identity::from_seed(42).keys());
+        eng.prune_below(&w.canonical, |_| true);
+        assert_eq!(eng.chains[1].base_index(), 0, "not re-based onto its fork");
+
+        w.node_height[1] = 9;
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(eng.chains[1].tip(), w.canonical.tip());
+        assert_eq!(eng.chains[1].get(5), w.canonical.get(5));
+        assert_eq!((w.report.reorgs, w.report.max_reorg_depth), (1, 1));
+        // Back on the canonical branch, the next prune re-bases it.
+        w.canonical.prune_below(7, Identity::from_seed(42).keys());
+        eng.prune_below(&w.canonical, |_| true);
+        assert_eq!(eng.chains[1].base_index(), 7);
+        assert_eq!(eng.chains[1].as_slice(), w.canonical.as_slice());
     }
 
     #[test]

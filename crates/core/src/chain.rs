@@ -4,9 +4,11 @@
 //! Every node keeps (a view of) the chain. Validation checks linkage
 //! (index, hash, timestamp), structural integrity (block hash + Merkle
 //! root), and optionally every metadata producer signature. Fork choice is
-//! the paper's longest-chain rule: a node that receives a strictly longer
-//! valid chain adopts it. Token balances are always *derived* from chain
-//! history (one token per mined block), so any node can audit any `S_i`.
+//! the paper's longest-chain rule under checkpoints (§V-D): a node that
+//! receives a strictly longer valid chain adopts it, unless that would
+//! replace a checkpoint block ([`Blockchain::try_adopt`]). Token balances
+//! are always *derived* from chain history (one token per mined block), so
+//! any node can audit any `S_i`.
 //!
 //! Long-horizon runs cannot keep every block forever: checkpoint-anchored
 //! pruning collapses blocks strictly below a cut height into a signed
@@ -520,114 +522,57 @@ impl Blockchain {
         Ok(())
     }
 
-    /// Longest-chain fork choice: adopts `candidate` iff it is strictly
-    /// longer and fully valid. Returns whether adoption happened.
+    /// Checkpointed longest-chain fork choice (paper §V-D) — the one way a
+    /// chain adopts another's blocks. Returns whether adoption happened.
     ///
-    /// `candidate` is index-aligned by its first block: a slice starting
-    /// at genesis is a whole chain, one starting higher is a suffix that
-    /// must attach to a block this chain still holds. A pruned chain
-    /// refuses candidates that diverge inside its pruned prefix — those
-    /// blocks are anchored and cannot be audited away.
+    /// `candidate` is index-aligned by its first block and may start
+    /// anywhere: at genesis, at or below this chain's pruned base, or at
+    /// the fork point itself. Only where it parts from this chain matters.
+    /// It is refused when
     ///
-    /// (Receiving "a blockchain longer than its previous received
-    /// blockchain" is also how a node detects that it missed blocks,
-    /// §IV-D.)
-    pub fn try_adopt(&mut self, candidate: &[Block]) -> bool {
+    /// * a checkpoint block (a height that is a multiple of
+    ///   `policy.interval`) lies in `[fork_point, height]`: because PoS
+    ///   makes working on multiple branches cheap, "solutions about
+    ///   inserting checkpoint block are proposed to force nodes working on
+    ///   the chain that has checkpoint blocks", so no reorganisation
+    ///   crosses one;
+    /// * it is not strictly longer;
+    /// * this chain holds no block at `fork_point − 1` — the divergence
+    ///   lies at genesis or inside the pruned prefix, which is anchored and
+    ///   cannot be audited away;
+    /// * its blocks from the fork point up do not link onto that block.
+    ///
+    /// Otherwise everything above the fork point is replaced by the
+    /// candidate's blocks. The agreeing prefix and the anchor stay as they
+    /// are. A policy whose interval exceeds every height is the paper's
+    /// plain longest-chain rule. (Receiving "a blockchain longer than its
+    /// previous received blockchain" is also how a node detects that it
+    /// missed blocks, §IV-D.)
+    pub fn try_adopt(&mut self, candidate: &[Block], policy: CheckpointPolicy) -> bool {
         let Some(first) = candidate.first() else {
             return false;
         };
-        let cand_len = first.index + candidate.len() as u64;
-        if cand_len <= self.len() as u64 {
+        let fork_point = self.fork_point(candidate);
+        // A fork point of 0 always sits at or below the latest checkpoint.
+        if self.latest_checkpoint(policy) >= fork_point
+            || first.index + candidate.len() as u64 <= self.len() as u64
+        {
             return false;
         }
-        if !self.candidate_is_valid(candidate) {
-            return false;
-        }
-        self.splice_from(candidate)
-    }
-
-    /// Structural validation of an index-aligned candidate: attachment to
-    /// this chain (or the canonical genesis) plus internal linkage.
-    fn candidate_is_valid(&self, candidate: &[Block]) -> bool {
-        let first = &candidate[0];
-        if first.index == 0 {
-            if *first != Block::genesis() {
-                return false;
-            }
-        } else {
-            // A suffix must attach to a block we still hold; anything
-            // reaching below the pruned base is unverifiable and refused.
-            match self.get(first.index - 1) {
-                Some(prev) => {
-                    if first.validate_against(prev).is_err() {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        for i in 1..candidate.len() {
-            if candidate[i].validate_against(&candidate[i - 1]).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Replaces this chain from the candidate's first index upward,
-    /// keeping the anchor (and any agreeing prefix) intact. The candidate
-    /// has already been validated.
-    fn splice_from(&mut self, candidate: &[Block]) -> bool {
-        let cand_base = candidate[0].index;
-        if cand_base >= self.base {
-            self.blocks.truncate((cand_base - self.base) as usize);
-            self.blocks.extend_from_slice(candidate);
-        } else {
-            // The candidate spans our pruned prefix (it must start at
-            // genesis to have validated). Adopt only if it agrees with the
-            // retained boundary, keeping our anchor as the prefix summary.
-            let offset = (self.base - cand_base) as usize;
-            if candidate.get(offset).map(|b| b.hash) != Some(self.blocks[0].hash) {
-                return false;
-            }
-            self.blocks = candidate[offset..].to_vec();
-        }
-        true
-    }
-
-    /// Checkpointed fork choice (paper §V-D): because PoS makes working on
-    /// multiple branches cheap, "solutions about inserting checkpoint
-    /// block are proposed to force nodes working on the chain that has
-    /// checkpoint blocks". A candidate chain is adopted only if it is
-    /// strictly longer, fully valid, **and agrees with this chain's
-    /// checkpoint blocks** — every block at a height that is a multiple of
-    /// `policy.interval` (and within both chains) must be identical, so no
-    /// reorganisation can cross a checkpoint.
-    pub fn try_adopt_checkpointed(
-        &mut self,
-        candidate: &[Block],
-        policy: CheckpointPolicy,
-    ) -> bool {
-        let Some(first) = candidate.first() else {
+        let (Some(prev), Some(offset)) = (
+            self.get(fork_point - 1),
+            fork_point.checked_sub(first.index),
+        ) else {
             return false;
         };
-        let cand_base = first.index;
-        let cand_top = cand_base + candidate.len() as u64 - 1;
-        if cand_top < self.len() as u64 {
+        let suffix = &candidate[offset as usize..];
+        let mut links = std::iter::once(prev).chain(suffix).zip(suffix);
+        if !links.all(|(p, b)| b.validate_against(p).is_ok()) {
             return false;
         }
-        let interval = policy.interval.max(1);
-        let lo = self.base.max(cand_base);
-        let hi = self.height().min(cand_top);
-        let mut cp = lo.div_ceil(interval).max(1) * interval;
-        while cp <= hi {
-            let theirs = &candidate[(cp - cand_base) as usize];
-            if self.get(cp) != Some(theirs) {
-                return false;
-            }
-            cp += interval;
-        }
-        self.try_adopt(candidate)
+        self.blocks.truncate((fork_point - self.base) as usize);
+        self.blocks.extend_from_slice(suffix);
+        true
     }
 
     /// First height at which this chain and `other` disagree — equivalently
@@ -663,8 +608,8 @@ impl Blockchain {
 
     /// Height of the newest checkpoint block under `policy` (0 when the
     /// chain has not reached the first checkpoint yet). Blocks at or below
-    /// this height are final: [`Blockchain::try_adopt_checkpointed`] never
-    /// reorganises them away.
+    /// this height are final: [`Blockchain::try_adopt`] never reorganises
+    /// them away.
     pub fn latest_checkpoint(&self, policy: CheckpointPolicy) -> u64 {
         let interval = policy.interval.max(1);
         (self.height() / interval) * interval
@@ -838,8 +783,8 @@ impl<'a> IntoIterator for &'a Blockchain {
     }
 }
 
-/// Checkpointing policy for [`Blockchain::try_adopt_checkpointed`]: every
-/// block whose height is a multiple of `interval` is a checkpoint.
+/// Checkpointing policy for [`Blockchain::try_adopt`]: every block whose
+/// height is a multiple of `interval` is a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointPolicy {
     /// Checkpoint spacing in blocks (clamped to ≥ 1).
@@ -918,6 +863,9 @@ mod tests {
             Vec::new(),
         )
     }
+
+    /// No checkpoint ever in range: the plain longest-chain rule.
+    const PLAIN: CheckpointPolicy = CheckpointPolicy { interval: u64::MAX };
 
     fn chain_of(n: u64) -> Blockchain {
         let mut chain = Blockchain::new();
@@ -1023,10 +971,10 @@ mod tests {
         let mut short = chain_of(2);
         let long = chain_of(5);
         let snapshot = short.clone();
-        assert!(!short.try_adopt(&long.as_slice()[..2])); // shorter
-        assert!(!short.try_adopt(short.clone().as_slice())); // equal
+        assert!(!short.try_adopt(&long.as_slice()[..2], PLAIN)); // shorter
+        assert!(!short.try_adopt(short.clone().as_slice(), PLAIN)); // equal
         assert_eq!(short, snapshot);
-        assert!(short.try_adopt(long.as_slice()));
+        assert!(short.try_adopt(long.as_slice(), PLAIN));
         assert_eq!(short, long);
     }
 
@@ -1036,7 +984,7 @@ mod tests {
         let long = chain_of(5);
         let mut tampered = long.as_slice().to_vec();
         tampered[4].delay_secs = 999; // breaks block 4's hash
-        assert!(!chain.try_adopt(&tampered));
+        assert!(!chain.try_adopt(&tampered, PLAIN));
         assert_eq!(chain.height(), 2);
     }
 
@@ -1063,11 +1011,11 @@ mod tests {
         let policy = CheckpointPolicy { interval: 10 };
         let mut chain = ours.clone();
         assert_eq!(chain.latest_checkpoint(policy), 10);
-        assert!(!chain.try_adopt_checkpointed(attacker.as_slice(), policy));
+        assert!(!chain.try_adopt(attacker.as_slice(), policy));
         assert_eq!(chain, ours, "checkpointed chain must not reorg");
         // Plain longest-chain *would* have adopted it (the §V-D hazard).
         let mut plain = ours.clone();
-        assert!(plain.try_adopt(attacker.as_slice()));
+        assert!(plain.try_adopt(attacker.as_slice(), PLAIN));
     }
 
     #[test]
@@ -1077,7 +1025,7 @@ mod tests {
         let longer = extend(&trunk, 4, 300);
         let mut chain = trunk.clone();
         let policy = CheckpointPolicy { interval: 10 };
-        assert!(chain.try_adopt_checkpointed(longer.as_slice(), policy));
+        assert!(chain.try_adopt(longer.as_slice(), policy));
         assert_eq!(chain.height(), 15);
     }
 
@@ -1090,7 +1038,7 @@ mod tests {
         let policy = CheckpointPolicy { interval: 10 };
         assert_eq!(chain.latest_checkpoint(policy), 0);
         // No checkpoint reached yet: longest chain wins as usual.
-        assert!(chain.try_adopt_checkpointed(b.as_slice(), policy));
+        assert!(chain.try_adopt(b.as_slice(), policy));
         assert_eq!(chain.height(), 7);
     }
 
@@ -1402,22 +1350,56 @@ mod tests {
         // Suffix candidate: just the blocks above our base.
         let mut pruned = trunk.clone();
         pruned.prune_below(8, prune_keys().keys());
-        assert!(pruned.try_adopt(longer.retained_after(10)));
+        assert!(pruned.try_adopt(longer.retained_after(10), PLAIN));
         assert_eq!(pruned.height(), 18);
         assert_eq!(pruned.base_index(), 8);
 
         // Full candidate from genesis also splices across the base.
         let mut pruned = trunk.clone();
         pruned.prune_below(8, prune_keys().keys());
-        assert!(pruned.try_adopt(longer.as_slice()));
+        assert!(pruned.try_adopt(longer.as_slice(), PLAIN));
         assert_eq!(pruned.height(), 18);
         assert!(pruned.anchor().is_some(), "anchor survives adoption");
 
-        // A bare suffix starting below the base cannot be attached: its
-        // predecessor is pruned.
+        // So does a slice starting below the base: only where it parts
+        // from this chain (at 15, above the base) is judged.
         let mut pruned = trunk.clone();
         pruned.prune_below(8, prune_keys().keys());
-        assert!(!pruned.try_adopt(&longer.as_slice()[4..]));
+        assert!(pruned.try_adopt(&longer.as_slice()[4..], PLAIN));
+        assert_eq!(pruned.tip(), longer.tip());
+
+        // A slice that leaves a gap above the tip cannot attach.
+        let mut pruned = trunk.clone();
+        pruned.prune_below(8, prune_keys().keys());
+        assert!(!pruned.try_adopt(longer.retained_after(15), PLAIN));
+        assert_eq!(pruned.height(), 14);
+    }
+
+    #[test]
+    fn pruned_chain_reorgs_above_its_base_but_not_at_it() {
+        let trunk = chain_of(8);
+        let ours = extend(&trunk, 4, 100);
+        let mut pruned = ours.clone();
+        pruned.prune_below(8, prune_keys().keys());
+        // A fork from block 10 up, offered as a slice starting at our base:
+        // the shape a view gets from a pruned canonical chain.
+        let above = Blockchain::from_blocks(ours.as_slice()[..10].to_vec()).unwrap();
+        let above = extend(&above, 4, 700);
+        let anchor = pruned.anchor().cloned();
+        assert!(pruned.try_adopt(above.retained_after(7), PLAIN));
+        assert_eq!(pruned.tip(), above.tip());
+        assert_eq!((pruned.base_index(), pruned.height()), (8, 13));
+        assert_eq!(pruned.anchor().cloned(), anchor, "the anchor stays");
+
+        // A fork at block 8 itself — a sibling of our base — parts from us
+        // where we hold no predecessor to link it to.
+        let at = Blockchain::from_blocks(trunk.as_slice()[..8].to_vec()).unwrap();
+        let at = extend(&at, 7, 800);
+        let mut pruned = ours.clone();
+        pruned.prune_below(8, prune_keys().keys());
+        assert_eq!(pruned.fork_point(at.retained_after(7)), 8);
+        assert!(!pruned.try_adopt(at.retained_after(7), PLAIN));
+        assert_eq!(pruned.tip(), ours.tip());
     }
 
     #[test]
@@ -1429,7 +1411,7 @@ mod tests {
         let mut pruned = ours.clone();
         pruned.prune_below(9, prune_keys().keys());
         assert!(
-            !pruned.try_adopt(attacker.as_slice()),
+            !pruned.try_adopt(attacker.as_slice(), PLAIN),
             "divergence inside the pruned prefix must be refused"
         );
         assert_eq!(pruned.height(), 12);
@@ -1442,7 +1424,7 @@ mod tests {
         let mut chain = trunk.clone();
         chain.prune_below(7, prune_keys().keys());
         let policy = CheckpointPolicy { interval: 10 };
-        assert!(chain.try_adopt_checkpointed(longer.retained_after(9), policy));
+        assert!(chain.try_adopt(longer.retained_after(9), policy));
         assert_eq!(chain.height(), 15);
 
         // A fork that rewrites the checkpoint block is still refused.
@@ -1450,7 +1432,7 @@ mod tests {
         let attacker = extend(&early, 9, 400); // rewrites block 10
         let mut chain = extend(&trunk, 2, 300);
         chain.prune_below(7, prune_keys().keys());
-        assert!(!chain.try_adopt_checkpointed(attacker.retained_after(9), policy));
+        assert!(!chain.try_adopt(attacker.retained_after(9), policy));
     }
 
     #[test]

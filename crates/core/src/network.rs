@@ -1185,7 +1185,7 @@ impl EdgeNetwork {
         // `base_height + 1`: it attaches at the public base block, which
         // is always retained (`maybe_prune` never cuts past a live fork),
         // and the shared prefix below needs no re-validation.
-        let adopted = self.chain.try_adopt_checkpointed(&w.blocks, policy);
+        let adopted = self.chain.try_adopt(&w.blocks, policy);
         if adopted {
             let depth = old_height - w.base_height;
             byzantine::count_reorg(&mut self.report, depth);
@@ -1777,9 +1777,8 @@ impl EdgeNetwork {
     /// the pruned history — never past `fork_base`, the base block a
     /// withheld private fork still references, or its release could not
     /// re-attach. Storage follows suit (reclaimed slots feed straight back
-    /// into the UFL occupancy costs), and Byzantine per-node views re-base
-    /// onto the same anchor so fork choice keeps working on the retained
-    /// suffix.
+    /// into the UFL occupancy costs), and the Byzantine per-node views
+    /// follow it ([`ByzantineEngine::prune_below`]).
     fn maybe_prune(&mut self, now: SimTime, fork_base: Option<u64>) {
         if !self.config.prune_blocks {
             return;
@@ -1808,24 +1807,8 @@ impl EdgeNetwork {
         for s in &mut self.storage {
             reclaimed += s.prune_blocks_below(cut);
         }
-        if let (Some(anchor), Some(e)) = (self.chain.anchor(), self.byz.as_mut()) {
-            e.prune_below(anchor);
-            // Active honest nodes whose per-node fork views fell behind the
-            // new base adopt the anchor too: the pruned prefix is
-            // consensus-final, and a view stuck below it could neither
-            // re-sync block-by-block nor judge incoming tip blocks. The
-            // canonical suffix is copied only for such a view.
-            for v in 0..self.config.nodes {
-                if !self.topo.is_active(NodeId(v)) {
-                    continue;
-                }
-                if e.honest[v] && e.chains[v].height() + 1 < cut {
-                    let suffix = self.chain.as_slice().to_vec();
-                    let rebased = Blockchain::from_anchor(anchor.clone(), suffix)
-                        .expect("retained suffix attaches to its own anchor");
-                    e.bootstrap_from_snapshot(NodeId(v), rebased);
-                }
-            }
+        if let Some(e) = self.byz.as_mut() {
+            e.prune_below(&self.chain, |v| self.topo.is_active(v));
         }
         // Every online node adopts the checkpoint anchor as it forms: the
         // blocks below the cut are consensus-final and no longer served

@@ -73,11 +73,13 @@ fn partitioned_branches_converge_to_longest() {
 
     // Heal: group A receives B's chain and adopts it (longer).
     let mut node_in_a = branch_a.clone();
-    assert!(node_in_a.try_adopt(branch_b.as_slice()));
+    // No checkpoint is in range: the plain longest-chain rule.
+    let plain = CheckpointPolicy { interval: u64::MAX };
+    assert!(node_in_a.try_adopt(branch_b.as_slice(), plain));
     assert_eq!(node_in_a, branch_b);
     // Group B ignores A's shorter chain.
     let mut node_in_b = branch_b.clone();
-    assert!(!node_in_b.try_adopt(branch_a.as_slice()));
+    assert!(!node_in_b.try_adopt(branch_a.as_slice(), plain));
     assert_eq!(node_in_b.height(), 9);
 
     // Everyone ends on the same chain and all PoS history re-validates.
@@ -108,14 +110,14 @@ fn checkpoints_stop_branch_takeover_after_finality() {
     let policy = CheckpointPolicy { interval: 10 };
     let mut node = majority.clone();
     assert!(
-        !node.try_adopt_checkpointed(attacker.as_slice(), policy),
+        !node.try_adopt(attacker.as_slice(), policy),
         "reorg across a checkpoint must be refused"
     );
     assert_eq!(node, majority);
     // Extending the checkpointed chain itself is still accepted.
     let mut extended = majority.clone();
     mine_on(&mut extended, &identities, &[2, 3, 4, 5]);
-    assert!(node.try_adopt_checkpointed(extended.as_slice(), policy));
+    assert!(node.try_adopt(extended.as_slice(), policy));
 }
 
 /// Live-network counterpart of the unit-level checkpoint tests above: an
