@@ -121,10 +121,17 @@ pub(crate) fn nearest_providers(
     ranked.into_iter().map(|(_, h)| h).collect()
 }
 
-/// Extends `v`'s contiguous height through every block it knows.
-pub(crate) fn advance_height(node_height: &mut [u64], node_known: &[BTreeSet<u64>], v: NodeId) {
-    while node_known[v.0].contains(&(node_height[v.0] + 1)) {
-        node_height[v.0] += 1;
+/// Records that `v` holds block `idx`. `v` holds every block up to its
+/// contiguous `height`, so its `known` set keeps only the blocks past it:
+/// the height runs on through every block that joins it, and the set
+/// drops what the height covers — after a prune lifted the height onto
+/// the anchor, learning the anchor's block sheds the entries below the cut.
+pub(crate) fn learn(height: &mut [u64], known: &mut [BTreeSet<u64>], v: NodeId, idx: u64) {
+    let (height, known) = (&mut height[v.0], &mut known[v.0]);
+    known.insert(idx);
+    while let Some(next) = known.first().copied().filter(|&i| i <= *height + 1) {
+        known.pop_first();
+        *height = (*height).max(next);
     }
 }
 
@@ -611,7 +618,8 @@ impl Access {
                 unserved = true;
                 continue;
             };
-            cx.node_known[v.0].insert(idx);
+            // At once: a stale height would re-request held blocks.
+            learn(cx.node_height, cx.node_known, v, idx);
             cx.book_recovery(v, holder, now, arrival);
             trace_event!(
                 "repair.recover_block",
@@ -623,10 +631,6 @@ impl Access {
             );
             cx.spans.recover_block(now, v, idx, arrival);
         }
-        // Recovered blocks must extend the node's contiguous view right
-        // away — an un-advanced height would make the node re-request
-        // blocks it already holds and mis-detect gaps on the next receipt.
-        advance_height(cx.node_height, cx.node_known, v);
         if unserved {
             // Lossy links or a partition starved this pass; back off
             // exponentially (capped) and try again.
@@ -699,7 +703,7 @@ impl Access {
             let chain = Blockchain::from_anchor(snap.anchor, snap.blocks)
                 .expect("verified snapshot attaches to its own anchor");
             let snap_tip = chain.height();
-            cx.node_known[v.0] = (chain.base_index()..=snap_tip).collect();
+            cx.node_known[v.0].clear();
             cx.node_height[v.0] = snap_tip;
             cx.storage[v.0].cache_recent(snap_tip);
             if let Some(e) = cx.byz.as_deref_mut() {
@@ -790,7 +794,7 @@ mod tests {
                 catalogue: Catalogue::default(),
                 chain: Blockchain::new(),
                 node_height: vec![0; n],
-                node_known: vec![BTreeSet::from([0]); n],
+                node_known: vec![BTreeSet::new(); n],
                 node_of_account: (0..n).map(|i| (account_of[i], NodeId(i))).collect(),
                 identities,
                 account_of,

@@ -61,36 +61,6 @@ impl Identity {
         Identity { keys, account }
     }
 
-    /// Creates an identity whose account address satisfies a pattern —
-    /// the paper's §III-A: "Each account is unique … and has a unique
-    /// address (hash value) satisfying a certain pattern". The pattern here
-    /// is `zero_bits` leading zero bits; key candidates are ground from
-    /// `seed` until one matches, which makes mass-producing identities
-    /// proportionally expensive (a mild Sybil deterrent).
-    ///
-    /// Returns the identity and the number of candidate keys tried.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `zero_bits > 24` (grinding cost doubles per bit; beyond
-    /// 24 bits a simulation would stall).
-    pub fn from_seed_with_pattern(seed: u64, zero_bits: u32) -> (Self, u64) {
-        assert!(
-            zero_bits <= 24,
-            "address pattern above 24 bits is impractical"
-        );
-        let mut attempts = 0u64;
-        let mut counter = seed;
-        loop {
-            attempts += 1;
-            let candidate = Identity::from_seed(counter);
-            if candidate.account.0.leading_zero_bits() >= zero_bits {
-                return (candidate, attempts);
-            }
-            counter = counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
     /// The signing key pair.
     pub fn keys(&self) -> &KeyPair {
         &self.keys
@@ -292,31 +262,6 @@ mod tests {
         let acct = Identity::from_seed(1).account();
         assert_eq!(ledger.balance(&acct), 5);
         assert_eq!(ledger.initial_tokens(), 5);
-    }
-
-    #[test]
-    fn pattern_grinding_finds_matching_address() {
-        let (id, attempts) = Identity::from_seed_with_pattern(1, 4);
-        assert!(id.account.0.leading_zero_bits() >= 4);
-        assert!(attempts >= 1);
-        // Expected ~16 attempts for 4 bits; allow generous slack.
-        assert!(attempts < 1000, "took {attempts} attempts");
-        // Deterministic.
-        let (id2, attempts2) = Identity::from_seed_with_pattern(1, 4);
-        assert_eq!(id.account(), id2.account());
-        assert_eq!(attempts, attempts2);
-    }
-
-    #[test]
-    fn zero_bit_pattern_accepts_first_candidate() {
-        let (_, attempts) = Identity::from_seed_with_pattern(9, 0);
-        assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "impractical")]
-    fn excessive_pattern_rejected() {
-        let _ = Identity::from_seed_with_pattern(1, 25);
     }
 
     #[test]

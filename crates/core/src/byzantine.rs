@@ -179,8 +179,8 @@ pub(crate) struct ByzantineEngine {
     /// failed Byzantine round must not deterministically re-elect its
     /// author at the same height forever).
     sit_out: Vec<Option<u64>>,
-    /// Per-node orphan pool: wire blocks ahead of the node's tip, kept
-    /// until the node syncs far enough to judge them (bounded FIFO).
+    /// Per-node orphan pool: suspect wire blocks ahead of the node's tip,
+    /// kept until the node syncs far enough to judge them (bounded FIFO).
     orphans: Vec<VecDeque<StashedOrphan>>,
     /// Artifact ids of known equivocations, keyed by `(height, miner)`.
     equivocation_artifacts: HashMap<(u64, AccountId), u64>,
@@ -626,10 +626,12 @@ impl ByzantineEngine {
     /// one convicts its miner when tagged and otherwise makes the node
     /// reconcile; a conflicting same-height/same-miner header is an
     /// equivocation proof; a block skipping ahead is too far ahead to
-    /// verify — it is stashed (a forgery or an equivocating variant
-    /// delivered to a laggard is judged after sync) and the node
-    /// reconciles. Tagged blocks always sit at canonical height + 1,
-    /// above every node's view, so they never take the equivocation arm.
+    /// verify — the node reconciles, keeping the block only when it is a
+    /// suspect: sync re-delivers the canonical block at its height, so a
+    /// copy of that one could only be dropped, while a forgery or an
+    /// equivocating variant delivered to a laggard is judged after sync.
+    /// Tagged blocks always sit at canonical height + 1, above every
+    /// node's view, so they never take the equivocation arm.
     fn receive(
         &mut self,
         court: &mut Court<'_>,
@@ -641,7 +643,9 @@ impl ByzantineEngine {
         let chain = &mut self.chains[v.0];
         let tip_index = chain.tip().index;
         if block.index > tip_index + 1 {
-            self.stash_orphan(v, block.clone(), tag.map(|(a, kind, _)| (a, kind)));
+            if court.canonical.get(block.index).map(|b| b.hash) != Some(block.hash) {
+                self.stash_orphan(v, block.clone(), tag.map(|(a, kind, _)| (a, kind)));
+            }
             self.sync(court, now, v);
         } else if block.index <= tip_index {
             let conflicting = chain.get(block.index).is_some_and(|ours| {
@@ -664,37 +668,29 @@ impl ByzantineEngine {
 
     // ---- per-node chain views ------------------------------------------
 
-    /// Stashes a wire block that skipped ahead of node `v`'s tip. A
-    /// lagging node cannot verify such a block yet (its parent is
-    /// unknown), so it is kept — with the injected-artifact tag when the
-    /// sender was Byzantine — until a later [`Self::sync`] lands the
-    /// honest block at that height and the orphan can be judged. The pool
-    /// is a small FIFO; honest traffic cycles through it without growing
-    /// it.
+    /// Stashes a suspect wire block that skipped ahead of node `v`'s tip:
+    /// one the canonical chain does not hold at its height — a tagged
+    /// forgery or tampered block, or an equivocation variant. A lagging
+    /// node cannot verify it yet (its parent is unknown), so it is kept —
+    /// with the injected-artifact tag when the sender was Byzantine —
+    /// until a later [`Self::sync`] lands the honest block at that height
+    /// and the orphan can be judged. Honest blocks never enter, so the
+    /// pool holds only proofs-in-waiting, a handful per run; the FIFO
+    /// bound of 8 only caps hostile input.
     fn stash_orphan(&mut self, v: NodeId, block: Block, artifact: Option<Evidence>) {
         let pool = &mut self.orphans[v.0];
         if pool.iter().any(|(b, _)| b.hash == block.hash) {
             return;
         }
-        pool.push_back((block, artifact));
-        while pool.len() > 8 {
-            // Evict an untagged (honest-looking) orphan first: tagged
-            // ones are the proofs-in-waiting and there are at most a
-            // handful per run.
-            match pool.iter().position(|(_, a)| a.is_none()) {
-                Some(i) => {
-                    pool.remove(i);
-                }
-                None => {
-                    pool.pop_front();
-                }
-            }
+        if pool.len() == 8 {
+            pool.pop_front();
         }
+        pool.push_back((block, artifact));
     }
 
     /// Total stashed orphan blocks across every node's pool. Each pool is
-    /// already bounded (8 entries, honest-looking evicted first); this
-    /// accessor feeds the run report's peak tracking-state accounting.
+    /// bounded at 8 entries; this accessor feeds the run report's peak
+    /// tracking-state accounting.
     pub(crate) fn orphan_entries(&self) -> usize {
         self.orphans.iter().map(VecDeque::len).sum()
     }
@@ -752,9 +748,10 @@ impl ByzantineEngine {
     /// honest and is dropped; a mismatching one is proof — of forgery or
     /// tampering when it carries an artifact tag (its claimed miner is
     /// convicted), of equivocation when the adopted block has the same
-    /// miner. A mismatching untagged orphan from a *different* miner is a
-    /// block displaced by a trunk reorg: honest, dropped. Orphans still
-    /// ahead of the tip stay stashed.
+    /// miner. A mismatching untagged orphan from a *different* miner sits
+    /// at a height a trunk reorg replaced: it proves nothing against the
+    /// adopted block and is dropped. Orphans still ahead of the tip stay
+    /// stashed.
     fn resolve_orphans(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
         let height = self.chains[v.0].height();
         for (block, artifact) in std::mem::take(&mut self.orphans[v.0]) {
@@ -1017,12 +1014,17 @@ mod tests {
         assert!(eng.is_quarantined(NodeId(1), NOW));
         assert_eq!(w.report.byz_detected, 1);
 
-        // A block far ahead is stashed and the node syncs past it.
+        // A canonical block far ahead is not stashed; the node syncs past
+        // it.
         w.grow(3, 0);
         let ahead = w.canonical.tip().clone();
         eng.receive(&mut w.court(), NOW, NodeId(0), heard(&ahead), None);
         assert_eq!(eng.chains[0], w.canonical);
-        assert_eq!(eng.orphan_entries(), 0, "the honest orphan was dropped");
+        assert_eq!(
+            eng.orphan_entries(),
+            0,
+            "a canonical block is never stashed"
+        );
     }
 
     #[test]
@@ -1245,38 +1247,91 @@ mod tests {
     #[test]
     fn orphan_pool_defers_judgement_and_keeps_tagged_entries() {
         let (mut eng, mut w) = (engine(3), World::new(3));
-        let genesis = Block::genesis();
-        let honest = mined(&genesis, 1, 60);
+        w.grow(3, 1);
+        w.node_height[1] = 0;
 
-        // Node 1 is still at genesis; a forged block claiming height 1
-        // lands as a tagged orphan, then a flood of competing height-1
-        // claims churns the FIFO — untagged entries must be evicted
-        // before the tagged proof-in-waiting.
-        let artifact = eng.inject(&mut w.court(), NOW, "byz_forge");
-        let forged = mined(&genesis, 2, 61);
-        eng.stash_orphan(NodeId(1), forged.clone(), Some((artifact, "byz_forge")));
-        eng.stash_orphan(NodeId(1), forged, Some((artifact, "byz_forge"))); // dedup
-        for seed in 3..13 {
-            eng.stash_orphan(NodeId(1), mined(&genesis, seed, 60 + seed), None);
+        // Node 1 still sits at genesis: canonical blocks ahead of its tip
+        // are re-delivered by sync, so none of them enters the pool.
+        for h in 2..=3 {
+            let block = w.canonical.get(h).unwrap().clone();
+            eng.receive(&mut w.court(), NOW, NodeId(1), heard(&block), None);
         }
-        // A stashed copy of the block the node will adopt is dropped
-        // silently at resolution (same hash ⇒ honest).
-        eng.stash_orphan(NodeId(1), honest.clone(), None);
-        assert_eq!(eng.orphan_entries(), 8, "the pool stays bounded");
-        // Nothing resolvable while the node is still behind.
-        eng.sync(&mut w.court(), NOW, NodeId(1));
-        assert_eq!(w.report.byz_detected, 0);
+        assert_eq!(eng.orphan_entries(), 0);
 
-        // Adopt the honest block, then judge: the tagged forgery survived
-        // the FIFO churn and is disproven; untagged blocks from other
-        // miners count as reorg-displaced and are dropped.
-        w.canonical.push(honest.clone()).unwrap();
-        w.node_height[1] = 1;
-        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&honest), None);
+        // Nine competing height-2 claims from other miners are suspects;
+        // the pool keeps the newest eight, oldest out first.
+        let parent = w.canonical.get(1).unwrap().clone();
+        let siblings: Vec<Block> = (3..12)
+            .map(|seed| mined(&parent, seed, 200 + seed))
+            .collect();
+        for sibling in &siblings {
+            eng.receive(&mut w.court(), NOW, NodeId(1), heard(sibling), None);
+        }
+        assert_eq!(eng.orphan_entries(), 8, "the pool stays bounded");
+        let front = |eng: &ByzantineEngine| eng.orphans[1].front().unwrap().0.hash;
+        assert_eq!(front(&eng), siblings[1].hash, "FIFO: the oldest went");
+
+        // Neither a canonical block nor a repeat evicts anything; a tagged
+        // forgery at canonical height + 1 pushes out the next-oldest
+        // sibling.
+        let canonical_tip = w.canonical.tip().clone();
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&canonical_tip), None);
+        eng.receive(&mut w.court(), NOW, NodeId(1), heard(&siblings[8]), None);
+        assert_eq!(front(&eng), siblings[1].hash);
+        let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
+        let charge = ("byz_forge", "forged-block");
+        eng.judge_bad_block(&mut w.court(), NOW, &forged, &[NodeId(1)], charge);
+        assert_eq!(eng.orphan_entries(), 8);
+        assert_eq!(front(&eng), siblings[2].hash);
+        assert_eq!(w.report.byz_detected, 0, "nothing judgeable yet");
+
+        // The honest block at the forgery's height lands and node 1 syncs
+        // to it: the forgery is disproven; the siblings, from miners other
+        // than the adopted block's, prove nothing and are dropped.
+        w.grow(1, 1);
         eng.sync(&mut w.court(), NOW, NodeId(1));
-        assert_eq!(w.report.byz_detected, 1, "tagged orphan disproven");
+        assert_eq!(eng.chains[1], w.canonical);
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 1));
         assert!(eng.is_quarantined(NodeId(2), NOW));
         assert_eq!(w.report.quarantine_events, 1, "only the forger");
         assert_eq!(eng.orphan_entries(), 0, "the pool is judged and empty");
+    }
+
+    #[test]
+    fn a_laggards_equivocation_variant_outlives_canonical_traffic() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 1);
+        w.grow(1, 2);
+        let sealed = w.canonical.tip().clone();
+        let parent = w.canonical.get(1).unwrap().clone();
+        let amendment = Amendment::from_fraction(1, 1000);
+        let ts = sealed.timestamp_secs + 1;
+        let variant = empty_block_on(&parent, ts, sealed.pos_hash, sealed.miner, 60, amendment);
+
+        // Node 1 lags at genesis and hears only node 2's conflicting
+        // variant at height 2: too far ahead to judge, so it is stashed.
+        w.node_height[1] = 0;
+        let received = [NodeId(2), NodeId(1)];
+        eng.deliver_sealed(&mut w.court(), NOW, &received, Some(&variant));
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 0));
+        assert_eq!(eng.orphans[1].len(), 1);
+
+        // Eight canonical blocks ahead of its tip reach it before it can
+        // sync; none of them displaces the proof-in-waiting.
+        for _ in 0..8 {
+            w.grow(1, 1);
+            w.node_height[1] = 0;
+            let block = w.canonical.tip().clone();
+            eng.receive(&mut w.court(), NOW, NodeId(1), heard(&block), None);
+        }
+        assert_eq!(eng.orphans[1].len(), 1);
+
+        // Synced to the variant's height, node 1 holds the two headers.
+        w.node_height[1] = 2;
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        assert_eq!(eng.chains[1].get(2), Some(&sealed));
+        assert_eq!(w.report.byz_detected, 1, "the equivocation is proven");
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(eng.orphan_entries(), 0);
     }
 }

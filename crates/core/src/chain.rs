@@ -599,13 +599,6 @@ impl Blockchain {
         hi + 1
     }
 
-    /// How many of this chain's blocks a reorg onto `candidate` would
-    /// discard: everything above the common prefix. Zero when `candidate`
-    /// extends this chain.
-    pub fn divergence_depth(&self, candidate: &[Block]) -> u64 {
-        self.len() as u64 - self.fork_point(candidate)
-    }
-
     /// Height of the newest checkpoint block under `policy` (0 when the
     /// chain has not reached the first checkpoint yet). Blocks at or below
     /// this height are final: [`Blockchain::try_adopt`] never reorganises
@@ -901,14 +894,15 @@ mod tests {
         branch
             .push(mined_block(branch.tip(), 7, 1_000))
             .expect("divergent block links");
+        // A reorg onto the other side discards everything from the fork
+        // point up.
         assert_eq!(trunk.fork_point(branch.as_slice()), 4);
-        assert_eq!(trunk.divergence_depth(branch.as_slice()), 2);
-        assert_eq!(branch.divergence_depth(trunk.as_slice()), 1);
-        // A strict prefix never diverges.
+        assert_eq!(branch.fork_point(trunk.as_slice()), 4);
+        // A strict prefix agrees through its last block; the chain itself
+        // agrees everywhere, so adopting it discards nothing.
         let prefix = &trunk.as_slice()[..3];
         assert_eq!(trunk.fork_point(prefix), 3);
-        assert_eq!(trunk.divergence_depth(prefix), 3);
-        assert_eq!(trunk.divergence_depth(trunk.as_slice()), 0);
+        assert_eq!(trunk.fork_point(trunk.as_slice()), trunk.len() as u64);
     }
 
     #[test]
@@ -1449,6 +1443,5 @@ mod tests {
             900,
         );
         assert_eq!(pruned.fork_point(fork.retained_after(6)), 8);
-        assert_eq!(pruned.divergence_depth(fork.retained_after(6)), 3);
     }
 }

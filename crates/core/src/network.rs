@@ -505,7 +505,8 @@ pub struct EdgeNetwork {
     ledger: Ledger,
     /// Highest contiguous block index each node holds a view of.
     node_height: Vec<u64>,
-    /// All block indices each node has seen (contiguous or not).
+    /// The blocks each node holds past its contiguous `node_height`
+    /// ([`access::learn`]).
     node_known: Vec<BTreeSet<u64>>,
 
     pending_metadata: Vec<MetadataItem>,
@@ -721,7 +722,7 @@ impl EdgeNetwork {
             chain: Blockchain::new(),
             ledger: Ledger::new(),
             node_height: vec![0; config.nodes],
-            node_known: vec![BTreeSet::from([0u64]); config.nodes],
+            node_known: vec![BTreeSet::new(); config.nodes],
             pending_metadata: Vec::new(),
             catalogue: Catalogue::default(),
             next_data_id: 0,
@@ -1000,7 +1001,8 @@ impl EdgeNetwork {
         let node_max_known: Vec<u64> = self
             .node_known
             .iter()
-            .map(|known| known.last().copied().unwrap_or(0))
+            .zip(&self.node_height)
+            .map(|(known, &height)| known.last().copied().unwrap_or(height))
             .collect();
         let resurrected = std::mem::take(&mut self.resurrected_pending);
         self.checker.observe(
@@ -1227,9 +1229,8 @@ impl EdgeNetwork {
             }
             for &v in &receivers {
                 for idx in (w.base_height + 1)..=self.chain.height() {
-                    self.node_known[v.0].insert(idx);
+                    access::learn(&mut self.node_height, &mut self.node_known, v, idx);
                 }
-                access::advance_height(&mut self.node_height, &self.node_known, v);
                 self.storage[v.0].cache_recent(self.chain.height());
             }
         } else {
@@ -1631,12 +1632,11 @@ impl EdgeNetwork {
         received.extend(sealed.arrivals.iter().map(|(v, _)| *v));
         for &v in &received {
             let was_height = self.node_height[v.0];
-            self.node_known[v.0].insert(block_index);
+            access::learn(&mut self.node_height, &mut self.node_known, v, block_index);
             if block_index > was_height + 1 {
                 let (access, mut cx) = self.lend();
                 access.recover(&mut cx, v, block_index, now, 0);
             }
-            access::advance_height(&mut self.node_height, &self.node_known, v);
             // Everyone caches the newest block in its recent-cache FIFO.
             self.storage[v.0].cache_recent(block_index);
         }
@@ -1812,20 +1812,15 @@ impl EdgeNetwork {
         }
         // Every online node adopts the checkpoint anchor as it forms: the
         // blocks below the cut are consensus-final and no longer served
-        // block-by-block, so known-index sets shrink to the retained range
-        // and contiguous views resume from the boundary. Crashed nodes
-        // keep their stale view — they must snapshot-bootstrap on return.
-        for v in 0..self.config.nodes {
-            if !self.topo.is_active(NodeId(v)) {
-                continue;
-            }
-            self.node_known[v] = self.node_known[v].split_off(&cut);
-            // The anchor boundary stands in for the whole pruned prefix.
-            self.node_known[v].insert(cut - 1);
-            if self.node_height[v] + 1 < cut {
-                self.node_height[v] = cut - 1;
-            }
-            access::advance_height(&mut self.node_height, &self.node_known, NodeId(v));
+        // block-by-block, so a contiguous view resumes from the boundary.
+        // Crashed nodes keep their stale view — they must
+        // snapshot-bootstrap on return.
+        let online = (0..self.config.nodes)
+            .map(NodeId)
+            .filter(|&v| self.topo.is_active(v));
+        for v in online {
+            self.node_height[v.0] = self.node_height[v.0].max(cut - 1);
+            access::learn(&mut self.node_height, &mut self.node_known, v, cut - 1);
         }
         self.report.blocks_pruned += pruned;
         trace_event!(
@@ -1939,12 +1934,11 @@ impl EdgeNetwork {
         now: SimTime,
         popularity: Popularity,
     ) -> Option<MetadataItem> {
-        let known = &self.node_known[requester.0];
         // Every block up to the contiguous height is held, so only the
-        // blocks past it can hide an item.
+        // blocks past it, which the known set holds, can hide an item.
         let base = self.chain.base_index();
         let height = self.node_height[requester.0];
-        debug_assert!((base..=height).all(|i| known.contains(&i)));
+        let known = &self.node_known[requester.0];
         let visible = self
             .catalogue
             .visible(base.max(height + 1), known, now.as_secs());
@@ -2566,8 +2560,10 @@ mod tests {
         assert_eq!(net.node_height[v.0], 0);
         let (access, mut cx) = net.lend();
         access.recover(&mut cx, v, 3, SimTime::from_secs(1), 0);
-        assert!(net.node_known[v.0].contains(&1));
-        assert!(net.node_known[v.0].contains(&2));
+        assert!(
+            net.node_known[v.0].is_empty(),
+            "the known set holds only blocks past the contiguous height"
+        );
         assert_eq!(
             net.node_height[v.0], 3,
             "height must advance through the recovered prefix"

@@ -212,11 +212,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let at = self.peek_time()?;
@@ -359,7 +354,7 @@ mod tests {
         q.schedule(SimTime::from_millis(10 * RING + 7), 1);
         q.schedule(SimTime::from_millis(10 * RING + 7 + RING), 2);
         assert_eq!(q.pop(), Some((SimTime::from_millis(10 * RING + 7), 1)));
-        q.schedule_in(SimTime::ZERO, 3);
+        q.schedule(q.now(), 3);
         assert_eq!(q.pop(), Some((SimTime::from_millis(10 * RING + 7), 3)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(11 * RING + 7), 2)));
         assert!(q.pop().is_none());
@@ -382,16 +377,6 @@ mod tests {
         q.schedule(SimTime::from_secs(5), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2), "a");
-        q.pop();
-        q.schedule_in(SimTime::from_secs(3), "b");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(5));
     }
 
     #[test]

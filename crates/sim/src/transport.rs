@@ -176,7 +176,6 @@ pub struct Delivery {
 pub struct TrafficStats {
     sent: Vec<u64>,
     received: Vec<u64>,
-    messages: u64,
 }
 
 impl TrafficStats {
@@ -202,13 +201,8 @@ impl TrafficStats {
         self.sent.iter().sum()
     }
 
-    /// Total transfer volume per node: sent + received. This is the
+    /// Mean per-node transfer volume (sent + received) in bytes: the
     /// "transmission overhead" of Fig. 4(a)/5(b).
-    pub fn node_overhead(&self, node: NodeId) -> u64 {
-        self.sent_bytes(node) + self.received_bytes(node)
-    }
-
-    /// Mean per-node overhead in bytes.
     pub fn mean_node_overhead(&self) -> f64 {
         if self.sent.is_empty() {
             return 0.0;
@@ -220,11 +214,6 @@ impl TrafficStats {
             .map(|(s, r)| s + r)
             .sum();
         total as f64 / self.sent.len() as f64
-    }
-
-    /// Number of point-to-point transmissions performed.
-    pub fn message_count(&self) -> u64 {
-        self.messages
     }
 }
 
@@ -423,7 +412,6 @@ impl Transport {
             let depart = now.max(self.busy_until[src.0]);
             self.busy_until[src.0] = depart + tx;
             self.stats.sent[src.0] += bytes;
-            self.stats.messages += 1;
             self.dropped += 1;
             trace_event!(
                 "transport.drop",
@@ -487,7 +475,6 @@ impl Transport {
             received[v.0] += bytes;
             u = v;
         }
-        self.stats.messages += u64::from(hops);
         (t, hops)
     }
 
@@ -594,7 +581,6 @@ impl Transport {
             let done = depart + tx;
             self.busy_until[u.0] = done;
             self.stats.sent[u.0] += bytes;
-            self.stats.messages += 1;
             let reach = done + hop_delay;
             for v in topo.neighbors(u) {
                 if arrival[v.0].is_none() {
@@ -712,8 +698,6 @@ mod tests {
         assert_eq!(s.received_bytes(NodeId(1)), 100);
         assert_eq!(s.received_bytes(NodeId(2)), 100);
         assert_eq!(s.total_sent(), 200);
-        assert_eq!(s.message_count(), 2);
-        assert_eq!(s.node_overhead(NodeId(1)), 200);
     }
 
     #[test]

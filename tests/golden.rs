@@ -185,7 +185,7 @@ fn overload_byzantine_run_with_spans_is_pinned() {
         scenario::overload_byzantine(),
         true,
         [
-            "58179e3a8fedcacdc8215b88b7e62214675752e7612109baceeda3f5e62e21ce",
+            "74f635644dadacae8585d21c117b5db44b3a93b8ae5582e9ddef719f3afa4008",
             "d7211a05b4a7e7b27b51729bc944b82a65505691cb9d6f987859dcb502eb1df6",
             "cd5881ff9aa9173d2d6a87573d8df7065d641c4a8683fcae95d9a8be20444a4a",
         ],
@@ -222,7 +222,7 @@ fn five_attack_byzantine_run_with_spans_is_pinned() {
         scenario::byzantine(0xED6E),
         true,
         [
-            "223474d0f6935867787db4f439410a54543f52ff4fb3c6e0fa64f001197c3978",
+            "f82aa670579d61c0396e59b6def147cd614390e16fc4b14f9d821235f4f7f2ff",
             "a60f3ebf0e66790b80ea7cae8e3dfe787b23303cdfdff89586098468a2bdf96d",
             "7bfe4348a8281235d3bae5c1aa4af835dd3ac0e9fa6cc4f783809fbcf7c92af0",
         ],
@@ -250,7 +250,7 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
         scenario::tampered_snapshot(),
         true,
         [
-            "eddb7b14adcdb0384be2dda1010cba870761478d1a95450f16e7230a754c3771",
+            "0b192df7896892354f5ae3a198d31ce9cef7633a2b72ae4c85c1062a074c4b1d",
             "345b0caeb8e785dd33aea12a93d47c958c35d2a9167707976773d15cf376b60d",
             "a1555217c6d04b43d9eb34666a17c5d0cb61ee22ecf6b2f408c8f64d6fc79c56",
         ],

@@ -70,7 +70,7 @@ fn soak_reruns_are_bit_identical() {
     assert!(a.telemetry.is_none());
     assert_eq!(
         sha256(format!("{a:?}")).to_hex(),
-        "1935b40a0f419929d654666c1b94245417d52ebbbf0fe7f269743769fa198786",
+        "67ff23ebd3f77f7260eb8890722c7bfa4b3a750fae7b2d8e46f0b05cc15afcd4",
         "soak report digest moved"
     );
 }
@@ -152,4 +152,53 @@ fn a_fork_released_into_a_minority_component_breaks_no_invariant() {
         ..scenario::soak(240)
     });
     assert_eq!(report.invariant_violations, 0, "{report}");
+}
+
+/// The run of probe seed `i` of `scenario::soak(240)` (`seed = i ·
+/// 0x9E37_79B9 ⊕ 0x50AB`).
+fn probe(i: u64) -> RunReport {
+    run(NetworkConfig {
+        seed: i.wrapping_mul(0x9E37_79B9) ^ 0x50AB,
+        ..scenario::soak(240)
+    })
+}
+
+/// Probe seeds on which node 19's equivocation variant reached only lagging
+/// views. A laggard stashed the variant in its orphan pool beside every
+/// honest block that arrived ahead of its tip, and the pool evicted
+/// untagged entries first: the variant went before the view synced to its
+/// height, and the equivocation was never proven. Pools now stash only
+/// blocks the canonical chain does not hold.
+#[test]
+#[ignore = "eleven 240-minute soak runs, about 0.5 s each in release"]
+fn equivocations_reaching_only_laggards_are_detected() {
+    for i in [4, 45, 61, 76, 87, 94, 101, 108, 127, 137, 156] {
+        let report = probe(i);
+        assert_eq!(report.invariant_violations, 0, "probe seed {i}: {report}");
+        assert_eq!(
+            report.byz_detected, report.byz_injected,
+            "probe seed {i}: an injected artifact went undetected: {report}"
+        );
+    }
+}
+
+/// Probe seed 105: node 19's forged block 1829 (`byz_forge` artifact 2,
+/// injected at 7,200 s on canonical tip 1828) reaches five nodes, all
+/// behind it. Nodes 5 and 18 sit at 1795; nodes 2, 8 and 17 hold views
+/// to 1800 with `node_height` 1787, below the pruned base 1788. Each
+/// stashes the forgery and syncs, which cannot reach 1829. The prune to
+/// cut 1798 rebuilds 5 and 18, and the one to cut 1808 rebuilds 2, 8 and
+/// 17, from the anchor plus the canonical suffix (tips 1830 and 1840).
+/// Both jump the views past 1829 without judging their orphans, and the
+/// prune to cut 1838 drops all five forgeries as unjudgeable. Seed 133
+/// is the same class: seven views stuck at 1821 are rebuilt at cut 1828,
+/// which drops their forgery at 1823 in the same call.
+#[test]
+#[ignore = "a laggard rebuilt from the anchor drops its orphans unjudged"]
+fn a_forged_block_reaching_only_laggards_is_detected() {
+    let report = probe(105);
+    assert_eq!(
+        report.byz_detected, report.byz_injected,
+        "an injected artifact went undetected: {report}"
+    );
 }
