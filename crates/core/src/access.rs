@@ -700,15 +700,12 @@ impl Access {
                 }
                 continue;
             };
-            let chain = Blockchain::from_anchor(snap.anchor, snap.blocks)
-                .expect("verified snapshot attaches to its own anchor");
-            let snap_tip = chain.height();
+            // Every recovery is followed by an engine sync, which rebuilds
+            // the node's view from the anchor and blocks carried here.
+            let snap_tip = snap.anchor.height + snap.blocks.len() as u64;
             cx.node_known[v.0].clear();
             cx.node_height[v.0] = snap_tip;
             cx.storage[v.0].cache_recent(snap_tip);
-            if let Some(e) = cx.byz.as_deref_mut() {
-                e.bootstrap_from_snapshot(v, chain);
-            }
             cx.book_recovery(v, server, now, arrival);
             cx.report.snapshots_applied += 1;
             trace_event!(

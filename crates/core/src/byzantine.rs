@@ -583,7 +583,7 @@ impl ByzantineEngine {
     /// `kind`, judged at every receiver. A node that can verify it rejects
     /// it, which detects the artifact and convicts the miner for `reason`;
     /// a laggard cannot disprove the claim yet, so it keeps the orphan and
-    /// judges it after syncing.
+    /// judges it once its view holds that height.
     pub(crate) fn judge_bad_block(
         &mut self,
         court: &mut Court<'_>,
@@ -622,14 +622,15 @@ impl ByzantineEngine {
     /// `tag`ged `(artifact, kind, reason)` when an adversary sent it. A
     /// block extending the tip is verified in full — the broadcast's
     /// content verdict plus this node's linkage and PoS link — and adopted
-    /// by the same call ([`Blockchain::push_wire`]); a rejected
-    /// one convicts its miner when tagged and otherwise makes the node
-    /// reconcile; a conflicting same-height/same-miner header is an
-    /// equivocation proof; a block skipping ahead is too far ahead to
-    /// verify — the node reconciles, keeping the block only when it is a
-    /// suspect: sync re-delivers the canonical block at its height, so a
-    /// copy of that one could only be dropped, while a forgery or an
-    /// equivocating variant delivered to a laggard is judged after sync.
+    /// by the same call ([`Blockchain::push_wire`]), after which the view
+    /// judges the orphans it now reaches; a rejected one convicts its
+    /// miner when tagged and otherwise makes the node reconcile; a
+    /// conflicting same-height/same-miner header is an equivocation proof;
+    /// a block skipping ahead is too far ahead to verify — the node
+    /// reconciles, keeping the block only when it is a suspect: sync
+    /// re-delivers the canonical block at its height, so a copy of that one
+    /// could only be dropped, while a forgery or an equivocating variant
+    /// delivered to a laggard is judged once the view holds its height.
     /// Tagged blocks always sit at canonical height + 1, above every
     /// node's view, so they never take the equivocation arm.
     fn receive(
@@ -654,14 +655,15 @@ impl ByzantineEngine {
             if conflicting {
                 self.equivocation_proof(court, now, block.index, block.miner);
             }
-        } else if chain.push_wire(block, content).is_err() {
-            match tag {
-                Some((artifact, kind, reason)) => {
+        } else {
+            match (chain.push_wire(block, content), tag) {
+                (Ok(()), _) => self.resolve_orphans(court, now, v),
+                (Err(_), Some((artifact, kind, reason))) => {
                     let culprit = court.node_of_account.get(&block.miner);
                     let culprit = culprit.map(|&c| (c, reason));
                     self.convict(court, now, Some((artifact, kind)), culprit);
                 }
-                None => self.sync(court, now, v),
+                (Err(_), None) => self.sync(court, now, v),
             }
         }
     }
@@ -673,10 +675,10 @@ impl ByzantineEngine {
     /// forgery or tampered block, or an equivocation variant. A lagging
     /// node cannot verify it yet (its parent is unknown), so it is kept —
     /// with the injected-artifact tag when the sender was Byzantine —
-    /// until a later [`Self::sync`] lands the honest block at that height
-    /// and the orphan can be judged. Honest blocks never enter, so the
-    /// pool holds only proofs-in-waiting, a handful per run; the FIFO
-    /// bound of 8 only caps hostile input.
+    /// until the view holds the honest block at that height (a push or a
+    /// [`Self::sync`]) and the orphan can be judged. Honest blocks never
+    /// enter, so the pool holds only proofs-in-waiting, a handful per run;
+    /// the FIFO bound of 8 only caps hostile input.
     fn stash_orphan(&mut self, v: NodeId, block: Block, artifact: Option<Evidence>) {
         let pool = &mut self.orphans[v.0];
         if pool.iter().any(|(b, _)| b.hash == block.hash) {
@@ -695,32 +697,36 @@ impl ByzantineEngine {
         self.orphans.iter().map(VecDeque::len).sum()
     }
 
-    /// Reconciles node `v`'s chain view with the canonical chain up to its
-    /// contiguous recovered height, counting reorgs and convicting on the
-    /// equivocation proofs they surface; then, since a sync may have landed
-    /// the honest block at a stashed orphan's height, judges the orphans —
-    /// late proof of forgery, tampering, or equivocation.
+    /// Catches node `v`'s view up to its node's contiguous height, then
+    /// judges the orphans that may have landed at or below its tip.
     pub(crate) fn sync(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
-        self.catch_up(court, now, v);
+        self.catch_up(court, now, v, court.node_height[v.0]);
         self.resolve_orphans(court, now, v);
     }
 
-    /// Offers node `v`'s chain the canonical blocks from their fork point
-    /// up to the node's contiguous recovered height — an extension when
-    /// the view is a canonical prefix, a reorg when it sits on a fork —
-    /// and surfaces any equivocation proofs among the blocks it replaces.
-    /// A view whose fork point lies below the canonical pruned base is
-    /// offered nothing: those blocks exist nowhere any more, and the
-    /// network must bootstrap it from a snapshot
-    /// ([`Self::bootstrap_from_snapshot`]).
-    fn catch_up(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId) {
+    /// The one move of a view onto the canonical chain: offers node `v`'s
+    /// view the canonical blocks from their fork point up to `target` — an
+    /// extension or a reorg — and convicts on the equivocations among the
+    /// blocks it replaces. A view whose fork point was pruned away restarts
+    /// from the canonical anchor (the pruned prefix is consensus-final).
+    fn catch_up(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId, target: u64) {
         let canonical = court.canonical;
-        let target = court.node_height[v.0].min(canonical.height());
+        let target = target.min(canonical.height());
         let chain = &mut self.chains[v.0];
         if chain.height() >= target {
             return;
         }
         let fork_point = chain.fork_point(canonical.as_slice());
+        let base = canonical.base_index();
+        let Some(lo) = fork_point.checked_sub(base) else {
+            if let (Some(top), Some(anchor)) = (target.checked_sub(base), canonical.anchor()) {
+                let blocks = canonical.as_slice()[..=top as usize].to_vec();
+                if let Ok(rebuilt) = Blockchain::from_anchor(anchor.clone(), blocks) {
+                    *chain = rebuilt;
+                }
+            }
+            return;
+        };
         // Equivocation proofs: replaced local blocks whose canonical
         // counterpart has the same miner but a different hash.
         let equivocations: Vec<(u64, AccountId)> = (fork_point..=chain.height())
@@ -730,11 +736,8 @@ impl ByzantineEngine {
             })
             .collect();
         let depth = chain.height() + 1 - fork_point;
-        let base = canonical.base_index();
-        let candidate = fork_point
-            .checked_sub(base)
-            .map(|lo| &canonical.as_slice()[lo as usize..=(target - base) as usize]);
-        if candidate.is_some_and(|c| chain.try_adopt(c, self.policy)) && depth > 0 {
+        let candidate = &canonical.as_slice()[lo as usize..=(target - base) as usize];
+        if chain.try_adopt(candidate, self.policy) && depth > 0 {
             count_reorg(court.report, depth);
             trace_event!("chain.reorg", now.as_millis(), node = v.0, depth = depth);
         }
@@ -743,7 +746,7 @@ impl ByzantineEngine {
         }
     }
 
-    /// Judges node `v`'s stashed orphans against its (freshly synced)
+    /// Judges node `v`'s stashed orphans against its (freshly grown)
     /// chain: an orphan matching the adopted block at its height was
     /// honest and is dropped; a mismatching one is proof — of forgery or
     /// tampering when it carries an artifact tag (its claimed miner is
@@ -760,9 +763,9 @@ impl ByzantineEngine {
                 continue;
             }
             let Some(ours) = self.chains[v.0].get(block.index) else {
-                // Below the node's pruned base: the adopted block at that
-                // height is gone, so the orphan can never be judged. Drop
-                // it rather than keep it stashed forever.
+                // Below the view's own pruned base (it was offline across
+                // a cut): the adopted block at that height is gone, so the
+                // orphan can never be judged. Drop it.
                 continue;
             };
             if ours.hash == block.hash {
@@ -785,57 +788,45 @@ impl ByzantineEngine {
 
     // ---- chain lifecycle ------------------------------------------------
 
-    /// Mirrors the canonical chain's latest prune into the per-node chain
-    /// views; `active` tells which nodes are online.
-    ///
-    /// A view holding the canonical block at the cut (the new base) shares
-    /// the entire pruned prefix — the hash chain guarantees it — so it
-    /// re-bases onto the same signed anchor, in place
-    /// ([`Blockchain::rebase_onto`]): its blocks were verified when the
-    /// view adopted them, so none is cloned or rehashed. Agreeing at the
-    /// anchor's block alone is not enough: a sibling at the cut attaches
-    /// to the anchor too, and re-basing onto it would leave the view no
-    /// block below its fork point to reorg from. Such a view keeps its
-    /// base and reorgs at its next [`Self::sync`]. An online honest view
-    /// that fell behind the anchor can neither re-sync block-by-block nor
-    /// judge tip blocks, so it adopts the anchor plus the canonical
-    /// suffix (the pruned prefix is consensus-final); an offline one
-    /// snapshot-bootstraps on return. Orphans below the new base are
-    /// unjudgeable (the adopted blocks at their heights are gone
-    /// everywhere) and are dropped.
-    pub(crate) fn prune_below(&mut self, canonical: &Blockchain, active: impl Fn(NodeId) -> bool) {
+    /// Syncs every `online` view while the blocks below `cut` still exist:
+    /// a view the cut would strand syncs to the canonical tip, so it holds
+    /// the block at the cut to re-base on; any other to its node's height.
+    pub(crate) fn sync_before_cut(
+        &mut self,
+        court: &mut Court<'_>,
+        now: SimTime,
+        cut: u64,
+        online: impl Fn(NodeId) -> bool,
+    ) {
+        for v in (0..self.chains.len()).map(NodeId).filter(|&v| online(v)) {
+            let strands = self.chains[v.0].height() + 1 < cut;
+            let target = if strands {
+                court.canonical.height()
+            } else {
+                court.node_height[v.0]
+            };
+            self.catch_up(court, now, v, target);
+            self.resolve_orphans(court, now, v);
+        }
+    }
+
+    /// Mirrors the canonical chain's latest prune into the views: one
+    /// holding the canonical block at the cut shares the pruned prefix, so
+    /// it re-bases onto the anchor in place ([`Blockchain::rebase_onto`]).
+    /// A sibling at the cut attaches to the anchor too, but re-based it
+    /// could never reorg: every other view keeps its base until a sync.
+    pub(crate) fn prune_below(&mut self, canonical: &Blockchain) {
         let Some(anchor) = canonical.anchor() else {
             return;
         };
         let cut = canonical.base_index();
         let at_cut = canonical.as_slice()[0].hash;
-        for (v, chain) in self.chains.iter_mut().enumerate() {
-            if chain.base_index() >= cut {
-                continue;
-            }
+        for chain in &mut self.chains {
             let agrees = chain.get(cut).is_some_and(|b| b.hash == at_cut);
-            if agrees && chain.rebase_onto(anchor).is_ok() {
+            if chain.base_index() < cut && agrees && chain.rebase_onto(anchor).is_ok() {
                 telemetry::counter_add("chain.rebased_views", 1);
-            } else if self.honest[v] && chain.height() + 1 < cut && active(NodeId(v)) {
-                let suffix = canonical.as_slice().to_vec();
-                if let Ok(rebuilt) = Blockchain::from_anchor(anchor.clone(), suffix) {
-                    *chain = rebuilt;
-                }
             }
         }
-        for pool in &mut self.orphans {
-            pool.retain(|(b, _)| b.index >= cut);
-        }
-    }
-
-    /// Replaces node `v`'s chain view with one rebuilt from a verified
-    /// snapshot (a deep rejoin past the canonical pruned base). Stashed
-    /// orphans below the snapshot base can no longer be judged and are
-    /// dropped; ones ahead of it stay for the next resolution pass.
-    pub(crate) fn bootstrap_from_snapshot(&mut self, v: NodeId, chain: Blockchain) {
-        let base = chain.base_index();
-        self.orphans[v.0].retain(|(b, _)| b.index >= base);
-        self.chains[v.0] = chain;
     }
 }
 
@@ -1156,6 +1147,23 @@ mod tests {
         }
     }
 
+    /// The sequence `EdgeNetwork::maybe_prune` runs for a cut at `cut`:
+    /// every online node's height is lifted onto the anchor's block, the
+    /// online views sync, the canonical chain prunes, the views follow.
+    fn prune_as_the_network_does(
+        eng: &mut ByzantineEngine,
+        w: &mut World,
+        cut: u64,
+        online: impl Fn(NodeId) -> bool,
+    ) {
+        for v in (0..w.node_height.len()).filter(|&v| online(NodeId(v))) {
+            w.node_height[v] = w.node_height[v].max(cut - 1);
+        }
+        eng.sync_before_cut(&mut w.court(), NOW, cut, &online);
+        w.canonical.prune_below(cut, Identity::from_seed(42).keys());
+        eng.prune_below(&w.canonical);
+    }
+
     #[test]
     fn canonical_pruning_re_bases_agreeing_views_and_stays_safe() {
         let (mut eng, mut w) = (engine(4), World::new(4));
@@ -1166,54 +1174,89 @@ mod tests {
         w.node_height[3] = 2;
         eng.sync(&mut w.court(), NOW, NodeId(2));
         eng.sync(&mut w.court(), NOW, NodeId(3));
-        // A tagged orphan at height 4 on node 2: once the canonical chain
-        // prunes past it, it can never be judged and must be dropped.
+        // A tagged orphan at height 4 on the offline node 2: the cut at 5
+        // leaves it below the base the view will be rebuilt on.
         let full = w.canonical.clone();
         let orphan = mined(full.get(3).unwrap(), 5, 241);
         eng.stash_orphan(NodeId(2), orphan, Some((0, "byz_forge")));
 
-        let identity = Identity::from_seed(42);
-        w.canonical.prune_below(5, identity.keys());
-        let anchor = w.canonical.anchor().unwrap().clone();
-        eng.prune_below(&w.canonical, |v| v != NodeId(2));
-
+        prune_as_the_network_does(&mut eng, &mut w, 5, |v| v != NodeId(2));
         assert_eq!(eng.chains[1].base_index(), 5);
-        assert_eq!(eng.chains[1].height(), 9);
         assert_eq!(eng.chains[1], w.canonical);
-        assert_eq!(eng.chains[2].base_index(), 0, "offline laggard left intact");
         assert_eq!(
             eng.chains[3], w.canonical,
-            "online laggard adopts the anchor"
+            "online laggard synced before the cut, then re-based"
         );
-        assert_eq!(eng.chains[0].height(), 0, "the adversary's view is its own");
-        assert_eq!(
-            eng.orphan_entries(),
-            0,
-            "below-base orphan dropped at the prune"
-        );
+        assert_eq!(eng.chains[2].base_index(), 0, "offline laggard left intact");
+        assert_eq!(eng.orphan_entries(), 1, "no prune drops an orphan");
 
         // An orphan below a re-based node's own pruned base resolves as a
         // graceful drop, never a panic.
         let stale = mined(full.get(2).unwrap(), 6, 200);
         eng.stash_orphan(NodeId(1), stale, None);
         eng.sync(&mut w.court(), NOW, NodeId(1));
-        assert_eq!(eng.orphan_entries(), 0);
+        assert_eq!(eng.orphan_entries(), 1);
 
-        // A deep laggard cannot sync block-by-block across the pruned gap:
-        // the call is a no-op asking for a snapshot, not a panic.
-        w.node_height[2] = 9;
+        // Back online with a height short of the base, node 2 has nothing
+        // to sync to; once its height passes the base (a snapshot landed),
+        // its first sync rebuilds it from the anchor, and its orphan —
+        // below the rebuilt base, judgeable nowhere — is dropped.
         eng.sync(&mut w.court(), NOW, NodeId(2));
         assert_eq!(eng.chains[2].height(), 2);
-
-        // Snapshot bootstrap lands the laggard on the pruned canonical
-        // view, after which normal sync works again.
-        let rebuilt = Blockchain::from_anchor(anchor, w.canonical.as_slice().to_vec()).unwrap();
-        eng.bootstrap_from_snapshot(NodeId(2), rebuilt);
-        assert_eq!(eng.chains[2], w.canonical);
+        w.node_height[2] = 9;
         eng.sync(&mut w.court(), NOW, NodeId(2));
-        assert_eq!(eng.chains[2].height(), 9);
+        assert_eq!(eng.chains[2], w.canonical);
+        assert_eq!(eng.orphan_entries(), 0);
         assert_eq!(w.report.reorgs, 0);
         assert_eq!(w.report.quarantine_events, 0);
+    }
+
+    #[test]
+    fn a_forgery_stashed_by_a_laggard_is_judged_as_its_view_grows() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(1, 1);
+        // Node 1 sits at genesis with nothing to sync to: the forgery at
+        // height 2 is stashed.
+        w.node_height[1] = 0;
+        let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
+        let charge = ("byz_forge", "forged-block");
+        eng.judge_bad_block(&mut w.court(), NOW, &forged, &[NodeId(1)], charge);
+        assert_eq!(eng.orphan_entries(), 1);
+        // The canonical blocks then reach it one by one, each extending its
+        // tip: the one at the forgery's height disproves it, no sync run.
+        w.grow(1, 1);
+        w.node_height[1] = 0;
+        for h in 1..=2 {
+            let block = w.canonical.get(h).unwrap().clone();
+            eng.receive(&mut w.court(), NOW, NodeId(1), heard(&block), None);
+        }
+        assert_eq!(eng.chains[1], w.canonical);
+        assert_eq!((w.report.byz_injected, w.report.byz_detected), (1, 1));
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(eng.orphan_entries(), 0);
+    }
+
+    #[test]
+    fn a_laggards_orphan_below_the_cut_is_judged_before_the_prune() {
+        let (mut eng, mut w) = (engine(3), World::new(3));
+        w.grow(3, 1);
+        // Node 1 lags at height 1 and stashes a forgery at 4, between its
+        // tip and the coming cut at 6.
+        w.node_height[1] = 1;
+        eng.sync(&mut w.court(), NOW, NodeId(1));
+        let forged = eng.forge_block(&w.court(), NOW, NodeId(2));
+        let charge = ("byz_forge", "forged-block");
+        eng.judge_bad_block(&mut w.court(), NOW, &forged, &[NodeId(1)], charge);
+        w.grow(6, 1);
+        w.node_height[1] = 1;
+        assert_eq!((eng.orphan_entries(), w.report.byz_detected), (1, 0));
+        // The cut at 6 would strand the view: it syncs to the canonical
+        // tip while block 4 still exists, which disproves the forgery (the
+        // prune itself judges nothing), then re-bases.
+        prune_as_the_network_does(&mut eng, &mut w, 6, |_| true);
+        assert_eq!(w.report.byz_detected, 1, "convicted before the cut");
+        assert!(eng.is_quarantined(NodeId(2), NOW));
+        assert_eq!(eng.chains[1], w.canonical, "re-based at the cut");
     }
 
     #[test]
@@ -1229,7 +1272,7 @@ mod tests {
         w.grow(5, 1);
         w.node_height[1] = 5;
         w.canonical.prune_below(5, Identity::from_seed(42).keys());
-        eng.prune_below(&w.canonical, |_| true);
+        eng.prune_below(&w.canonical);
         assert_eq!(eng.chains[1].base_index(), 0, "not re-based onto its fork");
 
         w.node_height[1] = 9;
@@ -1239,7 +1282,7 @@ mod tests {
         assert_eq!((w.report.reorgs, w.report.max_reorg_depth), (1, 1));
         // Back on the canonical branch, the next prune re-bases it.
         w.canonical.prune_below(7, Identity::from_seed(42).keys());
-        eng.prune_below(&w.canonical, |_| true);
+        eng.prune_below(&w.canonical);
         assert_eq!(eng.chains[1].base_index(), 7);
         assert_eq!(eng.chains[1].as_slice(), w.canonical.as_slice());
     }

@@ -1776,9 +1776,9 @@ impl EdgeNetwork {
     /// [`crate::chain::ChainAnchor`] carrying the Merkle commitment over
     /// the pruned history — never past `fork_base`, the base block a
     /// withheld private fork still references, or its release could not
-    /// re-attach. Storage follows suit (reclaimed slots feed straight back
-    /// into the UFL occupancy costs), and the Byzantine per-node views
-    /// follow it ([`ByzantineEngine::prune_below`]).
+    /// re-attach. Online nodes first adopt the anchor's block and their
+    /// views sync ([`ByzantineEngine::sync_before_cut`]); storage and the
+    /// views then follow the prune.
     fn maybe_prune(&mut self, now: SimTime, fork_base: Option<u64>) {
         if !self.config.prune_blocks {
             return;
@@ -1791,6 +1791,20 @@ impl EdgeNetwork {
         if cut <= self.chain.base_index() {
             return;
         }
+        // The blocks below the cut are consensus-final and no longer served
+        // block-by-block: online nodes resume from the boundary, crashed
+        // ones snapshot-bootstrap on return.
+        for v in (0..self.config.nodes).map(NodeId) {
+            if self.topo.is_active(v) {
+                self.node_height[v.0] = self.node_height[v.0].max(cut - 1);
+                access::learn(&mut self.node_height, &mut self.node_known, v, cut - 1);
+            }
+        }
+        let (_, mut cx) = self.lend();
+        let topo = cx.topo;
+        if let Some((engine, mut court)) = cx.adversary() {
+            engine.sync_before_cut(&mut court, now, cut, |v| topo.is_active(v));
+        }
         // The anchor is signed by the miner of the boundary block (the
         // last pruned one); fall back to node 0 for a genesis-only prefix.
         let signer = self
@@ -1800,27 +1814,12 @@ impl EdgeNetwork {
             .map_or(0, |v| v.0);
         let keys = self.identities[signer].keys();
         let pruned = self.chain.prune_below(cut, keys);
-        if pruned == 0 {
-            return;
-        }
         let mut reclaimed = 0u64;
         for s in &mut self.storage {
             reclaimed += s.prune_blocks_below(cut);
         }
         if let Some(e) = self.byz.as_mut() {
-            e.prune_below(&self.chain, |v| self.topo.is_active(v));
-        }
-        // Every online node adopts the checkpoint anchor as it forms: the
-        // blocks below the cut are consensus-final and no longer served
-        // block-by-block, so a contiguous view resumes from the boundary.
-        // Crashed nodes keep their stale view — they must
-        // snapshot-bootstrap on return.
-        let online = (0..self.config.nodes)
-            .map(NodeId)
-            .filter(|&v| self.topo.is_active(v));
-        for v in online {
-            self.node_height[v.0] = self.node_height[v.0].max(cut - 1);
-            access::learn(&mut self.node_height, &mut self.node_known, v, cut - 1);
+            e.prune_below(&self.chain);
         }
         self.report.blocks_pruned += pruned;
         trace_event!(
