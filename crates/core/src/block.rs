@@ -10,9 +10,10 @@
 //! §V-C).
 
 use crate::account::AccountId;
+use crate::codec::{block_hashed_bytes, item_leaf_bytes};
 use crate::metadata::MetadataItem;
 use crate::pos::Amendment;
-use edgechain_crypto::{leaf_hash, Digest, MerkleTree, Sha256};
+use edgechain_crypto::{leaf_hash, sha256, Digest, MerkleTree};
 use edgechain_sim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -46,7 +47,8 @@ pub struct Block {
     pub prev_storing_nodes: Vec<NodeId>,
     /// Nodes instructed to grow their recent-block cache by one.
     pub recent_cache_nodes: Vec<NodeId>,
-    /// Hash of this block (over every field above).
+    /// Hash of this block (over the header: every field above but
+    /// `metadata`, which `merkle_root` commits).
     pub hash: Digest,
     /// Lazily-filled derived data (wire encoding, Merkle leaf digests);
     /// invisible to equality and the codec.
@@ -104,7 +106,7 @@ impl Block {
             index: 0,
             prev_hash: Digest::ZERO,
             timestamp_secs: 0,
-            pos_hash: edgechain_crypto::sha256(b"edgechain-genesis-pos"),
+            pos_hash: sha256(b"edgechain-genesis-pos"),
             miner: AccountId(Digest::ZERO),
             delay_secs: 0,
             amendment: Amendment::from_fraction(1, 1),
@@ -139,7 +141,7 @@ impl Block {
         // from them here and the sealed-path verification reuses them.
         let leaves: Arc<[Digest]> = metadata
             .iter()
-            .map(|m| leaf_hash(&m.canonical_bytes()))
+            .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
             .collect();
         let merkle_root = MerkleTree::from_leaf_hashes(leaves.to_vec()).root();
         let mut block = Block {
@@ -163,38 +165,19 @@ impl Block {
         block
     }
 
-    /// Hash of all fields except `hash` itself.
+    /// Hash of the header as [`crate::codec::encode_block`] writes it
+    /// (every field but `metadata`, which `merkle_root` commits, and
+    /// `hash` itself).
     pub fn compute_hash(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"edgechain-block-v1");
-        h.update(self.index.to_be_bytes());
-        h.update(self.prev_hash.as_bytes());
-        h.update(self.timestamp_secs.to_be_bytes());
-        h.update(self.pos_hash.as_bytes());
-        h.update(self.miner.as_bytes());
-        h.update(self.delay_secs.to_be_bytes());
-        h.update(self.amendment.numerator().to_be_bytes());
-        h.update(self.amendment.denominator().to_be_bytes());
-        h.update(self.merkle_root.as_bytes());
-        for set in [
-            &self.storing_nodes,
-            &self.prev_storing_nodes,
-            &self.recent_cache_nodes,
-        ] {
-            h.update((set.len() as u64).to_be_bytes());
-            for n in set.iter() {
-                h.update((n.0 as u64).to_be_bytes());
-            }
-        }
-        h.finalize()
+        sha256(block_hashed_bytes(self))
     }
 
     /// Recomputes the Merkle root over the metadata items, rehashing every
-    /// item from its canonical bytes. This is the honest reference path:
+    /// item's whole encoding. This is the honest reference path:
     /// it never consults the leaf cache, so it detects any post-seal
     /// mutation.
     pub fn compute_merkle_root(&self) -> Digest {
-        MerkleTree::from_leaves(self.metadata.iter().map(|m| m.canonical_bytes())).root()
+        MerkleTree::from_leaves(self.metadata.iter().map(item_leaf_bytes)).root()
     }
 
     /// Structural self-check: hash and Merkle root match the contents.
@@ -204,12 +187,12 @@ impl Block {
 
     /// The Merkle leaf digests over the metadata items, hashed at seal
     /// time by [`Block::new`] (or on first use for decoded blocks) and
-    /// cached. Index `i` commits to `metadata[i].canonical_bytes()`.
+    /// cached. Index `i` commits to `metadata[i]`'s whole encoding.
     pub fn leaf_digests(&self) -> &[Digest] {
         self.cache.leaves.get_or_init(|| {
             self.metadata
                 .iter()
-                .map(|m| leaf_hash(&m.canonical_bytes()))
+                .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
                 .collect()
         })
     }
@@ -632,7 +615,7 @@ mod tests {
         let expect: Vec<Digest> = b
             .metadata
             .iter()
-            .map(|m| leaf_hash(&m.canonical_bytes()))
+            .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
             .collect();
         assert_eq!(b.leaf_digests(), expect.as_slice());
         assert_eq!(

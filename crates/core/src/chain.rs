@@ -22,7 +22,8 @@
 
 use crate::account::{AccountId, Ledger};
 use crate::block::{Block, BlockError};
-use edgechain_crypto::{sha256_pair, Digest, KeyPair, MerkleTree, PublicKey, Sha256, Signature};
+use crate::codec;
+use edgechain_crypto::{sha256_pair, Digest, KeyPair, MerkleTree, PublicKey, Signature};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,7 +62,7 @@ pub struct ChainAnchor {
     pub signer: AccountId,
     /// Its public key (must hash to `signer`).
     pub signer_key: PublicKey,
-    /// Signature over [`ChainAnchor::signing_digest`].
+    /// Signature over the anchor's encoding less this field.
     pub signature: Signature,
 }
 
@@ -91,28 +92,8 @@ impl ChainAnchor {
             signer_key,
             signature: Signature::from_bytes(&[0u8; 64]),
         };
-        anchor.signature = keys.sign(anchor.signing_digest().as_bytes());
+        anchor.signature = keys.sign(codec::anchor_signed_bytes(&anchor).as_ref());
         anchor
-    }
-
-    /// Digest the pruning node signs: every field except the signature.
-    pub fn signing_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"edgechain.anchor.v1");
-        h.update(self.height.to_le_bytes());
-        h.update(self.tip_hash.as_bytes());
-        h.update(self.tip_pos_hash.as_bytes());
-        h.update(self.tip_timestamp_secs.to_le_bytes());
-        h.update(self.commitment.as_bytes());
-        h.update((self.mined.len() as u64).to_le_bytes());
-        for (acct, n) in &self.mined {
-            h.update(acct.as_bytes());
-            h.update(n.to_le_bytes());
-        }
-        h.update(self.metadata_items.to_le_bytes());
-        h.update(self.signer.as_bytes());
-        h.update(self.signer_key.to_bytes());
-        h.finalize()
     }
 
     /// Verifies the signature and that the key matches the signer account.
@@ -120,7 +101,7 @@ impl ChainAnchor {
         AccountId::from_public_key(&self.signer_key) == self.signer
             && self
                 .signer_key
-                .verify(self.signing_digest().as_bytes(), &self.signature)
+                .verify(codec::anchor_signed_bytes(self).as_ref(), &self.signature)
     }
 
     /// Blocks mined by `account` inside the pruned prefix.
@@ -155,7 +136,7 @@ pub struct Snapshot {
     pub server: AccountId,
     /// Its public key (must hash to `server`).
     pub server_key: PublicKey,
-    /// Signature over [`Snapshot::signing_digest`].
+    /// Signature over the snapshot's encoding less this field.
     pub signature: Signature,
 }
 
@@ -176,31 +157,8 @@ impl Snapshot {
             server_key,
             signature: Signature::from_bytes(&[0u8; 64]),
         };
-        snapshot.signature = keys.sign(snapshot.signing_digest().as_bytes());
+        snapshot.signature = keys.sign(codec::snapshot_signed_bytes(&snapshot).as_ref());
         snapshot
-    }
-
-    /// Digest the serving node signs: the anchor (digest + signature),
-    /// every suffix block hash, and the canonical bytes of every registry
-    /// entry — the storer maps included, since those are exactly what a
-    /// tamperer would rewrite.
-    pub fn signing_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"edgechain.snapshot.v1");
-        h.update(self.anchor.signing_digest().as_bytes());
-        h.update(self.anchor.signature.to_bytes());
-        h.update((self.blocks.len() as u64).to_le_bytes());
-        for b in &self.blocks {
-            h.update(b.hash.as_bytes());
-        }
-        h.update((self.registry.len() as u64).to_le_bytes());
-        for (item, packed_at) in &self.registry {
-            h.update(item.canonical_bytes());
-            h.update(packed_at.to_le_bytes());
-        }
-        h.update(self.server.as_bytes());
-        h.update(self.server_key.to_bytes());
-        h.finalize()
     }
 
     /// Full verification: server key matches the account and the
@@ -208,15 +166,16 @@ impl Snapshot {
     /// the anchor with valid linkage throughout (every block well-formed),
     /// and every registry entry claims a packing block at or below the tip
     /// and carries a `producer_key` that hashes to its `producer`. The
-    /// signing digest commits each entry's canonical bytes, which omit the
-    /// key, so the key is bound here instead.
+    /// server's signature covers each entry's whole encoding, key
+    /// included; the key check is input validation, so a server cannot
+    /// sign an entry whose key belongs to another account.
     pub fn verify(&self) -> bool {
         if AccountId::from_public_key(&self.server_key) != self.server {
             return false;
         }
         if !self
             .server_key
-            .verify(self.signing_digest().as_bytes(), &self.signature)
+            .verify(codec::snapshot_signed_bytes(self).as_ref(), &self.signature)
         {
             return false;
         }

@@ -11,6 +11,15 @@
 //! of this encoding, so every byte the simulator charges corresponds to a
 //! byte a real deployment would transmit.
 //!
+//! The writers here are also the one field list every hash and signature
+//! covers: a commitment is the type's encoding, opened with a per-type
+//! domain tag and written without its own signature. A producer signs
+//! its item's encoding less `signature` and `storing_nodes` (the miner
+//! assigns storers after signing); a Merkle leaf is the item's whole
+//! encoding; a block hash is the header [`encode_block`] writes, whose
+//! Merkle root commits the items; anchors and snapshots are signed over
+//! their encodings less the trailing signature.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,6 +44,24 @@ use std::fmt;
 
 /// Format version written as the first byte of every top-level object.
 pub const FORMAT_VERSION: u8 = 1;
+
+/// Domain tags, one per commitment, so bytes committed for one purpose
+/// never verify for another.
+const ITEM_SIGNATURE_TAG: &[u8] = b"edgechain.item.signature.v1";
+const ITEM_LEAF_TAG: &[u8] = b"edgechain.item.leaf.v1";
+const BLOCK_HASH_TAG: &[u8] = b"edgechain.block.hash.v1";
+const ANCHOR_SIGNATURE_TAG: &[u8] = b"edgechain.anchor.signature.v1";
+const SNAPSHOT_SIGNATURE_TAG: &[u8] = b"edgechain.snapshot.signature.v1";
+
+/// What `write` puts after `tag` (empty for the wire form) and the format
+/// version.
+fn framed(tag: &[u8], write: impl FnOnce(&mut BytesMut)) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(512);
+    buf.put_slice(tag);
+    buf.put_u8(FORMAT_VERSION);
+    write(&mut buf);
+    buf
+}
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,7 +224,15 @@ fn read_data_type(r: &mut Reader) -> Result<DataType, DecodeError> {
     }
 }
 
-fn put_metadata(buf: &mut BytesMut, item: &MetadataItem) {
+/// How much of an item [`put_metadata`] writes: all of it, or only what
+/// its producer signs.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    Whole,
+    Signed,
+}
+
+fn put_metadata(buf: &mut BytesMut, item: &MetadataItem, part: Part) {
     buf.put_u64_le(item.data_id.0);
     put_data_type(buf, &item.data_type);
     buf.put_u64_le(item.produced_at_secs);
@@ -206,8 +241,10 @@ fn put_metadata(buf: &mut BytesMut, item: &MetadataItem) {
     buf.put_f64_le(item.location.y);
     buf.put_slice(item.producer.as_bytes());
     buf.put_slice(&item.producer_key.to_bytes());
-    buf.put_slice(&item.signature.to_bytes());
-    put_nodes(buf, &item.storing_nodes);
+    if part == Part::Whole {
+        buf.put_slice(&item.signature.to_bytes());
+        put_nodes(buf, &item.storing_nodes);
+    }
     buf.put_u64_le(item.valid_minutes);
     match &item.properties {
         Some(p) => {
@@ -257,10 +294,19 @@ fn read_metadata(r: &mut Reader) -> Result<MetadataItem, DecodeError> {
 /// Encodes a metadata item on its own (the form broadcast at generation
 /// time, before any block packs it).
 pub fn encode_metadata(item: &MetadataItem) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_u8(FORMAT_VERSION);
-    put_metadata(&mut buf, item);
-    buf.to_vec()
+    framed(b"", |buf| put_metadata(buf, item, Part::Whole)).to_vec()
+}
+
+/// The bytes an item's producer signs.
+pub(crate) fn item_signed_bytes(item: &MetadataItem) -> impl AsRef<[u8]> {
+    framed(ITEM_SIGNATURE_TAG, |buf| {
+        put_metadata(buf, item, Part::Signed)
+    })
+}
+
+/// The bytes an item's Merkle leaf commits.
+pub(crate) fn item_leaf_bytes(item: &MetadataItem) -> impl AsRef<[u8]> {
+    framed(ITEM_LEAF_TAG, |buf| put_metadata(buf, item, Part::Whole))
 }
 
 /// Decodes a standalone metadata item.
@@ -292,8 +338,24 @@ pub fn encode_block(block: &Block) -> Vec<u8> {
 }
 
 fn encode_block_inner(block: &Block) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(512);
-    buf.put_u8(FORMAT_VERSION);
+    framed(b"", |buf| {
+        put_header(buf, block);
+        buf.put_u64_le(block.metadata.len() as u64);
+        for item in &block.metadata {
+            put_metadata(buf, item, Part::Whole);
+        }
+        buf.put_slice(block.hash.as_bytes());
+    })
+    .to_vec()
+}
+
+/// The bytes a block hash covers: the header (not counted as a block
+/// encode).
+pub(crate) fn block_hashed_bytes(block: &Block) -> impl AsRef<[u8]> {
+    framed(BLOCK_HASH_TAG, |buf| put_header(buf, block))
+}
+
+fn put_header(buf: &mut BytesMut, block: &Block) {
     buf.put_u64_le(block.index);
     buf.put_slice(block.prev_hash.as_bytes());
     buf.put_u64_le(block.timestamp_secs);
@@ -303,15 +365,9 @@ fn encode_block_inner(block: &Block) -> Vec<u8> {
     buf.put_u128_le(block.amendment.numerator());
     buf.put_u128_le(block.amendment.denominator());
     buf.put_slice(block.merkle_root.as_bytes());
-    put_nodes(&mut buf, &block.storing_nodes);
-    put_nodes(&mut buf, &block.prev_storing_nodes);
-    put_nodes(&mut buf, &block.recent_cache_nodes);
-    buf.put_u64_le(block.metadata.len() as u64);
-    for item in &block.metadata {
-        put_metadata(&mut buf, item);
-    }
-    buf.put_slice(block.hash.as_bytes());
-    buf.to_vec()
+    put_nodes(buf, &block.storing_nodes);
+    put_nodes(buf, &block.prev_storing_nodes);
+    put_nodes(buf, &block.recent_cache_nodes);
 }
 
 /// Decodes a block.
@@ -406,6 +462,11 @@ pub fn decode_chain(data: &[u8]) -> Result<Vec<Block>, DecodeError> {
 }
 
 fn put_anchor(buf: &mut BytesMut, anchor: &ChainAnchor) {
+    put_anchor_unsigned(buf, anchor);
+    buf.put_slice(&anchor.signature.to_bytes());
+}
+
+fn put_anchor_unsigned(buf: &mut BytesMut, anchor: &ChainAnchor) {
     buf.put_u64_le(anchor.height);
     buf.put_slice(anchor.tip_hash.as_bytes());
     buf.put_slice(anchor.tip_pos_hash.as_bytes());
@@ -419,7 +480,6 @@ fn put_anchor(buf: &mut BytesMut, anchor: &ChainAnchor) {
     buf.put_u64_le(anchor.metadata_items);
     buf.put_slice(anchor.signer.as_bytes());
     buf.put_slice(&anchor.signer_key.to_bytes());
-    buf.put_slice(&anchor.signature.to_bytes());
 }
 
 fn read_anchor(r: &mut Reader) -> Result<ChainAnchor, DecodeError> {
@@ -457,10 +517,12 @@ fn read_anchor(r: &mut Reader) -> Result<ChainAnchor, DecodeError> {
 
 /// Encodes a pruned-prefix anchor.
 pub fn encode_anchor(anchor: &ChainAnchor) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_u8(FORMAT_VERSION);
-    put_anchor(&mut buf, anchor);
-    buf.to_vec()
+    framed(b"", |buf| put_anchor(buf, anchor)).to_vec()
+}
+
+/// The bytes an anchor's signer signs.
+pub(crate) fn anchor_signed_bytes(anchor: &ChainAnchor) -> impl AsRef<[u8]> {
+    framed(ANCHOR_SIGNATURE_TAG, |buf| put_anchor_unsigned(buf, anchor))
 }
 
 /// Decodes a pruned-prefix anchor encoded by [`encode_anchor`].
@@ -483,27 +545,41 @@ pub fn decode_anchor(data: &[u8]) -> Result<ChainAnchor, DecodeError> {
 }
 
 /// Encodes a bootstrap snapshot: anchor, retained block suffix (each
-/// block length-prefixed, reusing the cached [`Block::encoded`] bytes),
-/// the live registry with packing indices, and the server credentials.
+/// block length-prefixed), the live registry with packing indices, and
+/// the server credentials. The blocks are written afresh, not read from
+/// [`Block::encoded`], because the same writer produces the bytes the
+/// server signs: a verifier's decoded blocks have no cached encoding, and
+/// filling one would count as a wire encode.
 pub fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4096);
-    buf.put_u8(FORMAT_VERSION);
-    put_anchor(&mut buf, &snapshot.anchor);
+    framed(b"", |buf| {
+        put_snapshot_unsigned(buf, snapshot);
+        buf.put_slice(&snapshot.signature.to_bytes());
+    })
+    .to_vec()
+}
+
+/// The bytes a snapshot's server signs.
+pub(crate) fn snapshot_signed_bytes(snapshot: &Snapshot) -> impl AsRef<[u8]> {
+    framed(SNAPSHOT_SIGNATURE_TAG, |buf| {
+        put_snapshot_unsigned(buf, snapshot)
+    })
+}
+
+fn put_snapshot_unsigned(buf: &mut BytesMut, snapshot: &Snapshot) {
+    put_anchor(buf, &snapshot.anchor);
     buf.put_u64_le(snapshot.blocks.len() as u64);
     for b in &snapshot.blocks {
-        let enc = b.encoded();
+        let enc = encode_block_inner(b);
         buf.put_u64_le(enc.len() as u64);
         buf.put_slice(&enc);
     }
     buf.put_u64_le(snapshot.registry.len() as u64);
     for (item, packed_at) in &snapshot.registry {
-        put_metadata(&mut buf, item);
+        put_metadata(buf, item, Part::Whole);
         buf.put_u64_le(*packed_at);
     }
     buf.put_slice(snapshot.server.as_bytes());
     buf.put_slice(&snapshot.server_key.to_bytes());
-    buf.put_slice(&snapshot.signature.to_bytes());
-    buf.to_vec()
 }
 
 /// Decodes a snapshot encoded by [`encode_snapshot`].

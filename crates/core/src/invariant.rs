@@ -144,7 +144,9 @@ impl InvariantChecker {
     /// 2. *Bounded divergence*: every honest tip rejoins the canonical
     ///    chain within one checkpoint interval — walking back at most
     ///    `checkpoint_interval` blocks from an honest tip must reach a
-    ///    block the canonical chain also contains.
+    ///    block the canonical chain also contains: a retained one, or the
+    ///    block its anchor stands for (the anchor carries that block's
+    ///    hash at its height).
     /// 3. *Pruned-prefix integrity*: a node chain that pruned its prefix
     ///    into a [`crate::chain::ChainAnchor`] must carry the exact Merkle
     ///    commitment the canonical chain recorded at the same cut height,
@@ -155,6 +157,7 @@ impl InvariantChecker {
     /// snapshot-bootstrap path (not fork choice) is responsible for them.
     fn observe_forks(&mut self, forks: &ForkView<'_>) {
         let interval = forks.checkpoint_interval.max(1);
+        let anchor = forks.canonical.anchor();
         for (v, chain) in forks.node_chains.iter().enumerate() {
             if !forks.honest[v] {
                 continue;
@@ -179,10 +182,14 @@ impl InvariantChecker {
             }
             let tip = chain.height();
             let floor = tip.saturating_sub(interval);
+            let canonical_hash = |h: u64| match forks.canonical.get(h) {
+                Some(b) => Some(b.hash),
+                None => anchor.filter(|a| a.height == h).map(|a| a.tip_hash),
+            };
             let rejoined = (floor..=tip).rev().any(|h| {
                 matches!(
-                    (chain.get(h), forks.canonical.get(h)),
-                    (Some(a), Some(b)) if a.hash == b.hash
+                    (chain.get(h), canonical_hash(h)),
+                    (Some(a), Some(b)) if a.hash == b
                 )
             });
             if !rejoined {
@@ -549,6 +556,87 @@ mod tests {
         assert_eq!(
             checker.violations, 1,
             "only the forged anchor commitment trips the checker"
+        );
+    }
+
+    /// Violations when one honest node holds `view`, observed once.
+    fn fork_violations(canonical: &Blockchain, view: &Blockchain, interval: u64) -> u64 {
+        let topo = line(1);
+        let storage = vec![NodeStorage::new(10)];
+        let mut checker = InvariantChecker::new(SimTime::ZERO);
+        checker.observe(
+            SimTime::from_secs(1),
+            &InvariantView {
+                topo: &topo,
+                storage: &storage,
+                malicious: &[false],
+                items: &[],
+                chain_height: canonical.height(),
+                node_height: &[0],
+                node_max_known: &[0],
+                resurrected_items: 0,
+                forks: Some(ForkView {
+                    canonical,
+                    node_chains: std::slice::from_ref(view),
+                    honest: &[true],
+                    checkpoint_interval: interval,
+                }),
+            },
+        );
+        checker.violations
+    }
+
+    /// The first `len` canonical blocks, then `off` blocks off the trunk.
+    fn off_trunk(full: &Blockchain, len: usize, off: u64) -> Blockchain {
+        let mut view = Blockchain::from_blocks(full.as_slice()[..len].to_vec()).unwrap();
+        for i in 0..off {
+            let b = mined(view.tip(), 7, 10_000 + i * 60);
+            view.push(b).unwrap();
+        }
+        view
+    }
+
+    #[test]
+    fn the_anchors_block_counts_as_shared_after_the_prune() {
+        let identity = crate::account::Identity::from_seed(42);
+        let mut canonical = Blockchain::new();
+        for i in 0..8u64 {
+            let b = mined(canonical.tip(), i % 2, (i + 1) * 60);
+            canonical.push(b).unwrap();
+        }
+        // Canonical blocks 0–5, then a sibling of block 6: one block off
+        // the trunk, its block at height 5 canonical.
+        let view = off_trunk(&canonical, 6, 1);
+        assert_eq!(fork_violations(&canonical, &view, 4), 0);
+        // The prune to base 6 makes block 5 the anchor's: the view still
+        // shares it, one block below its tip.
+        canonical.prune_below(6, identity.keys());
+        assert_eq!(canonical.anchor().unwrap().height, 5);
+        assert_eq!(
+            fork_violations(&canonical, &view, 4),
+            0,
+            "a view one block off the trunk rejoins at the anchor's block"
+        );
+    }
+
+    #[test]
+    fn a_shared_block_below_the_interval_still_counts_across_an_anchor() {
+        let identity = crate::account::Identity::from_seed(42);
+        let mut canonical = Blockchain::new();
+        for i in 0..7u64 {
+            let b = mined(canonical.tip(), i % 2, (i + 1) * 60);
+            canonical.push(b).unwrap();
+        }
+        // Canonical blocks 0–5, then five blocks off the trunk: after the
+        // prune to base 6 the anchor's block 5 is shared, but five blocks
+        // below the tip at 10.
+        let view = off_trunk(&canonical, 6, 5);
+        assert_eq!(view.height(), 10);
+        canonical.prune_below(6, identity.keys());
+        assert_eq!(
+            fork_violations(&canonical, &view, 4),
+            1,
+            "the anchor's block rejoins only within one interval of the tip"
         );
     }
 }

@@ -61,10 +61,10 @@ pub struct Location {
     pub y: f64,
 }
 
-/// One metadata item. The signature covers every descriptive field
-/// *except* `storing_nodes`, which is computed by the allocation engine
-/// after signing (each receiving node recomputes and checks it against the
-/// block).
+/// One metadata item. The signature covers the item's encoding *except*
+/// `signature` itself and `storing_nodes`, which is computed by the
+/// allocation engine after signing (each receiving node recomputes and
+/// checks it against the block).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetadataItem {
     /// Identifier of the described data item.
@@ -79,7 +79,7 @@ pub struct MetadataItem {
     pub producer: AccountId,
     /// Producer public key (shipped so receivers can verify the signature).
     pub producer_key: PublicKey,
-    /// Producer's signature over the descriptive fields.
+    /// Producer's signature over every other field but `storing_nodes`.
     pub signature: Signature,
     /// Nodes assigned to store the data item (filled by the miner from the
     /// allocation engine).
@@ -108,30 +108,21 @@ impl MetadataItem {
     ) -> Self {
         let producer_key = keys.public_key();
         let producer = AccountId::from_public_key(&producer_key);
-        let payload = signing_payload(
-            data_id,
-            &data_type,
-            produced_at_secs,
-            &location,
-            &producer,
-            valid_minutes,
-            properties.as_deref(),
-            data_size,
-        );
-        let signature = keys.sign(&payload);
-        MetadataItem {
+        let mut item = MetadataItem {
             data_id,
             data_type,
             produced_at_secs,
             location,
             producer,
             producer_key,
-            signature,
+            signature: Signature::from_bytes(&[0u8; 64]),
             storing_nodes: Vec::new(),
             valid_minutes,
             properties,
             data_size,
-        }
+        };
+        item.signature = keys.sign(crate::codec::item_signed_bytes(&item).as_ref());
+        item
     }
 
     /// Verifies the producer signature and that the shipped key matches the
@@ -140,17 +131,10 @@ impl MetadataItem {
         if AccountId::from_public_key(&self.producer_key) != self.producer {
             return false;
         }
-        let payload = signing_payload(
-            self.data_id,
-            &self.data_type,
-            self.produced_at_secs,
-            &self.location,
-            &self.producer,
-            self.valid_minutes,
-            self.properties.as_deref(),
-            self.data_size,
-        );
-        self.producer_key.verify(&payload, &self.signature)
+        self.producer_key.verify(
+            crate::codec::item_signed_bytes(self).as_ref(),
+            &self.signature,
+        )
     }
 
     /// First second at which the item is no longer valid. Saturating: a
@@ -166,61 +150,11 @@ impl MetadataItem {
         now_secs < self.expires_at_secs()
     }
 
-    /// Canonical bytes used for Merkle leaves and size accounting.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = signing_payload(
-            self.data_id,
-            &self.data_type,
-            self.produced_at_secs,
-            &self.location,
-            &self.producer,
-            self.valid_minutes,
-            self.properties.as_deref(),
-            self.data_size,
-        );
-        out.extend_from_slice(&self.signature.to_bytes());
-        for n in &self.storing_nodes {
-            out.extend_from_slice(&(n.0 as u64).to_be_bytes());
-        }
-        out
-    }
-
     /// Exact wire size of the metadata item in bytes (the length of
     /// [`crate::codec::encode_metadata`]'s output).
     pub fn wire_size(&self) -> u64 {
         crate::codec::encode_metadata(self).len() as u64
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn signing_payload(
-    data_id: DataId,
-    data_type: &DataType,
-    produced_at_secs: u64,
-    location: &Location,
-    producer: &AccountId,
-    valid_minutes: u64,
-    properties: Option<&str>,
-    data_size: u64,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    out.extend_from_slice(b"edgechain-metadata-v1\0");
-    out.extend_from_slice(&data_id.0.to_be_bytes());
-    out.extend_from_slice(data_type.to_string().as_bytes());
-    out.push(0);
-    out.extend_from_slice(&produced_at_secs.to_be_bytes());
-    out.extend_from_slice(location.label.as_bytes());
-    out.push(0);
-    out.extend_from_slice(&location.x.to_be_bytes());
-    out.extend_from_slice(&location.y.to_be_bytes());
-    out.extend_from_slice(producer.as_bytes());
-    out.extend_from_slice(&valid_minutes.to_be_bytes());
-    if let Some(p) = properties {
-        out.extend_from_slice(p.as_bytes());
-    }
-    out.push(0);
-    out.extend_from_slice(&data_size.to_be_bytes());
-    out
 }
 
 #[cfg(test)]
@@ -294,9 +228,42 @@ mod tests {
     #[test]
     fn canonical_bytes_reflect_storing_nodes() {
         let (_, mut item) = sample(6);
-        let before = item.canonical_bytes();
+        let before = crate::codec::item_leaf_bytes(&item).as_ref().to_vec();
         item.storing_nodes.push(NodeId(3));
-        assert_ne!(before, item.canonical_bytes());
+        assert_ne!(before, crate::codec::item_leaf_bytes(&item).as_ref());
+    }
+
+    #[test]
+    fn empty_properties_are_not_absent_properties() {
+        // The two encode differently, so the signature and the Merkle leaf
+        // must tell them apart too.
+        let (_, item) = sample(8);
+        let mut twin = item.clone();
+        twin.properties = Some(String::new());
+        assert_ne!(
+            crate::codec::encode_metadata(&twin),
+            crate::codec::encode_metadata(&item)
+        );
+        assert!(!twin.verify());
+        let leaf = |m: &MetadataItem| {
+            let g = crate::block::Block::genesis();
+            let pos = g.pos_hash;
+            let b = crate::block::Block::new(
+                1,
+                g.hash,
+                60,
+                pos,
+                item.producer,
+                60,
+                crate::pos::Amendment::from_fraction(1, 1),
+                vec![m.clone()],
+                Vec::new(),
+                Vec::new(),
+                Vec::new(),
+            );
+            b.leaf_digests()[0]
+        };
+        assert_ne!(leaf(&twin), leaf(&item));
     }
 
     #[test]

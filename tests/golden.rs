@@ -300,9 +300,9 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
 /// The tampered-snapshot rejoin with node 6's attacks taken out: it keeps
 /// its Byzantine role (one forgery scheduled past the horizon) and nothing
 /// else, so the snapshot it serves node 3 is its only act. On this seed
-/// the tamper flips a byte of a registry item's `producer_key` — a field
-/// the snapshot's signing digest does not commit. Verification must still
-/// catch it by checking that the key hashes to the item's producer.
+/// the tamper flips a byte of a registry item's `producer_key`. The
+/// server's signature covers the item's whole encoding, key included, and
+/// the key must also hash to the item's producer: either check rejects it.
 #[test]
 fn a_snapshot_with_a_tampered_producer_key_is_rejected() {
     let mut cfg = scenario::tampered_snapshot();

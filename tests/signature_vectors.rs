@@ -2,9 +2,16 @@
 //!
 //! The hex below was pinned on the commit *before* the secp256k1 field
 //! kernel replaced the generic Knuth-division `pow_mod` in
-//! `edgechain-crypto`. Modular arithmetic is exact, so every key, address,
-//! signature and encoded metadata item must stay byte-identical under any
-//! later change to how the arithmetic is carried out.
+//! `edgechain-crypto`. Modular arithmetic is exact, so every key, address
+//! and signature must stay byte-identical under any later change to how
+//! the arithmetic is carried out.
+//!
+//! The encoded metadata item is the one exception, and only because what
+//! is signed changed: its producer now signs the codec's own bytes for the
+//! item (its encoding less `signature` and `storing_nodes`, under a domain
+//! tag) instead of a hand-written field list, so its signature, and with it
+//! the encoding's digest, were re-pinned. The length (221 bytes) and every
+//! vector above it did not move.
 
 use edgechain::core::{codec, DataId, DataType, Location, MetadataItem};
 use edgechain::crypto::{sha256, KeyPair};
@@ -120,6 +127,6 @@ fn signed_metadata_item_encoding_is_pinned() {
     assert_eq!(bytes.len(), 221);
     assert_eq!(
         sha256(&bytes).to_hex(),
-        "c0086106f3223a7e66588ce11ac8ea454cca966e7c9adc44cddcd7aba75dfe35"
+        "eb148ba2c825ab840deaaefdda2b9f50de1bec7f280f4fe282321377edd37491"
     );
 }

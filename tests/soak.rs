@@ -139,47 +139,57 @@ fn probe(i: u64) -> RunReport {
     })
 }
 
-/// Probe seed 266 of `scenario::soak(240)` (`seed = i · 0x9E37_79B9 ⊕
-/// 0x50AB`): 176 violations. Node 19 releases a withheld two-block fork on
-/// base 827 at 3,867 s while it and node 1 form a component of their own.
-/// Only node 1 hears it, and the trunk adopts it, displacing canonical
-/// block 828. The fork's block 829 is then held durably only by node 19,
-/// quarantined in the same call (so `may_serve` refuses it), and in node
-/// 1's recent cache; neither holder is reachable from the other 17 nodes,
-/// so block recovery fails on every new block. Their `node_height` stops
-/// at 828, because `node_known` counts indices and they hold the displaced
-/// block there, so `catch_up`'s target never passes their tip. When the
-/// canonical chain prunes to base 828, the sixteen views holding the
-/// displaced block are not re-based (a sibling at the cut), and the
-/// bounded-divergence rule finds no canonical block to compare them on:
-/// 16 views × 11 observations, until the next prune strands them and
-/// they sync to the canonical tip. Seed 637 (11 violations) is the mirror
-/// image: node 19's fork on base 2,997 reaches 16 nodes, and the three it
-/// misses (3, 8, 13) can reach no holder of block 2,999; node 3's view
-/// holds the displaced block 2,998 at the cut for 11 observations.
+/// Probe seeds on which a released fork displaced a canonical block that
+/// some views still hold when the chain prunes to base at that block's
+/// parent, so the view's block below the cut is the anchor's own.
+///
+/// Seed 266 (`seed = i · 0x9E37_79B9 ⊕ 0x50AB` of `scenario::soak(240)`):
+/// node 19 releases a withheld two-block fork on base 827 at 3,867 s while
+/// it and node 1 form a component of their own. Only node 1 hears it, and
+/// the trunk adopts it, displacing canonical block 828. The fork's block
+/// 829 is then held durably only by node 19, quarantined in the same call
+/// (so `may_serve` refuses it), and in node 1's recent cache; neither
+/// holder is reachable from the other 17 nodes, so their heights stop at
+/// the displaced 828 until the next prune (a liveness gap that stays
+/// open). When the canonical chain prunes to base 828, sixteen views hold
+/// the displaced block one above the anchor's block 827. Seed 637 is the
+/// mirror image: node 19's fork on base 2,997 reaches 16 nodes, and node
+/// 3's view holds the displaced block 2,998 at the cut.
+///
+/// The bounded-divergence rule used to walk only retained canonical
+/// blocks, so it flagged each such view on every observation (176 and 11
+/// violations); it now counts the anchor's block as shared.
 #[test]
-#[ignore = "a view holding a displaced block at its contiguous height is never offered the fork"]
-fn a_fork_released_into_a_minority_component_breaks_no_invariant() {
-    let report = probe(266);
-    assert_eq!(report.invariant_violations, 0, "{report}");
+#[ignore = "two 240-minute soak runs, about 0.5 s each in release"]
+fn a_displaced_block_held_at_the_cut_is_one_block_off_the_trunk() {
+    for i in [266, 637] {
+        let report = probe(i);
+        assert_eq!(report.invariant_violations, 0, "probe seed {i}: {report}");
+        assert_eq!(
+            report.byz_detected, report.byz_injected,
+            "probe seed {i}: an injected artifact went undetected: {report}"
+        );
+    }
 }
 
-/// Probe seed 525: 30 violations, and no withheld fork is released. Node
-/// 19's equivocation at 3,121 s puts a variant of block 758 into the views
-/// of nodes 2, 8, 10, 14 and 17. From 3,126 s node 4 mines blocks 759–787
-/// inside a two-node component with node 12, so no other node can recover
-/// them, and the variant's holders stay at height 758. Nodes 2 and 17
-/// reorg when the split heals at 3,240 s. Nodes 10 and 14 are still cut
-/// off, and node 8 is down, when the canonical chain prunes to base 758 at
-/// 3,250 s. The three views hold a sibling of the block at the cut, are
-/// not re-based, and the bounded-divergence rule finds no canonical block
-/// to compare them on: 3 views × 10 observations, until the prune to 768
-/// at 3,283 s strands them (10 and 14 then sync to the canonical tip).
+/// Probe seed 525: no withheld fork is released. Node 19's equivocation
+/// at 3,121 s puts a variant of block 758 into the views of nodes 2, 8,
+/// 10, 14 and 17. From 3,126 s node 4 mines blocks 759–787 inside a
+/// two-node component with node 12, so no other node can recover them,
+/// and the variant's holders stay at height 758. Nodes 2 and 17 reorg when
+/// the split heals at 3,240 s. Nodes 10 and 14 are still cut off, and node
+/// 8 is down, when the canonical chain prunes to base 758 at 3,250 s: the
+/// three views hold the variant one above the anchor's block 757 until
+/// the prune to 768 at 3,283 s strands them (10 and 14 then sync to the
+/// canonical tip). The bounded-divergence rule used to flag them on every
+/// observation (30 violations); it now counts the anchor's block as
+/// shared.
 #[test]
-#[ignore = "a view holding an equivocation variant at the cut is never offered the trunk"]
-fn an_equivocation_variant_held_at_the_cut_breaks_no_invariant() {
+#[ignore = "a 240-minute soak run, about 0.5 s in release"]
+fn an_equivocation_variant_held_at_the_cut_is_one_block_off_the_trunk() {
     let report = probe(525);
     assert_eq!(report.invariant_violations, 0, "{report}");
+    assert_eq!(report.byz_detected, report.byz_injected, "{report}");
 }
 
 /// Probe seeds on which node 19's equivocation variant reached only lagging
