@@ -13,9 +13,10 @@
 //! 7. **Fault sweep** — availability and repair traffic vs. node crash
 //!    rate under random churn, with the UFL replica-repair sweep on/off.
 //!
-//! `cargo run --release -p edgechain-bench --bin ablation`
+//! `cargo run --release -p edgechain-bench --bin ablation` (`--csv DIR`
+//! writes tables 1, 3 and 4)
 
-use edgechain_bench::{mean, parse_options, print_table, write_bench_json};
+use edgechain_bench::{mean, parse_options, table, FigureOptions};
 use edgechain_core::network::{EdgeNetwork, NetworkConfig};
 use edgechain_core::pos::{run_round, Candidate};
 use edgechain_core::Identity;
@@ -24,22 +25,21 @@ use edgechain_facility::{improve, solve_exact, solve_greedy, UflInstance};
 use edgechain_sim::{
     ChurnConfig, FaultPlan, NodeId, SimTime, Topology, TopologyConfig, Transport, TransportConfig,
 };
-use edgechain_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn ablate_fdc_weight(minutes: u64, seeds: u64) {
+fn ablate_fdc_weight(opts: &FigureOptions) {
     let weights = [1.0f64, 10.0, 100.0, 1000.0, 10000.0];
     let mut rows = Vec::new();
     for &a in &weights {
         let mut gini = Vec::new();
         let mut delivery = Vec::new();
         let mut replicas = Vec::new();
-        for seed in 0..seeds {
+        for seed in 0..opts.seeds {
             let cfg = NetworkConfig {
                 nodes: 25,
-                sim_minutes: minutes,
+                sim_minutes: opts.minutes,
                 data_items_per_min: 2.0,
                 request_interval_secs: 120,
                 fdc_scale: a,
@@ -53,10 +53,11 @@ fn ablate_fdc_weight(minutes: u64, seeds: u64) {
         }
         rows.push(vec![mean(&gini), mean(&delivery), mean(&replicas)]);
     }
-    print_table(
+    table(
+        opts,
+        "ablation1_fdc_weight",
         "Ablation 1 — FDC weight A (paper: 1000). Fairness vs access cost.",
-        "A",
-        &weights,
+        ("A", &weights),
         &["storage gini", "delivery [s]", "replicas/item"],
         &rows,
         3,
@@ -127,16 +128,16 @@ fn ablate_solver(seeds: u64) {
     }
 }
 
-fn ablate_recent_blocks(minutes: u64, seeds: u64) {
+fn ablate_recent_blocks(opts: &FigureOptions) {
     let mut rows = Vec::new();
     for &enabled in &[true, false] {
         let mut recoveries = Vec::new();
         let mut latency = Vec::new();
         let mut hops = Vec::new();
-        for seed in 0..seeds {
+        for seed in 0..opts.seeds {
             let cfg = NetworkConfig {
                 nodes: 20,
-                sim_minutes: minutes,
+                sim_minutes: opts.minutes,
                 topology: TopologyConfig {
                     mobility_range: 70.0, // heavy churn to force recoveries
                     ..TopologyConfig::default()
@@ -153,17 +154,18 @@ fn ablate_recent_blocks(minutes: u64, seeds: u64) {
         }
         rows.push(vec![mean(&recoveries), mean(&latency), mean(&hops)]);
     }
-    print_table(
+    table(
+        opts,
+        "ablation3_recent_blocks",
         "Ablation 3 — recent-block allocation (§IV-C) under heavy churn",
-        "allocation",
-        &["enabled", "disabled"],
+        ("allocation", &["enabled", "disabled"]),
         &["recoveries", "mean latency [s]", "hops to holder"],
         &rows,
         3,
     );
 }
 
-fn ablate_pos_q_term() {
+fn ablate_pos_q_term(opts: &FigureOptions) {
     // 10 nodes; nodes 0-4 store 20 items, nodes 5-9 store 1. Equal tokens.
     // With the Q term, heavy storers should win most blocks; without it,
     // wins should be uniform.
@@ -193,10 +195,11 @@ fn ablate_pos_q_term() {
             interval as f64 / rounds as f64,
         ]);
     }
-    print_table(
+    table(
+        opts,
+        "ablation4_pos_q",
         "Ablation 4 — PoS storage term Q_i (heavy storers = nodes 0–4)",
-        "R_i formula",
-        &["S·Q·t·B", "S·t·B (no Q)"],
+        ("R_i formula", &["S·Q·t·B", "S·t·B (no Q)"]),
         &["heavy-storer win %", "mean interval [s]"],
         &rows,
         1,
@@ -353,18 +356,15 @@ fn ablate_fault_sweep(minutes: u64, seeds: u64) {
 
 fn main() {
     let opts = parse_options(60, 2);
-    telemetry::enable();
     println!(
         "Design ablations — {} min per network run, {} seeds",
         opts.minutes, opts.seeds
     );
-    ablate_fdc_weight(opts.minutes, opts.seeds);
+    ablate_fdc_weight(&opts);
     ablate_solver(opts.seeds);
-    ablate_recent_blocks(opts.minutes, opts.seeds);
-    ablate_pos_q_term();
+    ablate_recent_blocks(&opts);
+    ablate_pos_q_term(&opts);
     ablate_raft_overhead(opts.minutes);
     ablate_probabilistic_flooding();
     ablate_fault_sweep(opts.minutes, opts.seeds);
-    let mut session = telemetry::finish().unwrap_or_default();
-    write_bench_json("ablation", &opts, &mut session.registry);
 }

@@ -14,10 +14,9 @@
 //! `cargo run --release -p edgechain-bench --bin fig4` (add `--full` for
 //! the 500-minute paper-scale runs; default is 120 minutes).
 
-use edgechain_bench::{mean, parse_options, print_table, write_bench_json, write_csv};
+use edgechain_bench::{mean, parse_options, table};
 use edgechain_core::network::{EdgeNetwork, NetworkConfig};
 use edgechain_sim::pool;
-use edgechain_telemetry as telemetry;
 
 fn main() {
     let opts = parse_options(120, 2);
@@ -29,18 +28,14 @@ fn main() {
     );
 
     // The (nodes, rate) cells are independent simulations, so the sweep
-    // fans them out on the worker pool. Telemetry sessions are
-    // thread-local: each cell records into its own session, and the
-    // per-cell registries are merged in index order below — counter totals
-    // are identical to a serial sweep, and the cell means are bit-identical
-    // (each is a pure function of its configs and seeds).
+    // fans them out on the worker pool; each cell's means are a pure
+    // function of its configs and seeds, so they equal a serial sweep's.
     let cells: Vec<(usize, f64)> = node_counts
         .iter()
         .flat_map(|&n| rates.iter().map(move |&rate| (n, rate)))
         .collect();
     let opts_ref = &opts;
     let results = pool::parallel_map(&cells, usize::MAX, |&(n, rate)| {
-        telemetry::enable();
         let mut o = Vec::new();
         let mut g = Vec::new();
         let mut d = Vec::new();
@@ -57,12 +52,10 @@ fn main() {
             g.push(r.storage_gini);
             d.push(r.delivery.mean());
         }
-        let session = telemetry::finish().unwrap_or_default();
-        (mean(&o), mean(&g), mean(&d), session.registry)
+        (mean(&o), mean(&g), mean(&d))
     });
     eprintln!("  … all {} cells done", cells.len());
 
-    let mut registry = telemetry::Registry::new();
     let mut overhead = Vec::new();
     let mut gini = Vec::new();
     let mut delivery = Vec::new();
@@ -70,11 +63,10 @@ fn main() {
         let mut row_o = Vec::new();
         let mut row_g = Vec::new();
         let mut row_d = Vec::new();
-        for (o, g, d, cell_registry) in rows {
-            row_o.push(*o);
-            row_g.push(*g);
-            row_d.push(*d);
-            registry.merge(cell_registry);
+        for &(o, g, d) in rows {
+            row_o.push(o);
+            row_g.push(g);
+            row_d.push(d);
         }
         overhead.push(row_o);
         gini.push(row_g);
@@ -82,53 +74,35 @@ fn main() {
     }
 
     let cols = ["1 item/min", "2 items/min", "3 items/min"];
-    print_table(
+    let rows = ("nodes", &node_counts[..]);
+    table(
+        &opts,
+        "fig4a_overhead_mb",
         "Fig. 4(a) — average transmission overhead per node [MB]",
-        "nodes",
-        &node_counts,
+        rows,
         &cols,
         &overhead,
         1,
     );
-    print_table(
+    table(
+        &opts,
+        "fig4b_gini",
         "Fig. 4(b) — Gini coefficient of storage usage (paper: < 0.15)",
-        "nodes",
-        &node_counts,
+        rows,
         &cols,
         &gini,
         4,
     );
-    print_table(
+    table(
+        &opts,
+        "fig4c_delivery_s",
         "Fig. 4(c) — average data delivery time [s] (paper: ≤ ~4 s)",
-        "nodes",
-        &node_counts,
+        rows,
         &cols,
         &delivery,
         3,
     );
-
-    if let Some(dir) = &opts.csv_dir {
-        write_csv(
-            dir,
-            "fig4a_overhead_mb",
-            "nodes",
-            &node_counts,
-            &cols,
-            &overhead,
-        );
-        write_csv(dir, "fig4b_gini", "nodes", &node_counts, &cols, &gini);
-        write_csv(
-            dir,
-            "fig4c_delivery_s",
-            "nodes",
-            &node_counts,
-            &cols,
-            &delivery,
-        );
-        eprintln!("csv written to {dir}/");
-    }
     let max_gini = gini.iter().flatten().cloned().fold(0.0, f64::max);
     let max_delivery = delivery.iter().flatten().cloned().fold(0.0, f64::max);
     println!("\nsummary: max gini {max_gini:.4} (paper bound 0.15), max delivery {max_delivery:.2} s (paper ≈4 s)");
-    write_bench_json("fig4", &opts, &mut registry);
 }

@@ -17,14 +17,12 @@
 //! `cargo run --release -p edgechain-bench --bin fig5` (add `--full` for
 //! 500-minute runs; default 120 minutes, 3 seeds).
 
-use edgechain_bench::{mean, parse_options, print_table, write_bench_json, write_csv};
+use edgechain_bench::{mean, parse_options, table};
 use edgechain_core::alloc::Placement;
 use edgechain_core::network::{EdgeNetwork, NetworkConfig};
-use edgechain_telemetry as telemetry;
 
 fn main() {
     let opts = parse_options(120, 3);
-    telemetry::enable();
     let node_counts = [10usize, 20, 30, 40, 50];
     let strategies = [
         Placement::Optimal,
@@ -67,42 +65,25 @@ fn main() {
     }
 
     let cols = ["optimal", "random", "no-proactive"];
-    print_table(
+    let rows = ("nodes", &node_counts[..]);
+    table(
+        &opts,
+        "fig5a_delivery_s",
         "Fig. 5(a) — average data delivery time [s]",
-        "nodes",
-        &node_counts,
+        rows,
         &cols,
         &delivery,
         3,
     );
-    print_table(
+    table(
+        &opts,
+        "fig5b_overhead_mb",
         "Fig. 5(b) — average transmission overhead per node [MB]",
-        "nodes",
-        &node_counts,
+        rows,
         &cols,
         &overhead,
         1,
     );
-
-    if let Some(dir) = &opts.csv_dir {
-        write_csv(
-            dir,
-            "fig5a_delivery_s",
-            "nodes",
-            &node_counts,
-            &cols,
-            &delivery,
-        );
-        write_csv(
-            dir,
-            "fig5b_overhead_mb",
-            "nodes",
-            &node_counts,
-            &cols,
-            &overhead,
-        );
-        eprintln!("csv written to {dir}/");
-    }
 
     // Headline ratios.
     let opt: Vec<f64> = delivery.iter().map(|r| r[0]).collect();
@@ -119,6 +100,4 @@ fn main() {
         "         optimal vs random overhead {:+.1}% (paper: 'almost the same')",
         100.0 * (mean(&o_opt) - mean(&o_rnd)) / mean(&o_rnd),
     );
-    let mut session = telemetry::finish().unwrap_or_default();
-    write_bench_json("fig5", &opts, &mut session.registry);
 }

@@ -15,13 +15,12 @@
 //! `cargo run --release -p edgechain-bench --bin fig6`
 //! (`--minutes N` to change the 84-minute horizon).
 
-use edgechain_bench::{parse_options, write_bench_json};
+use edgechain_bench::parse_options;
 use edgechain_core::pos::{run_round, Candidate};
 use edgechain_core::pow::{mine, Difficulty};
 use edgechain_core::Identity;
 use edgechain_crypto::sha256;
 use edgechain_energy::{Battery, DeviceProfile};
-use edgechain_telemetry as telemetry;
 
 struct Sample {
     blocks: u64,
@@ -107,7 +106,6 @@ fn print_series(name: &str, samples: &[Sample]) {
 
 fn main() {
     let opts = parse_options(84, 1);
-    telemetry::enable();
     let profile = DeviceProfile::galaxy_s8();
     println!(
         "Fig. 6 reproduction — {} on a {}-minute horizon, 25 s target block time",
@@ -132,6 +130,4 @@ fn main() {
         "  energy per block: PoS uses {:.0}% less than PoW (paper headline: 64% less)",
         100.0 * (1.0 - pos_per_block / pow_per_block)
     );
-    let mut session = telemetry::finish().unwrap_or_default();
-    write_bench_json("fig6", &opts, &mut session.registry);
 }

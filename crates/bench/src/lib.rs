@@ -40,14 +40,14 @@ pub fn parse_options(default_minutes: u64, default_seeds: u64) -> FigureOptions 
     })
 }
 
-/// Parses `args` (program name already stripped). Flags this crate does
-/// not define are left to the binary that owns them.
+/// Parses `args` (program name already stripped).
 ///
 /// # Errors
 ///
-/// Returns a message naming the flag when its value is missing, is not a
-/// number, or is zero (a zero-minute or zero-seed run prints tables of
-/// means over empty samples).
+/// Returns a message naming the flag when it is not one of the four above
+/// (a mistyped `--minute 5` must not run the default horizon), or when its
+/// value is missing, is not a number, or is zero (a zero-minute or
+/// zero-seed run prints tables of means over empty samples).
 pub fn parse_from(
     args: impl IntoIterator<Item = String>,
     default_minutes: u64,
@@ -74,18 +74,22 @@ pub fn parse_from(
             "--minutes" => opts.minutes = positive(value()?)?,
             "--seeds" => opts.seeds = positive(value()?)?,
             "--csv" => opts.csv_dir = Some(value()?),
-            _ => {}
+            _ => return Err(format!("{flag}: unknown flag")),
         }
     }
     Ok(opts)
 }
 
-/// Prints a table: one row per `row_labels` entry, one column per
-/// `col_labels` entry.
-pub fn print_table<R: Display, C: Display>(
+/// Prints a table under `title` — one row per label in `rows` (header,
+/// labels), one column per `col_labels` entry — and, when `--csv DIR` was
+/// given, writes the same table as `DIR/name.csv` (row label in the first
+/// column). A failed CSV write is reported to stderr and swallowed: it
+/// must not abort a long figure run.
+pub fn table<R: Display, C: Display>(
+    opts: &FigureOptions,
+    name: &str,
     title: &str,
-    row_header: &str,
-    row_labels: &[R],
+    (row_header, row_labels): (&str, &[R]),
     col_labels: &[C],
     cells: &[Vec<f64>],
     precision: usize,
@@ -103,19 +107,8 @@ pub fn print_table<R: Display, C: Display>(
         }
         println!();
     }
-}
 
-/// Writes a table as `dir/name.csv` (row label in the first column).
-/// Errors are reported to stderr and swallowed — a failed CSV write must
-/// not abort a long figure run.
-pub fn write_csv<R: Display, C: Display>(
-    dir: &str,
-    name: &str,
-    row_header: &str,
-    row_labels: &[R],
-    col_labels: &[C],
-    cells: &[Vec<f64>],
-) {
+    let Some(dir) = &opts.csv_dir else { return };
     let mut out = String::new();
     out.push_str(row_header);
     for c in col_labels {
@@ -133,43 +126,6 @@ pub fn write_csv<R: Display, C: Display>(
     let path = std::path::Path::new(dir).join(format!("{name}.csv"));
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, out)) {
         eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
-/// Writes `BENCH_<name>.json`: run parameters plus the full telemetry
-/// registry dump (deterministic counters/gauges/histograms and the
-/// wall-clock `*_ns` profile), so the perf trajectory of every figure
-/// binary is machine-readable from this PR onward. Errors are reported to
-/// stderr and swallowed, like [`write_csv`].
-pub fn write_bench_json(
-    name: &str,
-    opts: &FigureOptions,
-    registry: &mut edgechain_telemetry::Registry,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    out.push_str(&format!("  \"minutes\": {},\n", opts.minutes));
-    out.push_str(&format!("  \"seeds\": {},\n", opts.seeds));
-    out.push_str(&format!(
-        "  \"sim_ms_per_run\": {},\n",
-        opts.minutes * 60_000
-    ));
-    // The registry dump is itself a JSON object; indent it one level.
-    let registry_json = registry.to_json();
-    out.push_str("  \"registry\": ");
-    for (i, line) in registry_json.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str("\n}\n");
-    let path = format!("BENCH_{name}.json");
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("\nwrote {path}");
     }
 }
 
@@ -204,8 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn flags_override_defaults_and_foreign_flags_pass_through() {
-        let opts = parse(&["--small", "--minutes", "7", "--seeds", "3", "--csv", "out"]).unwrap();
+    fn flags_override_defaults() {
+        let opts = parse(&["--minutes", "7", "--seeds", "3", "--csv", "out"]).unwrap();
         assert_eq!((opts.minutes, opts.seeds), (7, 3));
         assert_eq!(opts.csv_dir.as_deref(), Some("out"));
         assert_eq!(parse(&["--full"]).unwrap().minutes, 500);
@@ -219,6 +175,8 @@ mod tests {
             (&["--seeds"][..], "--seeds"),
             (&["--minutes", "0"][..], "--minutes"),
             (&["--seeds", "0"][..], "--seeds"),
+            (&["--small"][..], "--small"),
+            (&["--minute", "5"][..], "--minute"),
         ] {
             let err = parse(args).expect_err("must be rejected");
             assert!(err.starts_with(flag), "{args:?}: {err}");
@@ -229,14 +187,9 @@ mod tests {
     fn csv_writer_roundtrip() {
         let dir = std::env::temp_dir().join("edgechain-bench-csv-test");
         let dir = dir.to_str().unwrap();
-        write_csv(
-            dir,
-            "unit",
-            "nodes",
-            &[10, 20],
-            &["a", "b"],
-            &[vec![1.5, 2.5], vec![3.0, 4.0]],
-        );
+        let opts = parse(&["--csv", dir]).unwrap();
+        let (rows, cells) = (("nodes", &[10, 20][..]), [vec![1.5, 2.5], vec![3.0, 4.0]]);
+        table(&opts, "unit", "t", rows, &["a", "b"], &cells, 1);
         let content = std::fs::read_to_string(format!("{dir}/unit.csv")).unwrap();
         assert_eq!(content, "nodes,a,b\n10,1.5,2.5\n20,3,4\n");
         let _ = std::fs::remove_dir_all(dir);

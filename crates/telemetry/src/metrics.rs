@@ -135,27 +135,6 @@ impl RunningStats {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another set of statistics into this one (Chan et al.'s
-    /// parallel variant of Welford's update, so `variance()` of the merge
-    /// equals the variance of the concatenated sample streams).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (na, nb) = (self.count as f64, other.count as f64);
-        let delta = other.w_mean - self.w_mean;
-        self.m2 += other.m2 + delta * delta * na * nb / (na + nb);
-        self.w_mean += delta * nb / (na + nb);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Default for RunningStats {
@@ -339,23 +318,6 @@ impl SampleSet {
         counts.push((self.samples.len() - prev) as u64);
         counts
     }
-
-    /// Merges another sample set into this one. Sortedness is preserved
-    /// when one side is empty (so report generation that merges per-phase
-    /// sets into an already-sorted accumulator doesn't trigger a needless
-    /// re-sort).
-    pub fn merge(&mut self, other: &SampleSet) {
-        if other.samples.is_empty() {
-            return;
-        }
-        if self.samples.is_empty() {
-            self.samples.extend_from_slice(&other.samples);
-            self.sorted = other.sorted;
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
 }
 
 impl FromIterator<f64> for SampleSet {
@@ -459,35 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_merge() {
-        let a: RunningStats = [1.0, 2.0].into_iter().collect();
-        let mut b: RunningStats = [10.0].into_iter().collect();
-        b.merge(&a);
-        assert_eq!(b.count(), 3);
-        assert_eq!(b.min(), Some(1.0));
-        assert_eq!(b.max(), Some(10.0));
-        let empty = RunningStats::new();
-        let mut c = a.clone();
-        c.merge(&empty);
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn running_stats_merge_preserves_variance() {
-        let left: Vec<f64> = vec![1.0, 5.0, 9.0, 2.0];
-        let right: Vec<f64> = vec![100.0, 42.0, 7.0];
-        let mut merged: RunningStats = left.iter().copied().collect();
-        merged.merge(&right.iter().copied().collect());
-        let all: RunningStats = left.iter().chain(&right).copied().collect();
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.variance() - all.variance()).abs() < 1e-9);
-        // Merging into an empty accumulator adopts the other side exactly.
-        let mut from_empty = RunningStats::new();
-        from_empty.merge(&all);
-        assert!((from_empty.variance() - all.variance()).abs() < 1e-12);
-    }
-
-    #[test]
     fn running_stats_display() {
         let s: RunningStats = [1.0, 3.0].into_iter().collect();
         assert_eq!(format!("{s}"), "n=2 mean=2.000 min=1.000 max=3.000");
@@ -534,48 +467,6 @@ mod tests {
         // Records after a quantile query re-sort lazily.
         s.record(0.0);
         assert_eq!(s.quantile(0.0), Some(0.0));
-    }
-
-    #[test]
-    fn sample_set_merge() {
-        let mut a: SampleSet = [1.0, 2.0].into_iter().collect();
-        let b: SampleSet = [3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.quantile(1.0), Some(4.0));
-    }
-
-    #[test]
-    fn sample_set_merge_preserves_sorted_with_empty_side() {
-        // Merging an empty set into a sorted one must not clear `sorted`.
-        let mut a: SampleSet = [3.0, 1.0, 2.0].into_iter().collect();
-        let _ = a.p50(); // forces the sort
-        assert!(a.sorted);
-        a.merge(&SampleSet::new());
-        assert!(a.sorted, "merging in an empty set must keep sortedness");
-        assert_eq!(a.len(), 3);
-
-        // Merging a sorted set into an empty one adopts its sortedness.
-        let mut b = SampleSet::new();
-        b.merge(&a);
-        assert!(b.sorted);
-        assert_eq!(b.quantile(0.0), Some(1.0));
-
-        // Merging an unsorted set into an empty one stays unsorted.
-        let unsorted: SampleSet = [9.0, 8.0].into_iter().collect();
-        let mut c = SampleSet::new();
-        c.merge(&unsorted);
-        assert!(!c.sorted);
-        assert_eq!(c.p50(), Some(8.0));
-
-        // Two non-empty sorted sets still need a re-sort after merge.
-        let mut d: SampleSet = [1.0].into_iter().collect();
-        let _ = d.p50();
-        let mut e: SampleSet = [0.5].into_iter().collect();
-        let _ = e.p50();
-        d.merge(&e);
-        assert!(!d.sorted);
-        assert_eq!(d.quantile(0.0), Some(0.5));
     }
 
     #[test]

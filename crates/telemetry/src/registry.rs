@@ -10,8 +10,8 @@
 //! * **Wall-clock profile** — `*_ns` timings recorded via
 //!   [`Registry::record_wall_ns`] (e.g. `ufl.solve_ns`). These answer
 //!   "where did the *host* time go", vary run to run by nature, and are
-//!   exported only through [`Registry::to_json`] (the `BENCH_*.json`
-//!   dumps), never through the deterministic snapshot.
+//!   exported only through [`Registry::to_json`] (the examples'
+//!   `REGISTRY_OUT` dumps), never through the deterministic snapshot.
 //!
 //! Counters that copy a count the simulation's run report keeps are not
 //! bumped where the event happens: the report lists them once and adds
@@ -41,12 +41,6 @@ impl Histogram {
     /// Summary statistics (count/mean/stddev/min/max).
     pub fn stats(&self) -> &RunningStats {
         &self.stats
-    }
-
-    /// Folds another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.stats.merge(&other.stats);
-        self.samples.merge(&other.samples);
     }
 
     fn summary(&mut self) -> MetricSummary {
@@ -119,33 +113,6 @@ impl Registry {
         self.wall_ns.get(name)
     }
 
-    /// Folds `other` into this registry: counters add, gauges take
-    /// `other`'s value when present (last-merge-wins, deterministic in
-    /// merge order), histograms and wall-clock stats merge their
-    /// observations.
-    ///
-    /// This is how parallel bench sweeps combine per-worker telemetry
-    /// sessions: each worker records into its own thread-local registry,
-    /// and the driver merges them **in index order** so counter totals are
-    /// identical to a serial run. (Histogram mean/stddev come from a
-    /// Welford merge, whose floating-point results depend on merge
-    /// grouping — deterministic for a fixed worker count, but not
-    /// bit-identical to the serial accumulation.)
-    pub fn merge(&mut self, other: &Registry) {
-        for (&name, &v) in &other.counters {
-            self.counter_add(name, v);
-        }
-        for (&name, &v) in &other.gauges {
-            self.gauge_set(name, v);
-        }
-        for (&name, hist) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(hist);
-        }
-        for (&name, stats) in &other.wall_ns {
-            self.wall_ns.entry(name).or_default().merge(stats);
-        }
-    }
-
     /// Deterministic snapshot: every counter, gauge, and histogram summary
     /// in sorted-name order. Wall-clock `*_ns` stats are deliberately
     /// excluded so the snapshot is bit-identical across seeded reruns.
@@ -165,7 +132,7 @@ impl Registry {
     }
 
     /// Full JSON dump — deterministic metrics *plus* the wall-clock `*_ns`
-    /// profile — for `BENCH_<name>.json` files. Sorted-name order
+    /// profile — for the examples' `REGISTRY_OUT` files. Sorted-name order
     /// throughout; only the `wall_ns` section varies across reruns.
     pub fn to_json(&mut self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
@@ -370,50 +337,6 @@ mod tests {
         // Identical registries produce identical snapshots and JSON.
         assert_eq!(snap, r.snapshot());
         assert_eq!(snap.to_json(), r.snapshot().to_json());
-    }
-
-    #[test]
-    fn merge_combines_all_namespaces() {
-        let mut a = Registry::new();
-        a.counter_add("hits", 2);
-        a.gauge_set("level", 1.0);
-        a.record("lat", 10.0);
-        a.record_wall_ns("solve_ns", 100);
-        let mut b = Registry::new();
-        b.counter_add("hits", 3);
-        b.counter_add("misses", 1);
-        b.gauge_set("level", 4.0);
-        b.record("lat", 30.0);
-        b.record_wall_ns("solve_ns", 300);
-        a.merge(&b);
-        assert_eq!(a.counter("hits"), 5);
-        assert_eq!(a.counter("misses"), 1);
-        assert_eq!(a.gauge("level"), Some(4.0));
-        let snap = a.snapshot();
-        match snap.get("lat").unwrap() {
-            MetricSummary::Histogram {
-                count, mean, max, ..
-            } => {
-                assert_eq!(*count, 2);
-                assert_eq!(*mean, 20.0);
-                assert_eq!(*max, 30.0);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        let solve = a.wall_ns("solve_ns").unwrap();
-        assert_eq!(solve.count(), 2);
-        assert_eq!(solve.sum(), 400.0);
-    }
-
-    #[test]
-    fn merge_into_empty_equals_clone() {
-        let mut src = Registry::new();
-        src.counter_add("x", 9);
-        src.record("h", 1.0);
-        src.record("h", 2.0);
-        let mut dst = Registry::new();
-        dst.merge(&src);
-        assert_eq!(dst.snapshot(), src.snapshot());
     }
 
     #[test]
