@@ -69,46 +69,48 @@ pub fn build_instance_scaled(
 }
 
 /// Core instance builder over an already-computed member set (solver index
-/// → node id), so callers that need the mapping don't recompute it.
-/// Connect rows are gathered from the topology's cached RDC rows — the
-/// members' hop rows filled first, in bit-parallel sweeps, when not held
-/// — or, with `bounded: Some((horizon, mask))`, priced from a BFS confined
-/// to the mask and cut at `horizon` hops, peers beyond it taking the
-/// unreachable penalty. Opening costs are `A·f_i` with the operation order
-/// of the original `from_costs` construction.
+/// → node id, ascending), so callers that need the mapping don't recompute
+/// it. With `horizon: None`, connect rows are gathered from the topology's
+/// cached RDC rows, the members' hop rows filled first in bit-parallel
+/// sweeps when not held. With `Some(horizon)`, they are priced from the
+/// members' hop counts over the subgraph the members induce, cut at
+/// `horizon` hops ([`Topology::member_hops`]: one sweep per 64 members, no
+/// row stored), peers beyond it taking the unreachable penalty. Opening
+/// costs are `A·f_i` with the operation order of the original
+/// `from_costs` construction.
 fn build_instance_over(
     topology: &Topology,
     storage: &[NodeStorage],
     fdc_scale: f64,
     members: &[usize],
-    bounded: Option<(u32, &[bool])>,
+    horizon: Option<u32>,
 ) -> UflInstance {
-    let connect_row = |f: usize| -> Vec<f64> {
-        let Some((horizon, mask)) = bounded else {
-            let row = topology.rdc_row(NodeId(f));
-            return members.iter().map(|&c| row[c]).collect();
-        };
-        let mut hops_to = vec![UNREACHABLE; members.len()];
-        for (v, h) in topology.bfs_bounded(NodeId(f), horizon, Some(mask)) {
-            let li = members
-                .binary_search(&v.0)
-                .expect("bounded bfs stays in mask");
-            hops_to[li] = h;
-        }
-        let priced = members.iter().zip(hops_to);
-        priced
-            .map(|(&c, h)| topology.rdc_from_hops(NodeId(f), NodeId(c), h))
-            .collect()
-    };
     telemetry::time_wall("ufl.build_ns", || {
-        if bounded.is_none() {
-            topology.fill_hop_rows(members.iter().map(|&f| NodeId(f)));
-        }
+        let connect: Vec<Vec<f64>> = match horizon {
+            None => {
+                topology.fill_hop_rows(members.iter().map(|&f| NodeId(f)));
+                let gather = |f: usize| {
+                    let row = topology.rdc_row(NodeId(f));
+                    members.iter().map(|&c| row[c]).collect()
+                };
+                members.iter().map(|&f| gather(f)).collect()
+            }
+            Some(horizon) => {
+                let price = |(&f, hops): (&usize, Vec<u32>)| {
+                    let priced = members.iter().zip(hops);
+                    priced
+                        .map(|(&c, h)| topology.rdc_from_hops(NodeId(f), NodeId(c), h))
+                        .collect()
+                };
+                let matrix = topology.member_hops(members, horizon);
+                members.iter().zip(matrix).map(price).collect()
+            }
+        };
         let open_cost: Vec<f64> = members
             .iter()
             .map(|&i| scaled_open_cost(&storage[i], fdc_scale))
             .collect();
-        UflInstance::new(open_cost, members.iter().map(|&f| connect_row(f)).collect())
+        UflInstance::new(open_cost, connect)
     })
 }
 
@@ -299,7 +301,7 @@ impl AllocationContext {
             fdc_scale,
             regions: None,
             topo_epoch: None,
-            global: Region::new(Vec::new(), Vec::new()),
+            global: Region::new(Vec::new()),
         }
     }
 
@@ -367,7 +369,7 @@ impl AllocationContext {
         let epoch = topology.epoch();
         if self.topo_epoch != Some(epoch) {
             telemetry::counter_add("ufl.cache_miss", 1);
-            self.global = Region::new(live_nodes(topology), Vec::new());
+            self.global = Region::new(live_nodes(topology));
             self.topo_epoch = Some(epoch);
         }
         if self.global.members.is_empty() {
@@ -488,12 +490,7 @@ impl AllocationContext {
             };
             for fi in asol.open_facilities() {
                 let g = adj.members[fi];
-                let mut hops_to = vec![UNREACHABLE; k];
-                for (v, h) in topology.bfs_bounded(NodeId(g), horizon, None) {
-                    if let Ok(li) = region.members.binary_search(&v.0) {
-                        hops_to[li] = h;
-                    }
-                }
+                let hops_to = topology.bfs_bounded(NodeId(g), horizon, &region.members);
                 // Beyond-horizon members cannot use this external
                 // facility: infinity (never picked) rather than the
                 // finite in-instance penalty.
@@ -548,8 +545,6 @@ impl Default for RegionParams {
 struct Region {
     /// Global node indices, ascending (solver index → node id).
     members: Vec<usize>,
-    /// `n`-length membership mask for horizon-bounded BFS (regional only).
-    mask: Vec<bool>,
     /// Indices of regions in the 3×3 coarse-cell neighborhood.
     adjacent: Vec<usize>,
     /// Used-slot counts at last refresh (FDC dirty checks).
@@ -621,12 +616,8 @@ fn partition_regions(
                 }
             }
             comp.sort_unstable();
-            let mut mask = vec![false; n];
-            for &c in &comp {
-                mask[c] = true;
-            }
             cell_regions.entry(key).or_default().push(idx);
-            regions.push(Region::new(comp, mask));
+            regions.push(Region::new(comp));
         }
         for &m in members {
             in_cell[m] = false;
@@ -657,10 +648,9 @@ fn partition_regions(
 impl Region {
     /// An unsolved region over `members`; adjacency is filled in by
     /// [`partition_regions`].
-    fn new(members: Vec<usize>, mask: Vec<bool>) -> Self {
+    fn new(members: Vec<usize>) -> Self {
         Region {
             members,
-            mask,
             adjacent: Vec::new(),
             last_used: Vec::new(),
             instance: None,
@@ -670,9 +660,9 @@ impl Region {
 
     /// Brings the cached UFL state in sync, leaving `solution` filled:
     /// builds the instance when absent — connect rows bounded to `horizon`
-    /// hops inside the mask, or full RDC rows with `None` — patches drifted
-    /// open costs in place otherwise (the `O(k²)` connect matrix is
-    /// untouched), and (re-)solves only when something changed.
+    /// hops inside the member set, or full RDC rows with `None` — patches
+    /// drifted open costs in place otherwise (the `O(k²)` connect matrix
+    /// is untouched), and (re-)solves only when something changed.
     fn sync(
         &mut self,
         topology: &Topology,
@@ -696,8 +686,7 @@ impl Region {
                 self.solution = None;
             }
         } else {
-            let bounded = horizon.map(|h| (h, &self.mask[..]));
-            let instance = build_instance_over(topology, storage, fdc_scale, members, bounded);
+            let instance = build_instance_over(topology, storage, fdc_scale, members, horizon);
             self.instance = Some(instance);
             self.last_used = members.iter().map(|&i| storage[i].used_slots()).collect();
             self.solution = None;
@@ -1017,7 +1006,6 @@ mod tests {
             for &m in &region.members {
                 seen[m] += 1;
                 assert_eq!(region_of[m], Some(r));
-                assert!(region.mask[m]);
             }
             assert!(!region.adjacent.contains(&r));
         }

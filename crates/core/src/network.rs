@@ -514,6 +514,10 @@ pub struct EdgeNetwork {
     catalogue: Catalogue,
     next_data_id: u64,
     requesters: Vec<NodeId>,
+    /// Each requester's next `IssueRequest` instant, by node id (other
+    /// entries unused): a topology epoch fills the rows of those due
+    /// within it in one batch ([`Self::fill_requester_rows`]).
+    request_due: Vec<SimTime>,
     /// Fetch, block recovery, snapshot bootstrap and repair, with the
     /// state only they use.
     access: Access,
@@ -727,6 +731,7 @@ impl EdgeNetwork {
             catalogue: Catalogue::default(),
             next_data_id: 0,
             requesters,
+            request_due: vec![SimTime::ZERO; config.nodes],
             access: Access::new(malicious),
             raft_nodes: Vec::new(),
             raft_outbox: Vec::new(),
@@ -771,6 +776,7 @@ impl EdgeNetwork {
                 self.rng
                     .gen_range(1..=self.config.request_interval_secs.max(2)),
             );
+            self.request_due[r.0] = jitter;
             self.queue
                 .schedule(jitter, Event::IssueRequest { requester: r });
         }
@@ -931,6 +937,7 @@ impl EdgeNetwork {
     fn drive(&mut self) {
         let horizon = SimTime::from_secs(self.config.sim_minutes * 60);
         self.spans.arm();
+        self.fill_requester_rows(SimTime::from_secs(self.config.mobility_interval_secs));
         // Invariants are only metered when faults are in play: each
         // observation walks every live data item and every node, which a
         // long fault-free sweep shouldn't pay for.
@@ -1871,7 +1878,22 @@ impl EdgeNetwork {
             self.fetch_entry(requester, now, Popularity::Uniform);
         }
         let next = now + SimTime::from_secs(self.config.request_interval_secs);
+        self.request_due[requester.0] = next;
         self.queue.schedule(next, Event::IssueRequest { requester });
+    }
+
+    /// Fills, in 64-source sweeps, the hop rows of the live requesters
+    /// whose next request falls before `until` — the next mobility step,
+    /// which drops every row — and inside the horizon. Each such fetch
+    /// reads its requester's row first, so this only fills ahead what
+    /// that read would fill alone; a no-op under eager fill.
+    fn fill_requester_rows(&self, until: SimTime) {
+        let horizon = SimTime::from_secs(self.config.sim_minutes * 60);
+        let due = self.requesters.iter().copied().filter(|&r| {
+            let at = self.request_due[r.0];
+            at < until && at <= horizon && self.topo.is_active(r)
+        });
+        self.topo.fill_hop_rows(due);
     }
 
     /// Arms the next open-workload fetch from the configured arrival
@@ -2150,10 +2172,9 @@ impl EdgeNetwork {
                 }
             }
         }
-        self.queue.schedule(
-            now + SimTime::from_secs(self.config.mobility_interval_secs),
-            Event::MobilityStep,
-        );
+        let next = now + SimTime::from_secs(self.config.mobility_interval_secs);
+        self.queue.schedule(next, Event::MobilityStep);
+        self.fill_requester_rows(next);
     }
 
     /// Fills in the derived fields of the report; every one-to-one counter

@@ -19,7 +19,13 @@
 //!   bit-parallel sweep ([`Topology::fill_hop_rows`]) — Θ(n²) memory,
 //!   fine up to a few thousand nodes.
 //! * **Lazy** (`sparse_routes`): a row is filled on its first query, so
-//!   memory is O(n·degree + touched sources·n).
+//!   memory is O(n·degree + touched sources·n). A caller that knows which
+//!   sources it will query soon announces them to
+//!   [`Topology::fill_hop_rows`], which fills them in the same sweeps.
+//!
+//! Hop counts confined to a member set (a region's induced subgraph, cut
+//! at a horizon) come from the same sweep over a local CSR of the members
+//! ([`Topology::member_hops`]); nothing about them is stored.
 //!
 //! Hop counts are unique, so the sweep and the one-source BFS fill equal
 //! rows, and both price them with the same Eq. 2 arithmetic: every query
@@ -679,7 +685,7 @@ impl Topology {
         };
         let (adjacency, active) = (&self.adjacency, &self.active);
         let rows = crate::pool::parallel_map(&batches, workers, |batch| {
-            sweep_rows(adjacency, active, batch)
+            sweep_rows(adjacency, active, batch, UNREACHABLE)
         });
         // The pool returns sweeps in batch order, so rows line up with
         // `missing`; a source listed twice is filled once.
@@ -741,32 +747,59 @@ impl Topology {
         })
     }
 
-    /// Breadth-first search from `src` truncated at `max_hops`, returning
-    /// `(node, hops)` pairs in discovery order (starting with `(src, 0)`).
-    /// With `within: Some(mask)`, expansion is confined to nodes whose
-    /// mask entry is `true` (`src` must be inside). This is the compressed
-    /// row the RDC formula needs at scale: peers beyond the horizon simply
-    /// do not appear and take the unreachable penalty via
+    /// Hop counts from `src` to each of `targets` (node indices,
+    /// ascending, no repeats), [`UNREACHABLE`] past `max_hops` hops. The
+    /// search stops as soon as every target has its count, so a horizon
+    /// wider than the targets' spread costs nothing. Nothing is stored: a
+    /// peer beyond the horizon takes the unreachable penalty via
     /// [`Topology::rdc_from_hops`].
-    pub fn bfs_bounded(
-        &self,
-        src: NodeId,
-        max_hops: u32,
-        within: Option<&[bool]>,
-    ) -> Vec<(NodeId, u32)> {
+    pub fn bfs_bounded(&self, src: NodeId, max_hops: u32, targets: &[usize]) -> Vec<u32> {
+        debug_assert!(targets.windows(2).all(|w| w[0] < w[1]), "targets ascend");
+        let mut hops = vec![UNREACHABLE; targets.len()];
         if !self.active[src.0] {
-            return Vec::new();
+            return hops;
         }
         let mut dist = vec![UNREACHABLE; self.len()];
         let mut queue = Vec::with_capacity(self.len());
+        let mut left = targets.len();
+        let label = |v: usize, h: u32| {
+            if let Ok(t) = targets.binary_search(&v) {
+                hops[t] = h;
+                left -= 1;
+            }
+            left == 0
+        };
         let (adjacency, src) = (&self.adjacency, src.0);
-        match within {
-            Some(mask) => bfs(adjacency, src, max_hops, |v| mask[v], &mut dist, &mut queue),
-            None => bfs(adjacency, src, max_hops, |_| true, &mut dist, &mut queue),
+        bfs(adjacency, src, max_hops, &mut dist, &mut queue, label);
+        hops
+    }
+
+    /// Hop counts among `members` (node indices, ascending, no repeats)
+    /// over the subgraph they induce, cut at `max_hops`: `m[a][b]` is the
+    /// length of the shortest `members[a]`–`members[b]` path through
+    /// members only, [`UNREACHABLE`] when there is none that short. A
+    /// crashed member reaches nothing, not even itself. One sweep covers
+    /// 64 members over a local CSR of the member set, so a region of `k`
+    /// nodes costs `⌈k/64⌉` sweeps over `k` nodes rather than `k`
+    /// searches each clearing an `n`-entry row.
+    pub fn member_hops(&self, members: &[usize], max_hops: u32) -> Vec<Vec<u32>> {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
+        let mut local = Adjacency {
+            start: vec![0],
+            list: Vec::new(),
+        };
+        for &m in members {
+            let inside = self.adjacency.of(m).iter();
+            let found = inside.filter_map(|&v| members.binary_search(&(v as usize)).ok());
+            local.list.extend(found.map(|l| l as u32));
+            let end = u32::try_from(local.list.len()).expect("link count fits u32");
+            local.start.push(end);
         }
-        queue
-            .into_iter()
-            .map(|v| (NodeId(v as usize), dist[v as usize]))
+        let active: Vec<bool> = members.iter().map(|&m| self.active[m]).collect();
+        let sources: Vec<u32> = (0..members.len() as u32).collect();
+        sources
+            .chunks(SWEEP_WIDTH)
+            .flat_map(|batch| sweep_rows(&local, &active, batch, max_hops))
             .collect()
     }
 
@@ -797,8 +830,9 @@ fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
     std::mem::size_of_val(rows) + heap
 }
 
-/// The hop rows of up to 64 `sources` at once, in source order: the
-/// multi-source BFS of Then et al., *The More the Merrier* (VLDB 2014).
+/// The hop rows of up to 64 `sources` at once, in source order, cut at
+/// `max_hops` (nodes further away stay [`UNREACHABLE`]): the multi-source
+/// BFS of Then et al., *The More the Merrier* (VLDB 2014).
 /// Bit `b` of a node's words stands for `sources[b]`; `seen` marks the
 /// sources that reached the node, `frontier` those that reached it last
 /// level. A level ORs each frontier node's word into its neighbours'
@@ -808,7 +842,12 @@ fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
 /// for all 64 sources instead of once per source. The inner loop is a
 /// branch-free OR; the per-level scan of all `n` words it buys is far
 /// cheaper than tracking which nodes were touched.
-fn sweep_rows(adjacency: &Adjacency, active: &[bool], sources: &[u32]) -> Vec<Vec<u32>> {
+fn sweep_rows(
+    adjacency: &Adjacency,
+    active: &[bool],
+    sources: &[u32],
+    max_hops: u32,
+) -> Vec<Vec<u32>> {
     debug_assert!(sources.len() <= SWEEP_WIDTH);
     let n = active.len();
     let mut rows = vec![vec![UNREACHABLE; n]; sources.len()];
@@ -823,7 +862,7 @@ fn sweep_rows(adjacency: &Adjacency, active: &[bool], sources: &[u32]) -> Vec<Ve
     }
     seen.copy_from_slice(&frontier);
     let mut hops = 0;
-    loop {
+    while hops < max_hops {
         hops += 1;
         for (v, &bits) in frontier.iter().enumerate() {
             if bits != 0 {
@@ -844,9 +883,10 @@ fn sweep_rows(adjacency: &Adjacency, active: &[bool], sources: &[u32]) -> Vec<Ve
             }
         }
         if !reached {
-            return rows;
+            break;
         }
     }
+    rows
 }
 
 /// One source's BFS hop-count row; a crashed source reaches nothing, not
@@ -855,39 +895,48 @@ fn bfs_row(adjacency: &Adjacency, active: &[bool], src: usize) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; active.len()];
     if active[src] {
         let mut queue = Vec::with_capacity(active.len());
-        bfs(adjacency, src, UNREACHABLE, |_| true, &mut dist, &mut queue);
+        let never = |_: usize, _: u32| false;
+        bfs(adjacency, src, UNREACHABLE, &mut dist, &mut queue, never);
     }
     dist
 }
 
 /// The one BFS kernel behind full rows and [`Topology::bfs_bounded`]:
-/// from `src`, expanding nodes in FIFO order up to `max_hops` and
-/// entering only the nodes `enter` admits. `dist` must hold
+/// from `src`, expanding nodes in FIFO order up to `max_hops`, handing
+/// each node to `done` with its hop count as it is labelled (`src`
+/// first) and stopping when `done` says so. `dist` must hold
 /// [`UNREACHABLE`] everywhere and `queue` be empty with room for every
 /// node, so nothing grows; on return `dist` holds hop counts and `queue`
-/// the discovery order, `src` first.
+/// the discovery order.
 #[inline]
 fn bfs(
     adjacency: &Adjacency,
     src: usize,
     max_hops: u32,
-    enter: impl Fn(usize) -> bool,
     dist: &mut [u32],
     queue: &mut Vec<u32>,
+    mut done: impl FnMut(usize, u32) -> bool,
 ) {
     dist[src] = 0;
     queue.push(src as u32);
+    if done(src, 0) {
+        return;
+    }
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
         head += 1;
         let du = dist[u as usize];
+        // The queue is in hop order: nothing after `u` expands either.
         if du >= max_hops {
-            continue;
+            return;
         }
         for &v in adjacency.of(u as usize) {
-            if dist[v as usize] == UNREACHABLE && enter(v as usize) {
+            if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push(v);
+                if done(v as usize, du + 1) {
+                    return;
+                }
             }
         }
     }
@@ -1368,7 +1417,13 @@ mod tests {
     /// The node farthest from `src` and its hop count, without touching
     /// the route rows.
     fn farthest_from(t: &Topology, src: NodeId) -> (NodeId, u32) {
-        *t.bfs_bounded(src, u32::MAX, None).last().unwrap()
+        let row = bfs_row(&t.adjacency, &t.active, src.0);
+        let reached = row
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, h)| h != UNREACHABLE);
+        let (v, h) = reached.max_by_key(|&(_, h)| h).unwrap();
+        (NodeId(v), h)
     }
 
     /// The regression guard for routing cost: a unicast materializes the
@@ -1509,41 +1564,61 @@ mod tests {
     }
 
     /// The horizon-bounded BFS agrees with full hop counts inside the
-    /// horizon and omits everything beyond it.
+    /// horizon and reads [`UNREACHABLE`] beyond it.
     #[test]
     fn bounded_bfs_matches_full_bfs_within_horizon() {
         let mut rng = StdRng::seed_from_u64(43);
         let t = Topology::random_connected(35, TopologyConfig::default(), &mut rng).unwrap();
         let horizon = 2;
+        let all: Vec<usize> = (0..t.len()).collect();
         for src in t.nodes() {
-            let rows = t.bfs_bounded(src, horizon, None);
-            let by_node: std::collections::HashMap<NodeId, u32> = rows.into_iter().collect();
+            let hops = t.bfs_bounded(src, horizon, &all);
             for dst in t.nodes() {
                 let full = t.hops(src, dst);
-                match by_node.get(&dst) {
-                    Some(&h) => assert_eq!(h, full, "{src}->{dst}"),
-                    None => assert!(full > horizon, "{src}->{dst} missing but {full} hops"),
-                }
+                let want = if full <= horizon { full } else { UNREACHABLE };
+                assert_eq!(hops[dst.0], want, "{src}->{dst}");
             }
         }
     }
 
-    /// A membership mask confines expansion: everything reported is in the
-    /// mask and reachable through mask-internal paths only.
+    /// Rows announced ahead and filled in one batch answer every query as
+    /// the rows the queries fill themselves, and each counts once in
+    /// `topology.rows`: announcing a source twice, or querying it after,
+    /// fills nothing more.
     #[test]
-    fn bounded_bfs_respects_mask() {
-        let t = line_topology(6, 60.0);
-        let mut mask = vec![false; 6];
-        mask[..3].fill(true);
-        let rows = t.bfs_bounded(NodeId(0), 10, Some(&mask));
-        let ids: Vec<usize> = rows.iter().map(|(v, _)| v.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        // Severing the mask interior cuts reachability even within range.
-        let mut gap = vec![false; 6];
-        gap[0] = true;
-        gap[2] = true;
-        let rows = t.bfs_bounded(NodeId(0), 10, Some(&gap));
-        assert_eq!(rows.len(), 1, "node 2 is not adjacent to node 0");
+    fn announced_rows_answer_as_lazily_filled_ones() {
+        let batched = sparse_connected(150, Field::new(150.0, 450.0), 71);
+        let lazy = batched.clone();
+        let announced: Vec<NodeId> = batched.nodes().step_by(2).collect();
+        let queries = |t: &Topology| {
+            let (mut answers, mut rdc_rows) = (Vec::new(), Vec::new());
+            for &a in &announced {
+                for b in t.nodes() {
+                    let rdc = t.rdc(a, b).to_bits();
+                    answers.push((t.hops(a, b), t.path(a, b), t.path(b, a), rdc));
+                }
+                rdc_rows.push(t.rdc_row(a).iter().map(|c| c.to_bits()).collect::<Vec<_>>());
+            }
+            (answers, rdc_rows)
+        };
+        telemetry::enable();
+        batched.fill_hop_rows(announced.iter().copied());
+        batched.fill_hop_rows(announced.iter().copied());
+        assert_eq!(batched.materialized_rows(), announced.len());
+        let from_batch = queries(&batched);
+        let batch_rows = telemetry::finish()
+            .unwrap()
+            .registry
+            .counter("topology.rows");
+        telemetry::enable();
+        let from_queries = queries(&lazy);
+        let lazy_rows = telemetry::finish()
+            .unwrap()
+            .registry
+            .counter("topology.rows");
+        assert_eq!(from_batch, from_queries);
+        assert_eq!(batched.materialized_rows(), lazy.materialized_rows());
+        assert_eq!((batch_rows, lazy_rows), (75, 75));
     }
 
     /// Sparse accounting: the CSR adjacency's two `u32` arrays, one lock
@@ -1716,36 +1791,74 @@ mod tests {
         }
 
         /// The shared BFS kernel equals the reference BFS: full rows, and
-        /// [`Topology::bfs_bounded`]'s discovery order at every horizon,
-        /// with and without a membership mask.
+        /// [`Topology::bfs_bounded`]'s counts to any target set at every
+        /// horizon, however early the targets let it stop.
         #[test]
         fn bfs_kernel_matches_reference_bfs(
             n in 2usize..90,
             seed in any::<u64>(),
             crashed in prop::collection::vec(0usize..90, 0..4),
             cut in prop::collection::vec(0usize..90, 0..30),
-            mask in prop::collection::vec(any::<bool>(), 90),
+            pick in prop::collection::vec(any::<bool>(), 90),
             horizon in 0u32..6,
         ) {
             let t = faulted(n, seed, true, &crashed, &cut);
-            let mask = &mask[..n];
+            let targets: Vec<usize> = (0..n).filter(|&v| pick[v]).collect();
             for src in t.nodes() {
-                let mut row = vec![UNREACHABLE; n];
-                for (v, h) in reference_bfs(&t, src, UNREACHABLE, None) {
-                    row[v.0] = h;
-                }
-                prop_assert_eq!(bfs_row(&t.adjacency, &t.active, src.0), row);
                 for max_hops in [horizon, UNREACHABLE] {
-                    prop_assert_eq!(
-                        t.bfs_bounded(src, max_hops, None),
-                        reference_bfs(&t, src, max_hops, None)
-                    );
-                    prop_assert_eq!(
-                        t.bfs_bounded(src, max_hops, Some(mask)),
-                        reference_bfs(&t, src, max_hops, Some(mask))
-                    );
+                    let mut row = vec![UNREACHABLE; n];
+                    for (v, h) in reference_bfs(&t, src, max_hops, None) {
+                        row[v.0] = h;
+                    }
+                    if max_hops == UNREACHABLE {
+                        prop_assert_eq!(&bfs_row(&t.adjacency, &t.active, src.0), &row);
+                    }
+                    let want: Vec<u32> = targets.iter().map(|&v| row[v]).collect();
+                    prop_assert_eq!(t.bfs_bounded(src, max_hops, &targets), want);
                 }
             }
+        }
+
+        /// The member-set sweep equals a per-member BFS confined to the
+        /// members, at every horizon from 0 to one past the diameter, on
+        /// member sets the induced subgraph splits, with crashed members,
+        /// and on both sides of the 64-member sweep width. On a line, a
+        /// member set with a gap does not reach across it.
+        #[test]
+        fn member_hops_match_confined_bfs(
+            n in 1usize..150,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..150, 0..6),
+            cut in prop::collection::vec(0usize..150, 0..40),
+            pick in prop::collection::vec(any::<bool>(), 150),
+        ) {
+            let t = faulted(n, seed, true, &crashed, &cut);
+            let members: Vec<usize> = (0..n).filter(|&v| pick[v]).collect();
+            let mut mask = vec![false; n];
+            for &m in &members {
+                mask[m] = true;
+            }
+            let diameter = (0..n)
+                .flat_map(|v| bfs_row(&t.adjacency, &t.active, v))
+                .filter(|&h| h != UNREACHABLE)
+                .max()
+                .unwrap_or(0);
+            for max_hops in 0..=diameter + 1 {
+                let matrix = t.member_hops(&members, max_hops);
+                prop_assert_eq!(matrix.len(), members.len());
+                for (&m, row) in members.iter().zip(&matrix) {
+                    let mut want = vec![UNREACHABLE; n];
+                    for (v, h) in reference_bfs(&t, NodeId(m), max_hops, Some(&mask)) {
+                        want[v.0] = h;
+                    }
+                    let want: Vec<u32> = members.iter().map(|&v| want[v]).collect();
+                    prop_assert_eq!(row, &want, "member {} at horizon {}", m, max_hops);
+                }
+            }
+            // Nodes 2 and 3 are one hop apart; 0 is cut off by the gap.
+            let gap = line_topology(6, 60.0).member_hops(&[0, 2, 3], 10);
+            let far = UNREACHABLE;
+            prop_assert_eq!(gap, vec![vec![0, far, far], vec![far, 0, 1], vec![far, 1, 0]]);
         }
     }
 }
