@@ -1,7 +1,8 @@
 //! The §IV-D access protocols: data fetch through metadata, recovery of
 //! missing blocks from a neighbour's cache, snapshot bootstrap for a node
 //! that fell behind the pruned base, and the miner's replica-repair sweep —
-//! all routing around §III-B.2's denying storers.
+//! all routing around §III-B.2's denying storers — plus §VII's migration
+//! pass, which re-places items through repair's allocator and copy loop.
 //!
 //! [`Access`] owns the state only these paths use: who denies service,
 //! the `(data, storer)` pairs published invalid, the `(rejoiner, server)`
@@ -20,7 +21,7 @@
 
 use crate::account::{AccountId, Identity, Ledger};
 use crate::admission::Admission;
-use crate::alloc::AllocationContext;
+use crate::alloc::{AllocationContext, Placement};
 use crate::block::Block;
 use crate::byzantine::{ByzantineEngine, Court};
 use crate::catalogue::Catalogue;
@@ -315,42 +316,16 @@ impl Lent<'_> {
             let Ok(new_set) = chosen else {
                 continue;
             };
-            let mut repaired = false;
-            let mut last_copy: Option<SimTime> = None;
-            for s in new_set {
-                if live_holders.contains(&s)
-                    || Some(s) == producer
-                    || self.storage[s.0].is_full()
-                    || self.storage[s.0].has_data(id)
-                {
-                    continue;
-                }
-                let nearest = sources
-                    .iter()
-                    .filter_map(|&c| provider_rank(self.topo, s, c));
-                let Some((_, src)) = nearest.min() else {
-                    continue;
-                };
-                if let Ok(d) = self.transport.unicast(self.topo, src, s, data_size, now) {
-                    if self.storage[s.0].store_data(id) {
-                        repaired = true;
-                        sweep_copies += 1;
-                        last_copy = last_copy.max(Some(d.arrival));
-                    }
-                }
-            }
-            if repaired {
+            let fresh = new_set
+                .into_iter()
+                .filter(|s| !live_holders.contains(s) && Some(*s) != producer);
+            let (copies, last_copy) = self.copy_replicas(id, data_size, &sources, fresh, now);
+            if copies > 0 {
+                sweep_copies += copies;
                 self.report.repairs_triggered += 1;
                 sweep_repaired += 1;
                 self.spans.repair(now, id, last_copy);
-                // Refresh the operational holder view: every node whose
-                // disk holds the item (crashed ones keep theirs, and the
-                // fresh copies just landed).
-                let holders: Vec<NodeId> = (0..self.config.nodes)
-                    .map(NodeId)
-                    .filter(|&v| self.storage[v.0].has_data(id))
-                    .collect();
-                self.catalogue.set_storers(id, holders);
+                self.refresh_storers(id);
             }
         }
         if sweep_repaired > 0 {
@@ -363,6 +338,136 @@ impl Lent<'_> {
             );
         }
     }
+
+    /// §VII data migration ("how to use less operation to achieve less
+    /// offset from the optimal result"): every item whose live holders
+    /// serve the live nodes worse than the run's allocator would by more
+    /// than [`MIGRATION_GAIN`] ([`placement_cost`]) is copied onto the
+    /// allocator's choice, each new storer from its nearest holder. Holders
+    /// the choice abandons are evicted only once every chosen node holds
+    /// the item, so a failed copy never costs the item a replica. Crashed
+    /// holders are invisible to the pass: their copies can be neither
+    /// moved nor dropped while the node is down.
+    pub(crate) fn migrate_replicas(&mut self, now: SimTime) {
+        let ids: Vec<DataId> = self.catalogue.ids().collect();
+        for id in ids {
+            let Some(item) = self.catalogue.get(id) else {
+                continue;
+            };
+            let holders: Vec<NodeId> = item
+                .storing_nodes
+                .iter()
+                .copied()
+                .filter(|&h| self.topo.is_active(h) && self.storage[h.0].has_data(id))
+                .collect();
+            let Some(&first) = holders.first() else {
+                continue;
+            };
+            let producer = self.node_of_account.get(&item.producer).copied();
+            let origin = producer
+                .filter(|&p| self.topo.is_active(p))
+                .unwrap_or(first);
+            let data_size = item.data_size;
+            let optimal = Placement::Optimal;
+            let chosen = self
+                .alloc
+                .select(optimal, origin, self.topo, self.storage, self.rng);
+            let Ok(target) = chosen else {
+                continue;
+            };
+            let scale = self.config.fdc_scale;
+            let before = placement_cost(self.topo, self.storage, &holders, scale);
+            let after = placement_cost(self.topo, self.storage, &target, scale);
+            if after >= before * (1.0 - MIGRATION_GAIN) {
+                continue;
+            }
+            let fresh = target.iter().copied();
+            let (copies, _) = self.copy_replicas(id, data_size, &holders, fresh, now);
+            self.report.migrations += copies;
+            let mut evicted = false;
+            if target.iter().all(|&t| self.storage[t.0].has_data(id)) {
+                for h in holders.into_iter().filter(|h| !target.contains(h)) {
+                    evicted |= self.storage[h.0].evict_data(id);
+                }
+            }
+            if copies > 0 || evicted {
+                self.refresh_storers(id);
+            }
+        }
+    }
+
+    /// Copies item `id` (`bytes` long) over the transport to each of
+    /// `targets` that has room and lacks it, each from its nearest source
+    /// among `sources` ([`provider_rank`]). Returns how many copies landed
+    /// and when the last one arrived.
+    fn copy_replicas(
+        &mut self,
+        id: DataId,
+        bytes: u64,
+        sources: &[NodeId],
+        targets: impl IntoIterator<Item = NodeId>,
+        now: SimTime,
+    ) -> (u64, Option<SimTime>) {
+        let (mut copies, mut last) = (0, None);
+        for s in targets {
+            if self.storage[s.0].is_full() || self.storage[s.0].has_data(id) {
+                continue;
+            }
+            let nearest = sources
+                .iter()
+                .filter_map(|&c| provider_rank(self.topo, s, c));
+            let Some((_, src)) = nearest.min() else {
+                continue;
+            };
+            if let Ok(d) = self.transport.unicast(self.topo, src, s, bytes, now) {
+                if self.storage[s.0].store_data(id) {
+                    copies += 1;
+                    last = last.max(Some(d.arrival));
+                }
+            }
+        }
+        (copies, last)
+    }
+
+    /// Points the catalogue's holder view of `id` at every node whose disk
+    /// holds it: crashed ones keep theirs, and fresh copies just landed.
+    fn refresh_storers(&mut self, id: DataId) {
+        let holders: Vec<NodeId> = (0..self.config.nodes)
+            .map(NodeId)
+            .filter(|&v| self.storage[v.0].has_data(id))
+            .collect();
+        self.catalogue.set_storers(id, holders);
+    }
+}
+
+/// The relative gain over the current holders that the migration pass
+/// needs before it moves an item ("Calculating the optimal storage problem
+/// is not necessary if the change over the network is small", §VII). The
+/// objective carries the scaled FDC term, equal for equally loaded
+/// holders, so even large proximity gains read as single-digit relative
+/// gains at the paper's `A = 1000`.
+const MIGRATION_GAIN: f64 = 0.05;
+
+/// The Eq. 3 objective of storing one item at `holders`: each holder's
+/// opening cost `A·f_i` plus every live node's cheapest RDC to a holder;
+/// `f64::INFINITY` for no holders.
+fn placement_cost(
+    topo: &Topology,
+    storage: &[NodeStorage],
+    holders: &[NodeId],
+    fdc_scale: f64,
+) -> f64 {
+    if holders.is_empty() {
+        return f64::INFINITY;
+    }
+    let opening = holders
+        .iter()
+        .fold(0.0, |cost, &h| cost + fdc_scale * storage[h.0].fdc());
+    let clients = topo.nodes().filter(|&j| topo.is_active(j));
+    clients.fold(opening, |cost, j| {
+        let nearest = holders.iter().map(|&h| topo.rdc(h, j));
+        cost + nearest.fold(f64::INFINITY, f64::min)
+    })
 }
 
 /// The access machine's own state; see the module docs.
@@ -727,6 +832,7 @@ impl Access {
 mod tests {
     use super::*;
     use crate::admission::RetryPolicy;
+    use crate::alloc::select_storers;
     use crate::byzantine::empty_block_on;
     use crate::chain::CheckpointPolicy;
     use crate::metadata::{DataType, Location};
@@ -997,5 +1103,151 @@ mod tests {
         let denied = cx.request_reply(v, h, DATA_REQUEST_BYTES, NOW, |_| None::<(u64, ())>);
         assert_eq!(denied, Err(Miss::Denied(heard)));
         assert_eq!(Miss::Denied(heard).outcome(), "denied");
+    }
+
+    /// `n` nodes on the line with the item produced by the far-end node
+    /// and stored at `storers` in the catalogue. Every node holds eleven
+    /// items, the item or a filler among them, so opening costs are equal
+    /// and not zero (all-empty stores make every facility free and the
+    /// solver opens everything).
+    fn migration_world(n: usize, storers: &[usize]) -> World {
+        let mut w = World::line(n);
+        for (i, s) in w.storage.iter_mut().enumerate() {
+            let fillers = if storers.contains(&i) { 10 } else { 11 };
+            for k in 0..fillers {
+                s.store_data(DataId(10_000 + i as u64 * 100 + k));
+            }
+        }
+        let item = w.item(n - 1, storers);
+        w.catalogue.insert(item, 0);
+        w
+    }
+
+    fn migrate(w: &mut World) {
+        w.lend().1.migrate_replicas(NOW);
+    }
+
+    /// The nodes whose disk holds the item, and the catalogue's view.
+    fn holders(w: &World) -> (Vec<usize>, Vec<usize>) {
+        let id = DataId(7);
+        let disk = (0..w.storage.len()).filter(|&v| w.storage[v].has_data(id));
+        let named = w.catalogue.get(id).unwrap().storing_nodes.iter();
+        (disk.collect(), named.map(|v| v.0).collect())
+    }
+
+    fn optimum(w: &World) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let chosen = select_storers(Placement::Optimal, &w.topo, &w.storage, &mut rng);
+        chosen.unwrap().into_iter().map(|v| v.0).collect()
+    }
+
+    #[test]
+    fn a_central_holder_costs_less_than_an_edge_one() {
+        let w = migration_world(5, &[]);
+        let cost = |holders: &[NodeId]| placement_cost(&w.topo, &w.storage, holders, 1_000.0);
+        assert!(cost(&[NodeId(2)]) < cost(&[NodeId(0)]));
+        assert_eq!(cost(&[]), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_far_end_item_migrates() {
+        let mut w = migration_world(7, &[6]);
+        let target = optimum(&w);
+        assert!(!target.contains(&6), "the optimum is central: {target:?}");
+        let cost = |w: &World, at: &[usize]| {
+            let holders: Vec<NodeId> = at.iter().copied().map(NodeId).collect();
+            placement_cost(&w.topo, &w.storage, &holders, 1_000.0)
+        };
+        let before = cost(&w, &[6]);
+        assert!(cost(&w, &target) < before * (1.0 - MIGRATION_GAIN));
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, target.len() as u64);
+        assert!(cost(&w, &target) < before);
+    }
+
+    #[test]
+    fn a_dropped_holder_is_evicted_once_the_charged_copies_land() {
+        let mut w = migration_world(7, &[6]);
+        let target = optimum(&w);
+        migrate(&mut w);
+        // Every copy landed, so the abandoned holder is evicted and the
+        // catalogue names exactly the new placement.
+        assert_eq!(holders(&w), (target.clone(), target.clone()));
+        // Each copy rode the transport.
+        let sent = w.transport.stats().total_sent();
+        assert!(sent >= target.len() as u64 * ITEM_BYTES, "{sent} bytes");
+    }
+
+    #[test]
+    fn an_optimal_placement_is_left_alone() {
+        let w = migration_world(7, &[]);
+        let target = optimum(&w);
+        let mut w = migration_world(7, &target);
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, 0);
+        assert_eq!(holders(&w), (target.clone(), target));
+        assert_eq!(w.transport.stats().total_sent(), 0);
+    }
+
+    #[test]
+    fn a_kept_replica_is_never_a_copy_destination() {
+        // One central replica plus a stray at the far end.
+        let mut w = migration_world(9, &[4, 8]);
+        let target = optimum(&w);
+        assert!(target.contains(&4), "the central holder stays: {target:?}");
+        migrate(&mut w);
+        let fresh = target.iter().filter(|&&t| t != 4 && t != 8).count();
+        assert_eq!(w.report.migrations, fresh as u64);
+        assert_eq!(w.transport.stats().total_sent(), fresh as u64 * ITEM_BYTES);
+        assert!(w.storage[4].has_data(DataId(7)));
+    }
+
+    #[test]
+    fn a_copy_goes_to_the_live_optimum_not_a_crashed_nodes_index() {
+        let mut w = migration_world(7, &[6]);
+        w.topo.set_active(NodeId(1), false);
+        assert_eq!(optimum(&w), [4]);
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, 1);
+        assert_eq!(holders(&w), (vec![4], vec![4]));
+    }
+
+    #[test]
+    fn no_copy_means_no_eviction() {
+        // Node 4 down cuts the far end off from the optimum: nothing can
+        // be copied, so the only holder keeps the item.
+        let mut w = migration_world(7, &[6]);
+        w.topo.set_active(NodeId(4), false);
+        assert!(!optimum(&w).contains(&6));
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, 0);
+        assert_eq!(holders(&w), (vec![6], vec![6]));
+    }
+
+    #[test]
+    fn after_a_failed_copy_the_catalogue_names_only_disk_holders() {
+        // A loss window drops every copy.
+        let mut w = migration_world(7, &[6]);
+        w.transport.set_loss_prob(1.0);
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, 0);
+        assert_eq!(holders(&w), (vec![6], vec![6]));
+
+        // At A = 0 fairness is free and every live node is a target, even
+        // node 3 with only the cache's reserved slot left: it refuses its
+        // copy. The copies that landed join the holders, and the far end
+        // stays until every target holds the item.
+        let mut w = migration_world(7, &[6]);
+        (w.config.fdc_scale, w.alloc) = (0.0, AllocationContext::new(0.0));
+        let full = 3;
+        let mut filler = 0;
+        while w.storage[full].store_block(filler) {
+            filler += 1;
+        }
+        migrate(&mut w);
+        assert_eq!(w.report.migrations, 5);
+        let (disk, named) = holders(&w);
+        assert_eq!(disk, named);
+        assert!(!disk.contains(&full) && disk.contains(&6), "{disk:?}");
     }
 }

@@ -47,24 +47,16 @@ impl std::fmt::Display for Placement {
     }
 }
 
-/// Builds the per-item UFL instance from live state. Exposed separately so
-/// benches can time instance construction and solving independently.
+/// Builds the per-item UFL instance from live state at the paper's
+/// `A = 1000`. Exposed separately so benches can time instance
+/// construction and solving independently.
 pub fn build_instance(topology: &Topology, storage: &[NodeStorage]) -> UflInstance {
-    build_instance_scaled(topology, storage, edgechain_facility::FDC_SCALE)
-}
-
-/// [`build_instance`] with an explicit FDC weight `A` (the paper fixes
-/// `A = 1000` after feature scaling; the ablation bench sweeps it).
-pub fn build_instance_scaled(
-    topology: &Topology,
-    storage: &[NodeStorage],
-    fdc_scale: f64,
-) -> UflInstance {
     assert_eq!(
         topology.len(),
         storage.len(),
         "one storage manager per topology node"
     );
+    let fdc_scale = edgechain_facility::FDC_SCALE;
     build_instance_over(topology, storage, fdc_scale, &live_nodes(topology), None)
 }
 
@@ -163,27 +155,6 @@ pub fn select_storers<R: Rng + ?Sized>(
     storage: &[NodeStorage],
     rng: &mut R,
 ) -> Result<Vec<NodeId>, SolveError> {
-    select_storers_scaled(
-        placement,
-        topology,
-        storage,
-        edgechain_facility::FDC_SCALE,
-        rng,
-    )
-}
-
-/// [`select_storers`] with an explicit FDC weight `A` (ablation support).
-///
-/// # Errors
-///
-/// Returns [`SolveError::NoFeasibleFacility`] when every node is full.
-pub fn select_storers_scaled<R: Rng + ?Sized>(
-    placement: Placement,
-    topology: &Topology,
-    storage: &[NodeStorage],
-    fdc_scale: f64,
-    rng: &mut R,
-) -> Result<Vec<NodeId>, SolveError> {
     if placement == Placement::NoProactive {
         return Ok(Vec::new());
     }
@@ -191,6 +162,7 @@ pub fn select_storers_scaled<R: Rng + ?Sized>(
     if live.is_empty() {
         return Err(SolveError::NoFeasibleFacility);
     }
+    let fdc_scale = edgechain_facility::FDC_SCALE;
     let instance = build_instance_over(topology, storage, fdc_scale, &live, None);
     let solution = solve(&instance)?;
     storers_from_solution(placement, &solution, &live, storage, rng)
@@ -269,7 +241,7 @@ fn place<R: Rng + ?Sized>(
 /// instance is patched in place via [`UflInstance::set_open_cost`] — the
 /// `O(n²)` connect matrix is untouched — and only the solve is redone,
 /// cold, so the output stays bit-identical to the one-shot
-/// [`select_storers_scaled`] (pinned by
+/// [`select_storers`] at the same `A` (pinned by
 /// `context_matches_one_shot_path_through_mutations`).
 ///
 /// Telemetry: counts `ufl.cache_hit` (solution reused), `ufl.cache_miss`
@@ -343,7 +315,8 @@ impl AllocationContext {
         }
     }
 
-    /// Cached equivalent of [`select_storers_scaled`]: observationally
+    /// Cached equivalent of the one-shot [`select_storers`] (at this
+    /// context's `A`, the paper's 1000 by default): observationally
     /// identical output and rng consumption, without re-building (or, when
     /// state is unchanged, re-solving) the UFL instance per call.
     ///
@@ -392,7 +365,7 @@ impl AllocationContext {
     ///
     /// This path is an approximation of the global solve — replicas
     /// concentrate around the data's origin — and carries no
-    /// bit-equivalence contract with [`select_storers_scaled`]. It shares
+    /// bit-equivalence contract with [`select_storers`]. It shares
     /// the cache telemetry (`ufl.cache_hit` / `ufl.cache_miss` /
     /// `ufl.incremental_updates`) and the same incremental refresh
     /// triggers: repartition on topology epoch change, per-region

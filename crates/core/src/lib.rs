@@ -58,7 +58,6 @@ pub mod chain;
 pub mod codec;
 pub mod invariant;
 pub mod metadata;
-pub mod migration;
 pub mod network;
 pub mod pos;
 pub mod pow;
@@ -74,9 +73,6 @@ pub use chain::verify_wire_block;
 pub use chain::{Blockchain, ChainAnchor, ChainError, CheckpointPolicy, Snapshot};
 pub use invariant::{ForkView, InvariantChecker, InvariantView};
 pub use metadata::{DataId, DataType, Location, MetadataItem};
-pub use migration::{
-    apply_migration, placement_cost, plan_migration, MigrationConfig, MigrationPlan, Move,
-};
 pub use network::{ConfigError, EdgeNetwork, NetworkConfig, RunReport};
 pub use pos::{
     hit, next_pos_hash, run_round, verify_claim, Amendment, Candidate, MiningOutcome, HIT_MODULUS,

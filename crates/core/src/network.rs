@@ -962,7 +962,13 @@ impl EdgeNetwork {
                 Event::IssueRequest { requester } => self.on_issue_request(requester, now),
                 Event::MobilityStep => self.on_mobility(now),
                 Event::ExpireSweep => self.on_expire_sweep(now),
-                Event::MigrateData => self.on_migrate(now),
+                Event::MigrateData => {
+                    self.lend().1.migrate_replicas(now);
+                    if let Some(every) = self.config.migration_interval_secs {
+                        self.queue
+                            .schedule(now + SimTime::from_secs(every), Event::MigrateData);
+                    }
+                }
                 Event::RaftTick => self.on_raft_tick(now),
                 Event::RaftDeliver { from, envelope } => self.on_raft_deliver(from, envelope, now),
                 Event::FaultTick => self.on_fault_tick(now),
@@ -2080,77 +2086,6 @@ impl EdgeNetwork {
         self.raft_dispatch(to, now);
     }
 
-    /// §VII data migration: periodically re-evaluate every item's placement
-    /// against the *current* topology and storage state and move the worst
-    /// offenders toward the optimum. Only items whose improvement clears
-    /// the configured threshold are touched ("Calculating the optimal
-    /// storage problem is not necessary if the change over the network is
-    /// small"). Replica copies ride the transport and count as overhead.
-    fn on_migrate(&mut self, now: SimTime) {
-        let ids: Vec<DataId> = self.catalogue.ids().collect();
-        for id in ids {
-            let Some(item) = self.catalogue.get(id) else {
-                continue;
-            };
-            // Crashed holders are invisible to migration: their copies can
-            // be neither moved nor dropped while the node is down.
-            let holders: Vec<NodeId> = item
-                .storing_nodes
-                .iter()
-                .copied()
-                .filter(|&h| self.topo.is_active(h) && self.storage[h.0].has_data(id))
-                .collect();
-            if holders.is_empty() {
-                continue;
-            }
-            let data_size = item.data_size;
-            let plan = match crate::migration::plan_migration(
-                id,
-                &self.topo,
-                &self.storage,
-                &holders,
-                crate::migration::MigrationConfig {
-                    fdc_scale: self.config.fdc_scale,
-                    ..Default::default()
-                },
-            ) {
-                Ok(Some(plan)) => plan,
-                _ => continue,
-            };
-            let copied = crate::migration::apply_migration(
-                &plan,
-                &self.topo,
-                &mut self.storage,
-                &mut self.transport,
-                data_size,
-                now,
-            );
-            self.report.migrations += copied as u64;
-            // Update the operational view of where the item now lives.
-            if copied > 0 || !plan.drops.is_empty() {
-                let mut new_holders: Vec<NodeId> = holders
-                    .iter()
-                    .copied()
-                    .filter(|h| !plan.drops.contains(h))
-                    .collect();
-                new_holders.extend(plan.moves.iter().map(|m| m.to));
-                // Crashed holders keep their (currently unavailable) copy.
-                new_holders.extend(
-                    (0..self.config.nodes)
-                        .map(NodeId)
-                        .filter(|&v| !self.topo.is_active(v) && self.storage[v.0].has_data(id)),
-                );
-                new_holders.sort_unstable();
-                new_holders.dedup();
-                self.catalogue.set_storers(id, new_holders);
-            }
-        }
-        if let Some(every) = self.config.migration_interval_secs {
-            self.queue
-                .schedule(now + SimTime::from_secs(every), Event::MigrateData);
-        }
-    }
-
     fn on_mobility(&mut self, now: SimTime) {
         self.topo.mobility_step(&mut self.rng);
         if self.config.raft_consensus {
@@ -2948,7 +2883,7 @@ mod tests {
             item.storing_nodes = vec![NodeId(0)];
             assert!(net.storage[0].store_data(id));
             net.catalogue.insert(item, 0);
-            net.on_migrate(SimTime::from_secs(1));
+            net.lend().1.migrate_replicas(SimTime::from_secs(1));
             net.report.migrations
         };
         assert_eq!(migrations_at(edgechain_facility::FDC_SCALE), 0);

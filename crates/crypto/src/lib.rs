@@ -53,7 +53,7 @@ pub mod u256;
 pub use hmac::hmac_sha256;
 pub use merkle::{leaf_hash, MerkleProof, MerkleTree, Side};
 pub use sha256::{
-    sha256, sha256_fixed64, sha256_many_pair64, sha256_pair, sha256_pair64, Digest, Midstate,
+    sha256, sha256_fixed64, sha256_many_pair64, sha256_pair, sha256_pair64, Digest,
     ParseDigestError, Sha256, SharedPrefix32,
 };
 pub use sig::{address_for_seed, InvalidKeyError, KeyPair, PublicKey, SecretKey, Signature};

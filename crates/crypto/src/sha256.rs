@@ -5,12 +5,9 @@
 //! the FIPS 180-4 / NIST test vectors in the unit tests and against a
 //! `incremental == one-shot` property test.
 //!
-//! Three fast paths support the consensus hot loop (all bit-identical to
+//! Two fast paths support the consensus hot loop (both bit-identical to
 //! the one-shot function, pinned by unit and property tests):
 //!
-//! - [`Midstate`] captures the compression state at a 64-byte block
-//!   boundary so a shared message prefix is compressed once and resumed
-//!   per suffix.
 //! - [`sha256_fixed64`] hashes exactly-64-byte messages — the PoS shape
 //!   `Hash(POSHash_prev ‖ Account_i)`, two 32-byte halves — using a
 //!   **compile-time message schedule for the padding block**: a 64-byte
@@ -247,62 +244,6 @@ impl Sha256 {
         self.update(&tail);
         debug_assert_eq!(self.buffer_len, 0);
         to_digest(&self.state)
-    }
-
-    /// Captures the compression state, provided the hasher sits exactly at
-    /// a 64-byte block boundary (no buffered partial block); `None`
-    /// otherwise. Resuming the returned [`Midstate`] lets many messages
-    /// that share a block-aligned prefix pay for the prefix only once.
-    pub fn midstate(&self) -> Option<Midstate> {
-        if self.buffer_len != 0 {
-            return None;
-        }
-        Some(Midstate {
-            state: self.state,
-            bytes: self.total_len,
-        })
-    }
-
-    /// Rebuilds a hasher from a captured [`Midstate`]; subsequent
-    /// [`Sha256::update`]/[`Sha256::finalize`] calls behave exactly as if
-    /// the original prefix had been absorbed by this instance.
-    pub fn from_midstate(m: Midstate) -> Self {
-        Sha256 {
-            state: m.state,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: m.bytes,
-        }
-    }
-}
-
-/// The SHA-256 compression state at a 64-byte block boundary, captured
-/// with [`Sha256::midstate`] and resumed with [`Sha256::from_midstate`].
-///
-/// # Examples
-///
-/// ```
-/// use edgechain_crypto::{sha256, Sha256};
-///
-/// let mut prefix = Sha256::new();
-/// prefix.update([7u8; 64]); // one full block
-/// let mid = prefix.midstate().expect("block-aligned");
-/// let mut resumed = Sha256::from_midstate(mid);
-/// resumed.update(b"suffix");
-/// let mut oneshot = Vec::from([7u8; 64]);
-/// oneshot.extend_from_slice(b"suffix");
-/// assert_eq!(resumed.finalize(), sha256(&oneshot));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Midstate {
-    state: [u32; 8],
-    bytes: u64,
-}
-
-impl Midstate {
-    /// Number of prefix bytes already absorbed (a multiple of 64).
-    pub fn bytes_absorbed(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -640,32 +581,6 @@ mod tests {
         let a = sha256(b"prev").0;
         let b = sha256(b"account").0;
         assert_eq!(sha256_pair64(&a, &b), sha256_pair(a, b));
-    }
-
-    #[test]
-    fn midstate_resumes_exactly() {
-        let prefix = [0x42u8; 128]; // two full blocks
-        for suffix_len in [0usize, 1, 55, 64, 200] {
-            let suffix: Vec<u8> = (0..suffix_len).map(|i| i as u8).collect();
-            let mut h = Sha256::new();
-            h.update(prefix);
-            let mid = h.midstate().expect("aligned after full blocks");
-            assert_eq!(mid.bytes_absorbed(), 128);
-            let mut resumed = Sha256::from_midstate(mid);
-            resumed.update(&suffix);
-            let mut full = prefix.to_vec();
-            full.extend_from_slice(&suffix);
-            assert_eq!(resumed.finalize(), sha256(&full), "suffix {suffix_len}");
-        }
-    }
-
-    #[test]
-    fn midstate_unavailable_mid_block() {
-        let mut h = Sha256::new();
-        h.update(b"partial");
-        assert!(h.midstate().is_none());
-        h.update(vec![0u8; 57]); // tops the buffer up to one full block
-        assert!(h.midstate().is_some());
     }
 
     #[test]

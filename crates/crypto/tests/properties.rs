@@ -128,20 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn sha_midstate_resumes_anywhere(data in prop::collection::vec(any::<u8>(), 0..512), split in any::<prop::sample::Index>()) {
-        // Round the split down to a block boundary: midstates exist only
-        // there, and resuming from one must equal the one-shot digest.
-        let at = if data.is_empty() { 0 } else { split.index(data.len()) } / 64 * 64;
-        let mut h = Sha256::new();
-        h.update(&data[..at]);
-        let m = h.midstate().expect("block-aligned prefix has a midstate");
-        prop_assert_eq!(m.bytes_absorbed(), at as u64);
-        let mut resumed = Sha256::from_midstate(m);
-        resumed.update(&data[at..]);
-        prop_assert_eq!(resumed.finalize(), sha256(&data));
-    }
-
-    #[test]
     fn sha_fixed64_matches_oneshot(bytes in prop::collection::vec(any::<u8>(), 64usize)) {
         let full: [u8; 64] = bytes.as_slice().try_into().unwrap();
         let a: [u8; 32] = full[..32].try_into().unwrap();
