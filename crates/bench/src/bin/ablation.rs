@@ -48,7 +48,7 @@ fn ablate_fdc_weight(opts: &FigureOptions) {
             };
             let r = EdgeNetwork::new(cfg).unwrap().run();
             gini.push(r.storage_gini);
-            delivery.push(r.delivery.mean());
+            delivery.push(r.fetch_latency.mean.unwrap_or(0.0));
             replicas.push(r.mean_replicas);
         }
         rows.push(vec![mean(&gini), mean(&delivery), mean(&replicas)]);

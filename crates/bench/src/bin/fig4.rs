@@ -50,7 +50,7 @@ fn main() {
             let r = EdgeNetwork::new(cfg).expect("connected topology").run();
             o.push(r.mean_node_overhead_mb);
             g.push(r.storage_gini);
-            d.push(r.delivery.mean());
+            d.push(r.fetch_latency.mean.unwrap_or(0.0));
         }
         (mean(&o), mean(&g), mean(&d))
     });

@@ -53,7 +53,7 @@ fn main() {
                     ..NetworkConfig::default()
                 };
                 let r = EdgeNetwork::new(cfg).expect("connected topology").run();
-                d.push(r.delivery.mean());
+                d.push(r.fetch_latency.mean.unwrap_or(0.0));
                 o.push(r.mean_node_overhead_mb);
             }
             row_d.push(mean(&d));

@@ -33,7 +33,7 @@ use crate::slo::SloMonitor;
 use crate::spans::SpanTracker;
 use crate::storage::NodeStorage;
 use edgechain_sim::{EventQueue, NodeId, SimTime, Topology, Transport};
-use edgechain_telemetry::{self as telemetry, trace_event, SampleSet};
+use edgechain_telemetry::{self as telemetry, trace_event};
 use rand::rngs::StdRng;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -229,6 +229,11 @@ impl Lent<'_> {
         self.report
             .recovery_hops
             .record(self.topo.hops(v, server) as f64);
+    }
+
+    /// Books one completed request that took `secs` and resolved at `at`.
+    fn book_delivery(&mut self, at: SimTime, secs: f64) {
+        self.slo.record_fetch(at.as_millis(), secs);
     }
 
     /// Books one fetch that resolved without the data at `at`, closing its
@@ -482,8 +487,6 @@ pub(crate) struct Access {
     /// `(rejoiner, server)` pairs that served a tampered or undecodable
     /// snapshot — never asked again by that rejoiner.
     snapshot_blacklist: HashSet<(NodeId, NodeId)>,
-    /// Completed-fetch latencies, seconds.
-    pub(crate) delivery_samples: SampleSet,
 }
 
 impl Access {
@@ -492,7 +495,6 @@ impl Access {
             malicious,
             invalid_storers: HashSet::new(),
             snapshot_blacklist: HashSet::new(),
-            delivery_samples: SampleSet::new(),
         }
     }
 
@@ -546,17 +548,6 @@ impl Access {
         cx.spans.fetch_closed(now, node, id, closed);
     }
 
-    /// Books one completed request that took `secs` and resolved at `at`.
-    fn book_delivery(&mut self, cx: &mut Lent<'_>, at: SimTime, secs: f64) {
-        cx.report.completed_requests += 1;
-        cx.report.delivery.record(secs);
-        self.delivery_samples.record(secs);
-        cx.slo.record_fetch(at.as_millis(), secs);
-        if telemetry::is_enabled() {
-            telemetry::record("slo.fetch_secs", secs);
-        }
-    }
-
     /// §IV-D data access: a local copy is free; otherwise the requester
     /// asks the holders nearest first ([`Self::ask_holders`]). When no
     /// source answered at all, it backs off exponentially and retries up
@@ -575,7 +566,7 @@ impl Access {
         let producer = cx.node_of_account.get(&item.producer).copied();
         if cx.storage[requester.0].has_data(id) || producer == Some(requester) {
             // Local hit: free and instantaneous.
-            self.book_delivery(cx, now, 0.0);
+            cx.book_delivery(now, 0.0);
             trace_event!(
                 "request.completed",
                 now.as_millis(),
@@ -641,7 +632,7 @@ impl Access {
             let miss = match served {
                 Ok((arrival, ())) => {
                     let secs = arrival.saturating_since(now).as_secs_f64();
-                    self.book_delivery(cx, arrival, secs);
+                    cx.book_delivery(arrival, secs);
                     trace_event!(
                         "request.completed",
                         now.as_millis(),
@@ -837,6 +828,7 @@ mod tests {
     use crate::chain::CheckpointPolicy;
     use crate::metadata::{DataType, Location};
     use crate::pos::{next_pos_hash, Amendment};
+    use crate::slo::LatencySummary;
     use edgechain_sim::{Point, TransportConfig};
     use edgechain_workload::OverloadConfig;
     use rand::SeedableRng;
@@ -980,10 +972,16 @@ mod tests {
             }
         }
 
+        /// The fetch latencies booked so far.
+        fn fetches(&self) -> LatencySummary {
+            self.slo.clone().finish().1
+        }
+
         /// The one fetch latency booked so far, seconds.
         fn delivered_secs(&self) -> f64 {
-            assert_eq!(self.report.completed_requests, 1);
-            self.report.delivery.mean()
+            let fetches = self.fetches();
+            assert_eq!(fetches.count, 1);
+            fetches.mean.unwrap()
         }
     }
 
@@ -1013,7 +1011,7 @@ mod tests {
         );
         // Published network-wide: the next fetch never asks node 1 again.
         w.fetch(0, &item);
-        assert_eq!((w.report.denials, w.report.completed_requests), (1, 2));
+        assert_eq!((w.report.denials, w.fetches().count), (1, 2));
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use pos::{
     hit, next_pos_hash, run_round, verify_claim, Amendment, Candidate, MiningOutcome, HIT_MODULUS,
 };
 pub use pow::{mine, verify, Difficulty, PowSolution};
-pub use slo::{LatencySummary, OverloadReport, SloAlert, SloMonitor, SloReport};
+pub use slo::{LatencySummary, OverloadReport, SloAlert, SloMonitor};
 pub use storage::NodeStorage;
 
 // Open-workload configuration types, re-exported so downstream crates can

@@ -39,7 +39,7 @@ use crate::invariant::{ForkView, InvariantChecker, InvariantView};
 use crate::metadata::{DataId, DataType, Location, MetadataItem};
 use crate::pos::{run_round_cached, Candidate, HitTable};
 pub use crate::report::RunReport;
-use crate::slo::{LatencySummary, SloMonitor};
+use crate::slo::SloMonitor;
 use crate::spans::SpanTracker;
 use crate::storage::NodeStorage;
 use edgechain_energy::{Battery, DeviceProfile};
@@ -47,7 +47,7 @@ use edgechain_sim::{
     ByzantineAction, EventQueue, FaultInjector, FaultPlan, FaultPlanError, NodeId, SimTime,
     Topology, TopologyConfig, TopologyError, Transport, TransportConfig,
 };
-use edgechain_telemetry::{self as telemetry, gini_counts, trace_event, SampleSet};
+use edgechain_telemetry::{self as telemetry, gini_counts, trace_event};
 use edgechain_workload::{
     ArrivalProcess, OpenArrivals, OverloadConfig, WorkloadConfig, ZipfSampler,
 };
@@ -543,9 +543,8 @@ pub struct EdgeNetwork {
     /// [`RunReport`] one-to-one is bumped here where it happens;
     /// [`Self::into_report`] fills in the derived fields.
     report: RunReport,
-    /// Per-item inclusion latency samples (generation → packing block).
-    inclusion_samples: SampleSet,
-    /// Rolling-window SLO health monitor; pure observation, always on.
+    /// The run's inclusion and fetch latency samples and its rolling-window
+    /// SLO health monitor; pure observation, always on.
     slo: SloMonitor,
     /// Open-span bookkeeping for the causal trace layer; inert unless
     /// spans were armed ([`edgechain_telemetry::enable_spans`]) at run
@@ -741,7 +740,6 @@ impl EdgeNetwork {
             alloc_ctx,
             pos_hits: HitTable::new(),
             report: RunReport::default(),
-            inclusion_samples: SampleSet::new(),
             slo: SloMonitor::new(),
             spans: SpanTracker::default(),
             replica_total: 0,
@@ -1480,11 +1478,7 @@ impl EdgeNetwork {
             // Inclusion latency (generation → this block) feeds the SLO
             // monitor and the report percentiles unconditionally.
             let incl_secs = now.as_secs().saturating_sub(item.produced_at_secs) as f64;
-            self.inclusion_samples.record(incl_secs);
             self.slo.record_inclusion(now.as_millis(), incl_secs);
-            if telemetry::is_enabled() {
-                telemetry::record("slo.inclusion_secs", incl_secs);
-            }
             self.spans.item_packed(now, item.data_id);
             // Items admitted through the streaming path carry their storers
             // already (allocated per item at generation); only batch-path
@@ -2120,7 +2114,6 @@ impl EdgeNetwork {
             .iter_mut()
             .map(|n| n.take_committed().len() as u64)
             .sum();
-        let delivery_p95 = self.access.delivery_samples.p95();
         // Radio energy implied by the byte counters (802.11 per-byte costs
         // from the device profile).
         let stats = self.transport.stats();
@@ -2139,8 +2132,9 @@ impl EdgeNetwork {
         } else {
             self.chain.tip().timestamp_secs as f64 / height as f64
         };
+        let (inclusion_latency, fetch_latency, slo_alerts) = self.slo.finish();
         let availability = {
-            let completed = self.report.completed_requests;
+            let completed = fetch_latency.count;
             let resolved = completed + self.report.failed_requests;
             if resolved == 0 {
                 1.0
@@ -2148,15 +2142,6 @@ impl EdgeNetwork {
                 completed as f64 / resolved as f64
             }
         };
-        let inclusion_latency = LatencySummary::from_samples(&mut self.inclusion_samples);
-        let fetch_latency = LatencySummary::from_samples(&mut self.access.delivery_samples);
-        let slo = self.slo.into_report(
-            inclusion_latency,
-            fetch_latency,
-            availability,
-            self.report.max_reorg_depth,
-            self.report.quarantine_events,
-        );
         let mut report = RunReport {
             nodes: self.config.nodes,
             blocks_mined: self.chain.height(),
@@ -2164,7 +2149,6 @@ impl EdgeNetwork {
             mean_node_overhead_mb: stats.mean_node_overhead() / 1e6,
             total_sent_mb: stats.total_sent() as f64 / 1e6,
             storage_gini: gini_counts(&used),
-            delivery_p95,
             mean_block_interval_secs: mean_interval,
             mean_battery_percent: self.batteries.iter().map(Battery::percent).sum::<f64>()
                 / self.config.nodes as f64,
@@ -2183,7 +2167,7 @@ impl EdgeNetwork {
             invariant_violations: self.checker.violations,
             inclusion_latency,
             fetch_latency,
-            slo,
+            slo_alerts,
             overload: self.admission.report,
             telemetry: None,
             ..self.report
@@ -2276,12 +2260,9 @@ mod tests {
     #[test]
     fn requests_get_served() {
         let report = EdgeNetwork::new(small_config()).unwrap().run();
-        assert!(report.completed_requests > 0);
-        assert!(
-            report.delivery.mean() < 10.0,
-            "delivery {}",
-            report.delivery
-        );
+        assert!(report.fetch_latency.count > 0);
+        let mean = report.fetch_latency.mean.unwrap();
+        assert!(mean < 10.0, "delivery {mean}");
     }
 
     #[test]
@@ -2299,17 +2280,18 @@ mod tests {
         };
         let report = EdgeNetwork::new(cfg).unwrap().run();
         assert!(report.blocks_mined > 0);
-        assert!(report.completed_requests > 0);
+        assert!(report.fetch_latency.count > 0);
     }
 
     #[test]
     fn report_has_percentiles_and_radio_energy() {
         let report = EdgeNetwork::new(small_config()).unwrap().run();
-        if report.completed_requests > 0 {
-            let p95 = report.delivery_p95.expect("samples exist");
+        let fetch = report.fetch_latency;
+        if fetch.count > 0 {
+            let p95 = fetch.p95.expect("samples exist");
             assert!(p95 >= 0.0);
-            assert!(p95 >= report.delivery.mean() * 0.5);
-            assert!(p95 <= report.delivery.max().unwrap() + 1e-9);
+            assert!(p95 >= fetch.mean.unwrap() * 0.5);
+            assert!(p95 <= fetch.max.unwrap() + 1e-9);
         }
         assert!(report.mean_radio_energy_j > 0.0);
         // Radio energy stays a small fraction of the battery (tens of MB
@@ -2358,13 +2340,12 @@ mod tests {
         assert!(report.denials > 0, "no denials with 40% malicious storers");
         // Requests still mostly succeed thanks to replicas + the producer
         // fallback.
-        assert!(report.completed_requests > 0);
-        let total = report.completed_requests + report.failed_requests;
+        let completed = report.fetch_latency.count;
+        assert!(completed > 0);
+        let total = completed + report.failed_requests;
         assert!(
-            report.completed_requests * 2 > total,
-            "most requests should still succeed: {} of {}",
-            report.completed_requests,
-            total
+            completed * 2 > total,
+            "most requests should still succeed: {completed} of {total}"
         );
     }
 
@@ -2433,7 +2414,7 @@ mod tests {
         let report = EdgeNetwork::new(cfg).unwrap().run();
         assert!(report.migrations > 0, "no migrations under heavy churn");
         // Migrated items must remain servable.
-        assert!(report.completed_requests > 0);
+        assert!(report.fetch_latency.count > 0);
     }
 
     #[test]
@@ -2589,7 +2570,7 @@ mod tests {
         assert_eq!(report.faults_injected, 4);
         assert_eq!(report.invariant_violations, 0);
         assert!(report.blocks_mined > 10, "mined {}", report.blocks_mined);
-        assert!(report.completed_requests > 0);
+        assert!(report.fetch_latency.count > 0);
     }
 
     #[test]

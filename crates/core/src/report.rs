@@ -9,7 +9,7 @@
 //! that copy one are named once, in [`RunReport::registry_counts`], and
 //! written from the report when a traced run finishes.
 
-use crate::slo::{LatencySummary, OverloadReport, SloReport};
+use crate::slo::{LatencySummary, OverloadReport, SloAlert};
 use edgechain_telemetry::{RegistrySnapshot, RunningStats};
 use std::fmt;
 
@@ -31,14 +31,8 @@ pub struct RunReport {
     pub total_sent_mb: f64,
     /// Gini coefficient of per-node used storage slots — Fig. 4(b).
     pub storage_gini: f64,
-    /// Data delivery time statistics (seconds) — Fig. 4(c)/5(a).
-    pub delivery: RunningStats,
-    /// 95th-percentile data delivery time (seconds), when any completed.
-    pub delivery_p95: Option<f64>,
     /// Requests that found no reachable storer (retried next round).
     pub failed_requests: u64,
-    /// Completed data requests.
-    pub completed_requests: u64,
     /// Missing-block recoveries performed.
     pub recoveries: u64,
     /// Recovery latency statistics (seconds).
@@ -134,18 +128,18 @@ pub struct RunReport {
     /// Hard safety violations caught by the invariant checker — durable
     /// data loss or a corrupted chain prefix. Must stay 0.
     pub invariant_violations: u64,
-    /// Inclusion latency (data generation → packing block mined), seconds:
-    /// count plus p50/p95/p99 over every packed item.
+    /// Inclusion latency (data generation → packing block mined), seconds,
+    /// over every packed item.
     pub inclusion_latency: LatencySummary,
-    /// Fetch latency (request issued → payload delivered), seconds:
-    /// count plus p50/p95/p99 over every completed request. The p95 here
-    /// equals [`RunReport::delivery_p95`], kept for compatibility.
+    /// Data delivery time (request issued → payload delivered), seconds,
+    /// over every completed request: its `count` is the completed
+    /// requests, its `mean` Fig. 4(c)/5(a)'s delivery time.
     pub fetch_latency: LatencySummary,
-    /// SLO health verdict: rolling-window breach alerts plus the end-of-run
-    /// latency/availability/safety summary (see [`crate::slo`]). Computed
-    /// unconditionally — it never consults the RNG — so it is identical
-    /// whether or not telemetry or spans were armed.
-    pub slo: SloReport,
+    /// SLO breach alerts from the rolling-window health monitor, in
+    /// detection order (see [`crate::slo`]). Computed unconditionally — the
+    /// monitor never consults the RNG — so they are identical whether or
+    /// not telemetry or spans were armed.
+    pub slo_alerts: Vec<SloAlert>,
     /// Overload accounting: offered vs admitted vs shed load, retry-budget
     /// denials, degradation-ladder activity, and queue high-water marks
     /// (see [`crate::slo::OverloadReport`]). Offered/admitted counters and
@@ -178,11 +172,11 @@ impl RunReport {
             ("transport.drops", self.messages_dropped),
             ("fault.injected", self.faults_injected),
             ("repair.items", self.repairs_triggered),
-            ("request.completed", self.completed_requests),
+            ("request.completed", self.fetch_latency.count),
             ("snapshot.served", self.snapshots_served),
             ("snapshot.rejected", self.snapshots_rejected),
             ("snapshot.applied", self.snapshots_applied),
-            ("slo.breaches", self.slo.breaches),
+            ("slo.breaches", self.slo_alerts.len() as u64),
         ]
     }
 }
@@ -202,8 +196,8 @@ impl fmt::Display for RunReport {
         writeln!(f, "  storage gini: {:.4}", self.storage_gini)?;
         writeln!(
             f,
-            "  delivery: {} ({} failed)",
-            self.delivery, self.failed_requests
+            "  fetch latency: {} ({} failed)",
+            self.fetch_latency, self.failed_requests
         )?;
         writeln!(f, "  recoveries: {} ({})", self.recoveries, self.recovery)?;
         if self.data_expired > 0 || self.denials > 0 {
@@ -259,9 +253,21 @@ impl fmt::Display for RunReport {
                 self.peak_tracking_entries
             )?;
         }
+        if self.migrations > 0 {
+            writeln!(f, "  migrations: {} copies", self.migrations)?;
+        }
         writeln!(f, "  inclusion latency: {}", self.inclusion_latency)?;
-        writeln!(f, "  fetch latency: {}", self.fetch_latency)?;
-        writeln!(f, "  slo: {}", self.slo)?;
+        writeln!(f, "  slo: {} breaches", self.slo_alerts.len())?;
+        for a in &self.slo_alerts {
+            writeln!(
+                f,
+                "    breach @{:.1}s: {} = {:.3} (threshold {:.3})",
+                a.t_ms as f64 / 1000.0,
+                a.slo,
+                a.observed,
+                a.threshold
+            )?;
+        }
         if self.overload.engaged() {
             writeln!(f, "  overload: {}", self.overload)?;
         }

@@ -1,15 +1,20 @@
 //! SLO health monitoring: rolling-window latency/availability evaluation
-//! with threshold-breach alerts, summarized into [`SloReport`].
+//! with threshold-breach alerts, over the one record of a run's latency
+//! samples.
 //!
 //! The monitor runs **unconditionally** inside every simulation: it only
 //! consumes numbers the network already computes (inclusion and fetch
 //! latencies, request outcomes, reorg depths, quarantine counts), consumes
 //! no RNG, and feeds nothing back into protocol decisions — so a run's
-//! [`crate::network::RunReport`] carries an `slo` section whether or not a
-//! telemetry session is armed, and reports stay bit-identical across
-//! telemetry/span configurations.
+//! [`crate::network::RunReport`] carries its latency summaries and
+//! `slo_alerts` whether or not a telemetry session is armed, and reports
+//! stay bit-identical across telemetry/span configurations.
 //!
-//! Evaluation rides the block cadence: each mined block trims every
+//! Each packed item's inclusion latency and each completed fetch's latency
+//! is recorded here once, with its timestamp, and kept for the whole run;
+//! [`SloMonitor::finish`] summarizes both series into the report.
+//!
+//! Evaluation rides the block cadence: each mined block advances every
 //! rolling window to its 900 s span and compares the windowed p99
 //! latencies, availability, deepest reorg, and quarantine count against
 //! fixed thresholds (DESIGN §13). Alerts are edge-triggered — one
@@ -17,8 +22,7 @@
 //! *transitions* into breach — so a sustained outage produces one alert,
 //! not one per block.
 
-use edgechain_telemetry::SampleSet;
-use std::collections::VecDeque;
+use edgechain_telemetry::{self as telemetry, RunningStats, SampleSet};
 use std::fmt;
 
 /// SLO objective names, as they appear in alerts and trace events.
@@ -139,7 +143,8 @@ impl fmt::Display for OverloadReport {
     }
 }
 
-/// Exact nearest-rank latency percentiles over a full run (or window).
+/// Whole-run latency summary: count, exact nearest-rank percentiles, mean
+/// and maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of samples.
@@ -150,16 +155,30 @@ pub struct LatencySummary {
     pub p95: Option<f64>,
     /// 99th percentile.
     pub p99: Option<f64>,
+    /// Mean, summed in recording order (Figs. 4(c) and 5(a) plot the
+    /// fetch mean).
+    pub mean: Option<f64>,
+    /// Largest sample.
+    pub max: Option<f64>,
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set (which it sorts in place).
-    pub fn from_samples(samples: &mut SampleSet) -> LatencySummary {
+    /// Summarizes `samples`, given in recording order: the mean and the
+    /// maximum are [`RunningStats`]' over that order, the percentiles
+    /// [`SampleSet`]'s.
+    pub fn of(samples: impl IntoIterator<Item = f64>) -> LatencySummary {
+        let (mut stats, mut set) = (RunningStats::new(), SampleSet::new());
+        for v in samples {
+            stats.record(v);
+            set.record(v);
+        }
         LatencySummary {
-            count: samples.len() as u64,
-            p50: samples.p50(),
-            p95: samples.p95(),
-            p99: samples.p99(),
+            count: stats.count(),
+            p50: set.p50(),
+            p95: set.p95(),
+            p99: set.p99(),
+            mean: (stats.count() > 0).then(|| stats.mean()),
+            max: stats.max(),
         }
     }
 }
@@ -191,53 +210,6 @@ pub struct SloAlert {
     pub threshold: f64,
 }
 
-/// Full-run SLO summary carried in [`crate::network::RunReport::slo`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SloReport {
-    /// Full-run inclusion latency percentiles (generate → packed).
-    pub inclusion: LatencySummary,
-    /// Full-run fetch/delivery latency percentiles.
-    pub fetch: LatencySummary,
-    /// Full-run availability (completed / resolved requests; 1.0 when
-    /// nothing resolved).
-    pub availability: f64,
-    /// Deepest reorg observed over the run.
-    pub max_reorg_depth: u64,
-    /// Quarantines imposed over the run.
-    pub quarantines: u64,
-    /// Edge-triggered breach records, in detection order.
-    pub alerts: Vec<SloAlert>,
-    /// Number of breach episodes (equals `alerts.len()`).
-    pub breaches: u64,
-}
-
-impl fmt::Display for SloReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} breaches; inclusion {}; fetch {}; availability {:.3}, \
-             max reorg depth {}, quarantines {}",
-            self.breaches,
-            self.inclusion,
-            self.fetch,
-            self.availability,
-            self.max_reorg_depth,
-            self.quarantines
-        )?;
-        for a in &self.alerts {
-            write!(
-                f,
-                "\n    breach @{:.1}s: {} = {:.3} (threshold {:.3})",
-                a.t_ms as f64 / 1000.0,
-                a.slo,
-                a.observed,
-                a.threshold
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// Tracks whether one objective is currently in breach, so alerts fire on
 /// the ok→breach edge only.
 #[derive(Debug, Clone, Default)]
@@ -267,17 +239,67 @@ impl BreachState {
     }
 }
 
-/// The rolling-window health monitor. Record samples as they happen,
-/// call [`SloMonitor::evaluate`] on the block cadence, and fold the
-/// result into the run report with [`SloMonitor::into_report`].
+/// One whole-run series in recording order. Its rolling window is the
+/// tail from `start`, which [`Series::trim`] advances from the front past
+/// samples stamped before the cutoff and stops at the first one inside
+/// the window, even when an older sample sits behind it.
+#[derive(Debug, Clone, Default)]
+struct Series<T> {
+    samples: Vec<T>,
+    start: usize,
+}
+
+impl<T> Series<T> {
+    fn trim(&mut self, cutoff: u64, stamp: impl Fn(&T) -> u64) {
+        while self
+            .samples
+            .get(self.start)
+            .is_some_and(|s| stamp(s) < cutoff)
+        {
+            self.start += 1;
+        }
+    }
+
+    fn window(&self) -> &[T] {
+        &self.samples[self.start..]
+    }
+}
+
+impl Series<(u64, f64)> {
+    /// The windowed p99, once the window holds enough samples.
+    fn windowed_p99(&self) -> Option<f64> {
+        let win = self.window();
+        if win.len() < MIN_WINDOW_SAMPLES {
+            return None;
+        }
+        let mut s: SampleSet = win.iter().map(|(_, v)| *v).collect();
+        s.p99()
+    }
+
+    /// The whole-run summary. On a traced run each sample also goes to
+    /// histogram `name`, in recording order.
+    fn summarize(&self, name: &'static str) -> LatencySummary {
+        if telemetry::is_enabled() {
+            for &(_, v) in &self.samples {
+                telemetry::record(name, v);
+            }
+        }
+        LatencySummary::of(self.samples.iter().map(|(_, v)| *v))
+    }
+}
+
+/// The rolling-window health monitor and the run's one record of its
+/// latency samples. Record samples as they happen, call
+/// [`SloMonitor::evaluate`] on the block cadence, and summarize the run
+/// with [`SloMonitor::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct SloMonitor {
-    // Rolling windows: (t_ms, sample) in arrival order, trimmed at each
-    // evaluation. Request outcomes carry only their timestamp.
-    inclusion_win: VecDeque<(u64, f64)>,
-    fetch_win: VecDeque<(u64, f64)>,
-    completed_win: VecDeque<u64>,
-    failed_win: VecDeque<u64>,
+    // (t_ms, secs) per packed item and per completed fetch, and the
+    // instant of each fetch that exhausted its retries; a completed
+    // fetch's timestamp is its request's outcome.
+    inclusion: Series<(u64, f64)>,
+    fetch: Series<(u64, f64)>,
+    failed: Series<u64>,
     inclusion_state: BreachState,
     fetch_state: BreachState,
     availability_state: BreachState,
@@ -287,25 +309,24 @@ pub struct SloMonitor {
 }
 
 impl SloMonitor {
-    /// Builds a monitor with empty windows and no objective in breach.
+    /// Builds a monitor with empty series and no objective in breach.
     pub fn new() -> SloMonitor {
         SloMonitor::default()
     }
 
     /// Records one item inclusion latency sample.
     pub fn record_inclusion(&mut self, t_ms: u64, secs: f64) {
-        self.inclusion_win.push_back((t_ms, secs));
+        self.inclusion.samples.push((t_ms, secs));
     }
 
     /// Records one completed-fetch latency sample.
     pub fn record_fetch(&mut self, t_ms: u64, secs: f64) {
-        self.fetch_win.push_back((t_ms, secs));
-        self.completed_win.push_back(t_ms);
+        self.fetch.samples.push((t_ms, secs));
     }
 
     /// Records a fetch that exhausted its retries.
     pub fn record_failure(&mut self, t_ms: u64) {
-        self.failed_win.push_back(t_ms);
+        self.failed.samples.push(t_ms);
     }
 
     /// Evaluates every objective over the rolling window ending at
@@ -314,28 +335,12 @@ impl SloMonitor {
     /// just transitioned into breach).
     pub fn evaluate(&mut self, t_ms: u64, max_reorg_depth: u64, quarantines: u64) -> Vec<SloAlert> {
         let cutoff = t_ms.saturating_sub(WINDOW_SECS * 1000);
-        while self.inclusion_win.front().is_some_and(|(t, _)| *t < cutoff) {
-            self.inclusion_win.pop_front();
-        }
-        while self.fetch_win.front().is_some_and(|(t, _)| *t < cutoff) {
-            self.fetch_win.pop_front();
-        }
-        while self.completed_win.front().is_some_and(|t| *t < cutoff) {
-            self.completed_win.pop_front();
-        }
-        while self.failed_win.front().is_some_and(|t| *t < cutoff) {
-            self.failed_win.pop_front();
-        }
+        self.inclusion.trim(cutoff, |s| s.0);
+        self.fetch.trim(cutoff, |s| s.0);
+        self.failed.trim(cutoff, |t| *t);
 
         let mut raised = Vec::new();
-        let windowed_p99 = |win: &VecDeque<(u64, f64)>| -> Option<f64> {
-            if win.len() < MIN_WINDOW_SAMPLES {
-                return None;
-            }
-            let mut s: SampleSet = win.iter().map(|(_, v)| *v).collect();
-            s.p99()
-        };
-        if let Some(p99) = windowed_p99(&self.inclusion_win) {
+        if let Some(p99) = self.inclusion.windowed_p99() {
             raised.extend(self.inclusion_state.update(
                 p99 > INCLUSION_P99_MAX_SECS,
                 t_ms,
@@ -344,7 +349,7 @@ impl SloMonitor {
                 INCLUSION_P99_MAX_SECS,
             ));
         }
-        if let Some(p99) = windowed_p99(&self.fetch_win) {
+        if let Some(p99) = self.fetch.windowed_p99() {
             raised.extend(self.fetch_state.update(
                 p99 > FETCH_P99_MAX_SECS,
                 t_ms,
@@ -353,9 +358,10 @@ impl SloMonitor {
                 FETCH_P99_MAX_SECS,
             ));
         }
-        let resolved = self.completed_win.len() + self.failed_win.len();
+        let completed = self.fetch.window().len();
+        let resolved = completed + self.failed.window().len();
         if resolved >= MIN_WINDOW_SAMPLES {
-            let availability = self.completed_win.len() as f64 / resolved as f64;
+            let availability = completed as f64 / resolved as f64;
             raised.extend(self.availability_state.update(
                 availability < AVAILABILITY_MIN,
                 t_ms,
@@ -387,27 +393,14 @@ impl SloMonitor {
         &self.alerts
     }
 
-    /// Folds the monitor into the full-run report. The latency summaries
-    /// come from the caller's **full-run** sample sets (the windows here
-    /// only cover the trailing 900 s).
-    pub fn into_report(
-        self,
-        inclusion: LatencySummary,
-        fetch: LatencySummary,
-        availability: f64,
-        max_reorg_depth: u64,
-        quarantines: u64,
-    ) -> SloReport {
-        let breaches = self.alerts.len() as u64;
-        SloReport {
-            inclusion,
-            fetch,
-            availability,
-            max_reorg_depth,
-            quarantines,
-            alerts: self.alerts,
-            breaches,
-        }
+    /// Ends the run: the whole-run inclusion and fetch summaries and every
+    /// alert raised, in detection order. A traced run's
+    /// `slo.inclusion_secs` and `slo.fetch_secs` histograms are written
+    /// here, each sample once.
+    pub fn finish(self) -> (LatencySummary, LatencySummary, Vec<SloAlert>) {
+        let inclusion = self.inclusion.summarize("slo.inclusion_secs");
+        let fetch = self.fetch.summarize("slo.fetch_secs");
+        (inclusion, fetch, self.alerts)
     }
 }
 
@@ -504,24 +497,70 @@ mod tests {
     #[test]
     fn report_folding_keeps_alerts_and_counts() {
         let mut m = SloMonitor::new();
+        m.record_inclusion(1_000, 20.0);
+        m.record_inclusion(2_000, 10.0);
+        m.record_fetch(3_000, 1.0);
         m.evaluate(5_000, 0, MAX_QUARANTINES + 1);
-        let mut inc: SampleSet = [10.0, 20.0].into_iter().collect();
-        let mut fet: SampleSet = [1.0].into_iter().collect();
-        let report = m.into_report(
-            LatencySummary::from_samples(&mut inc),
-            LatencySummary::from_samples(&mut fet),
-            0.97,
-            0,
-            MAX_QUARANTINES + 1,
+        let (inclusion, fetch, alerts) = m.finish();
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].slo, objective::QUARANTINES);
+        assert_eq!(alerts[0].observed, (MAX_QUARANTINES + 1) as f64);
+        assert_eq!(inclusion.count, 2);
+        assert_eq!(inclusion.p99, Some(20.0));
+        assert_eq!(inclusion.mean, Some(15.0));
+        assert_eq!(fetch.p50, Some(1.0));
+        assert_eq!(fetch.max, Some(1.0));
+    }
+
+    #[test]
+    fn a_late_stamped_fetch_holds_the_window_like_a_trimmed_deque() {
+        // A fetch stamped at its arrival lands after one stamped earlier,
+        // so the series is out of order. The window is trimmed from the
+        // front, as a deque popped from the front is: the late stamp stops
+        // the trim, and the slow samples behind it stay in the window.
+        let mut m = SloMonitor::new();
+        let mut deque = std::collections::VecDeque::new();
+        let mut record = |m: &mut SloMonitor, t_ms: u64, secs: f64| {
+            m.record_fetch(t_ms, secs);
+            deque.push_back((t_ms, secs));
+        };
+        record(&mut m, 1_500_000, 0.5);
+        for i in 0..MIN_WINDOW_SAMPLES as u64 {
+            record(&mut m, 100_000 + i, 500.0);
+        }
+        let now = 1_100_000;
+        let cutoff = now - WINDOW_SECS * 1000;
+        while deque.front().is_some_and(|(t, _)| *t < cutoff) {
+            deque.pop_front();
+        }
+        let mut kept: SampleSet = deque.iter().map(|(_, v)| *v).collect();
+        assert_eq!(deque.len(), MIN_WINDOW_SAMPLES + 1, "nothing trimmed");
+        let raised = m.evaluate(now, 0, 0);
+        assert_eq!(raised.len(), 1);
+        assert_eq!(raised[0].slo, objective::FETCH_P99);
+        assert_eq!(Some(raised[0].observed), kept.p99());
+        // Once the cutoff passes the late stamp, everything goes.
+        assert!(m
+            .evaluate(1_500_000 + WINDOW_SECS * 1000 + 1, 0, 0)
+            .is_empty());
+        assert!(m.fetch.window().is_empty());
+    }
+
+    #[test]
+    fn latency_summary_mean_and_max_match_running_stats() {
+        let samples = [3.7, 0.1, 12.25, 0.3, 7.0 / 3.0, 1e-3, 9.9, 0.2];
+        let stats: RunningStats = samples.iter().copied().collect();
+        let s = LatencySummary::of(samples);
+        assert_eq!(s.count, stats.count());
+        assert_eq!(s.mean.map(f64::to_bits), Some(stats.mean().to_bits()));
+        assert_eq!(s.max.map(f64::to_bits), stats.max().map(f64::to_bits));
+        assert_eq!((s.p50, s.p99), (Some(0.3), Some(12.25)));
+        let none = LatencySummary::of([]);
+        assert_eq!(none, LatencySummary::default());
+        assert_eq!(
+            (none.p50, none.p95, none.p99, none.mean, none.max),
+            (None, None, None, None, None)
         );
-        assert_eq!(report.breaches, 1);
-        assert_eq!(report.alerts.len(), 1);
-        assert_eq!(report.inclusion.count, 2);
-        assert_eq!(report.inclusion.p99, Some(20.0));
-        assert_eq!(report.fetch.p50, Some(1.0));
-        let text = format!("{report}");
-        assert!(text.contains("1 breaches"));
-        assert!(text.contains("quarantines = 21")); // alert detail line
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  readmissions          : {}", report.readmissions);
     println!(
         "  availability          : {:.3} ({} completed / {} failed)",
-        report.availability, report.completed_requests, report.failed_requests
+        report.availability, report.fetch_latency.count, report.failed_requests
     );
     println!("  invariant violations  : {}", report.invariant_violations);
     assert_eq!(

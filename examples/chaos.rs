@@ -70,15 +70,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  availability          : {:.3} ({} completed / {} failed)",
-        report.availability, report.completed_requests, report.failed_requests
+        report.availability, report.fetch_latency.count, report.failed_requests
     );
     println!("  invariant violations  : {}", report.invariant_violations);
 
     println!("\nslo digest:");
-    println!("  inclusion latency     : {}", report.slo.inclusion);
-    println!("  fetch latency         : {}", report.slo.fetch);
-    println!("  slo breaches          : {}", report.slo.breaches);
-    for alert in &report.slo.alerts {
+    println!("  inclusion latency     : {}", report.inclusion_latency);
+    println!("  fetch latency         : {}", report.fetch_latency);
+    println!("  slo breaches          : {}", report.slo_alerts.len());
+    for alert in &report.slo_alerts {
         println!(
             "    breach @{:.0}s: {} = {:.3} (threshold {:.3})",
             alert.t_ms as f64 / 1000.0,

@@ -143,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\navailability {:.3} ({} completed / {} failed), {} blocks, {} invariant violations",
         report.availability,
-        report.completed_requests,
+        report.fetch_latency.count,
         report.failed_requests,
         report.blocks_mined,
         report.invariant_violations

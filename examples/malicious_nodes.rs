@@ -33,15 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..NetworkConfig::default()
         };
         let r = EdgeNetwork::new(cfg)?.run();
-        let total = r.completed_requests + r.failed_requests;
+        let total = r.fetch_latency.count + r.failed_requests;
         println!(
             "{:<12}{:>10}{:>12}{:>12}{:>13.1}%{:>14.3}",
             format!("{:.0}%", pct * 100.0),
             r.denials,
-            r.completed_requests,
+            r.fetch_latency.count,
             r.failed_requests,
-            100.0 * r.completed_requests as f64 / total.max(1) as f64,
-            r.delivery.mean(),
+            100.0 * r.fetch_latency.count as f64 / total.max(1) as f64,
+            r.fetch_latency.mean.unwrap_or(0.0),
         );
     }
     println!(

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  availability          : {:.3} ({} completed / {} failed)",
-        report.availability, report.completed_requests, report.failed_requests
+        report.availability, report.fetch_latency.count, report.failed_requests
     );
     println!("  invariant violations  : {}", report.invariant_violations);
 

@@ -47,12 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (_, opt) = &rows[0];
     let (_, rnd) = &rows[1];
     let (_, nop) = &rows[2];
+    let [opt_delivery, rnd_delivery, nop_delivery] =
+        [opt, rnd, nop].map(|r| r.fetch_latency.mean.unwrap_or(0.0));
     println!("=== comparison (Fig. 5 shape) ===");
     println!(
-        "delivery time : optimal {:.2} s | random {:.2} s | no-proactive {:.2} s",
-        opt.delivery.mean(),
-        rnd.delivery.mean(),
-        nop.delivery.mean(),
+        "delivery time : optimal {opt_delivery:.2} s | random {rnd_delivery:.2} s | \
+         no-proactive {nop_delivery:.2} s",
     );
     println!(
         "overhead/node : optimal {:.1} MB | random {:.1} MB | no-proactive {:.1} MB",
@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({}). Optimal vs random is a small effect at the paper's A = 1000 \
          (the fairness term dominates placement); the fairness win shows in \
          the gini column.",
-        100.0 * (opt.delivery.mean() - nop.delivery.mean()) / nop.delivery.mean(),
-        if opt.delivery.mean() < nop.delivery.mean() {
+        100.0 * (opt_delivery - nop_delivery) / nop_delivery,
+        if opt_delivery < nop_delivery {
             "faster — the paper's claim"
         } else {
             "slower on this seed; fig5 averages more"

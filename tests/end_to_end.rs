@@ -80,14 +80,11 @@ fn storage_fairness_meets_paper_bound() {
 #[test]
 fn data_is_deliverable() {
     let report = EdgeNetwork::new(base_config()).unwrap().run();
-    assert!(report.completed_requests > 0, "no request completed");
+    assert!(report.fetch_latency.count > 0, "no request completed");
     // Paper Fig. 4(c): delivery stays within a few seconds.
-    assert!(
-        report.delivery.mean() < 5.0,
-        "mean delivery {} s",
-        report.delivery.mean()
-    );
-    assert!(report.delivery.max().unwrap() < 30.0);
+    let mean = report.fetch_latency.mean.unwrap();
+    assert!(mean < 5.0, "mean delivery {mean} s");
+    assert!(report.fetch_latency.max.unwrap() < 30.0);
 }
 
 #[test]

@@ -54,7 +54,7 @@ fn flash_crowd_sheds_load_but_stays_healthy() {
         "admitted availability {} under flash crowd\n{report}",
         report.availability
     );
-    assert!(report.completed_requests > 0, "{report}");
+    assert!(report.fetch_latency.count > 0, "{report}");
 }
 
 /// Offered item rates of the load ladder, per minute: 1/6× to ~2.7× the
@@ -179,7 +179,7 @@ fn trajectory(r: &RunReport) -> String {
          offered {}i {}f shed {}i {}f deferred {}+{} | sent {:.6} MB",
         r.blocks_mined,
         r.data_generated,
-        r.completed_requests,
+        r.fetch_latency.count,
         r.failed_requests,
         r.retries,
         r.recoveries,

@@ -19,7 +19,7 @@ fn run_avg(placement: Placement, seeds: &[u64]) -> (f64, f64, f64) {
             ..NetworkConfig::default()
         };
         let r = EdgeNetwork::new(cfg).unwrap().run();
-        delivery += r.delivery.mean();
+        delivery += r.fetch_latency.mean.unwrap_or(0.0);
         overhead += r.mean_node_overhead_mb;
         gini += r.storage_gini;
     }

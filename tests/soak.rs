@@ -70,7 +70,7 @@ fn soak_reruns_are_bit_identical() {
     assert!(a.telemetry.is_none());
     assert_eq!(
         sha256(format!("{a:?}")).to_hex(),
-        "67ff23ebd3f77f7260eb8890722c7bfa4b3a750fae7b2d8e46f0b05cc15afcd4",
+        "6e3c3296a8fc6f3b5ee46cd5b54df56c2ea2f8541cec81a930ab21edd6cfb691",
         "soak report digest moved"
     );
 }
