@@ -4,7 +4,7 @@
 //!    Sweeping `A` exposes the fairness ↔ access-latency trade-off the
 //!    weight buys.
 //! 2. **UFL solver variants** — greedy vs greedy + local search vs exact
-//!    (small instances): cost gap and runtime.
+//!    (small instances): the cost gap.
 //! 3. **Recent-block allocation** — §IV-C on vs off: how much the grown
 //!    caches speed up missing-block recovery under churn.
 //! 4. **PoS `Q` term** — with vs without the stored-items factor in
@@ -12,6 +12,8 @@
 //!    share?
 //! 7. **Fault sweep** — availability and repair traffic vs. node crash
 //!    rate under random churn, with the UFL replica-repair sweep on/off.
+//!
+//! No table holds a wall time, so two runs print the same bytes.
 //!
 //! `cargo run --release -p edgechain-bench --bin ablation` (`--csv DIR`
 //! writes tables 1, 3 and 4)
@@ -27,7 +29,6 @@ use edgechain_sim::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 fn ablate_fdc_weight(opts: &FigureOptions) {
     let weights = [1.0f64, 10.0, 100.0, 1000.0, 10000.0];
@@ -67,8 +68,8 @@ fn ablate_fdc_weight(opts: &FigureOptions) {
 fn ablate_solver(seeds: u64) {
     println!("\nAblation 2 — UFL solver variants (random FDC/RDC-shaped instances)");
     println!(
-        "{:<10}{:>16}{:>16}{:>14}{:>16}{:>16}",
-        "size", "greedy cost", "greedy+LS cost", "exact cost", "greedy µs", "LS µs"
+        "{:<10}{:>16}{:>16}{:>14}",
+        "size", "greedy cost", "greedy+LS cost", "exact cost"
     );
     let mut state = 0x5EED_u64;
     let mut next = move || {
@@ -81,8 +82,6 @@ fn ablate_solver(seeds: u64) {
         let mut g_cost = Vec::new();
         let mut ls_cost = Vec::new();
         let mut ex_cost = Vec::new();
-        let mut g_time = Vec::new();
-        let mut ls_time = Vec::new();
         for _ in 0..seeds.max(3) {
             let fdcs: Vec<f64> = (0..n).map(|_| next() * 0.05).collect();
             let costs: Vec<Vec<f64>> = (0..n)
@@ -99,13 +98,9 @@ fn ablate_solver(seeds: u64) {
                 })
                 .collect();
             let inst = UflInstance::from_costs(&fdcs, |i, j| costs[i][j]);
-            let t0 = Instant::now();
             let mut sol = solve_greedy(&inst).unwrap();
-            g_time.push(t0.elapsed().as_micros() as f64);
             g_cost.push(sol.cost);
-            let t1 = Instant::now();
             improve(&inst, &mut sol);
-            ls_time.push(t1.elapsed().as_micros() as f64);
             ls_cost.push(sol.cost);
             if n <= 12 {
                 ex_cost.push(solve_exact(&inst).unwrap().cost);
@@ -117,13 +112,11 @@ fn ablate_solver(seeds: u64) {
             format!("{:.2}", mean(&ex_cost))
         };
         println!(
-            "{:<10}{:>16.2}{:>16.2}{:>14}{:>16.0}{:>16.0}",
+            "{:<10}{:>16.2}{:>16.2}{:>14}",
             n,
             mean(&g_cost),
             mean(&ls_cost),
-            exact_str,
-            mean(&g_time),
-            mean(&ls_time)
+            exact_str
         );
     }
 }

@@ -127,8 +127,14 @@ pub(crate) fn nearest_providers(
 /// the height runs on through every block that joins it, and the set
 /// drops what the height covers — after a prune lifted the height onto
 /// the anchor, learning the anchor's block sheds the entries below the cut.
+/// A block that joins the height with nothing past it held — the common
+/// in-order delivery — never touches the set.
 pub(crate) fn learn(height: &mut [u64], known: &mut [BTreeSet<u64>], v: NodeId, idx: u64) {
     let (height, known) = (&mut height[v.0], &mut known[v.0]);
+    if known.is_empty() && idx <= *height + 1 {
+        *height = (*height).max(idx);
+        return;
+    }
     known.insert(idx);
     while let Some(next) = known.first().copied().filter(|&i| i <= *height + 1) {
         known.pop_first();
@@ -982,6 +988,38 @@ mod tests {
             let fetches = self.fetches();
             assert_eq!(fetches.count, 1);
             fetches.mean.unwrap()
+        }
+    }
+
+    /// `learn` without its fast path: every index goes through the set.
+    fn learn_through_set(height: &mut u64, known: &mut BTreeSet<u64>, idx: u64) {
+        known.insert(idx);
+        while let Some(next) = known.first().copied().filter(|&i| i <= *height + 1) {
+            known.pop_first();
+            *height = (*height).max(next);
+        }
+    }
+
+    #[test]
+    fn learn_fast_path_matches_learning_through_the_set() {
+        // In-order runs, repeats, gaps filled late and indices below the
+        // height, as deliveries, recoveries and prune anchors produce.
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1EA2);
+        for _ in 0..200 {
+            let (mut height, mut known) = (vec![0u64], vec![BTreeSet::new()]);
+            let (mut h, mut k) = (0u64, BTreeSet::new());
+            for _ in 0..60 {
+                let idx = match rng.gen_range(0..4) {
+                    0 => height[0] + 1,
+                    1 => height[0] + rng.gen_range(0..6u64),
+                    2 => rng.gen_range(0..=height[0] + 1),
+                    _ => rng.gen_range(0..40u64),
+                };
+                learn(&mut height, &mut known, NodeId(0), idx);
+                learn_through_set(&mut h, &mut k, idx);
+                assert_eq!((height[0], &known[0]), (h, &k), "after {idx}");
+            }
         }
     }
 

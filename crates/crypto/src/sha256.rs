@@ -15,9 +15,10 @@
 //!   length 512), so its 64-entry schedule expansion is a `const`.
 //! - [`SharedPrefix32`] / [`sha256_many_pair64`] run the message-block
 //!   rounds that depend only on a shared 32-byte prefix once per batch,
-//!   fanning large batches out on [`edgechain_sim::pool`] with
-//!   index-ordered joins; output order and bytes are identical to the
-//!   serial map.
+//!   then resume them for 16 suffixes at a time on one thread: the
+//!   schedule and working variables are lane arrays the compiler
+//!   vectorises, and a tail shorter than 16 resumes one suffix at a time;
+//!   output order and bytes are identical to the serial map.
 //!
 //! # Examples
 //!
@@ -32,6 +33,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
+use std::array::from_fn;
 use std::fmt;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
@@ -254,46 +256,81 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     for (i, word) in first16.iter_mut().enumerate() {
         *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
     }
-    compress_scheduled(state, &expand_schedule(first16));
+    let w = expand_schedule(first16);
+    compress(state, |t| K[t].wrapping_add(w[t]));
 }
 
-/// The 64 compression rounds over an already-expanded message schedule,
+/// The 64 compression rounds, round `t` adding `kw(t)` = `K[t] + W[t]`,
 /// then the feed-forward into `state`.
-fn compress_scheduled(state: &mut [u32; 8], w: &[u32; 64]) {
-    let mut vars = *state;
-    rounds(&mut vars, w, 0..64);
-    for (s, v) in state.iter_mut().zip(vars) {
+fn compress(state: &mut [u32; 8], kw: impl Fn(usize) -> u32) {
+    let mut vars = state.map(|s| [s]);
+    rounds(&mut vars, 0..64, |t| [kw(t)]);
+    for (s, [v]) in state.iter_mut().zip(vars) {
         *s = s.wrapping_add(v);
     }
 }
 
-/// Compression rounds `range` over the working variables `a..h`: round
-/// `t` consumes schedule word `w[t]` and nothing past it, so a caller
-/// that runs a prefix of the rounds needs only that prefix of `w` filled.
+/// Compression rounds `range` over the working variables `a..h`, each a
+/// column of `L` independent lanes: round `t` adds `kw(t)` = `K[t] +
+/// W[t]` per lane and reads no schedule word past `t`, so a caller that
+/// runs a prefix of the rounds needs only that prefix of `W` filled. The
+/// scalar compressions are the one-lane instance; each lane step is a
+/// plain loop over `0..L`, which the compiler vectorises for wide `L`.
+///
+/// A round writes only `d` and `h`, and the names `a..h` rotate by one
+/// slot per round, so eight rounds return every name to its slot. Each
+/// block of eight therefore runs in place, with no variable moved: both
+/// ends of `range` must be multiples of eight.
 #[inline(always)]
-fn rounds(vars: &mut [u32; 8], w: &[u32; 64], range: std::ops::Range<usize>) {
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *vars;
-    for i in range {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let temp1 = h
+fn rounds<const L: usize>(
+    vars: &mut [[u32; L]; 8],
+    range: std::ops::Range<usize>,
+    kw: impl Fn(usize) -> [u32; L],
+) {
+    debug_assert!(range.start.is_multiple_of(8) && range.end.is_multiple_of(8));
+    for t in range.step_by(8) {
+        round(vars, kw(t), [0, 1, 2, 3, 4, 5, 6, 7]);
+        round(vars, kw(t + 1), [7, 0, 1, 2, 3, 4, 5, 6]);
+        round(vars, kw(t + 2), [6, 7, 0, 1, 2, 3, 4, 5]);
+        round(vars, kw(t + 3), [5, 6, 7, 0, 1, 2, 3, 4]);
+        round(vars, kw(t + 4), [4, 5, 6, 7, 0, 1, 2, 3]);
+        round(vars, kw(t + 5), [3, 4, 5, 6, 7, 0, 1, 2]);
+        round(vars, kw(t + 6), [2, 3, 4, 5, 6, 7, 0, 1]);
+        round(vars, kw(t + 7), [1, 2, 3, 4, 5, 6, 7, 0]);
+    }
+}
+
+/// One compression round in every lane, the variables `a..h` read from
+/// the slots `slot`: the new `a` lands in `h`'s slot and the new `e` in
+/// `d`'s.
+#[inline(always)]
+fn round<const L: usize>(vars: &mut [[u32; L]; 8], kw: [u32; L], slot: [usize; 8]) {
+    let [a, b, c, d, e, f, g, h] = slot;
+    for l in 0..L {
+        let (va, ve) = (vars[a][l], vars[e][l]);
+        let s1 = ve.rotate_right(6) ^ ve.rotate_right(11) ^ ve.rotate_right(25);
+        // Ch and Maj factored: each takes one operation fewer than its
+        // FIPS 180-4 form, which the compiler does not find on its own.
+        let ch = vars[g][l] ^ (ve & (vars[f][l] ^ vars[g][l]));
+        let temp1 = vars[h][l]
             .wrapping_add(s1)
             .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let temp2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = temp1.wrapping_add(temp2);
+            .wrapping_add(kw[l]);
+        let s0 = va.rotate_right(2) ^ va.rotate_right(13) ^ va.rotate_right(22);
+        let maj = (vars[b][l] & vars[c][l]) ^ (va & (vars[b][l] ^ vars[c][l]));
+        vars[d][l] = vars[d][l].wrapping_add(temp1);
+        vars[h][l] = temp1.wrapping_add(s0.wrapping_add(maj));
     }
-    *vars = [a, b, c, d, e, f, g, h];
+}
+
+/// The schedule's σ₀, applied to `W[i − 15]`.
+const fn sigma0(x: u32) -> u32 {
+    x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3)
+}
+
+/// The schedule's σ₁, applied to `W[i − 2]`.
+const fn sigma1(x: u32) -> u32 {
+    x.rotate_right(17) ^ x.rotate_right(19) ^ (x >> 10)
 }
 
 /// Expands a 16-word block into the full 64-entry message schedule; a
@@ -306,12 +343,10 @@ const fn expand_schedule(first16: [u32; 16]) -> [u32; 64] {
         i += 1;
     }
     while i < 64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
         w[i] = w[i - 16]
-            .wrapping_add(s0)
+            .wrapping_add(sigma0(w[i - 15]))
             .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+            .wrapping_add(sigma1(w[i - 2]));
         i += 1;
     }
     w
@@ -326,15 +361,24 @@ fn to_digest(state: &[u32; 8]) -> Digest {
     Digest(out)
 }
 
-/// Message schedule of the padding block every 64-byte message shares:
+/// `K[t] + W[t]` for the padding block every 64-byte message shares:
 /// `0x80`, 55 zero bytes, then the 64-bit big-endian bit length (512).
-/// Precomputing it at compile time removes the schedule expansion — close
-/// to half the work — from the second compression of [`sha256_fixed64`].
-const PAD64_SCHEDULE: [u32; 64] = {
+/// Both terms are constants, so their sum is folded at compile time —
+/// the schedule expansion, close to half the work, leaves the second
+/// compression of [`sha256_fixed64`], and one scalar serves every lane
+/// of [`sha256_many_pair64`].
+const PAD64_KW: [u32; 64] = {
     let mut first16 = [0u32; 16];
     first16[0] = 0x8000_0000;
     first16[15] = 512;
-    expand_schedule(first16)
+    let w = expand_schedule(first16);
+    let mut kw = [0u32; 64];
+    let mut t = 0;
+    while t < 64 {
+        kw[t] = K[t].wrapping_add(w[t]);
+        t += 1;
+    }
+    kw
 };
 
 /// One-shot SHA-256 of an exactly-64-byte message: one on-the-fly
@@ -343,7 +387,7 @@ const PAD64_SCHEDULE: [u32; 64] = {
 pub fn sha256_fixed64(block: &[u8; 64]) -> Digest {
     let mut state = H0;
     compress_block(&mut state, block);
-    compress_scheduled(&mut state, &PAD64_SCHEDULE);
+    compress(&mut state, |t| PAD64_KW[t]);
     to_digest(&state)
 }
 
@@ -376,80 +420,88 @@ pub struct SharedPrefix32 {
     partial: [u32; 7],
 }
 
+/// Suffixes one [`SharedPrefix32::resume`] hashes side by side in
+/// [`sha256_many_pair64`]: sixteen `u32` lanes fill four 128-bit vector
+/// registers, the width every x86-64 target has.
+const LANES: usize = 16;
+
 impl SharedPrefix32 {
     /// Absorbs the shared 32-byte prefix: eight compression rounds plus
     /// the prefix-only schedule partials, done once per batch.
     pub fn new(prefix: &[u8; 32]) -> Self {
-        let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(8).enumerate() {
-            *word = u32::from_be_bytes(prefix[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        let mut vars = H0;
-        rounds(&mut vars, &w, 0..8);
-        let mut partial = [0u32; 7];
-        for (k, p) in partial.iter_mut().enumerate() {
-            let i = k + 16;
-            let prev = w[i - 15];
-            let s0 = prev.rotate_right(7) ^ prev.rotate_right(18) ^ (prev >> 3);
-            *p = w[i - 16].wrapping_add(s0);
-        }
+        let w: [u32; 8] =
+            from_fn(|i| u32::from_be_bytes(prefix[i * 4..i * 4 + 4].try_into().unwrap()));
+        let mut vars = H0.map(|h| [h]);
+        rounds(&mut vars, 0..8, |t| [K[t].wrapping_add(w[t])]);
         SharedPrefix32 {
-            w: w[..8].try_into().unwrap(),
-            vars,
-            partial,
+            w,
+            vars: vars.map(|[v]| v),
+            partial: from_fn(|k| w[k].wrapping_add(sigma0(w[k + 1]))),
         }
     }
 
     /// `sha256(prefix ‖ suffix)` resuming from the shared prefix state:
-    /// rounds 8–63 of the message block, then the schedule-precomputed
-    /// padding block.
+    /// the one-lane instance of the kernel [`sha256_many_pair64`] runs
+    /// 16 lanes wide.
     pub fn pair(&self, suffix: &[u8; 32]) -> Digest {
-        let mut w = [0u32; 64];
-        w[..8].copy_from_slice(&self.w);
-        for i in 0..8 {
-            w[i + 8] = u32::from_be_bytes(suffix[i * 4..i * 4 + 4].try_into().unwrap());
+        let [digest] = self.resume(&[*suffix]);
+        digest
+    }
+
+    /// `sha256(prefix ‖ suffixes[l])` in lane `l`: rounds 8–63 of the
+    /// message block, then the padding block, whose lane-invariant
+    /// `K[t] + W[t]` is one scalar per round.
+    #[inline(always)]
+    fn resume<const L: usize>(&self, suffixes: &[[u8; 32]; L]) -> [Digest; L] {
+        let mut w = [[0u32; L]; 64];
+        for (t, &word) in self.w.iter().enumerate() {
+            w[t] = [word; L];
         }
-        for i in 16..64 {
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            let head = if i <= 22 {
-                self.partial[i - 16]
-            } else {
-                let prev = w[i - 15];
-                let s0 = prev.rotate_right(7) ^ prev.rotate_right(18) ^ (prev >> 3);
-                w[i - 16].wrapping_add(s0)
-            };
-            w[i] = head.wrapping_add(w[i - 7]).wrapping_add(s1);
+        for (l, suffix) in suffixes.iter().enumerate() {
+            for i in 0..8 {
+                w[i + 8][l] = u32::from_be_bytes(suffix[i * 4..i * 4 + 4].try_into().unwrap());
+            }
         }
-        let mut vars = self.vars;
-        rounds(&mut vars, &w, 8..64);
+        for t in 16..64 {
+            let (done, next) = w.split_at_mut(t);
+            for (l, word) in next[0].iter_mut().enumerate() {
+                let head = if t <= 22 {
+                    self.partial[t - 16]
+                } else {
+                    done[t - 16][l].wrapping_add(sigma0(done[t - 15][l]))
+                };
+                *word = head
+                    .wrapping_add(done[t - 7][l])
+                    .wrapping_add(sigma1(done[t - 2][l]));
+            }
+        }
+        let mut vars = self.vars.map(|v| [v; L]);
+        rounds(&mut vars, 8..64, |t| {
+            from_fn(|l| K[t].wrapping_add(w[t][l]))
+        });
         // The message block started from the constant `H0`, so the
         // feed-forward is `H0 + vars`; the padding block then finishes.
-        let mut state = H0;
-        for (s, v) in state.iter_mut().zip(vars) {
-            *s = s.wrapping_add(v);
-        }
-        compress_scheduled(&mut state, &PAD64_SCHEDULE);
-        to_digest(&state)
+        let state: [[u32; L]; 8] = from_fn(|k| vars[k].map(|v| H0[k].wrapping_add(v)));
+        let mut vars = state;
+        rounds(&mut vars, 0..64, |t| [PAD64_KW[t]; L]);
+        from_fn(|l| to_digest(&from_fn(|k| state[k][l].wrapping_add(vars[k][l]))))
     }
 }
 
 /// `sha256(prefix ‖ suffix_i)` for every suffix, in order — the
-/// whole-round PoS batch: one [`SharedPrefix32`] absorption, then one
-/// resumed compression per suffix, fanned out on the worker pool only for
-/// batches big enough to amortize thread spawns.
+/// whole-round PoS batch: one [`SharedPrefix32`] absorption, then the
+/// resumed compressions 16 suffixes at a time, on one thread; a tail
+/// shorter than that resumes one suffix at a time.
 pub fn sha256_many_pair64(prefix: &[u8; 32], suffixes: &[[u8; 32]]) -> Vec<Digest> {
     let shared = SharedPrefix32::new(prefix);
-    if suffixes.len() < PARALLEL_MIN_PAIR {
-        return suffixes.iter().map(|s| shared.pair(s)).collect();
+    let mut out = Vec::with_capacity(suffixes.len());
+    let (batches, tail) = suffixes.as_chunks::<LANES>();
+    for batch in batches {
+        out.extend(shared.resume(batch));
     }
-    edgechain_sim::pool::parallel_map(suffixes, usize::MAX, |s| shared.pair(s))
+    out.extend(tail.iter().map(|s| shared.pair(s)));
+    out
 }
-
-/// A resumed shared-prefix compression is under half a microsecond, so a
-/// pair batch must be large before eight scoped-thread spawns pay for
-/// themselves. Below it the batch is hashed serially; the output is
-/// byte-identical either way.
-const PARALLEL_MIN_PAIR: usize = 2048;
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: impl AsRef<[u8]>) -> Digest {
@@ -601,9 +653,11 @@ mod tests {
     }
 
     #[test]
-    fn many_pair64_matches_serial_on_both_sides_of_threshold() {
+    fn many_pair64_matches_pair64_at_every_lane_split() {
+        // Every length 0..=48 (each tail length behind zero, one and two
+        // full lane batches), plus one PoS round at n = 3,000.
         let prefix = sha256(b"height").0;
-        for n in [0usize, 1, 7, PARALLEL_MIN_PAIR - 1, PARALLEL_MIN_PAIR + 3] {
+        for n in (0..=3 * LANES).chain([3_000]) {
             let suffixes: Vec<[u8; 32]> = (0..n).map(|i| sha256(i.to_le_bytes()).0).collect();
             let expect: Vec<Digest> = suffixes.iter().map(|s| sha256_pair64(&prefix, s)).collect();
             assert_eq!(sha256_many_pair64(&prefix, &suffixes), expect, "n={n}");

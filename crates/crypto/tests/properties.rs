@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto primitives.
 
 use edgechain_crypto::{
-    field, leaf_hash, sha256, sha256_fixed64, sha256_pair64, KeyPair, MerkleTree, Sha256,
-    SharedPrefix32, Signature, U256,
+    field, leaf_hash, sha256, sha256_fixed64, sha256_many_pair64, sha256_pair64, KeyPair,
+    MerkleTree, Sha256, SharedPrefix32, Signature, U256,
 };
 use proptest::prelude::*;
 
@@ -135,6 +135,23 @@ proptest! {
         prop_assert_eq!(sha256_fixed64(&full), sha256(full));
         prop_assert_eq!(sha256_pair64(&a, &b), sha256(full));
         prop_assert_eq!(SharedPrefix32::new(&a).pair(&b), sha256(full));
+    }
+
+    #[test]
+    fn sha_many_pair64_matches_pair64(
+        prefix in prop::collection::vec(any::<u8>(), 32usize),
+        suffixes in prop::collection::vec(prop::collection::vec(any::<u8>(), 32usize), 0..40),
+    ) {
+        let prefix: [u8; 32] = prefix.as_slice().try_into().unwrap();
+        let suffixes: Vec<[u8; 32]> = suffixes
+            .iter()
+            .map(|s| s.as_slice().try_into().unwrap())
+            .collect();
+        let batch = sha256_many_pair64(&prefix, &suffixes);
+        prop_assert_eq!(batch.len(), suffixes.len());
+        for (digest, suffix) in batch.iter().zip(&suffixes) {
+            prop_assert_eq!(*digest, sha256_pair64(&prefix, suffix));
+        }
     }
 
     #[test]

@@ -629,34 +629,69 @@ impl Topology {
     /// Rebuilds the adjacency with a grid-bucket spatial hash (cells at
     /// least the radio range wide): each node tests only the candidates
     /// in its 3×3 cell neighborhood — O(degree) work per node instead of
-    /// the O(n) pair scan. Sorting each list ascending reproduces exactly
-    /// the ordering of the classic `i < j` double loop, so BFS
-    /// tie-breaking (and therefore every route) is unchanged, whatever
-    /// the cell side. The previous arrays are refilled in place.
+    /// the O(n) pair scan — and of those only the higher ids, so each
+    /// link is tested once. Two counting passes then fill the lists with
+    /// no sort: each `i`, ascending, writes itself into the lists of its
+    /// higher neighbours, which places every node's lower neighbours in
+    /// ascending order; then each `j`, ascending, appends itself to the
+    /// lists of the lower neighbours just placed, which places the higher
+    /// ones after them, also ascending. That is exactly the ordering of
+    /// the classic `i < j` double loop, so BFS tie-breaking (and
+    /// therefore every route) is unchanged, whatever the cell side. It
+    /// relies on the link test being symmetric — `distance`, `active` and
+    /// [`Topology::cut_severs`] answer `(i, j)` as they answer `(j, i)` —
+    /// and on a 3×3 neighbourhood holding every point in range. The
+    /// previous arrays are refilled in place.
     fn rebuild_adjacency(&mut self) {
+        let n = self.len();
         let grid = CellGrid::new(&self.config.field, COMM_RANGE, &self.position);
         let Adjacency {
             mut start,
             mut list,
         } = std::mem::take(&mut self.adjacency);
+        // Each node's higher neighbours, in candidate order, and every
+        // node's degree at `start[v + 1]`.
+        let mut upper = Vec::new();
+        let mut upper_start = Vec::with_capacity(n + 1);
+        upper_start.push(0);
         start.clear();
-        list.clear();
-        start.push(0);
+        start.resize(n + 1, 0);
         for (i, p) in self.position.iter().enumerate() {
             if self.active[i] {
-                let from = list.len();
                 grid.for_each_candidate(p, |j, q| {
-                    if j != i
+                    if j > i
                         && p.distance(&q) <= COMM_RANGE
                         && self.active[j]
                         && !self.cut_severs(i, j)
                     {
-                        list.push(j as u32);
+                        upper.push(j as u32);
+                        start[i + 1] += 1;
+                        start[j + 1] += 1;
                     }
                 });
-                list[from..].sort_unstable();
             }
-            start.push(u32::try_from(list.len()).expect("link count fits u32"));
+            upper_start.push(upper.len());
+        }
+        let links = u32::try_from(2 * upper.len()).expect("link count fits u32");
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        list.clear();
+        list.resize(links as usize, 0);
+        // Where each node's next neighbour goes.
+        let mut next = start[..n].to_vec();
+        for i in 0..n {
+            for &j in &upper[upper_start[i]..upper_start[i + 1]] {
+                list[next[j as usize] as usize] = i as u32;
+                next[j as usize] += 1;
+            }
+        }
+        for j in 0..n {
+            for k in start[j] as usize..next[j] as usize {
+                let i = list[k] as usize;
+                list[next[i] as usize] = j as u32;
+                next[i] += 1;
+            }
         }
         self.adjacency = Adjacency { start, list };
     }
@@ -1733,6 +1768,73 @@ mod tests {
         t
     }
 
+    /// The sort-based construction: every active node's in-range candidates,
+    /// each link tested from both ends, each list sorted ascending.
+    fn sorted_reference(t: &Topology) -> Adjacency {
+        let grid = CellGrid::new(&t.config.field, COMM_RANGE, &t.position);
+        let mut adjacency = Adjacency {
+            start: vec![0],
+            list: Vec::new(),
+        };
+        let list = &mut adjacency.list;
+        for (i, p) in t.position.iter().enumerate() {
+            if t.active[i] {
+                let from = list.len();
+                grid.for_each_candidate(p, |j, q| {
+                    if j != i && p.distance(&q) <= COMM_RANGE && t.active[j] && !t.cut_severs(i, j)
+                    {
+                        list.push(j as u32);
+                    }
+                });
+                list[from..].sort_unstable();
+            }
+            adjacency.start.push(list.len() as u32);
+        }
+        adjacency
+    }
+
+    fn assert_matches_sorted_reference(t: &Topology, label: &str) {
+        let expect = sorted_reference(t);
+        assert_eq!(t.adjacency.start, expect.start, "{label}: start");
+        assert_eq!(t.adjacency.list, expect.list, "{label}: list");
+    }
+
+    #[test]
+    fn counting_csr_matches_sorted_reference() {
+        // About ten neighbours a node (`faulted`'s field) and about 68
+        // (`scale`'s density), each clean, then with crashes and a
+        // partition cut, then after mobility steps.
+        for n in [1usize, 2, 50, 3_000] {
+            for (density, side) in [
+                ("sparse", 300.0 * (n as f64 / 60.0).sqrt()),
+                ("dense", 825.0 * (n as f64 / 3_000.0).sqrt()),
+            ] {
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                let positions = (0..n)
+                    .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
+                    .collect();
+                let config = TopologyConfig {
+                    field: Field::new(side, side),
+                    sparse_routes: true,
+                    ..TopologyConfig::default()
+                };
+                let mut t = Topology::from_positions_with_config(positions, config);
+                let label = format!("n={n} {density}");
+                assert_matches_sorted_reference(&t, &label);
+                for v in (0..n).step_by(n / 5 + 1) {
+                    t.set_active(NodeId(v), false);
+                }
+                let cut: Vec<NodeId> = (0..n).step_by(3).map(NodeId).collect();
+                t.set_partition(Some(&cut));
+                assert_matches_sorted_reference(&t, &format!("{label} faulted"));
+                for step in 0..3 {
+                    t.mobility_step(&mut rng);
+                    assert_matches_sorted_reference(&t, &format!("{label} step {step}"));
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1762,6 +1864,26 @@ mod tests {
                 let _ = to_b.hops(b, b);
                 prop_assert_eq!(to_b.path(a, b), expect.clone(), "walk {}->{}", a, b);
                 prop_assert_eq!(eager.path(a, b), expect, "eager {}->{}", a, b);
+            }
+        }
+
+        /// The counting-pass CSR equals the sorted reference on random
+        /// placements under crashes and a partition cut, and after
+        /// mobility steps.
+        #[test]
+        fn counting_csr_matches_sorted_reference_on_random_placements(
+            n in 1usize..200,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..200, 0..6),
+            cut in prop::collection::vec(0usize..200, 0..60),
+            steps in 0usize..3,
+        ) {
+            let mut t = faulted(n, seed, true, &crashed, &cut);
+            assert_matches_sorted_reference(&t, "placed");
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..steps {
+                t.mobility_step(&mut rng);
+                assert_matches_sorted_reference(&t, &format!("step {step}"));
             }
         }
 
