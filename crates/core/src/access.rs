@@ -1,12 +1,12 @@
 //! The §IV-D access protocols: data fetch through metadata, recovery of
 //! missing blocks from a neighbour's cache, snapshot bootstrap for a node
 //! that fell behind the pruned base, and the miner's replica-repair sweep —
-//! all routing around §III-B.2's denying storers — plus §VII's migration
-//! pass, which re-places items through repair's allocator and copy loop.
+//! all routing around §III-B.2's denying storers.
 //!
 //! [`Access`] owns the state only these paths use: who denies service,
-//! the `(data, storer)` pairs published invalid, the `(rejoiner, server)`
-//! snapshot blacklist and the delivery-latency samples. Each walk is
+//! the `(data, storer)` pairs published invalid and the `(rejoiner,
+//! server)` snapshot blacklist; the latency samples go to [`SloMonitor`].
+//! Each walk is
 //! stepped with a [`Lent`]: the network state it reads or writes, lent for
 //! one event by disjoint field borrows of
 //! [`crate::network::EdgeNetwork`]. A walk that must judge — a denial
@@ -21,7 +21,7 @@
 
 use crate::account::{AccountId, Identity, Ledger};
 use crate::admission::Admission;
-use crate::alloc::{AllocationContext, Placement};
+use crate::alloc::AllocationContext;
 use crate::block::Block;
 use crate::byzantine::{ByzantineEngine, Court};
 use crate::catalogue::Catalogue;
@@ -228,7 +228,6 @@ impl Lent<'_> {
 
     /// Books one served recovery (a block, or a whole snapshot).
     fn book_recovery(&mut self, v: NodeId, server: NodeId, now: SimTime, arrival: SimTime) {
-        self.report.recoveries += 1;
         self.report
             .recovery
             .record(arrival.saturating_since(now).as_secs_f64());
@@ -252,7 +251,6 @@ impl Lent<'_> {
         id: DataId,
         outcome: &'static str,
     ) {
-        self.report.failed_requests += 1;
         self.slo.record_failure(at.as_millis());
         self.spans.fetch_closed(at, requester, id, outcome);
     }
@@ -308,7 +306,7 @@ impl Lent<'_> {
             }
             // Any live replica or the producer's origin copy can seed the
             // new replicas; with none alive the item waits for a restart.
-            let mut sources = live_holders.clone();
+            let mut sources = live_holders;
             if let Some(p) = producer {
                 if self.topo.is_active(p) && !sources.contains(&p) {
                     sources.push(p);
@@ -327,9 +325,10 @@ impl Lent<'_> {
             let Ok(new_set) = chosen else {
                 continue;
             };
-            let fresh = new_set
-                .into_iter()
-                .filter(|s| !live_holders.contains(s) && Some(*s) != producer);
+            // A live holder either has the item on disk, which the copy
+            // loop skips, or is the producer, whose origin copy stays off
+            // its disk.
+            let fresh = new_set.into_iter().filter(|&s| Some(s) != producer);
             let (copies, last_copy) = self.copy_replicas(id, data_size, &sources, fresh, now);
             if copies > 0 {
                 sweep_copies += copies;
@@ -347,63 +346,6 @@ impl Lent<'_> {
                 repaired = sweep_repaired,
                 copies = sweep_copies
             );
-        }
-    }
-
-    /// §VII data migration ("how to use less operation to achieve less
-    /// offset from the optimal result"): every item whose live holders
-    /// serve the live nodes worse than the run's allocator would by more
-    /// than [`MIGRATION_GAIN`] ([`placement_cost`]) is copied onto the
-    /// allocator's choice, each new storer from its nearest holder. Holders
-    /// the choice abandons are evicted only once every chosen node holds
-    /// the item, so a failed copy never costs the item a replica. Crashed
-    /// holders are invisible to the pass: their copies can be neither
-    /// moved nor dropped while the node is down.
-    pub(crate) fn migrate_replicas(&mut self, now: SimTime) {
-        let ids: Vec<DataId> = self.catalogue.ids().collect();
-        for id in ids {
-            let Some(item) = self.catalogue.get(id) else {
-                continue;
-            };
-            let holders: Vec<NodeId> = item
-                .storing_nodes
-                .iter()
-                .copied()
-                .filter(|&h| self.topo.is_active(h) && self.storage[h.0].has_data(id))
-                .collect();
-            let Some(&first) = holders.first() else {
-                continue;
-            };
-            let producer = self.node_of_account.get(&item.producer).copied();
-            let origin = producer
-                .filter(|&p| self.topo.is_active(p))
-                .unwrap_or(first);
-            let data_size = item.data_size;
-            let optimal = Placement::Optimal;
-            let chosen = self
-                .alloc
-                .select(optimal, origin, self.topo, self.storage, self.rng);
-            let Ok(target) = chosen else {
-                continue;
-            };
-            let scale = self.config.fdc_scale;
-            let before = placement_cost(self.topo, self.storage, &holders, scale);
-            let after = placement_cost(self.topo, self.storage, &target, scale);
-            if after >= before * (1.0 - MIGRATION_GAIN) {
-                continue;
-            }
-            let fresh = target.iter().copied();
-            let (copies, _) = self.copy_replicas(id, data_size, &holders, fresh, now);
-            self.report.migrations += copies;
-            let mut evicted = false;
-            if target.iter().all(|&t| self.storage[t.0].has_data(id)) {
-                for h in holders.into_iter().filter(|h| !target.contains(h)) {
-                    evicted |= self.storage[h.0].evict_data(id);
-                }
-            }
-            if copies > 0 || evicted {
-                self.refresh_storers(id);
-            }
         }
     }
 
@@ -449,36 +391,6 @@ impl Lent<'_> {
             .collect();
         self.catalogue.set_storers(id, holders);
     }
-}
-
-/// The relative gain over the current holders that the migration pass
-/// needs before it moves an item ("Calculating the optimal storage problem
-/// is not necessary if the change over the network is small", §VII). The
-/// objective carries the scaled FDC term, equal for equally loaded
-/// holders, so even large proximity gains read as single-digit relative
-/// gains at the paper's `A = 1000`.
-const MIGRATION_GAIN: f64 = 0.05;
-
-/// The Eq. 3 objective of storing one item at `holders`: each holder's
-/// opening cost `A·f_i` plus every live node's cheapest RDC to a holder;
-/// `f64::INFINITY` for no holders.
-fn placement_cost(
-    topo: &Topology,
-    storage: &[NodeStorage],
-    holders: &[NodeId],
-    fdc_scale: f64,
-) -> f64 {
-    if holders.is_empty() {
-        return f64::INFINITY;
-    }
-    let opening = holders
-        .iter()
-        .fold(0.0, |cost, &h| cost + fdc_scale * storage[h.0].fdc());
-    let clients = topo.nodes().filter(|&j| topo.is_active(j));
-    clients.fold(opening, |cost, j| {
-        let nearest = holders.iter().map(|&h| topo.rdc(h, j));
-        cost + nearest.fold(f64::INFINITY, f64::min)
-    })
 }
 
 /// The access machine's own state; see the module docs.
@@ -829,13 +741,13 @@ impl Access {
 mod tests {
     use super::*;
     use crate::admission::RetryPolicy;
-    use crate::alloc::select_storers;
+    use crate::alloc::{select_storers, Placement};
     use crate::byzantine::empty_block_on;
     use crate::chain::CheckpointPolicy;
     use crate::metadata::{DataType, Location};
     use crate::pos::{next_pos_hash, Amendment};
     use crate::slo::LatencySummary;
-    use edgechain_sim::{Point, TransportConfig};
+    use edgechain_sim::{FaultEvent, Point, TransportConfig};
     use edgechain_workload::OverloadConfig;
     use rand::SeedableRng;
 
@@ -1141,12 +1053,12 @@ mod tests {
         assert_eq!(Miss::Denied(heard).outcome(), "denied");
     }
 
-    /// `n` nodes on the line with the item produced by the far-end node
-    /// and stored at `storers` in the catalogue. Every node holds eleven
+    /// `n` nodes on the line with the item produced by `producer` and
+    /// stored at `storers` in the catalogue. Every node holds eleven
     /// items, the item or a filler among them, so opening costs are equal
     /// and not zero (all-empty stores make every facility free and the
     /// solver opens everything).
-    fn migration_world(n: usize, storers: &[usize]) -> World {
+    fn repair_world(n: usize, producer: usize, storers: &[usize]) -> World {
         let mut w = World::line(n);
         for (i, s) in w.storage.iter_mut().enumerate() {
             let fillers = if storers.contains(&i) { 10 } else { 11 };
@@ -1154,13 +1066,22 @@ mod tests {
                 s.store_data(DataId(10_000 + i as u64 * 100 + k));
             }
         }
-        let item = w.item(n - 1, storers);
+        let item = w.item(producer, storers);
         w.catalogue.insert(item, 0);
         w
     }
 
-    fn migrate(w: &mut World) {
-        w.lend().1.migrate_replicas(NOW);
+    /// Takes `node` down as the run's fault plan says: repair skips a
+    /// fault-free closed-loop run.
+    fn crash(w: &mut World, node: usize) {
+        let node = NodeId(node);
+        let plan = &mut w.config.fault_plan.events;
+        plan.push(FaultEvent::Crash { node, at: NOW });
+        w.topo.set_active(node, false);
+    }
+
+    fn repair(w: &mut World) {
+        w.lend().1.repair_replicas(NOW);
     }
 
     /// The nodes whose disk holds the item, and the catalogue's view.
@@ -1178,112 +1099,72 @@ mod tests {
     }
 
     #[test]
-    fn a_central_holder_costs_less_than_an_edge_one() {
-        let w = migration_world(5, &[]);
-        let cost = |holders: &[NodeId]| placement_cost(&w.topo, &w.storage, holders, 1_000.0);
-        assert!(cost(&[NodeId(2)]) < cost(&[NodeId(0)]));
-        assert_eq!(cost(&[]), f64::INFINITY);
-    }
-
-    #[test]
-    fn a_far_end_item_migrates() {
-        let mut w = migration_world(7, &[6]);
-        let target = optimum(&w);
-        assert!(!target.contains(&6), "the optimum is central: {target:?}");
-        let cost = |w: &World, at: &[usize]| {
-            let holders: Vec<NodeId> = at.iter().copied().map(NodeId).collect();
-            placement_cost(&w.topo, &w.storage, &holders, 1_000.0)
-        };
-        let before = cost(&w, &[6]);
-        assert!(cost(&w, &target) < before * (1.0 - MIGRATION_GAIN));
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, target.len() as u64);
-        assert!(cost(&w, &target) < before);
-    }
-
-    #[test]
-    fn a_dropped_holder_is_evicted_once_the_charged_copies_land() {
-        let mut w = migration_world(7, &[6]);
-        let target = optimum(&w);
-        migrate(&mut w);
-        // Every copy landed, so the abandoned holder is evicted and the
-        // catalogue names exactly the new placement.
-        assert_eq!(holders(&w), (target.clone(), target.clone()));
-        // Each copy rode the transport.
-        let sent = w.transport.stats().total_sent();
-        assert!(sent >= target.len() as u64 * ITEM_BYTES, "{sent} bytes");
-    }
-
-    #[test]
-    fn an_optimal_placement_is_left_alone() {
-        let w = migration_world(7, &[]);
-        let target = optimum(&w);
-        let mut w = migration_world(7, &target);
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, 0);
-        assert_eq!(holders(&w), (target.clone(), target));
-        assert_eq!(w.transport.stats().total_sent(), 0);
+    fn a_copy_goes_to_the_live_optimum_not_a_crashed_nodes_index() {
+        // The far-end producer's one storer crashes. The optimum over the
+        // six live nodes is node 4, live-set index 3.
+        let mut w = repair_world(7, 6, &[1]);
+        crash(&mut w, 1);
+        assert_eq!(optimum(&w), [4]);
+        repair(&mut w);
+        assert_eq!(w.report.repairs_triggered, 1);
+        // The crashed holder keeps its disk copy, so the catalogue still
+        // names it beside the new one.
+        assert_eq!(holders(&w), (vec![1, 4], vec![1, 4]));
+        // The one copy rode the transport, charged on each of its hops.
+        let hops = u64::from(w.topo.hops(NodeId(6), NodeId(4)));
+        assert_eq!(w.transport.stats().total_sent(), hops * ITEM_BYTES);
     }
 
     #[test]
     fn a_kept_replica_is_never_a_copy_destination() {
-        // One central replica plus a stray at the far end.
-        let mut w = migration_world(9, &[4, 8]);
-        let target = optimum(&w);
-        assert!(target.contains(&4), "the central holder stays: {target:?}");
-        migrate(&mut w);
-        let fresh = target.iter().filter(|&&t| t != 4 && t != 8).count();
-        assert_eq!(w.report.migrations, fresh as u64);
-        assert_eq!(w.transport.stats().total_sent(), fresh as u64 * ITEM_BYTES);
-        assert!(w.storage[4].has_data(DataId(7)));
-    }
-
-    #[test]
-    fn a_copy_goes_to_the_live_optimum_not_a_crashed_nodes_index() {
-        let mut w = migration_world(7, &[6]);
-        w.topo.set_active(NodeId(1), false);
-        assert_eq!(optimum(&w), [4]);
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, 1);
-        assert_eq!(holders(&w), (vec![4], vec![4]));
-    }
-
-    #[test]
-    fn no_copy_means_no_eviction() {
-        // Node 4 down cuts the far end off from the optimum: nothing can
-        // be copied, so the only holder keeps the item.
-        let mut w = migration_world(7, &[6]);
-        w.topo.set_active(NodeId(4), false);
-        assert!(!optimum(&w).contains(&6));
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, 0);
-        assert_eq!(holders(&w), (vec![6], vec![6]));
+        // One central replica, a second lost to a crash at the near end,
+        // and the far-end producer's origin copy, which is on no disk. At
+        // A = 0 fairness is free and every live node is a target, the
+        // replica and the producer included.
+        let mut w = repair_world(9, 8, &[0, 4]);
+        crash(&mut w, 0);
+        (w.config.fdc_scale, w.alloc) = (0.0, AllocationContext::new(0.0));
+        repair(&mut w);
+        assert_eq!(w.report.repairs_triggered, 1);
+        assert_eq!(holders(&w), ((0..8).collect(), (0..8).collect()));
+        // Each fresh node got one copy from its nearest holder, and no
+        // byte reached a live holder (no route runs through one either).
+        let stats = w.transport.stats();
+        assert_eq!(stats.received_bytes(NodeId(4)), 0);
+        assert_eq!(stats.received_bytes(NodeId(8)), 0);
+        let hops = [(4, 1), (4, 2), (4, 3), (4, 5), (4, 6), (8, 7)]
+            .map(|(src, dst)| u64::from(w.topo.hops(NodeId(src), NodeId(dst))));
+        assert_eq!(stats.total_sent(), hops.iter().sum::<u64>() * ITEM_BYTES);
     }
 
     #[test]
     fn after_a_failed_copy_the_catalogue_names_only_disk_holders() {
-        // A loss window drops every copy.
-        let mut w = migration_world(7, &[6]);
+        // A loss window drops every copy: nothing lands, and the
+        // catalogue keeps naming the crashed disk holder alone.
+        let mut w = repair_world(7, 6, &[1]);
+        crash(&mut w, 1);
         w.transport.set_loss_prob(1.0);
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, 0);
-        assert_eq!(holders(&w), (vec![6], vec![6]));
+        repair(&mut w);
+        assert_eq!(w.report.repairs_triggered, 0);
+        assert_eq!(holders(&w), (vec![1], vec![1]));
+    }
 
-        // At A = 0 fairness is free and every live node is a target, even
-        // node 3 with only the cache's reserved slot left: it refuses its
-        // copy. The copies that landed join the holders, and the far end
-        // stays until every target holds the item.
-        let mut w = migration_world(7, &[6]);
+    #[test]
+    fn a_full_target_refuses_its_copy_and_is_not_named() {
+        // At A = 0 every live node is a target, even node 3 with only the
+        // cache's reserved slot left: it refuses its copy. Node 0, cut off
+        // by the crash, gets none either, and the producer keeps its
+        // origin copy off the disk.
+        let mut w = repair_world(7, 6, &[1]);
+        crash(&mut w, 1);
         (w.config.fdc_scale, w.alloc) = (0.0, AllocationContext::new(0.0));
         let full = 3;
         let mut filler = 0;
         while w.storage[full].store_block(filler) {
             filler += 1;
         }
-        migrate(&mut w);
-        assert_eq!(w.report.migrations, 5);
-        let (disk, named) = holders(&w);
-        assert_eq!(disk, named);
-        assert!(!disk.contains(&full) && disk.contains(&6), "{disk:?}");
+        repair(&mut w);
+        assert_eq!(w.report.repairs_triggered, 1);
+        assert_eq!(holders(&w), (vec![1, 2, 4, 5], vec![1, 2, 4, 5]));
     }
 }

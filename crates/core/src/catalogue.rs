@@ -1,7 +1,7 @@
 //! The live data catalogue: every packed, not yet swept metadata item.
 //!
 //! [`crate::network::EdgeNetwork`] asks four things of its live items:
-//! "which item has this id", "all of them in id order" (repair, migration,
+//! "which item has this id", "all of them in id order" (repair,
 //! snapshots, the invariant walk), "which are due to expire", and — on
 //! every fetch arrival — "the k-th item *this requester* can see". The
 //! [`Catalogue`] keeps three orders over the same items so each question

@@ -98,10 +98,6 @@ pub struct NetworkConfig {
     /// rescaling that keeps `B` numerically tame); `None` disables, and
     /// `Some(0)` is rejected by [`NetworkConfig::validate`].
     pub token_rescale_blocks: Option<u64>,
-    /// Run the §VII data-migration pass every this many seconds, moving
-    /// the worst-placed items toward the current optimum; `None` disables,
-    /// and `Some(0)` is rejected by [`NetworkConfig::validate`].
-    pub migration_interval_secs: Option<u64>,
     /// Fraction of nodes that accept storage assignments but silently
     /// deny serving data and blocks (paper §III-B.2's malicious model).
     pub malicious_fraction: f64,
@@ -120,8 +116,7 @@ pub struct NetworkConfig {
     /// Verify metadata signatures at every receiving node (slower;
     /// enabled in integration tests, off for parameter sweeps).
     pub verify_signatures: bool,
-    /// FDC weight `A` in the allocation objective (paper: 1000). The
-    /// §VII migration pass prices its moves with the same `A`.
+    /// FDC weight `A` in the allocation objective (paper: 1000).
     pub fdc_scale: f64,
     /// Whether miners run the §IV-C recent-block allocation (growing
     /// chosen nodes' caches). Disabling it is an ablation: every node then
@@ -217,7 +212,6 @@ impl Default for NetworkConfig {
             data_valid_minutes: 1440,
             expiration_sweep_secs: 300,
             token_rescale_blocks: None,
-            migration_interval_secs: None,
             malicious_fraction: 0.0,
             raft_consensus: false,
             placement: Placement::Optimal,
@@ -324,22 +318,18 @@ impl NetworkConfig {
         let load = self
             .load_rates()
             .map(|(field, v)| (field, v, rate(v), "finite and at least 0"));
-        // `None` is the one spelling of "off" for the two schedules.
-        let schedules = [
-            ("token_rescale_blocks", self.token_rescale_blocks),
-            ("migration_interval_secs", self.migration_interval_secs),
-        ]
-        .into_iter()
-        .filter_map(|(field, every)| every.map(|e| (field, e as f64, e >= 1, "at least 1")));
-        let all = counts
-            .into_iter()
-            .chain(checks)
-            .chain(load)
-            .chain(schedules);
-        for (field, value, ok, want) in all {
+        for (field, value, ok, want) in counts.into_iter().chain(checks).chain(load) {
             if !ok {
                 return Err(ConfigError::OutOfRange { field, value, want });
             }
+        }
+        // `None` is the one spelling of "off".
+        if self.token_rescale_blocks == Some(0) {
+            return Err(ConfigError::OutOfRange {
+                field: "token_rescale_blocks",
+                value: 0.0,
+                want: "at least 1",
+            });
         }
         if self.snapshot_bootstrap && !self.prune_blocks {
             return Err(ConfigError::SnapshotWithoutPruning);
@@ -432,7 +422,6 @@ pub(crate) enum Event {
     },
     MobilityStep,
     ExpireSweep,
-    MigrateData,
     RaftTick,
     RaftDeliver {
         from: edgechain_raft::PeerId,
@@ -788,10 +777,6 @@ impl EdgeNetwork {
                 Event::ExpireSweep,
             );
         }
-        if let Some(every) = self.config.migration_interval_secs {
-            self.queue
-                .schedule(SimTime::from_secs(every), Event::MigrateData);
-        }
         if let Some(t) = self.injector.next_due() {
             self.queue.schedule(t, Event::FaultTick);
         }
@@ -960,13 +945,6 @@ impl EdgeNetwork {
                 Event::IssueRequest { requester } => self.on_issue_request(requester, now),
                 Event::MobilityStep => self.on_mobility(now),
                 Event::ExpireSweep => self.on_expire_sweep(now),
-                Event::MigrateData => {
-                    self.lend().1.migrate_replicas(now);
-                    if let Some(every) = self.config.migration_interval_secs {
-                        self.queue
-                            .schedule(now + SimTime::from_secs(every), Event::MigrateData);
-                    }
-                }
                 Event::RaftTick => self.on_raft_tick(now),
                 Event::RaftDeliver { from, envelope } => self.on_raft_deliver(from, envelope, now),
                 Event::FaultTick => self.on_fault_tick(now),
@@ -2132,10 +2110,10 @@ impl EdgeNetwork {
         } else {
             self.chain.tip().timestamp_secs as f64 / height as f64
         };
-        let (inclusion_latency, fetch_latency, slo_alerts) = self.slo.finish();
+        let (inclusion_latency, fetch_latency, failed_requests, slo_alerts) = self.slo.finish();
         let availability = {
             let completed = fetch_latency.count;
-            let resolved = completed + self.report.failed_requests;
+            let resolved = completed + failed_requests;
             if resolved == 0 {
                 1.0
             } else {
@@ -2149,6 +2127,8 @@ impl EdgeNetwork {
             mean_node_overhead_mb: stats.mean_node_overhead() / 1e6,
             total_sent_mb: stats.total_sent() as f64 / 1e6,
             storage_gini: gini_counts(&used),
+            failed_requests,
+            recoveries: self.report.recovery.count(),
             mean_block_interval_secs: mean_interval,
             mean_battery_percent: self.batteries.iter().map(Battery::percent).sum::<f64>()
                 / self.config.nodes as f64,
@@ -2397,30 +2377,6 @@ mod tests {
         assert_eq!(report.raft_messages, 0);
         assert_eq!(report.raft_bytes, 0);
         assert_eq!(report.raft_committed, 0);
-    }
-
-    #[test]
-    fn migration_pass_moves_data_under_churn() {
-        let cfg = NetworkConfig {
-            migration_interval_secs: Some(120),
-            sim_minutes: 60,
-            topology: edgechain_sim::TopologyConfig {
-                mobility_range: 60.0,
-                ..Default::default()
-            },
-            mobility_interval_secs: 30,
-            ..small_config()
-        };
-        let report = EdgeNetwork::new(cfg).unwrap().run();
-        assert!(report.migrations > 0, "no migrations under heavy churn");
-        // Migrated items must remain servable.
-        assert!(report.fetch_latency.count > 0);
-    }
-
-    #[test]
-    fn migration_disabled_by_default() {
-        let report = EdgeNetwork::new(small_config()).unwrap().run();
-        assert_eq!(report.migrations, 0);
     }
 
     #[test]
@@ -2732,10 +2688,10 @@ mod tests {
         let base = small_config;
         // A zero period would re-arm its event at the same instant forever,
         // and a zero checkpoint interval divides by zero. `None` is "off"
-        // for the two optional schedules; `Some(0)` is not a second
-        // spelling of it.
+        // for the optional rescale; `Some(0)` is not a second spelling of
+        // it.
         type Zero = fn(&mut NetworkConfig);
-        let zeros: [(&str, Zero); 8] = [
+        let zeros: [(&str, Zero); 7] = [
             ("nodes", |c| c.nodes = 0),
             ("storage_slots", |c| c.storage_slots = 0),
             ("block_interval_secs", |c| c.block_interval_secs = 0),
@@ -2743,9 +2699,6 @@ mod tests {
             ("request_interval_secs", |c| c.request_interval_secs = 0),
             ("checkpoint_interval", |c| c.checkpoint_interval = 0),
             ("token_rescale_blocks", |c| c.token_rescale_blocks = Some(0)),
-            ("migration_interval_secs", |c| {
-                c.migration_interval_secs = Some(0)
-            }),
         ];
         for (field, zero) in zeros {
             let mut cfg = base();
@@ -2824,51 +2777,6 @@ mod tests {
             ..base()
         };
         assert_eq!(EdgeNetwork::new(quiet).unwrap().run().data_generated, 0);
-    }
-
-    #[test]
-    fn migration_prices_moves_at_the_runs_fdc_scale() {
-        // One item on a nearly empty node 0, every other node two slots
-        // short of full. At the paper's A = 1000 opening any of them costs
-        // far more fairness than the distance it saves and the pass leaves
-        // the item alone; at A = 0 fairness is free, every node with room
-        // is worth opening and the pass copies the item out.
-        let migrations_at = |fdc_scale| {
-            let mut net = EdgeNetwork::new(NetworkConfig {
-                fdc_scale,
-                ..small_config()
-            })
-            .unwrap();
-            for s in &mut net.storage[1..] {
-                let mut filler = 1_000;
-                while s.free_slots() > 2 {
-                    s.store_block(filler);
-                    filler += 1;
-                }
-            }
-            let id = DataId(0);
-            let mut item = MetadataItem::new_signed(
-                net.identities[0].keys(),
-                id,
-                DataType::Sensing("PM2.5".into()),
-                0,
-                Location {
-                    label: "field/0".into(),
-                    x: 0.0,
-                    y: 0.0,
-                },
-                1_440,
-                None,
-                1_000,
-            );
-            item.storing_nodes = vec![NodeId(0)];
-            assert!(net.storage[0].store_data(id));
-            net.catalogue.insert(item, 0);
-            net.lend().1.migrate_replicas(SimTime::from_secs(1));
-            net.report.migrations
-        };
-        assert_eq!(migrations_at(edgechain_facility::FDC_SCALE), 0);
-        assert!(migrations_at(0.0) > 0, "the pass ignored the run's A");
     }
 
     #[test]

@@ -31,9 +31,10 @@ pub struct RunReport {
     pub total_sent_mb: f64,
     /// Gini coefficient of per-node used storage slots — Fig. 4(b).
     pub storage_gini: f64,
-    /// Requests that found no reachable storer (retried next round).
+    /// Fetches that resolved without the data, every retry spent: the
+    /// SLO monitor's whole-run count.
     pub failed_requests: u64,
-    /// Missing-block recoveries performed.
+    /// Missing-block recoveries performed: the count of `recovery`.
     pub recoveries: u64,
     /// Recovery latency statistics (seconds).
     pub recovery: RunningStats,
@@ -50,8 +51,6 @@ pub struct RunReport {
     /// Service denials observed from malicious storers (requests that got
     /// no answer and were retried elsewhere, §III-B.2).
     pub denials: u64,
-    /// Replica copies performed by the §VII data-migration pass.
-    pub migrations: u64,
     /// Raft messages transmitted for general information consensus.
     pub raft_messages: u64,
     /// Raft heartbeats among those (the paper's §VII overhead complaint).
@@ -252,9 +251,6 @@ impl fmt::Display for RunReport {
                 "  tracking: peak {} tombstone entries",
                 self.peak_tracking_entries
             )?;
-        }
-        if self.migrations > 0 {
-            writeln!(f, "  migrations: {} copies", self.migrations)?;
         }
         writeln!(f, "  inclusion latency: {}", self.inclusion_latency)?;
         writeln!(f, "  slo: {} breaches", self.slo_alerts.len())?;

@@ -393,14 +393,16 @@ impl SloMonitor {
         &self.alerts
     }
 
-    /// Ends the run: the whole-run inclusion and fetch summaries and every
+    /// Ends the run: the whole-run inclusion and fetch summaries, the
+    /// whole-run count of fetches that exhausted their retries, and every
     /// alert raised, in detection order. A traced run's
     /// `slo.inclusion_secs` and `slo.fetch_secs` histograms are written
     /// here, each sample once.
-    pub fn finish(self) -> (LatencySummary, LatencySummary, Vec<SloAlert>) {
+    pub fn finish(self) -> (LatencySummary, LatencySummary, u64, Vec<SloAlert>) {
         let inclusion = self.inclusion.summarize("slo.inclusion_secs");
         let fetch = self.fetch.summarize("slo.fetch_secs");
-        (inclusion, fetch, self.alerts)
+        let failed = self.failed.samples.len() as u64;
+        (inclusion, fetch, failed, self.alerts)
     }
 }
 
@@ -500,8 +502,13 @@ mod tests {
         m.record_inclusion(1_000, 20.0);
         m.record_inclusion(2_000, 10.0);
         m.record_fetch(3_000, 1.0);
+        m.record_failure(4_000);
         m.evaluate(5_000, 0, MAX_QUARANTINES + 1);
-        let (inclusion, fetch, alerts) = m.finish();
+        // The window moves past every sample; the whole-run figures keep
+        // them all.
+        m.evaluate(WINDOW_SECS * 1000 + 5_000, 0, MAX_QUARANTINES + 1);
+        let (inclusion, fetch, failed, alerts) = m.finish();
+        assert_eq!(failed, 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].slo, objective::QUARANTINES);
         assert_eq!(alerts[0].observed, (MAX_QUARANTINES + 1) as f64);

@@ -7,8 +7,8 @@
 //! ```text
 //! edgechain-cli [--nodes N] [--minutes M] [--rate ITEMS_PER_MIN]
 //!               [--placement optimal|random|none] [--seed S]
-//!               [--malicious FRACTION] [--migrate SECS]
-//!               [--rescale BLOCKS] [--mobility METERS]
+//!               [--malicious FRACTION] [--rescale BLOCKS]
+//!               [--mobility METERS]
 //!               [--block-interval SECS] [--raft] [--verify] [--quiet]
 //!               [--export FILE] [--check FILE]
 //! ```
@@ -32,7 +32,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: edgechain-cli [--nodes N] [--minutes M] [--rate R] \
          [--placement optimal|random|none] [--seed S] [--malicious F] \
-         [--migrate SECS] [--rescale BLOCKS] [--mobility METERS] \
+         [--rescale BLOCKS] [--mobility METERS] \
          [--block-interval SECS] [--raft] [--verify] [--quiet] \
          [--export FILE] [--check FILE]"
     );
@@ -67,7 +67,6 @@ fn main() -> ExitCode {
             "--rate" => config.data_items_per_min = parse(&args, &mut i, "--rate"),
             "--seed" => config.seed = parse(&args, &mut i, "--seed"),
             "--malicious" => config.malicious_fraction = parse(&args, &mut i, "--malicious"),
-            "--migrate" => config.migration_interval_secs = Some(parse(&args, &mut i, "--migrate")),
             "--rescale" => config.token_rescale_blocks = Some(parse(&args, &mut i, "--rescale")),
             "--mobility" => {
                 config.topology = TopologyConfig {

@@ -67,23 +67,6 @@ fn chaos_seeds_differ() {
     assert_eq!(b.invariant_violations, 0);
 }
 
-#[test]
-fn migration_under_chaos_stays_safe_and_deterministic() {
-    // The §VII migration pass every minute on top of churn, a partition
-    // and lossy links: it moves replicas while holders crash and copies
-    // drop, and must neither lose an item nor depend on anything but the
-    // seed.
-    let cfg = || NetworkConfig {
-        migration_interval_secs: Some(60),
-        ..scenario::chaos_short()
-    };
-    let a = EdgeNetwork::new(cfg()).unwrap().run();
-    assert!(a.migrations > 0, "the pass never moved a replica: {a}");
-    assert_eq!(a.invariant_violations, 0, "{a}");
-    let b = EdgeNetwork::new(cfg()).unwrap().run();
-    assert_eq!(a, b, "same seed + same plan must be bit-identical");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -14,7 +14,6 @@ fn hostile_flag_values_exit_2_with_a_message() {
         (["--rate", "-1"], "data_items_per_min"),
         (["--malicious", "2"], "malicious_fraction"),
         (["--mobility", "nan"], "topology.mobility_range"),
-        (["--migrate", "0"], "migration_interval_secs"),
         (["--rescale", "0"], "token_rescale_blocks"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_edgechain-cli"))
@@ -42,26 +41,4 @@ fn a_valid_run_still_exits_0() {
         .expect("the CLI binary runs");
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("run: 8 nodes"));
-}
-
-#[test]
-fn a_migrating_run_reports_its_copies() {
-    let stdout = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_edgechain-cli"))
-            .args(["--minutes", "120", "--nodes", "20", "--quiet"])
-            .args(extra)
-            .output()
-            .expect("the CLI binary runs");
-        assert_eq!(out.status.code(), Some(0), "{extra:?}");
-        String::from_utf8(out.stdout).expect("utf-8 report")
-    };
-    let migrating = stdout(&["--migrate", "120"]);
-    let copies: Vec<u64> = migrating
-        .lines()
-        .filter_map(|l| l.trim().strip_prefix("migrations: "))
-        .map(|rest| rest.strip_suffix(" copies").unwrap().parse().unwrap())
-        .collect();
-    assert!(matches!(copies[..], [n] if n > 0), "{migrating}");
-    let still = stdout(&[]);
-    assert!(!still.contains("migrations:"), "{still}");
 }

@@ -211,7 +211,7 @@ fn regional_allocation_run_is_healthy() {
     );
     assert_eq!(
         digest(&report),
-        "e865b9cd4edeae64ac3a56cfedd206ce8f61cf2fec7b94161d2a66355ba9909b",
+        "6cf2963bd354dc58c98bd6ba0b0e48edc4b0e28d9d3648b3279fc111705485f3",
         "report digest moved"
     );
 }
@@ -276,7 +276,7 @@ fn ten_thousand_nodes_stay_healthy() {
     );
     assert_eq!(
         digest(&report),
-        "c909a36a06d035f1091b481a9bab97cab68d8e40dfc175a7e25a6734f97ebf74",
+        "1828a304ac7a26596d878ade423997869a5932c9600eb451f78da033175d1352",
         "report digest moved"
     );
 }

@@ -70,7 +70,7 @@ fn soak_reruns_are_bit_identical() {
     assert!(a.telemetry.is_none());
     assert_eq!(
         sha256(format!("{a:?}")).to_hex(),
-        "6e3c3296a8fc6f3b5ee46cd5b54df56c2ea2f8541cec81a930ab21edd6cfb691",
+        "dce2facb91b0b19c52838d519d137e13e683b97b6c132654ed03f2c6a3af7c76",
         "soak report digest moved"
     );
 }
