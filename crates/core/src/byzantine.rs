@@ -9,7 +9,8 @@
 //! foreign blocks are verified in full before adoption
 //! ([`crate::chain::verify_wire_block`], its block-only half judged once
 //! per broadcast), divergent views reconcile
-//! through live checkpointed fork choice ([`Blockchain::try_adopt`]), and
+//! through live checkpointed fork choice (a view adopts the canonical
+//! chain's held blocks, [`Blockchain::try_adopt_from`]), and
 //! proofs of misbehavior — equivocation (two valid headers, same height
 //! and miner), forged PoS claims, tampered signatures, undecodable
 //! payloads, tampered snapshots, repeated denials, a late fork release —
@@ -707,8 +708,11 @@ impl ByzantineEngine {
     /// The one move of a view onto the canonical chain: offers node `v`'s
     /// view the canonical blocks from their fork point up to `target` — an
     /// extension or a reorg — and convicts on the equivocations among the
-    /// blocks it replaces. A view whose fork point was pruned away restarts
-    /// from the canonical anchor (the pruned prefix is consensus-final).
+    /// blocks it replaces. The canonical chain's blocks were checked when
+    /// they entered it, so the view adopts them as held blocks
+    /// ([`Blockchain::try_adopt_from`]: links checked, nothing rehashed).
+    /// A view whose fork point was pruned away restarts from the canonical
+    /// anchor (the pruned prefix is consensus-final).
     fn catch_up(&mut self, court: &mut Court<'_>, now: SimTime, v: NodeId, target: u64) {
         let canonical = court.canonical;
         let target = target.min(canonical.height());
@@ -718,7 +722,7 @@ impl ByzantineEngine {
         }
         let fork_point = chain.fork_point(canonical.as_slice());
         let base = canonical.base_index();
-        let Some(lo) = fork_point.checked_sub(base) else {
+        if fork_point < base {
             if let (Some(top), Some(anchor)) = (target.checked_sub(base), canonical.anchor()) {
                 let blocks = canonical.as_slice()[..=top as usize].to_vec();
                 if let Ok(rebuilt) = Blockchain::from_anchor(anchor.clone(), blocks) {
@@ -726,7 +730,7 @@ impl ByzantineEngine {
                 }
             }
             return;
-        };
+        }
         // Equivocation proofs: replaced local blocks whose canonical
         // counterpart has the same miner but a different hash.
         let equivocations: Vec<(u64, AccountId)> = (fork_point..=chain.height())
@@ -736,8 +740,7 @@ impl ByzantineEngine {
             })
             .collect();
         let depth = chain.height() + 1 - fork_point;
-        let candidate = &canonical.as_slice()[lo as usize..=(target - base) as usize];
-        if chain.try_adopt(candidate, self.policy) && depth > 0 {
+        if chain.try_adopt_from(canonical, target, self.policy) && depth > 0 {
             count_reorg(court.report, depth);
             trace_event!("chain.reorg", now.as_millis(), node = v.0, depth = depth);
         }

@@ -194,6 +194,20 @@ impl Snapshot {
 
 /// A validated chain of blocks starting at genesis.
 ///
+/// # Invariant
+///
+/// Every block a `Blockchain` holds passed [`Block::is_well_formed`] on
+/// entry, or [`Block::is_well_formed_sealed`] for a block this process
+/// sealed ([`Blockchain::push_sealed`]), and linked onto its predecessor.
+/// No `&mut Block` escapes, so a held block stays as it was checked: a
+/// block copied from one chain into another needs its link checked, not
+/// its contents ([`Blockchain::try_adopt_from`], and
+/// [`Blockchain::rebase_onto`], which checks only the attachment to the
+/// anchor). A `&[Block]` carries no such guarantee: whoever built the
+/// slice could have edited a block, so [`Blockchain::try_adopt`] checks
+/// each block in full. (The serde derives are markers; nothing decodes a
+/// `Blockchain`, and a decoder would be a new entry that must validate.)
+///
 /// # Examples
 ///
 /// ```
@@ -507,7 +521,45 @@ impl Blockchain {
     /// plain longest-chain rule. (Receiving "a blockchain longer than its
     /// previous received blockchain" is also how a node detects that it
     /// missed blocks, §IV-D.)
+    ///
+    /// The candidate's provenance is unknown (a released fork, a test's
+    /// hand-built slice), so every adopted block is checked in full
+    /// ([`Block::validate_against`]: its link and its own hash and Merkle
+    /// root). Blocks another [`Blockchain`] holds go through
+    /// [`Blockchain::try_adopt_from`].
     pub fn try_adopt(&mut self, candidate: &[Block], policy: CheckpointPolicy) -> bool {
+        self.adopt(candidate, policy, Block::validate_against)
+    }
+
+    /// [`Blockchain::try_adopt`] of `source`'s retained blocks through
+    /// height `upto`, with the same verdict and result. Every block
+    /// `source` holds was checked when it entered it (the type invariant
+    /// on [`Blockchain`]), so each link is checked with
+    /// [`Block::validate_link`] (index, `prev_hash`, timestamp) and
+    /// nothing is rehashed. The first link, onto this chain's block below
+    /// the fork point, is checked too: that block is this chain's, not
+    /// `source`'s. Refused when `upto` is outside `source`'s retained
+    /// range.
+    pub fn try_adopt_from(
+        &mut self,
+        source: &Blockchain,
+        upto: u64,
+        policy: CheckpointPolicy,
+    ) -> bool {
+        let held = upto
+            .checked_sub(source.base)
+            .and_then(|top| source.blocks.get(..=top as usize));
+        held.is_some_and(|candidate| self.adopt(candidate, policy, Block::validate_link))
+    }
+
+    /// The body both adoption entry points share; `check` judges each
+    /// adopted block against its predecessor, the first one included.
+    fn adopt(
+        &mut self,
+        candidate: &[Block],
+        policy: CheckpointPolicy,
+        check: impl Fn(&Block, &Block) -> Result<(), BlockError>,
+    ) -> bool {
         let Some(first) = candidate.first() else {
             return false;
         };
@@ -526,7 +578,7 @@ impl Blockchain {
         };
         let suffix = &candidate[offset as usize..];
         let mut links = std::iter::once(prev).chain(suffix).zip(suffix);
-        if !links.all(|(p, b)| b.validate_against(p).is_ok()) {
+        if !links.all(|(p, b)| check(b, p).is_ok()) {
             return false;
         }
         self.blocks.truncate((fork_point - self.base) as usize);
@@ -1386,6 +1438,37 @@ mod tests {
         let mut chain = extend(&trunk, 2, 300);
         chain.prune_below(7, prune_keys().keys());
         assert!(!chain.try_adopt(attacker.retained_after(9), policy));
+    }
+
+    #[test]
+    fn held_adoption_checks_the_link_onto_this_chain() {
+        // The view holds its own fork from block 5 up; the source forked
+        // there too and pruned below 8, so the fork point is 8, the lowest
+        // height both hold, and the view's block 7 is not the one the
+        // source's anchor stands for. Only the first link can tell.
+        let trunk = chain_of(4);
+        let view = extend(&trunk, 6, 100);
+        let mut source = extend(&trunk, 10, 200);
+        source.prune_below(8, prune_keys().keys());
+        assert_eq!(view.fork_point(source.as_slice()), 8);
+        assert_ne!(view.get(7).unwrap().hash, source.anchor().unwrap().tip_hash);
+
+        let mut held = view.clone();
+        assert!(!held.try_adopt_from(&source, source.height(), PLAIN));
+        let mut full = view.clone();
+        assert!(!full.try_adopt(source.as_slice(), PLAIN));
+        assert_eq!((&held, &full), (&view, &view));
+
+        // The same source unpruned links onto the view's block 4.
+        let source = extend(&trunk, 10, 200);
+        assert!(held.try_adopt_from(&source, 12, PLAIN));
+        assert!(full.try_adopt(source.retained_up_to(12), PLAIN));
+        assert_eq!((held.tip(), &held), (source.get(12).unwrap(), &full));
+        // A target outside the source's retained range is refused.
+        let mut pruned = source.clone();
+        pruned.prune_below(8, prune_keys().keys());
+        assert!(!held.clone().try_adopt_from(&pruned, 7, PLAIN));
+        assert!(!held.clone().try_adopt_from(&pruned, 15, PLAIN));
     }
 
     #[test]

@@ -96,13 +96,27 @@ impl InvariantChecker {
     /// Closes the elapsed interval against the previous observation and
     /// re-evaluates every invariant on the given snapshot.
     pub fn observe(&mut self, now: SimTime, view: &InvariantView<'_>) {
+        self.observe_with(now, view, std::iter::empty());
+    }
+
+    /// [`InvariantChecker::observe`] that also walks `more` items after
+    /// `view.items`, by reference: the live network hands over its
+    /// registry's valid entries in place ([`valid_entries`]) instead of
+    /// cloning them into `view.items`.
+    pub(crate) fn observe_with<'i>(
+        &mut self,
+        now: SimTime,
+        view: &InvariantView<'i>,
+        more: impl Iterator<Item = (&'i MetadataItem, Option<NodeId>)>,
+    ) {
         let dt = now.saturating_since(self.last_observe).as_secs_f64();
         self.under_replicated_item_seconds += self.under_replicated_now as f64 * dt;
         self.last_observe = now;
 
         let mut zero_live = 0usize;
-        for (item, producer) in view.items {
-            let (durable, live) = Self::honest_copies(view, item, *producer);
+        let own = view.items.iter().map(|(item, producer)| (item, *producer));
+        for (item, producer) in own.chain(more) {
+            let (durable, live) = Self::honest_copies(view, item, producer);
             if durable == 0 {
                 // Crashes never wipe disks, so this can only be a protocol
                 // bug (e.g. eviction of the last replica of a valid item).
@@ -251,10 +265,21 @@ pub fn valid_items<'a, I>(
 where
     I: Iterator<Item = &'a (MetadataItem, u64)>,
 {
-    registry
-        .filter(|(m, _)| m.is_valid_at(now_secs))
-        .map(|(m, _)| (m.clone(), producer_of(m)))
+    valid_entries(registry, now_secs, producer_of)
+        .map(|(m, producer)| (m.clone(), producer))
         .collect()
+}
+
+/// [`valid_items`] by reference: the registry's entries valid at
+/// `now_secs`, each with its producer node, in the iterator's order.
+pub(crate) fn valid_entries<'a>(
+    registry: impl Iterator<Item = &'a (MetadataItem, u64)>,
+    now_secs: u64,
+    producer_of: impl Fn(&MetadataItem) -> Option<NodeId>,
+) -> impl Iterator<Item = (&'a MetadataItem, Option<NodeId>)> {
+    registry
+        .filter(move |(m, _)| m.is_valid_at(now_secs))
+        .map(move |(m, _)| (m, producer_of(m)))
 }
 
 #[cfg(test)]
@@ -435,6 +460,69 @@ mod tests {
             },
         );
         assert_eq!(checker.violations, 2);
+    }
+
+    #[test]
+    fn the_in_place_walk_counts_what_the_cloned_items_count() {
+        let mut topo = line(5);
+        let mut storage = vec![NodeStorage::new(10); 5];
+        // Producer-held: no replica landed, node 0's origin copy protects
+        // it. Crashed storer: node 2 holds the only copy and goes down.
+        // Malicious storer: node 3's copy is no honest copy. Expired: no
+        // copy at all, which would be a violation were it walked.
+        let mut expired = item(3, vec![NodeId(4)]);
+        expired.valid_minutes = 0;
+        let registry = [
+            (item(0, vec![NodeId(1)]), 1),
+            (item(1, vec![NodeId(2)]), 1),
+            (item(2, vec![NodeId(3)]), 2),
+            (expired, 2),
+        ];
+        storage[2].store_data(DataId(1));
+        storage[3].store_data(DataId(2));
+        let malicious = [false, false, false, true, false];
+        let producer_of = |m: &MetadataItem| (m.data_id == DataId(0)).then_some(NodeId(0));
+        fn view<'a>(
+            topo: &'a Topology,
+            storage: &'a [NodeStorage],
+            malicious: &'a [bool],
+            items: &'a [(MetadataItem, Option<NodeId>)],
+        ) -> InvariantView<'a> {
+            InvariantView {
+                topo,
+                storage,
+                malicious,
+                items,
+                chain_height: 0,
+                node_height: &[0; 5],
+                node_max_known: &[0; 5],
+                resurrected_items: 0,
+                forks: None,
+            }
+        }
+        let mut cloned = InvariantChecker::new(SimTime::ZERO);
+        let mut walked = InvariantChecker::new(SimTime::ZERO);
+        for secs in [10, 25, 40] {
+            if secs == 25 {
+                topo.set_active(NodeId(2), false);
+            }
+            let now = SimTime::from_secs(secs);
+            let items = valid_items(registry.iter(), secs, producer_of);
+            cloned.observe(now, &view(&topo, &storage, &malicious, &items));
+            let entries = valid_entries(registry.iter(), secs, producer_of);
+            walked.observe_with(now, &view(&topo, &storage, &malicious, &[]), entries);
+            assert_eq!(walked.violations, cloned.violations);
+            assert_eq!(walked.under_replicated_now(), cloned.under_replicated_now());
+            assert_eq!(
+                walked.under_replicated_item_seconds.to_bits(),
+                cloned.under_replicated_item_seconds.to_bits()
+            );
+        }
+        // One violation per observation (the malicious storer's item), the
+        // crashed storer's item under-replicated for the last 15 s.
+        assert_eq!(walked.violations, 3);
+        assert_eq!(walked.under_replicated_now(), 1);
+        assert!((walked.under_replicated_item_seconds - 15.0).abs() < 1e-9);
     }
 
     fn mined(prev: &crate::block::Block, seed: u64, ts: u64) -> crate::block::Block {

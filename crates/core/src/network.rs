@@ -984,9 +984,6 @@ impl EdgeNetwork {
 
     /// Feeds the current network state to the [`InvariantChecker`].
     fn observe_invariants(&mut self, now: SimTime) {
-        let items = crate::invariant::valid_items(self.catalogue.iter(), now.as_secs(), |m| {
-            self.node_of_account.get(&m.producer).copied()
-        });
         let node_max_known: Vec<u64> = self
             .node_known
             .iter()
@@ -994,13 +991,18 @@ impl EdgeNetwork {
             .map(|(known, &height)| known.last().copied().unwrap_or(height))
             .collect();
         let resurrected = std::mem::take(&mut self.resurrected_pending);
-        self.checker.observe(
+        // The registry's valid items are walked in place, not cloned.
+        let node_of_account = &self.node_of_account;
+        let items = crate::invariant::valid_entries(self.catalogue.iter(), now.as_secs(), |m| {
+            node_of_account.get(&m.producer).copied()
+        });
+        self.checker.observe_with(
             now,
             &InvariantView {
                 topo: &self.topo,
                 storage: &self.storage,
                 malicious: &self.access.malicious,
-                items: &items,
+                items: &[],
                 resurrected_items: resurrected,
                 chain_height: self.chain.height(),
                 node_height: &self.node_height,
@@ -1015,6 +1017,7 @@ impl EdgeNetwork {
                     checkpoint_interval: e.policy.interval,
                 }),
             },
+            items,
         );
     }
 
@@ -2866,6 +2869,48 @@ mod tests {
             "deep rejoiner should bootstrap from a snapshot: {report}"
         );
         assert_eq!(report.invariant_violations, 0, "invariant broken: {report}");
+    }
+
+    /// The trunk after node `miner` withholds a one-block fork on genesis
+    /// and releases it at once, `tamper` applied to the block in between.
+    fn trunk_after_release(miner: NodeId, tamper: impl FnOnce(&mut Block)) -> Blockchain {
+        use edgechain_sim::FaultEvent;
+        let withhold = ByzantineAction::Withhold { blocks: 1 };
+        let plan = FaultPlan::new(vec![FaultEvent::Byzantine {
+            node: miner,
+            action: withhold,
+            at: SimTime::from_secs(600),
+        }]);
+        let mut net = EdgeNetwork::new(NetworkConfig {
+            fault_plan: plan,
+            ..small_config()
+        })
+        .unwrap();
+        let now = SimTime::from_secs(1);
+        let (_, mut cx) = net.lend();
+        let (engine, mut court) = cx.adversary().unwrap();
+        engine.arm(miner, withhold);
+        let attack = engine.armed_attack(&mut court, now, miner, false);
+        assert!(matches!(attack, Attack::Withheld));
+        tamper(&mut engine.withheld.as_mut().unwrap().blocks[0]);
+        net.release_withheld(now);
+        net.chain
+    }
+
+    #[test]
+    fn the_trunk_refuses_a_released_fork_carrying_a_malformed_block() {
+        // A node with neighbours, so the release is heard.
+        let net = EdgeNetwork::new(small_config()).unwrap();
+        let miner = (0..net.topo.len())
+            .map(NodeId)
+            .find(|&v| net.topo.neighbors(v).next().is_some())
+            .unwrap();
+        let honest = trunk_after_release(miner, |_| {});
+        assert_eq!(honest.height(), 1, "an intact fork outgrows genesis");
+        // Contents edited after sealing: every link still holds, only the
+        // block's own hash no longer matches it.
+        let trunk = trunk_after_release(miner, |b| b.delay_secs += 1);
+        assert_eq!(trunk, Blockchain::new(), "the malformed fork is refused");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use edgechain_core::account::{AccountId, Identity, Ledger};
 use edgechain_core::block::Block;
-use edgechain_core::chain::{Blockchain, ChainAnchor, ChainError};
+use edgechain_core::chain::{Blockchain, ChainAnchor, ChainError, CheckpointPolicy};
 use edgechain_core::metadata::{DataId, DataType, Location, MetadataItem};
 use edgechain_core::pos::{hit, run_round, Amendment, Candidate};
 use edgechain_core::storage::NodeStorage;
@@ -174,6 +174,13 @@ proptest! {
 /// from block 1 on.
 fn linked_chain(n: u64, fork: u64) -> Blockchain {
     let mut chain = Blockchain::new();
+    grow(&mut chain, n, fork);
+    chain
+}
+
+/// Appends `n` blocks to `chain` as [`linked_chain`] mines them: tips
+/// grown from one chain with different offsets diverge at once.
+fn grow(chain: &mut Blockchain, n: u64, fork: u64) {
     for i in 0..n {
         let tip = chain.tip();
         let block = Block::new(
@@ -191,7 +198,6 @@ fn linked_chain(n: u64, fork: u64) -> Blockchain {
         );
         chain.push(block).unwrap();
     }
-    chain
 }
 
 /// The anchor `chain` seals when pruning below `cut`.
@@ -258,6 +264,47 @@ proptest! {
             prop_assert_eq!(untouched.rebase_onto(&stale), Err(ChainError::DetachedAnchor));
         }
         prop_assert_eq!(&untouched, &view);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn held_adoption_matches_adoption_of_the_slice(
+        shared in 0u64..12,
+        ours in 0u64..10,
+        theirs in 1u64..14,
+        view_cut in proptest::option::of(any::<u64>()),
+        source_cut in proptest::option::of(any::<u64>()),
+        pick in any::<u64>(),
+        interval in prop_oneof![Just(u64::MAX), 2u64..8],
+    ) {
+        let keys = Identity::from_seed(9);
+        // Two chains share `shared` blocks past genesis, then each grows
+        // its own branch; either may have pruned below a random cut.
+        let mut view = linked_chain(shared, 0);
+        let mut source = view.clone();
+        grow(&mut view, ours, 10);
+        grow(&mut source, theirs, 20);
+        if let Some(c) = view_cut {
+            view.prune_below(1 + c % view.height().max(1), keys.keys());
+        }
+        if let Some(c) = source_cut {
+            source.prune_below(1 + c % source.height().max(1), keys.keys());
+        }
+        let base = source.base_index();
+        let upto = base + pick % (source.height() - base + 1);
+        let policy = CheckpointPolicy { interval };
+
+        let mut held = view.clone();
+        let mut full = view.clone();
+        let adopted = held.try_adopt_from(&source, upto, policy);
+        prop_assert_eq!(adopted, full.try_adopt(source.retained_up_to(upto), policy));
+        prop_assert_eq!(&held, &full);
+        if !adopted {
+            prop_assert_eq!(&held, &view);
+        }
     }
 }
 
