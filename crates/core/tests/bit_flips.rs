@@ -1,7 +1,8 @@
 //! Exhaustive single-bit flips over one fixed encoding of every signed or
 //! hashed wire type. Each mutant must fail to decode, fail its own check
 //! (`verify` / `is_well_formed`), or decode equal to the original: no bit
-//! of a committed structure escapes its hash or signature.
+//! of a committed structure escapes its hash or signature. Every proper
+//! prefix of each encoding must fail to decode.
 //!
 //! Every mutant that decodes costs one signature check, so the fixtures
 //! are as small as the types allow: short strings, one item, one retained
@@ -11,7 +12,7 @@ use edgechain_core::account::Identity;
 use edgechain_core::block::Block;
 use edgechain_core::codec::{
     decode_anchor, decode_block, decode_metadata, decode_snapshot, encode_anchor, encode_block,
-    encode_metadata, encode_snapshot,
+    encode_metadata, encode_snapshot, DecodeError,
 };
 use edgechain_core::metadata::{DataId, DataType, Location, MetadataItem};
 use edgechain_core::pos::{next_pos_hash, Amendment};
@@ -26,6 +27,16 @@ fn each_flip(bytes: &[u8], mut check: impl FnMut(usize, &[u8])) {
         mutant[bit / 8] ^= 1 << (bit % 8);
         check(bit, &mutant);
         mutant[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// Asserts that every proper prefix of `bytes` fails to decode.
+fn each_prefix_fails<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, DecodeError>) {
+    for cut in 0..bytes.len() {
+        assert!(
+            decode(&bytes[..cut]).is_err(),
+            "prefix of {cut} bytes decoded"
+        );
     }
 }
 
@@ -84,6 +95,7 @@ fn pruned() -> Blockchain {
 fn every_flip_of_a_metadata_item_is_caught() {
     let original = item();
     assert!(original.verify());
+    each_prefix_fails(&encode_metadata(&original), decode_metadata);
     each_flip(&encode_metadata(&original), |bit, mutant| {
         if let Ok(dec) = decode_metadata(mutant) {
             assert!(dec == original || !dec.verify(), "bit {bit} verified");
@@ -100,6 +112,7 @@ fn every_flip_of_a_block_is_caught() {
         (&sealed, sealed.encoded().to_vec()),
         (&decoded, encode_block(&decoded)),
     ] {
+        each_prefix_fails(&bytes, decode_block);
         each_flip(&bytes, |bit, mutant| {
             if let Ok(dec) = decode_block(mutant) {
                 assert!(
@@ -115,6 +128,7 @@ fn every_flip_of_a_block_is_caught() {
 fn every_flip_of_an_anchor_is_caught() {
     let original: ChainAnchor = pruned().anchor().unwrap().clone();
     assert!(original.verify());
+    each_prefix_fails(&encode_anchor(&original), decode_anchor);
     each_flip(&encode_anchor(&original), |bit, mutant| {
         if let Ok(dec) = decode_anchor(mutant) {
             assert!(dec == original || !dec.verify(), "bit {bit} verified");
@@ -132,6 +146,7 @@ fn every_flip_of_a_snapshot_is_caught() {
         Identity::from_seed(1).keys(),
     );
     assert!(original.verify());
+    each_prefix_fails(&encode_snapshot(&original), decode_snapshot);
     each_flip(&encode_snapshot(&original), |bit, mutant| {
         if let Ok(dec) = decode_snapshot(mutant) {
             assert!(dec == original || !dec.verify(), "bit {bit} verified");

@@ -12,9 +12,17 @@
 //! tag) instead of a hand-written field list, so its signature, and with it
 //! the encoding's digest, were re-pinned. The length (221 bytes) and every
 //! vector above it did not move.
+//!
+//! The block, chain, anchor and snapshot encodings beside it were pinned
+//! on the commit before the codec stopped reading and writing through a
+//! vendored `bytes` crate.
 
-use edgechain::core::{codec, DataId, DataType, Location, MetadataItem};
+use edgechain::core::pos::{next_pos_hash, Amendment};
+use edgechain::core::{
+    codec, Block, Blockchain, DataId, DataType, Identity, Location, MetadataItem, Snapshot,
+};
 use edgechain::crypto::{sha256, KeyPair};
+use edgechain::sim::NodeId;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -106,6 +114,32 @@ fn signatures_are_pinned() {
     }
 }
 
+/// Genesis plus three blocks; the first packs `item` with two storers.
+fn fixed_chain(item: &MetadataItem) -> Blockchain {
+    let mut chain = Blockchain::new();
+    for i in 1..=3u64 {
+        let prev = chain.tip();
+        let miner = Identity::from_seed(i).account();
+        let mut packed = item.clone();
+        packed.storing_nodes = vec![NodeId(3), NodeId(9)];
+        let b = Block::new(
+            i,
+            prev.hash,
+            i * 60,
+            next_pos_hash(&prev.pos_hash, &miner),
+            miner,
+            60,
+            Amendment::from_fraction(123_456_789, 987_654_321),
+            if i == 1 { vec![packed] } else { Vec::new() },
+            vec![NodeId(1)],
+            prev.storing_nodes.clone(),
+            vec![NodeId(4)],
+        );
+        chain.push(b).unwrap();
+    }
+    chain
+}
+
 #[test]
 fn signed_metadata_item_encoding_is_pinned() {
     let item = MetadataItem::new_signed(
@@ -129,4 +163,46 @@ fn signed_metadata_item_encoding_is_pinned() {
         sha256(&bytes).to_hex(),
         "eb148ba2c825ab840deaaefdda2b9f50de1bec7f280f4fe282321377edd37491"
     );
+
+    // One block, one chain, one anchor and one snapshot built around it:
+    // the codec's byte layout for every wire type, not just the item's.
+    let chain = fixed_chain(&item);
+    let mut pruned = chain.clone();
+    pruned.prune_below(2, Identity::from_seed(9).keys());
+    let anchor = pruned.anchor().unwrap().clone();
+    let snapshot = Snapshot::seal(
+        anchor.clone(),
+        pruned.as_slice().to_vec(),
+        vec![(item, 1)],
+        Identity::from_seed(1).keys(),
+    );
+    assert!(anchor.verify() && snapshot.verify());
+    let encodings = [
+        ("block", codec::encode_block(chain.get(1).unwrap())),
+        ("chain", codec::encode_chain(chain.as_slice())),
+        ("anchor", codec::encode_anchor(&anchor)),
+        ("snapshot", codec::encode_snapshot(&snapshot)),
+    ];
+    let pinned: [(usize, &str); 4] = [
+        (
+            501,
+            "d93cf9fb56e96c750b0256d5dc111a6329eec06f8f1b9460ba10321a59485322",
+        ),
+        (
+            1337,
+            "766da889936fff977bb2f01dc8bc74b1d98e11ec3182d2aa7a120a9cf392e709",
+        ),
+        (
+            297,
+            "a37212f70e237f14498c2dea729faa59d1deb2e20cf002f4dd532139025bf62e",
+        ),
+        (
+            1231,
+            "2dda32c60c2c2240d1f7b3f6f0c0fd6398b7b501ee67121d5f07e4d1fc15d4e0",
+        ),
+    ];
+    for ((name, bytes), (len, digest)) in encodings.iter().zip(pinned) {
+        assert_eq!(bytes.len(), len, "{name} length");
+        assert_eq!(sha256(bytes).to_hex(), digest, "{name} digest");
+    }
 }
