@@ -18,11 +18,10 @@ use edgechain_sim::{NodeId, Topology, UNREACHABLE};
 use edgechain_telemetry as telemetry;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Placement strategy under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Placement {
     /// The paper's UFL-based fair & efficient allocation.
     #[default]

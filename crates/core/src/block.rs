@@ -15,12 +15,11 @@ use crate::metadata::MetadataItem;
 use crate::pos::Amendment;
 use edgechain_crypto::{leaf_hash, sha256, Digest, MerkleTree};
 use edgechain_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// A block in the edge blockchain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Height of the block (genesis = 0).
     pub index: u64,
@@ -141,7 +140,7 @@ impl Block {
         // from them here and the sealed-path verification reuses them.
         let leaves: Arc<[Digest]> = metadata
             .iter()
-            .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
+            .map(|m| leaf_hash(&item_leaf_bytes(m)))
             .collect();
         let merkle_root = MerkleTree::from_leaf_hashes(leaves.to_vec()).root();
         let mut block = Block {
@@ -192,7 +191,7 @@ impl Block {
         self.cache.leaves.get_or_init(|| {
             self.metadata
                 .iter()
-                .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
+                .map(|m| leaf_hash(&item_leaf_bytes(m)))
                 .collect()
         })
     }
@@ -615,7 +614,7 @@ mod tests {
         let expect: Vec<Digest> = b
             .metadata
             .iter()
-            .map(|m| leaf_hash(item_leaf_bytes(m).as_ref()))
+            .map(|m| leaf_hash(&item_leaf_bytes(m)))
             .collect();
         assert_eq!(b.leaf_digests(), expect.as_slice());
         assert_eq!(

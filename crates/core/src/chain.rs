@@ -24,7 +24,6 @@ use crate::account::{AccountId, Ledger};
 use crate::block::{Block, BlockError};
 use crate::codec;
 use edgechain_crypto::{sha256_pair, Digest, KeyPair, MerkleTree, PublicKey, Signature};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -38,7 +37,7 @@ use std::fmt;
 /// pruned blocks contributed — per-miner block counts for the token
 /// ledger and the on-chain metadata total. The pruning node signs the
 /// whole thing so a snapshot receiver can pin tampering on the sender.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainAnchor {
     /// Index of the newest pruned block (the prefix `[0, height]` is gone).
     pub height: u64,
@@ -92,7 +91,7 @@ impl ChainAnchor {
             signer_key,
             signature: Signature::from_bytes(&[0u8; 64]),
         };
-        anchor.signature = keys.sign(codec::anchor_signed_bytes(&anchor).as_ref());
+        anchor.signature = keys.sign(&codec::anchor_signed_bytes(&anchor));
         anchor
     }
 
@@ -101,7 +100,7 @@ impl ChainAnchor {
         AccountId::from_public_key(&self.signer_key) == self.signer
             && self
                 .signer_key
-                .verify(codec::anchor_signed_bytes(self).as_ref(), &self.signature)
+                .verify(&codec::anchor_signed_bytes(self), &self.signature)
     }
 
     /// Blocks mined by `account` inside the pruned prefix.
@@ -124,7 +123,7 @@ impl ChainAnchor {
 /// signature, and the structural linkage of the suffix, so any bit
 /// tampered in flight (or by a Byzantine server) makes verification fail
 /// and the fetcher blacklists the source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Summary of everything below the retained suffix.
     pub anchor: ChainAnchor,
@@ -157,7 +156,7 @@ impl Snapshot {
             server_key,
             signature: Signature::from_bytes(&[0u8; 64]),
         };
-        snapshot.signature = keys.sign(codec::snapshot_signed_bytes(&snapshot).as_ref());
+        snapshot.signature = keys.sign(&codec::snapshot_signed_bytes(&snapshot));
         snapshot
     }
 
@@ -175,7 +174,7 @@ impl Snapshot {
         }
         if !self
             .server_key
-            .verify(codec::snapshot_signed_bytes(self).as_ref(), &self.signature)
+            .verify(&codec::snapshot_signed_bytes(self), &self.signature)
         {
             return false;
         }
@@ -205,8 +204,7 @@ impl Snapshot {
 /// [`Blockchain::rebase_onto`], which checks only the attachment to the
 /// anchor). A `&[Block]` carries no such guarantee: whoever built the
 /// slice could have edited a block, so [`Blockchain::try_adopt`] checks
-/// each block in full. (The serde derives are markers; nothing decodes a
-/// `Blockchain`, and a decoder would be a new entry that must validate.)
+/// each block in full.
 ///
 /// # Examples
 ///
@@ -221,7 +219,7 @@ impl Snapshot {
 /// assert_eq!(same, chain);
 /// # Ok::<(), edgechain_core::ChainError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Blockchain {
     /// Everything strictly below `base` collapsed into this anchor.
     anchor: Option<ChainAnchor>,
@@ -789,7 +787,7 @@ impl<'a> IntoIterator for &'a Blockchain {
 
 /// Checkpointing policy for [`Blockchain::try_adopt`]: every block whose
 /// height is a multiple of `interval` is a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint spacing in blocks (clamped to ≥ 1).
     pub interval: u64,

@@ -10,13 +10,10 @@
 use crate::account::AccountId;
 use edgechain_crypto::{KeyPair, PublicKey, Signature};
 use edgechain_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a data item (assigned by the producer).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DataId(pub u64);
 
 impl fmt::Display for DataId {
@@ -27,7 +24,7 @@ impl fmt::Display for DataId {
 
 /// Category of the described data, mirroring the paper's examples
 /// (air-quality readings, traffic pictures, key exchange records, …).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Environmental sensing, e.g. `AirQuality/PM2.5`.
     Sensing(String),
@@ -51,7 +48,7 @@ impl fmt::Display for DataType {
 }
 
 /// A geographic tag, e.g. `NewYork,NY/40.72,-74.00`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Location {
     /// Free-form place label.
     pub label: String,
@@ -65,7 +62,7 @@ pub struct Location {
 /// `signature` itself and `storing_nodes`, which is computed by the
 /// allocation engine after signing (each receiving node recomputes and
 /// checks it against the block).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetadataItem {
     /// Identifier of the described data item.
     pub data_id: DataId,
@@ -121,7 +118,7 @@ impl MetadataItem {
             properties,
             data_size,
         };
-        item.signature = keys.sign(crate::codec::item_signed_bytes(&item).as_ref());
+        item.signature = keys.sign(&crate::codec::item_signed_bytes(&item));
         item
     }
 
@@ -131,10 +128,8 @@ impl MetadataItem {
         if AccountId::from_public_key(&self.producer_key) != self.producer {
             return false;
         }
-        self.producer_key.verify(
-            crate::codec::item_signed_bytes(self).as_ref(),
-            &self.signature,
-        )
+        self.producer_key
+            .verify(&crate::codec::item_signed_bytes(self), &self.signature)
     }
 
     /// First second at which the item is no longer valid. Saturating: a
@@ -228,9 +223,9 @@ mod tests {
     #[test]
     fn canonical_bytes_reflect_storing_nodes() {
         let (_, mut item) = sample(6);
-        let before = crate::codec::item_leaf_bytes(&item).as_ref().to_vec();
+        let before = crate::codec::item_leaf_bytes(&item);
         item.storing_nodes.push(NodeId(3));
-        assert_ne!(before, crate::codec::item_leaf_bytes(&item).as_ref());
+        assert_ne!(before, crate::codec::item_leaf_bytes(&item));
     }
 
     #[test]

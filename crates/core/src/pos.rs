@@ -25,7 +25,6 @@
 use crate::account::AccountId;
 use edgechain_crypto::{sha256_many_pair64, sha256_pair64, Digest};
 use edgechain_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -69,7 +68,7 @@ pub fn hit(prev_pos_hash: &Digest, account: &AccountId) -> u64 {
 }
 
 /// The expectation-time amendment `B`, kept as an exact reduced rational.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Amendment {
     num: u128,
     den: u128,
@@ -213,7 +212,7 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
 }
 
 /// Outcome of one mining round: who mines, when, and with what credentials.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiningOutcome {
     /// Index (into the candidates slice) of the winner.
     pub winner: usize,
@@ -227,7 +226,7 @@ pub struct MiningOutcome {
 }
 
 /// One mining candidate: account plus contribution `U_i = S_i · Q_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The node's account.
     pub account: AccountId,

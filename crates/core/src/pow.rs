@@ -7,11 +7,10 @@
 //! the energy model can charge every hash evaluation.
 
 use edgechain_crypto::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A PoW difficulty expressed in leading zero *hex digits* of the hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Difficulty(u32);
 
 impl Difficulty {
@@ -55,7 +54,7 @@ impl fmt::Display for Difficulty {
 }
 
 /// A successful PoW solution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowSolution {
     /// The winning nonce.
     pub nonce: u64,

@@ -20,7 +20,6 @@
 //! ```
 
 use crate::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// Hashes one leaf with the tree's `0x00` domain-separation prefix.
 ///
@@ -131,7 +130,7 @@ impl MerkleTree {
 }
 
 /// Which side a sibling hash sits on when recomputing the root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// Sibling is the left child; the running hash is the right child.
     Left,
@@ -140,7 +139,7 @@ pub enum Side {
 }
 
 /// An inclusion proof binding one leaf to a [`MerkleTree`] root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
     index: usize,
     path: Vec<(Side, Digest)>,

@@ -32,7 +32,6 @@
 //! );
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::array::from_fn;
 use std::fmt;
 
@@ -56,7 +55,7 @@ const K: [u32; 64] = [
 ];
 
 /// A 256-bit message digest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -40,7 +40,6 @@ use crate::hmac::hmac_sha256;
 use crate::sha256::{Digest, Sha256};
 use crate::u256::U256;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The exponent modulus `p − 1`.
@@ -63,7 +62,7 @@ impl fmt::Debug for SecretKey {
 }
 
 /// A public verification key `y = g^x mod p`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     y: U256,
 }
@@ -101,8 +100,9 @@ impl PublicKey {
         Ok(key)
     }
 
-    /// `0 < y < p`. [`from_bytes`](Self::from_bytes) enforces it, but a key
-    /// can also arrive through `Deserialize`, which does not.
+    /// `0 < y < p`. [`from_bytes`](Self::from_bytes) enforces it;
+    /// [`verify`](Self::verify) checks it again so it stays total whatever
+    /// built the key.
     fn is_group_element(&self) -> bool {
         !self.y.is_zero() && self.y < field::P
     }
@@ -139,7 +139,7 @@ impl PublicKey {
 }
 
 /// A Schnorr signature `(e, s)`.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     e: U256,
     s: U256,
@@ -352,7 +352,7 @@ mod tests {
         let kp = KeyPair::from_seed(9);
         let good = kp.sign(b"m");
         assert_eq!(ORDER_Q, field::P.wrapping_sub(&U256::ONE));
-        // A key that skipped `from_bytes` (e.g. through `Deserialize`).
+        // A key that skipped `from_bytes`.
         for y in [U256::ZERO, field::P, U256::MAX] {
             assert!(!PublicKey { y }.verify(b"m", &good), "y = {y}");
         }

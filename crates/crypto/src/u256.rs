@@ -19,12 +19,11 @@
 //! assert_eq!(b, U256::from_u64(1).shl(80));
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A 256-bit unsigned integer stored as four little-endian 64-bit limbs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct U256 {
     limbs: [u64; 4],
 }

@@ -27,11 +27,10 @@
 #![warn(missing_docs)]
 
 use edgechain_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Energy accounting categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyCategory {
     /// PoW hash evaluations.
     PowHashing,
@@ -52,7 +51,7 @@ pub enum EnergyCategory {
 /// and 11-blocks-per-percent (PoS) endpoints; the per-operation values
 /// therefore *include* the measured baseline draw of the running phone,
 /// which is what the paper's experiment actually captured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,
@@ -100,7 +99,7 @@ impl Default for DeviceProfile {
 }
 
 /// A battery with finite charge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity: f64,
     remaining: f64,
@@ -146,7 +145,7 @@ impl Battery {
 }
 
 /// Accumulates energy spending by category.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     pow_hashing: f64,
     pos_checking: f64,

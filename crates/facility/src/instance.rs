@@ -14,7 +14,6 @@
 //! This module holds the instance representation; solvers live in
 //! [`crate::greedy`], [`crate::local_search`], and [`crate::exact`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -58,12 +57,11 @@ pub fn fdc(used: u64, total: u64) -> f64 {
 /// function of its connect row alone, so the instance keeps it — filled
 /// per row on first use — and nothing ever has to invalidate it. Equality
 /// compares the costs, not which rows happen to be sorted already.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UflInstance {
     open_cost: Vec<f64>,
     connect: Vec<Vec<f64>>,
     /// `order[i]`: the clients stably sorted by `connect[i]`, once asked for.
-    #[serde(skip)]
     order: Vec<OnceLock<Vec<u32>>>,
 }
 
@@ -282,7 +280,7 @@ fn counting_order(row: &[f64]) -> Vec<u32> {
 
 /// A feasible solution: which facilities are open and where each client
 /// connects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UflSolution {
     /// `open[i]` — facility `i` is open.
     pub open: Vec<bool>,

@@ -7,13 +7,10 @@
 //! (notoriously chatty) heartbeat traffic to the transmission-overhead
 //! metrics, which the paper calls out as future work.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a raft peer (dense index into the cluster membership).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PeerId(pub usize);
 
 impl fmt::Display for PeerId {
@@ -29,7 +26,7 @@ pub type Term = u64;
 pub type LogIndex = u64;
 
 /// One replicated log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry<C> {
     /// Term in which the entry was created by a leader.
     pub term: Term,
@@ -38,7 +35,7 @@ pub struct LogEntry<C> {
 }
 
 /// A raft RPC or response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message<C> {
     /// Candidate solicits a vote.
     RequestVote {
@@ -174,7 +171,7 @@ impl<C> Message<C> {
 }
 
 /// A message together with its destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<C> {
     /// Destination peer.
     pub to: PeerId,

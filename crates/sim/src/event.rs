@@ -17,16 +17,13 @@
 //! assert_eq!(t, SimTime::from_millis(500));
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Simulation timestamp in milliseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

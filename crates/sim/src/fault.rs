@@ -37,7 +37,6 @@ use crate::topology::{NodeId, Topology};
 use crate::transport::Transport;
 use edgechain_telemetry::trace_event;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Byzantine misbehavior an adversarial node performs at a scheduled
@@ -53,7 +52,7 @@ use std::fmt;
 /// ([`ForgeBlock`](ByzantineAction::ForgeBlock),
 /// [`GarbagePayload`](ByzantineAction::GarbagePayload)) execute
 /// immediately at the scheduled instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzantineAction {
     /// Seal two conflicting blocks at one height and broadcast both
     /// (different receivers see different tips).
@@ -90,7 +89,7 @@ impl ByzantineAction {
 }
 
 /// One scheduled fault in a [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// `node` halts at `at`: its radio goes silent and its storage is
     /// unavailable (but not wiped) until a matching [`FaultEvent::Restart`].
@@ -150,7 +149,7 @@ pub enum FaultEvent {
 }
 
 /// A complete fault schedule, fixed before the run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The scheduled events, in no particular order.
     pub events: Vec<FaultEvent>,
@@ -158,12 +157,11 @@ pub struct FaultPlan {
     /// malicious (service-denying) roles from a dedicated RNG seeded here
     /// instead of the deterministic ID-tail placement, so sweeps can vary
     /// adversary placement per seed without perturbing any other stream.
-    #[serde(default)]
     pub roles: Option<RoleAssignment>,
 }
 
 /// Seeded role placement carried by a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoleAssignment {
     /// Seed for the role-placement RNG (independent of the run seed).
     pub seed: u64,
@@ -173,7 +171,7 @@ pub struct RoleAssignment {
 }
 
 /// Parameters for [`FaultPlan::random_churn`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Expected crashes per simulated minute across the whole network.
     pub crashes_per_min: f64,
@@ -186,7 +184,7 @@ pub struct ChurnConfig {
 }
 
 /// Parameters for [`FaultPlan::random_byzantine`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ByzantineSweepConfig {
     /// Fraction of nodes given an adversary role, in `[0, 1]` (at least
     /// one node is always drawn).

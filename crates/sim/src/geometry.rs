@@ -4,11 +4,10 @@
 //! nodes can communicate when their Euclidean distance is at most the radio
 //! range (70 m, typical 802.11n).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in the simulation field, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in meters.
     pub x: f64,
@@ -41,7 +40,7 @@ impl From<(f64, f64)> for Point {
 }
 
 /// A rectangular deployment field anchored at the origin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Field {
     /// Width in meters.
     pub width: f64,

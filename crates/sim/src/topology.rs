@@ -34,14 +34,11 @@
 use crate::geometry::{CellGrid, Field, Point};
 use edgechain_telemetry as telemetry;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
 
 /// Identifier of a simulated node (dense, `0..n`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -84,7 +81,7 @@ const MAX_PLACEMENT_ATTEMPTS: usize = 10_000;
 pub const COMM_RANGE: f64 = 70.0;
 
 /// Configuration for generating a [`Topology`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     /// Deployment field (default 300 m × 300 m).
     pub field: Field,
@@ -93,7 +90,6 @@ pub struct TopologyConfig {
     /// Fill hop/RDC rows lazily on first query instead of eagerly at
     /// every rebuild. Query results are bit-identical; only memory and
     /// rebuild cost change. Default `false` (eager).
-    #[serde(default)]
     pub sparse_routes: bool,
 }
 

@@ -10,7 +10,6 @@
 use crate::event::SimTime;
 use crate::topology::{NodeId, Route, Topology};
 use edgechain_telemetry::{self as telemetry, trace_event};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -142,7 +141,7 @@ impl BroadcastDeliveries {
 }
 
 /// Transport parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportConfig {
     /// One-hop propagation delay (paper: 10 ms, typical 802.11).
     pub hop_delay: SimTime,
@@ -172,7 +171,7 @@ pub struct Delivery {
 }
 
 /// Per-node traffic accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     sent: Vec<u64>,
     received: Vec<u64>,

@@ -1,7 +1,7 @@
 //! Minimal deterministic JSON writing and flat-object parsing.
 //!
-//! The vendored `serde` is a no-op stub (marker traits only), so trace and
-//! registry exports hand-roll their JSON. Everything here is deterministic
+//! The workspace has no serialization dependency, so trace and registry
+//! exports hand-roll their JSON. Everything here is deterministic
 //! by construction: callers iterate `Vec`s or `BTreeMap`s (never a
 //! `HashMap`), and float formatting uses Rust's shortest-roundtrip `{}`
 //! display, which is stable across runs and platforms.

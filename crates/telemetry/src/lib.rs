@@ -12,8 +12,8 @@
 //!    names like `ufl.open_facilities` or `transport.retries`, plus a
 //!    strictly separated wall-clock `*_ns` profile namespace.
 //! 3. **JSONL export** ([`Session::trace_jsonl`], [`Registry::to_json`])
-//!    — hand-rolled deterministic JSON (the vendored serde is a no-op
-//!    stub), consumed by the `trace-report` CLI.
+//!    — hand-rolled deterministic JSON, consumed by the `trace-report`
+//!    CLI.
 //!
 //! Determinism rules (see DESIGN.md §7): no wall-clock in trace events, no
 //! `HashMap` iteration order in any export, and telemetry never feeds back

@@ -9,7 +9,6 @@
 //! (Fig. 4(b)): `Gini = Σ_i Σ_j |t_i − t_j| / (2 Σ_i Σ_j t_j)` and reports
 //! values below 0.15 as "fair".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Computes the Gini coefficient of a set of nonnegative values.
@@ -55,7 +54,7 @@ pub fn gini_counts(values: &[u64]) -> f64 {
 /// Incremental summary statistics (count / mean / min / max / sum /
 /// variance), with the second moment tracked by Welford's online
 /// algorithm so variance is numerically stable over long runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningStats {
     count: u64,
     sum: f64,
@@ -194,7 +193,7 @@ impl Extend<f64> for RunningStats {
 /// assert_eq!(s.quantile(0.5), Some(50.0));
 /// assert_eq!(s.quantile(0.99), Some(99.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleSet {
     samples: Vec<f64>,
     sorted: bool,
