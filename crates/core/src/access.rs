@@ -350,7 +350,7 @@ impl Lent<'_> {
     }
 
     /// Copies item `id` (`bytes` long) over the transport to each of
-    /// `targets` that has room and lacks it, each from its nearest source
+    /// `targets` that [accepts it](NodeStorage::accepts_data), each from its nearest source
     /// among `sources` ([`provider_rank`]). Returns how many copies landed
     /// and when the last one arrived.
     fn copy_replicas(
@@ -363,7 +363,7 @@ impl Lent<'_> {
     ) -> (u64, Option<SimTime>) {
         let (mut copies, mut last) = (0, None);
         for s in targets {
-            if self.storage[s.0].is_full() || self.storage[s.0].has_data(id) {
+            if !self.storage[s.0].accepts_data(id) {
                 continue;
             }
             let nearest = sources
@@ -1152,7 +1152,8 @@ mod tests {
     #[test]
     fn a_full_target_refuses_its_copy_and_is_not_named() {
         // At A = 0 every live node is a target, even node 3 with only the
-        // cache's reserved slot left: it refuses its copy. Node 0, cut off
+        // cache's reserved slot left: it would refuse its copy, so none is
+        // sent. Node 0, cut off
         // by the crash, gets none either, and the producer keeps its
         // origin copy off the disk.
         let mut w = repair_world(7, 6, &[1]);
@@ -1166,5 +1167,10 @@ mod tests {
         repair(&mut w);
         assert_eq!(w.report.repairs_triggered, 1);
         assert_eq!(holders(&w), (vec![1, 2, 4, 5], vec![1, 2, 4, 5]));
+        // The producer sent the item to the three nodes that took it and
+        // not one byte to the node that would have refused it.
+        let hops = [2, 4, 5].map(|dst| u64::from(w.topo.hops(NodeId(6), NodeId(dst))));
+        let sent = w.transport.stats().total_sent();
+        assert_eq!(sent, hops.iter().sum::<u64>() * ITEM_BYTES);
     }
 }
