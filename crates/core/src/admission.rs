@@ -97,18 +97,15 @@ impl Admission {
 
     /// The admission gate for items and fetches alike. Counts the offer,
     /// then checks in order — items: the pending-queue bound, the item
-    /// bucket, the price; fetches: the ladder (low-priority reads only),
-    /// the per-node in-flight cap, the fetch bucket, the price. `pay` is
-    /// asked to debit the price from the caller's ledger, all or nothing,
-    /// only once every other gate has passed — so a bucket token is spent
-    /// even when the price then fails. A rejection is accounted as a shed
+    /// bucket; fetches: the ladder (low-priority reads only), the per-node
+    /// in-flight cap, the fetch bucket. A rejection is accounted as a shed
     /// and returns `false`.
-    pub(crate) fn admit(&mut self, op: Op, now: SimTime, pay: impl FnOnce(u64) -> bool) -> bool {
+    pub(crate) fn admit(&mut self, op: Op, now: SimTime) -> bool {
         match op {
             Op::Item { .. } => self.report.offered_items += 1,
             Op::Fetch { .. } => self.report.offered_fetches += 1,
         }
-        if let Err(reason) = self.gate(op, now, pay) {
+        if let Err(reason) = self.gate(op, now) {
             self.shed(op, now, reason);
             return false;
         }
@@ -119,12 +116,7 @@ impl Admission {
         true
     }
 
-    fn gate(
-        &mut self,
-        op: Op,
-        now: SimTime,
-        pay: impl FnOnce(u64) -> bool,
-    ) -> Result<(), &'static str> {
+    fn gate(&mut self, op: Op, now: SimTime) -> Result<(), &'static str> {
         let over = |cap: Option<usize>, depth: usize| cap.is_some_and(|c| c > 0 && depth >= c);
         let bucket = match op {
             Op::Item { pending } => {
@@ -151,13 +143,6 @@ impl Admission {
             if !bucket.try_take(now.as_millis(), 1.0) {
                 return Err("bucket");
             }
-        }
-        let price = self.limits.admission_price_tokens;
-        if price > 0 {
-            if !pay(price) {
-                return Err("price");
-            }
-            self.report.admission_tokens_charged += price;
         }
         Ok(())
     }
@@ -314,18 +299,17 @@ mod tests {
     }
 
     /// The reason `op` is shed for, read off the gate itself.
-    fn verdict(a: &mut Admission, op: Op, can_pay: bool) -> Result<(), &'static str> {
-        a.gate(op, T0, |_| can_pay)
+    fn verdict(a: &mut Admission, op: Op) -> Result<(), &'static str> {
+        a.gate(op, T0)
     }
 
     /// Every gate configured: buckets that never refill (each starts full
-    /// at its burst), a mempool bound of 4, one in-flight fetch per node,
-    /// and a price.
+    /// at its burst), a mempool bound of 4 and one in-flight fetch per
+    /// node.
     fn every_gate() -> OverloadConfig {
         OverloadConfig {
             admission_items_per_min: Some(0.0),
             admission_fetches_per_min: Some(0.0),
-            admission_price_tokens: 2,
             max_pending_items: Some(4),
             max_inflight_per_node: Some(1),
             ..OverloadConfig::default()
@@ -338,11 +322,10 @@ mod tests {
         assert!(a.item_bucket.as_mut().unwrap().try_take(0, ITEM_BURST)); // drain it
         let full = Op::Item { pending: 4 };
         let room = Op::Item { pending: 3 };
-        assert_eq!(verdict(&mut a, full, false), Err("queue_full"));
-        assert_eq!(verdict(&mut a, room, false), Err("bucket"));
+        assert_eq!(verdict(&mut a, full), Err("queue_full"));
+        assert_eq!(verdict(&mut a, room), Err("bucket"));
         a.item_bucket = None;
-        assert_eq!(verdict(&mut a, room, false), Err("price"));
-        assert_eq!(verdict(&mut a, room, true), Ok(()));
+        assert_eq!(verdict(&mut a, room), Ok(()));
     }
 
     #[test]
@@ -351,40 +334,15 @@ mod tests {
         assert!(a.fetch_bucket.as_mut().unwrap().try_take(0, FETCH_BURST));
         a.update_ladder(2, T0); // 2 of 4 pending: rung 1
         a.backlog_push(NodeId(1), 9);
-        assert_eq!(verdict(&mut a, fetch(1, true), false), Err("degraded"));
+        assert_eq!(verdict(&mut a, fetch(1, true)), Err("degraded"));
         // The ladder only sheds low-priority reads.
-        assert_eq!(verdict(&mut a, fetch(1, false), false), Err("inflight"));
-        assert_eq!(verdict(&mut a, fetch(2, false), false), Err("bucket"));
+        assert_eq!(verdict(&mut a, fetch(1, false)), Err("inflight"));
+        assert_eq!(verdict(&mut a, fetch(2, false)), Err("bucket"));
         a.fetch_bucket = None;
-        assert_eq!(verdict(&mut a, fetch(2, false), false), Err("price"));
-        assert_eq!(verdict(&mut a, fetch(2, false), true), Ok(()));
+        assert_eq!(verdict(&mut a, fetch(2, false)), Ok(()));
         // The item pre-gates never look at fetch state and vice versa.
         a.item_bucket = None;
-        assert_eq!(verdict(&mut a, Op::Item { pending: 0 }, true), Ok(()));
-    }
-
-    #[test]
-    fn a_failed_price_keeps_the_bucket_token() {
-        let mut a = admission(every_gate());
-        let item = Op::Item { pending: 0 };
-        for _ in 1..ITEM_BURST as u64 {
-            assert!(a.admit(item, T0, |price| price == 2));
-        }
-        assert!(!a.admit(item, T0, |_| false));
-        let charged = 2 * (ITEM_BURST as u64 - 1);
-        assert_eq!(a.report.admission_tokens_charged, charged);
-        assert_eq!((a.report.offered_items, a.report.shed_items), (8, 1));
-        // The last token went with the failed attempt: a payer is now
-        // turned away at the bucket, before being asked to pay.
-        assert!(!a.admit(item, T0, |_| unreachable!()));
-        assert_eq!(a.report.admission_tokens_charged, charged);
-
-        assert!(a.admit(fetch(0, false), T0, |price| price == 2));
-        assert_eq!(a.report.admission_tokens_charged, charged + 2);
-        assert_eq!(
-            (a.report.offered_fetches, a.report.admitted_fetches),
-            (1, 1)
-        );
+        assert_eq!(verdict(&mut a, Op::Item { pending: 0 }), Ok(()));
     }
 
     #[test]
@@ -444,8 +402,8 @@ mod tests {
         for i in 0..200usize {
             let now = SimTime::from_secs(i as u64);
             a.update_ladder(i * 1_000, now);
-            assert!(a.admit(Op::Item { pending: i * 1_000 }, now, |_| unreachable!()));
-            assert!(a.admit(fetch(i % 4, i % 2 == 0), now, |_| unreachable!()));
+            assert!(a.admit(Op::Item { pending: i * 1_000 }, now));
+            assert!(a.admit(fetch(i % 4, i % 2 == 0), now));
             a.backlog_push(NodeId(i % 4), i as u64);
             assert!(!a.defer_replication(3) && !a.defer_repair());
             assert!(a.retry_delay(0, now).is_some());

@@ -99,8 +99,6 @@ pub struct OverloadReport {
     pub peak_inflight_fetches: u64,
     /// Deepest degradation-ladder rung reached (0–3).
     pub max_degrade_level: u8,
-    /// Ledger tokens collected as admission fees.
-    pub admission_tokens_charged: u64,
 }
 
 impl OverloadReport {
@@ -123,7 +121,7 @@ impl fmt::Display for OverloadReport {
             "items {}/{} admitted ({} shed, {} alloc-rejected); fetches {}/{} \
              admitted ({} shed, {} exhausted); {} retries denied; deferred \
              {} replications / {} repairs; peak queue {} pending / {} \
-             inflight; max degrade L{}; {} tokens charged",
+             inflight; max degrade L{}",
             self.admitted_items,
             self.offered_items,
             self.shed_items,
@@ -137,8 +135,7 @@ impl fmt::Display for OverloadReport {
             self.deferred_repairs,
             self.peak_pending_items,
             self.peak_inflight_fetches,
-            self.max_degrade_level,
-            self.admission_tokens_charged
+            self.max_degrade_level
         )
     }
 }

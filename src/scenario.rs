@@ -265,7 +265,6 @@ pub fn flash_crowd() -> NetworkConfig {
             // Generous budget: bounds a retry storm without failing the
             // routine mobility-disconnect retries that must succeed.
             retry_budget_per_min: Some(240.0),
-            ..OverloadConfig::default()
         },
         ..NetworkConfig::default()
     }

@@ -97,7 +97,7 @@ fn fig4_sized_run_is_pinned() {
         scenario::fig4_cell(),
         false,
         [
-            "6ef7c5ad007ddd15327e7b2500b04c10bb1ff73912842b3ae3ce9b48fb21345e",
+            "d480c0e4fc28b314a8dc9c1edb9de03e08d2f0c04371dfd8346b17deed7237ce",
             "d457cb64be7eee336b27a278a8f54034cc9151a4ba6d398b6d5cc753dd67c4d9",
             "5294be27e6b6f57ee6e9cdc221c8bb99fec6a0722690f3696aaaaeb743fbbd0d",
         ],
@@ -111,7 +111,7 @@ fn fig5_random_placement_is_pinned() {
         fig5_random_config(),
         false,
         [
-            "08ba9a3e337f3533935cc1389ffa7fcbd4e58a12d5d4a4943f0e00771856cd1f",
+            "16c1de9d9796828796602b076804408948457d7a4baa7cb7ae36a93a162cd387",
             "a13192f4da9b54d4c1e2536ab19936d66530d779500dd90e27a3cd1ebb23ec8b",
             "75eeec1bb1baec6b6e617f2477e79a445e2d52beeb2237cd2e680d0426c8ea9d",
         ],
@@ -125,7 +125,7 @@ fn chaos_run_is_pinned() {
         scenario::chaos_short(),
         false,
         [
-            "616d138db73f4039a79504f5f5b8e7b63491abba585b3ad8f5860c50201bed84",
+            "38f1a67b1162c26e6652efe6183c9209e163208c5f76d31993f056718d9e26ad",
             "c59162d67398ad1f34bc946bbc44e0df0fd5c55c4b7b4a79cf37179faf50d1ed",
             "a9f9c2ed6f440bf135086192d28bc2f94b29496a358d94051820ad8cc9d2c7f1",
         ],
@@ -156,7 +156,7 @@ fn chaos_run_with_spans_is_pinned() {
         scenario::chaos_short(),
         true,
         [
-            "616d138db73f4039a79504f5f5b8e7b63491abba585b3ad8f5860c50201bed84",
+            "38f1a67b1162c26e6652efe6183c9209e163208c5f76d31993f056718d9e26ad",
             "45dfdbb6aa54469015fc8b9c13d6e4b82f3f2e1e9950c98d5be8ea959445e79a",
             "a9f9c2ed6f440bf135086192d28bc2f94b29496a358d94051820ad8cc9d2c7f1",
         ],
@@ -185,7 +185,7 @@ fn overload_byzantine_run_with_spans_is_pinned() {
         scenario::overload_byzantine(),
         true,
         [
-            "ad7714c287acee377ae5efe87e49a76d83d5bb81928b03ecceaacc6201e10a4e",
+            "11dce4fb5e9599ce1093e15fb1e5f9fec73048cc5dd3d00d5486e416a64eae21",
             "d7211a05b4a7e7b27b51729bc944b82a65505691cb9d6f987859dcb502eb1df6",
             "cd5881ff9aa9173d2d6a87573d8df7065d641c4a8683fcae95d9a8be20444a4a",
         ],
@@ -222,7 +222,7 @@ fn five_attack_byzantine_run_with_spans_is_pinned() {
         scenario::byzantine(0xED6E),
         true,
         [
-            "923417baf29db4fd3a23a05d5ebb000fb99d2b280d195302bf98786a69ddb6a6",
+            "cfea0523b77f991a126ff5720b44e8b5e64e522609344a27161121be20da3d2a",
             "a60f3ebf0e66790b80ea7cae8e3dfe787b23303cdfdff89586098468a2bdf96d",
             "7bfe4348a8281235d3bae5c1aa4af835dd3ac0e9fa6cc4f783809fbcf7c92af0",
         ],
@@ -250,7 +250,7 @@ fn tampered_snapshot_run_with_spans_is_pinned() {
         scenario::tampered_snapshot(),
         true,
         [
-            "8419f5a6703125f469fb85ee8ba6e1839de825f54803ea66a0f7a83cf0422bf2",
+            "dfb0bda1d412b184cc2bc4f337efd75bc2e0abf3e2ef4d738297aa5dcf361c77",
             "345b0caeb8e785dd33aea12a93d47c958c35d2a9167707976773d15cf376b60d",
             "a1555217c6d04b43d9eb34666a17c5d0cb61ee22ecf6b2f408c8f64d6fc79c56",
         ],
@@ -371,7 +371,7 @@ fn raft_run_is_pinned() {
         cfg,
         false,
         [
-            "869d88b95fb6606704c65cea1c510f320b42d99835b4b2426177e77cd60f093e",
+            "76b9c448fec27f6d14317dba3fcce6d1e362607eebedb96809f648aba347abab",
             "b1c259ba1946bfbaf1bc2f5870db7ff1b57f32f51a913066676e839bc0c7e165",
             "c2bb3dd4549c405b15564dea8dae4fa50aadc81e761cb7da35b8827ef3da51d9",
         ],

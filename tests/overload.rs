@@ -101,7 +101,6 @@ fn load_config(offered_per_min: f64) -> NetworkConfig {
             max_pending_items: Some(30),
             max_inflight_per_node: Some(8),
             retry_budget_per_min: Some(240.0),
-            ..OverloadConfig::default()
         },
         ..NetworkConfig::default()
     }

@@ -211,7 +211,7 @@ fn regional_allocation_run_is_healthy() {
     );
     assert_eq!(
         digest(&report),
-        "6cf2963bd354dc58c98bd6ba0b0e48edc4b0e28d9d3648b3279fc111705485f3",
+        "d08a6bc179a27d77557bac44bcd538f34346235f133e6c4c3ff80a03b1913cd5",
         "report digest moved"
     );
 }
@@ -276,7 +276,7 @@ fn ten_thousand_nodes_stay_healthy() {
     );
     assert_eq!(
         digest(&report),
-        "1828a304ac7a26596d878ade423997869a5932c9600eb451f78da033175d1352",
+        "75a6dd5d9825a6d6aeadfff448a6cfbbdd8dadeefa2ae605d69960031434135a",
         "report digest moved"
     );
 }

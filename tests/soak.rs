@@ -70,7 +70,7 @@ fn soak_reruns_are_bit_identical() {
     assert!(a.telemetry.is_none());
     assert_eq!(
         sha256(format!("{a:?}")).to_hex(),
-        "dce2facb91b0b19c52838d519d137e13e683b97b6c132654ed03f2c6a3af7c76",
+        "b2fbd103333b7d58e95f5c888d6f3e129cd0af34757a5d51de1d432c8511f5b5",
         "soak report digest moved"
     );
 }
