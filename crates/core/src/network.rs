@@ -1656,6 +1656,10 @@ impl EdgeNetwork {
             let Some(&producer) = self.node_of_account.get(&item.producer) else {
                 continue;
             };
+            // One producer row carries every storer route (DESIGN §14).
+            if self.topo.is_active(producer) && item.storing_nodes.iter().any(|&s| s != producer) {
+                self.topo.fill_hop_rows([producer]);
+            }
             let mut stored = 0u64;
             let mut last_replica: Option<SimTime> = None;
             for &storer in &item.storing_nodes {
@@ -2454,6 +2458,40 @@ mod tests {
             net.node_height[v.0], 3,
             "height must advance through the recovered prefix"
         );
+    }
+
+    #[test]
+    fn dissemination_fills_one_row_per_item_not_one_per_storer() {
+        use edgechain_sim::TopologyConfig;
+        let mut net = EdgeNetwork::new(NetworkConfig {
+            topology: TopologyConfig {
+                sparse_routes: true,
+                ..TopologyConfig::default()
+            },
+            ..small_config()
+        })
+        .unwrap();
+        net.topo.rebuild_routes();
+        assert_eq!(net.topo.materialized_rows(), 0);
+        let (producer, storers) = (NodeId(0), [NodeId(3), NodeId(5), NodeId(8), NodeId(11)]);
+        let mut item = crate::metadata::MetadataItem::new_signed(
+            net.identities[producer.0].keys(),
+            DataId(0),
+            crate::metadata::DataType::Sensing("PM2.5".into()),
+            0,
+            crate::metadata::Location {
+                label: "lazy".into(),
+                x: 0.0,
+                y: 0.0,
+            },
+            60,
+            None,
+            1_000,
+        );
+        item.storing_nodes = storers.to_vec();
+        net.disseminate(SimTime::from_secs(1), 1, vec![item]);
+        assert!(storers.iter().all(|s| net.storage[s.0].has_data(DataId(0))));
+        assert_eq!(net.topo.materialized_rows(), 1, "the producer's row only");
     }
 
     #[test]

@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn storage_never_exceeds_capacity(
         capacity in 1u64..64,
-        ops in prop::collection::vec((0u8..5, 0u64..64), 0..200),
+        ops in prop::collection::vec((0u8..6, 0u64..64), 0..200),
     ) {
         let mut s = NodeStorage::new(capacity);
         for (op, arg) in ops {
@@ -100,7 +100,12 @@ proptest! {
                 1 => { s.store_block(arg); }
                 2 => { s.cache_recent(arg); }
                 3 => { s.evict_data(DataId(arg)); }
-                _ => { s.grow_recent_quota(); }
+                4 => { s.grow_recent_quota(); }
+                _ => {
+                    let used = s.used_slots();
+                    prop_assert_eq!(used - s.prune_blocks_below(arg), s.used_slots());
+                    prop_assert!((0..arg).all(|idx| !s.has_block(idx)));
+                }
             }
             prop_assert!(s.used_slots() <= s.capacity());
             prop_assert!(s.q_value() >= 1);
