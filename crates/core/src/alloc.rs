@@ -61,12 +61,13 @@ pub fn build_instance(topology: &Topology, storage: &[NodeStorage]) -> UflInstan
 
 /// Core instance builder over an already-computed member set (solver index
 /// → node id, ascending), so callers that need the mapping don't recompute
-/// it. With `horizon: None`, connect rows are gathered from the topology's
-/// cached RDC rows, the members' hop rows filled first in bit-parallel
-/// sweeps when not held. With `Some(horizon)`, they are priced from the
-/// members' hop counts over the subgraph the members induce, cut at
-/// `horizon` hops ([`Topology::member_hops`]: one sweep per 64 members, no
-/// row stored), peers beyond it taking the unreachable penalty. Opening
+/// it. Each connect row is priced with Eq. 2 off the facility's hop counts
+/// to the members ([`price_row`]). With `horizon: None` they are gathered
+/// from the facility's [`Topology::hop_row`], the members' rows filled
+/// first in bit-parallel sweeps when not held. With `Some(horizon)`, they
+/// are the members' hop counts over the subgraph the members induce, cut
+/// at `horizon` hops ([`Topology::member_hops`]: one sweep per 64 members,
+/// no row stored), peers beyond it taking the unreachable penalty. Opening
 /// costs are `A·f_i` with the operation order of the original
 /// `from_costs` construction.
 fn build_instance_over(
@@ -80,18 +81,15 @@ fn build_instance_over(
         let connect: Vec<Vec<f64>> = match horizon {
             None => {
                 topology.fill_hop_rows(members.iter().map(|&f| NodeId(f)));
-                let gather = |f: usize| {
-                    let row = topology.rdc_row(NodeId(f));
-                    members.iter().map(|&c| row[c]).collect()
+                let gather = |&f: &usize| {
+                    let row = topology.hop_row(NodeId(f));
+                    price_row(topology, f, members, members.iter().map(|&c| row[c]))
                 };
-                members.iter().map(|&f| gather(f)).collect()
+                members.iter().map(gather).collect()
             }
             Some(horizon) => {
                 let price = |(&f, hops): (&usize, Vec<u32>)| {
-                    let priced = members.iter().zip(hops);
-                    priced
-                        .map(|(&c, h)| topology.rdc_from_hops(NodeId(f), NodeId(c), h))
-                        .collect()
+                    price_row(topology, f, members, hops.into_iter())
                 };
                 let matrix = topology.member_hops(members, horizon);
                 members.iter().zip(matrix).map(price).collect()
@@ -103,6 +101,20 @@ fn build_instance_over(
             .collect();
         UflInstance::new(open_cost, connect)
     })
+}
+
+/// Facility `f`'s connect row: Eq. 2 ([`Topology::rdc_from_hops`]) from
+/// `f` to each member, over `hops`, the hop count to each in member order.
+fn price_row(
+    topology: &Topology,
+    f: usize,
+    members: &[usize],
+    hops: impl Iterator<Item = u32>,
+) -> Vec<f64> {
+    let priced = members.iter().zip(hops);
+    priced
+        .map(|(&c, h)| topology.rdc_from_hops(NodeId(f), NodeId(c), h))
+        .collect()
 }
 
 /// `A·f_i` with the exact floating-point operation order of the original
@@ -227,11 +239,12 @@ fn place<R: Rng + ?Sized>(
 ///
 /// Correctness rests on two observations:
 ///
-/// 1. The instance depends only on the topology (via the cached RDC rows
-///    and the live set) and each live node's used-slot count. The topology
-///    exposes an [`Topology::epoch`] that bumps on every route/RDC change,
-///    and used slots are cheap to diff — so staleness detection is `O(n)`
-///    per call instead of an `O(n²)` rebuild.
+/// 1. The instance depends only on the topology (via the hop rows Eq. 2
+///    is priced from, the ranges and the live set) and each live node's
+///    used-slot count. The topology exposes an [`Topology::epoch`] that
+///    bumps on every route/RDC change, and used slots are cheap to diff —
+///    so staleness detection is `O(n)` per call instead of an `O(n²)`
+///    rebuild.
 /// 2. The solver is deterministic and consumes no rng, so reusing a cached
 ///    solution yields byte-identical output (including downstream rng
 ///    draws) to re-solving from scratch.
@@ -255,7 +268,7 @@ pub struct AllocationContext {
     /// Topology epoch `global` was cut against.
     topo_epoch: Option<u64>,
     /// The global engine's cache: one region whose members are the live
-    /// nodes, priced from full RDC rows instead of horizon-bounded ones.
+    /// nodes, priced from full hop rows instead of horizon-bounded ones.
     global: Region,
 }
 
@@ -632,7 +645,7 @@ impl Region {
 
     /// Brings the cached UFL state in sync, leaving `solution` filled:
     /// builds the instance when absent — connect rows bounded to `horizon`
-    /// hops inside the member set, or full RDC rows with `None` — patches
+    /// hops inside the member set, or off full hop rows with `None` — patches
     /// drifted open costs in place otherwise (the `O(k²)` connect matrix
     /// is untouched), and (re-)solves only when something changed.
     fn sync(
@@ -1158,6 +1171,63 @@ mod tests {
                 &mut rng_b,
             );
             assert_eq!(a, b, "origin {origin}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The global instance prices each connect cost off the
+        /// facility's hop row; every cost equals, bit for bit, the gather
+        /// from [`Topology::rdc_row`] it replaced, on random placements,
+        /// eager and lazy, under crashes, a partition cut and a
+        /// mobility-range override (which moves Eq. 2 but no hop count).
+        #[test]
+        fn global_instance_equals_the_rdc_row_gather(
+            n in 2usize..70,
+            seed in proptest::prelude::any::<u64>(),
+            sparse_routes in proptest::prelude::any::<bool>(),
+            crashed in proptest::collection::vec(0usize..70, 0..4),
+            cut in proptest::collection::vec(0usize..70, 0..25),
+            range in (0usize..70, 0.0f64..90.0),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let positions = (0..n)
+                .map(|_| {
+                    Point::new(
+                        rand::Rng::gen_range(&mut rng, 0.0..300.0),
+                        rand::Rng::gen_range(&mut rng, 0.0..300.0),
+                    )
+                })
+                .collect();
+            let config = TopologyConfig {
+                sparse_routes,
+                ..TopologyConfig::default()
+            };
+            let mut topo = Topology::from_positions_with_config(positions, config);
+            for v in crashed {
+                topo.set_active(NodeId(v % n), false);
+            }
+            let cut: Vec<NodeId> = cut.into_iter().map(|v| NodeId(v % n)).collect();
+            topo.set_partition(Some(&cut));
+            let storage = vec![NodeStorage::paper_default(); n];
+            let check = |topo: &Topology, step: &str| {
+                let members = live_nodes(topo);
+                if members.is_empty() {
+                    return; // no facility to pose an instance over
+                }
+                let fdc = edgechain_facility::FDC_SCALE;
+                let instance = build_instance_over(topo, &storage, fdc, &members, None);
+                for (i, &f) in members.iter().enumerate() {
+                    let row = topo.rdc_row(NodeId(f));
+                    let got: Vec<u64> = instance.connect_row(i).iter().map(|c| c.to_bits()).collect();
+                    let want: Vec<u64> = members.iter().map(|&c| row[c].to_bits()).collect();
+                    proptest::prop_assert_eq!(got, want, "{}: facility {}", step, f);
+                }
+            };
+            check(&topo, "faulted");
+            topo.set_mobility_range(NodeId(range.0 % n), range.1);
+            check(&topo, "range override");
         }
     }
 }

@@ -1119,7 +1119,7 @@ impl EdgeNetwork {
         let deliveries = self
             .transport
             .broadcast_payload(&self.topo, sender, &payload, now);
-        let receivers: Vec<NodeId> = deliveries.iter().map(|(v, _)| v).collect();
+        let receivers: Vec<NodeId> = deliveries.iter().map(|&(v, _)| v).collect();
         if receivers.is_empty() {
             return;
         }
@@ -1577,13 +1577,10 @@ impl EdgeNetwork {
         }
 
         // Broadcast the block; deliveries reveal who is currently connected.
-        // One Arc of the sealed encoding is shared across all deliveries
-        // (batched per arrival instant).
-        let arrivals: Vec<(NodeId, SimTime)> = self
+        // One Arc of the sealed encoding is shared across all deliveries.
+        let arrivals = self
             .transport
-            .broadcast_payload(&self.topo, miner, &payload, now)
-            .iter()
-            .collect();
+            .broadcast_payload(&self.topo, miner, &payload, now);
 
         // Verify-on-receive (optional, costs CPU not network).
         if self.config.verify_signatures {

@@ -23,7 +23,13 @@ impl Point {
 
     /// Euclidean distance to `other`, in meters.
     pub fn distance(&self, other: &Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
+        self.distance_squared(other).sqrt()
+    }
+
+    /// The square of [`Point::distance`], in m², rounded as the distance
+    /// is computed before its square root.
+    pub(crate) fn distance_squared(&self, other: &Point) -> f64 {
+        (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 }
 

@@ -49,7 +49,4 @@ pub use fault::{
 };
 pub use geometry::{CellGrid, Field, Point};
 pub use topology::{Neighbors, NodeId, Topology, TopologyConfig, TopologyError, UNREACHABLE};
-pub use transport::{
-    BroadcastDeliveries, Delivery, Payload, TrafficStats, Transport, TransportConfig,
-    TransportError,
-};
+pub use transport::{Delivery, Payload, TrafficStats, Transport, TransportConfig, TransportError};

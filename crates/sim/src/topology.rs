@@ -11,9 +11,12 @@
 //! endpoint's row is held (see [`Topology::path`]), so nothing stores
 //! next hops. Adjacency is built with a grid-bucket spatial hash (cells
 //! at least the radio range wide) into one compressed-sparse-row array,
-//! and there is one route store: a hop row and an RDC row per source,
-//! each behind a `OnceLock`, dropped on every rebuild.
-//! [`TopologyConfig::sparse_routes`] only picks *when* a row is filled:
+//! a pair linked when its squared distance is within range (the square
+//! root taken only near the boundary), and there is one route store: a
+//! hop row per source behind a `OnceLock`, dropped on every rebuild. Eq. 2
+//! is priced off a hop row on demand ([`Topology::rdc_from_hops`]);
+//! nothing stores it. [`TopologyConfig::sparse_routes`] only picks *when*
+//! a row is filled:
 //!
 //! * **Eager** (default): every row is filled at rebuild, 64 sources per
 //!   bit-parallel sweep ([`Topology::fill_hop_rows`]) — Θ(n²) memory,
@@ -28,8 +31,8 @@
 //! ([`Topology::member_hops`]); nothing about them is stored.
 //!
 //! Hop counts are unique, so the sweep and the one-source BFS fill equal
-//! rows, and both price them with the same Eq. 2 arithmetic: every query
-//! answers identically under either setting.
+//! rows, and Eq. 2 is priced off either with the same arithmetic: every
+//! query answers identically under either setting.
 
 use crate::geometry::{CellGrid, Field, Point};
 use edgechain_telemetry as telemetry;
@@ -87,7 +90,7 @@ pub struct TopologyConfig {
     pub field: Field,
     /// Mobility radius in meters for every node (default 30 m).
     pub mobility_range: f64,
-    /// Fill hop/RDC rows lazily on first query instead of eagerly at
+    /// Fill hop rows lazily on first query instead of eagerly at
     /// every rebuild. Query results are bit-identical; only memory and
     /// rebuild cost change. Default `false` (eager).
     pub sparse_routes: bool,
@@ -119,6 +122,27 @@ fn rdc_formula(i: usize, j: usize, hops: u32, reach: &[f64], penalty: f64) -> f6
         h => h as f64,
     };
     hop_cost + reach[i] + reach[j]
+}
+
+/// Squared link range, 70² m² (exact).
+const RANGE_SQ: f64 = COMM_RANGE * COMM_RANGE;
+
+/// Half-width of the band around [`RANGE_SQ`] inside which [`linked`]
+/// takes the square root: squared distances further out compare on the
+/// square alone, with a margin that dwarfs every rounding step between
+/// the square and its correctly rounded root.
+const RANGE_SQ_BAND: f64 = RANGE_SQ * 1e-9;
+
+/// Whether `p` and `q` are within radio range: `p.distance(q) <=
+/// COMM_RANGE`, answer for answer. The squared distance is what
+/// [`Point::distance`] takes the root of; off the boundary band it
+/// decides alone (the root of a square below `RANGE_SQ - RANGE_SQ_BAND`
+/// rounds below 70 m, above `RANGE_SQ + RANGE_SQ_BAND` above it), and in
+/// the band the root decides as the distance would.
+#[inline]
+fn linked(p: &Point, q: &Point) -> bool {
+    let d2 = p.distance_squared(q);
+    d2 < RANGE_SQ - RANGE_SQ_BAND || (d2 <= RANGE_SQ + RANGE_SQ_BAND && d2.sqrt() <= COMM_RANGE)
 }
 
 /// Links in compressed sparse row form: node `v`'s neighbours are
@@ -243,8 +267,6 @@ pub struct Topology {
     /// `hop_rows[i][j]` — BFS hop count, [`UNREACHABLE`] when partitioned.
     /// Filled at rebuild (eager) or on first query (lazy).
     hop_rows: Vec<OnceLock<Vec<u32>>>,
-    /// `rdc_rows[i][j]` — Eq. 2. A filled RDC row implies a filled hop row.
-    rdc_rows: Vec<OnceLock<Vec<f64>>>,
     /// Bumped on every routing/RDC change; lets callers detect staleness
     /// of anything they derived from this topology snapshot.
     epoch: u64,
@@ -327,7 +349,6 @@ impl Topology {
             partition: None,
             adjacency: Adjacency::default(),
             hop_rows: Vec::new(),
-            rdc_rows: Vec::new(),
             epoch: 0,
         }
     }
@@ -368,9 +389,8 @@ impl Topology {
     }
 
     /// Overrides the mobility radius of `node` and bumps
-    /// [`Topology::epoch`]. Eq. 2 reads both endpoints' ranges, so every
-    /// filled RDC row holds a stale entry for `node`: they are dropped and
-    /// refill from the (unaffected) hop rows on their next query.
+    /// [`Topology::epoch`]. Eq. 2 reads both endpoints' ranges, which it
+    /// reads afresh at every pricing; the hop rows are unaffected.
     ///
     /// # Panics
     ///
@@ -383,9 +403,6 @@ impl Topology {
         );
         self.mobility[node.0] = range;
         self.reach[node.0] = range / COMM_RANGE;
-        for row in &mut self.rdc_rows {
-            row.take();
-        }
         self.epoch += 1;
     }
 
@@ -455,7 +472,7 @@ impl Topology {
     /// Hop count between two nodes ([`UNREACHABLE`] when partitioned,
     /// `0` for `a == b`).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        self.hop_row(a.0)[b.0]
+        self.hop_row(a)[b.0]
     }
 
     /// Whether `b` is currently reachable from `a`.
@@ -496,7 +513,7 @@ impl Topology {
             Some(from_a) => self
                 .interval_route(a, b, from_a)
                 .map(|path| Route::Interval(path.into_iter())),
-            None => self.walk(a, b, self.hop_row(b.0)).map(Route::Walk),
+            None => self.walk(a, b, self.hop_row(b)).map(Route::Walk),
         }
     }
 
@@ -597,7 +614,7 @@ impl Topology {
     }
 
     /// Recomputes adjacency from current positions and drops every hop
-    /// and RDC row; eager fill recomputes them all right away
+    /// row; eager fill recomputes them all right away
     /// ([`Topology::fill_hop_rows`]), lazy fill leaves that to the first
     /// query.
     pub fn rebuild_routes(&mut self) {
@@ -605,19 +622,13 @@ impl Topology {
         self.rebuild_tables();
     }
 
-    /// The hop/RDC half of [`Topology::rebuild_routes`], over the current
+    /// The hop-row half of [`Topology::rebuild_routes`], over the current
     /// adjacency.
     fn rebuild_tables(&mut self) {
-        let n = self.len();
         self.hop_rows.clear();
-        self.hop_rows.resize_with(n, OnceLock::new);
-        self.rdc_rows.clear();
-        self.rdc_rows.resize_with(n, OnceLock::new);
+        self.hop_rows.resize_with(self.len(), OnceLock::new);
         if !self.config.sparse_routes {
             self.fill_hop_rows(self.nodes());
-            for i in 0..n {
-                self.rdc_row(NodeId(i));
-            }
         }
         self.epoch += 1;
     }
@@ -634,7 +645,7 @@ impl Topology {
     /// ones after them, also ascending. That is exactly the ordering of
     /// the classic `i < j` double loop, so BFS tie-breaking (and
     /// therefore every route) is unchanged, whatever the cell side. It
-    /// relies on the link test being symmetric — `distance`, `active` and
+    /// relies on the link test being symmetric — [`linked`], `active` and
     /// [`Topology::cut_severs`] answer `(i, j)` as they answer `(j, i)` —
     /// and on a 3×3 neighbourhood holding every point in range. The
     /// previous arrays are refilled in place.
@@ -655,11 +666,7 @@ impl Topology {
         for (i, p) in self.position.iter().enumerate() {
             if self.active[i] {
                 grid.for_each_candidate(p, |j, q| {
-                    if j > i
-                        && p.distance(&q) <= COMM_RANGE
-                        && self.active[j]
-                        && !self.cut_severs(i, j)
-                    {
+                    if j > i && linked(p, &q) && self.active[j] && !self.cut_severs(i, j) {
                         upper.push(j as u32);
                         start[i + 1] += 1;
                         start[j + 1] += 1;
@@ -727,11 +734,13 @@ impl Topology {
         telemetry::counter_add("topology.rows", filled);
     }
 
-    /// `src`'s hop row, filled on first use.
-    fn hop_row(&self, src: usize) -> &[u32] {
-        self.hop_rows[src].get_or_init(|| {
+    /// `src`'s hop row: `row[j] == hops(src, j)` for every `j`. Filled on
+    /// first use (it counts in `topology.rows` then) and kept until the
+    /// next route rebuild.
+    pub fn hop_row(&self, src: NodeId) -> &[u32] {
+        self.hop_rows[src.0].get_or_init(|| {
             telemetry::counter_add("topology.rows", 1);
-            bfs_row(&self.adjacency, &self.active, src)
+            bfs_row(&self.adjacency, &self.active, src.0)
         })
     }
 
@@ -749,33 +758,29 @@ impl Topology {
     /// so the units are commensurate. `c_ii = 0`. Unreachable pairs get a
     /// large finite penalty (`n` hops) so the facility-location solver can
     /// still run on temporarily partitioned snapshots. Evaluated from
-    /// `i`'s hop row, so a single pair never fills an RDC row.
+    /// `i`'s hop row.
     pub fn rdc(&self, i: NodeId, j: NodeId) -> f64 {
         self.rdc_from_hops(i, j, self.hops(i, j))
     }
 
     /// Eq. 2 evaluated with an explicit hop count (with [`UNREACHABLE`]
     /// mapping to the `n`-hop penalty), bit-identical to what [`rdc`]
-    /// returns for a pair at that distance. Lets horizon-bounded callers
-    /// (e.g. the region-decomposed allocator) price compressed rows
-    /// without materializing full RDC rows.
+    /// returns for a pair at that distance. Lets instance builders price
+    /// a gathered [`Topology::hop_row`] or a horizon-bounded row (e.g.
+    /// the region-decomposed allocator's) entry by entry.
     ///
     /// [`rdc`]: Topology::rdc
     pub fn rdc_from_hops(&self, i: NodeId, j: NodeId, hops: u32) -> f64 {
         rdc_formula(i.0, j.0, hops, &self.reach, self.len() as f64)
     }
 
-    /// Row `i` of the RDC state: `row[j] == rdc(i, j)` for every `j`.
-    /// Lets instance builders copy or gather whole rows instead of issuing
-    /// `n` individual lookups. Filled on first access and kept until the
-    /// next route rebuild.
-    pub fn rdc_row(&self, i: NodeId) -> &[f64] {
-        self.rdc_rows[i.0].get_or_init(|| {
-            let (reach, penalty) = (&self.reach[..], self.len() as f64);
-            let hops = self.hop_row(i.0).iter().enumerate();
-            hops.map(|(j, &h)| rdc_formula(i.0, j, h, reach, penalty))
-                .collect()
-        })
+    /// Row `i` of Eq. 2: `row[j] == rdc(i, j)` for every `j`, priced off
+    /// `i`'s hop row on every call; nothing is stored.
+    pub fn rdc_row(&self, i: NodeId) -> Vec<f64> {
+        let (reach, penalty) = (&self.reach[..], self.len() as f64);
+        let hops = self.hop_row(i).iter().enumerate();
+        hops.map(|(j, &h)| rdc_formula(i.0, j, h, reach, penalty))
+            .collect()
     }
 
     /// Hop counts from `src` to each of `targets` (node indices,
@@ -835,12 +840,12 @@ impl Topology {
     }
 
     /// Estimated heap bytes held by the topology's derived structures
-    /// (adjacency plus routing/RDC state). Only filled rows count, which
-    /// is the point of comparing eager against lazy fill.
+    /// (adjacency plus hop rows). Only filled rows count, which is the
+    /// point of comparing eager against lazy fill.
     pub fn memory_bytes(&self) -> usize {
         let adj = (self.adjacency.start.capacity() + self.adjacency.list.capacity())
             * std::mem::size_of::<u32>();
-        adj + lazy_rows_bytes(&self.hop_rows) + lazy_rows_bytes(&self.rdc_rows)
+        adj + lazy_rows_bytes(&self.hop_rows)
     }
 
     /// Hop rows held this epoch: every source under eager fill, the
@@ -850,13 +855,13 @@ impl Topology {
     }
 }
 
-/// Bytes held by one vector of rows: a lock slot per source (the row's
-/// `Vec` header sits inline in it) plus each filled row's heap.
-fn lazy_rows_bytes<T>(rows: &[OnceLock<Vec<T>>]) -> usize {
+/// Bytes held by the hop rows: a lock slot per source (the row's `Vec`
+/// header sits inline in it) plus each filled row's heap.
+fn lazy_rows_bytes(rows: &[OnceLock<Vec<u32>>]) -> usize {
     let heap: usize = rows
         .iter()
         .filter_map(|l| l.get())
-        .map(|row| row.capacity() * std::mem::size_of::<T>())
+        .map(|row| row.capacity() * std::mem::size_of::<u32>())
         .sum();
     std::mem::size_of_val(rows) + heap
 }
@@ -1561,8 +1566,8 @@ mod tests {
         assert_equal(&dense, &sparse, "restore");
     }
 
-    /// RDC rows materialized *before* a mobility-range override must be
-    /// patched in place, matching fresh computation afterwards.
+    /// RDC rows priced *before* a mobility-range override leave nothing
+    /// behind: rows priced afterwards match fresh computation.
     #[test]
     fn sparse_rdc_rows_are_patched_on_range_override() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -1653,8 +1658,8 @@ mod tests {
     }
 
     /// Sparse accounting: the CSR adjacency's two `u32` arrays, one lock
-    /// slot per source in each row vector, sized by its own element type,
-    /// plus the heap of materialized rows.
+    /// slot per source, plus the heap of materialized hop rows. An RDC row
+    /// is computed, not held.
     #[test]
     fn sparse_memory_counts_slots_and_materialized_rows() {
         use std::mem::size_of;
@@ -1665,17 +1670,14 @@ mod tests {
         let Adjacency { start, list } = &t.adjacency;
         assert_eq!((start.len(), list.len()), (n + 1, links));
         let adjacency = (start.capacity() + list.capacity()) * size_of::<u32>();
-        let slots = size_of::<OnceLock<Vec<u32>>>() + size_of::<OnceLock<Vec<f64>>>();
+        let slots = size_of::<OnceLock<Vec<u32>>>();
         assert_eq!(empty, adjacency + n * slots);
         let _ = t.hops(NodeId(3), NodeId(4));
         assert_eq!(t.materialized_rows(), 1);
         assert_eq!(t.memory_bytes(), empty + n * size_of::<u32>());
         let _ = t.rdc_row(NodeId(3));
         assert_eq!(t.materialized_rows(), 1);
-        assert_eq!(
-            t.memory_bytes(),
-            empty + n * (size_of::<u32>() + size_of::<f64>())
-        );
+        assert_eq!(t.memory_bytes(), empty + n * size_of::<u32>());
         let dense = Topology::from_positions((0..5).map(|i| Point::new(i as f64, 0.0)).collect());
         assert_eq!(dense.materialized_rows(), 5);
     }
@@ -1793,6 +1795,54 @@ mod tests {
         let expect = sorted_reference(t);
         assert_eq!(t.adjacency.start, expect.start, "{label}: start");
         assert_eq!(t.adjacency.list, expect.list, "{label}: list");
+    }
+
+    /// The squared-distance link test answers as `distance <= COMM_RANGE`
+    /// exactly on the boundary, one step off it either way, and across a
+    /// random sweep of pairs a hair either side of 70 m.
+    #[test]
+    fn link_predicate_is_the_distance_compare() {
+        let agree = |p: Point, q: Point| {
+            let want = p.distance(&q) <= COMM_RANGE;
+            assert_eq!(linked(&p, &q), want, "{p:?}-{q:?}");
+            assert_eq!(linked(&q, &p), want, "{q:?}-{p:?}");
+            want
+        };
+        let origin = Point::new(0.0, 0.0);
+        assert!(agree(origin, Point::new(42.0, 56.0)), "exactly 70 m");
+        assert!(agree(origin, Point::new(70.0, 0.0)), "exactly 70 m");
+        // The square rounds one step above 4,900 m², the root to 70 m.
+        let grazing = Point::new(70.0, 1e-6);
+        assert!(origin.distance_squared(&grazing) > RANGE_SQ);
+        assert!(agree(origin, grazing), "a plain square compare drops it");
+        // Up to three float steps off each coordinate of both ends.
+        let step = |v: f64, k: i32| {
+            let f = if k < 0 { f64::next_down } else { f64::next_up };
+            (0..k.abs()).fold(v, |v, _| f(v))
+        };
+        let mut outcomes = [0usize; 2];
+        for (x, y) in [(42.0, 56.0), (70.0, 0.0), (70.0, 1e-6)] {
+            for (kx, ky) in (-3..=3).flat_map(|kx| (-3..=3).map(move |ky| (kx, ky))) {
+                let q = Point::new(step(x, kx), step(y, ky));
+                for k0 in -1..=1 {
+                    let p = Point::new(step(0.0, k0), step(0.0, -k0));
+                    outcomes[usize::from(agree(p, q))] += 1;
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x11E);
+        // Inside the root band, and across its edges.
+        for spread in [1e-12, 1e-8].repeat(10_000) {
+            let p = Point::new(rng.gen::<f64>() * 300.0, rng.gen::<f64>() * 300.0);
+            let theta = rng.gen::<f64>() * std::f64::consts::TAU;
+            let r = COMM_RANGE * (1.0 + (rng.gen::<f64>() - 0.5) * spread);
+            let q = Point::new(p.x + r * theta.cos(), p.y + r * theta.sin());
+            outcomes[usize::from(agree(p, q))] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&k| k > 1_000),
+            "both sides hit: {outcomes:?}"
+        );
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! serves one outgoing frame at a time, tracked with a per-node
 //! `busy_until` horizon). Every transmission is also charged to per-node
 //! byte counters, which later feed the Fig. 4(a)/5(b) overhead metrics.
+//!
+//! A broadcast is a flood in BFS order by arrival: each reached node that
+//! rebroadcasts walks its neighbour list once, transmitting one frame if
+//! anyone on it is still uncovered, and every flood returns the flat
+//! `(node, arrival)` list of the nodes it reached.
 
 use crate::event::SimTime;
 use crate::topology::{NodeId, Route, Topology};
@@ -89,56 +94,6 @@ impl PartialEq for Payload {
 }
 
 impl Eq for Payload {}
-
-/// The deliveries of one broadcast, batched by arrival time: every node in
-/// a group receives the message at the same instant (one transmission — or
-/// several whose arrivals coincide — covers them all), so a scheduler can
-/// insert one queue event per group instead of one per recipient.
-/// Flattening ([`BroadcastDeliveries::iter`] /
-/// [`BroadcastDeliveries::flatten`]) yields exactly the per-recipient
-/// `(node, arrival)` sequence [`Transport::broadcast`] returns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BroadcastDeliveries {
-    payload: Option<Payload>,
-    groups: Vec<(SimTime, Vec<NodeId>)>,
-}
-
-impl BroadcastDeliveries {
-    /// Arrival-time groups in delivery order.
-    pub fn groups(&self) -> &[(SimTime, Vec<NodeId>)] {
-        &self.groups
-    }
-
-    /// The shared payload, when the broadcast carried one
-    /// ([`Transport::broadcast_payload`]); byte-count-only broadcasts
-    /// return `None`.
-    pub fn payload(&self) -> Option<&Payload> {
-        self.payload.as_ref()
-    }
-
-    /// Total number of nodes reached.
-    pub fn reached(&self) -> usize {
-        self.groups.iter().map(|(_, nodes)| nodes.len()).sum()
-    }
-
-    /// Whether the broadcast reached no one.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Per-recipient deliveries in the exact order
-    /// [`Transport::broadcast`] reports them.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
-        self.groups
-            .iter()
-            .flat_map(|(t, nodes)| nodes.iter().map(move |&v| (v, *t)))
-    }
-
-    /// [`BroadcastDeliveries::iter`] collected into a vector.
-    pub fn flatten(&self) -> Vec<(NodeId, SimTime)> {
-        self.iter().collect()
-    }
-}
 
 /// Transport parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -271,6 +226,9 @@ pub struct Transport {
     /// simulation's master RNG so enabling faults never perturbs the rest
     /// of the random stream.
     fault_rng: rand::rngs::StdRng,
+    /// Flood coverage, one flag per node: set for the nodes a flood has
+    /// covered, all clear between floods.
+    covered: Vec<bool>,
 }
 
 impl Default for Transport {
@@ -292,6 +250,7 @@ impl Transport {
             latency_factor: 1.0,
             dropped: 0,
             fault_rng: rand::rngs::StdRng::seed_from_u64(0x70A5),
+            covered: Vec::new(),
         }
     }
 
@@ -373,6 +332,7 @@ impl Transport {
     fn ensure(&mut self, n: usize) {
         if self.busy_until.len() < n {
             self.busy_until.resize(n, SimTime::ZERO);
+            self.covered.resize(n, false);
         }
         self.stats.ensure(n);
     }
@@ -491,24 +451,20 @@ impl Transport {
         bytes: u64,
         now: SimTime,
     ) -> Vec<(NodeId, SimTime)> {
-        self.flood(topo, src, bytes, now, None, |_| true).flatten()
+        self.flood(topo, src, bytes, now, |_| true)
     }
 
-    /// [`Transport::broadcast`] carrying an actual payload: byte
-    /// accounting, queueing, loss draws, and telemetry are identical to
-    /// the count-based variant for `bytes == payload.len()`, but the
-    /// result hands every recipient the **same** `Arc<[u8]>` (no
-    /// per-recipient byte copies) with deliveries batched per arrival
-    /// time (one queue insertion per group).
+    /// [`Transport::broadcast`] of `payload.len()` bytes: the same
+    /// deliveries, accounting, loss draws and telemetry. The caller keeps
+    /// the one `Payload` and hands every recipient a clone of its `Arc`.
     pub fn broadcast_payload(
         &mut self,
         topo: &Topology,
         src: NodeId,
         payload: &Payload,
         now: SimTime,
-    ) -> BroadcastDeliveries {
-        let bytes = payload.len() as u64;
-        self.flood(topo, src, bytes, now, Some(payload.clone()), |_| true)
+    ) -> Vec<(NodeId, SimTime)> {
+        self.broadcast(topo, src, payload.len() as u64, now)
     }
 
     /// Probabilistic flooding (gossip-style broadcast-storm mitigation):
@@ -537,70 +493,69 @@ impl Transport {
             "rebroadcast probability must be in [0, 1]"
         );
         let forwards = |u: NodeId| u == src || rng.gen::<f64>() < rebroadcast_prob;
-        self.flood(topo, src, bytes, now, None, forwards).flatten()
+        self.flood(topo, src, bytes, now, forwards)
     }
 
-    /// The one flooding loop: BFS by arrival time, one transmission per
-    /// node that `forwards` and has uncovered neighbors, deliveries
-    /// grouped by arrival instant. `forwards` is asked once per dequeued
-    /// node, before its neighbors are looked at, so a rule that draws
-    /// randomness draws for every reached node in BFS order. All
-    /// neighbors newly covered by one transmission share its `reach`
-    /// time, so they land in one group (groups with coinciding arrivals
-    /// merge); flattening restores the per-recipient order because
-    /// coverage order within a group is BFS push order.
+    /// The one flooding loop: BFS by arrival time, each reached node
+    /// taken from the delivery list it is appended to. `forwards` is
+    /// asked once per dequeued node, before its neighbours are looked at,
+    /// so a rule that draws randomness draws for every reached node in BFS
+    /// order. One walk of a forwarder's neighbour list both decides and
+    /// sends: its first uncovered neighbour charges the one transmission,
+    /// before that neighbour's loss draw, and every neighbour it covers
+    /// arrives at that transmission's `reach` time. A forwarder with no
+    /// uncovered neighbour transmits nothing. `covered` marks the source
+    /// and every delivery, and is cleared from them on the way out.
     fn flood(
         &mut self,
         topo: &Topology,
         src: NodeId,
         bytes: u64,
         now: SimTime,
-        payload: Option<Payload>,
         mut forwards: impl FnMut(NodeId) -> bool,
-    ) -> BroadcastDeliveries {
+    ) -> Vec<(NodeId, SimTime)> {
         self.ensure(topo.len());
         let tx = self.tx_time(bytes);
         let hop_delay = self.hop_delay();
-        let mut arrival: Vec<Option<SimTime>> = vec![None; topo.len()];
-        arrival[src.0] = Some(now);
-        // BFS by arrival time: process nodes in nondecreasing arrival order.
-        let mut order: Vec<NodeId> = vec![src];
-        let mut head = 0;
-        let mut reached = 0usize;
-        let mut groups: Vec<(SimTime, Vec<NodeId>)> = Vec::new();
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            if !forwards(u) || !topo.neighbors(u).any(|v| arrival[v.0].is_none()) {
-                continue;
-            }
-            // One transmission reaches all (new) neighbors.
-            let t_u = arrival[u.0].expect("ordered nodes have arrivals");
-            let depart = t_u.max(self.busy_until[u.0]);
-            let done = depart + tx;
-            self.busy_until[u.0] = done;
-            self.stats.sent[u.0] += bytes;
-            let reach = done + hop_delay;
-            for v in topo.neighbors(u) {
-                if arrival[v.0].is_none() {
-                    // Injected link loss applies per reception: a neighbor
+        let mut covered = std::mem::take(&mut self.covered);
+        covered[src.0] = true;
+        let mut deliveries: Vec<(NodeId, SimTime)> = Vec::new();
+        let (mut next, mut head) = (Some((src, now)), 0);
+        while let Some((u, t_u)) = next {
+            if forwards(u) {
+                let mut reach = None;
+                for v in topo.neighbors(u) {
+                    if covered[v.0] {
+                        continue;
+                    }
+                    let reach = *reach.get_or_insert_with(|| {
+                        // One transmission reaches all (new) neighbours.
+                        let done = t_u.max(self.busy_until[u.0]) + tx;
+                        self.busy_until[u.0] = done;
+                        self.stats.sent[u.0] += bytes;
+                        done + hop_delay
+                    });
+                    // Injected link loss applies per reception: a neighbour
                     // that misses the frame may still be covered by a later
-                    // rebroadcast from another neighbor.
+                    // rebroadcast from another neighbour.
                     if self.message_lost() {
                         self.dropped += 1;
                         continue;
                     }
-                    arrival[v.0] = Some(reach);
+                    covered[v.0] = true;
                     self.stats.received[v.0] += bytes;
-                    order.push(v);
-                    reached += 1;
-                    match groups.last_mut() {
-                        Some((t, nodes)) if *t == reach => nodes.push(v),
-                        _ => groups.push((reach, vec![v])),
-                    }
+                    deliveries.push((v, reach));
                 }
             }
+            next = deliveries.get(head).copied();
+            head += 1;
         }
+        covered[src.0] = false;
+        for &(v, _) in &deliveries {
+            covered[v.0] = false;
+        }
+        self.covered = covered;
+        let reached = deliveries.len();
         telemetry::counter_add("transport.broadcasts", 1);
         if telemetry::is_enabled() {
             telemetry::record("transport.broadcast_reach", reached as f64);
@@ -612,7 +567,7 @@ impl Transport {
             bytes = bytes,
             reached = reached
         );
-        BroadcastDeliveries { payload, groups }
+        deliveries
     }
 }
 
@@ -620,6 +575,7 @@ impl Transport {
 mod tests {
     use super::*;
     use crate::geometry::Point;
+    use proptest::prelude::*;
 
     fn line(n: usize) -> Topology {
         Topology::from_positions((0..n).map(|i| Point::new(i as f64 * 60.0, 0.0)).collect())
@@ -999,14 +955,13 @@ mod tests {
                 tr.set_loss_prob(loss);
             }
             let flat = by_count.broadcast(&topo, NodeId(0), 1000, SimTime::ZERO);
-            let grouped = by_payload.broadcast_payload(
+            let carried = by_payload.broadcast_payload(
                 &topo,
                 NodeId(0),
                 &Payload::from(bytes.clone()),
                 SimTime::ZERO,
             );
-            assert_eq!(grouped.flatten(), flat, "loss={loss}");
-            assert_eq!(grouped.reached(), flat.len());
+            assert_eq!(carried, flat, "loss={loss}");
             assert_eq!(
                 by_count.stats().total_sent(),
                 by_payload.stats().total_sent()
@@ -1016,45 +971,14 @@ mod tests {
     }
 
     #[test]
-    fn deliveries_batch_same_arrival_into_one_group() {
-        // A star: the centre's single transmission covers all three leaves
-        // at the same instant — one group, not three.
-        let topo = Topology::from_positions(vec![
-            Point::new(0.0, 0.0),
-            Point::new(60.0, 0.0),
-            Point::new(-60.0, 0.0),
-            Point::new(0.0, 60.0),
-        ]);
-        let mut tr = Transport::new(TransportConfig::default());
-        let d = tr.broadcast_payload(
-            &topo,
-            NodeId(0),
-            &Payload::from(vec![1u8; 100]),
-            SimTime::ZERO,
-        );
-        assert_eq!(d.reached(), 3);
-        assert_eq!(d.groups().len(), 1, "one arrival instant, one group");
-        assert_eq!(d.groups()[0].1.len(), 3);
-        // A line delivers hop by hop: one group per hop.
-        let line_topo = line(4);
-        let mut tr = Transport::new(TransportConfig::default());
-        let d = tr.broadcast_payload(
-            &line_topo,
-            NodeId(0),
-            &Payload::from(vec![1u8; 100]),
-            SimTime::ZERO,
-        );
-        assert_eq!(d.reached(), 3);
-        assert_eq!(d.groups().len(), 3);
-    }
-
-    #[test]
     fn payload_is_shared_not_copied() {
         let payload = Payload::from(vec![7u8; 64]);
         let topo = line(3);
         let mut tr = Transport::new(TransportConfig::default());
         let d = tr.broadcast_payload(&topo, NodeId(0), &payload, SimTime::ZERO);
-        let delivered = d.payload().expect("payload broadcast carries payload");
+        assert_eq!(d.len(), 2);
+        // What each recipient is handed: a clone of the sender's handle.
+        let delivered = payload.clone();
         assert!(
             Arc::ptr_eq(&delivered.shared(), &payload.shared()),
             "deliveries must share the sender's allocation"
@@ -1091,5 +1015,152 @@ mod tests {
             .unwrap();
         // Node 0 sent 100, node 1 received 100 → mean (100+100)/2.
         assert_eq!(tr.stats().mean_node_overhead(), 100.0);
+    }
+
+    /// The flood this module ran before the single pass, kept as the
+    /// oracle: an `any()` pre-scan of each forwarder's neighbours decides
+    /// whether it transmits, then a second walk covers them, with arrivals
+    /// held in a per-flood `Option` row and deliveries grouped by arrival
+    /// instant, flattened on return.
+    fn grouped_reference(
+        tr: &mut Transport,
+        topo: &Topology,
+        src: NodeId,
+        bytes: u64,
+        now: SimTime,
+        mut forwards: impl FnMut(NodeId) -> bool,
+    ) -> Vec<(NodeId, SimTime)> {
+        tr.ensure(topo.len());
+        let tx = tr.tx_time(bytes);
+        let hop_delay = tr.hop_delay();
+        let mut arrival: Vec<Option<SimTime>> = vec![None; topo.len()];
+        arrival[src.0] = Some(now);
+        let mut order: Vec<NodeId> = vec![src];
+        let mut head = 0;
+        let mut groups: Vec<(SimTime, Vec<NodeId>)> = Vec::new();
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            if !forwards(u) || !topo.neighbors(u).any(|v| arrival[v.0].is_none()) {
+                continue;
+            }
+            let t_u = arrival[u.0].expect("ordered nodes have arrivals");
+            let depart = t_u.max(tr.busy_until[u.0]);
+            let done = depart + tx;
+            tr.busy_until[u.0] = done;
+            tr.stats.sent[u.0] += bytes;
+            let reach = done + hop_delay;
+            for v in topo.neighbors(u) {
+                if arrival[v.0].is_none() {
+                    if tr.message_lost() {
+                        tr.dropped += 1;
+                        continue;
+                    }
+                    arrival[v.0] = Some(reach);
+                    tr.stats.received[v.0] += bytes;
+                    order.push(v);
+                    match groups.last_mut() {
+                        Some((t, nodes)) if *t == reach => nodes.push(v),
+                        _ => groups.push((reach, vec![v])),
+                    }
+                }
+            }
+        }
+        groups
+            .into_iter()
+            .flat_map(|(t, nodes)| nodes.into_iter().map(move |v| (v, t)))
+            .collect()
+    }
+
+    /// `n` nodes at about ten neighbours each on a square field, with
+    /// `crashed` down and the `cut` side partitioned off.
+    fn faulted(n: usize, seed: u64, crashed: &[usize], cut: &[usize]) -> Topology {
+        use rand::{Rng, SeedableRng};
+        let side = 300.0 * (n as f64 / 60.0).sqrt();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let positions = (0..n)
+            .map(|_| Point::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side))
+            .collect();
+        let config = crate::topology::TopologyConfig {
+            field: crate::geometry::Field::new(side, side),
+            ..crate::topology::TopologyConfig::default()
+        };
+        let mut t = Topology::from_positions_with_config(positions, config);
+        for &v in crashed {
+            t.set_active(NodeId(v % n), false);
+        }
+        let cut: Vec<NodeId> = cut.iter().map(|&v| NodeId(v % n)).collect();
+        t.set_partition(Some(&cut));
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The single-pass flood equals the grouped reference from equal
+        /// transport states, flood after flood on one transport: the same
+        /// deliveries in the same order at the same times, the same byte
+        /// counts, radio horizons and drops, and both RNGs left at the
+        /// same draw. Plain and probabilistic floods interleave over
+        /// crashes and a partition cut, lossless and lossy, at nominal and
+        /// doubled latency, with the radios preloaded by unicasts.
+        #[test]
+        fn single_pass_flood_matches_grouped_reference(
+            n in 2usize..90,
+            seed in any::<u64>(),
+            crashed in prop::collection::vec(0usize..90, 0..4),
+            cut in prop::collection::vec(0usize..90, 0..30),
+            lossy in any::<bool>(),
+            slow in any::<bool>(),
+            unicasts in prop::collection::vec((0usize..90, 0usize..90), 0..4),
+            floods in prop::collection::vec((0usize..90, 0u8..3, 0u32..1000), 1..6),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let topo = faulted(n, seed, &crashed, &cut);
+            let mut fast = Transport::new(TransportConfig::default());
+            fast.seed_faults(seed);
+            fast.set_loss_prob(if lossy { 0.3 } else { 0.0 });
+            fast.set_latency_factor(if slow { 2.0 } else { 1.0 });
+            for (a, b) in unicasts {
+                let _ = fast.unicast(&topo, NodeId(a % n), NodeId(b % n), 40_000, SimTime::ZERO);
+            }
+            let mut slow_tr = fast.clone();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF10D);
+            let mut ref_rng = rng.clone();
+            for (i, (src, kind, p)) in floods.into_iter().enumerate() {
+                let (src, now) = (NodeId(src % n), SimTime::from_millis(50 * i as u64));
+                let p = f64::from(p) / 1000.0;
+                let (got, want) = match kind {
+                    0 => (
+                        fast.broadcast(&topo, src, 2_048, now),
+                        grouped_reference(&mut slow_tr, &topo, src, 2_048, now, |_| true),
+                    ),
+                    1 => (
+                        fast.broadcast_payload(&topo, src, &Payload::from(vec![1u8; 700]), now),
+                        grouped_reference(&mut slow_tr, &topo, src, 700, now, |_| true),
+                    ),
+                    _ => {
+                        let forwards =
+                            |u: NodeId| u == src || ref_rng.gen::<f64>() < p;
+                        (
+                            fast.broadcast_probabilistic(&topo, src, 2_048, now, p, &mut rng),
+                            grouped_reference(&mut slow_tr, &topo, src, 2_048, now, forwards),
+                        )
+                    }
+                };
+                prop_assert_eq!(got, want, "flood {} from {}", i, src);
+            }
+            for v in topo.nodes() {
+                prop_assert_eq!(fast.stats().sent_bytes(v), slow_tr.stats().sent_bytes(v));
+                prop_assert_eq!(
+                    fast.stats().received_bytes(v),
+                    slow_tr.stats().received_bytes(v)
+                );
+            }
+            prop_assert_eq!(&fast.busy_until, &slow_tr.busy_until);
+            prop_assert_eq!(fast.messages_dropped(), slow_tr.messages_dropped());
+            prop_assert_eq!(fast.fault_rng.gen::<u64>(), slow_tr.fault_rng.gen::<u64>());
+            prop_assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
+        }
     }
 }
